@@ -115,7 +115,7 @@ func main() {
 		rounds    = flag.Int("rounds", 3, "monitor: measurements per path (≥ 1)")
 		interval  = flag.Duration("interval", 100*time.Millisecond, "monitor: re-measurement gap per path")
 		jitter    = flag.Float64("jitter", 0.3, "monitor: gap randomization fraction in [0,1]")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "monitor: max concurrent measurements")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "monitor: max concurrent measurements (a -mesh fleet is sequenced on one virtual clock and ignores it)")
 		export    = flag.String("export", "", "monitor: HTTP listen address for the time-series store (e.g. :9090); keeps serving after the fleet finishes, until interrupted")
 		meshName  = flag.String("mesh", "", "monitor: run the fleet over a shared backbone instead of independent paths: star, chain, tree, disjoint (fixed shape parameters; ignores -cap -util -model -sources)")
 		schedName = flag.String("schedule", "fixed", "monitor: re-measurement schedule: fixed (jittered -interval), adaptive (per-path gaps scaled by recent windowed ρ), budgeted (fixed under the -budget cap)")
@@ -265,8 +265,9 @@ Monitor-mode flag matrix (with -monitor):
                    -schedule, -budget, -export
   -mesh <shape>    shared-backbone fleet, sequenced on one virtual clock
                    (replays byte-for-byte); composes with -schedule, -budget,
-                   -export; add -stagger for contention-aware admission on the
-                   live SharedSim fallback (non-deterministic interleave)
+                   -export; add -stagger for contention-aware admission (paths
+                   sharing a tight link never co-probe; admission waits pass in
+                   virtual time, so the replay guarantee holds)
   -senders a,b,…   real-network fleet over pathload-snd daemons; composes with
                    -schedule, -budget, -export; excludes -mesh and -stagger
                    (real paths have no shared backbone, hence no conflict graph)
@@ -639,19 +640,11 @@ func buildFleet(o monitorOpts, store *tsstore.Store) (*pathload.Monitor, map[str
 		}
 		if o.stagger {
 			// Contention-aware admission: the mesh knows which paths
-			// share a tight link; never measure two of them at once.
-			// Admission policies block sessions, which a sequenced
-			// fleet's round barrier cannot tolerate, so -stagger selects
-			// the SharedSim fallback (live, not reproducible run-to-run).
-			cfg.Admission = schedule.NewStagger(m.TightOverlaps(), o.workers)
-			fmt.Printf("admission: staggering tight-link-sharing paths (workers %d; non-deterministic interleave)\n", o.workers)
-			mon, err := m.SharedMonitorFleet(cfg, 10*netsim.Millisecond)
-			if err != nil {
-				return nil, nil, err
-			}
-			fmt.Printf("mesh fleet: %d paths over a %s backbone (%d links, shared-link contention)\n",
-				o.paths, o.mesh, len(m.Links()))
-			return mon, avail, nil
+			// share a tight link; never measure two of them at once. No
+			// worker cap on top: -workers defaults to the host's core
+			// count, which must not leak into a replayable timeline.
+			cfg.Admission = schedule.NewStagger(m.TightOverlaps(), 0)
+			fmt.Println("admission: staggering tight-link-sharing paths")
 		}
 		mon, drv, err := m.MonitorFleet(cfg, 10*netsim.Millisecond)
 		if err != nil {

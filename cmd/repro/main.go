@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/experiments"
 )
 
@@ -27,15 +26,7 @@ func main() {
 	all := flag.Bool("all", false, "reproduce every figure")
 	scale := flag.Float64("scale", 1.0, "scale factor for run counts and measurement windows (1 = paper scale)")
 	seed := flag.Int64("seed", 1, "master random seed")
-	benchFilter := flag.String("bench", "", "run the perf benchmark suite instead of figures (\"all\" or a name substring)")
-	benchOut := flag.String("bench-out", "", "write the bench report as JSON to this file")
-	benchBaseline := flag.String("bench-baseline", "", "compare the bench run against this baseline JSON and fail on regression")
-	benchTolerance := flag.Float64("bench-tolerance", 50, "ns/op regression tolerance vs the baseline, in percent")
 	flag.Parse()
-
-	if *benchFilter != "" {
-		os.Exit(runBench(*benchFilter, *benchOut, *benchBaseline, *benchTolerance))
-	}
 
 	opt := experiments.Options{Scale: *scale, Seed: *seed}
 	if !*all && *fig == "" {
@@ -57,45 +48,6 @@ func main() {
 		fmt.Print(out)
 		fmt.Printf("(%s in %.1fs)\n\n", figLabel(f), time.Since(start).Seconds())
 	}
-}
-
-// runBench runs the perf benchmark suite, optionally writing the JSON
-// report and gating against a committed baseline. Returns the process
-// exit code: 1 when the regression gate fails.
-func runBench(filter, out, baseline string, tolerancePct float64) int {
-	rep := bench.Run(filter)
-	fmt.Print(bench.Format(rep))
-	if out != "" {
-		if err := bench.WriteJSON(out, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-	if baseline != "" {
-		base, err := bench.ReadJSON(baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-			return 1
-		}
-		// A filtered run only gates the benchmarks it ran.
-		kept := base.Benchmarks[:0:0]
-		for _, b := range base.Benchmarks {
-			if bench.Matches(b.Name, filter) {
-				kept = append(kept, b)
-			}
-		}
-		base.Benchmarks = kept
-		if violations := bench.Compare(base, rep, tolerancePct); len(violations) > 0 {
-			fmt.Fprintf(os.Stderr, "repro: perf regression vs %s:\n", baseline)
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "  %s\n", v)
-			}
-			return 1
-		}
-		fmt.Printf("within %.0f%% of baseline %s\n", tolerancePct, baseline)
-	}
-	return 0
 }
 
 // figLabel names the figure(s) a selector covers.

@@ -319,6 +319,11 @@ func decodeCheckpoint(b []byte) (*decodedCkpt, error) {
 // byte-reproducible under the deterministic harness, and wall clocks
 // are the one field that never is.
 func encodePoint(p tsstore.Point) []byte {
+	if len(p.Err) > math.MaxUint16 {
+		// The length field is a u16: a longer text would commit a
+		// CRC-valid record no decoder accepts and brick recovery.
+		p.Err = p.Err[:math.MaxUint16]
+	}
 	b := make([]byte, 0, 8*6+2+len(p.Err))
 	b = binary.BigEndian.AppendUint64(b, uint64(p.Round))
 	b = binary.BigEndian.AppendUint64(b, uint64(p.At))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -138,6 +139,35 @@ func TestOpenStoreRoundtrip(t *testing.T) {
 	// Resume state: the next round continues, not rewinds.
 	if round, at := tsstore.Resume(re, "path-00"); round != 15 || at <= 0 {
 		t.Fatalf("Resume = (%d, %v), want round 15", round, at)
+	}
+}
+
+// TestOpenStoreOversizedError: one failed round whose error text
+// overflows the record's u16 length field must not brick restart
+// recovery — the text is truncated at encode time, so the archive
+// reopens and the round is still there, marked failed.
+func TestOpenStoreOversizedError(t *testing.T) {
+	dir := t.TempDir()
+	st, be, _ := openStoreT(t, dir, Options{}, tsstore.Config{Capacity: 8})
+	long := strings.Repeat("x", 70_000)
+	st.Observe(pathload.Sample{Path: "path-00", Round: 0, Err: errors.New(long)})
+	st.Observe(sample("path-00", 1))
+	if n, err := st.BackendErrs(); n != 0 {
+		t.Fatalf("backend errors: %d %v", n, err)
+	}
+	if err := be.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	re, be2, rep := openStoreT(t, dir, Options{}, tsstore.Config{Capacity: 8})
+	defer be2.Close()
+	if got := rep.SealedRecords + rep.TailRecords; got != 2 {
+		t.Fatalf("recovered %d records, want 2: %+v", got, rep)
+	}
+	snap := re.Snapshot("path-00")
+	if len(snap) != 2 || snap[0].Err != long[:math.MaxUint16] || snap[1].Err != "" {
+		t.Fatalf("recovered %d points, first error %d bytes; want 2 points, error truncated to %d bytes",
+			len(snap), len(snap[0].Err), math.MaxUint16)
 	}
 }
 

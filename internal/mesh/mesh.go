@@ -372,10 +372,10 @@ func (m *Mesh) SequencedProbers(reverseDelay netsim.Time) (*simprobe.Sequencer, 
 // link-counter snapshots) on the returned driver before Start; the
 // caller starts and owns the returned monitor.
 //
-// The config must leave Admission nil (the driver owns the
-// interleave) and paths must not be factory-backed — pathload.Monitor
-// enforces both at Start. For a live, non-deterministic fleet (e.g.
-// wall-clock admission experiments) use SharedMonitorFleet.
+// cfg.Admission passes through: the driver waits for it in virtual
+// time, so a staggered fleet (schedule.NewStagger over TightOverlaps)
+// replays byte-for-byte too. With a nil Admission every session is
+// admitted at once, whatever cfg.Workers says.
 func (m *Mesh) MonitorFleet(cfg pathload.MonitorConfig, reverseDelay netsim.Time) (*pathload.Monitor, *simprobe.SequencedDriver, error) {
 	seq, probers := m.SequencedProbers(reverseDelay)
 	drv := simprobe.NewSequencedDriver(seq)
@@ -391,27 +391,4 @@ func (m *Mesh) MonitorFleet(cfg pathload.MonitorConfig, reverseDelay netsim.Time
 		}
 	}
 	return mon, drv, nil
-}
-
-// SharedMonitorFleet is the non-deterministic fallback: one
-// SharedSim-backed prober per path, registered under the path's name.
-// The monitor's concurrent sessions serialize on the one simulator, so
-// overlapping paths contend while samples land in the configured
-// Results channel and SampleSink as usual, but the interleave follows
-// the host scheduler — fleet results are live and race-free, not
-// reproducible run-to-run. It is the only fleet mode compatible with
-// Admission policies (schedule.NewStagger), which would stall
-// MonitorFleet's round barrier.
-func (m *Mesh) SharedMonitorFleet(cfg pathload.MonitorConfig, reverseDelay netsim.Time) (*pathload.Monitor, error) {
-	mon, err := pathload.NewMonitor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	shared := simprobe.NewSharedSim(m.Sim)
-	for _, p := range m.paths {
-		if err := mon.AddPath(p.Name, shared.NewProber(p.Route, reverseDelay)); err != nil {
-			return nil, err
-		}
-	}
-	return mon, nil
 }

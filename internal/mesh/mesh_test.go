@@ -400,14 +400,14 @@ func (c *countingSink) Observe(s pathload.Sample) {
 	}
 }
 
-// TestMonitorFleetOverMesh: the SharedSim-backed fallback fleet feeds
-// a pathload.Monitor whose sessions contend on one simulator; every
-// path must deliver every round, to the channel and the sink alike.
+// TestMonitorFleetOverMesh: the fleet constructor feeds a
+// pathload.Monitor whose sessions contend on one simulator; every path
+// must deliver every round, to the channel and the sink alike.
 func TestMonitorFleetOverMesh(t *testing.T) {
 	m := Star(4, 5).MustBuild()
 	m.Warmup(2 * netsim.Second)
 	sink := &countingSink{}
-	mon, err := m.SharedMonitorFleet(pathload.MonitorConfig{
+	mon, _, err := m.MonitorFleet(pathload.MonitorConfig{
 		Workers:  4,
 		Rounds:   2,
 		Interval: 20 * time.Millisecond,
@@ -445,13 +445,10 @@ func TestMonitorFleetOverMesh(t *testing.T) {
 			t.Errorf("%s: sink saw %d rounds, want 2", id, n)
 		}
 	}
-	// Both fleet constructors must reject a broken config rather than
-	// half-wire it.
-	if _, err := m.SharedMonitorFleet(pathload.MonitorConfig{Jitter: 2}, 0); err == nil {
-		t.Error("invalid monitor config accepted")
-	}
+	// The constructor must reject a broken config rather than half-wire
+	// it.
 	if _, _, err := m.MonitorFleet(pathload.MonitorConfig{Jitter: 2}, 0); err == nil {
-		t.Error("invalid monitor config accepted by sequenced fleet")
+		t.Error("invalid monitor config accepted")
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // This is the sharded answer to "many concurrent measurements on one
 // simulated clock": paths that must not interact get a shard each and a
 // shared timeline; paths that share links belong in one simulator (see
-// internal/simprobe.SharedSim for serializing multiple probers on it).
+// internal/simprobe.Sequencer for co-scheduling multiple probers on it).
 //
 // A Lockstep must not be advanced while any shard is being driven from
 // elsewhere (e.g. by a prober mid-measurement), and Add/AdvanceTo must
@@ -77,9 +77,6 @@ func (l *Lockstep) Add(s *Simulator) {
 	}
 	l.st.sims = append(l.st.sims, s)
 }
-
-// Sims returns the shards in insertion order.
-func (l *Lockstep) Sims() []*Simulator { return l.st.sims }
 
 // Now returns the common barrier time reached by the last advance.
 func (l *Lockstep) Now() Time { return l.now }

@@ -6,16 +6,21 @@ import (
 )
 
 // An Admission policy gates measurement starts across a fleet: a
-// session calls Acquire before every round and runs the measurement
-// only while holding the returned release. The Monitor's original
-// worker semaphore is the Workers policy; Stagger adds the
+// session acquires the policy before every round and runs the
+// measurement only while holding the returned release. The Monitor's
+// original worker semaphore is the Workers policy; Stagger adds the
 // contention-aware layer the mesh experiments motivate.
 //
-// Acquire blocks until the path may begin (or cancel closes, in which
-// case ok is false and no slot is held). Implementations must be safe
-// for concurrent use from every session goroutine.
+// TryAcquire is the admissibility rule itself: it admits the path if it
+// may begin right now and never blocks, which is what a driver that
+// waits in virtual time polls (simprobe.SequencedDriver). Acquire is
+// "try, else wait" over it for wall-clock sessions: it blocks until the
+// path may begin, or cancel closes, in which case ok is false and no
+// slot is held. Implementations must be safe for concurrent use from
+// every session goroutine.
 type Admission interface {
 	Acquire(path string, cancel <-chan struct{}) (release func(), ok bool)
+	TryAcquire(path string) (release func(), ok bool)
 }
 
 // Workers is the bounded worker pool: at most N measurements in flight
@@ -34,18 +39,33 @@ func NewWorkers(n int) *Workers {
 	return w
 }
 
-// Acquire takes a slot, or reports ok == false when cancel wins.
-func (w *Workers) Acquire(path string, cancel <-chan struct{}) (func(), bool) {
+// TryAcquire takes a slot if one is free.
+func (w *Workers) TryAcquire(string) (func(), bool) {
 	if w.sem == nil {
 		return func() {}, true
 	}
 	select {
 	case w.sem <- struct{}{}:
-		return func() { <-w.sem }, true
+		return w.release, true
+	default:
+		return nil, false
+	}
+}
+
+// Acquire takes a slot, or reports ok == false when cancel wins.
+func (w *Workers) Acquire(path string, cancel <-chan struct{}) (func(), bool) {
+	if release, ok := w.TryAcquire(path); ok {
+		return release, true
+	}
+	select {
+	case w.sem <- struct{}{}:
+		return w.release, true
 	case <-cancel:
 		return nil, false
 	}
 }
+
+func (w *Workers) release() { <-w.sem }
 
 // Stagger is conflict-graph admission: two paths that conflict — share
 // a tight link, per the mesh's link-sharing graph — never measure at
@@ -58,12 +78,14 @@ func (w *Workers) Acquire(path string, cancel <-chan struct{}) (func(), bool) {
 // only worker-gated, so a Stagger with an empty graph degenerates to
 // Workers.
 //
-// Admission order among waiters is not FIFO: every release wakes all
-// waiters and they race for the next slot, so on a dense conflict
-// graph (e.g. a star, where every pair conflicts) a path can lose the
-// race repeatedly and fall behind its siblings. Long-lived fleets on
-// dense graphs should keep a non-zero re-measurement interval so
-// sessions spend most time idling rather than contending.
+// Admission order among wall-clock waiters (Acquire) is not FIFO: every
+// release wakes all waiters and they race for the next slot, so on a
+// dense conflict graph (e.g. a star, where every pair conflicts) a path
+// can lose the race repeatedly and fall behind its siblings. Long-lived
+// fleets on dense graphs should keep a non-zero re-measurement interval
+// so sessions spend most time idling rather than contending. A
+// sequenced fleet has no such race: its driver polls TryAcquire for the
+// waiters in seat order, so the grant order is deterministic.
 type Stagger struct {
 	mu        sync.Mutex
 	conflicts map[string]map[string]bool
@@ -117,44 +139,48 @@ func (g *Stagger) Conflicts(path string) []string {
 	return out
 }
 
-// Acquire blocks until no conflicting path is measuring and a worker
-// slot is free.
+// TryAcquire admits the path if no conflicting path is measuring and a
+// worker slot is free.
+func (g *Stagger) TryAcquire(path string) (func(), bool) {
+	release, _ := g.try(path)
+	return release, release != nil
+}
+
+// Acquire blocks until TryAcquire would admit the path.
 func (g *Stagger) Acquire(path string, cancel <-chan struct{}) (func(), bool) {
-	g.mu.Lock()
 	for {
-		if g.admissible(path) {
-			g.busy[path] = true
-			if g.slots > 0 {
-				g.slots--
-			}
-			g.mu.Unlock()
-			var once sync.Once
-			return func() { once.Do(func() { g.release(path) }) }, true
+		release, changed := g.try(path)
+		if release != nil {
+			return release, true
 		}
-		// Wait for any release without holding the lock; the channel is
-		// replaced (closed) on every state change.
-		ch := g.changed
-		g.mu.Unlock()
 		select {
-		case <-ch:
+		case <-changed:
 		case <-cancel:
 			return nil, false
 		}
-		g.mu.Lock()
 	}
 }
 
-// admissible reports whether the path may start now; callers hold g.mu.
-func (g *Stagger) admissible(path string) bool {
+// try admits the path if it may start now. Otherwise it returns the
+// channel the next release closes — read under the same lock as the
+// refusal, so a waiter cannot miss the release that would admit it.
+func (g *Stagger) try(path string) (release func(), changed <-chan struct{}) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.slots == 0 {
-		return false
+		return nil, g.changed
 	}
 	for o := range g.conflicts[path] {
 		if g.busy[o] {
-			return false
+			return nil, g.changed
 		}
 	}
-	return true
+	g.busy[path] = true
+	if g.slots > 0 {
+		g.slots--
+	}
+	var once sync.Once
+	return func() { once.Do(func() { g.release(path) }) }, nil
 }
 
 // ConflictGroups partitions paths into the connected components of the

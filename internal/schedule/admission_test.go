@@ -49,14 +49,33 @@ func TestWorkersBoundsConcurrency(t *testing.T) {
 	if _, ok := w.Acquire("c", cancel); ok {
 		t.Fatal("cancelled Acquire succeeded")
 	}
+	// TryAcquire is the same rule without the wait: refused while the
+	// pool is full, admitted once a slot frees, and its release returns
+	// the slot.
+	if _, ok := w.TryAcquire("c"); ok {
+		t.Fatal("TryAcquire succeeded on a full pool")
+	}
 	r1()
+	r3, ok := w.TryAcquire("c")
+	if !ok {
+		t.Fatal("TryAcquire refused a free slot")
+	}
+	if _, ok := w.TryAcquire("d"); ok {
+		t.Fatal("TryAcquire overfilled the pool")
+	}
 	r2()
+	r3()
 
-	// Unbounded pool admits immediately.
+	// Unbounded pool admits immediately, either way.
 	u := NewWorkers(0)
-	if release, ok := u.Acquire("p", nil); !ok {
-		t.Fatal("unbounded pool blocked")
-	} else {
+	for _, acquire := range []func() (func(), bool){
+		func() (func(), bool) { return u.Acquire("p", nil) },
+		func() (func(), bool) { return u.TryAcquire("p") },
+	} {
+		release, ok := acquire()
+		if !ok {
+			t.Fatal("unbounded pool blocked")
+		}
 		release()
 	}
 }
@@ -149,6 +168,23 @@ func TestStaggerWorkerCap(t *testing.T) {
 	if got := atomic.LoadInt32(&maxSeen); got > 2 {
 		t.Fatalf("%d concurrent holders, want ≤ 2", got)
 	}
+
+	// The cap binds TryAcquire too, conflicts or none.
+	r1, ok1 := g.TryAcquire("a")
+	r2, ok2 := g.TryAcquire("b")
+	if !ok1 || !ok2 {
+		t.Fatal("TryAcquire refused a free worker slot")
+	}
+	if _, ok := g.TryAcquire("c"); ok {
+		t.Fatal("TryAcquire exceeded the worker cap")
+	}
+	r1()
+	if r3, ok := g.TryAcquire("c"); !ok {
+		t.Fatal("TryAcquire refused after a release")
+	} else {
+		r3()
+	}
+	r2()
 }
 
 // TestStaggerCancel: a waiter blocked on a conflict gives up when
@@ -168,6 +204,16 @@ func TestStaggerCancel(t *testing.T) {
 	close(cancel)
 	if ok := <-done; ok {
 		t.Fatal("cancelled conflicting Acquire succeeded")
+	}
+	// TryAcquire applies the same rule without waiting: the conflicting
+	// path is refused (and takes nothing), an unrelated one admitted.
+	if _, ok := g.TryAcquire("b"); ok {
+		t.Fatal("TryAcquire admitted b while conflicting a is measuring")
+	}
+	if releaseC, ok := g.TryAcquire("c"); !ok {
+		t.Fatal("TryAcquire refused a conflict-free path")
+	} else {
+		releaseC()
 	}
 	releaseA()
 	// After the cancel, b is admissible again.

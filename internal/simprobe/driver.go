@@ -6,17 +6,19 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/schedule"
 
 	pathload "repro"
 )
 
 // A SequencedDriver runs a whole pathload.Monitor fleet on one
-// Sequencer: sessions park at the fleet round barrier between rounds
-// (EndRound), spend their scheduler gaps in virtual time anchored at
-// their own round end (IdleUntil), and retire their sequencer seats at
+// Sequencer: sessions wait for admission parked in virtual time
+// (Acquire), park at the fleet round barrier between rounds (EndRound),
+// spend their scheduler gaps in virtual time anchored at their own
+// round end (IdleUntil), and retire their sequencer seats at
 // end-of-life — so a monitored fleet over a shared mesh advances on one
 // virtual clock with a scheduling-independent interleave and replays
-// byte-for-byte run-to-run.
+// byte-for-byte run-to-run, admission policy included.
 //
 // Wiring: create the Sequencer and its probers, Register each prober
 // under its monitor path name, set the driver as MonitorConfig.Driver,
@@ -105,19 +107,34 @@ func (d *SequencedDriver) Gap(path string, _ pathload.Prober, gap time.Duration)
 	return nil
 }
 
-// Sleep falls back to wall time. It is unreachable in a well-formed
-// sequenced fleet — prober-less waits only happen on factory-backed
-// sessions, which the monitor rejects under a Driver — but a stuck
-// virtual wait would be worse than an honest wall one.
-func (d *SequencedDriver) Sleep(dur time.Duration, stop <-chan struct{}) bool {
-	t := time.NewTimer(dur)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-stop:
-		return false
+// Acquire waits for admission in virtual time: the session parks in an
+// admission wait, with no deadline, whose condition is "stop closed, or
+// adm admits the path now". Sessions release while they hold the floor
+// (a round just ended), so Drive re-polls the waiters right after every
+// release and admits them lowest seat first — the grant order is a
+// function of the fleet's own timeline, not of the host scheduler. If
+// every live session waits and none is admissible, Drive panics rather
+// than spin.
+//
+// A nil policy admits at once without parking: an extra park per round
+// would reorder same-instant setups and break replay of unstaggered
+// fleets against their goldens.
+func (d *SequencedDriver) Acquire(path string, adm schedule.Admission, stop <-chan struct{}) (func(), bool) {
+	if adm == nil {
+		return func() {}, true
 	}
+	var release func()
+	d.prober(path).slot.park(seqParkedAdmit, func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+		}
+		var ok bool
+		release, ok = adm.TryAcquire(path)
+		return ok
+	}, 0)
+	return release, release != nil
 }
 
 // Retire releases the path's sequencer seat so Drive stops waiting for

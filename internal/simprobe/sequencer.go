@@ -1,7 +1,6 @@
 package simprobe
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/netsim"
@@ -10,9 +9,9 @@ import (
 // A Sequencer co-schedules several probers over one simulator so their
 // probe streams genuinely overlap in virtual time, deterministically.
 //
-// SharedSim serializes siblings with a mutex held across each whole
-// stream, so two streams never coexist on the timeline and the
-// interleaving follows the host scheduler. The Sequencer instead splits
+// Serializing siblings with a lock held across each whole stream would
+// keep two streams from ever coexisting on the timeline and leave the
+// interleaving to the host scheduler. The Sequencer instead splits
 // every prober operation into a setup (schedule my packet injections)
 // and an await (wake me when they have arrived, or at a deadline), parks
 // the prober goroutine between the two, and advances the event loop
@@ -42,6 +41,10 @@ type Sequencer struct {
 	changed *sync.Cond
 	slots   []*seqSlot
 	driving bool
+	// pollAdmit is set when admission waiters are worth polling: some
+	// prober has held the floor — the only time an admission slot can be
+	// released — since the last fruitless poll.
+	pollAdmit bool
 
 	// round counts released fleet round barriers (EndRound); onRound,
 	// when set, fires at each barrier with exclusive simulator access.
@@ -65,6 +68,14 @@ const (
 	seqParkedSection
 	// seqParkedAwait: setup done; waiting for its condition or deadline.
 	seqParkedAwait
+	// seqParkedAdmit: parked in an admission wait. Only its condition
+	// ends it — there is no deadline to advance toward — and the
+	// condition may take the slot it grants as a side effect. It is
+	// polled after a prober has run, not after every event, so it may
+	// only depend on what probers do while they hold the floor
+	// (releasing a slot) or on a signal that can wait for the next grant
+	// (a stop channel).
+	seqParkedAdmit
 	// seqParkedRound: parked at the fleet round barrier (EndRound),
 	// waiting for every live sibling to finish its round too.
 	seqParkedRound
@@ -120,6 +131,7 @@ func (p *Prober) Retire() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p.slot.state = seqRetired
+	s.pollAdmit = true
 	s.changed.Broadcast()
 }
 
@@ -148,17 +160,7 @@ func (p *Prober) EndRound() {
 	if p.slot == nil {
 		return
 	}
-	sl := p.slot
-	s := sl.seq
-	s.mu.Lock()
-	if sl.state == seqRetired {
-		s.mu.Unlock()
-		panic("simprobe: sequenced prober used after Retire")
-	}
-	sl.state = seqParkedRound
-	s.changed.Broadcast()
-	s.mu.Unlock()
-	<-sl.grant // every live sibling reached the barrier
+	p.slot.park(seqParkedRound, nil, 0) // until every live sibling reached the barrier
 }
 
 // IdleUntil advances virtual time to the absolute instant t, or does
@@ -189,30 +191,29 @@ func (s *Sequencer) nextPktID() uint64 {
 // simulation results safely — the driver never advances the clock while
 // a prober is unparked.
 func (sl *seqSlot) section(setup func(sim *netsim.Simulator) (cond func() bool, deadline netsim.Time), collect func()) {
-	s := sl.seq
+	sl.park(seqParkedSection, nil, 0) // until the floor is ours: schedule
+	cond, deadline := setup(sl.seq.sim)
+	sl.park(seqParkedAwait, cond, deadline) // until the condition is met or the deadline reached
+	if collect != nil {
+		collect()
+	}
+}
 
+// park records where the prober's goroutine waits and blocks until
+// Drive grants it. The goroutine held the floor until now, so anything
+// it released may admit an admission waiter.
+func (sl *seqSlot) park(state seqState, cond func() bool, deadline netsim.Time) {
+	s := sl.seq
 	s.mu.Lock()
 	if sl.state == seqRetired {
 		s.mu.Unlock()
 		panic("simprobe: sequenced prober used after Retire")
 	}
-	sl.state = seqParkedSection
+	sl.state, sl.cond, sl.deadline = state, cond, deadline
+	s.pollAdmit = true
 	s.changed.Broadcast()
 	s.mu.Unlock()
-	<-sl.grant // floor acquired: schedule
-
-	cond, deadline := setup(s.sim)
-
-	s.mu.Lock()
-	sl.state = seqParkedAwait
-	sl.cond, sl.deadline = cond, deadline
-	s.changed.Broadcast()
-	s.mu.Unlock()
-	<-sl.grant // condition met or deadline reached
-
-	if collect != nil {
-		collect()
-	}
+	<-sl.grant
 }
 
 // Drive runs the co-scheduling loop until every prober has retired. It
@@ -247,6 +248,13 @@ func (s *Sequencer) Drive() {
 			s.grantLocked(sl)
 			continue
 		}
+		if s.pollAdmit {
+			if sl := s.firstAdmitted(); sl != nil {
+				s.grantLocked(sl)
+				continue
+			}
+			s.pollAdmit = false
+		}
 		// No section or await can proceed. If every live prober sits at
 		// the round barrier, the fleet round is complete: fire the
 		// boundary hook (exclusive simulator access — nothing holds the
@@ -260,12 +268,13 @@ func (s *Sequencer) Drive() {
 		// conditions are rechecked at every state change.
 		dl, ok := s.minDeadline()
 		if !ok {
-			// Unreachable: non-retired slots here sit in seqParkedAwait
-			// (every await carries a deadline) or seqParkedRound (an
-			// all-round fleet was released above, and a mixed fleet has
-			// some await to advance toward).
+			// Every live slot sits at the round barrier or in an
+			// admission wait, and no waiter is admissible. Nobody holds
+			// the floor, so nobody can release: the policy never admits,
+			// or a release was lost. Passing time cannot help; fail
+			// loudly.
 			s.mu.Unlock()
-			panic("simprobe: sequencer stalled with no deadlines")
+			panic("simprobe: sequencer stalled with no deadlines: every live session waits for admission and none is admissible")
 		}
 		s.mu.Unlock()
 		if !s.sim.Step(dl) {
@@ -328,13 +337,6 @@ func (s *Sequencer) releaseRoundLocked() {
 	s.mu.Lock()
 }
 
-// Round returns the number of fleet round barriers released so far.
-func (s *Sequencer) Round() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.round
-}
-
 // anyRunning reports whether some live prober holds or may take the
 // floor outside the sequencer's control.
 func (s *Sequencer) anyRunning() bool {
@@ -384,6 +386,18 @@ func (s *Sequencer) firstReadyAwait() *seqSlot {
 	return nil
 }
 
+// firstAdmitted returns the lowest-numbered admission waiter whose
+// condition holds, or nil. The condition takes the slot it reports, so
+// the caller must grant the slot returned here.
+func (s *Sequencer) firstAdmitted() *seqSlot {
+	for _, sl := range s.slots {
+		if sl.state == seqParkedAdmit && sl.cond() {
+			return sl
+		}
+	}
+	return nil
+}
+
 // minDeadline returns the earliest deadline among waiting slots.
 func (s *Sequencer) minDeadline() (netsim.Time, bool) {
 	var dl netsim.Time
@@ -397,24 +411,4 @@ func (s *Sequencer) minDeadline() (netsim.Time, bool) {
 		}
 	}
 	return dl, found
-}
-
-// Probers returns the number of probers created on the sequencer.
-func (s *Sequencer) Probers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.slots)
-}
-
-// String describes the sequencer for diagnostics.
-func (s *Sequencer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	retired := 0
-	for _, sl := range s.slots {
-		if sl.state == seqRetired {
-			retired++
-		}
-	}
-	return fmt.Sprintf("sequencer(%d probers, %d retired, t=%v)", len(s.slots), retired, s.sim.Now())
 }

@@ -9,11 +9,15 @@
 // scheduler jitter — the practical obstacle to microsecond-scale
 // probing from a garbage-collected runtime.
 //
-// A prober can own its simulator outright (New), share it with sibling
-// probers behind a mutex (SharedSim), or share it under a deterministic
-// co-scheduler whose probe streams genuinely overlap in virtual time
-// (Sequencer). All three run the same measurement code; only the
-// section engine — who may touch the simulator when — differs.
+// A prober either owns its simulator outright (New) or shares it with
+// sibling probers under a deterministic co-scheduler whose probe
+// streams genuinely overlap in virtual time (Sequencer); which one is
+// decided by who built the prober, not by an option. Both run the same
+// measurement code; only the section engine — who may touch the
+// simulator when — differs. The private mode is not run as a Sequencer
+// of one because the goroutine hand-off per section roughly halves
+// event throughput (the repository benchmark's
+// simprobe.sequencer_efficiency ≈ 0.52).
 package simprobe
 
 import (
@@ -41,11 +45,9 @@ type Prober struct {
 	// waits for stragglers before declaring the rest lost.
 	LossTimeout netsim.Time
 
-	// shared is set when the prober belongs to a SharedSim and must
-	// serialize against sibling probers; nil for a privately owned sim.
-	shared *SharedSim
 	// slot is set when the prober belongs to a Sequencer and its
-	// sections are co-scheduled deterministically with its siblings'.
+	// sections are co-scheduled deterministically with its siblings';
+	// nil for a privately owned sim.
 	slot *seqSlot
 
 	nextPktID uint64
@@ -55,30 +57,19 @@ type Prober struct {
 // simulation until the condition setup returns holds (or, for a nil
 // condition, until the returned deadline), then runs collect, still
 // exclusively. It is the one place ownership matters: a private
-// simulator is driven directly, a SharedSim holds its mutex across the
-// whole section, and a Sequencer parks the goroutine and lets its
-// driver interleave sibling sections on the shared virtual timeline.
+// simulator is driven directly, and a Sequencer parks the goroutine and
+// lets its driver interleave sibling sections on the shared virtual
+// timeline.
 func (p *Prober) section(setup func(sim *netsim.Simulator) (cond func() bool, deadline netsim.Time), collect func()) {
-	switch {
-	case p.slot != nil:
+	if p.slot != nil {
 		p.slot.section(setup, collect)
-	case p.shared != nil:
-		p.shared.mu.Lock()
-		defer p.shared.mu.Unlock()
-		directSection(p.sim, setup, collect)
-	default:
-		directSection(p.sim, setup, collect)
+		return
 	}
-}
-
-// directSection drives a section on a simulator the caller exclusively
-// owns: run setup, advance until the condition or deadline, collect.
-func directSection(sim *netsim.Simulator, setup func(sim *netsim.Simulator) (cond func() bool, deadline netsim.Time), collect func()) {
-	cond, deadline := setup(sim)
+	cond, deadline := setup(p.sim)
 	if cond == nil {
-		sim.Run(deadline)
+		p.sim.Run(deadline)
 	} else {
-		sim.RunUntil(cond, deadline)
+		p.sim.RunUntil(cond, deadline)
 	}
 	if collect != nil {
 		collect()
@@ -89,16 +80,11 @@ func directSection(sim *netsim.Simulator, setup func(sim *netsim.Simulator) (con
 // several probers inject into one simulator. It must only be called
 // inside a section's setup, where simulator access is exclusive.
 func (p *Prober) pktID() uint64 {
-	switch {
-	case p.slot != nil:
+	if p.slot != nil {
 		return p.slot.seq.nextPktID()
-	case p.shared != nil:
-		p.shared.nextID++
-		return p.shared.nextID
-	default:
-		p.nextPktID++
-		return p.nextPktID
 	}
+	p.nextPktID++
+	return p.nextPktID
 }
 
 // probeTag is the payload of simulated probe packets.

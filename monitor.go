@@ -17,22 +17,29 @@ const (
 )
 
 // A Driver owns a monitor's notion of time and session lifecycle: how
-// sessions wait out their re-measurement gaps, where they announce
-// round boundaries and end-of-life, and who advances the clock. The
-// default (nil Driver) is wall time — gaps pass through the prober's
-// own Idle, round boundaries and retirement are no-ops — which is
+// sessions wait for admission and wait out their re-measurement gaps,
+// where they announce round boundaries and end-of-life, and who
+// advances the clock. The default (nil Driver) is wall time — admission
+// blocks the session goroutine, gaps pass through the prober's own
+// Idle, round boundaries and retirement are no-ops — which is
 // byte-identical to the monitor's original loop. A sequenced driver
 // (internal/simprobe.SequencedDriver) instead parks every session at a
-// fleet round barrier and spends gaps in virtual time, so a whole
-// monitored fleet over one shared simulation advances on one virtual
-// clock with a scheduling-independent interleave.
+// fleet round barrier and spends admission waits and gaps in virtual
+// time, so a whole monitored fleet over one shared simulation advances
+// on one virtual clock with a scheduling-independent interleave.
 //
 // Call ordering per session, all from that session's goroutine:
-// RoundEnd after each published non-final round, then Gap (live
-// prober) or Sleep (no prober) for the scheduler's gap, and Retire
-// exactly once when the session ends — whatever the cause. Drive is
-// called once by the monitor, on its own goroutine, at Start.
+// Acquire before each round, RoundEnd after each published non-final
+// round, then Gap for the scheduler's gap, and Retire exactly once when
+// the session ends — whatever the cause. Drive is called once by the
+// monitor, on its own goroutine, at Start.
 type Driver interface {
+	// Acquire waits until adm admits path's next round and returns the
+	// release to call when the round is over, or ok == false when stop
+	// closes first (no slot is held then). Under a non-nil
+	// MonitorConfig.Driver adm is MonitorConfig.Admission as configured:
+	// nil means no policy, and the driver admits at once.
+	Acquire(path string, adm schedule.Admission, stop <-chan struct{}) (release func(), ok bool)
 	// RoundEnd announces that path finished round and will schedule
 	// another. A barrier-based driver blocks here until every live
 	// session has also finished its round.
@@ -41,10 +48,6 @@ type Driver interface {
 	// live prober is p. An error ends or heals the session exactly as a
 	// failed Prober.Idle does.
 	Gap(path string, p Prober, gap time.Duration) error
-	// Sleep waits d for a session with no live prober (reconnect
-	// backoff, gaps while the transport is down), reporting false when
-	// stop closes first.
-	Sleep(d time.Duration, stop <-chan struct{}) bool
 	// Retire announces path's end-of-life so the driver stops waiting
 	// on it. It must be safe to call whether or not the session ever
 	// reached RoundEnd.
@@ -59,20 +62,13 @@ type Driver interface {
 // wall-clock runs stay byte-identical.
 type wallDriver struct{}
 
+func (wallDriver) Acquire(path string, adm schedule.Admission, stop <-chan struct{}) (func(), bool) {
+	return adm.Acquire(path, stop)
+}
+
 func (wallDriver) RoundEnd(string, int) {}
 
 func (wallDriver) Gap(_ string, p Prober, gap time.Duration) error { return p.Idle(gap) }
-
-func (wallDriver) Sleep(d time.Duration, stop <-chan struct{}) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-stop:
-		return false
-	}
-}
 
 func (wallDriver) Retire(string) {}
 
@@ -121,10 +117,13 @@ type MonitorConfig struct {
 	// exhausted), independent of Rounds.
 	Scheduler schedule.Scheduler
 	// Admission gates measurement starts across the fleet. nil selects
-	// schedule.NewWorkers(Workers), the original bounded worker pool;
-	// schedule.NewStagger keeps paths that share a tight link from
-	// co-probing (feed it mesh.Mesh.TightOverlaps). When Admission is
-	// set, Workers only applies through the policy itself.
+	// schedule.NewWorkers(Workers), the original bounded worker pool —
+	// except under a Driver, where nil means every session is admitted
+	// at once; schedule.NewStagger keeps paths that share a tight link
+	// from co-probing (feed it mesh.Mesh.TightOverlaps). When Admission
+	// is set, Workers only applies through the policy itself. The
+	// session waits through Driver.Acquire: blocked in wall time by
+	// default, parked in virtual time under a sequenced driver.
 	Admission schedule.Admission
 	// Reconnect tunes how factory-backed sessions (AddPathFactory)
 	// heal after a transport failure. The zero value selects the
@@ -143,11 +142,11 @@ type MonitorConfig struct {
 	Resume func(path string) PathState
 	// Driver, when non-nil, takes over time and session lifecycle (see
 	// the Driver interface). Setting it restricts the monitor to
-	// AddPath sessions with nil Admission: factory healing needs wall
-	// time, and an admission policy that blocks a session would stall a
-	// barrier-based driver's fleet round. The monitor then admits all
-	// sessions unconditionally — interleave control is the driver's
-	// job. nil keeps the original wall-clock loop.
+	// AddPath sessions: factory healing needs wall time. Workers is
+	// ignored — with a nil Admission the driver admits every session,
+	// interleave control being its job — and a non-nil Admission is
+	// honoured through Driver.Acquire. nil keeps the original wall-clock
+	// loop.
 	Driver Driver
 }
 
@@ -450,9 +449,6 @@ func (m *Monitor) Start() error {
 				return fmt.Errorf("pathload: monitor Driver cannot run factory-backed path %q: redial healing needs wall time (use AddPath with a prober the driver owns)", s.id)
 			}
 		}
-		if m.cfg.Admission != nil {
-			return fmt.Errorf("pathload: monitor Driver is incompatible with an Admission policy: a session blocked in admission would stall the driver's fleet round")
-		}
 	}
 	if m.cfg.Resume != nil {
 		for _, s := range m.sessions {
@@ -484,16 +480,13 @@ func (m *Monitor) Start() error {
 		b.Bind(ids)
 	}
 	m.adm = m.cfg.Admission
-	if m.adm == nil {
-		m.adm = schedule.NewWorkers(m.cfg.Workers)
-	}
 	m.drv = m.cfg.Driver
 	if m.drv == nil {
 		m.drv = wallDriver{}
+		if m.adm == nil {
+			m.adm = schedule.NewWorkers(m.cfg.Workers)
+		}
 	} else {
-		// The driver owns the interleave: every session is admitted
-		// unconditionally so none can stall the fleet round barrier.
-		m.adm = schedule.NewWorkers(len(m.sessions))
 		go m.drv.Drive()
 	}
 	vars, _ := m.cfg.Store.(schedule.VarSource)
@@ -557,12 +550,19 @@ func (m *Monitor) publish(sample Sample) bool {
 	}
 }
 
-// sleep waits out d through the driver (wall time by default),
-// reporting false when Stop interrupts. It is how sessions wait
-// without a live prober: reconnect backoffs, and re-measurement gaps
-// while the transport is down.
+// sleep waits out d in wall time, reporting false when Stop interrupts.
+// It is how sessions wait without a live prober — reconnect backoffs,
+// and re-measurement gaps while the transport is down — which only
+// factory-backed sessions do, and those never run under a Driver.
 func (m *Monitor) sleep(d time.Duration) bool {
-	return m.drv.Sleep(d, m.stop)
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-m.stop:
+		return false
+	}
 }
 
 // redial restores a factory-backed session's prober, backing off
@@ -645,7 +645,7 @@ func (m *Monitor) run(s *session) {
 				return
 			}
 		}
-		release, ok := m.adm.Acquire(s.id, m.stop)
+		release, ok := m.drv.Acquire(s.id, m.adm, m.stop)
 		if !ok {
 			return
 		}
