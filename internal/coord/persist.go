@@ -79,14 +79,15 @@ func (st *State) LeaseSnapshot(now time.Duration) LeaseSnapshot {
 // never silently re-granted. It returns the transcript lines it
 // appended.
 func (st *State) RestoreLeases(snap LeaseSnapshot, now time.Duration) []string {
-	mark := len(st.log)
+	var lines []string
+	logf := func(format string, args ...any) { lines = append(lines, st.logf(now, format, args...)) }
 	for _, name := range snap.Agents {
 		if name == "" {
 			continue
 		}
 		if _, ok := st.agents[name]; !ok {
 			st.agents[name] = &agentInfo{lastBeat: now}
-			st.logf(now, "restore %s", name)
+			logf("restore %s", name)
 		}
 	}
 	byMembers := map[string]int{}
@@ -96,18 +97,18 @@ func (st *State) RestoreLeases(snap LeaseSnapshot, now time.Duration) []string {
 	for _, og := range snap.Owners {
 		gi, ok := byMembers[memberKey(og.Paths)]
 		if !ok {
-			st.logf(now, "restore drop [%s] -> %s (no matching conflict group)",
+			logf("restore drop [%s] -> %s (no matching conflict group)",
 				strings.Join(og.Paths, " "), og.Owner)
 			continue
 		}
 		if _, live := st.agents[og.Owner]; !live {
-			st.logf(now, "restore drop %s -> %s (owner not restored)", st.groupName(gi), og.Owner)
+			logf("restore drop %s -> %s (owner not restored)", st.groupName(gi), og.Owner)
 			continue
 		}
 		st.owner[gi] = og.Owner
-		st.logf(now, "restore grant %s -> %s", st.groupName(gi), og.Owner)
+		logf("restore grant %s -> %s", st.groupName(gi), og.Owner)
 	}
-	return append([]string(nil), st.log[mark:]...)
+	return lines
 }
 
 // memberKey canonicalizes a group's member set for matching.

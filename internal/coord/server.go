@@ -222,7 +222,7 @@ func (s *Server) Handler() http.Handler {
 			}
 			fmt.Fprintf(w, "group %s owner=%s\n", s.st.groupName(gi), owner)
 		}
-		fmt.Fprintf(w, "transcript %d lines\n", len(s.st.log))
+		fmt.Fprintf(w, "transcript %d lines\n", s.st.logged)
 	})
 	return mux
 }
@@ -384,7 +384,7 @@ func (s *Server) handleConn(c net.Conn) {
 	s.mu.Lock()
 	regErr := s.st.Register(hello.Name, s.cfg.Now())
 	if regErr == nil {
-		s.emit(s.st.log[len(s.st.log)-1:])
+		s.emit([]string{s.st.lastLine()})
 		s.persistLeases()
 	}
 	ack := helloAckMsg{Version: ver, TTL: s.st.TTL(), Epoch: s.st.Epoch()}

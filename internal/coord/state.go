@@ -87,8 +87,17 @@ type State struct {
 	group  map[string]int // path → index into groups
 	agents map[string]*agentInfo
 	owner  []string // groups[i] is leased to owner[i]; "" = unowned
+	// log is a ring of the newest transcriptCap decision lines and
+	// logged the all-time line count: line i (from 0) sits at
+	// log[i%transcriptCap] until line i+transcriptCap overwrites it.
 	log    []string
+	logged int
 }
+
+// transcriptCap bounds the decision log a State retains. A flapping
+// agent writes lines for as long as the coordinator lives; the status
+// page and Transcript only ever want the recent ones.
+const transcriptCap = 4096
 
 // NewState builds the state machine for cfg, partitioning cfg.Paths
 // into conflict groups. It errors on duplicate or empty path names —
@@ -222,7 +231,8 @@ func (st *State) Agents() []string {
 //
 // It returns the transcript lines this tick appended, in order.
 func (st *State) Tick(now time.Duration) []string {
-	mark := len(st.log)
+	var lines []string
+	logf := func(format string, args ...any) { lines = append(lines, st.logf(now, format, args...)) }
 
 	// 1. Expirations.
 	for _, name := range st.Agents() {
@@ -230,7 +240,7 @@ func (st *State) Tick(now time.Duration) []string {
 		if now-a.lastBeat < st.cfg.TTL {
 			continue
 		}
-		st.logf(now, "expire %s (last heartbeat %v)", name, a.lastBeat)
+		logf("expire %s (last heartbeat %v)", name, a.lastBeat)
 		delete(st.agents, name)
 		for gi, owner := range st.owner {
 			if owner == name {
@@ -248,7 +258,7 @@ func (st *State) Tick(now time.Duration) []string {
 			}
 			target := st.leastLoaded(live)
 			st.owner[gi] = target
-			st.logf(now, "grant %s -> %s", st.groupName(gi), target)
+			logf("grant %s -> %s", st.groupName(gi), target)
 		}
 
 		// 3. Steal-balancing.
@@ -274,7 +284,7 @@ func (st *State) Tick(now time.Duration) []string {
 				}
 				if maxLoad-minLoad > len(st.groups[gi]) {
 					st.owner[gi] = minName
-					st.logf(now, "steal %s %s -> %s", st.groupName(gi), maxName, minName)
+					logf("steal %s %s -> %s", st.groupName(gi), maxName, minName)
 					moved = true
 					break
 				}
@@ -285,7 +295,7 @@ func (st *State) Tick(now time.Duration) []string {
 		}
 	}
 
-	return append([]string(nil), st.log[mark:]...)
+	return lines
 }
 
 // load counts the paths (not groups) leased to the agent — the unit
@@ -317,12 +327,32 @@ func (st *State) groupName(gi int) string {
 	return fmt.Sprintf("g%d[%s]", gi, strings.Join(st.groups[gi], " "))
 }
 
-// logf appends one transcript line, clock-stamped.
-func (st *State) logf(now time.Duration, format string, args ...any) {
-	st.log = append(st.log, fmt.Sprintf("%v %s", now, fmt.Sprintf(format, args...)))
+// logf writes one clock-stamped transcript line, over the oldest once
+// the ring is full, and returns it.
+func (st *State) logf(now time.Duration, format string, args ...any) string {
+	line := fmt.Sprintf("%v %s", now, fmt.Sprintf(format, args...))
+	if len(st.log) < transcriptCap {
+		st.log = append(st.log, line)
+	} else {
+		st.log[st.logged%transcriptCap] = line
+	}
+	st.logged++
+	return line
 }
 
-// Transcript returns the full decision log since construction.
+// lastLine returns the newest transcript line; there must be one.
+func (st *State) lastLine() string {
+	return st.log[(st.logged-1)%len(st.log)]
+}
+
+// Transcript returns the decision log, oldest line first: everything
+// since construction, or the newest transcriptCap lines once there
+// have been more.
 func (st *State) Transcript() []string {
-	return append([]string(nil), st.log...)
+	n := len(st.log)
+	if n == 0 {
+		return nil
+	}
+	oldest := st.logged % n // 0 until the ring has wrapped
+	return append(append(make([]string, 0, n), st.log[oldest:]...), st.log[:oldest]...)
 }

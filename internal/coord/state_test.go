@@ -289,3 +289,39 @@ func TestStateValidation(t *testing.T) {
 		t.Fatalf("empty agent name accepted")
 	}
 }
+
+// TestTranscriptIsBounded: an agent that flaps for as long as the
+// coordinator lives writes decision lines forever; the state keeps the
+// newest transcriptCap of them, in order, and counts the rest.
+func TestTranscriptIsBounded(t *testing.T) {
+	st, err := NewState(Config{Paths: []string{"p"}, TTL: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every written line, as the callers saw it: Tick returns its own,
+	// Register's is the newest.
+	var want []string
+	now := time.Duration(0)
+	for tick := 0; tick < 100_000; tick += 2 {
+		if err := st.Register("flap", now); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, st.lastLine())
+		want = append(want, st.Tick(now)...) // grant
+		now += time.Second
+		want = append(want, st.Tick(now)...) // expire
+	}
+	if len(want) != 150_000 || st.logged != len(want) {
+		t.Fatalf("wrote %d lines, state counted %d, want 150000", len(want), st.logged)
+	}
+	if len(st.log) != transcriptCap || cap(st.log) > 2*transcriptCap {
+		t.Fatalf("retained log has len %d cap %d, want len %d", len(st.log), cap(st.log), transcriptCap)
+	}
+	if got := st.Transcript(); !reflect.DeepEqual(got, want[len(want)-transcriptCap:]) {
+		t.Fatalf("Transcript() is not the newest %d lines in order: starts %q, ends %q; want %q … %q",
+			transcriptCap, got[0], got[len(got)-1], want[len(want)-transcriptCap], want[len(want)-1])
+	}
+	if st.lastLine() != want[len(want)-1] {
+		t.Fatalf("lastLine() = %q, want %q", st.lastLine(), want[len(want)-1])
+	}
+}

@@ -180,7 +180,7 @@ func runContentionCase(shape string, fleet int, seed int64, cfg pathload.Config)
 		m := spec.MustBuild()
 		paths = m.Paths()
 		m.Warmup(warmup)
-		seq, probers := m.SequencedProbers(contentionReverse)
+		_, probers := m.SequencedProbers(contentionReverse)
 		before := make([]netsim.LinkCounters, fleet)
 		for i, p := range m.Paths() {
 			before[i] = p.TightLink().Counters()
@@ -201,7 +201,6 @@ func runContentionCase(shape string, fleet int, seed int64, cfg pathload.Config)
 				co[i] = r
 			}()
 		}
-		seq.Drive()
 		fleetWG.Wait()
 
 		window := m.Sim.Now() - start

@@ -349,9 +349,10 @@ func (m *Mesh) overlapGraph(conflict func(a, b *Path) bool) map[string][]string 
 }
 
 // SequencedProbers creates one deterministic co-scheduled prober per
-// path, in path order, all on the mesh's simulator. Drive the returned
-// sequencer while one goroutine per prober measures; the fleet's
-// contention pattern is then reproducible run-to-run.
+// path, in path order, all on the mesh's simulator. Measure with one
+// goroutine per prober, each ending in Retire; the fleet's contention
+// pattern is then reproducible run-to-run. The sequencer is returned
+// for NewSequencedDriver and OnRoundBoundary.
 func (m *Mesh) SequencedProbers(reverseDelay netsim.Time) (*simprobe.Sequencer, []*simprobe.Prober) {
 	seq := simprobe.NewSequencer(m.Sim)
 	probers := make([]*simprobe.Prober, len(m.paths))

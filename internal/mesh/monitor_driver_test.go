@@ -239,12 +239,12 @@ func (f sinkFunc) Observe(s pathload.Sample) { f(s) }
 
 // TestMonitorDriverStopInAdmission: Stop while sessions are parked in
 // an admission wait — which has no deadline to wake them — is seen by
-// the wait itself: the waiters give up, every seat retires, the
-// driver's Drive loop returns, and Results closes. Sibling of
-// TestMonitorDriverStopAtBarrier. Stop is called from the sink as the
-// first sample is published: the publishing session still holds the
-// floor, and the star has kept its three siblings waiting since the
-// fleet started, so they are parked in admission by construction.
+// the wait itself: the waiters give up, every seat retires, and
+// Results closes. Sibling of TestMonitorDriverStopAtBarrier. Stop is
+// called from the sink as the first sample is published: the publishing
+// session still holds the floor, and the star has kept its three
+// siblings waiting since the fleet started, so they are parked in
+// admission by construction.
 func TestMonitorDriverStopInAdmission(t *testing.T) {
 	m := Star(4, 5).MustBuild()
 	m.Warmup(2 * netsim.Second)
@@ -284,9 +284,9 @@ func TestMonitorDriverStopInAdmission(t *testing.T) {
 
 // TestMonitorDriverStopAtBarrier: Stop on an unbounded (Rounds == 0)
 // sequenced fleet is observed as soon as the round barrier releases —
-// every parked session wakes, retires its prober, the driver's Drive
-// loop returns, and Results closes. The test would hang (and trip the
-// timeout guard) if a session stayed parked past Stop.
+// every parked session wakes, retires its prober, and Results closes.
+// The test would hang (and trip the timeout guard) if a session stayed
+// parked past Stop.
 func TestMonitorDriverStopAtBarrier(t *testing.T) {
 	m := Star(4, 5).MustBuild()
 	m.Warmup(2 * netsim.Second)

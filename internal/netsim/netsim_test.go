@@ -286,43 +286,3 @@ func TestLinkValidation(t *testing.T) {
 		}()
 	}
 }
-
-// TestStep fires exactly one event per call, honors the limit, and
-// leaves the clock untouched when nothing fires.
-func TestStep(t *testing.T) {
-	sim := NewSimulator()
-	var fired []int
-	sim.Schedule(10, func() { fired = append(fired, 1) })
-	sim.Schedule(20, func() { fired = append(fired, 2) })
-	sim.Schedule(30, func() { fired = append(fired, 3) })
-
-	if !sim.Step(25) {
-		t.Fatal("Step did not fire the first event")
-	}
-	if sim.Now() != 10 || len(fired) != 1 {
-		t.Fatalf("after first Step: now=%v fired=%v", sim.Now(), fired)
-	}
-	if !sim.Step(25) {
-		t.Fatal("Step did not fire the second event")
-	}
-	if sim.Now() != 20 || len(fired) != 2 {
-		t.Fatalf("after second Step: now=%v fired=%v", sim.Now(), fired)
-	}
-	// Third event is past the limit: no fire, clock unchanged.
-	if sim.Step(25) {
-		t.Fatal("Step fired an event beyond the limit")
-	}
-	if sim.Now() != 20 {
-		t.Fatalf("failed Step moved the clock to %v", sim.Now())
-	}
-	if !sim.Step(30) || sim.Now() != 30 {
-		t.Fatalf("Step at the limit: now=%v fired=%v", sim.Now(), fired)
-	}
-	// Drained queue: Step reports false.
-	if sim.Step(100) {
-		t.Fatal("Step fired on an empty queue")
-	}
-	if got := sim.Events(); got != 3 {
-		t.Fatalf("Events() = %d, want 3", got)
-	}
-}

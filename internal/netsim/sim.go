@@ -87,25 +87,6 @@ func (s *Simulator) Run(until Time) {
 // RunFor executes events for duration d of simulated time.
 func (s *Simulator) RunFor(d Time) { s.Run(s.now + d) }
 
-// Step fires the single next pending event if it is scheduled no later
-// than limit, advancing Now to the event's time, and reports whether an
-// event fired. When nothing fired (empty queue or next event past the
-// limit) the clock is unchanged; use Run to pass idle time. External
-// drivers that must interleave other work between events — the
-// co-scheduling sequencer in internal/simprobe — are its callers.
-func (s *Simulator) Step(limit Time) bool {
-	at, ok := s.q.PeekTime()
-	if !ok || Time(at) > limit {
-		return false
-	}
-	e := s.q.Pop()
-	s.now = Time(at)
-	s.events++
-	e.Fire()
-	s.q.Recycle(e)
-	return true
-}
-
 // RunUntil executes events until cond reports true or the absolute
 // deadline passes, whichever is first. cond is evaluated after each
 // event. It reports whether cond was met.

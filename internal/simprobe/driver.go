@@ -2,7 +2,6 @@ package simprobe
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/netsim"
@@ -23,9 +22,10 @@ import (
 // Wiring: create the Sequencer and its probers, Register each prober
 // under its monitor path name, set the driver as MonitorConfig.Driver,
 // and AddPath the same probers; mesh.MonitorFleet does all of this.
-// The monitor calls Drive itself at Start. Install OnRoundBoundary
-// before Start to advance fleet scenarios (or snapshot link counters)
-// at round boundaries with exclusive simulator access.
+// There is nothing to start beyond the monitor: the sessions drive the
+// sequencer themselves. Install OnRoundBoundary before Start to advance
+// fleet scenarios (or snapshot link counters) at round boundaries with
+// exclusive simulator access.
 //
 // The gap anchor is what makes the disjoint-fleet replay argument work:
 // a path's round r+1 starts at its *own* round-r end plus its scheduler
@@ -34,37 +34,25 @@ import (
 // whether its siblings are present or not.
 type SequencedDriver struct {
 	seq *Sequencer
-
-	// mu guards the maps: Register writes before Start; afterwards
-	// per-path entries are touched concurrently by session goroutines.
-	mu      sync.Mutex
+	// probers is written by Register, before Start, and only read by
+	// the session goroutines afterwards.
 	probers map[string]*Prober
-	ends    map[string]netsim.Time
 }
 
 // NewSequencedDriver creates a driver over seq. Register every path's
 // prober before the monitor starts.
 func NewSequencedDriver(seq *Sequencer) *SequencedDriver {
-	return &SequencedDriver{
-		seq:     seq,
-		probers: map[string]*Prober{},
-		ends:    map[string]netsim.Time{},
-	}
+	return &SequencedDriver{seq: seq, probers: map[string]*Prober{}}
 }
 
-// Register binds a monitor path name to its sequenced prober. The
-// prober must come from the driver's own Sequencer. When the monitor
-// wraps the prober (an instrumented test double), register the inner
-// sequenced prober — the driver needs the seat, not the wrapper.
+// Register binds a monitor path name to its prober, before the monitor
+// starts. The prober must come from the driver's own Sequencer. When
+// the monitor wraps the prober (an instrumented test double), register
+// the inner prober — the driver needs the seat, not the wrapper.
 func (d *SequencedDriver) Register(path string, p *Prober) {
-	if p == nil || p.slot == nil {
-		panic(fmt.Sprintf("simprobe: SequencedDriver.Register(%q) with a non-sequenced prober", path))
+	if p == nil || p.slot.seq != d.seq {
+		panic(fmt.Sprintf("simprobe: SequencedDriver.Register(%q) with a prober that is not from the driver's sequencer", path))
 	}
-	if p.slot.seq != d.seq {
-		panic(fmt.Sprintf("simprobe: SequencedDriver.Register(%q) with a prober from another sequencer", path))
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.probers[path] = p
 }
 
@@ -74,8 +62,6 @@ func (d *SequencedDriver) OnRoundBoundary(fn func(round int)) { d.seq.OnRoundBou
 // prober returns the registered prober for path, panicking on unknown
 // paths — an unregistered session would stall the whole fleet's barrier.
 func (d *SequencedDriver) prober(path string) *Prober {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	p := d.probers[path]
 	if p == nil {
 		panic(fmt.Sprintf("simprobe: SequencedDriver: path %q was never Registered", path))
@@ -89,9 +75,7 @@ func (d *SequencedDriver) prober(path string) *Prober {
 // measurement section, so reading the virtual clock here is safe.
 func (d *SequencedDriver) RoundEnd(path string, round int) {
 	p := d.prober(path)
-	d.mu.Lock()
-	d.ends[path] = d.seq.sim.Now()
-	d.mu.Unlock()
+	p.slot.roundEnd = d.seq.sim.Now()
 	p.EndRound()
 }
 
@@ -100,21 +84,18 @@ func (d *SequencedDriver) RoundEnd(path string, round int) {
 // roundEnd + gap, however late its siblings cleared the barrier.
 func (d *SequencedDriver) Gap(path string, _ pathload.Prober, gap time.Duration) error {
 	p := d.prober(path)
-	d.mu.Lock()
-	end := d.ends[path]
-	d.mu.Unlock()
-	p.IdleUntil(end + netsim.FromDuration(gap))
+	p.IdleUntil(p.slot.roundEnd + netsim.FromDuration(gap))
 	return nil
 }
 
 // Acquire waits for admission in virtual time: the session parks in an
 // admission wait, with no deadline, whose condition is "stop closed, or
 // adm admits the path now". Sessions release while they hold the floor
-// (a round just ended), so Drive re-polls the waiters right after every
-// release and admits them lowest seat first — the grant order is a
+// (a round just ended), so the waiters are re-polled right after every
+// release and admitted lowest seat first — the grant order is a
 // function of the fleet's own timeline, not of the host scheduler. If
-// every live session waits and none is admissible, Drive panics rather
-// than spin.
+// every live session waits and none is admissible, the last one to park
+// panics rather than spin.
 //
 // A nil policy admits at once without parking: an extra park per round
 // would reorder same-instant setups and break replay of unstaggered
@@ -124,7 +105,8 @@ func (d *SequencedDriver) Acquire(path string, adm schedule.Admission, stop <-ch
 		return func() {}, true
 	}
 	var release func()
-	d.prober(path).slot.park(seqParkedAdmit, func() bool {
+	sl := d.prober(path).slot
+	sl.admit = func() bool {
 		select {
 		case <-stop:
 			return true
@@ -133,14 +115,11 @@ func (d *SequencedDriver) Acquire(path string, adm schedule.Admission, stop <-ch
 		var ok bool
 		release, ok = adm.TryAcquire(path)
 		return ok
-	}, 0)
+	}
+	sl.park(seqParkedAdmit)
 	return release, release != nil
 }
 
-// Retire releases the path's sequencer seat so Drive stops waiting for
-// its next move.
+// Retire releases the path's sequencer seat so its siblings stop
+// waiting for its next move.
 func (d *SequencedDriver) Retire(path string) { d.prober(path).Retire() }
-
-// Drive runs the sequencer loop until every session has retired. The
-// monitor calls it from its own goroutine at Start.
-func (d *SequencedDriver) Drive() { d.seq.Drive() }

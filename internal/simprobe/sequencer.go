@@ -6,41 +6,58 @@ import (
 	"repro/internal/netsim"
 )
 
-// A Sequencer co-schedules several probers over one simulator so their
-// probe streams genuinely overlap in virtual time, deterministically.
+// A Sequencer co-schedules the probers of one simulator so their probe
+// streams genuinely overlap in virtual time, deterministically.
 //
 // Serializing siblings with a lock held across each whole stream would
 // keep two streams from ever coexisting on the timeline and leave the
 // interleaving to the host scheduler. The Sequencer instead splits
 // every prober operation into a setup (schedule my packet injections)
-// and an await (wake me when they have arrived, or at a deadline), parks
-// the prober goroutine between the two, and advances the event loop
-// itself. While one prober waits for its stream, its siblings get the
-// floor and schedule theirs at the same virtual time — the streams
-// queue against each other on shared links exactly like cross traffic,
-// which is what fleet self-interference experiments need to observe.
+// and an await (wake me when they have arrived, or at a deadline) and
+// parks the prober goroutine before each. While one prober waits for
+// its stream, its siblings get the floor and schedule theirs at the
+// same virtual time — the streams queue against each other on shared
+// links exactly like cross traffic, which is what fleet
+// self-interference experiments need to observe.
 //
-// Determinism comes from two rules. First, exactly one goroutine — a
-// prober holding the floor, or the driver — touches the simulator at a
-// time, and the floor only changes hands through Drive. Second, Drive
-// acts only when every live prober is parked, and then always picks the
+// There is no scheduler goroutine: the prober that parks (or retires)
+// last makes the next decision on its own goroutine, and when nobody
+// can proceed it runs the event loop itself until somebody can. A
+// Sequencer with a single prober therefore never changes goroutines —
+// park, find itself the only candidate, advance the simulator, return —
+// which is why New is simply a Sequencer of one.
+//
+// Determinism comes from two rules. First, exactly one goroutine
+// touches the simulator at a time: the prober holding the floor, or
+// the last one to park while it decides. Second, a decision is made
+// only when every live prober is parked, and it always picks the
 // lowest-numbered prober whose turn can proceed, so the global order of
 // operations is a pure function of the probers' own measurement logic,
 // never of host scheduling. Two runs with identical inputs produce
 // identical results, packet IDs included.
 //
-// Lifecycle: NewSequencer, NewProber for every path, start one
-// goroutine per prober (each prober stays single-goroutine), then
-// Drive from the owner. Every prober goroutine must end by calling
-// Retire — including on measurement error — or Drive waits forever for
-// its next move; Drive returns once all probers have retired.
+// Lifecycle: NewSequencer, NewProber for every path (and
+// OnRoundBoundary, if wanted), and only then use the probers, one
+// goroutine per prober. Nothing moves until every prober has parked for
+// the first time, so the roster must be complete before the first one
+// is used; NewProber after that panics. Every prober goroutine must end
+// by calling Retire — including on measurement error — or its siblings
+// wait forever for its next move.
 type Sequencer struct {
 	sim *netsim.Simulator
 
-	mu      sync.Mutex
-	changed *sync.Cond
-	slots   []*seqSlot
-	driving bool
+	// mu guards the seats' scheduling state and the fields below, up to
+	// onRound. It orders the probers' parks before the decision that
+	// follows them; it is never contended, since a decision is made only
+	// while every other live prober is blocked on its grant.
+	mu    sync.Mutex
+	slots []*seqSlot
+	// started is set by the first park or retirement: the roster is
+	// final from then on.
+	started bool
+	// live counts seats not yet retired, running those of them that are
+	// not parked. The seat that takes running to zero decides.
+	live, running int
 	// pollAdmit is set when admission waiters are worth polling: some
 	// prober has held the floor — the only time an admission slot can be
 	// released — since the last fruitless poll.
@@ -51,26 +68,30 @@ type Sequencer struct {
 	round   int
 	onRound func(round int)
 
-	// nextID hands out packet IDs; guarded by the floor, not the mutex
-	// (only the goroutine holding the floor allocates).
-	nextID uint64
+	// nextID hands out packet IDs and woken says some seat's armed await
+	// was satisfied by the event that just fired. Both are guarded by
+	// the floor, not the mutex: only the goroutine allowed to touch the
+	// simulator reads or writes them.
+	nextID  uint64
+	woken   bool
+	isWoken func() bool // reads woken; bound once for Sim.RunUntil
 }
 
-// seqState tracks where a sequenced prober's goroutine is.
+// seqState tracks where a prober's goroutine is.
 type seqState int
 
 const (
 	// seqRunning: the goroutine is computing outside the sequencer (or
-	// has not started yet). The driver must wait for it to park.
+	// has not started yet). No decision is made until it parks.
 	seqRunning seqState = iota
 	// seqParkedSection: parked at the top of a section, waiting for the
 	// floor to run its setup.
 	seqParkedSection
-	// seqParkedAwait: setup done; waiting for its condition or deadline.
+	// seqParkedAwait: setup done; waiting for its wake or its deadline.
 	seqParkedAwait
-	// seqParkedAdmit: parked in an admission wait. Only its condition
-	// ends it — there is no deadline to advance toward — and the
-	// condition may take the slot it grants as a side effect. It is
+	// seqParkedAdmit: parked in an admission wait. Only its admit
+	// condition ends it — there is no deadline to advance toward — and
+	// the condition may take the slot it grants as a side effect. It is
 	// polled after a prober has run, not after every event, so it may
 	// only depend on what probers do while they hold the floor
 	// (releasing a slot) or on a signal that can wait for the next grant
@@ -85,97 +106,112 @@ const (
 
 // A seqSlot is one prober's seat in the deterministic rotation.
 type seqSlot struct {
-	seq      *Sequencer
-	id       int
-	state    seqState
-	cond     func() bool // nil for pure time waits
-	deadline netsim.Time
-	grant    chan struct{}
+	seq   *Sequencer
+	state seqState
+	// What the seat waits for, set by its own goroutine before it parks:
+	// deadline ends a seqParkedAwait, armed says wake may end it earlier,
+	// admit is the seqParkedAdmit condition. woken says wake was called.
+	deadline     netsim.Time
+	armed, woken bool
+	admit        func() bool
+	// grant delivers the floor from the sibling that decided. One
+	// buffered token: the decider sends and moves on to block on its
+	// own.
+	grant chan struct{}
+	// roundEnd is the SequencedDriver's gap anchor: written and read
+	// only by the seat's own session while it holds the floor.
+	roundEnd netsim.Time
 }
 
 // NewSequencer wraps sim for deterministic multi-prober co-scheduling.
-// The simulator may be warmed up directly before the first Drive; once
-// Drive runs it must only be touched through sequenced probers.
+// The simulator may be warmed up directly before the first prober is
+// used; from then on it must only be touched through the probers (or
+// the round-boundary hook).
 func NewSequencer(sim *netsim.Simulator) *Sequencer {
 	s := &Sequencer{sim: sim}
-	s.changed = sync.NewCond(&s.mu)
+	s.isWoken = func() bool { return s.woken }
 	return s
 }
 
-// NewProber creates a co-scheduled prober measuring over route. Probers
-// must all be created before Drive; their creation order fixes the
-// deterministic turn order.
+// NewProber creates a co-scheduled prober that injects at the head of
+// route and measures at its tail; reverseDelay models the uncongested
+// return path. Probers must all be created before the first one is
+// used; their creation order fixes the deterministic turn order.
 func (s *Sequencer) NewProber(route []*netsim.Link, reverseDelay netsim.Time) *Prober {
+	if len(route) == 0 {
+		panic("simprobe: empty route")
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.driving {
-		panic("simprobe: Sequencer.NewProber after Drive started")
+	if s.started {
+		panic("simprobe: Sequencer.NewProber after a sibling prober was first used")
 	}
-	p := New(s.sim, route, reverseDelay)
-	sl := &seqSlot{seq: s, id: len(s.slots), state: seqRunning, grant: make(chan struct{})}
+	sl := &seqSlot{seq: s, state: seqRunning, grant: make(chan struct{}, 1)}
 	s.slots = append(s.slots, sl)
-	p.slot = sl
-	return p
+	s.live++
+	s.running++
+	return &Prober{
+		route:        route,
+		ReverseDelay: reverseDelay,
+		LossTimeout:  200 * netsim.Millisecond,
+		slot:         sl,
+	}
 }
 
-// Retire releases a sequenced prober's seat, letting Drive stop waiting
-// for its next move. It must be called exactly once per sequenced
-// prober, when its goroutine is done measuring — deferring it right
-// after the goroutine starts covers error exits too. Retire on a
-// non-sequenced prober is a no-op, so fleet code need not distinguish.
+// Retire releases the prober's seat, letting its siblings stop waiting
+// for its next move. It must be called when the prober's goroutine is
+// done measuring, from that goroutine — deferring it right after the
+// goroutine starts covers error exits too. A prober that has no
+// siblings (New) need not be retired.
 func (p *Prober) Retire() {
-	if p.slot == nil {
-		return
-	}
-	s := p.slot.seq
+	sl := p.slot
+	s := sl.seq
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	p.slot.state = seqRetired
-	s.pollAdmit = true
-	s.changed.Broadcast()
+	if sl.state != seqRetired {
+		sl.state = seqRetired
+		s.live--
+		s.yield(nil)
+	}
+	s.mu.Unlock()
 }
 
 // OnRoundBoundary installs the fleet round-boundary hook: fn fires
-// inside Drive every time all live probers have parked at the EndRound
-// barrier, with round counting released barriers from 1. At that moment
-// no prober holds the floor and no await is pending, so fn has
-// exclusive simulator access — it may advance the clock (e.g. settle a
-// scenario epoch change with RunFor) or read link counters safely. It
-// must be installed before Drive.
+// every time all live probers have parked at the EndRound barrier, with
+// round counting released barriers from 1, on the goroutine of whichever
+// prober parked last. At that moment no prober holds the floor and no
+// await is pending, so fn has exclusive simulator access — it may
+// advance the clock (e.g. settle a scenario epoch change with RunFor)
+// or read link counters safely. It must be installed before the first
+// prober is used.
 func (s *Sequencer) OnRoundBoundary(fn func(round int)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.driving {
-		panic("simprobe: Sequencer.OnRoundBoundary after Drive started")
+	if s.started {
+		panic("simprobe: Sequencer.OnRoundBoundary after a prober was first used")
 	}
 	s.onRound = fn
 }
 
-// EndRound parks a sequenced prober at the fleet round barrier: the
-// call returns only when every live sibling has either called EndRound
-// too or retired, so a whole monitored fleet advances round-by-round on
-// one virtual clock. On a non-sequenced prober it is a no-op, like
-// Retire.
+// EndRound parks the prober at the fleet round barrier: the call
+// returns only when every live sibling has either called EndRound too
+// or retired, so a whole monitored fleet advances round-by-round on one
+// virtual clock. Without siblings it returns at once.
 func (p *Prober) EndRound() {
-	if p.slot == nil {
-		return
-	}
-	p.slot.park(seqParkedRound, nil, 0) // until every live sibling reached the barrier
+	p.slot.park(seqParkedRound) // until every live sibling reached the barrier
 }
 
 // IdleUntil advances virtual time to the absolute instant t, or does
 // nothing when t has already passed. Unlike Idle's relative gap, the
 // deadline is anchored by the caller — a monitor driver anchors each
-// path's next round at its own round end, which keeps a sequenced
-// path's timeline independent of when its siblings cleared the round
-// barrier.
+// path's next round at its own round end, which keeps a path's timeline
+// independent of when its siblings cleared the round barrier.
 func (p *Prober) IdleUntil(t netsim.Time) {
-	p.section(func(sim *netsim.Simulator) (func() bool, netsim.Time) {
+	p.section(func(sim *netsim.Simulator) (netsim.Time, bool) {
 		if now := sim.Now(); t < now {
-			return nil, now
+			return now, false
 		}
-		return nil, t
-	}, nil)
+		return t, false
+	})
 }
 
 // nextPktID allocates a packet ID. Callers hold the floor.
@@ -184,89 +220,87 @@ func (s *Sequencer) nextPktID() uint64 {
 	return s.nextID
 }
 
-// section is the sequenced engine: park, run setup when granted the
-// floor, park again, run collect when the await is granted. Between the
-// final grant and the next park this goroutine keeps the floor, so
-// collect and any caller code up to the next section may read
-// simulation results safely — the driver never advances the clock while
-// a prober is unparked.
-func (sl *seqSlot) section(setup func(sim *netsim.Simulator) (cond func() bool, deadline netsim.Time), collect func()) {
-	sl.park(seqParkedSection, nil, 0) // until the floor is ours: schedule
-	cond, deadline := setup(sl.seq.sim)
-	sl.park(seqParkedAwait, cond, deadline) // until the condition is met or the deadline reached
-	if collect != nil {
-		collect()
-	}
+// section runs setup with exclusive simulator access, then waits until
+// the deadline setup returns — or, when setup armed an early wake
+// (armed == true), until wake is called from an event. Setups only
+// schedule future events, never fire any. On return this goroutine
+// still holds the floor, and keeps it until its next park, so the
+// caller may read what the simulation produced — nobody advances the
+// clock while a prober is unparked.
+func (p *Prober) section(setup func(sim *netsim.Simulator) (deadline netsim.Time, armed bool)) {
+	sl := p.slot
+	sl.park(seqParkedSection) // until the floor is ours: schedule
+	sl.deadline, sl.armed = setup(sl.seq.sim)
+	sl.park(seqParkedAwait) // until woken or the deadline is reached
 }
 
-// park records where the prober's goroutine waits and blocks until
-// Drive grants it. The goroutine held the floor until now, so anything
-// it released may admit an admission waiter.
-func (sl *seqSlot) park(state seqState, cond func() bool, deadline netsim.Time) {
+// wake ends the seat's armed await at the event now firing. It runs
+// inside the event loop, so the floor guards it.
+func (sl *seqSlot) wake() {
+	sl.woken = true
+	sl.seq.woken = true
+}
+
+// park records where the prober's goroutine waits and blocks until a
+// decision grants it the floor — its own decision, without changing
+// goroutines, when it is the last to park and the first in line.
+func (sl *seqSlot) park(state seqState) {
 	s := sl.seq
 	s.mu.Lock()
 	if sl.state == seqRetired {
 		s.mu.Unlock()
-		panic("simprobe: sequenced prober used after Retire")
+		panic("simprobe: prober used after Retire")
 	}
-	sl.state, sl.cond, sl.deadline = state, cond, deadline
-	s.pollAdmit = true
-	s.changed.Broadcast()
+	sl.state, sl.woken = state, false
+	mine := s.yield(sl)
 	s.mu.Unlock()
-	<-sl.grant
+	if !mine {
+		<-sl.grant
+	}
 }
 
-// Drive runs the co-scheduling loop until every prober has retired. It
-// blocks the calling goroutine; probers run in their own goroutines and
-// are granted the floor one at a time.
-func (s *Sequencer) Drive() {
-	s.mu.Lock()
-	if s.driving {
-		s.mu.Unlock()
-		panic("simprobe: Sequencer.Drive called twice")
+// yield gives up the floor: the calling seat (nil for one that just
+// retired) has stopped running. If siblings are still running there is
+// nothing to do — the last of them will decide. Otherwise the picture
+// is complete and this goroutine decides who runs next. It reports
+// whether that is self. The goroutine held the floor until now, so
+// anything it released may admit an admission waiter. Called, and
+// returns, with mu held; it lets go of it around caller code (events,
+// the round hook).
+func (s *Sequencer) yield(self *seqSlot) (mine bool) {
+	s.started = true
+	s.pollAdmit = true
+	s.running--
+	if s.running > 0 || s.live == 0 {
+		return false
 	}
-	s.driving = true
 	for {
-		// Rule one: act only on a full picture — every live prober
-		// parked, none mid-computation.
-		for s.anyRunning() {
-			s.changed.Wait()
-		}
-		if s.allRetired() {
-			s.mu.Unlock()
-			return
-		}
-		// Rule two: deterministic choice. Pending setups first (they
-		// only schedule future injections, never fire events, so
-		// serving them before ready awaits is safe), then the first
-		// satisfied await; both by lowest slot number.
+		// Deterministic choice. Pending setups first (they only schedule
+		// future injections, never fire events, so serving them before
+		// ready awaits is safe), then the first satisfied await; both by
+		// lowest slot number.
 		if sl := s.lowestParkedSection(); sl != nil {
-			s.grantLocked(sl)
-			continue
+			return s.grant(sl, self)
 		}
 		if sl := s.firstReadyAwait(); sl != nil {
-			s.grantLocked(sl)
-			continue
+			return s.grant(sl, self)
 		}
 		if s.pollAdmit {
 			if sl := s.firstAdmitted(); sl != nil {
-				s.grantLocked(sl)
-				continue
+				return s.grant(sl, self)
 			}
 			s.pollAdmit = false
 		}
 		// No section or await can proceed. If every live prober sits at
-		// the round barrier, the fleet round is complete: fire the
-		// boundary hook (exclusive simulator access — nothing holds the
-		// floor, nothing awaits) and release them all.
+		// the round barrier, the fleet round is complete.
 		if s.allParkedRound() {
-			s.releaseRoundLocked()
-			continue
+			return s.releaseRound(self)
 		}
-		// Everyone is waiting and nobody is ready: advance the
-		// simulator toward the nearest deadline, one event at a time so
-		// conditions are rechecked at every state change.
-		dl, ok := s.minDeadline()
+		// Everyone is waiting and nobody is ready: advance the simulator
+		// to the nearest deadline, firing every event up to and at it —
+		// or, when some await can end early, up to the event that wakes
+		// one. Time-only waits skip the per-event check.
+		dl, armed, ok := s.minDeadline()
 		if !ok {
 			// Every live slot sits at the round barrier or in an
 			// admission wait, and no waiter is admissible. Nobody holds
@@ -276,86 +310,60 @@ func (s *Sequencer) Drive() {
 			s.mu.Unlock()
 			panic("simprobe: sequencer stalled with no deadlines: every live session waits for admission and none is admissible")
 		}
-		s.mu.Unlock()
-		if !s.sim.Step(dl) {
-			s.sim.Run(dl) // no events before dl: just pass the time
+		s.mu.Unlock() // events are caller code
+		if armed {
+			s.woken = false
+			s.sim.RunUntil(s.isWoken, dl)
+		} else {
+			s.sim.Run(dl)
 		}
 		s.mu.Lock()
 	}
 }
 
-// grantLocked hands sl the floor and reacquires the lock once the
-// handoff is done. The send must happen outside the mutex: the prober
-// needs no lock to receive, but holding it here could deadlock with a
-// sibling trying to park.
-func (s *Sequencer) grantLocked(sl *seqSlot) {
+// grant hands sl the floor and reports whether sl is self, who then
+// simply returns from park. The token goes into sl's buffer, so the
+// deciding goroutine moves on (to block on its own grant) and sl runs
+// next.
+func (s *Sequencer) grant(sl, self *seqSlot) bool {
 	sl.state = seqRunning
-	s.mu.Unlock()
+	s.running++
+	if sl == self {
+		return true
+	}
 	sl.grant <- struct{}{}
-	s.mu.Lock()
-}
-
-// allParkedRound reports whether at least one live prober exists and
-// every live prober is parked at the round barrier.
-func (s *Sequencer) allParkedRound() bool {
-	live := 0
-	for _, sl := range s.slots {
-		switch sl.state {
-		case seqRetired:
-		case seqParkedRound:
-			live++
-		default:
-			return false
-		}
-	}
-	return live > 0
-}
-
-// releaseRoundLocked fires the round-boundary hook and releases every
-// barrier-parked prober. Like grantLocked, the hook call and the grant
-// sends happen outside the mutex; the probers cannot touch the
-// simulator until their grants arrive, so the hook's simulator access
-// is exclusive.
-func (s *Sequencer) releaseRoundLocked() {
-	s.round++
-	round := s.round
-	hook := s.onRound
-	var waiting []*seqSlot
-	for _, sl := range s.slots {
-		if sl.state == seqParkedRound {
-			sl.state = seqRunning
-			waiting = append(waiting, sl)
-		}
-	}
-	s.mu.Unlock()
-	if hook != nil {
-		hook(round)
-	}
-	for _, sl := range waiting {
-		sl.grant <- struct{}{}
-	}
-	s.mu.Lock()
-}
-
-// anyRunning reports whether some live prober holds or may take the
-// floor outside the sequencer's control.
-func (s *Sequencer) anyRunning() bool {
-	for _, sl := range s.slots {
-		if sl.state == seqRunning {
-			return true
-		}
-	}
 	return false
 }
 
-// allRetired reports whether every prober is done.
-func (s *Sequencer) allRetired() bool {
+// allParkedRound reports whether every live prober is parked at the
+// round barrier.
+func (s *Sequencer) allParkedRound() bool {
 	for _, sl := range s.slots {
-		if sl.state != seqRetired {
+		if sl.state != seqRetired && sl.state != seqParkedRound {
 			return false
 		}
 	}
 	return true
+}
+
+// releaseRound fires the round-boundary hook and releases every
+// barrier-parked prober. The hook runs outside the mutex (it is caller
+// code), but nothing can touch the simulator until the grants below, so
+// its simulator access is exclusive.
+func (s *Sequencer) releaseRound(self *seqSlot) (mine bool) {
+	s.round++
+	if hook := s.onRound; hook != nil {
+		round := s.round
+		s.mu.Unlock()
+		hook(round)
+		s.mu.Lock()
+	}
+	for _, sl := range s.slots {
+		if sl.state == seqParkedRound && s.grant(sl, self) {
+			mine = true
+		}
+	}
+	return mine
 }
 
 // lowestParkedSection returns the lowest-numbered slot waiting to run a
@@ -369,17 +377,12 @@ func (s *Sequencer) lowestParkedSection() *seqSlot {
 	return nil
 }
 
-// firstReadyAwait returns the lowest-numbered waiting slot whose
-// condition holds or whose deadline has passed, or nil. Conditions read
-// only state owned by their (parked) prober, so evaluating them here is
-// safe.
+// firstReadyAwait returns the lowest-numbered waiting slot that was
+// woken or whose deadline has passed, or nil.
 func (s *Sequencer) firstReadyAwait() *seqSlot {
 	now := s.sim.Now()
 	for _, sl := range s.slots {
-		if sl.state != seqParkedAwait {
-			continue
-		}
-		if now >= sl.deadline || (sl.cond != nil && sl.cond()) {
+		if sl.state == seqParkedAwait && (sl.woken || now >= sl.deadline) {
 			return sl
 		}
 	}
@@ -391,24 +394,24 @@ func (s *Sequencer) firstReadyAwait() *seqSlot {
 // the caller must grant the slot returned here.
 func (s *Sequencer) firstAdmitted() *seqSlot {
 	for _, sl := range s.slots {
-		if sl.state == seqParkedAdmit && sl.cond() {
+		if sl.state == seqParkedAdmit && sl.admit() {
 			return sl
 		}
 	}
 	return nil
 }
 
-// minDeadline returns the earliest deadline among waiting slots.
-func (s *Sequencer) minDeadline() (netsim.Time, bool) {
-	var dl netsim.Time
-	found := false
+// minDeadline returns the earliest deadline among waiting slots and
+// whether any of them armed an early wake.
+func (s *Sequencer) minDeadline() (dl netsim.Time, armed, ok bool) {
 	for _, sl := range s.slots {
 		if sl.state != seqParkedAwait {
 			continue
 		}
-		if !found || sl.deadline < dl {
-			dl, found = sl.deadline, true
+		if !ok || sl.deadline < dl {
+			dl, ok = sl.deadline, true
 		}
+		armed = armed || sl.armed
 	}
-	return dl, found
+	return dl, armed, ok
 }

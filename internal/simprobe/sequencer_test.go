@@ -13,13 +13,13 @@ import (
 	pathload "repro"
 )
 
-// driveWithWatchdog runs seq.Drive and fails the test rather than
-// hanging if the rotation stalls.
-func driveWithWatchdog(t *testing.T, seq *Sequencer) {
+// waitWithWatchdog waits for the fleet's goroutines and fails the test
+// rather than hanging if the rotation stalls.
+func waitWithWatchdog(t *testing.T, fleet *sync.WaitGroup) {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
-		seq.Drive()
+		fleet.Wait()
 		close(done)
 	}()
 	select {
@@ -67,8 +67,7 @@ func TestSequencerOverlapsStreams(t *testing.T) {
 			}
 		}()
 	}
-	driveWithWatchdog(t, seq)
-	wg.Wait()
+	waitWithWatchdog(t, &wg)
 
 	if len(sizes) != 60 {
 		t.Fatalf("core served %d packets, want 60", len(sizes))
@@ -101,11 +100,15 @@ func seqTranscript(t *testing.T) string {
 		res            pathload.StreamResult
 	}
 	recs := make([][]rec, probers)
-	var wg sync.WaitGroup
-	for i := 0; i < probers; i++ {
-		i := i
+	// The roster is complete before the first prober is used.
+	fleet := make([]*Prober, probers)
+	for i := range fleet {
 		access := netsim.NewLink(sim, fmt.Sprintf("access%d", i), 100_000_000, netsim.Millisecond, 0)
-		p := seq.NewProber([]*netsim.Link{access, core}, 10*netsim.Millisecond)
+		fleet[i] = seq.NewProber([]*netsim.Link{access, core}, 10*netsim.Millisecond)
+	}
+	var wg sync.WaitGroup
+	for i, p := range fleet {
+		i, p := i, p
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -126,8 +129,7 @@ func seqTranscript(t *testing.T) string {
 			}
 		}()
 	}
-	driveWithWatchdog(t, seq)
-	wg.Wait()
+	waitWithWatchdog(t, &wg)
 
 	var b strings.Builder
 	for i, rr := range recs {
@@ -168,9 +170,12 @@ func TestSequencerProberErrorRetires(t *testing.T) {
 	const probers = 4
 	var wg sync.WaitGroup
 	okStreams := make([]int, probers)
-	for i := 0; i < probers; i++ {
-		i := i
-		p := seq.NewProber([]*netsim.Link{core}, 10*netsim.Millisecond)
+	fleet := make([]*Prober, probers)
+	for i := range fleet {
+		fleet[i] = seq.NewProber([]*netsim.Link{core}, 10*netsim.Millisecond)
+	}
+	for i, p := range fleet {
+		i, p := i, p
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -195,8 +200,7 @@ func TestSequencerProberErrorRetires(t *testing.T) {
 			}
 		}()
 	}
-	driveWithWatchdog(t, seq)
-	wg.Wait()
+	waitWithWatchdog(t, &wg)
 
 	for i, n := range okStreams {
 		if i == 1 {
@@ -222,9 +226,13 @@ func TestSequencerUniquePacketIDs(t *testing.T) {
 		seen[pkt.ID] = true
 	})
 
+	fleet := make([]*Prober, 8)
+	for i := range fleet {
+		fleet[i] = seq.NewProber([]*netsim.Link{link}, 10*netsim.Millisecond)
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		p := seq.NewProber([]*netsim.Link{link}, 10*netsim.Millisecond)
+	for _, p := range fleet {
+		p := p
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -234,42 +242,48 @@ func TestSequencerUniquePacketIDs(t *testing.T) {
 			}
 		}()
 	}
-	driveWithWatchdog(t, seq)
-	wg.Wait()
+	waitWithWatchdog(t, &wg)
 	if len(seen) != 8*20 {
 		t.Fatalf("transmitted %d distinct packets, want %d", len(seen), 160)
 	}
 }
 
-// TestSequencerMisuse pins the lifecycle diagnostics.
+// mustPanic runs fn and fails the test unless it panics with a message
+// containing want.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Errorf("recovered %v, want a panic containing %q", r, want)
+		}
+	}()
+	fn()
+}
+
+// TestSequencerMisuse pins the lifecycle diagnostics: the roster and
+// the round hook are final once any prober has parked, and a retired
+// prober cannot be used again.
 func TestSequencerMisuse(t *testing.T) {
 	sim := netsim.NewSimulator()
 	seq := NewSequencer(sim)
 	link := netsim.NewLink(sim, "l", 1_000_000, 0, 0)
 	p := seq.NewProber([]*netsim.Link{link}, 0)
+	if err := p.Idle(time.Millisecond); err != nil { // the first park
+		t.Fatal(err)
+	}
+	mustPanic(t, "NewProber after", func() { seq.NewProber([]*netsim.Link{link}, 0) })
+	mustPanic(t, "OnRoundBoundary after", func() { seq.OnRoundBoundary(func(int) {}) })
 	p.Retire()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("section after Retire did not panic")
-			}
-		}()
-		_ = p.Idle(time.Millisecond)
-	}()
-	seq.Drive() // all retired: returns immediately
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("NewProber after Drive did not panic")
-			}
-		}()
-		seq.NewProber([]*netsim.Link{link}, 0)
-	}()
+	p.Retire() // idempotent
+	mustPanic(t, "after Retire", func() { _ = p.Idle(time.Millisecond) })
+	mustPanic(t, "empty route", func() { NewSequencer(sim).NewProber(nil, 0) })
 }
 
 // TestSequencerAdmissionStallPanics: an admission await has no deadline,
 // so when every live session waits for admission and none is admissible
-// there is nothing to advance the clock toward. Drive must fail loudly
+// there is nothing to advance the clock toward. The session that parked
+// last — the one deciding — must fail loudly, on its own goroutine,
 // instead of spinning the event loop.
 func TestSequencerAdmissionStallPanics(t *testing.T) {
 	sim := netsim.NewSimulator()
@@ -282,14 +296,71 @@ func TestSequencerAdmissionStallPanics(t *testing.T) {
 	if _, ok := adm.TryAcquire("held"); !ok { // never released
 		t.Fatal("could not fill the pool")
 	}
-	// The session stays parked for good once Drive has panicked; the
-	// goroutine is abandoned with the test.
-	go drv.Acquire("p", adm, nil)
-
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "sequencer stalled") {
-			t.Fatalf("Drive with an inadmissible sole waiter: recovered %v, want the stall panic", r)
-		}
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		drv.Acquire("p", adm, nil)
 	}()
-	seq.Drive()
+	select {
+	case r := <-recovered:
+		if r == nil || !strings.Contains(fmt.Sprint(r), "sequencer stalled") {
+			t.Fatalf("Acquire as an inadmissible sole waiter: recovered %v, want the stall panic", r)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("inadmissible sole waiter neither admitted nor panicked")
+	}
+}
+
+// TestStragglersDoNotWakeNextAwait: a stream that times out leaves
+// packets in flight, and they still reach its sink after SendStream has
+// returned. They belong to nobody: in particular the K-th of them must
+// not end the prober's next await early. Stream 1 floods a slow link
+// and gives up with most of its packets still queued; stream 2 queues
+// behind them and must come back with exactly its own K arrivals, at
+// the instant the last of them leaves the link.
+func TestStragglersDoNotWakeNextAwait(t *testing.T) {
+	const (
+		k    = 10
+		l    = 1000 // 8 ms on the wire at 1 Mb/s
+		prop = 5 * netsim.Millisecond
+		tx   = 8 * netsim.Millisecond
+	)
+	sim := netsim.NewSimulator()
+	link := netsim.NewLink(sim, "slow", 1_000_000, prop, 0)
+	p := New(sim, []*netsim.Link{link}, 0)
+	spec := pathload.StreamSpec{Rate: 8e6, K: k, L: l, T: time.Millisecond}
+
+	// Sent over 10 ms, drained over 80: the wait ends 5 ms after the
+	// first packet could have crossed, with two delivered.
+	p.LossTimeout = 5 * netsim.Millisecond
+	first, err := p.SendStream(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gaveUp := k*netsim.Millisecond + prop + tx + p.LossTimeout; sim.Now() != gaveUp {
+		t.Fatalf("stream 1 returned at %v, want its deadline %v", sim.Now(), gaveUp)
+	}
+	if n := len(first.OWDs); n == 0 || n >= k/2 {
+		t.Fatalf("stream 1 collected %d/%d packets, want a few: the rest must still be in flight", n, k)
+	}
+
+	// Stream 1's tenth packet arrives while stream 2 waits.
+	p.LossTimeout = netsim.Second
+	spec.Index = 1
+	second, err := p.SendStream(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(second.OWDs) != k {
+		t.Fatalf("stream 2 collected %d packets, want its own %d", len(second.OWDs), k)
+	}
+	for i, o := range second.OWDs {
+		if o.Seq != i {
+			t.Fatalf("stream 2 arrival %d has seq %d", i, o.Seq)
+		}
+	}
+	// The link never went idle: the twentieth packet leaves at 20·tx.
+	if want := 2*k*tx + prop; sim.Now() != want {
+		t.Fatalf("stream 2 returned at %v, want %v (its K-th arrival)", sim.Now(), want)
+	}
 }

@@ -9,15 +9,12 @@
 // scheduler jitter — the practical obstacle to microsecond-scale
 // probing from a garbage-collected runtime.
 //
-// A prober either owns its simulator outright (New) or shares it with
-// sibling probers under a deterministic co-scheduler whose probe
-// streams genuinely overlap in virtual time (Sequencer); which one is
-// decided by who built the prober, not by an option. Both run the same
-// measurement code; only the section engine — who may touch the
-// simulator when — differs. The private mode is not run as a Sequencer
-// of one because the goroutine hand-off per section roughly halves
-// event throughput (the repository benchmark's
-// simprobe.sequencer_efficiency ≈ 0.52).
+// Every prober holds a seat on a Sequencer, the deterministic
+// co-scheduler that decides who may touch the simulator when. Sibling
+// probers created on one Sequencer share its simulator and their probe
+// streams genuinely overlap in virtual time; New is a Sequencer with a
+// single seat, which runs the event loop on the caller's own goroutine
+// with no hand-off at all. There is one engine either way.
 package simprobe
 
 import (
@@ -31,7 +28,6 @@ import (
 
 // A Prober emits pathload streams over a simulated route.
 type Prober struct {
-	sim   *netsim.Simulator
 	route []*netsim.Link
 
 	// ReverseDelay models the control path back from receiver to
@@ -45,46 +41,8 @@ type Prober struct {
 	// waits for stragglers before declaring the rest lost.
 	LossTimeout netsim.Time
 
-	// slot is set when the prober belongs to a Sequencer and its
-	// sections are co-scheduled deterministically with its siblings';
-	// nil for a privately owned sim.
+	// slot is the prober's seat on its Sequencer.
 	slot *seqSlot
-
-	nextPktID uint64
-}
-
-// section runs setup with exclusive simulator access, advances the
-// simulation until the condition setup returns holds (or, for a nil
-// condition, until the returned deadline), then runs collect, still
-// exclusively. It is the one place ownership matters: a private
-// simulator is driven directly, and a Sequencer parks the goroutine and
-// lets its driver interleave sibling sections on the shared virtual
-// timeline.
-func (p *Prober) section(setup func(sim *netsim.Simulator) (cond func() bool, deadline netsim.Time), collect func()) {
-	if p.slot != nil {
-		p.slot.section(setup, collect)
-		return
-	}
-	cond, deadline := setup(p.sim)
-	if cond == nil {
-		p.sim.Run(deadline)
-	} else {
-		p.sim.RunUntil(cond, deadline)
-	}
-	if collect != nil {
-		collect()
-	}
-}
-
-// pktID allocates the next probe packet ID, from a shared counter when
-// several probers inject into one simulator. It must only be called
-// inside a section's setup, where simulator access is exclusive.
-func (p *Prober) pktID() uint64 {
-	if p.slot != nil {
-		return p.slot.seq.nextPktID()
-	}
-	p.nextPktID++
-	return p.nextPktID
 }
 
 // probeTag is the payload of simulated probe packets.
@@ -93,18 +51,11 @@ type probeTag struct {
 	seq    int
 }
 
-// New creates a prober that injects at the head of route and measures
-// at its tail. reverseDelay models the uncongested return path.
+// New creates a prober with a simulator to itself: it injects at the
+// head of route and measures at its tail, and reverseDelay models the
+// uncongested return path.
 func New(sim *netsim.Simulator, route []*netsim.Link, reverseDelay netsim.Time) *Prober {
-	if len(route) == 0 {
-		panic("simprobe: empty route")
-	}
-	return &Prober{
-		sim:          sim,
-		route:        route,
-		ReverseDelay: reverseDelay,
-		LossTimeout:  200 * netsim.Millisecond,
-	}
+	return NewSequencer(sim).NewProber(route, reverseDelay)
 }
 
 // RTT returns the no-load round-trip time of the route: per-hop
@@ -122,9 +73,9 @@ func (p *Prober) RTT() time.Duration {
 // Idle advances the simulation by d, letting cross traffic evolve and
 // queues drain between streams.
 func (p *Prober) Idle(d time.Duration) error {
-	p.section(func(sim *netsim.Simulator) (func() bool, netsim.Time) {
-		return nil, sim.Now() + netsim.FromDuration(d)
-	}, nil)
+	p.section(func(sim *netsim.Simulator) (netsim.Time, bool) {
+		return sim.Now() + netsim.FromDuration(d), false
+	})
 	return nil
 }
 
@@ -134,23 +85,40 @@ type arrival struct {
 	owd netsim.Time
 }
 
-// streamInjector injects one stream's pre-built packets in sequence
-// order through a single prebound callback, so scheduling the K
-// injections of a stream allocates per stream, not per packet.
-type streamInjector struct {
+// A stream is one probe stream in flight: it injects its pre-built
+// packets in sequence order and gathers their arrivals, each through a
+// single prebound callback, so a stream of K packets allocates per
+// stream, not per packet.
+type stream struct {
 	sim     *netsim.Simulator
 	route   []*netsim.Link
+	seat    *seqSlot
 	pending []*netsim.Packet
 	idx     int
-	sink    netsim.Sink
-	fireFn  func()
+	got     []arrival
+	// collected is set once SendStream has read got. A timed-out
+	// stream's stragglers still reach arrive after that; they must not
+	// count, or the K-th would wake the seat out of its next await.
+	collected bool
+	arriveFn  netsim.Sink
+	fireFn    func()
 }
 
-func (inj *streamInjector) fire() {
-	pkt := inj.pending[inj.idx]
-	inj.pending[inj.idx] = nil
-	inj.idx++
-	inj.sim.Inject(pkt, inj.route, inj.sink)
+func (st *stream) fire() {
+	pkt := st.pending[st.idx]
+	st.pending[st.idx] = nil
+	st.idx++
+	st.sim.Inject(pkt, st.route, st.arriveFn)
+}
+
+func (st *stream) arrive(pk *netsim.Packet, at netsim.Time) {
+	if !st.collected {
+		st.got = append(st.got, arrival{seq: pk.Payload.(*probeTag).seq, owd: at - pk.SentAt})
+		if len(st.got) == len(st.pending) { // all K are in
+			st.seat.wake()
+		}
+	}
+	st.sim.FreePacket(pk)
 }
 
 // SendStream schedules the K packet injections of one periodic stream,
@@ -162,42 +130,39 @@ func (p *Prober) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, er
 	}
 	period := netsim.FromDuration(spec.T)
 
-	var got []arrival
-	res := pathload.StreamResult{Sent: spec.K}
-
-	p.section(func(sim *netsim.Simulator) (func() bool, netsim.Time) {
+	var st *stream
+	p.section(func(sim *netsim.Simulator) (netsim.Time, bool) {
 		start := sim.Now()
-		got = make([]arrival, 0, spec.K)
 		tags := make([]probeTag, spec.K)
-		inj := &streamInjector{sim: sim, route: p.route, pending: make([]*netsim.Packet, spec.K)}
-		inj.fireFn = inj.fire
-		inj.sink = func(pk *netsim.Packet, at netsim.Time) {
-			tag := pk.Payload.(*probeTag)
-			got = append(got, arrival{seq: tag.seq, owd: at - pk.SentAt})
-			sim.FreePacket(pk)
+		st = &stream{
+			sim: sim, route: p.route, seat: p.slot,
+			pending: make([]*netsim.Packet, spec.K),
+			got:     make([]arrival, 0, spec.K),
 		}
+		st.fireFn, st.arriveFn = st.fire, st.arrive
 		for i := 0; i < spec.K; i++ {
 			pkt := sim.NewPacket()
-			pkt.ID = p.pktID()
+			pkt.ID = p.slot.seq.nextPktID()
 			pkt.Size = spec.L
 			tags[i] = probeTag{stream: spec.Index, seq: i}
 			pkt.Payload = &tags[i]
-			inj.pending[i] = pkt
-			sim.Schedule(start+netsim.Time(i)*period, inj.fireFn)
+			st.pending[i] = pkt
+			sim.Schedule(start+netsim.Time(i)*period, st.fireFn)
 		}
 		// The stream finishes sending at start + K·T; give arrivals until
-		// the base path delay plus a generous queueing allowance.
-		deadline := start + netsim.Time(spec.K)*period + p.baseDelay(spec.L) + p.LossTimeout
-		return func() bool { return len(got) == spec.K }, deadline
-	}, func() {
-		res.OWDs = make([]pathload.OWDSample, 0, len(got))
-		for _, a := range got {
-			res.OWDs = append(res.OWDs, pathload.OWDSample{
-				Seq: a.seq,
-				OWD: a.owd.Duration() + p.ClockOffset,
-			})
-		}
+		// the base path delay plus a generous queueing allowance. The
+		// K-th arrival ends the wait early.
+		return start + netsim.Time(spec.K)*period + p.baseDelay(spec.L) + p.LossTimeout, true
 	})
+	// Still holding the floor: nothing can arrive while we read.
+	st.collected = true
+	res := pathload.StreamResult{Sent: spec.K, OWDs: make([]pathload.OWDSample, 0, len(st.got))}
+	for _, a := range st.got {
+		res.OWDs = append(res.OWDs, pathload.OWDSample{
+			Seq: a.seq,
+			OWD: a.owd.Duration() + p.ClockOffset,
+		})
+	}
 	return res, nil
 }
 

@@ -18,11 +18,12 @@ const (
 
 // A Driver owns a monitor's notion of time and session lifecycle: how
 // sessions wait for admission and wait out their re-measurement gaps,
-// where they announce round boundaries and end-of-life, and who
-// advances the clock. The default (nil Driver) is wall time — admission
-// blocks the session goroutine, gaps pass through the prober's own
-// Idle, round boundaries and retirement are no-ops — which is
-// byte-identical to the monitor's original loop. A sequenced driver
+// and where they announce round boundaries and end-of-life. Its four
+// methods all run on session goroutines; there is nothing else to
+// start. The default (nil Driver) is wall time — admission blocks the
+// session goroutine, gaps pass through the prober's own Idle, round
+// boundaries and retirement are no-ops — which is byte-identical to
+// the monitor's original loop. A sequenced driver
 // (internal/simprobe.SequencedDriver) instead parks every session at a
 // fleet round barrier and spends admission waits and gaps in virtual
 // time, so a whole monitored fleet over one shared simulation advances
@@ -31,8 +32,7 @@ const (
 // Call ordering per session, all from that session's goroutine:
 // Acquire before each round, RoundEnd after each published non-final
 // round, then Gap for the scheduler's gap, and Retire exactly once when
-// the session ends — whatever the cause. Drive is called once by the
-// monitor, on its own goroutine, at Start.
+// the session ends — whatever the cause.
 type Driver interface {
 	// Acquire waits until adm admits path's next round and returns the
 	// release to call when the round is over, or ok == false when stop
@@ -52,9 +52,6 @@ type Driver interface {
 	// on it. It must be safe to call whether or not the session ever
 	// reached RoundEnd.
 	Retire(path string)
-	// Drive runs the driver's loop, returning when every session has
-	// retired.
-	Drive()
 }
 
 // wallDriver is the nil-Driver default: wall-clock time, no barriers.
@@ -71,8 +68,6 @@ func (wallDriver) RoundEnd(string, int) {}
 func (wallDriver) Gap(_ string, p Prober, gap time.Duration) error { return p.Idle(gap) }
 
 func (wallDriver) Retire(string) {}
-
-func (wallDriver) Drive() {}
 
 // MonitorConfig tunes a Monitor. The zero value is usable: it measures
 // every path back-to-back (no re-measurement gap) with the paper's
@@ -486,8 +481,6 @@ func (m *Monitor) Start() error {
 		if m.adm == nil {
 			m.adm = schedule.NewWorkers(m.cfg.Workers)
 		}
-	} else {
-		go m.drv.Drive()
 	}
 	vars, _ := m.cfg.Store.(schedule.VarSource)
 	for _, s := range m.sessions {
