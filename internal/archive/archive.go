@@ -172,7 +172,7 @@ func Open(dir string, opt Options) (*Archive, OpenReport, error) {
 	}
 	if len(a.segs) > 0 {
 		last := a.segs[len(a.segs)-1]
-		blob, _, err := readSegment(a.segPath(last.Index), last.Index)
+		blob, _, err := readSegment(segPath(a.dir, last.Index), last.Index)
 		if err != nil {
 			return nil, rep, err
 		}
@@ -311,7 +311,7 @@ func (a *Archive) Compact(maxBytes int64, maxAge time.Duration) ([]uint64, error
 			break
 		}
 		victim := a.segs[0]
-		if err := os.Remove(a.segPath(victim.Index)); err != nil {
+		if err := os.Remove(segPath(a.dir, victim.Index)); err != nil {
 			return removed, err
 		}
 		a.segs = a.segs[1:]
@@ -325,7 +325,7 @@ func (a *Archive) Compact(maxBytes int64, maxAge time.Duration) ([]uint64, error
 // records the newest checkpoint summarizes.
 func (a *Archive) ReplaySealed(fn func(Record) error) error {
 	for _, s := range a.Segments() {
-		_, recs, err := readSegment(a.segPath(s.Index), s.Index)
+		_, recs, err := readSegment(segPath(a.dir, s.Index), s.Index)
 		if err != nil {
 			return err
 		}
@@ -346,10 +346,11 @@ func (a *Archive) ReplayTail(fn func(Record) error) error {
 	if err != nil {
 		return err
 	}
-	if len(b) < walHdrLen {
-		return errors.New("archive: wal truncated below header")
+	_, recs, err := parseWAL(b)
+	if err != nil {
+		return err
 	}
-	if _, _, err := scanRecords(b[walHdrLen:], fn); err != nil {
+	if _, _, err := scanRecords(recs, fn); err != nil {
 		return fmt.Errorf("archive: wal: %w", err)
 	}
 	return nil
@@ -362,8 +363,8 @@ func (a *Archive) now() int64 {
 	return time.Now().Unix()
 }
 
-func (a *Archive) segPath(index uint64) string {
-	return filepath.Join(a.dir, fmt.Sprintf("%s%08d", segPrefix, index))
+func segPath(dir string, index uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%08d", segPrefix, index))
 }
 
 // sealLocked is the three-step seal: segment rename, WAL swap, HEAD
@@ -377,10 +378,10 @@ func (a *Archive) sealLocked() error {
 	if err != nil {
 		return err
 	}
-	if len(b) < walHdrLen {
-		return errors.New("archive: wal truncated below header")
+	_, recs, err := parseWAL(b)
+	if err != nil {
+		return err
 	}
-	recs := b[walHdrLen:]
 	if consumed, n, err := scanRecords(recs, nil); err != nil || n != a.walRecs {
 		return fmt.Errorf("archive: wal readback: %d/%d records, %d/%d bytes, %v",
 			n, a.walRecs, consumed, len(recs), err)
@@ -406,7 +407,7 @@ func (a *Archive) sealLocked() error {
 	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(ckpt)))
 	file := append(hdr, ckpt...)
 	file = append(file, recs...)
-	if err := writeAtomic(a.segPath(index), file); err != nil {
+	if err := writeAtomic(segPath(a.dir, index), file); err != nil {
 		return err
 	}
 	info := SegmentInfo{
@@ -469,28 +470,18 @@ func (a *Archive) writeHead(s SegmentInfo) error {
 // file, verifying name/header agreement, sequence contiguity, and the
 // hash chain.
 func (a *Archive) loadSegments() error {
-	ents, err := os.ReadDir(a.dir)
+	idxs, bad, err := listSegments(a.dir)
 	if err != nil {
 		return err
 	}
-	var idxs []uint64
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || e.IsDir() {
-			continue
-		}
-		n, err := strconv.ParseUint(strings.TrimPrefix(name, segPrefix), 10, 64)
-		if err != nil {
-			return fmt.Errorf("archive: unparseable segment name %q", name)
-		}
-		idxs = append(idxs, n)
+	if len(bad) > 0 {
+		return fmt.Errorf("archive: unparseable segment name %q", bad[0])
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	for i, idx := range idxs {
 		if i > 0 && idx != idxs[i-1]+1 {
 			return fmt.Errorf("archive: segment sequence gap: %d then %d", idxs[i-1], idx)
 		}
-		info, err := statSegment(a.segPath(idx), idx)
+		info, err := statSegment(segPath(a.dir, idx), idx)
 		if err != nil {
 			return err
 		}
@@ -560,23 +551,14 @@ func (a *Archive) openWAL(rep *OpenReport) error {
 	case err != nil:
 		return err
 	}
-	if len(b) < walHdrLen {
-		// The header is written atomically, so a short file means the
-		// creating rename never happened — impossible — or external
-		// truncation. Either way nothing in it is attributable.
-		return fmt.Errorf("archive: wal is %d bytes, below its %d-byte header", len(b), walHdrLen)
+	after, recs, err := parseWAL(b)
+	if err != nil {
+		return err
 	}
-	if binary.BigEndian.Uint32(b[0:4]) != walMagic {
-		return errors.New("archive: wal has wrong magic")
-	}
-	if v := binary.BigEndian.Uint16(b[4:6]); v != Version {
-		return fmt.Errorf("archive: wal format version %d, want %d", v, Version)
-	}
-	after := binary.BigEndian.Uint64(b[6:walHdrLen])
 	switch {
 	case after == newest:
 		// The live WAL. Truncate a torn tail, keep the valid prefix.
-		consumed, n, err := scanRecords(b[walHdrLen:], nil)
+		consumed, n, err := scanRecords(recs, nil)
 		if err != nil && !errors.Is(err, errShortRecord) && !errors.Is(err, errCorruptRecord) {
 			return err
 		}
@@ -598,12 +580,54 @@ func (a *Archive) openWAL(rep *OpenReport) error {
 		// Crash between segment rename and WAL swap: every record in
 		// this WAL is already inside segment `newest`. Count for the
 		// report, then discard.
-		_, n, _ := scanRecords(b[walHdrLen:], nil)
+		_, n, _ := scanRecords(recs, nil)
 		rep.StaleWALRecords = n
 		return a.swapFreshWAL(newest)
 	default:
 		return fmt.Errorf("archive: wal follows segment %d but newest segment is %d", after, newest)
 	}
+}
+
+// listSegments returns the indexes of dir's seg-* files, ascending, and
+// the seg-* names that do not parse as an index — which Open and Walk
+// refuse and Verify reports.
+func listSegments(dir string) (idxs []uint64, bad []string, err error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, e := range ents {
+		name := e.Name()
+		if !strings.HasPrefix(name, segPrefix) || e.IsDir() {
+			continue
+		}
+		n, err := strconv.ParseUint(strings.TrimPrefix(name, segPrefix), 10, 64)
+		if err != nil {
+			bad = append(bad, name)
+			continue
+		}
+		idxs = append(idxs, n)
+	}
+	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	return idxs, bad, nil
+}
+
+// parseWAL checks a WAL image's header and splits it into the segment
+// index the WAL follows and its record region. The header is written
+// atomically, so a short, foreign or future-version file was never
+// this archive's WAL: nothing in it is attributable, and every reader
+// refuses it rather than scan it for records.
+func parseWAL(b []byte) (after uint64, recs []byte, err error) {
+	if len(b) < walHdrLen {
+		return 0, nil, fmt.Errorf("archive: %s is %d bytes, below its %d-byte header", walName, len(b), walHdrLen)
+	}
+	if binary.BigEndian.Uint32(b[0:4]) != walMagic {
+		return 0, nil, fmt.Errorf("archive: %s has wrong magic", walName)
+	}
+	if v := binary.BigEndian.Uint16(b[4:6]); v != Version {
+		return 0, nil, fmt.Errorf("archive: %s format version %d, want %d", walName, v, Version)
+	}
+	return binary.BigEndian.Uint64(b[6:walHdrLen]), b[walHdrLen:], nil
 }
 
 // statSegment reads and validates one segment file's header and

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -198,7 +199,7 @@ func TestCompact(t *testing.T) {
 		t.Fatal("Compact removed nothing")
 	}
 	for _, idx := range removed {
-		if _, err := os.Stat(a.segPath(idx)); !os.IsNotExist(err) {
+		if _, err := os.Stat(segPath(a.dir, idx)); !os.IsNotExist(err) {
 			t.Fatalf("segment %d survived removal", idx)
 		}
 	}
@@ -331,6 +332,54 @@ func TestWalkStreamsEverything(t *testing.T) {
 	for i, r := range got {
 		if want := rec(i); !reflect.DeepEqual(r, want) {
 			t.Fatalf("walk record %d: got %+v want %+v", i, r, want)
+		}
+	}
+}
+
+// TestWalkRejectsForeignWAL: a wal.log that is not this format's — a
+// foreign magic, a future version, a file shorter than the header — is
+// an error naming the file, as Open and Verify treat it, not a byte
+// soup to scan for records from offset 14.
+func TestWalkRejectsForeignWAL(t *testing.T) {
+	dir := t.TempDir()
+	a, _ := openT(t, dir, Options{})
+	appendN(t, a, 0, 5)
+	a.Seal()
+	appendN(t, a, 5, 2)
+	a.Close()
+	walPath := filepath.Join(dir, walName)
+	good, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, damage := range map[string]func(b []byte) []byte{
+		"wrong magic":   func(b []byte) []byte { b[0] ^= 0xff; return b },
+		"wrong version": func(b []byte) []byte { b[5] = Version + 1; return b },
+		"short header":  func(b []byte) []byte { return b[:walHdrLen-1] },
+	} {
+		if err := os.WriteFile(walPath, damage(append([]byte(nil), good...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sealed, tail := 0, 0
+		err := Walk(dir, func(_ Record, s bool) error {
+			if s {
+				sealed++
+			} else {
+				tail++
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), walName) {
+			t.Errorf("%s: Walk error = %v, want one naming %s", name, err, walName)
+		}
+		if sealed != 5 || tail != 0 {
+			t.Errorf("%s: Walk delivered %d sealed and %d tail records, want 5 and 0", name, sealed, tail)
+		}
+		if rep, verr := Verify(dir); verr != nil || rep.OK() {
+			t.Errorf("%s: Verify = %v, %v; want a reported problem", name, rep, verr)
+		}
+		if _, _, oerr := Open(dir, Options{}); oerr == nil {
+			t.Errorf("%s: Open accepted the WAL", name)
 		}
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/tsstore"
+	"repro/internal/wire"
 )
 
 // Record kinds of the tsstore adapter.
@@ -105,7 +105,7 @@ func (t *StoreBackend) checkpoint() []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(paths)))
 	for _, p := range paths {
 		s := t.paths[p]
-		b = appendCkptStr(b, p)
+		b = wire.AppendString(b, p)
 		b = binary.BigEndian.AppendUint64(b, s.total)
 		b = binary.BigEndian.AppendUint64(b, s.errs)
 		blob, _ := s.digest.MarshalBinary()
@@ -119,7 +119,7 @@ func (t *StoreBackend) checkpoint() []byte {
 	sort.Strings(links)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(links)))
 	for _, l := range links {
-		b = appendCkptStr(b, l)
+		b = wire.AppendString(b, l)
 		b = binary.BigEndian.AppendUint64(b, t.links[l])
 	}
 	return b
@@ -248,10 +248,7 @@ func OpenStore(dir string, opt Options, cfg tsstore.Config) (*tsstore.Store, *St
 // decodedCkpt is a parsed checkpoint blob.
 type decodedCkpt struct {
 	pathOrder []string
-	paths     map[string]struct {
-		total, errs uint64
-		digest      *tsstore.Digest
-	}
+	paths     map[string]shadowSeries
 	linkOrder []string
 	links     map[string]uint64
 }
@@ -262,27 +259,18 @@ func decodeCheckpoint(b []byte) (*decodedCkpt, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	d := &rdr{b: b}
-	if d.u32() != ckptMagic {
+	d := wire.NewReader("archive: checkpoint", b)
+	if d.U32() != ckptMagic {
 		return nil, errors.New("archive: checkpoint has wrong magic")
 	}
-	if v := d.u16(); v != ckptVersion && d.err == nil {
+	if v := d.U16(); v != ckptVersion && d.Err() == nil {
 		return nil, fmt.Errorf("archive: checkpoint version %d, want %d", v, ckptVersion)
 	}
-	out := &decodedCkpt{
-		paths: map[string]struct {
-			total, errs uint64
-			digest      *tsstore.Digest
-		}{},
-		links: map[string]uint64{},
-	}
-	nPaths := int(d.u32())
-	for i := 0; i < nPaths && d.err == nil; i++ {
-		key := d.str()
-		total := d.u64()
-		errs := d.u64()
-		blob := d.bytes(int(d.u32()))
-		if d.err != nil {
+	out := &decodedCkpt{paths: map[string]shadowSeries{}, links: map[string]uint64{}}
+	nPaths := int(d.U32())
+	for i := 0; i < nPaths; i++ {
+		key, total, errs, blob := d.Str(), d.U64(), d.U64(), d.Bytes()
+		if d.Err() != nil {
 			break
 		}
 		dig, derr := tsstore.UnmarshalDigest(blob)
@@ -290,70 +278,28 @@ func decodeCheckpoint(b []byte) (*decodedCkpt, error) {
 			return nil, fmt.Errorf("archive: checkpoint digest for %q: %w", key, derr)
 		}
 		out.pathOrder = append(out.pathOrder, key)
-		out.paths[key] = struct {
-			total, errs uint64
-			digest      *tsstore.Digest
-		}{total, errs, dig}
+		out.paths[key] = shadowSeries{total, errs, dig}
 	}
-	nLinks := int(d.u32())
-	for i := 0; i < nLinks && d.err == nil; i++ {
-		key := d.str()
-		total := d.u64()
-		if d.err != nil {
+	nLinks := int(d.U32())
+	for i := 0; i < nLinks; i++ {
+		key, total := d.Str(), d.U64()
+		if d.Err() != nil {
 			break
 		}
 		out.linkOrder = append(out.linkOrder, key)
 		out.links[key] = total
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("archive: checkpoint: %w", d.err)
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("archive: checkpoint has %d trailing bytes", len(d.b))
-	}
-	return out, nil
+	return wire.Finish(&d, out)
 }
 
-// encodePoint serializes a Point for the WAL. Wall is deliberately
-// excluded, matching the coordinator wire protocol: archives must be
-// byte-reproducible under the deterministic harness, and wall clocks
-// are the one field that never is.
-func encodePoint(p tsstore.Point) []byte {
-	if len(p.Err) > math.MaxUint16 {
-		// The length field is a u16: a longer text would commit a
-		// CRC-valid record no decoder accepts and brick recovery.
-		p.Err = p.Err[:math.MaxUint16]
-	}
-	b := make([]byte, 0, 8*6+2+len(p.Err))
-	b = binary.BigEndian.AppendUint64(b, uint64(p.Round))
-	b = binary.BigEndian.AppendUint64(b, uint64(p.At))
-	b = binary.BigEndian.AppendUint64(b, uint64(p.Span))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Lo))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Hi))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Bits))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(p.Err)))
-	return append(b, p.Err...)
-}
+// encodePoint serializes a Point for the WAL: tsstore's own layout, in
+// the one exact-size allocation AppendBinary makes.
+func encodePoint(p tsstore.Point) []byte { return p.AppendBinary(nil) }
 
 // decodePoint is the inverse of encodePoint (Wall stays zero).
 func decodePoint(b []byte) (tsstore.Point, error) {
-	d := &rdr{b: b}
-	p := tsstore.Point{
-		Round: int(int64(d.u64())),
-		At:    time.Duration(d.u64()),
-		Span:  time.Duration(d.u64()),
-		Lo:    math.Float64frombits(d.u64()),
-		Hi:    math.Float64frombits(d.u64()),
-		Bits:  math.Float64frombits(d.u64()),
-	}
-	p.Err = string(d.bytes(int(d.u16())))
-	if d.err != nil {
-		return tsstore.Point{}, d.err
-	}
-	if len(d.b) != 0 {
-		return tsstore.Point{}, fmt.Errorf("archive: point record has %d trailing bytes", len(d.b))
-	}
-	return p, nil
+	d := wire.NewReader("archive: point record", b)
+	return wire.Finish(&d, tsstore.ReadPoint(&d))
 }
 
 // encodeLink serializes a LinkPoint for the WAL.
@@ -369,21 +315,14 @@ func encodeLink(p tsstore.LinkPoint) []byte {
 
 // decodeLink is the inverse of encodeLink.
 func decodeLink(b []byte) (tsstore.LinkPoint, error) {
-	d := &rdr{b: b}
-	p := tsstore.LinkPoint{
-		Round:    int(int64(d.u64())),
-		At:       time.Duration(d.u64()),
-		Span:     time.Duration(d.u64()),
-		Util:     math.Float64frombits(d.u64()),
-		Capacity: math.Float64frombits(d.u64()),
-	}
-	if d.err != nil {
-		return tsstore.LinkPoint{}, d.err
-	}
-	if len(d.b) != 0 {
-		return tsstore.LinkPoint{}, fmt.Errorf("archive: link record has %d trailing bytes", len(d.b))
-	}
-	return p, nil
+	d := wire.NewReader("archive: link record", b)
+	return wire.Finish(&d, tsstore.LinkPoint{
+		Round:    int(int64(d.U64())),
+		At:       d.Dur(),
+		Span:     d.Dur(),
+		Util:     d.F64(),
+		Capacity: d.F64(),
+	})
 }
 
 // DecodePointRecord decodes a KindPoint record (for cat-style tools).
@@ -403,56 +342,3 @@ func DecodeLinkRecord(r Record) (link string, p tsstore.LinkPoint, err error) {
 	p, err = decodeLink(r.Data)
 	return r.Key, p, err
 }
-
-func appendCkptStr(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-// rdr is a bounds-checked big-endian reader; after the first failure
-// every read returns zero and err is set.
-type rdr struct {
-	b   []byte
-	err error
-}
-
-func (d *rdr) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.b) < n {
-		d.err = errors.New("short buffer")
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *rdr) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (d *rdr) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *rdr) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *rdr) bytes(n int) []byte { return append([]byte(nil), d.take(n)...) }
-
-func (d *rdr) str() string { return string(d.take(int(d.u16()))) }

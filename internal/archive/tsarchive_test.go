@@ -2,9 +2,11 @@ package archive
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -306,31 +308,97 @@ func TestStoreBackendAutoSealCheckpointConsistency(t *testing.T) {
 	}
 }
 
-// TestPointCodecRejectsDamage: decoders fail loudly on short or
-// padded payloads instead of inventing fields.
+// TestPointCodecRoundtripAndDamage: the point, link and checkpoint
+// decoders round-trip what the encoders write, and turn every strict
+// prefix of it — and one trailing byte — into an error and a zero
+// value instead of inventing fields.
 func TestPointCodecRoundtripAndDamage(t *testing.T) {
 	p := tsstore.Point{Round: 42, At: time.Second, Span: 60 * time.Millisecond, Lo: 39.5e6, Hi: 44e6, Bits: 1.25e6, Err: "loss"}
-	b := encodePoint(p)
-	got, err := decodePoint(b)
-	if err != nil {
-		t.Fatalf("decodePoint: %v", err)
-	}
-	if !reflect.DeepEqual(got, p) {
-		t.Fatalf("roundtrip: got %+v want %+v", got, p)
-	}
-	if _, err := decodePoint(b[:len(b)-1]); err == nil {
-		t.Fatal("short point accepted")
-	}
-	if _, err := decodePoint(append(b, 0)); err == nil {
-		t.Fatal("padded point accepted")
-	}
 	lp := tsstore.LinkPoint{Round: 3, At: time.Second, Span: time.Second, Util: 0.7, Capacity: 1e8}
-	lb := encodeLink(lp)
-	gotL, err := decodeLink(lb)
-	if err != nil || !reflect.DeepEqual(gotL, lp) {
-		t.Fatalf("link roundtrip: %+v %v", gotL, err)
+	ck := &StoreBackend{
+		paths: map[string]*shadowSeries{"p0": {total: 3, errs: 1, digest: tsstore.NewDigest(8)}},
+		links: map[string]uint64{"core": 2},
 	}
-	if _, err := decodeLink(lb[:8]); err == nil {
-		t.Fatal("short link accepted")
+	ck.paths["p0"].digest.Add(1e6)
+	ck.paths["p0"].digest.Add(2e6)
+	for _, c := range []struct {
+		name   string
+		blob   []byte
+		decode func([]byte) (any, error)
+		want   any
+	}{
+		{"point", encodePoint(p), func(b []byte) (any, error) { return decodePoint(b) }, p},
+		{"link", encodeLink(lp), func(b []byte) (any, error) { return decodeLink(b) }, lp},
+		{"checkpoint", ck.checkpoint(), func(b []byte) (any, error) {
+			d, err := decodeCheckpoint(b)
+			if d == nil {
+				return nil, err
+			}
+			return d.pathOrder, err
+		}, []string{"p0"}},
+	} {
+		if got, err := c.decode(c.blob); err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s roundtrip: got %+v, %v; want %+v", c.name, got, err, c.want)
+		}
+		for n := 1; n <= len(c.blob); n++ { // 0 bytes is "no checkpoint yet", not damage
+			in := c.blob[:n]
+			if n == len(c.blob) {
+				in = append(append([]byte(nil), c.blob...), 0)
+			}
+			if got, err := c.decode(in); err == nil || (got != nil && !reflect.ValueOf(got).IsZero()) {
+				t.Errorf("%s: %d of %d bytes decoded to %+v, err %v", c.name, len(in), len(c.blob), got, err)
+			}
+		}
+	}
+	if _, err := decodePoint(nil); err == nil {
+		t.Error("empty point payload accepted")
+	}
+}
+
+// TestPointRecordLayout: a KindPoint payload is tsstore.Point's own
+// layout — the committed vector the coordinator's push is pinned to as
+// well, so the two users cannot drift apart again.
+func TestPointRecordLayout(t *testing.T) {
+	raw, err := os.ReadFile("../tsstore/testdata/point.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := decodePoint(want)
+	if err != nil {
+		t.Fatalf("decodePoint(vector): %v", err)
+	}
+	if p.Round != 7 || p.At != 3*time.Second || p.Hi != 6e6 || p.Err != "timeout" {
+		t.Fatalf("vector decoded to %+v", p)
+	}
+	if got := encodePoint(p); !bytes.Equal(got, want) {
+		t.Fatalf("encodePoint:\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestCheckpointRejectsPoisonedDigest: a checkpoint carrying a digest
+// whose centroid weights wrap u64 to its stated count is corrupt —
+// recovery falls back to counted replay rather than seed a series'
+// all-time distribution from it.
+func TestCheckpointRejectsPoisonedDigest(t *testing.T) {
+	good := &StoreBackend{paths: map[string]*shadowSeries{"p0": {total: 2, digest: tsstore.NewDigest(64)}}}
+	good.paths["p0"].digest.Add(1e6)
+	good.paths["p0"].digest.Add(2e6)
+	blob := good.checkpoint()
+	if _, err := decodeCheckpoint(blob); err != nil {
+		t.Fatalf("clean checkpoint: %v", err)
+	}
+	// The digest is the last 16+2*16 bytes before the u32 link count:
+	// zero its count and give both centroids weight 2^63.
+	end := len(blob) - 4
+	copy(blob[end-48+4:], make([]byte, 8))
+	for _, w := range []int{end - 24, end - 8} {
+		copy(blob[w:], []byte{0x80, 0, 0, 0, 0, 0, 0, 0})
+	}
+	if ck, err := decodeCheckpoint(blob); err == nil || ck != nil {
+		t.Fatalf("poisoned checkpoint decoded: %+v, %v", ck, err)
 	}
 }

@@ -1,13 +1,10 @@
 package archive
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -76,29 +73,18 @@ func (r *VerifyReport) String() string {
 // report.
 func Verify(dir string) (*VerifyReport, error) {
 	rep := &VerifyReport{Dir: dir}
-	ents, err := os.ReadDir(dir)
+	idxs, bad, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	var idxs []uint64
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || e.IsDir() {
-			continue
-		}
-		n, perr := strconv.ParseUint(strings.TrimPrefix(name, segPrefix), 10, 64)
-		if perr != nil {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("unparseable segment name %q", name))
-			continue
-		}
-		idxs = append(idxs, n)
+	for _, name := range bad {
+		rep.Problems = append(rep.Problems, fmt.Sprintf("unparseable segment name %q", name))
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 
 	var prev *SegmentInfo
 	for i, idx := range idxs {
 		sv := SegmentVerify{Index: idx}
-		b, rerr := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%s%08d", segPrefix, idx)))
+		b, rerr := os.ReadFile(segPath(dir, idx))
 		if rerr != nil {
 			sv.Err = rerr.Error()
 			rep.Problems = append(rep.Problems, fmt.Sprintf("segment %d: %v", idx, rerr))
@@ -161,15 +147,11 @@ func (rep *VerifyReport) walVerify(idxs []uint64) {
 		rep.Problems = append(rep.Problems, fmt.Sprintf("wal: %v", err))
 		return
 	}
-	if len(b) < walHdrLen || binary.BigEndian.Uint32(b[0:4]) != walMagic {
-		rep.Problems = append(rep.Problems, "wal: missing or corrupt header")
+	after, recs, err := parseWAL(b)
+	if err != nil {
+		rep.Problems = append(rep.Problems, err.Error())
 		return
 	}
-	if v := binary.BigEndian.Uint16(b[4:6]); v != Version {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("wal: format version %d, want %d", v, Version))
-		return
-	}
-	after := binary.BigEndian.Uint64(b[6:walHdrLen])
 	var newest uint64
 	if len(idxs) > 0 {
 		newest = idxs[len(idxs)-1]
@@ -177,9 +159,9 @@ func (rep *VerifyReport) walVerify(idxs []uint64) {
 	if after != newest && !(newest > 0 && after == newest-1) {
 		rep.Problems = append(rep.Problems, fmt.Sprintf("wal follows segment %d but newest segment is %d", after, newest))
 	}
-	consumed, n, _ := scanRecords(b[walHdrLen:], nil)
+	consumed, n, _ := scanRecords(recs, nil)
 	rep.WALRecords = n
-	rep.WALTornBytes = int64(len(b) - walHdrLen - consumed)
+	rep.WALTornBytes = int64(len(recs) - consumed)
 }
 
 // Walk streams every record in an archive directory read-only, sealed
@@ -188,25 +170,15 @@ func (rep *VerifyReport) walVerify(idxs []uint64) {
 // recovery it stops the WAL scan at the first unverifiable record. It
 // is the engine of `pathload-archive cat`.
 func Walk(dir string, fn func(r Record, sealed bool) error) error {
-	ents, err := os.ReadDir(dir)
+	idxs, bad, err := listSegments(dir)
 	if err != nil {
 		return err
 	}
-	var idxs []uint64
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || e.IsDir() {
-			continue
-		}
-		n, perr := strconv.ParseUint(strings.TrimPrefix(name, segPrefix), 10, 64)
-		if perr != nil {
-			return fmt.Errorf("archive: unparseable segment name %q", name)
-		}
-		idxs = append(idxs, n)
+	if len(bad) > 0 {
+		return fmt.Errorf("archive: unparseable segment name %q", bad[0])
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	for _, idx := range idxs {
-		_, recs, err := readSegment(filepath.Join(dir, fmt.Sprintf("%s%08d", segPrefix, idx)), idx)
+		_, recs, err := readSegment(segPath(dir, idx), idx)
 		if err != nil {
 			return err
 		}
@@ -221,11 +193,12 @@ func Walk(dir string, fn func(r Record, sealed bool) error) error {
 	if err != nil {
 		return err
 	}
-	if len(b) < walHdrLen {
-		return nil
+	_, recs, err := parseWAL(b)
+	if err != nil {
+		return err
 	}
-	_, _, err = scanRecords(b[walHdrLen:], func(r Record) error { return fn(r, false) })
-	if err != nil && (errors.Is(err, errShortRecord) || errors.Is(err, errCorruptRecord)) {
+	_, _, err = scanRecords(recs, func(r Record) error { return fn(r, false) })
+	if errors.Is(err, errShortRecord) || errors.Is(err, errCorruptRecord) {
 		return nil
 	}
 	return err

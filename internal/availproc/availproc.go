@@ -61,9 +61,6 @@ func (s *Sampler) tick() {
 // Stop halts sampling; the partial bucket in progress is discarded.
 func (s *Sampler) Stop() { s.running = false }
 
-// Buckets returns the number of complete base intervals recorded.
-func (s *Sampler) Buckets() int { return len(s.buckets) }
-
 // Series returns the avail-bw process sampled at timescale τ (which
 // must be a positive multiple of the base interval): one value per
 // non-overlapping τ-window, A = C·(1 − u). Trailing samples that do not

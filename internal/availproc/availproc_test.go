@@ -85,10 +85,10 @@ func TestStopHaltsSampling(t *testing.T) {
 	s.Start()
 	sim.RunFor(netsim.Second)
 	s.Stop()
-	n := s.Buckets()
+	n := len(s.buckets)
 	sim.RunFor(netsim.Second)
-	if s.Buckets() != n {
-		t.Fatalf("buckets grew after Stop: %d → %d", n, s.Buckets())
+	if len(s.buckets) != n {
+		t.Fatalf("buckets grew after Stop: %d → %d", n, len(s.buckets))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/tsstore"
+	"repro/internal/wire"
 )
 
 // Archive record kinds in the coordinator's reserved range
@@ -123,45 +124,45 @@ func marshalLeaseSnapshot(s LeaseSnapshot) []byte {
 	buf := binary.BigEndian.AppendUint64(nil, uint64(s.Clock))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Agents)))
 	for _, a := range s.Agents {
-		buf = appendStr(buf, a)
+		buf = wire.AppendString(buf, a)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Owners)))
 	for _, og := range s.Owners {
-		buf = appendStr(buf, og.Owner)
+		buf = wire.AppendString(buf, og.Owner)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(og.Paths)))
 		for _, p := range og.Paths {
-			buf = appendStr(buf, p)
+			buf = wire.AppendString(buf, p)
 		}
 	}
 	return buf
 }
 
 func unmarshalLeaseSnapshot(b []byte) (LeaseSnapshot, error) {
-	d := &decoder{buf: b}
-	s := LeaseSnapshot{Clock: d.dur("leases")}
-	na := int(d.u32("leases"))
-	if d.err == nil && na > len(d.buf) {
+	d := wire.NewReader("coord: lease snapshot", b)
+	s := LeaseSnapshot{Clock: d.Dur()}
+	na := int(d.U32())
+	if na > d.Len() {
 		return LeaseSnapshot{}, fmt.Errorf("coord: lease snapshot claims %d agents", na)
 	}
-	for i := 0; i < na && d.err == nil; i++ {
-		s.Agents = append(s.Agents, d.str("leases"))
+	for i := 0; i < na && d.Err() == nil; i++ {
+		s.Agents = append(s.Agents, d.Str())
 	}
-	no := int(d.u32("leases"))
-	if d.err == nil && no > len(d.buf) {
+	no := int(d.U32())
+	if no > d.Len() {
 		return LeaseSnapshot{}, fmt.Errorf("coord: lease snapshot claims %d owners", no)
 	}
-	for i := 0; i < no && d.err == nil; i++ {
-		og := OwnerGroup{Owner: d.str("leases")}
-		np := int(d.u32("leases"))
-		if d.err == nil && np > len(d.buf) {
+	for i := 0; i < no && d.Err() == nil; i++ {
+		og := OwnerGroup{Owner: d.Str()}
+		np := int(d.U32())
+		if np > d.Len() {
 			return LeaseSnapshot{}, fmt.Errorf("coord: owner group claims %d paths", np)
 		}
-		for j := 0; j < np && d.err == nil; j++ {
-			og.Paths = append(og.Paths, d.str("leases"))
+		for j := 0; j < np && d.Err() == nil; j++ {
+			og.Paths = append(og.Paths, d.Str())
 		}
 		s.Owners = append(s.Owners, og)
 	}
-	return s, d.done("leases")
+	return wire.Finish(&d, s)
 }
 
 // --- archive-backed persister ----------------------------------------
@@ -217,13 +218,8 @@ func OpenLog(dir string, opt archive.Options) (*Log, LogReport, error) {
 
 	seeded := false
 	if ck := a.Checkpoint(); len(ck) > 0 {
-		if err := l.decodeCheckpoint(ck); err != nil {
-			out.CheckpointCorrupt = true
-			l.contribs = map[string][]byte{}
-			l.lease = nil
-		} else {
-			seeded = true
-		}
+		seeded = l.decodeCheckpoint(ck) == nil
+		out.CheckpointCorrupt = !seeded
 	}
 	apply := func(r archive.Record) {
 		switch r.Kind {
@@ -306,7 +302,7 @@ func (l *Log) checkpoint() []byte {
 	sort.Strings(keys)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(keys)))
 	for _, k := range keys {
-		buf = appendStr(buf, k)
+		buf = wire.AppendString(buf, k)
 		blob := l.contribs[k]
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(blob)))
 		buf = append(buf, blob...)
@@ -314,30 +310,31 @@ func (l *Log) checkpoint() []byte {
 	return buf
 }
 
+// decodeCheckpoint seeds the shadow from a checkpoint blob, or leaves
+// it untouched and returns an error.
 func (l *Log) decodeCheckpoint(b []byte) error {
-	d := &decoder{buf: b}
-	if d.u32("checkpoint") != coordCkptMagic {
+	d := wire.NewReader("coord: checkpoint", b)
+	if d.U32() != coordCkptMagic {
 		return fmt.Errorf("coord: not a coordinator checkpoint")
 	}
-	if v := d.u16("checkpoint"); d.err == nil && v != coordCkptVersion {
+	if v := d.U16(); d.Err() == nil && v != coordCkptVersion {
 		return fmt.Errorf("coord: checkpoint version %d unsupported", v)
 	}
-	l.lease = append([]byte(nil), d.bytes("checkpoint")...)
-	if len(l.lease) == 0 {
-		l.lease = nil
-	}
-	n := int(d.u32("checkpoint"))
-	if d.err == nil && n > len(d.buf) {
+	lease := append([]byte(nil), d.Bytes()...) // nil when no snapshot was recorded
+	n := int(d.U32())
+	if n > d.Len() {
 		return fmt.Errorf("coord: checkpoint claims %d contributions", n)
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		k := d.str("checkpoint")
-		blob := append([]byte(nil), d.bytes("checkpoint")...)
-		if d.err == nil {
-			l.contribs[k] = blob
-		}
+	contribs := map[string][]byte{}
+	for i := 0; i < n && d.Err() == nil; i++ {
+		k := d.Str()
+		contribs[k] = append([]byte(nil), d.Bytes()...)
 	}
-	return d.done("checkpoint")
+	if err := d.Done(); err != nil {
+		return err
+	}
+	l.lease, l.contribs = lease, contribs
+	return nil
 }
 
 // A RestoredContribution is one recovered federation entry.

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/tsstore"
+	"repro/internal/wire"
 )
 
 // protoMagic identifies coordination control streams ("SLCP" — SLoPS
@@ -164,104 +165,14 @@ func readFrame(r io.Reader) (msgType, []byte, error) {
 
 // --- payload encoding -------------------------------------------------
 //
-// Big-endian throughout; strings are u16-length-prefixed UTF-8. A
-// decoder object carries the error so message decoders read linearly
-// and fail atomically.
-
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("coord: truncated %s", what)
-	}
-}
-
-func (d *decoder) u8(what string) uint8 {
-	if d.err != nil || len(d.buf) < 1 {
-		d.fail(what)
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *decoder) u16(what string) uint16 {
-	if d.err != nil || len(d.buf) < 2 {
-		d.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint16(d.buf)
-	d.buf = d.buf[2:]
-	return v
-}
-
-func (d *decoder) u32(what string) uint32 {
-	if d.err != nil || len(d.buf) < 4 {
-		d.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v
-}
-
-func (d *decoder) u64(what string) uint64 {
-	if d.err != nil || len(d.buf) < 8 {
-		d.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *decoder) f64(what string) float64 { return math.Float64frombits(d.u64(what)) }
-
-func (d *decoder) dur(what string) time.Duration { return time.Duration(d.u64(what)) }
-
-func (d *decoder) str(what string) string {
-	n := int(d.u16(what))
-	if d.err != nil || len(d.buf) < n {
-		d.fail(what)
-		return ""
-	}
-	v := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) bytes(what string) []byte {
-	n := int(d.u32(what))
-	if d.err != nil || len(d.buf) < n {
-		d.fail(what)
-		return nil
-	}
-	v := d.buf[:n]
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) done(what string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("coord: %s payload has %d trailing bytes", what, len(d.buf))
-	}
-	return nil
-}
-
-func appendStr(buf []byte, s string) []byte {
-	if len(s) > math.MaxUint16 {
-		s = s[:math.MaxUint16]
-	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
+// Big-endian throughout; strings are u16-length-prefixed UTF-8
+// (wire.AppendString), byte runs u32-length-prefixed. Every decoder
+// reads its payload linearly through a wire.Reader, whose sticky error
+// lets it check once, and returns through wire.Finish, so a truncated
+// or over-long payload yields an error and a zero message, never a
+// half-filled one. A pushed point is tsstore.Point's own layout
+// (AppendBinary/ReadPoint), the same bytes an archive point record
+// holds.
 
 // helloMsg opens a control session: the agent's version range and name.
 type helloMsg struct {
@@ -272,16 +183,16 @@ type helloMsg struct {
 func marshalHello(h helloMsg) []byte {
 	buf := binary.BigEndian.AppendUint16(nil, h.Min)
 	buf = binary.BigEndian.AppendUint16(buf, h.Max)
-	return appendStr(buf, h.Name)
+	return wire.AppendString(buf, h.Name)
 }
 
 func unmarshalHello(b []byte) (helloMsg, error) {
-	d := &decoder{buf: b}
-	h := helloMsg{Min: d.u16("hello"), Max: d.u16("hello"), Name: d.str("hello")}
+	d := wire.NewReader("coord: hello payload", b)
+	h := helloMsg{Min: d.U16(), Max: d.U16(), Name: d.Str()}
 	if h.Min > h.Max {
 		return helloMsg{}, fmt.Errorf("coord: inverted hello version range [%d, %d]", h.Min, h.Max)
 	}
-	return h, d.done("hello")
+	return wire.Finish(&d, h)
 }
 
 // helloAckMsg answers a hello: the chosen version plus the
@@ -301,9 +212,8 @@ func marshalHelloAck(a helloAckMsg) []byte {
 }
 
 func unmarshalHelloAck(b []byte) (helloAckMsg, error) {
-	d := &decoder{buf: b}
-	a := helloAckMsg{Version: d.u16("hello-ack"), TTL: d.dur("hello-ack"), Epoch: d.dur("hello-ack")}
-	return a, d.done("hello-ack")
+	d := wire.NewReader("coord: hello-ack payload", b)
+	return wire.Finish(&d, helloAckMsg{Version: d.U16(), TTL: d.Dur(), Epoch: d.Dur()})
 }
 
 // heartbeatMsg renews the agent's TTL; Seq is echoed in the assign
@@ -317,9 +227,8 @@ func marshalHeartbeat(h heartbeatMsg) []byte {
 }
 
 func unmarshalHeartbeat(b []byte) (heartbeatMsg, error) {
-	d := &decoder{buf: b}
-	h := heartbeatMsg{Seq: d.u64("heartbeat")}
-	return h, d.done("heartbeat")
+	d := wire.NewReader("coord: heartbeat payload", b)
+	return wire.Finish(&d, heartbeatMsg{Seq: d.U64()})
 }
 
 // assignMsg is the heartbeat answer: the agent's complete current
@@ -339,24 +248,24 @@ func marshalAssign(a assignMsg) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(a.Leases)))
 	for _, l := range a.Leases {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(l.Group))
-		buf = appendStr(buf, l.Path)
+		buf = wire.AppendString(buf, l.Path)
 	}
 	return buf
 }
 
 func unmarshalAssign(b []byte) (assignMsg, error) {
-	d := &decoder{buf: b}
-	a := assignMsg{Seq: d.u64("assign"), Budget: d.f64("assign")}
-	n := int(d.u32("assign"))
-	if d.err == nil && n > maxFrame/8 {
+	d := wire.NewReader("coord: assign payload", b)
+	a := assignMsg{Seq: d.U64(), Budget: d.F64()}
+	n := int(d.U32())
+	if n > maxFrame/8 {
 		return assignMsg{}, fmt.Errorf("coord: assign claims %d leases", n)
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		l := Lease{Group: int(d.u32("assign"))}
-		l.Path = d.str("assign")
+	for i := 0; i < n && d.Err() == nil; i++ {
+		l := Lease{Group: int(d.U32())}
+		l.Path = d.Str()
 		a.Leases = append(a.Leases, l)
 	}
-	return a, d.done("assign")
+	return wire.Finish(&d, a)
 }
 
 // pushMsg carries one path's tsstore Contribution. The agent name is
@@ -377,51 +286,35 @@ const maxErrLen = 256
 
 func marshalPush(p pushMsg) []byte {
 	buf := binary.BigEndian.AppendUint64(nil, p.Seq)
-	buf = appendStr(buf, p.Path)
+	buf = wire.AppendString(buf, p.Path)
 	buf = binary.BigEndian.AppendUint64(buf, p.Total)
 	buf = binary.BigEndian.AppendUint64(buf, p.Errs)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Points)))
 	for _, pt := range p.Points {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(pt.Round))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(pt.At))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(pt.Span))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(pt.Lo))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(pt.Hi))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(pt.Bits))
-		e := pt.Err
-		if len(e) > maxErrLen {
-			e = e[:maxErrLen]
+		if len(pt.Err) > maxErrLen {
+			pt.Err = pt.Err[:maxErrLen]
 		}
-		buf = appendStr(buf, e)
+		buf = pt.AppendBinary(buf)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.DigestBinary)))
 	return append(buf, p.DigestBinary...)
 }
 
 func unmarshalPush(b []byte) (pushMsg, error) {
-	d := &decoder{buf: b}
-	p := pushMsg{Seq: d.u64("push")}
-	p.Path = d.str("push")
-	p.Total = d.u64("push")
-	p.Errs = d.u64("push")
-	n := int(d.u32("push"))
-	if d.err == nil && n > maxFrame/48 {
+	d := wire.NewReader("coord: push payload", b)
+	p := pushMsg{Seq: d.U64()}
+	p.Path = d.Str()
+	p.Total = d.U64()
+	p.Errs = d.U64()
+	n := int(d.U32())
+	if n > maxFrame/48 {
 		return pushMsg{}, fmt.Errorf("coord: push claims %d points", n)
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		pt := tsstore.Point{
-			Round: int(int64(d.u64("push"))),
-			At:    d.dur("push"),
-			Span:  d.dur("push"),
-			Lo:    d.f64("push"),
-			Hi:    d.f64("push"),
-			Bits:  d.f64("push"),
-			Err:   d.str("push"),
-		}
-		p.Points = append(p.Points, pt)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		p.Points = append(p.Points, tsstore.ReadPoint(&d))
 	}
-	p.DigestBinary = append([]byte(nil), d.bytes("push")...)
-	return p, d.done("push")
+	p.DigestBinary = append([]byte(nil), d.Bytes()...)
+	return wire.Finish(&d, p)
 }
 
 // pushAckMsg confirms a push; Applied is false when the federation
@@ -440,9 +333,8 @@ func marshalPushAck(a pushAckMsg) []byte {
 }
 
 func unmarshalPushAck(b []byte) (pushAckMsg, error) {
-	d := &decoder{buf: b}
-	a := pushAckMsg{Seq: d.u64("push-ack"), Applied: d.u8("push-ack") != 0}
-	return a, d.done("push-ack")
+	d := wire.NewReader("coord: push-ack payload", b)
+	return wire.Finish(&d, pushAckMsg{Seq: d.U64(), Applied: d.U8() != 0})
 }
 
 // nonceLen is the challenge nonce size. 32 random bytes make nonce
@@ -457,9 +349,9 @@ func marshalChallenge(nonce []byte) []byte {
 }
 
 func unmarshalChallenge(b []byte) ([]byte, error) {
-	d := &decoder{buf: b}
-	nonce := append([]byte(nil), d.bytes("challenge")...)
-	if err := d.done("challenge"); err != nil {
+	d := wire.NewReader("coord: challenge payload", b)
+	nonce := append([]byte(nil), d.Bytes()...)
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	if len(nonce) != nonceLen {
@@ -475,9 +367,8 @@ func marshalAuth(mac []byte) []byte {
 }
 
 func unmarshalAuth(b []byte) ([]byte, error) {
-	d := &decoder{buf: b}
-	mac := append([]byte(nil), d.bytes("auth")...)
-	return mac, d.done("auth")
+	d := wire.NewReader("coord: auth payload", b)
+	return wire.Finish(&d, append([]byte(nil), d.Bytes()...))
 }
 
 // authMAC is the proof of secret knowledge: HMAC-SHA256 keyed by the
@@ -510,13 +401,12 @@ type errorMsg struct {
 func marshalError(e errorMsg) []byte {
 	buf := binary.BigEndian.AppendUint16(nil, e.Version)
 	buf = binary.BigEndian.AppendUint16(buf, e.Code)
-	return appendStr(buf, e.Text)
+	return wire.AppendString(buf, e.Text)
 }
 
 func unmarshalError(b []byte) (errorMsg, error) {
-	d := &decoder{buf: b}
-	e := errorMsg{Version: d.u16("error"), Code: d.u16("error"), Text: d.str("error")}
-	return e, d.done("error")
+	d := wire.NewReader("coord: error payload", b)
+	return wire.Finish(&d, errorMsg{Version: d.U16(), Code: d.U16(), Text: d.Str()})
 }
 
 // contributionToPush converts a tsstore Contribution into its wire

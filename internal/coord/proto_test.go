@@ -2,11 +2,15 @@ package coord
 
 import (
 	"bytes"
+	"encoding/hex"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/tsstore"
+	"repro/internal/wire"
 )
 
 // TestProtoRoundTrips: every control message must survive
@@ -113,29 +117,106 @@ func TestProtoRejectsGarbage(t *testing.T) {
 	if _, _, err := readFrame(bytes.NewReader(over)); err == nil {
 		t.Fatalf("oversized frame accepted")
 	}
-	// Truncated payloads for every unmarshal.
-	if _, err := unmarshalHello([]byte{0, 1}); err == nil {
-		t.Fatalf("truncated hello accepted")
-	}
 	if _, err := unmarshalHello(marshalHello(helloMsg{Min: 5, Max: 1})); err == nil {
 		t.Fatalf("inverted hello range accepted")
 	}
-	if _, err := unmarshalAssign([]byte{0, 0, 0}); err == nil {
-		t.Fatalf("truncated assign accepted")
-	}
-	if _, err := unmarshalPush([]byte{1, 2, 3}); err == nil {
-		t.Fatalf("truncated push accepted")
-	}
-	// Trailing junk must be detected too.
-	withJunk := append(marshalHeartbeat(heartbeatMsg{Seq: 1}), 0xff)
-	if _, err := unmarshalHeartbeat(withJunk); err == nil {
-		t.Fatalf("heartbeat with trailing bytes accepted")
-	}
 	// A push whose digest blob is corrupt must fail conversion, not
-	// poison the federation.
-	p := pushMsg{Seq: 1, Path: "p", DigestBinary: []byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 9}}
-	if _, err := pushToContribution(p); err == nil {
-		t.Fatalf("corrupt digest blob accepted")
+	// poison the federation: a centroid count over budget, and the two
+	// blobs tsstore.UnmarshalDigest used to let through — centroid
+	// weights that wrap u64 to the stated count, and infinite means.
+	for name, blob := range map[string][]byte{
+		"over budget":      {0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 9},
+		"weight sum wraps": mustHex(t, "00000040"+"0000000000000000"+"00000002"+"412e848000000000"+"8000000000000000"+"413e848000000000"+"8000000000000000"),
+		"infinite means":   mustHex(t, "00000040"+"0000000000000002"+"00000002"+"fff0000000000000"+"0000000000000001"+"7ff0000000000000"+"0000000000000001"),
+	} {
+		if _, err := pushToContribution(pushMsg{Seq: 1, Path: "p", DigestBinary: blob}); err == nil {
+			t.Errorf("push with a corrupt digest blob (%s) accepted", name)
+		}
+	}
+}
+
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(strings.TrimSpace(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDecodersRejectEveryPrefix: each variable-length decoder — the
+// SLCP payloads, the lease snapshot, the coordinator checkpoint — turns
+// every strict prefix of a valid blob, and the blob with one byte
+// appended, into an error and a zero value: never a panic, never a
+// message filled in as far as the bytes went.
+func TestDecodersRejectEveryPrefix(t *testing.T) {
+	ckpt := (&Log{
+		contribs: map[string][]byte{"a1\x00p00": marshalPush(fuzzPush()), "a2\x00p02": marshalPush(pushMsg{Path: "p02"})},
+		lease:    marshalLeaseSnapshot(fuzzLeases()),
+	}).checkpoint()
+	for _, c := range []struct {
+		name   string
+		blob   []byte
+		decode func([]byte) (any, error)
+	}{
+		{"hello", marshalHello(helloMsg{Min: 1, Max: 2, Name: "a1"}), func(b []byte) (any, error) { return unmarshalHello(b) }},
+		{"hello-ack", marshalHelloAck(helloAckMsg{Version: 2, TTL: time.Second, Epoch: time.Minute}), func(b []byte) (any, error) { return unmarshalHelloAck(b) }},
+		{"heartbeat", marshalHeartbeat(heartbeatMsg{Seq: 9}), func(b []byte) (any, error) { return unmarshalHeartbeat(b) }},
+		{"assign", marshalAssign(assignMsg{Seq: 9, Budget: 12e6, Leases: []Lease{{Path: "p00"}, {Path: "p02", Group: 1}}}), func(b []byte) (any, error) { return unmarshalAssign(b) }},
+		{"push", marshalPush(fuzzPush()), func(b []byte) (any, error) { return unmarshalPush(b) }},
+		{"push-ack", marshalPushAck(pushAckMsg{Seq: 3, Applied: true}), func(b []byte) (any, error) { return unmarshalPushAck(b) }},
+		{"challenge", marshalChallenge(bytes.Repeat([]byte{7}, nonceLen)), func(b []byte) (any, error) { return unmarshalChallenge(b) }},
+		{"auth", marshalAuth(authMAC("s", []byte("n"), "a1")), func(b []byte) (any, error) { return unmarshalAuth(b) }},
+		{"error", marshalError(errorMsg{Version: 2, Code: errCodeAuth, Text: "no"}), func(b []byte) (any, error) { return unmarshalError(b) }},
+		{"lease snapshot", marshalLeaseSnapshot(fuzzLeases()), func(b []byte) (any, error) { return unmarshalLeaseSnapshot(b) }},
+		{"checkpoint", ckpt, func(b []byte) (any, error) {
+			l := Log{contribs: map[string][]byte{}}
+			err := l.decodeCheckpoint(b)
+			if len(l.contribs) == 0 && l.lease == nil {
+				return nil, err
+			}
+			return l, err
+		}},
+	} {
+		if v, err := c.decode(c.blob); err != nil || v == nil || reflect.ValueOf(v).IsZero() {
+			t.Errorf("%s: the whole blob decoded to %+v, %v", c.name, v, err)
+		}
+		for n := 0; n <= len(c.blob); n++ {
+			in := c.blob[:n]
+			if n == len(c.blob) {
+				in = append(append([]byte(nil), c.blob...), 0)
+			}
+			if v, err := c.decode(in); err == nil || (v != nil && !reflect.ValueOf(v).IsZero()) {
+				t.Errorf("%s: %d of %d bytes decoded to %+v, err %v", c.name, len(in), len(c.blob), v, err)
+			}
+		}
+	}
+}
+
+// TestPushPointLayout: the point inside a push is tsstore.Point's own
+// layout — the committed vector the archive's point record is pinned
+// to as well.
+func TestPushPointLayout(t *testing.T) {
+	raw, err := os.ReadFile("../tsstore/testdata/point.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustHex(t, string(raw))
+	r := wire.NewReader("point vector", want)
+	pt := tsstore.ReadPoint(&r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	empty := marshalPush(pushMsg{Path: "p"})
+	got := marshalPush(pushMsg{Path: "p", Points: []tsstore.Point{pt}})
+	// Head: seq, path, total, errs, point count. Tail: digest length.
+	head, tail := len(empty)-4, 4
+	if !bytes.Equal(got[head:len(got)-tail], want) {
+		t.Fatalf("point bytes in a push:\n got %x\nwant %x", got[head:len(got)-tail], want)
+	}
+	back, err := unmarshalPush(got)
+	if err != nil || len(back.Points) != 1 || back.Points[0] != pt {
+		t.Fatalf("push round trip: %+v, %v", back.Points, err)
 	}
 }
 

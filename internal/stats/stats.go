@@ -104,32 +104,6 @@ func Percentiles(xs []float64, ps []float64) []float64 {
 	return out
 }
 
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // sample value
-	P float64 // fraction of samples ≤ X
-}
-
-// CDF returns the empirical cumulative distribution of xs as a stepwise
-// set of points, one per distinct sample value.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	var out []CDFPoint
-	n := float64(len(s))
-	for i := 0; i < len(s); i++ {
-		// Collapse runs of equal values to the final (highest) P.
-		if i+1 < len(s) && s[i+1] == s[i] {
-			continue
-		}
-		out = append(out, CDFPoint{X: s[i], P: float64(i+1) / n})
-	}
-	return out
-}
-
 // WeightedMean returns Σ wᵢxᵢ / Σ wᵢ. It panics if the slices differ in
 // length, and returns 0 when the total weight is 0.
 func WeightedMean(xs, ws []float64) float64 {

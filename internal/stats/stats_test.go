@@ -133,54 +133,6 @@ func TestQuickPercentileProperties(t *testing.T) {
 	}
 }
 
-// TestCDF checks shape: nondecreasing X, P ending at 1, duplicate
-// collapsing.
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 3, 2})
-	if len(pts) != 3 {
-		t.Fatalf("CDF collapsed to %d points, want 3", len(pts))
-	}
-	if pts[0].X != 1 || !almost(pts[0].P, 0.25) {
-		t.Errorf("first point %+v", pts[0])
-	}
-	if pts[2].X != 3 || !almost(pts[2].P, 1) {
-		t.Errorf("last point %+v", pts[2])
-	}
-	if CDF(nil) != nil {
-		t.Error("CDF(nil) not nil")
-	}
-}
-
-// TestQuickCDFIsDistribution: P is nondecreasing in [0,1] ending at 1.
-func TestQuickCDFIsDistribution(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := make([]float64, 0, len(xs))
-		for _, v := range xs {
-			if !math.IsNaN(v) {
-				clean = append(clean, v)
-			}
-		}
-		pts := CDF(clean)
-		if len(clean) == 0 {
-			return pts == nil
-		}
-		prevX, prevP := math.Inf(-1), 0.0
-		for _, pt := range pts {
-			if pt.X <= prevX && !math.IsInf(prevX, -1) {
-				return false
-			}
-			if pt.P <= prevP || pt.P > 1+1e-12 {
-				return false
-			}
-			prevX, prevP = pt.X, pt.P
-		}
-		return almost(pts[len(pts)-1].P, 1)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestWeightedMean checks Eq. 11-style duration weighting.
 func TestWeightedMean(t *testing.T) {
 	if got := WeightedMean([]float64{10, 20}, []float64{1, 3}); !almost(got, 17.5) {

@@ -1,17 +1,11 @@
 package tsstore
 
-import (
-	"fmt"
-	"sync"
-)
-
 // A Backend is the persistence seam behind a Store: every observation
 // the store ingests — per-path samples and per-link utilization
-// windows — is appended to it in arrival order. The in-memory ring
-// tier (MemBackend) is one implementation and is always present; a
-// durable implementation (internal/archive) can be chained behind it
-// with NewWithBackend so the same ingest stream also survives the
-// process.
+// windows — is appended to it in arrival order, after the store's own
+// rings have taken it. internal/archive is the durable implementation;
+// NewWithBackend chains it (or a test fake) behind a store so the same
+// ingest stream also survives the process.
 //
 // Append methods must be safe for concurrent use: the monitor calls
 // Observe from every session goroutine at once.
@@ -23,127 +17,4 @@ type Backend interface {
 	// Close flushes and releases the backend. The Store does not call
 	// Append methods after Close.
 	Close() error
-}
-
-// MemBackend is the in-memory ring tier: one fixed-capacity ring of
-// Points per path (plus all-time counters and a running quantile
-// digest) and one ring of LinkPoints per link. It is what Store
-// historically was; the Store now fronts a MemBackend with its query
-// and aggregation surface, optionally teeing ingest into a durable
-// Backend. Appends never fail.
-type MemBackend struct {
-	cfg Config
-
-	mu     sync.RWMutex
-	series map[string]*series
-	links  map[string]*linkSeries
-}
-
-// NewMemBackend creates an empty ring tier. It panics on a negative
-// Capacity or DigestSize: silent acceptance would turn every path into
-// a zero-size ring that remembers nothing.
-func NewMemBackend(cfg Config) *MemBackend {
-	if cfg.Capacity < 0 || cfg.DigestSize < 0 {
-		panic(fmt.Sprintf("tsstore: negative Capacity %d or DigestSize %d", cfg.Capacity, cfg.DigestSize))
-	}
-	if cfg.Capacity == 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	if cfg.DigestSize == 0 {
-		cfg.DigestSize = DefaultDigestSize
-	}
-	return &MemBackend{cfg: cfg, series: map[string]*series{}, links: map[string]*linkSeries{}}
-}
-
-// AppendPoint records one path sample into the path's ring, counting
-// it toward the all-time totals and digest. It implements Backend and
-// never returns an error.
-func (m *MemBackend) AppendPoint(path string, p Point) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ensure(path).push(p)
-	return nil
-}
-
-// AppendLink records one windowed link observation. It implements
-// Backend and never returns an error.
-func (m *MemBackend) AppendLink(link string, p LinkPoint) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ensureLink(link).push(p)
-	return nil
-}
-
-// Close implements Backend; the ring tier has nothing to flush.
-func (m *MemBackend) Close() error { return nil }
-
-// ensure returns the path's series, creating it empty if needed. The
-// caller holds m.mu.
-func (m *MemBackend) ensure(path string) *series {
-	se := m.series[path]
-	if se == nil {
-		se = &series{pts: make([]Point, m.cfg.Capacity), digest: NewDigest(m.cfg.DigestSize)}
-		m.series[path] = se
-	}
-	return se
-}
-
-// ensureLink returns the link's series, creating it empty if needed.
-// The caller holds m.mu.
-func (m *MemBackend) ensureLink(link string) *linkSeries {
-	se := m.links[link]
-	if se == nil {
-		se = &linkSeries{pts: make([]LinkPoint, m.cfg.Capacity)}
-		m.links[link] = se
-	}
-	return se
-}
-
-// replayPoint re-inserts a recovered point. counted replays count
-// toward totals and the digest like a live sample; uncounted replays
-// touch only the ring — they are for records already summarized by a
-// later checkpoint, whose contribution to the counters arrives via
-// seedSeries instead (replaying them counted would double-count).
-func (m *MemBackend) replayPoint(path string, p Point, counted bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	se := m.ensure(path)
-	if counted {
-		se.push(p)
-	} else {
-		se.insert(p)
-	}
-}
-
-// replayLink re-inserts a recovered link window, with the same counted
-// semantics as replayPoint (link series have no digest, only a total).
-func (m *MemBackend) replayLink(link string, p LinkPoint, counted bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	se := m.ensureLink(link)
-	if counted {
-		se.push(p)
-	} else {
-		se.insert(p)
-	}
-}
-
-// seedSeries primes a path's all-time counters and digest from a
-// checkpoint, overwriting whatever replay accumulated so far. d may be
-// nil to keep the current digest.
-func (m *MemBackend) seedSeries(path string, total, errs uint64, d *Digest) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	se := m.ensure(path)
-	se.total, se.errs = total, errs
-	if d != nil {
-		se.digest = d.clone()
-	}
-}
-
-// seedLink primes a link's all-time window count from a checkpoint.
-func (m *MemBackend) seedLink(link string, total uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ensureLink(link).total = total
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // DefaultDigestSize is the default centroid budget of a Digest. Sixty-
@@ -164,39 +166,51 @@ func (d *Digest) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
+// maxDigestMean bounds the centroid means UnmarshalDigest accepts to
+// those whose product with any u64 weight is finite (with a factor of
+// two to spare for rounding), so that neither the weighted means
+// compress forms when such a digest is merged nor the mean differences
+// Quantile interpolates over can overflow to ±Inf and on to NaN.
+// Avail-bw in bits/s sits some 270 orders of magnitude below it.
+const maxDigestMean = math.MaxFloat64 / (1 << 65)
+
 // UnmarshalDigest decodes a MarshalBinary digest, validating the
-// structural invariants (budget respected, means ascending and not NaN,
-// weights positive, count consistent) so a corrupt or adversarial blob
-// cannot poison a federated store.
+// structural invariants (budget respected, means ascending, finite and
+// within maxDigestMean, weights positive and summing to the count
+// without wrapping) so a corrupt or adversarial blob cannot poison a
+// federated store.
 func UnmarshalDigest(data []byte) (*Digest, error) {
-	if len(data) < 16 {
-		return nil, fmt.Errorf("tsstore: digest blob %d bytes, want >= 16", len(data))
+	r := wire.NewReader("tsstore: digest blob", data)
+	size, n, k := int(r.U32()), r.U64(), int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	size := int(binary.BigEndian.Uint32(data[0:]))
-	n := binary.BigEndian.Uint64(data[4:])
-	k := int(binary.BigEndian.Uint32(data[12:]))
 	if size <= 0 || k < 0 || k > size {
 		return nil, fmt.Errorf("tsstore: digest holds %d centroids against budget %d", k, size)
 	}
-	if len(data) != 16+16*k {
+	if r.Len() != 16*k {
 		return nil, fmt.Errorf("tsstore: digest blob %d bytes, want %d for %d centroids", len(data), 16+16*k, k)
 	}
 	d := &Digest{size: size, n: n, cs: make([]centroid, k)}
 	var sum uint64
 	for i := range d.cs {
-		mean := math.Float64frombits(binary.BigEndian.Uint64(data[16+16*i:]))
-		weight := binary.BigEndian.Uint64(data[24+16*i:])
-		if math.IsNaN(mean) {
-			return nil, fmt.Errorf("tsstore: digest centroid %d mean is NaN", i)
+		c := centroid{mean: r.F64(), weight: r.U64()}
+		if !(math.Abs(c.mean) <= maxDigestMean) { // also NaN and ±Inf
+			return nil, fmt.Errorf("tsstore: digest centroid %d mean %v is not a finite bandwidth", i, c.mean)
 		}
-		if weight == 0 {
+		if c.weight == 0 {
 			return nil, fmt.Errorf("tsstore: digest centroid %d has zero weight", i)
 		}
-		if i > 0 && mean < d.cs[i-1].mean {
+		if i > 0 && c.mean < d.cs[i-1].mean {
 			return nil, fmt.Errorf("tsstore: digest centroid means not ascending at %d", i)
 		}
-		d.cs[i] = centroid{mean: mean, weight: weight}
-		sum += weight
+		if c.weight > n-sum {
+			// Checked per centroid, not on the final sum: u64 addition
+			// wraps, and two weights of 2^63 "sum" to a count of 0.
+			return nil, fmt.Errorf("tsstore: digest centroid weights exceed the count %d at %d", n, i)
+		}
+		sum += c.weight
+		d.cs[i] = c
 	}
 	if sum != n {
 		return nil, fmt.Errorf("tsstore: digest count %d != centroid weight sum %d", n, sum)

@@ -63,10 +63,7 @@ type Federation struct {
 // use cfg (ring capacity, digest budget). It panics like New on
 // negative values.
 func NewFederation(cfg Config) *Federation {
-	if cfg.Capacity < 0 || cfg.DigestSize < 0 {
-		New(cfg) // reuse the panic message
-	}
-	return &Federation{cfg: cfg, contribs: map[string]map[string]Contribution{}}
+	return &Federation{cfg: cfg.validated(), contribs: map[string]map[string]Contribution{}}
 }
 
 // Push offers an agent's contribution for a path. It is applied only
@@ -148,23 +145,16 @@ func (f *Federation) Snapshot() *Store {
 			agents = append(agents, a)
 		}
 		sort.Strings(agents)
-		se := &series{pts: make([]Point, st.cfg.Capacity), digest: NewDigest(st.cfg.DigestSize)}
+		se := st.ensure(path) // st is still private to this call: no lock needed
 		for _, a := range agents {
 			c := byAgent[a]
 			for _, p := range c.Points {
-				if se.n < len(se.pts) {
-					se.pts[(se.head+se.n)%len(se.pts)] = p
-					se.n++
-				} else {
-					se.pts[se.head] = p
-					se.head = (se.head + 1) % len(se.pts)
-				}
+				se.insert(p)
 			}
 			se.total += c.Total
 			se.errs += c.Errors
 			se.digest.Merge(c.Digest)
 		}
-		st.mem.series[path] = se
 	}
 	return st
 }

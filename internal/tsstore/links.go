@@ -33,52 +33,59 @@ func (p LinkPoint) Load() float64 { return p.Util * p.Capacity }
 // per-hop term of the paper's A = min over the route of C_l·(1−u_l).
 func (p LinkPoint) AvailBw() float64 { return p.Capacity * (1 - p.Util) }
 
-// linkSeries is one link's retained history, a ring like the per-path
-// series but without digests: link windows are already aggregates.
-type linkSeries struct {
-	pts   []LinkPoint
-	head  int
-	n     int
-	total uint64
-}
-
-// insert is the ring-only half of push, as on the per-path series.
-func (s *linkSeries) insert(p LinkPoint) {
-	if s.n < len(s.pts) {
-		s.pts[(s.head+s.n)%len(s.pts)] = p
-		s.n++
-	} else {
-		s.pts[s.head] = p
-		s.head = (s.head + 1) % len(s.pts)
-	}
-}
-
-func (s *linkSeries) push(p LinkPoint) {
-	s.insert(p)
-	s.total++
-}
-
-func (s *linkSeries) at(i int) LinkPoint { return s.pts[(s.head+i)%len(s.pts)] }
-
 // ObserveLink records one windowed link utilization observation. It
 // implements mesh.LinkSink, so a Store can be handed directly to
 // mesh.(*Mesh).NewLinkRecorder; safe for concurrent use with every
 // other store method.
 func (st *Store) ObserveLink(link string, round int, at, span time.Duration, util, capacity float64) {
 	p := LinkPoint{Round: round, At: at, Span: span, Util: util, Capacity: capacity}
-	st.mem.AppendLink(link, p)
+	st.mu.Lock()
+	st.ensureLink(link).push(p)
+	st.mu.Unlock()
 	if st.dur != nil {
 		st.noteDurErr(st.dur.AppendLink(link, p))
 	}
 }
 
+// ensureLink returns the link's ring, creating it empty if needed: a
+// ring like the per-path series' but without a digest, since link
+// windows are already aggregates. The caller holds st.mu.
+func (st *Store) ensureLink(link string) *ring[LinkPoint] {
+	se := st.links[link]
+	if se == nil {
+		se = &ring[LinkPoint]{buf: make([]LinkPoint, st.cfg.Capacity)}
+		st.links[link] = se
+	}
+	return se
+}
+
+// ReplayLink re-inserts a recovered link window; counted as in
+// ReplayPoint (a link series has no digest, only a total).
+func (st *Store) ReplayLink(link string, p LinkPoint, counted bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	se := st.ensureLink(link)
+	if counted {
+		se.push(p)
+	} else {
+		se.insert(p)
+	}
+}
+
+// SeedLink primes a link's all-time window count from a checkpoint.
+func (st *Store) SeedLink(link string, total uint64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.ensureLink(link).total = total
+}
+
 // Links returns the known link names, sorted, so every rendering of
 // the link series is deterministic.
 func (st *Store) Links() []string {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	names := make([]string, 0, len(st.mem.links))
-	for name := range st.mem.links {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	names := make([]string, 0, len(st.links))
+	for name := range st.links {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -88,9 +95,9 @@ func (st *Store) Links() []string {
 // LinkLen returns the number of retained windows for link (0 for
 // unknown links).
 func (st *Store) LinkLen(link string) int {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	if se := st.mem.links[link]; se != nil {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if se := st.links[link]; se != nil {
 		return se.n
 	}
 	return 0
@@ -99,9 +106,9 @@ func (st *Store) LinkLen(link string) int {
 // LinkTotal returns how many windows the link has ever delivered
 // (retained + evicted).
 func (st *Store) LinkTotal(link string) uint64 {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	if se := st.mem.links[link]; se != nil {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if se := st.links[link]; se != nil {
 		return se.total
 	}
 	return 0
@@ -110,29 +117,24 @@ func (st *Store) LinkTotal(link string) uint64 {
 // LinkSnapshot copies the link's retained windows in chronological
 // order (nil for unknown links).
 func (st *Store) LinkSnapshot(link string) []LinkPoint {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	se := st.mem.links[link]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	se := st.links[link]
 	if se == nil {
 		return nil
 	}
-	out := make([]LinkPoint, se.n)
-	for i := range out {
-		out[i] = se.at(i)
-	}
-	return out
+	return se.snapshot()
 }
 
 // LinkLast returns the link's most recent retained window; ok is false
 // for unknown or empty links.
 func (st *Store) LinkLast(link string) (LinkPoint, bool) {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	se := st.mem.links[link]
-	if se == nil || se.n == 0 {
-		return LinkPoint{}, false
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if se := st.links[link]; se != nil {
+		return se.last()
 	}
-	return se.at(se.n - 1), true
+	return LinkPoint{}, false
 }
 
 // WriteLinkMRTG renders one link's retained utilization series in the

@@ -21,12 +21,15 @@
 package tsstore
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"time"
 
 	pathload "repro"
+	"repro/internal/wire"
 )
 
 // DefaultCapacity is the default per-path ring size. At the paper's
@@ -88,44 +91,61 @@ func (p Point) RelVar() float64 {
 	return (p.Hi - p.Lo) / p.Mid()
 }
 
-// series is one path's retained history: a ring of Points plus
-// all-time counters and a running digest of mid-range estimates.
+// AppendBinary appends the point's binary form to b (a nil b becomes
+// one allocation of exactly the encoded size): Round, At, Span as u64,
+// Lo, Hi, Bits as float64 bits, Err as a u16-length-prefixed string cut
+// to what that length can state — all big-endian. Wall is deliberately left out:
+// pushes and archives must be byte-reproducible under the deterministic
+// harness, and wall clocks are the one field that never is. This is the
+// layout of a point in an SLCP push and in an archive KindPoint record
+// alike; ReadPoint is its inverse.
+func (p Point) AppendBinary(b []byte) []byte {
+	if b == nil {
+		b = make([]byte, 0, 8*6+2+min(len(p.Err), math.MaxUint16))
+	}
+	b = binary.BigEndian.AppendUint64(b, uint64(p.Round))
+	b = binary.BigEndian.AppendUint64(b, uint64(p.At))
+	b = binary.BigEndian.AppendUint64(b, uint64(p.Span))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Lo))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Hi))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Bits))
+	return wire.AppendString(b, p.Err)
+}
+
+// ReadPoint reads one AppendBinary point off r (Wall stays zero). A
+// short payload fails r, not the call: check r.Err, Done or Finish.
+func ReadPoint(r *wire.Reader) Point {
+	return Point{
+		Round: int(int64(r.U64())),
+		At:    r.Dur(),
+		Span:  r.Dur(),
+		Lo:    r.F64(),
+		Hi:    r.F64(),
+		Bits:  r.F64(),
+		Err:   r.Str(),
+	}
+}
+
+// series is one path's retained history: a ring of Points (whose total
+// counts the points ever observed) plus the failed-round count and a
+// running digest of mid-range estimates.
 type series struct {
-	pts    []Point // ring storage, len == capacity
-	head   int     // index of the oldest retained point
-	n      int     // retained count, <= len(pts)
-	total  uint64  // points ever observed (retained + evicted)
+	ring[Point]
 	errs   uint64  // failed rounds ever observed
 	digest *Digest // all-time digest of OK mid-range estimates
 }
 
-// insert places a point into the ring, evicting the oldest when full,
-// without touching the all-time counters or digest — the ring-only
-// half of push, used directly when replaying records whose counter
-// contribution comes from a checkpoint instead.
-func (s *series) insert(p Point) {
-	if s.n < len(s.pts) {
-		s.pts[(s.head+s.n)%len(s.pts)] = p
-		s.n++
-	} else {
-		s.pts[s.head] = p
-		s.head = (s.head + 1) % len(s.pts)
-	}
-}
-
-// push appends a point, evicting the oldest when full.
+// push appends a point, evicting the oldest when full, and counts it
+// toward the all-time totals and digest. The promoted ring insert is
+// the uncounted half.
 func (s *series) push(p Point) {
-	s.insert(p)
-	s.total++
+	s.ring.push(p)
 	if p.OK() {
 		s.digest.Add(p.Mid())
 	} else {
 		s.errs++
 	}
 }
-
-// at returns the i-th retained point in chronological order.
-func (s *series) at(i int) Point { return s.pts[(s.head+i)%len(s.pts)] }
 
 // A Store retains per-path avail-bw series. Create with New (or
 // NewWithBackend to tee ingest into a durable Backend); feed it by
@@ -138,17 +158,35 @@ func (s *series) at(i int) Point { return s.pts[(s.head+i)%len(s.pts)] }
 // rings from it).
 type Store struct {
 	cfg Config
-	mem *MemBackend
 	dur Backend
+
+	mu     sync.RWMutex
+	series map[string]*series
+	links  map[string]*ring[LinkPoint]
 
 	durMu   sync.Mutex
 	durErrs uint64
 	durErr  error
 }
 
+// validated returns cfg with its defaults filled in. It panics on a
+// negative Capacity or DigestSize: silent acceptance would turn every
+// path into a zero-size ring that remembers nothing.
+func (cfg Config) validated() Config {
+	if cfg.Capacity < 0 || cfg.DigestSize < 0 {
+		panic(fmt.Sprintf("tsstore: negative Capacity %d or DigestSize %d", cfg.Capacity, cfg.DigestSize))
+	}
+	if cfg.Capacity == 0 {
+		cfg.Capacity = DefaultCapacity
+	}
+	if cfg.DigestSize == 0 {
+		cfg.DigestSize = DefaultDigestSize
+	}
+	return cfg
+}
+
 // New creates an empty store. It panics on a negative Capacity or
-// DigestSize: silent acceptance would turn every path into a zero-size
-// ring that remembers nothing.
+// DigestSize.
 func New(cfg Config) *Store {
 	return NewWithBackend(cfg, nil)
 }
@@ -159,8 +197,18 @@ func New(cfg Config) *Store {
 // series stay correct regardless — and reported by BackendErrs; the
 // caller decides whether a lossy archive is fatal.
 func NewWithBackend(cfg Config, dur Backend) *Store {
-	mem := NewMemBackend(cfg)
-	return &Store{cfg: mem.cfg, mem: mem, dur: dur}
+	return &Store{cfg: cfg.validated(), dur: dur, series: map[string]*series{}, links: map[string]*ring[LinkPoint]{}}
+}
+
+// ensure returns the path's series, creating it empty if needed. The
+// caller holds st.mu.
+func (st *Store) ensure(path string) *series {
+	se := st.series[path]
+	if se == nil {
+		se = &series{ring: ring[Point]{buf: make([]Point, st.cfg.Capacity)}, digest: NewDigest(st.cfg.DigestSize)}
+		st.series[path] = se
+	}
+	return se
 }
 
 // Observe records one monitor sample into the path's ring. It
@@ -179,7 +227,9 @@ func (st *Store) Observe(s pathload.Sample) {
 	} else {
 		p.Lo, p.Hi = s.Result.Lo, s.Result.Hi
 	}
-	st.mem.AppendPoint(s.Path, p)
+	st.mu.Lock()
+	st.ensure(s.Path).push(p)
+	st.mu.Unlock()
 	if st.dur != nil {
 		st.noteDurErr(st.dur.AppendPoint(s.Path, p))
 	}
@@ -223,13 +273,14 @@ func (st *Store) Close() error {
 // counters arrive via SeedSeries — counting them twice is the classic
 // replay double-count).
 func (st *Store) ReplayPoint(path string, p Point, counted bool) {
-	st.mem.replayPoint(path, p, counted)
-}
-
-// ReplayLink re-inserts a recovered link window; counted as in
-// ReplayPoint.
-func (st *Store) ReplayLink(link string, p LinkPoint, counted bool) {
-	st.mem.replayLink(link, p, counted)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	se := st.ensure(path)
+	if counted {
+		se.push(p)
+	} else {
+		se.insert(p)
+	}
 }
 
 // SeedSeries primes a path's all-time counters and digest from a
@@ -237,21 +288,22 @@ func (st *Store) ReplayLink(link string, p LinkPoint, counted bool) {
 // nil to keep the current digest). Recovery order is: uncounted replay
 // of checkpointed records, SeedSeries, counted replay of the tail.
 func (st *Store) SeedSeries(path string, total, errs uint64, d *Digest) {
-	st.mem.seedSeries(path, total, errs, d)
-}
-
-// SeedLink primes a link's all-time window count from a checkpoint.
-func (st *Store) SeedLink(link string, total uint64) {
-	st.mem.seedLink(link, total)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	se := st.ensure(path)
+	se.total, se.errs = total, errs
+	if d != nil {
+		se.digest = d.clone()
+	}
 }
 
 // Paths returns the known path identifiers, sorted, so that every
 // rendering of the store is deterministic.
 func (st *Store) Paths() []string {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	ids := make([]string, 0, len(st.mem.series))
-	for id := range st.mem.series {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	ids := make([]string, 0, len(st.series))
+	for id := range st.series {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
@@ -261,9 +313,9 @@ func (st *Store) Paths() []string {
 // Len returns the number of retained points for path (0 for unknown
 // paths).
 func (st *Store) Len(path string) int {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	if se := st.mem.series[path]; se != nil {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if se := st.series[path]; se != nil {
 		return se.n
 	}
 	return 0
@@ -274,13 +326,12 @@ func (st *Store) Len(path string) int {
 // path's series from here (pathload.PathState), so round numbering and
 // the path-local clock stay monotone across monitor restarts.
 func (st *Store) Last(path string) (Point, bool) {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	se := st.mem.series[path]
-	if se == nil || se.n == 0 {
-		return Point{}, false
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if se := st.series[path]; se != nil {
+		return se.last()
 	}
-	return se.at(se.n - 1), true
+	return Point{}, false
 }
 
 // DigestSnapshot returns a deep copy of the path's all-time digest of
@@ -288,9 +339,9 @@ func (st *Store) Last(path string) (Point, bool) {
 // to mutate or marshal — it is how an agent ships its eviction-proof
 // distribution summary to a federating coordinator.
 func (st *Store) DigestSnapshot(path string) *Digest {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	se := st.mem.series[path]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	se := st.series[path]
 	if se == nil {
 		return nil
 	}
@@ -300,9 +351,9 @@ func (st *Store) DigestSnapshot(path string) *Digest {
 // Totals returns how many samples the path has ever delivered
 // (retained + evicted) and how many of them failed.
 func (st *Store) Totals(path string) (samples, errors uint64) {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	if se := st.mem.series[path]; se != nil {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if se := st.series[path]; se != nil {
 		return se.total, se.errs
 	}
 	return 0, 0
@@ -310,25 +361,21 @@ func (st *Store) Totals(path string) (samples, errors uint64) {
 
 // Snapshot copies the path's retained points in chronological order.
 func (st *Store) Snapshot(path string) []Point {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	se := st.mem.series[path]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	se := st.series[path]
 	if se == nil {
 		return nil
 	}
-	out := make([]Point, se.n)
-	for i := range out {
-		out[i] = se.at(i)
-	}
-	return out
+	return se.snapshot()
 }
 
 // Query returns the retained points whose measurement start At falls
 // in the half-open window [from, to), in chronological order.
 func (st *Store) Query(path string, from, to time.Duration) []Point {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	se := st.mem.series[path]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	se := st.series[path]
 	if se == nil {
 		return nil
 	}
@@ -354,9 +401,9 @@ func (st *Store) Query(path string, from, to time.Duration) []Point {
 // the monitor feeds, closing the tsstore → scheduler loop, so quiet
 // paths probe rarely and volatile paths often.
 func (st *Store) RelVar(path string, window time.Duration) (rho float64, ok bool) {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	se := st.mem.series[path]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	se := st.series[path]
 	if se == nil || se.n == 0 {
 		return 0, false
 	}
@@ -392,9 +439,9 @@ func (st *Store) RelVar(path string, window time.Duration) (rho float64, ok bool
 // estimates over all time (the running digest, eviction-proof). It
 // returns NaN for unknown paths and paths with no successful rounds.
 func (st *Store) Quantile(path string, q float64) float64 {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	se := st.mem.series[path]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	se := st.series[path]
 	if se == nil {
 		return math.NaN()
 	}
@@ -413,17 +460,13 @@ type view struct {
 
 // view snapshots one path atomically; ok is false for unknown paths.
 func (st *Store) view(path string) (v view, ok bool) {
-	st.mem.mu.RLock()
-	defer st.mem.mu.RUnlock()
-	se := st.mem.series[path]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	se := st.series[path]
 	if se == nil {
 		return view{}, false
 	}
-	v = view{total: se.total, errs: se.errs}
-	v.pts = make([]Point, se.n)
-	for i := range v.pts {
-		v.pts[i] = se.at(i)
-	}
+	v = view{pts: se.snapshot(), total: se.total, errs: se.errs}
 	v.digest = Digest{size: se.digest.size, n: se.digest.n, cs: append([]centroid(nil), se.digest.cs...)}
 	return v, true
 }
