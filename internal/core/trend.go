@@ -14,8 +14,7 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/stats"
+	"sort"
 )
 
 // Default decision thresholds. Each metric has an increasing zone, a
@@ -125,6 +124,13 @@ type TrendMetrics struct {
 // inputs yield fewer (possibly zero) groups; groups absorb the
 // remainder so every sample is used.
 func MedianGroups(owds []float64, gamma int) []float64 {
+	return medianGroupsInPlace(append([]float64(nil), owds...), gamma, nil)
+}
+
+// medianGroupsInPlace is MedianGroups over caller-owned buffers: it
+// sorts each group of owds where it lies and builds the medians in
+// dst[:0], or in a fresh slice when dst has no room for gamma of them.
+func medianGroupsInPlace(owds []float64, gamma int, dst []float64) []float64 {
 	n := len(owds)
 	if n == 0 {
 		return nil
@@ -138,7 +144,10 @@ func MedianGroups(owds []float64, gamma int) []float64 {
 	if gamma < 1 {
 		gamma = 1
 	}
-	out := make([]float64, 0, gamma)
+	out := dst[:0]
+	if cap(out) < gamma {
+		out = make([]float64, 0, gamma)
+	}
 	// Distribute n samples across gamma groups as evenly as possible.
 	base := n / gamma
 	extra := n % gamma
@@ -148,7 +157,13 @@ func MedianGroups(owds []float64, gamma int) []float64 {
 		if g < extra {
 			size++
 		}
-		out = append(out, stats.Median(owds[start:start+size]))
+		group := owds[start : start+size]
+		sort.Float64s(group)
+		med := group[size/2]
+		if size%2 == 0 {
+			med = (group[size/2-1] + med) / 2
+		}
+		out = append(out, med)
 		start += size
 	}
 	return out
@@ -212,34 +227,31 @@ func zone(v, incr, nonIncr float64) int {
 // conflict or are both ambiguous. Streams too short to form at least
 // two median groups are discarded.
 func ClassifyOWDs(owds []float64, cfg TrendConfig) (StreamType, TrendMetrics) {
+	return ClassifyInPlace(append([]float64(nil), owds...), nil, cfg)
+}
+
+// ClassifyInPlace is ClassifyOWDs over caller-owned buffers, for
+// callers that classify stream after stream: it reorders owds (each
+// median group is sorted where it lies) and builds the medians in
+// medians[:0], so with room for Γ medians it allocates nothing. The
+// returned TrendMetrics.Medians aliases that buffer.
+func ClassifyInPlace(owds, medians []float64, cfg TrendConfig) (StreamType, TrendMetrics) {
 	cfg = cfg.withDefaults()
-	med := MedianGroups(owds, cfg.Gamma)
+	med := medianGroupsInPlace(owds, cfg.Gamma, medians)
 	m := TrendMetrics{PCT: PCT(med), PDT: PDT(med), Gamma: len(med), Medians: med}
 	if len(med) < 2 {
 		return TypeDiscard, m
 	}
-	if cfg.DisablePCT && cfg.DisablePDT {
-		// No metric enabled: unclassifiable rather than silently
-		// non-increasing.
-		return TypeDiscard, m
-	}
-
-	var votes []int
+	// A disabled metric abstains; with both disabled the stream is
+	// unclassifiable rather than silently non-increasing.
+	var pct, pdt int
 	if !cfg.DisablePCT {
-		votes = append(votes, zone(m.PCT, cfg.PCTIncreasing, cfg.PCTNonIncreasing))
+		pct = zone(m.PCT, cfg.PCTIncreasing, cfg.PCTNonIncreasing)
 	}
 	if !cfg.DisablePDT {
-		votes = append(votes, zone(m.PDT, cfg.PDTIncreasing, cfg.PDTNonIncreasing))
+		pdt = zone(m.PDT, cfg.PDTIncreasing, cfg.PDTNonIncreasing)
 	}
-	pos, neg := false, false
-	for _, v := range votes {
-		if v > 0 {
-			pos = true
-		}
-		if v < 0 {
-			neg = true
-		}
-	}
+	pos, neg := pct > 0 || pdt > 0, pct < 0 || pdt < 0
 	switch {
 	case pos && !neg:
 		return TypeIncreasing, m

@@ -150,12 +150,15 @@ func (s *Sequencer) NewProber(route []*netsim.Link, reverseDelay netsim.Time) *P
 	s.slots = append(s.slots, sl)
 	s.live++
 	s.running++
-	return &Prober{
+	p := &Prober{
 		route:        route,
 		ReverseDelay: reverseDelay,
 		LossTimeout:  200 * netsim.Millisecond,
 		slot:         sl,
+		st:           stream{sim: s.sim, route: route, seat: sl},
 	}
+	p.st.fireFn, p.st.arriveFn = p.st.fire, p.st.arrive
+	return p
 }
 
 // Retire releases the prober's seat, letting its siblings stop waiting
@@ -206,31 +209,36 @@ func (p *Prober) EndRound() {
 // path's next round at its own round end, which keeps a path's timeline
 // independent of when its siblings cleared the round barrier.
 func (p *Prober) IdleUntil(t netsim.Time) {
-	p.section(func(sim *netsim.Simulator) (netsim.Time, bool) {
-		if now := sim.Now(); t < now {
-			return now, false
-		}
-		return t, false
-	})
+	if now := p.begin().Now(); t < now {
+		t = now
+	}
+	p.await(t, false)
 }
 
-// nextPktID allocates a packet ID. Callers hold the floor.
-func (s *Sequencer) nextPktID() uint64 {
-	s.nextID++
-	return s.nextID
+// reservePktIDs allocates n consecutive packet IDs and returns the
+// first. Callers hold the floor.
+func (s *Sequencer) reservePktIDs(n int) uint64 {
+	first := s.nextID + 1
+	s.nextID += uint64(n)
+	return first
 }
 
-// section runs setup with exclusive simulator access, then waits until
-// the deadline setup returns — or, when setup armed an early wake
-// (armed == true), until wake is called from an event. Setups only
-// schedule future events, never fire any. On return this goroutine
-// still holds the floor, and keeps it until its next park, so the
-// caller may read what the simulation produced — nobody advances the
-// clock while a prober is unparked.
-func (p *Prober) section(setup func(sim *netsim.Simulator) (deadline netsim.Time, armed bool)) {
+// begin and await bracket a section. begin parks until the floor is the
+// prober's and returns the simulator for the section's setup, which
+// runs with exclusive access and only schedules future events, never
+// fires any. await ends the setup and waits until deadline — or, when
+// armed, until wake is called from an event. When await returns this
+// goroutine still holds the floor, and keeps it until its next park, so
+// the caller may read what the simulation produced — nobody advances
+// the clock while a prober is unparked.
+func (p *Prober) begin() *netsim.Simulator {
+	p.slot.park(seqParkedSection) // until the floor is ours: schedule
+	return p.slot.seq.sim
+}
+
+func (p *Prober) await(deadline netsim.Time, armed bool) {
 	sl := p.slot
-	sl.park(seqParkedSection) // until the floor is ours: schedule
-	sl.deadline, sl.armed = setup(sl.seq.sim)
+	sl.deadline, sl.armed = deadline, armed
 	sl.park(seqParkedAwait) // until woken or the deadline is reached
 }
 

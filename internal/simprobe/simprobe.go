@@ -43,12 +43,9 @@ type Prober struct {
 
 	// slot is the prober's seat on its Sequencer.
 	slot *seqSlot
-}
-
-// probeTag is the payload of simulated probe packets.
-type probeTag struct {
-	stream int
-	seq    int
+	// st is the one stream the prober can have in flight, reused by
+	// every SendStream.
+	st stream
 }
 
 // New creates a prober with a simulator to itself: it injects at the
@@ -73,97 +70,118 @@ func (p *Prober) RTT() time.Duration {
 // Idle advances the simulation by d, letting cross traffic evolve and
 // queues drain between streams.
 func (p *Prober) Idle(d time.Duration) error {
-	p.section(func(sim *netsim.Simulator) (netsim.Time, bool) {
-		return sim.Now() + netsim.FromDuration(d), false
-	})
+	sim := p.begin()
+	p.await(sim.Now()+netsim.FromDuration(d), false)
 	return nil
 }
 
-// arrival is one received probe packet's sequence number and OWD.
-type arrival struct {
-	seq int
-	owd netsim.Time
-}
-
-// A stream is one probe stream in flight: it injects its pre-built
-// packets in sequence order and gathers their arrivals, each through a
-// single prebound callback, so a stream of K packets allocates per
-// stream, not per packet.
+// A stream is a prober's stream arena: the state of the one probe
+// stream it can have in flight, sized by the first SendStream, regrown
+// only when K grows, and reused by every stream after that, so a stream
+// of K packets allocates nothing.
+//
+// A stream's packets are recognised by their IDs. SendStream reserves K
+// contiguous IDs while it holds the floor, packet seq carries
+// firstID+seq, and arrive accepts a packet only when its ID falls in
+// [firstID, firstID+k) and its slot is still empty. IDs only grow, so a
+// straggler of an earlier, timed-out stream is below firstID and can
+// match nothing; between streams k is 0 and nothing matches at all.
 type stream struct {
-	sim     *netsim.Simulator
-	route   []*netsim.Link
-	seat    *seqSlot
-	pending []*netsim.Packet
-	idx     int
-	got     []arrival
-	// collected is set once SendStream has read got. A timed-out
-	// stream's stragglers still reach arrive after that; they must not
-	// count, or the K-th would wake the seat out of its next await.
-	collected bool
-	arriveFn  netsim.Sink
-	fireFn    func()
+	sim   *netsim.Simulator
+	route []*netsim.Link
+	seat  *seqSlot
+
+	firstID uint64 // ID of the stream's packet 0
+	k       int    // packets in the stream; 0 when none is collecting
+	size    int    // wire size of each packet
+	sent    int    // packets injected so far
+	got     int    // slots of owd filled so far
+	// owd holds the stream's one-way delays by sequence number; −1
+	// marks a packet that has not arrived (a measured delay is never
+	// negative).
+	owd []netsim.Time
+	// out backs the OWDs SendStream returns, which is why they are only
+	// valid until the prober's next stream.
+	out []pathload.OWDSample
+
+	// fire and arrive as func values, bound once in NewProber.
+	fireFn   func()
+	arriveFn netsim.Sink
 }
 
+// open readies the arena for a stream of k packets of size bytes whose
+// IDs start at firstID.
+func (st *stream) open(firstID uint64, k, size int) {
+	if cap(st.owd) < k {
+		st.owd = make([]netsim.Time, k)
+		st.out = make([]pathload.OWDSample, 0, k)
+	}
+	st.owd = st.owd[:k]
+	for i := range st.owd {
+		st.owd[i] = -1
+	}
+	st.firstID, st.k, st.size, st.sent, st.got = firstID, k, size, 0, 0
+}
+
+// fire injects the stream's next packet.
 func (st *stream) fire() {
-	pkt := st.pending[st.idx]
-	st.pending[st.idx] = nil
-	st.idx++
+	pkt := st.sim.NewPacket()
+	pkt.ID = st.firstID + uint64(st.sent)
+	pkt.Size = st.size
+	st.sent++
 	st.sim.Inject(pkt, st.route, st.arriveFn)
 }
 
 func (st *stream) arrive(pk *netsim.Packet, at netsim.Time) {
-	if !st.collected {
-		st.got = append(st.got, arrival{seq: pk.Payload.(*probeTag).seq, owd: at - pk.SentAt})
-		if len(st.got) == len(st.pending) { // all K are in
+	// An ID below firstID wraps to a huge seq, so one comparison rejects
+	// stragglers on both sides of the range.
+	if seq := pk.ID - st.firstID; seq < uint64(st.k) && st.owd[seq] < 0 {
+		st.owd[seq] = at - pk.SentAt
+		st.got++
+		if st.got == st.k { // all K are in
 			st.seat.wake()
 		}
 	}
 	st.sim.FreePacket(pk)
 }
 
+// collect closes the stream and returns what arrived of it, in sequence
+// order. A timed-out stream's stragglers still reach arrive after this;
+// with k at 0 they count for nothing, and in particular the K-th of
+// them cannot wake the seat out of its next await.
+func (st *stream) collect(clockOffset time.Duration) []pathload.OWDSample {
+	out := st.out[:0]
+	for seq, owd := range st.owd {
+		if owd >= 0 {
+			out = append(out, pathload.OWDSample{Seq: seq, OWD: owd.Duration() + clockOffset})
+		}
+	}
+	st.k = 0
+	return out
+}
+
 // SendStream schedules the K packet injections of one periodic stream,
 // runs the simulation until every packet has arrived or timed out, and
-// returns the per-packet relative OWDs.
+// returns the per-packet relative OWDs, which stay valid until the
+// prober's next SendStream.
 func (p *Prober) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, error) {
 	if spec.K <= 0 || spec.L <= 0 || spec.T <= 0 {
 		return pathload.StreamResult{}, fmt.Errorf("simprobe: invalid stream spec %+v", spec)
 	}
 	period := netsim.FromDuration(spec.T)
 
-	var st *stream
-	p.section(func(sim *netsim.Simulator) (netsim.Time, bool) {
-		start := sim.Now()
-		tags := make([]probeTag, spec.K)
-		st = &stream{
-			sim: sim, route: p.route, seat: p.slot,
-			pending: make([]*netsim.Packet, spec.K),
-			got:     make([]arrival, 0, spec.K),
-		}
-		st.fireFn, st.arriveFn = st.fire, st.arrive
-		for i := 0; i < spec.K; i++ {
-			pkt := sim.NewPacket()
-			pkt.ID = p.slot.seq.nextPktID()
-			pkt.Size = spec.L
-			tags[i] = probeTag{stream: spec.Index, seq: i}
-			pkt.Payload = &tags[i]
-			st.pending[i] = pkt
-			sim.Schedule(start+netsim.Time(i)*period, st.fireFn)
-		}
-		// The stream finishes sending at start + K·T; give arrivals until
-		// the base path delay plus a generous queueing allowance. The
-		// K-th arrival ends the wait early.
-		return start + netsim.Time(spec.K)*period + p.baseDelay(spec.L) + p.LossTimeout, true
-	})
-	// Still holding the floor: nothing can arrive while we read.
-	st.collected = true
-	res := pathload.StreamResult{Sent: spec.K, OWDs: make([]pathload.OWDSample, 0, len(st.got))}
-	for _, a := range st.got {
-		res.OWDs = append(res.OWDs, pathload.OWDSample{
-			Seq: a.seq,
-			OWD: a.owd.Duration() + p.ClockOffset,
-		})
+	sim := p.begin()
+	start := sim.Now()
+	p.st.open(p.slot.seq.reservePktIDs(spec.K), spec.K, spec.L)
+	for i := 0; i < spec.K; i++ {
+		sim.Schedule(start+netsim.Time(i)*period, p.st.fireFn)
 	}
-	return res, nil
+	// The stream finishes sending at start + K·T; give arrivals until
+	// the base path delay plus a generous queueing allowance. The K-th
+	// arrival ends the wait early.
+	p.await(start+netsim.Time(spec.K)*period+p.baseDelay(spec.L)+p.LossTimeout, true)
+	// Still holding the floor: nothing can arrive while we read.
+	return pathload.StreamResult{Sent: spec.K, OWDs: p.st.collect(p.ClockOffset)}, nil
 }
 
 // baseDelay returns the queue-free path traversal time for a packet of

@@ -53,7 +53,7 @@ func (st *Store) ObserveLink(link string, round int, at, span time.Duration, uti
 func (st *Store) ensureLink(link string) *ring[LinkPoint] {
 	se := st.links[link]
 	if se == nil {
-		se = &ring[LinkPoint]{buf: make([]LinkPoint, st.cfg.Capacity)}
+		se = &ring[LinkPoint]{limit: st.cfg.Capacity}
 		st.links[link] = se
 	}
 	return se

@@ -1,20 +1,37 @@
 package tsstore
 
-// A ring is a fixed-capacity FIFO of the most recent values pushed,
-// with a count of everything ever pushed. It is the retention rule of
-// every series in the store — per-path points, per-link windows, and a
-// federation's merged window.
+// A ring is a FIFO of the limit most recent values pushed, with a count
+// of everything ever pushed. It is the retention rule of every series
+// in the store — per-path points, per-link windows, and a federation's
+// merged window.
+//
+// Storage follows the contents: it starts empty, grows geometrically
+// (first to ringFirstChunk values, then doubling) until it holds limit
+// values, and only then wraps, so a series pays for the history it has
+// rather than the history it may one day retain.
 type ring[T any] struct {
-	buf   []T    // storage, len == capacity
-	head  int    // index of the oldest retained value
+	limit int    // most values retained
+	buf   []T    // storage, len <= limit
+	head  int    // index of the oldest retained value; 0 until buf reaches limit
 	n     int    // retained count, <= len(buf)
 	total uint64 // values ever pushed (retained + evicted)
 }
+
+// ringFirstChunk is the storage a ring's first value allocates, if its
+// limit allows as much: enough that a store recovered into small rings
+// allocates each of them once, as a fixed-size ring would.
+const ringFirstChunk = 64
 
 // insert retains v, evicting the oldest value when full, without
 // counting it: recovery uses it for records whose contribution to total
 // arrives from a checkpoint instead.
 func (r *ring[T]) insert(v T) {
+	if r.n == len(r.buf) && r.n < r.limit {
+		// Never wrapped, so the retained values are buf[:n] in order.
+		grown := make([]T, min(r.limit, max(ringFirstChunk, 2*len(r.buf))))
+		copy(grown, r.buf)
+		r.buf = grown
+	}
 	if r.n < len(r.buf) {
 		r.buf[(r.head+r.n)%len(r.buf)] = v
 		r.n++

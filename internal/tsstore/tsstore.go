@@ -205,7 +205,7 @@ func NewWithBackend(cfg Config, dur Backend) *Store {
 func (st *Store) ensure(path string) *series {
 	se := st.series[path]
 	if se == nil {
-		se = &series{ring: ring[Point]{buf: make([]Point, st.cfg.Capacity)}, digest: NewDigest(st.cfg.DigestSize)}
+		se = &series{ring: ring[Point]{limit: st.cfg.Capacity}, digest: NewDigest(st.cfg.DigestSize)}
 		st.series[path] = se
 	}
 	return se

@@ -306,6 +306,12 @@ func (s *Sender) emitStream(udp *net.UDPConn, req wire.StreamRequest) (wire.Stre
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 
+	// One zero-padded packet buffer for the whole stream, re-stamped per
+	// packet: nothing is allocated between reading the clock and the
+	// write. L was checked against the header size above.
+	buf := make([]byte, req.L)
+	hdr := wire.ProbeHeader{Gen: req.Gen, Fleet: req.Fleet, Stream: req.Stream}
+
 	flagLimit := time.Duration(s.cfg.GapFactor*float64(period)) + s.cfg.SpinThreshold
 	start := time.Now()
 	prev := start
@@ -316,16 +322,8 @@ func (s *Sender) emitStream(udp *net.UDPConn, req wire.StreamRequest) (wire.Stre
 		sleepUntil(target, s.cfg.SpinThreshold)
 
 		now := time.Now()
-		buf, err := wire.MarshalProbe(wire.ProbeHeader{
-			Gen:    req.Gen,
-			Fleet:  req.Fleet,
-			Stream: req.Stream,
-			Seq:    i,
-			SentNs: now.UnixNano(),
-		}, int(req.L))
-		if err != nil {
-			return done, err
-		}
+		hdr.Seq, hdr.SentNs = i, now.UnixNano()
+		wire.PutProbe(buf, hdr)
 		if _, err := udp.Write(buf); err != nil {
 			// A send failure mid-stream invalidates the stream but not
 			// the session; report what was sent.

@@ -44,6 +44,22 @@ func FuzzProbeRoundTrip(f *testing.F) {
 				t.Fatalf("padding byte %d is %#x, want zero", ProbeHeaderSize+i, b)
 			}
 		}
+		// A sender re-stamps one buffer per stream: PutProbe over whatever
+		// the previous packet left must write the same header bytes and
+		// nothing past them.
+		dirty := bytes.Repeat([]byte{0xA5}, size)
+		PutProbe(dirty, h)
+		if !bytes.Equal(dirty[:ProbeHeaderSize], buf[:ProbeHeaderSize]) {
+			t.Fatalf("PutProbe into a dirty buffer wrote % x, MarshalProbe % x", dirty[:ProbeHeaderSize], buf[:ProbeHeaderSize])
+		}
+		if got, err := UnmarshalProbe(dirty); err != nil || got != h {
+			t.Fatalf("PutProbe into a dirty buffer decodes to %+v, %v; want %+v", got, err, h)
+		}
+		for i, b := range dirty[ProbeHeaderSize:] {
+			if b != 0xA5 {
+				t.Fatalf("PutProbe touched byte %d past the header", ProbeHeaderSize+i)
+			}
+		}
 	})
 }
 

@@ -35,13 +35,23 @@ func MarshalProbe(h ProbeHeader, size int) ([]byte, error) {
 		return nil, fmt.Errorf("wire: probe size %d below header size %d", size, ProbeHeaderSize)
 	}
 	buf := make([]byte, size)
+	PutProbe(buf, h)
+	return buf, nil
+}
+
+// PutProbe encodes h into the first ProbeHeaderSize bytes of buf and
+// leaves the rest alone, so a sender can stamp packet after packet into
+// one buffer with no allocation between reading the clock and the
+// write. Like binary.BigEndian.PutUint32 it panics when buf is too
+// short.
+func PutProbe(buf []byte, h ProbeHeader) {
+	_ = buf[ProbeHeaderSize-1] // one bounds check, before any byte is written
 	binary.BigEndian.PutUint32(buf[0:], Magic)
 	binary.BigEndian.PutUint32(buf[4:], h.Gen)
 	binary.BigEndian.PutUint32(buf[8:], h.Fleet)
 	binary.BigEndian.PutUint32(buf[12:], h.Stream)
 	binary.BigEndian.PutUint32(buf[16:], h.Seq)
 	binary.BigEndian.PutUint64(buf[20:], uint64(h.SentNs))
-	return buf, nil
 }
 
 // ErrNotProbe reports a datagram that is not a pathload probe.

@@ -36,6 +36,8 @@ type OWDSample struct {
 
 // A StreamResult reports what the receiver saw of one stream. Lost
 // packets are simply absent from OWDs, which must be sorted by Seq.
+// OWDs may alias a buffer the prober reuses: it is valid until the next
+// SendStream on that prober, so a caller that keeps it longer copies it.
 type StreamResult struct {
 	Sent int         // packets actually emitted by the sender
 	OWDs []OWDSample // received packets in sequence order
@@ -53,22 +55,13 @@ func (r StreamResult) LossRate() float64 {
 	return 1 - float64(len(r.OWDs))/float64(r.Sent)
 }
 
-// owdSeconds extracts the OWD values in sequence order as seconds, the
-// form the trend statistics consume.
-func (r StreamResult) owdSeconds() []float64 {
-	out := make([]float64, len(r.OWDs))
-	for i, s := range r.OWDs {
-		out[i] = s.OWD.Seconds()
-	}
-	return out
-}
-
 // A Prober emits probing streams on some transport and reports per-
 // packet one-way delays. Implementations must be driven from a single
 // goroutine.
 //
 // SendStream blocks until the stream has been emitted and the receiver
-// has collected its packets (or given up on the missing ones).
+// has collected its packets (or given up on the missing ones). The
+// result's OWDs is valid until the next SendStream on that prober.
 // Idle lets the path drain between streams; a simulator advances
 // virtual time, a real prober sleeps. RTT estimates the path round-trip
 // time, used to size inter-stream gaps.

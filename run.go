@@ -71,9 +71,10 @@ func Run(p Prober, cfg Config) (Result, error) {
 		Gamma:            cfg.MedianGroups,
 	}
 
+	sc := newScratch(cfg)
 	for fleet := 0; !ctrl.Done() && fleet < cfg.MaxFleets; fleet++ {
 		rate := ctrl.Rate()
-		trace, verdict, elapsed, bits, err := runFleet(p, cfg, trendCfg, fleet, rate)
+		trace, verdict, elapsed, bits, err := runFleet(p, cfg, trendCfg, sc, fleet, rate)
 		res.Elapsed += elapsed
 		res.Bits += bits
 		if err != nil {
@@ -88,6 +89,26 @@ func Run(p Prober, cfg Config) (Result, error) {
 	res.GreySet, res.GreyLo, res.GreyHi = cr.GreySet, cr.GreyLo, cr.GreyHi
 	res.HitMax, res.HitMin = cr.HitMax, cr.HitMin
 	return res, nil
+}
+
+// A scratch is the working memory one Run reuses for every stream of
+// every fleet, so the search allocates per run, not per stream.
+type scratch struct {
+	owds    []float64         // one stream's OWDs, seconds; ClassifyInPlace reorders it
+	medians []float64         // that stream's median groups
+	kinds   []core.StreamType // one fleet's stream verdicts
+}
+
+func newScratch(cfg Config) scratch {
+	// A stream has at most as many median groups as packets, so one
+	// array serves both float buffers.
+	k := cfg.PacketsPerStream
+	buf := make([]float64, 2*k)
+	return scratch{
+		owds:    buf[:0:k],
+		medians: buf[k : k : 2*k],
+		kinds:   make([]core.StreamType, 0, cfg.StreamsPerFleet),
+	}
 }
 
 // initProbe sends one short stream at the generation limit and
@@ -141,7 +162,7 @@ func initProbe(p Prober, cfg Config) (adr float64, elapsed time.Duration, bits f
 // majority is established (cutting wasted probe load, §VIII), while the
 // two-stream quorum keeps one unlucky stream from condemning a fleet
 // that ModerateLoss is meant to tolerate.
-func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, fleet int, rate float64) (FleetTrace, Verdict, time.Duration, float64, error) {
+func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet int, rate float64) (FleetTrace, Verdict, time.Duration, float64, error) {
 	l, t := cfg.StreamParams(rate)
 	tau := time.Duration(cfg.PacketsPerStream) * t
 	delta := time.Duration(cfg.InterStreamRTTs) * tau
@@ -149,10 +170,10 @@ func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, fleet int, rate f
 		delta = rtt
 	}
 
-	trace := FleetTrace{Rate: rate, L: l, T: t, Delta: delta}
+	trace := FleetTrace{Rate: rate, L: l, T: t, Delta: delta, Streams: make([]StreamTrace, 0, cfg.StreamsPerFleet)}
 	var elapsed time.Duration
 	var bits float64
-	var kinds []core.StreamType
+	kinds := sc.kinds[:0]
 	moderatelyLossy := 0
 	aborted := false
 
@@ -175,8 +196,12 @@ func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, fleet int, rate f
 			aborted = true
 			kind = core.TypeDiscard
 		default:
+			owds := sc.owds[:0]
+			for _, s := range sr.OWDs {
+				owds = append(owds, s.OWD.Seconds())
+			}
 			var metrics core.TrendMetrics
-			kind, metrics = core.ClassifyOWDs(sr.owdSeconds(), trendCfg)
+			kind, metrics = core.ClassifyInPlace(owds, sc.medians, trendCfg)
 			st.PCT, st.PDT = metrics.PCT, metrics.PDT
 		}
 		if !aborted && sr.LossRate() > cfg.ModerateLoss {
