@@ -26,7 +26,7 @@ func main() {
 	var (
 		sender = flag.String("sender", "", "pathload-snd control address (host:port)")
 		k      = flag.Int("k", pathload.DefaultPacketsPerStream, "packets per stream (K)")
-		n      = flag.Int("n", pathload.DefaultStreamsPerFleet, "streams per fleet (N)")
+		n      = flag.Int("n", pathload.DefaultStreamsPerFleet, "streams per fleet (N, at most: a decided fleet stops early)")
 		omega  = flag.Float64("omega", pathload.DefaultResolution/1e6, "estimation resolution ω, Mb/s")
 		chi    = flag.Float64("chi", pathload.DefaultGreyResolution/1e6, "grey resolution χ, Mb/s")
 		maxMbs = flag.Float64("max", 0, "cap the probed rate, Mb/s (0: MTU/Tmin limit)")
@@ -59,8 +59,12 @@ func main() {
 	}
 
 	if *v {
+		maxStreams := *n
+		if maxStreams == 0 { // Config reads 0 as the default
+			maxStreams = pathload.DefaultStreamsPerFleet
+		}
 		for i, f := range res.Fleets {
-			fmt.Printf("fleet %2d: R=%8.2f Mb/s → %v\n", i, f.Rate/1e6, f.Verdict)
+			fmt.Printf("fleet %2d: R=%8.2f Mb/s → %-7v streams=%d/%d\n", i, f.Rate/1e6, f.Verdict, len(f.Streams), maxStreams)
 		}
 	}
 	fmt.Printf("measured: %v\n", res)

@@ -105,7 +105,7 @@ func main() {
 		sources = flag.Int("sources", 10, "cross-traffic sources per hop")
 		seed    = flag.Int64("seed", 1, "random seed")
 		k       = flag.Int("k", pathload.DefaultPacketsPerStream, "packets per stream (K)")
-		n       = flag.Int("n", pathload.DefaultStreamsPerFleet, "streams per fleet (N)")
+		n       = flag.Int("n", pathload.DefaultStreamsPerFleet, "streams per fleet (N, at most: a decided fleet stops early)")
 		omega   = flag.Float64("omega", pathload.DefaultResolution/1e6, "estimation resolution ω, Mb/s")
 		chi     = flag.Float64("chi", pathload.DefaultGreyResolution/1e6, "grey resolution χ, Mb/s")
 		verbose = flag.Bool("v", false, "log every fleet")
@@ -234,6 +234,10 @@ func main() {
 	}
 
 	if *verbose {
+		maxStreams := *n
+		if maxStreams == 0 { // Config reads 0 as the default
+			maxStreams = pathload.DefaultStreamsPerFleet
+		}
 		for i, f := range res.Fleets {
 			inc, non, dis := 0, 0, 0
 			for _, s := range f.Streams {
@@ -246,8 +250,8 @@ func main() {
 					dis++
 				}
 			}
-			fmt.Printf("fleet %2d: R=%7.2f Mb/s L=%4dB T=%8v → %-7v (I=%d N=%d discard=%d)\n",
-				i, f.Rate/1e6, f.L, f.T, f.Verdict, inc, non, dis)
+			fmt.Printf("fleet %2d: R=%7.2f Mb/s L=%4dB T=%8v → %-7v streams=%d/%d (I=%d N=%d discard=%d)\n",
+				i, f.Rate/1e6, f.L, f.T, f.Verdict, len(f.Streams), maxStreams, inc, non, dis)
 		}
 	}
 	fmt.Printf("true avail-bw: %.2f Mb/s\n", topo.AvailBw()/1e6)

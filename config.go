@@ -6,7 +6,7 @@
 // The key idea: a periodic packet stream sent at rate R exhibits an
 // increasing one-way-delay trend at the receiver exactly when R exceeds
 // the path's available bandwidth A. Pathload performs an iterative
-// binary search over stream rates, sending fleets of N streams per
+// binary search over stream rates, sending fleets of up to N streams per
 // rate, classifying each stream's delay trend with two robust
 // statistics (PCT and PDT), tracking a "grey region" where the
 // avail-bw itself fluctuates around the probing rate, and converging to
@@ -54,14 +54,16 @@ type Config struct {
 	// stream. The stream duration τ = K·T sets the averaging timescale
 	// of a single avail-bw sample (§VI-C).
 	PacketsPerStream int
-	// StreamsPerFleet is N, the number of same-rate streams whose
-	// verdicts are combined into one fleet decision (§IV). The fleet
-	// duration sets the measurement timescale of the reported
-	// variation range (§VI-D).
+	// StreamsPerFleet is N, the most same-rate streams whose verdicts
+	// are combined into one fleet decision (§IV): at most N, because a
+	// fleet stops once the remaining streams cannot change its outcome
+	// (nine agreeing streams of twelve at f = 0.7). N therefore bounds
+	// the fleet duration, which sets the measurement timescale of the
+	// reported variation range (§VI-D).
 	StreamsPerFleet int
-	// FleetFraction is f: at least f·N streams must agree before a
-	// fleet is declared increasing or non-increasing; anything in
-	// between is the grey region.
+	// FleetFraction is f: at least f of the voting streams must agree
+	// before a fleet is declared increasing or non-increasing; anything
+	// in between is the grey region.
 	FleetFraction float64
 
 	// The trend-detection thresholds. Each metric sees the stream as

@@ -44,13 +44,30 @@ func (v FleetVerdict) String() string {
 // Discarded streams do not vote; if every stream was discarded the
 // fleet is aborted.
 func ClassifyFleet(types []StreamType, f float64) FleetVerdict {
-	if f == 0 {
-		f = DefaultFleetFraction
-	}
-	if f < 0 || f > 1 {
-		panic(fmt.Sprintf("core: fleet fraction %v outside [0,1]", f))
-	}
-	var inc, non int
+	inc, non := tally(types)
+	return classifyVotes(inc, non, f)
+}
+
+// FleetDecided reports whether the fleet verdict is already settled
+// with `remaining` streams still unsent: whatever those streams turn
+// out to be — increasing, non-increasing or discarded — ClassifyFleet
+// of the completed fleet equals ClassifyFleet(types, f). It compares
+// the two extreme completions, every remaining stream increasing and
+// every one non-increasing. Any other completion gives each camp at
+// most what that camp's extreme gives it, and has no more voters than
+// either, so a verdict both extremes share is shared by all of them;
+// and when the extremes differ they are themselves two completions
+// that disagree — the rule holds at the earliest prefix that allows it
+// and at no earlier one (TestFleetDecidedExhaustive checks both over
+// every sequence, float comparison included). A fleet with no voter
+// yet is never decided while a stream remains.
+func FleetDecided(types []StreamType, remaining int, f float64) bool {
+	inc, non := tally(types)
+	return classifyVotes(inc+remaining, non, f) == classifyVotes(inc, non+remaining, f)
+}
+
+// tally counts a fleet's voting streams by camp.
+func tally(types []StreamType) (inc, non int) {
 	for _, t := range types {
 		switch t {
 		case TypeIncreasing:
@@ -58,6 +75,18 @@ func ClassifyFleet(types []StreamType, f float64) FleetVerdict {
 		case TypeNonIncreasing:
 			non++
 		}
+	}
+	return inc, non
+}
+
+// classifyVotes is the f-fraction decision over the two camps' counts:
+// the one place the threshold comparison and its tie order live.
+func classifyVotes(inc, non int, f float64) FleetVerdict {
+	if f == 0 {
+		f = DefaultFleetFraction
+	}
+	if f < 0 || f > 1 {
+		panic(fmt.Sprintf("core: fleet fraction %v outside [0,1]", f))
 	}
 	voting := inc + non
 	if voting == 0 {

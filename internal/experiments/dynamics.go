@@ -120,7 +120,12 @@ func Fig13(opt Options) []DynamicsCDF {
 // Fig14 reproduces Fig. 14: variability versus the fleet length N.
 // Longer fleets watch the avail-bw process for longer, so the grey
 // region — and hence ρ — widens, while the run-to-run variation of the
-// range shrinks (a steeper CDF).
+// range shrinks (a steeper CDF). N bounds the fleet duration rather
+// than fixing it: a fleet stops once its outcome is decided, so a clear
+// fleet lasts ⌈f·N⌉ streams (9, 17, 34 here) and only a contested one
+// approaches N. The durations still scale with N, and it is the
+// contested fleets — the ones that run long — that make the grey
+// region, so the figure's shape is unchanged.
 func Fig14(opt Options) []DynamicsCDF {
 	var out []DynamicsCDF
 	for _, n := range []int{12, 24, 48} {

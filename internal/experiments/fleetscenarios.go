@@ -19,12 +19,22 @@ import (
 // the smallest gap (Interval·(1−Jitter)) outlasts how far siblings'
 // round ends drift apart, a path's timeline is identical with or
 // without the rest of the fleet probing — the solo-replay control below
-// checks exactly that. Pathload rounds here take 8–18 s of virtual
-// time, so round ends drift up to ~10 s apart; 15 s × 0.8 = 12 s of
-// minimum gap keeps every path's next-round anchor past the barrier.
+// checks exactly that, and checks the precondition itself first
+// (FleetCell.GapSlack: when it is not positive a late barrier delayed a
+// start, the path met the cross traffic at another phase, and a forked
+// transcript is the expected result). The skew is cumulative (nothing
+// re-aligns the paths) and grows with the spread of round durations
+// (6–15 s here: a search of clear fleets decided after nine streams
+// against one of grey fleets that run to twelve over more rates) and
+// with the jitter itself, so no interval makes the precondition
+// certain; it is sized on seeds 1–40 of the control cell. At 15 s the
+// slack is positive on 36 of them (median 5.7 s) but not on the
+// golden's (−0.3 s); at 20 s on 37 (median 9.5 s; 9.3 s on the
+// golden's), and its sign predicted the solo-replay verdict in every
+// one of those cells.
 const (
 	fleetPaths    = 4
-	fleetInterval = 15 * time.Second // virtual, via the sequenced driver
+	fleetInterval = 20 * time.Second // virtual, via the sequenced driver
 	fleetJitter   = 0.2
 )
 
@@ -75,6 +85,13 @@ type FleetCell struct {
 	// per path: whether the path's fleet transcript is byte-identical
 	// to a fresh solo run over an identically seeded mesh.
 	SoloMatch []bool
+	// GapSlack is that control's precondition, measured: the least
+	// distance from a round barrier's release to the gap anchor of a
+	// round it released (simprobe.SequencedDriver.GapSlack; zero when a
+	// single round spent no gap). Not positive means a round started
+	// late, and a forked solo transcript is then the expected result,
+	// not a replay bug.
+	GapSlack time.Duration
 }
 
 // Hits counts bracketing rounds.
@@ -236,6 +253,7 @@ func runFleetCell(name string, rounds int, seed int64, cfg pathload.Config) Flee
 			solo := runSoloPath(s, i, seed, monCfg)
 			cell.SoloMatch = append(cell.SoloMatch, transcript(solo) == transcript(byPath[p.Name]))
 		}
+		cell.GapSlack, _ = drv.GapSlack()
 	}
 	return cell
 }
@@ -375,7 +393,7 @@ func RenderFleetScenarios(r FleetScenariosResult) string {
 					ok++
 				}
 			}
-			fmt.Fprintf(&b, "solo replay: %d/%d paths byte-identical to their fleet transcripts\n", ok, len(c.SoloMatch))
+			fmt.Fprintf(&b, "solo replay: %d/%d paths byte-identical to their fleet transcripts; least gap-anchor slack %v\n", ok, len(c.SoloMatch), c.GapSlack)
 		}
 	}
 	return b.String()

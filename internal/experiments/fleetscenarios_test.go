@@ -56,9 +56,11 @@ func TestDeterminismFleetScenarios(t *testing.T) {
 	assertSoloReplay(t, FleetScenarios(fleetOpt))
 }
 
-// assertSoloReplay checks the steady-disjoint control: every path's
-// fleet transcript byte-identical to its solo re-run, the PR 3
-// disjoint-control argument lifted to whole monitor sessions.
+// assertSoloReplay checks the steady-disjoint control: its precondition
+// first (every round started at its own gap anchor, not at a late
+// barrier), then every path's fleet transcript byte-identical to its
+// solo re-run, the PR 3 disjoint-control argument lifted to whole
+// monitor sessions.
 func assertSoloReplay(t *testing.T, res FleetScenariosResult) {
 	t.Helper()
 	found := false
@@ -67,6 +69,9 @@ func assertSoloReplay(t *testing.T, res FleetScenariosResult) {
 			continue
 		}
 		found = true
+		if res.Rounds > 1 && c.GapSlack <= 0 {
+			t.Errorf("steady-disjoint: gap anchor in the past by %v: the %v interval no longer outlasts the round-end skew, so the transcripts below may fork without a replay bug", -c.GapSlack, fleetInterval)
+		}
 		if len(c.SoloMatch) != fleetPaths {
 			t.Fatalf("steady-disjoint: %d solo verdicts, want %d", len(c.SoloMatch), fleetPaths)
 		}

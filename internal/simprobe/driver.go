@@ -2,6 +2,7 @@ package simprobe
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/netsim"
@@ -81,11 +82,31 @@ func (d *SequencedDriver) RoundEnd(path string, round int) {
 
 // Gap spends the scheduler's re-measurement gap in virtual time,
 // anchored at the path's own round end: the session idles until
-// roundEnd + gap, however late its siblings cleared the barrier.
+// roundEnd + gap, however late its siblings cleared the barrier — or
+// starts at once when they cleared it later than that, which GapSlack
+// reports. The barrier has just released and the clock stands still
+// until this session parks, so Now is the release instant.
 func (d *SequencedDriver) Gap(path string, _ pathload.Prober, gap time.Duration) error {
 	p := d.prober(path)
-	p.IdleUntil(p.slot.roundEnd + netsim.FromDuration(gap))
+	anchor := p.slot.roundEnd + netsim.FromDuration(gap)
+	p.slot.gapSlack = min(p.slot.gapSlack, anchor-d.seq.sim.Now())
+	p.IdleUntil(anchor)
 	return nil
+}
+
+// GapSlack is the replay argument's margin: the least distance, over
+// every gap the registered paths have spent, from a barrier release to
+// the gap anchor of the round it released. While it is positive every
+// round started at its own anchor; once it is negative some round
+// started at the release instead, and that path's timeline depended on
+// its siblings. ok is false when no gap has been spent. Call it when the
+// monitor is done.
+func (d *SequencedDriver) GapSlack() (slack time.Duration, ok bool) {
+	least := netsim.Time(math.MaxInt64)
+	for _, p := range d.probers {
+		least = min(least, p.slot.gapSlack)
+	}
+	return least.Duration(), least != math.MaxInt64
 }
 
 // Acquire waits for admission in virtual time: the session parks in an

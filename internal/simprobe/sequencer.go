@@ -1,6 +1,7 @@
 package simprobe
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/netsim"
@@ -118,9 +119,11 @@ type seqSlot struct {
 	// buffered token: the decider sends and moves on to block on its
 	// own.
 	grant chan struct{}
-	// roundEnd is the SequencedDriver's gap anchor: written and read
-	// only by the seat's own session while it holds the floor.
-	roundEnd netsim.Time
+	// roundEnd is the SequencedDriver's gap anchor and gapSlack the
+	// least distance from a barrier release to the anchored start that
+	// followed it: written and read only by the seat's own session
+	// while it is unparked.
+	roundEnd, gapSlack netsim.Time
 }
 
 // NewSequencer wraps sim for deterministic multi-prober co-scheduling.
@@ -146,7 +149,7 @@ func (s *Sequencer) NewProber(route []*netsim.Link, reverseDelay netsim.Time) *P
 	if s.started {
 		panic("simprobe: Sequencer.NewProber after a sibling prober was first used")
 	}
-	sl := &seqSlot{seq: s, state: seqRunning, grant: make(chan struct{}, 1)}
+	sl := &seqSlot{seq: s, state: seqRunning, grant: make(chan struct{}, 1), gapSlack: math.MaxInt64}
 	s.slots = append(s.slots, sl)
 	s.live++
 	s.running++

@@ -311,6 +311,58 @@ func TestSequencerAdmissionStallPanics(t *testing.T) {
 	}
 }
 
+// TestGapSlack: the driver measures how far each gap anchor lay past
+// the barrier release that preceded it. Two sessions end their round at
+// 1 s and 5 s, so the barrier releases at 5 s: with 10 s gaps the early
+// path's anchor (11 s) is 6 s ahead and it starts there; with 2 s gaps
+// its anchor (3 s) is 2 s in the past and it starts at the release — the
+// case a solo-replay control has to refuse.
+func TestGapSlack(t *testing.T) {
+	for _, c := range []struct{ gap, slack, start time.Duration }{
+		{10 * time.Second, 6 * time.Second, 11 * time.Second},
+		{2 * time.Second, -2 * time.Second, 5 * time.Second},
+	} {
+		sim := netsim.NewSimulator()
+		link := netsim.NewLink(sim, "l", 1_000_000, 0, 0)
+		seq := NewSequencer(sim)
+		drv := NewSequencedDriver(seq)
+		rounds := map[string]time.Duration{"early": time.Second, "late": 5 * time.Second}
+		for path := range rounds {
+			drv.Register(path, seq.NewProber([]*netsim.Link{link}, 0))
+		}
+		if _, ok := drv.GapSlack(); ok {
+			t.Fatal("GapSlack reported a margin before any gap was spent")
+		}
+		var started netsim.Time
+		var wg sync.WaitGroup
+		for path, round := range rounds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer drv.Retire(path)
+				p := drv.prober(path)
+				if err := p.Idle(round); err != nil {
+					t.Error(err)
+				}
+				drv.RoundEnd(path, 0)
+				if err := drv.Gap(path, p, c.gap); err != nil {
+					t.Error(err)
+				}
+				if path == "early" {
+					started = sim.Now()
+				}
+			}()
+		}
+		wg.Wait()
+		if slack, ok := drv.GapSlack(); !ok || slack != c.slack {
+			t.Errorf("gap %v: GapSlack = %v, %v; want %v", c.gap, slack, ok, c.slack)
+		}
+		if started.Duration() != c.start {
+			t.Errorf("gap %v: the early path's next round started at %v, want %v", c.gap, started, c.start)
+		}
+	}
+}
+
 // TestStragglersDoNotWakeNextAwait: a stream that times out leaves
 // packets in flight, and they still reach its sink after SendStream has
 // returned. They belong to nobody: in particular the K-th of them must

@@ -5,25 +5,62 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+
 	pathload "repro"
 )
 
-// onlineAbortStream simulates the documented online majority-so-far
-// rule on a scripted lossy vector: the fleet aborts at the earliest
-// stream i (1-based count i+1) where at least two and a strict
-// majority of the streams so far are moderately lossy. It returns the
-// number of streams actually sent and whether the fleet aborted.
+// onlineAbortStream simulates the documented fleet loop on a scripted
+// lossy vector whose streams all vote non-increasing (the zero
+// StreamType), at the default f = 0.7. It returns the number of streams
+// actually sent and whether the fleet aborted.
 func onlineAbortStream(lossy []bool) (streams int, aborted bool) {
+	return onlineFleet(make([]core.StreamType, len(lossy)), lossy, core.DefaultFleetFraction)
+}
+
+// onlineFleet is the documented fleet loop, a thin walk over rules
+// proved elsewhere. After each stream: the fleet aborts if at least two
+// and a strict majority of the streams so far are moderately lossy;
+// otherwise it stops, with the verdict of the streams sent, once the
+// trend vote is decided (core.FleetDecided, proved against every
+// completion by core's TestFleetDecidedExhaustive) and the streams left,
+// all lossy, could no longer make that majority (rem ≤ sent − 2·lossy,
+// proved with it by TestFleetSettledExhaustive).
+func onlineFleet(kinds []core.StreamType, lossy []bool, f float64) (streams int, aborted bool) {
+	n := len(lossy)
+	cum := 0
+	for i := range lossy {
+		sent, rem := i+1, n-i-1
+		if lossy[i] {
+			cum++
+			if lossMajority(cum, sent) {
+				return sent, true
+			}
+		}
+		if rem <= sent-2*cum && core.FleetDecided(kinds[:sent], rem, f) {
+			return sent, false
+		}
+	}
+	return n, false
+}
+
+// lossMajority is the online abort condition: at least two, and a
+// strict majority, of the streams sent so far are moderately lossy.
+func lossMajority(lossy, sent int) bool { return lossy >= 2 && 2*lossy > sent }
+
+// lossAbortsUnstopped applies the online loss rule to a fleet that
+// sends all its streams whatever they vote.
+func lossAbortsUnstopped(lossy []bool) bool {
 	cum := 0
 	for i := range lossy {
 		if lossy[i] {
 			cum++
-			if cum >= 2 && 2*cum > i+1 {
-				return i + 1, true
+			if lossMajority(cum, i+1) {
+				return true
 			}
 		}
 	}
-	return len(lossy), false
+	return false
 }
 
 // fullFleetAbort is the paper's §V-A fleet-level rule evaluated after
@@ -45,8 +82,9 @@ func fullFleetAbort(lossy []bool) bool {
 // approximates:
 //
 //  1. The implementation (pathload.Run) agrees with the documented
-//     online rule exactly — streams sent and abort verdict — on every
-//     scripted vector.
+//     fleet loop exactly — streams sent and abort verdict — on every
+//     scripted vector. (A fleet that does not abort stops once it is
+//     settled, so "streams sent" is at most N.)
 //  2. Dominance: whenever the full-fleet rule would abort, the online
 //     rule also aborts, after at most N streams — the online rule
 //     never lets a majority-lossy fleet run to completion.
@@ -128,6 +166,79 @@ func TestLossPolicyCalibration(t *testing.T) {
 			t.Logf("p=%.1f: %d/%d fleets aborted online; none were majority-lossy over all %d streams", p, aborts, trials, n)
 		}
 	}
+}
+
+// TestSettledExitMatchesFullFleet drives seeded-random fleets of twelve
+// streams — every mix of increasing, non-increasing and discarded
+// streams, each moderately lossy or not, over five agreement fractions
+// — through pathload.Run and holds it to the full-fleet reference: the
+// verdict is what sending all twelve streams, applying the online loss
+// rule after each and then ClassifyFleet would have given. The stream
+// count is the documented loop's (onlineFleet). The exhaustive tests
+// prove the rule never wrong and never late; this one proves runFleet
+// is wired to it.
+func TestSettledExitMatchesFullFleet(t *testing.T) {
+	const n = 12
+	rng := rand.New(rand.NewSource(19))
+	public := map[core.StreamType]pathload.StreamKind{
+		core.TypeIncreasing:    pathload.StreamIncreasing,
+		core.TypeNonIncreasing: pathload.StreamNonIncreasing,
+		core.TypeDiscard:       pathload.StreamDiscarded,
+	}
+	publicVerdict := map[core.FleetVerdict]pathload.Verdict{
+		core.VerdictBelow:   pathload.FleetBelow,
+		core.VerdictAbove:   pathload.FleetAbove,
+		core.VerdictGrey:    pathload.FleetGrey,
+		core.VerdictAborted: pathload.FleetAborted,
+	}
+	early, saved := 0, 0
+	const trials = 3000
+	for trial := 0; trial < trials; trial++ {
+		f := []float64{0.5, 0.6, 0.7, 0.9, 1.0}[rng.Intn(5)]
+		// A fleet leans towards one camp, as real fleets do; a uniform
+		// draw would make nearly every fleet grey.
+		pInc, pDiscard, pLossy := rng.Float64(), 0.2*rng.Float64(), 0.5*rng.Float64()
+		kinds := make([]core.StreamType, n)
+		script := &lossScript{lossy: make([]bool, n), kinds: make([]pathload.StreamKind, n)}
+		for i := range kinds {
+			switch {
+			case rng.Float64() < pDiscard:
+				kinds[i] = core.TypeDiscard
+			case rng.Float64() < pInc:
+				kinds[i] = core.TypeIncreasing
+			default:
+				kinds[i] = core.TypeNonIncreasing
+			}
+			script.kinds[i] = public[kinds[i]]
+			script.lossy[i] = rng.Float64() < pLossy
+		}
+
+		// Reference: all n streams, the online loss rule, ClassifyFleet.
+		want := pathload.FleetAborted
+		if !lossAbortsUnstopped(script.lossy) {
+			want = publicVerdict[core.ClassifyFleet(kinds, f)]
+		}
+		wantStreams, _ := onlineFleet(kinds, script.lossy, f)
+
+		trace := runScriptedFleet(t, script, n, f)
+		for i, st := range trace.Streams {
+			if st.Kind != script.kinds[i] {
+				t.Fatalf("trial %d stream %d classified %v, scripted %v", trial, i, st.Kind, script.kinds[i])
+			}
+		}
+		if trace.Verdict != want || len(trace.Streams) != wantStreams {
+			t.Fatalf("trial %d f=%v kinds=%v lossy=%v: Run sent %d streams for %v; the full fleet gives %v and the documented loop stops at %d",
+				trial, f, kinds, script.lossy, len(trace.Streams), trace.Verdict, want, wantStreams)
+		}
+		if want != pathload.FleetAborted && wantStreams < n {
+			early++
+			saved += n - wantStreams
+		}
+	}
+	if early == 0 {
+		t.Fatal("no trial left its fleet early; the sweep does not exercise the exit")
+	}
+	t.Logf("%d of %d fleets stopped before stream %d, saving %.1f streams each", early, trials, n, float64(saved)/float64(early))
 }
 
 // TestLossPolicySingleStreamAbort pins the other loss boundary: one

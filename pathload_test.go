@@ -304,7 +304,10 @@ func TestRunElapsedAccounting(t *testing.T) {
 	}
 }
 
-// TestRunFleetTraceShape sanity-checks the search log.
+// TestRunFleetTraceShape sanity-checks the search log. Against the
+// noise-free oracle every fleet is unanimous, so with N = 6 and
+// f = 0.7 it is decided — and stops — at the fifth stream: five
+// agreeing streams are 5 ≥ 0.7·6 whatever the sixth does, four are not.
 func TestRunFleetTraceShape(t *testing.T) {
 	p := &fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}
 	cfg := pathload.Config{StreamsPerFleet: 6}
@@ -316,8 +319,8 @@ func TestRunFleetTraceShape(t *testing.T) {
 		t.Fatal("no fleets logged")
 	}
 	for i, f := range res.Fleets {
-		if len(f.Streams) != 6 {
-			t.Errorf("fleet %d logged %d streams, want 6", i, len(f.Streams))
+		if len(f.Streams) != 5 {
+			t.Errorf("fleet %d logged %d streams, want 5 of at most 6", i, len(f.Streams))
 		}
 		if f.Rate <= 0 || f.L <= 0 || f.T <= 0 || f.Delta <= 0 {
 			t.Errorf("fleet %d has zero-valued parameters: %+v", i, f)

@@ -67,7 +67,11 @@ type StreamTrace struct {
 	Loss float64 // fraction of the stream's packets lost
 }
 
-// A FleetTrace records one fleet of the iterative search.
+// A FleetTrace records one fleet of the iterative search. Streams holds
+// the streams actually sent: fewer than Config.StreamsPerFleet with a
+// Verdict other than FleetAborted means the fleet was decided early —
+// the verdict is what all N streams would have produced — and with
+// FleetAborted that the loss policy cut it short.
 type FleetTrace struct {
 	Rate    float64       // requested fleet rate, bits/s
 	L       int           // probe packet size, bytes
@@ -96,8 +100,10 @@ type Result struct {
 	ADR float64
 	// Fleets is the full search log.
 	Fleets []FleetTrace
-	// Elapsed is the probing time consumed: stream durations plus
-	// inter-stream idles (virtual time under the simulator).
+	// Elapsed is the probing time consumed: the durations of the
+	// streams actually sent plus the idles between them (virtual time
+	// under the simulator). Streams a decided or aborted fleet did not
+	// send cost nothing.
 	Elapsed time.Duration
 	// Bits is the probe load injected into the path: every packet the
 	// sender actually emitted (init stream and fleet streams alike)

@@ -9,7 +9,7 @@ import (
 
 // Run performs one complete pathload measurement over the given prober
 // and returns the avail-bw range. It drives the SLoPS iterative
-// algorithm: propose a fleet rate, emit N streams at that rate,
+// algorithm: propose a fleet rate, emit up to N streams at that rate,
 // classify each stream's OWD trend, fold the stream verdicts into a
 // fleet verdict (including the grey region), and bisect until the
 // termination resolutions ω and χ are met.
@@ -151,17 +151,23 @@ func initProbe(p Prober, cfg Config) (adr float64, elapsed time.Duration, bits f
 	return dispersed / span.Seconds(), elapsed, bits, nil
 }
 
-// runFleet emits one fleet of N streams at the given rate and reduces
-// it to a verdict. It aborts early — per the paper's loss policy (§IV):
-// losses mean the probing rate overloads the path, so the fleet stops
-// instead of probing on — when a single stream loses more than
-// StreamAbortLoss of its packets, or when at least two streams and a
-// strict majority of the streams sent so far are moderately lossy. The
-// paper states the moderate-loss rule over the whole fleet; evaluating
-// it online over the streams sent so far aborts at the earliest point a
-// majority is established (cutting wasted probe load, §VIII), while the
-// two-stream quorum keeps one unlucky stream from condemning a fleet
-// that ModerateLoss is meant to tolerate.
+// runFleet emits one fleet of at most N streams at the given rate and
+// reduces it to a verdict. It stops before stream N on two grounds.
+// Loss (§IV): losses mean the probing rate overloads the path, so the
+// fleet aborts when a single stream loses more than StreamAbortLoss of
+// its packets, or when at least two streams and a strict majority of
+// the streams sent so far are moderately lossy — the paper's fleet-wide
+// moderate-loss rule evaluated online, at the earliest point a majority
+// is established, with the two-stream quorum keeping one unlucky stream
+// from condemning a fleet that ModerateLoss is meant to tolerate.
+// Decided: the fleet also ends, before the inter-stream idle, once the
+// streams not yet sent could change neither the trend vote
+// (core.FleetDecided) nor the loss outcome — even if all of them were
+// moderately lossy they would not make a majority, rem ≤ sent − 2·lossy
+// — so the verdict is exactly what all N streams would have produced
+// and the rest would be probe load (§VIII) and latency spent on
+// nothing. The one thing an unsent stream could still have done is
+// exceed StreamAbortLoss: a single stream aborts a fleet only if sent.
 func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet int, rate float64) (FleetTrace, Verdict, time.Duration, float64, error) {
 	l, t := cfg.StreamParams(rate)
 	tau := time.Duration(cfg.PacketsPerStream) * t
@@ -217,15 +223,14 @@ func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet
 		trace.Streams = append(trace.Streams, st)
 		kinds = append(kinds, kind)
 
-		if aborted {
+		rem := cfg.StreamsPerFleet - len(kinds)
+		if aborted || rem == 0 || fleetSettled(kinds, moderatelyLossy, rem, cfg.FleetFraction) {
 			break
 		}
-		if i < cfg.StreamsPerFleet-1 {
-			if err := p.Idle(delta); err != nil {
-				return trace, FleetAborted, elapsed, bits, err
-			}
-			elapsed += delta
+		if err := p.Idle(delta); err != nil {
+			return trace, FleetAborted, elapsed, bits, err
 		}
+		elapsed += delta
 	}
 
 	var verdict Verdict
@@ -236,6 +241,16 @@ func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet
 	}
 	trace.Verdict = verdict
 	return trace, verdict, elapsed, bits, nil
+}
+
+// fleetSettled reports whether the rem streams a fleet has not sent yet
+// can no longer change its outcome, given the kinds of the streams sent
+// and how many of those were moderately lossy: the trend vote is
+// decided, and the moderate-loss majority is out of reach even if every
+// remaining stream were lossy (k more lossy streams make a strict
+// majority iff k > sent − 2·lossy, and then also the quorum of two).
+func fleetSettled(kinds []core.StreamType, moderatelyLossy, rem int, f float64) bool {
+	return rem <= len(kinds)-2*moderatelyLossy && core.FleetDecided(kinds, rem, f)
 }
 
 // streamKind converts the core stream verdict to the public enum.

@@ -65,10 +65,12 @@ func TestRunClampsInitialRateToADR(t *testing.T) {
 
 // lossScript is a prober whose stream i of fleet 0 loses a scripted
 // fraction of its packets (between ModerateLoss and StreamAbortLoss
-// when lossy[i] is true); OWDs are flat so only the loss policy can
-// abort the fleet.
+// when lossy[i] is true) and shows a scripted trend: kinds[i] picks a
+// clean ramp, flat OWDs or a sender flag, and streams beyond kinds are
+// flat, so with no kinds only the loss policy can abort the fleet.
 type lossScript struct {
 	lossy []bool
+	kinds []pathload.StreamKind
 }
 
 func (s *lossScript) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, error) {
@@ -77,9 +79,17 @@ func (s *lossScript) SendStream(spec pathload.StreamSpec) (pathload.StreamResult
 		// 5% loss: moderately lossy (> 3%), below the 10% abort level.
 		drop = spec.K / 20
 	}
-	res := pathload.StreamResult{Sent: spec.K}
+	kind := pathload.StreamNonIncreasing
+	if spec.Index < len(s.kinds) {
+		kind = s.kinds[spec.Index]
+	}
+	res := pathload.StreamResult{Sent: spec.K, Flagged: kind == pathload.StreamDiscarded}
 	for i := 0; i < spec.K-drop; i++ {
-		res.OWDs = append(res.OWDs, pathload.OWDSample{Seq: i, OWD: 5 * time.Millisecond})
+		owd := 5 * time.Millisecond
+		if kind == pathload.StreamIncreasing {
+			owd += time.Duration(i) * 100 * time.Microsecond
+		}
+		res.OWDs = append(res.OWDs, pathload.OWDSample{Seq: i, OWD: owd})
 	}
 	return res, nil
 }
@@ -91,9 +101,17 @@ func (s *lossScript) RTT() time.Duration         { return time.Millisecond }
 // returns its trace.
 func runLossFleet(t *testing.T, lossy []bool) pathload.FleetTrace {
 	t.Helper()
-	res, err := pathload.Run(&lossScript{lossy: lossy}, pathload.Config{
+	return runScriptedFleet(t, &lossScript{lossy: lossy}, 12, 0)
+}
+
+// runScriptedFleet drives exactly one fleet of at most n streams with
+// agreement fraction f (0 is the default) over p.
+func runScriptedFleet(t *testing.T, p pathload.Prober, n int, f float64) pathload.FleetTrace {
+	t.Helper()
+	res, err := pathload.Run(p, pathload.Config{
 		PacketsPerStream: 100,
-		StreamsPerFleet:  12,
+		StreamsPerFleet:  n,
+		FleetFraction:    f,
 		MaxFleets:        1,
 		DisableInitProbe: true,
 	})
@@ -108,7 +126,12 @@ func runLossFleet(t *testing.T, lossy []bool) pathload.FleetTrace {
 
 // TestModerateLossPolicyBoundaries pins the online majority rule: the
 // fleet aborts at the earliest stream where at least two and a strict
-// majority of the streams so far are moderately lossy — and not before.
+// majority of the streams so far are moderately lossy — and not before
+// — and a fleet that does not abort stops once it is settled: the
+// script's flat streams all vote non-increasing, so the trend vote is
+// decided at stream 9 of 12 (9 ≥ 0.7·12), and the fleet ends there or
+// at the first later stream where the streams left, all lossy, could no
+// longer make a majority (rem ≤ sent − 2·lossy).
 func TestModerateLossPolicyBoundaries(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -118,15 +141,26 @@ func TestModerateLossPolicyBoundaries(t *testing.T) {
 	}{
 		// One moderately lossy stream is tolerated: the two-stream
 		// quorum keeps a single unlucky stream from condemning a fleet.
-		{"single lossy stream", []bool{true}, false, 12},
+		// Settled at stream 9: 3 more lossy streams would make 4 of 12.
+		{"single lossy stream", []bool{true}, false, 9},
 		// Two lossy of two: majority established at stream 2 — the
 		// earliest possible abort.
 		{"first two lossy", []bool{true, true}, true, 2},
 		// Lossy, clean, lossy: 2 of 3 is a strict majority at stream 3.
 		{"majority at three", []bool{true, false, true}, true, 3},
 		// Alternating clean-first never reaches a strict majority
-		// (exactly half at every even count): the fleet completes.
-		{"exact half never aborts", []bool{false, true, false, true, false, true, false, true, false, true, false, true}, false, 12},
+		// (exactly half at every even count), but keeps one within
+		// reach past the decided vote: at stream 9 (4 lossy) three more
+		// would make 7 of 12, at stream 10 (5 lossy) two more likewise;
+		// only at stream 11 is the last stream unable to tip it (6 of 12).
+		{"exact half never aborts", []bool{false, true, false, true, false, true, false, true, false, true, false, true}, false, 11},
+		// Three lossy streams late in the fleet do not delay the exit: at
+		// 9 (3 lossy) three more would make 6 of 12, not a strict
+		// majority — settled at the decided vote.
+		{"three lossy late", []bool{false, false, false, false, false, false, true, true, true}, false, 9},
+		// Four of the first nine lossy: at 9 three more make 7 of 12, at
+		// 10 two more make 6 of 12 — settled one stream late.
+		{"loss majority still reachable at nine", []bool{false, true, false, false, true, false, true, false, true}, false, 10},
 		// 5 of the first 5 lossy — the ISSUE's motivating case — must
 		// abort long before the old full-fleet rule's 7th lossy stream.
 		{"early lossy run", []bool{true, true, true, true, true}, true, 2},
