@@ -87,6 +87,7 @@ func TestAdaptiveSchedule(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
+	checkGolden(t, "adaptive.golden", out)
 }
 
 // TestDeterminismAdaptiveSchedule: identical Options must render

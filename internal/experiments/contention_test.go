@@ -17,6 +17,7 @@ func TestContentionDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("contention renders differ between runs:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
 	}
+	checkGolden(t, "contention.golden", a)
 }
 
 // TestContentionSelfInterference checks the experiment's physics: the

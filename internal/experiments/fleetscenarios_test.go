@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/scenario"
@@ -22,23 +20,7 @@ var fleetOpt = Options{Scale: 0.5, Seed: 3}
 // run. Run with -update to regolden after an intentional change.
 func TestFleetScenariosGolden(t *testing.T) {
 	res := FleetScenarios(Options{Scale: 1, Seed: 1})
-	got := RenderFleetScenarios(res)
-	golden := filepath.Join("testdata", "fleetscenarios.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden (run once with -update to create it): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("fleet matrix deviates from golden %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
-	}
+	checkGolden(t, "fleetscenarios.golden", RenderFleetScenarios(res))
 	assertSoloReplay(t, res)
 }
 

@@ -20,7 +20,14 @@ var scenarioOpt = Options{Scale: 0.5, Seed: 3}
 // an intentional change.
 func TestScenariosGolden(t *testing.T) {
 	got := RenderScenarios(Scenarios(Options{Scale: 1, Seed: 1}))
-	golden := filepath.Join("testdata", "scenarios.golden")
+	checkGolden(t, "scenarios.golden", got)
+}
+
+// checkGolden compares got with testdata/<name>, rewriting the file
+// first under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -34,7 +41,7 @@ func TestScenariosGolden(t *testing.T) {
 		t.Fatalf("reading golden (run once with -update to create it): %v", err)
 	}
 	if got != string(want) {
-		t.Fatalf("grading matrix deviates from golden %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
+		t.Fatalf("render deviates from golden %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
 	}
 }
 

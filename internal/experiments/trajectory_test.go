@@ -60,6 +60,7 @@ func TestAvailBwTrajectory(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
+	checkGolden(t, "trajectory.golden", out)
 }
 
 // TestAvailBwTrajectoryDeterministic: identical Options must give
