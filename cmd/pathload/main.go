@@ -140,6 +140,14 @@ func main() {
 	}
 	flag.Parse()
 
+	// One measurement Config for every mode, so the slack a mode grades
+	// with (Config.Slack) is read from the Config its rounds ran under.
+	measure := pathload.Config{
+		PacketsPerStream: *k,
+		StreamsPerFleet:  *n,
+		Resolution:       *omega * 1e6,
+		GreyResolution:   *chi * 1e6,
+	}
 	var m crosstraffic.Model
 	switch *model {
 	case "poisson":
@@ -159,12 +167,7 @@ func main() {
 			heartbeat: *heartbeat, push: *pushEvery, export: *export,
 			interval: *interval, jitter: *jitter, workers: *workers,
 			seed: *seed, backoff: *backoff, archive: *archiveSpec,
-			measure: pathload.Config{
-				PacketsPerStream: *k,
-				StreamsPerFleet:  *n,
-				Resolution:       *omega * 1e6,
-				GreyResolution:   *chi * 1e6,
-			},
+			measure: measure,
 		})
 		return
 	}
@@ -184,12 +187,7 @@ func main() {
 			os.Exit(2)
 		}
 		if *scen != "" {
-			runScenario(*scen, *rounds, *seed, pathload.Config{
-				PacketsPerStream: *k,
-				StreamsPerFleet:  *n,
-				Resolution:       *omega * 1e6,
-				GreyResolution:   *chi * 1e6,
-			})
+			runScenario(*scen, *rounds, *seed, measure)
 			return
 		}
 		runMonitor(monitorOpts{
@@ -198,12 +196,7 @@ func main() {
 			schedule: *schedName, budget: *budget * 1e6, stagger: *stagger,
 			senders: splitSenders(*senders), backoff: *backoff,
 			capMbps: *capMbps, util: *util, model: m, sources: *sources, seed: *seed,
-			measure: pathload.Config{
-				PacketsPerStream: *k,
-				StreamsPerFleet:  *n,
-				Resolution:       *omega * 1e6,
-				GreyResolution:   *chi * 1e6,
-			},
+			measure: measure,
 		})
 		return
 	}
@@ -222,12 +215,7 @@ func main() {
 	prober := simprobe.New(net.Sim, net.Links, 10*netsim.Millisecond)
 
 	start := time.Now()
-	res, err := pathload.Run(prober, pathload.Config{
-		PacketsPerStream: *k,
-		StreamsPerFleet:  *n,
-		Resolution:       *omega * 1e6,
-		GreyResolution:   *chi * 1e6,
-	})
+	res, err := pathload.Run(prober, measure)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pathload: %v\n", err)
 		os.Exit(1)
@@ -340,18 +328,13 @@ func runScenario(spec string, rounds int, seed int64, cfg pathload.Config) {
 	if s.FailureMode != "" {
 		fmt.Printf("expected failure mode: %s\n", s.FailureMode)
 	}
-	slack := cfg.Resolution + cfg.GreyResolution
-	if slack == 0 {
-		slack = pathload.DefaultResolution + pathload.DefaultGreyResolution
-	}
+	slack := cfg.Slack()
 	fmt.Printf("epoch 0: true avail-bw %.2f Mb/s (tight hop %d)\n", inst.Truth()/1e6, inst.TightHop())
 
 	start := time.Now()
 	hit := 0
 	for r := 0; r < rounds; r++ {
-		for inst.Epoch() < r*inst.Epochs()/rounds {
-			inst.Advance()
-			inst.Sim().RunFor(3 * netsim.Second) // let the new regime settle
+		if inst.AdvanceToRound(r, rounds, 3*netsim.Second) > 0 {
 			fmt.Printf("epoch %d: true avail-bw now %.2f Mb/s (tight hop %d)\n",
 				inst.Epoch(), inst.Truth()/1e6, inst.TightHop())
 		}
@@ -362,7 +345,7 @@ func runScenario(spec string, rounds int, seed int64, cfg pathload.Config) {
 			continue
 		}
 		mark := " "
-		if res.Lo-slack <= truth && truth <= res.Hi+slack {
+		if pathload.Brackets(res.Lo, res.Hi, truth, slack) {
 			hit++
 			mark = "*"
 		}
@@ -475,6 +458,9 @@ func runMonitor(o monitorOpts) {
 		fmt.Fprintf(os.Stderr, "pathload: %v\n", err)
 		os.Exit(1)
 	}
+	// Same bracketing slack as the dynamics-at-scale experiment: the
+	// termination resolutions ω + χ as Run reads them.
+	slack := o.measure.Slack()
 	hit := 0
 	total := 0
 	for s := range mon.Results() {
@@ -489,13 +475,7 @@ func runMonitor(o monitorOpts) {
 			fmt.Printf("%-9s r%d @%-8v %v\n", s.Path, s.Round, s.At.Round(time.Millisecond), s.Result)
 			continue
 		}
-		// Same bracketing slack as the dynamics-at-scale experiment:
-		// the termination resolutions ω + χ.
-		slack := o.measure.Resolution + o.measure.GreyResolution
-		if slack == 0 {
-			slack = pathload.DefaultResolution + pathload.DefaultGreyResolution
-		}
-		if s.Result.Lo-slack <= a && a <= s.Result.Hi+slack {
+		if pathload.Brackets(s.Result.Lo, s.Result.Hi, a, slack) {
 			hit++
 		}
 		fmt.Printf("%-9s r%d @%-8v true %6.2f Mb/s → %v\n",
@@ -664,7 +644,6 @@ func buildFleet(o monitorOpts, store *tsstore.Store) (*pathload.Monitor, map[str
 	}
 
 	nets := make([]*experiments.Net, o.paths)
-	sims := make([]*netsim.Simulator, o.paths)
 	for i := range nets {
 		// Sweep utilization across ±50% of the flag, clamped to [0.05, 0.9].
 		u := o.util * (0.5 + float64(i)/float64(max(o.paths-1, 1)))
@@ -678,25 +657,8 @@ func buildFleet(o monitorOpts, store *tsstore.Store) (*pathload.Monitor, map[str
 			Seed:          o.seed + int64(i)*7_919_317,
 		}
 		nets[i] = topo.Build()
-		sims[i] = nets[i].Sim
-		avail[pathID(i)] = topo.AvailBw()
+		avail[experiments.PathID(i)] = topo.AvailBw()
 	}
-	warm := netsim.NewLockstep(0, sims...)
-	warm.AdvanceTo(3 * netsim.Second)
-	warm.Close()
-
-	mon, err := pathload.NewMonitor(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, n := range nets {
-		p := simprobe.New(n.Sim, n.Links, 10*netsim.Millisecond)
-		if err := mon.AddPath(pathID(i), p); err != nil {
-			return nil, nil, err
-		}
-	}
-	return mon, avail, nil
+	mon, err := experiments.MonitorShards(nets, cfg)
+	return mon, avail, err
 }
-
-// pathID names fleet path i.
-func pathID(i int) string { return fmt.Sprintf("path-%02d", i) }

@@ -193,6 +193,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Slack returns the bracketing tolerance ω + χ: the search terminates
+// once its range is within the two resolutions, so a correct estimate
+// may sit that far from the avail-bw. Zero fields read as their
+// defaults, exactly as Run reads them.
+func (c Config) Slack() float64 {
+	c = c.withDefaults()
+	return c.Resolution + c.GreyResolution
+}
+
 func (c Config) validate() error {
 	if c.PacketsPerStream < 4 {
 		return fmt.Errorf("pathload: PacketsPerStream %d too small to detect a trend", c.PacketsPerStream)

@@ -1,11 +1,12 @@
 // Monitor: turn one-shot measurements into streaming avail-bw time
 // series over many paths at once. Builds eight simulated paths with
-// different loads, registers each with a pathload.Monitor, and watches
-// three rounds of per-path ranges arrive on the results channel —
-// the paper's "dynamics" viewpoint (§VI) as a long-running service.
-// A tsstore.Store rides along as the monitor's Store sink, retaining
-// every sample, and the example ends by reading the windowed
-// aggregates (min/max/mean, ρ, median) back out of the store.
+// different loads, wires them to a pathload.Monitor with
+// experiments.MonitorShards, and watches three rounds of per-path
+// ranges arrive on the results channel — the paper's "dynamics"
+// viewpoint (§VI) as a long-running service. A tsstore.Store rides
+// along as the monitor's Store sink, retaining every sample, and the
+// example ends by reading the windowed aggregates (min/max/mean, ρ,
+// median) back out of the store.
 package main
 
 import (
@@ -14,8 +15,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/netsim"
-	"repro/internal/simprobe"
 	"repro/internal/tsstore"
 
 	pathload "repro"
@@ -26,7 +25,6 @@ func main() {
 	// each with its own simulator shard.
 	const paths = 8
 	nets := make([]*experiments.Net, paths)
-	sims := make([]*netsim.Simulator, paths)
 	for i := range nets {
 		nets[i] = experiments.Topology{
 			Hops:      1,
@@ -34,16 +32,13 @@ func main() {
 			TightUtil: 0.20 + 0.55*float64(i)/float64(paths-1),
 			Seed:      100 + int64(i),
 		}.Build()
-		sims[i] = nets[i].Sim
 	}
-	// Warm every shard to steady state in parallel, on one lockstep
-	// virtual clock.
-	warm := netsim.NewLockstep(0, sims...)
-	warm.AdvanceTo(3 * netsim.Second)
-	warm.Close()
 
 	store := tsstore.New(tsstore.Config{}) // per-path rings + digests
-	mon, err := pathload.NewMonitor(pathload.MonitorConfig{
+	// MonitorShards warms every shard to steady state in parallel, on
+	// one lockstep virtual clock, and registers one simulated prober
+	// per path (path-00 … path-07).
+	mon, err := experiments.MonitorShards(nets, pathload.MonitorConfig{
 		Workers:  4,                      // at most 4 paths probing at once
 		Rounds:   3,                      // 3 measurements per path
 		Interval: 100 * time.Millisecond, // virtual idle gap between rounds
@@ -53,12 +48,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	for i, n := range nets {
-		prober := simprobe.New(n.Sim, n.Links, 10*netsim.Millisecond)
-		if err := mon.AddPath(fmt.Sprintf("path-%d", i), prober); err != nil {
-			log.Fatal(err)
-		}
 	}
 	if err := mon.Start(); err != nil {
 		log.Fatal(err)

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/crosstraffic"
-	"repro/internal/netsim"
 	"repro/internal/schedule"
-	"repro/internal/simprobe"
 	"repro/internal/tsstore"
 
 	pathload "repro"
@@ -63,39 +60,21 @@ const adaptiveEnforceFraction = 0.85
 // split the fleet's observed ρ range.
 const adaptiveRefRelVar = 1.2
 
-// An AdaptivePathOutcome is one path's result under one scheduler.
+// An AdaptivePathOutcome is one path's result under one scheduler: the
+// load-step verdict plus what the schedule spent. The step fires at the
+// end of the first round whose finish crossed the step time.
 type AdaptivePathOutcome struct {
 	Path string
 	// Volatile marks the heavy-tailed (Pareto) paths; quiet paths carry
 	// well-multiplexed Poisson cross traffic.
 	Volatile bool
-	// StepUp is true when cross traffic was added mid-run.
-	StepUp bool
-	// TrueBefore and TrueAfter are the configured avail-bw on each side
-	// of the step.
-	TrueBefore, TrueAfter float64
-	// StepAt is the path-local virtual time the step fired (the end of
-	// the first round whose finish crossed the step time); rounds
-	// starting at or after it measure the post-step path.
-	StepAt time.Duration
+	StepVerdict
 	// Rounds is how many measurements the schedule admitted within the
 	// horizon; Bits their total probe load; End the path-local end of
 	// the last round.
 	Rounds int
 	Bits   float64
 	End    time.Duration
-	// Before and After aggregate the stored series on each side of the
-	// step.
-	Before, After tsstore.Aggregate
-	// TrackedBefore/TrackedAfter/TrackedMove are the trajectory
-	// experiment's criteria: right level in both windows, mean estimate
-	// moving with the step by at least half the true step size.
-	TrackedBefore, TrackedAfter, TrackedMove bool
-}
-
-// Tracked reports whether the path's series tracked the load step.
-func (p AdaptivePathOutcome) Tracked() bool {
-	return p.TrackedBefore && p.TrackedAfter && p.TrackedMove
 }
 
 // A BudgetWindow is one virtual-time window of a scheduler's aggregate
@@ -216,49 +195,6 @@ func adaptiveTopology(i int, seed int64) (Topology, bool) {
 	return topo, volatile
 }
 
-// timeStepSink chains in front of the tsstore sink and fires each
-// path's load step exactly once, at the end of the first round whose
-// finish reaches the step time on the path-local clock. Like the
-// trajectory experiment's stepSink it runs on the session goroutine
-// that owns the path's simulator, so toggling cross traffic is
-// race-free and the step lands at a deterministic round boundary
-// whatever the scheduler decides. It forwards windowed-ρ queries to
-// the store so an Adaptive scheduler keeps its feedback when the sink
-// is chained in between.
-type timeStepSink struct {
-	store  *tsstore.Store
-	stepAt time.Duration
-
-	mu      sync.Mutex
-	steps   map[string]func()
-	firedAt map[string]time.Duration
-}
-
-// Observe forwards the sample, then fires a pending step when the
-// round's end crossed the step time.
-func (s *timeStepSink) Observe(smp pathload.Sample) {
-	s.store.Observe(smp)
-	if end := smp.At + smp.Result.Elapsed; end >= s.stepAt {
-		s.mu.Lock()
-		fn := s.steps[smp.Path]
-		delete(s.steps, smp.Path)
-		if fn != nil {
-			s.firedAt[smp.Path] = end
-		}
-		s.mu.Unlock()
-		if fn != nil {
-			fn()
-		}
-	}
-}
-
-// RelVar implements schedule.VarSource by delegating to the store, so
-// MonitorConfig.Store can be the chained sink without severing the
-// tsstore → scheduler feedback edge.
-func (s *timeStepSink) RelVar(path string, window time.Duration) (float64, bool) {
-	return s.store.RelVar(path, window)
-}
-
 // AdaptiveSchedule is the scheduler comparison the schedule package
 // exists for: the same stepped-load fleet monitored three times over
 // the same virtual horizon — under the Fixed gap, under the
@@ -316,86 +252,28 @@ func AdaptiveSchedule(opt Options) AdaptiveResult {
 
 // runAdaptiveFleet monitors one freshly built (identically seeded)
 // stepped-load fleet under the given scheduler until every session's
-// horizon is exhausted, then reads the verdicts back from the store.
+// horizon is exhausted; the step fires on each path at the end of the
+// first round whose finish reaches the step time on the path-local
+// clock.
 func runAdaptiveFleet(name string, opt Options, cfg pathload.Config, sched schedule.Scheduler, horizon, step time.Duration) AdaptiveOutcome {
-	type pathState struct {
-		topo     Topology
-		net      *Net
-		extra    *crosstraffic.Aggregate
-		volatile bool
-		up       bool
+	topos := make([]Topology, AdaptiveSchedulePaths)
+	volatile := make([]bool, AdaptiveSchedulePaths)
+	for i := range topos {
+		topos[i], volatile[i] = adaptiveTopology(i, opt.Seed)
 	}
-	states := make([]pathState, AdaptiveSchedulePaths)
-	sims := make([]*netsim.Simulator, AdaptiveSchedulePaths)
-	for i := range states {
-		topo, volatile := adaptiveTopology(i, opt.Seed)
-		net := topo.Build()
-		extra := crosstraffic.NewAggregate(net.Sim, []*netsim.Link{net.Tight()},
-			topo.TightCap*adaptiveDeltaUtil, topo.SourcesPerHop, topo.Model,
-			crosstraffic.Trimodal{}, topo.Seed+500_000_009)
-		up := i%2 == 0
-		if !up {
-			extra.Start() // step-down paths start loaded
-		}
-		states[i] = pathState{topo: topo, net: net, extra: extra, volatile: volatile, up: up}
-		sims[i] = net.Sim
-	}
-	warm := netsim.NewLockstep(0, sims...)
-	warm.AdvanceTo(warmup)
-	warm.Close()
-
-	store := tsstore.New(tsstore.Config{})
-	sink := &timeStepSink{store: store, stepAt: step, steps: map[string]func(){}, firedAt: map[string]time.Duration{}}
-	mon, err := pathload.NewMonitor(pathload.MonitorConfig{
+	verdicts, store := runStepFleet(topos, adaptiveDeltaUtil, pathload.MonitorConfig{
 		Workers:   runtime.GOMAXPROCS(0),
 		Seed:      opt.Seed,
 		Config:    cfg,
-		Store:     sink,
 		Scheduler: &schedule.Until{Inner: sched, Horizon: horizon},
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: adaptive: %v", err))
-	}
-	for i, st := range states {
-		extra := st.extra
-		if st.up {
-			sink.steps[trajectoryID(i)] = extra.Start
-		} else {
-			sink.steps[trajectoryID(i)] = extra.Stop
-		}
-		p := simprobe.New(st.net.Sim, st.net.Links, 10*netsim.Millisecond)
-		if err := mon.AddPath(trajectoryID(i), p); err != nil {
-			panic(fmt.Sprintf("experiments: adaptive: %v", err))
-		}
-	}
-	if err := mon.Start(); err != nil {
-		panic(fmt.Sprintf("experiments: adaptive: %v", err))
-	}
-	for s := range mon.Results() {
-		if s.Err != nil {
-			panic(fmt.Sprintf("experiments: adaptive: %s %s round %d: %v", name, s.Path, s.Round, s.Err))
-		}
-	}
-	mon.Wait()
+	}, func(s pathload.Sample) bool { return s.At+s.Result.Elapsed >= step })
 
 	out := AdaptiveOutcome{Name: name}
-	slack := pathload.DefaultResolution + pathload.DefaultGreyResolution
 	var allPts [][]tsstore.Point
 	span := time.Duration(0)
-	for i, st := range states {
-		id := trajectoryID(i)
-		topo := st.topo
-		baseA := topo.TightCap * (1 - topo.TightUtil)
-		steppedA := topo.TightCap * (1 - topo.TightUtil - adaptiveDeltaUtil)
-		po := AdaptivePathOutcome{Path: id, Volatile: st.volatile, StepUp: st.up}
-		if st.up {
-			po.TrueBefore, po.TrueAfter = baseA, steppedA
-		} else {
-			po.TrueBefore, po.TrueAfter = steppedA, baseA
-		}
-		po.StepAt = sink.firedAt[id]
-
-		pts := store.Snapshot(id)
+	for i, v := range verdicts {
+		po := AdaptivePathOutcome{Path: PathID(i), Volatile: volatile[i], StepVerdict: v}
+		pts := store.Snapshot(po.Path)
 		allPts = append(allPts, pts)
 		po.Rounds = len(pts)
 		for _, p := range pts {
@@ -407,13 +285,6 @@ func runAdaptiveFleet(name string, opt Options, cfg pathload.Config, sched sched
 		if po.End > span {
 			span = po.End
 		}
-		po.Before = store.Window(id, 0, po.StepAt)
-		po.After = store.Window(id, po.StepAt, 1<<62)
-		po.TrackedBefore = po.Before.Count > 0 && po.Before.MinLo-slack <= po.TrueBefore && po.TrueBefore <= po.Before.MaxHi+slack
-		po.TrackedAfter = po.After.Count > 0 && po.After.MinLo-slack <= po.TrueAfter && po.TrueAfter <= po.After.MaxHi+slack
-		move := po.After.MeanMid - po.Before.MeanMid
-		trueMove := po.TrueAfter - po.TrueBefore
-		po.TrackedMove = move*trueMove > 0 && absf(move) >= absf(trueMove)/2
 		out.Paths = append(out.Paths, po)
 	}
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -111,9 +112,6 @@ func contentionConfig(o Options) pathload.Config {
 	return pathload.Config{PacketsPerStream: k, StreamsPerFleet: n}
 }
 
-// contentionReverse is the modeled reverse-path delay for mesh probers.
-const contentionReverse = 10 * netsim.Millisecond
-
 // Contention measures fleet self-interference on shared backbones: for
 // every backbone shape and fleet size, each path is measured twice —
 // once probing alone on a fresh mesh, once with the whole fleet
@@ -160,7 +158,7 @@ func runContentionCase(shape string, fleet int, seed int64, cfg pathload.Config)
 			defer wg.Done()
 			m := spec.MustBuild()
 			m.Warmup(warmup)
-			p := simprobe.New(m.Sim, m.Paths()[i].Route, contentionReverse)
+			p := simprobe.New(m.Sim, m.Paths()[i].Route, reverseDelay)
 			r, err := pathload.Run(p, cfg)
 			if err != nil {
 				panic(fmt.Sprintf("experiments: contention: %s solo %s: %v", shape, m.Paths()[i].Name, err))
@@ -180,7 +178,7 @@ func runContentionCase(shape string, fleet int, seed int64, cfg pathload.Config)
 		m := spec.MustBuild()
 		paths = m.Paths()
 		m.Warmup(warmup)
-		_, probers := m.SequencedProbers(contentionReverse)
+		_, probers := m.SequencedProbers(reverseDelay)
 		before := make([]netsim.LinkCounters, fleet)
 		for i, p := range m.Paths() {
 			before[i] = p.TightLink().Counters()
@@ -268,10 +266,10 @@ func RenderContention(r ContentionResult) string {
 		moved := 0
 		for _, p := range over {
 			sum += p.Shift()
-			if a := absf(p.Shift()); a > maxAbs {
+			if a := math.Abs(p.Shift()); a > maxAbs {
 				maxAbs = a
 			}
-			if absf(p.Shift()) > 0 {
+			if math.Abs(p.Shift()) > 0 {
 				moved++
 			}
 		}
@@ -281,7 +279,7 @@ func RenderContention(r ContentionResult) string {
 	if len(dis) > 0 {
 		var maxAbs float64
 		for _, p := range dis {
-			if a := absf(p.Shift()); a > maxAbs {
+			if a := math.Abs(p.Shift()); a > maxAbs {
 				maxAbs = a
 			}
 		}

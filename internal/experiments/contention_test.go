@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -71,7 +72,7 @@ func TestContentionSelfInterference(t *testing.T) {
 	moved := 0
 	for _, p := range over {
 		mean += p.Shift()
-		if absf(p.Shift()) > 0.25e6 {
+		if math.Abs(p.Shift()) > 0.25e6 {
 			moved++
 		}
 	}

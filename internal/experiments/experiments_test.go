@@ -164,23 +164,29 @@ func TestRenderersProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several scaled-down experiments")
 	}
-	outputs := map[string]string{
-		"owd":       RenderOWDTraces(OWDTraces(smallOpt)),
-		"fig5":      RenderAccuracy("t", Fig5(smallOpt)),
-		"fig8":      RenderSensitivity("t", "f", Fig8(smallOpt)),
-		"fig11":     RenderDynamics("t", Fig11(smallOpt)),
-		"fig15":     RenderBTC(Fig15and16(smallOpt)),
-		"fig17":     RenderIntrusive(Fig17and18(smallOpt)),
-		"baseline":  RenderBaseline(BaselineComparison(smallOpt)),
-		"timescale": RenderTimescale(TimescaleVariance(smallOpt)),
-	}
-	for name, out := range outputs {
-		if len(out) < 80 {
-			t.Errorf("%s renderer produced %d bytes", name, len(out))
-		}
-		if !strings.Contains(out, "\n") {
-			t.Errorf("%s renderer produced no table rows", name)
-		}
+	t.Parallel() // pool these cells with the other parallel group's
+	// Independent experiments: parallel subtests, so the package uses
+	// both cores.
+	for name, render := range map[string]func() string{
+		"owd":       func() string { return RenderOWDTraces(OWDTraces(smallOpt)) },
+		"fig5":      func() string { return RenderAccuracy("t", Fig5(smallOpt)) },
+		"fig8":      func() string { return RenderSensitivity("t", "f", Fig8(smallOpt)) },
+		"fig11":     func() string { return RenderDynamics("t", Fig11(smallOpt)) },
+		"fig15":     func() string { return RenderBTC(Fig15and16(smallOpt)) },
+		"fig17":     func() string { return RenderIntrusive(Fig17and18(smallOpt)) },
+		"baseline":  func() string { return RenderBaseline(BaselineComparison(smallOpt)) },
+		"timescale": func() string { return RenderTimescale(TimescaleVariance(smallOpt)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			out := render()
+			if len(out) < 80 {
+				t.Errorf("renderer produced %d bytes", len(out))
+			}
+			if !strings.Contains(out, "\n") {
+				t.Errorf("renderer produced no table rows")
+			}
+		})
 	}
 }
 

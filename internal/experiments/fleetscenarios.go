@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"repro/internal/scenario"
-	"repro/internal/simprobe"
+	"repro/internal/tsstore"
 
 	pathload "repro"
 )
@@ -57,7 +57,7 @@ type FleetRound struct {
 // Hit reports whether the round's range brackets its epoch truth
 // within the shared scenario slack.
 func (r FleetRound) Hit() bool {
-	return r.Err == "" && r.Truth >= r.Lo-scenarioSlack && r.Truth <= r.Hi+scenarioSlack
+	return r.Err == "" && pathload.Brackets(r.Lo, r.Hi, r.Truth, scenarioSlack)
 }
 
 // A FleetLinkEpoch is one backbone link's span-weighted mean
@@ -155,30 +155,6 @@ func fleetMonitorConfig(rounds int, seed int64, cfg pathload.Config) pathload.Mo
 	}
 }
 
-// linkWindow is one LinkRecorder observation.
-type linkWindow struct {
-	link     string
-	round    int
-	span     time.Duration
-	util     float64
-	capacity float64
-}
-
-// linkCollector gathers LinkRecorder windows; it implements
-// mesh.LinkSink. The round-boundary hook runs them one at a time, but
-// the final post-Wait snapshot comes from another goroutine, so the
-// mutex stays.
-type linkCollector struct {
-	mu      sync.Mutex
-	windows []linkWindow
-}
-
-func (c *linkCollector) ObserveLink(link string, round int, at, span time.Duration, util, capacity float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.windows = append(c.windows, linkWindow{link, round, span, util, capacity})
-}
-
 // runFleetCell measures one fleet scenario end to end.
 func runFleetCell(name string, rounds int, seed int64, cfg pathload.Config) FleetCell {
 	s, err := scenario.GetFleet(name, fleetPaths)
@@ -189,7 +165,7 @@ func runFleetCell(name string, rounds int, seed int64, cfg pathload.Config) Flee
 	inst.Mesh.Warmup(warmup)
 
 	monCfg := fleetMonitorConfig(rounds, seed, cfg)
-	mon, drv, err := inst.Mesh.MonitorFleet(monCfg, contentionReverse)
+	mon, drv, err := inst.Mesh.MonitorFleet(monCfg, reverseDelay)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: fleetscenarios: %s: %v", name, err))
 	}
@@ -200,15 +176,12 @@ func runFleetCell(name string, rounds int, seed int64, cfg pathload.Config) Flee
 	// covers exactly one regime), then advance the epoch if fleet round
 	// n belongs to a later one — rounds split evenly across epochs,
 	// epoch(r) = r·E/rounds, exactly like the single-path cells.
-	links := &linkCollector{}
+	links := tsstore.New(tsstore.Config{})
 	rec := inst.Mesh.NewLinkRecorder(links)
 	epochs := inst.Epochs()
 	drv.OnRoundBoundary(func(n int) {
 		rec.Snapshot(n)
-		for inst.Epoch() < n*epochs/rounds {
-			inst.Advance()
-			inst.Sim().RunFor(scenarioSettle)
-		}
+		inst.AdvanceToRound(n, rounds, scenarioSettle)
 	})
 
 	samples := collectRun(mon)
@@ -239,7 +212,7 @@ func runFleetCell(name string, rounds int, seed int64, cfg pathload.Config) Flee
 		}
 		return a.Round < b.Round
 	})
-	cell.Links = epochLinkMeans(links.windows, epochs, rounds)
+	cell.Links = epochLinkMeans(links, epochs, rounds)
 
 	if name == "steady-disjoint" {
 		// The replay proof: every path re-run solo, on a fresh mesh
@@ -258,38 +231,18 @@ func runFleetCell(name string, rounds int, seed int64, cfg pathload.Config) Flee
 	return cell
 }
 
-// collectRun starts the monitor, drains its results, and waits it out.
-func collectRun(mon *pathload.Monitor) []pathload.Sample {
-	if err := mon.Start(); err != nil {
-		panic(fmt.Sprintf("experiments: fleetscenarios: %v", err))
-	}
-	var samples []pathload.Sample
-	for sm := range mon.Results() {
-		samples = append(samples, sm)
-	}
-	mon.Wait()
-	return samples
-}
-
 // runSoloPath runs one path of the scenario alone: same full mesh
-// (identical seed, identical cross traffic everywhere), same monitor
-// configuration, but a single-prober sequencer — so the only difference
-// from the fleet run is the absence of sibling probe streams.
+// (every link, identical seed, identical cross traffic everywhere), same
+// monitor configuration, but only that path's route declared — a
+// sequenced fleet of one, so the only difference from the fleet run is
+// the absence of sibling probe streams.
 func runSoloPath(s scenario.Scenario, pathIdx int, seed int64, monCfg pathload.MonitorConfig) []pathload.Sample {
+	s.Spec.Routes = s.Spec.Routes[pathIdx : pathIdx+1]
 	inst := s.MustBuild(seed)
 	inst.Mesh.Warmup(warmup)
-	seq := simprobe.NewSequencer(inst.Sim())
-	p := seq.NewProber(inst.Paths[pathIdx].Route, contentionReverse)
-	drv := simprobe.NewSequencedDriver(seq)
-	pname := inst.Paths[pathIdx].Name
-	drv.Register(pname, p)
-	monCfg.Driver = drv
-	mon, err := pathload.NewMonitor(monCfg)
+	mon, _, err := inst.Mesh.MonitorFleet(monCfg, reverseDelay)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: fleetscenarios: solo %s: %v", pname, err))
-	}
-	if err := mon.AddPath(pname, p); err != nil {
-		panic(fmt.Sprintf("experiments: fleetscenarios: solo %s: %v", pname, err))
+		panic(fmt.Sprintf("experiments: fleetscenarios: solo %s: %v", inst.Path.Name, err))
 	}
 	return collectRun(mon)
 }
@@ -312,42 +265,30 @@ func transcript(samples []pathload.Sample) string {
 	return b.String()
 }
 
-// epochLinkMeans folds the recorder's per-round windows into one
-// span-weighted mean utilization per link per epoch. Window n covers
-// fleet round n−1 (it is closed at boundary n before any epoch
-// advance), so it belongs to epoch(n−1).
-func epochLinkMeans(windows []linkWindow, epochs, rounds int) []FleetLinkEpoch {
-	type key struct {
-		link  string
-		epoch int
+// epochLinkMeans folds the recorder's per-round windows, read back from
+// the store they landed in, into one span-weighted mean utilization per
+// link per epoch. Window n covers fleet round n−1 (it is closed at
+// boundary n before any epoch advance), so it belongs to epoch(n−1);
+// links come back sorted and a link's windows in round order, so each
+// (link, epoch) run is contiguous.
+func epochLinkMeans(links *tsstore.Store, epochs, rounds int) []FleetLinkEpoch {
+	var out []FleetLinkEpoch
+	var weights []float64
+	for _, link := range links.Links() {
+		for _, w := range links.LinkSnapshot(link) {
+			epoch := (w.Round - 1) * epochs / rounds
+			if n := len(out); n == 0 || out[n-1].Link != link || out[n-1].Epoch != epoch {
+				out = append(out, FleetLinkEpoch{Link: link, Epoch: epoch, Capacity: w.Capacity})
+				weights = append(weights, 0)
+			}
+			out[len(out)-1].Util += w.Util * w.Span.Seconds()
+			weights[len(out)-1] += w.Span.Seconds()
+		}
 	}
-	sums := map[key]*FleetLinkEpoch{}
-	weights := map[key]float64{}
-	var order []key
-	for _, w := range windows {
-		k := key{w.link, (w.round - 1) * epochs / rounds}
-		e := sums[k]
-		if e == nil {
-			e = &FleetLinkEpoch{Link: w.link, Epoch: k.epoch, Capacity: w.capacity}
-			sums[k] = e
-			order = append(order, k)
+	for i, w := range weights {
+		if w > 0 {
+			out[i].Util /= w
 		}
-		e.Util += w.util * w.span.Seconds()
-		weights[k] += w.span.Seconds()
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].link != order[j].link {
-			return order[i].link < order[j].link
-		}
-		return order[i].epoch < order[j].epoch
-	})
-	out := make([]FleetLinkEpoch, 0, len(order))
-	for _, k := range order {
-		e := *sums[k]
-		if w := weights[k]; w > 0 {
-			e.Util /= w
-		}
-		out = append(out, e)
 	}
 	return out
 }

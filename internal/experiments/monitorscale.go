@@ -9,7 +9,6 @@ import (
 	"repro/internal/crosstraffic"
 	"repro/internal/mrtg"
 	"repro/internal/netsim"
-	"repro/internal/simprobe"
 
 	pathload "repro"
 )
@@ -116,22 +115,11 @@ func DynamicsAtScale10k(opt Options) ScaleResult {
 
 func dynamicsAtScale(opt Options, paths, rounds int) ScaleResult {
 	nets := make([]*Net, paths)
-	sims := make([]*netsim.Simulator, paths)
-	monitors := make([]*mrtg.Monitor, paths)
 	for i := range nets {
 		nets[i] = scaleTopology(i, paths, opt.Seed).Build()
-		sims[i] = nets[i].Sim
-		monitors[i] = mrtg.NewMonitor(nets[i].Sim, nets[i].Tight(), 500*netsim.Millisecond)
 	}
-	warm := netsim.NewLockstep(0, sims...)
-	warm.AdvanceTo(warmup)
-	warm.Close()
-	for _, m := range monitors {
-		m.Start()
-	}
-
 	workers := runtime.GOMAXPROCS(0)
-	mon, err := pathload.NewMonitor(pathload.MonitorConfig{
+	mon, err := MonitorShards(nets, pathload.MonitorConfig{
 		Workers:  workers,
 		Rounds:   rounds,
 		Interval: 100 * time.Millisecond,
@@ -141,38 +129,30 @@ func dynamicsAtScale(opt Options, paths, rounds int) ScaleResult {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: dynamics-at-scale: %v", err))
 	}
+	monitors := make([]*mrtg.Monitor, paths)
 	for i, n := range nets {
-		p := simprobe.New(n.Sim, n.Links, 10*netsim.Millisecond)
-		if err := mon.AddPath(fmt.Sprintf("path-%02d", i), p); err != nil {
-			panic(fmt.Sprintf("experiments: dynamics-at-scale: %v", err))
-		}
-	}
-	start := time.Now()
-	if err := mon.Start(); err != nil {
-		panic(fmt.Sprintf("experiments: dynamics-at-scale: %v", err))
+		monitors[i] = mrtg.NewMonitor(n.Sim, n.Tight(), 500*netsim.Millisecond)
+		monitors[i].Start()
 	}
 
+	start := time.Now()
 	series := make(map[string][]pathload.Sample, paths)
-	for s := range mon.Results() {
-		if s.Err != nil {
-			panic(fmt.Sprintf("experiments: dynamics-at-scale: %s round %d: %v", s.Path, s.Round, s.Err))
-		}
+	for _, s := range collectClean(mon) {
 		series[s.Path] = append(series[s.Path], s)
 	}
-	mon.Wait()
 	wall := time.Since(start)
 
 	res := ScaleResult{Rounds: rounds, Workers: workers, Wall: wall}
-	slack := pathload.DefaultResolution + pathload.DefaultGreyResolution
+	slack := pathload.Config{}.Slack()
 	for i, n := range nets {
-		id := fmt.Sprintf("path-%02d", i)
+		id := PathID(i)
 		samples := series[id]
 		sort.Slice(samples, func(a, b int) bool { return samples[a].Round < samples[b].Round })
 
 		ps := PathSeries{Path: id, True: n.Topo.AvailBw()}
 		for _, s := range samples {
 			ps.Points = append(ps.Points, ScalePoint{At: s.At, Lo: s.Result.Lo, Hi: s.Result.Hi})
-			if s.Result.Lo-slack <= ps.True && ps.True <= s.Result.Hi+slack {
+			if pathload.Brackets(s.Result.Lo, s.Result.Hi, ps.True, slack) {
 				ps.Covered++
 			}
 		}

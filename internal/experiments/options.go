@@ -66,7 +66,7 @@ const warmup = 3 * netsim.Second
 func measureOnce(topo Topology, cfg pathload.Config) (pathload.Result, *Net, error) {
 	net := topo.Build()
 	net.Warmup(warmup)
-	prober := simprobe.New(net.Sim, net.Links, 10*netsim.Millisecond)
+	prober := simprobe.New(net.Sim, net.Links, reverseDelay)
 	res, err := pathload.Run(prober, cfg)
 	return res, net, err
 }

@@ -27,7 +27,7 @@ var ScenarioEstimators = []string{"slops", "minplus"}
 // scenarioSlack is the bracketing tolerance: pathload's termination
 // resolutions ω + χ, applied to both estimators so hit rates compare
 // like for like.
-const scenarioSlack = pathload.DefaultResolution + pathload.DefaultGreyResolution
+var scenarioSlack = pathload.Config{}.Slack()
 
 // scenarioSettle is the simulated settling time after an epoch change
 // (long enough to cover the flash scenario's 2 s ramp) and between
@@ -50,7 +50,7 @@ type ScenarioRound struct {
 // Hit reports whether the round's range brackets its epoch's truth
 // within the shared slack.
 func (r ScenarioRound) Hit() bool {
-	return r.Truth >= r.Lo-scenarioSlack && r.Truth <= r.Hi+scenarioSlack
+	return pathload.Brackets(r.Lo, r.Hi, r.Truth, scenarioSlack)
 }
 
 // A ScenarioCell is one (scenario, load, estimator) cell of the
@@ -195,7 +195,7 @@ func runScenarioCell(name string, load float64, estimator string, rounds int, se
 	}
 	inst := s.MustBuild(seed)
 	inst.Mesh.Warmup(warmup)
-	p := simprobe.New(inst.Sim(), inst.Path.Route, contentionReverse)
+	p := simprobe.New(inst.Sim(), inst.Path.Route, reverseDelay)
 
 	// The min-plus sweep needs an explicit ceiling: the route's narrow
 	// (minimum-capacity) link.
@@ -208,12 +208,7 @@ func runScenarioCell(name string, load float64, estimator string, rounds int, se
 
 	cell := ScenarioCell{Scenario: name, FailureMode: s.FailureMode, Load: load, Estimator: estimator}
 	for r := 0; r < rounds; r++ {
-		// Rounds split evenly across epochs: round r belongs to epoch
-		// r·E/rounds.
-		for inst.Epoch() < r*inst.Epochs()/rounds {
-			inst.Advance()
-			inst.Sim().RunFor(scenarioSettle)
-		}
+		inst.AdvanceToRound(r, rounds, scenarioSettle)
 		round := ScenarioRound{Epoch: inst.Epoch(), Truth: inst.Truth()}
 		switch estimator {
 		case "slops":

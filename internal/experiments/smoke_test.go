@@ -28,8 +28,7 @@ func TestPathloadConvergesOnDefaultTopology(t *testing.T) {
 			a := net.Topo.AvailBw()
 			t.Logf("true A = %.2f Mb/s, reported %v after %d fleets (elapsed %v)",
 				a/1e6, res, len(res.Fleets), res.Elapsed)
-			slack := pathload.DefaultResolution + pathload.DefaultGreyResolution
-			if res.Lo-slack > a || res.Hi+slack < a {
+			if !pathload.Brackets(res.Lo, res.Hi, a, pathload.Config{}.Slack()) {
 				t.Errorf("reported range [%.2f, %.2f] Mb/s misses true avail-bw %.2f Mb/s",
 					res.Lo/1e6, res.Hi/1e6, a/1e6)
 			}

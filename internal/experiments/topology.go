@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/crosstraffic"
+	"repro/internal/mesh"
 	"repro/internal/netsim"
 )
 
@@ -105,14 +106,16 @@ type Net struct {
 	TightIdx int
 	Topo     Topology
 
-	aggregates []*crosstraffic.Aggregate
+	mesh *mesh.Mesh
 }
 
 // Tight returns the tight link.
 func (n *Net) Tight() *netsim.Link { return n.Links[n.TightIdx] }
 
-// Build constructs the simulator, links, and cross-traffic sources.
-// Cross traffic is started; the probe route is Links.
+// Build constructs the simulator, links, and cross-traffic sources as
+// a one-route mesh.Spec — the chain is the mesh's simplest shape, so
+// mesh.Spec.Build is the only place links and per-link aggregates are
+// wired. Cross traffic is started; the probe route is Links.
 func (t Topology) Build() *Net {
 	t = t.withDefaults()
 	if t.Hops < 1 {
@@ -121,51 +124,41 @@ func (t Topology) Build() *Net {
 	if t.TightUtil < 0 || t.TightUtil >= 1 || t.NonTightUtil < 0 || t.NonTightUtil >= 1 {
 		panic(fmt.Sprintf("experiments: utilizations must lie in [0,1): tight %v nontight %v", t.TightUtil, t.NonTightUtil))
 	}
-
 	if t.Beta < 1 {
 		// β < 1 would make the "non-tight" links the tight ones.
 		panic(fmt.Sprintf("experiments: path tightness factor β=%v must be ≥ 1", t.Beta))
 	}
-	sim := netsim.NewSimulator()
-	availEnd := t.TightCap * (1 - t.TightUtil)
-	nontightCap := t.Beta * availEnd / (1 - t.NonTightUtil)
-	prop := t.TotalProp / netsim.Time(t.Hops)
 	tightIdx := t.Hops / 2
-
-	n := &Net{Sim: sim, TightIdx: tightIdx, Topo: t}
-	for i := 0; i < t.Hops; i++ {
-		cap := nontightCap
-		util := t.NonTightUtil
-		name := fmt.Sprintf("hop%d", i)
-		if i == tightIdx || t.Hops == 1 {
-			cap, util = t.TightCap, t.TightUtil
-			name = fmt.Sprintf("hop%d(tight)", i)
-		}
-		link := netsim.NewLink(sim, name, int64(cap), prop, t.BufBytes)
-		n.Links = append(n.Links, link)
-
-		sizes := t.Sizes
-		if sizes == nil {
-			sizes = crosstraffic.Trimodal{}
-		}
-		crossRate := cap * util
-		if crossRate > 0 {
-			agg := crosstraffic.NewAggregate(sim, []*netsim.Link{link}, crossRate,
-				t.SourcesPerHop, t.Model, sizes, t.Seed+int64(i)*1_000_003)
-			agg.Start()
-			n.aggregates = append(n.aggregates, agg)
-		}
+	nontight := mesh.LinkSpec{
+		Capacity: t.Beta * t.AvailBw() / (1 - t.NonTightUtil),
+		Util:     t.NonTightUtil,
+		Prop:     t.TotalProp / netsim.Time(t.Hops),
+		BufBytes: t.BufBytes,
 	}
-	return n
+	spec := mesh.Spec{
+		Routes:         []mesh.RouteSpec{{Name: "path"}},
+		SourcesPerLink: t.SourcesPerHop,
+		Model:          t.Model,
+		Sizes:          t.Sizes,
+		Seed:           t.Seed,
+	}
+	for i := 0; i < t.Hops; i++ {
+		l := nontight
+		l.Name = fmt.Sprintf("hop%d", i)
+		if i == tightIdx || t.Hops == 1 {
+			l.Capacity, l.Util = t.TightCap, t.TightUtil
+			l.Name += "(tight)"
+		}
+		spec.Links = append(spec.Links, l)
+		spec.Routes[0].Links = append(spec.Routes[0].Links, l.Name)
+	}
+	m := spec.MustBuild()
+	return &Net{Sim: m.Sim, Links: m.Links(), TightIdx: tightIdx, Topo: t, mesh: m}
 }
 
 // StopTraffic halts all cross-traffic sources (used by tests that want
 // a quiet path mid-run).
-func (n *Net) StopTraffic() {
-	for _, a := range n.aggregates {
-		a.Stop()
-	}
-}
+func (n *Net) StopTraffic() { n.mesh.StopTraffic() }
 
 // Warmup advances the simulation so queues and heavy-tailed sources
 // reach steady state before measurement begins.

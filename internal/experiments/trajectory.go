@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/crosstraffic"
-	"repro/internal/netsim"
-	"repro/internal/simprobe"
-	"repro/internal/tsstore"
 
 	pathload "repro"
 )
@@ -29,36 +24,12 @@ const trajectoryFullRounds = 8
 const trajectoryDeltaUtil = 0.25
 
 // A TrajectoryPath is one path's view of the load-step experiment: the
-// configured avail-bw on either side of the step and the stored
-// series' windowed aggregates over the same two spans.
+// step verdict plus the whole stored series.
 type TrajectoryPath struct {
 	Path string
-	// StepUp is true when cross traffic was added mid-run (avail-bw
-	// drops); false when it was removed (avail-bw rises).
-	StepUp bool
-	// TrueBefore and TrueAfter are the configured avail-bw
-	// A = C_t·(1 − u_t) on each side of the step.
-	TrueBefore, TrueAfter float64
-	// StepAt is the path-local virtual time of the first post-step
-	// round — the boundary used to window the stored series.
-	StepAt time.Duration
-	// Before and After aggregate the tsstore windows on each side.
-	Before, After tsstore.Aggregate
+	StepVerdict
 	// Points is the whole stored series in round order.
 	Points []ScalePoint
-	// TrackedBefore/TrackedAfter report whether each window's observed
-	// range [MinLo, MaxHi] brackets the configured avail-bw within the
-	// termination slack ω + χ; TrackedMove reports whether the mean
-	// mid-range estimate moved in the step's direction by at least half
-	// the true step size.
-	TrackedBefore, TrackedAfter, TrackedMove bool
-}
-
-// Tracked reports whether the stored series tracked the load change on
-// this path: right level on both sides and a move in the right
-// direction.
-func (p TrajectoryPath) Tracked() bool {
-	return p.TrackedBefore && p.TrackedAfter && p.TrackedMove
 }
 
 // A TrajectoryResult is the outcome of the avail-bw trajectory
@@ -81,39 +52,6 @@ func (r TrajectoryResult) TrackedPaths() int {
 	return n
 }
 
-// stepSink chains in front of the tsstore sink and fires each path's
-// load step exactly once, when that path's last pre-step round
-// completes. Monitor sinks are invoked synchronously on the path's own
-// session goroutine between rounds (monitor.go), which is exactly the
-// round boundary a Prober cannot expose — Run interleaves its own Idle
-// calls between streams — and it makes the trajectory deterministic:
-// rounds 0..round measure the pre-step path, every later round the
-// post-step path, regardless of host scheduling.
-type stepSink struct {
-	inner pathload.SampleSink
-	round int // fire after this round's sample
-
-	mu    sync.Mutex
-	steps map[string]func()
-}
-
-// Observe fires the path's pending step at the boundary round, then
-// forwards the sample.
-func (s *stepSink) Observe(smp pathload.Sample) {
-	if smp.Round == s.round {
-		s.mu.Lock()
-		fn := s.steps[smp.Path]
-		delete(s.steps, smp.Path)
-		s.mu.Unlock()
-		if fn != nil {
-			// Runs on the session goroutine that owns the path's
-			// simulator, so toggling cross traffic here is race-free.
-			fn()
-		}
-	}
-	s.inner.Observe(smp)
-}
-
 // trajectoryTopology derives path i's link class and base load:
 // capacities cycle through two of the paper's link classes and the
 // base utilization sweeps 35–45%, so with the Δu = 25% step the paths
@@ -134,18 +72,11 @@ func trajectoryTopology(i int, seed int64) Topology {
 	}
 }
 
-// AvailBwTrajectory is the monitor-driven dynamics experiment the
-// paper's §VI motivates but a one-shot tool cannot run: does a
-// *monitored* avail-bw series track a load change that happens
-// mid-run? Each of TrajectoryPaths simulated paths carries a base
-// cross-traffic aggregate plus a Δu·C_t step aggregate; halfway
-// through the monitor's rounds the step toggles — even-numbered paths
-// gain load (avail-bw drops), odd-numbered paths shed it (avail-bw
-// rises). Every sample lands in an internal/tsstore.Store via the
-// monitor's Store sink, and the verdict is read back *from the store*:
-// the windows on either side of the step must sit at the configured
-// avail-bw and the mean estimate must move with the step. Identical
-// Options give identical results regardless of host scheduling.
+// AvailBwTrajectory runs the load-step experiment (runStepFleet) over
+// TrajectoryPaths paths on the monitor's default jittered schedule,
+// the Δu = trajectoryDeltaUtil step landing halfway through the
+// rounds. Identical Options give identical results regardless of host
+// scheduling.
 func AvailBwTrajectory(opt Options) TrajectoryResult {
 	opt = opt.withDefaults()
 	rounds := opt.runs(trajectoryFullRounds)
@@ -154,108 +85,25 @@ func AvailBwTrajectory(opt Options) TrajectoryResult {
 		stepRound = 1
 	}
 
-	type pathState struct {
-		net   *Net
-		extra *crosstraffic.Aggregate
-		up    bool
+	topos := make([]Topology, TrajectoryPaths)
+	for i := range topos {
+		topos[i] = trajectoryTopology(i, opt.Seed)
 	}
-	states := make([]pathState, TrajectoryPaths)
-	sims := make([]*netsim.Simulator, TrajectoryPaths)
-	for i := range states {
-		topo := trajectoryTopology(i, opt.Seed)
-		net := topo.Build()
-		extra := crosstraffic.NewAggregate(net.Sim, []*netsim.Link{net.Tight()},
-			topo.TightCap*trajectoryDeltaUtil, topo.SourcesPerHop, topo.Model,
-			crosstraffic.Trimodal{}, topo.Seed+500_000_009)
-		up := i%2 == 0
-		if !up {
-			// Step-down paths start loaded; the step removes the extra
-			// aggregate mid-run.
-			extra.Start()
-		}
-		states[i] = pathState{net: net, extra: extra, up: up}
-		sims[i] = net.Sim
-	}
-	warm := netsim.NewLockstep(0, sims...)
-	warm.AdvanceTo(warmup)
-	warm.Close()
-
-	store := tsstore.New(tsstore.Config{})
-	sink := &stepSink{inner: store, round: stepRound - 1, steps: map[string]func(){}}
-	mon, err := pathload.NewMonitor(pathload.MonitorConfig{
+	verdicts, store := runStepFleet(topos, trajectoryDeltaUtil, pathload.MonitorConfig{
 		Workers:  runtime.GOMAXPROCS(0),
 		Rounds:   rounds,
 		Interval: 100 * time.Millisecond,
 		Jitter:   0.3,
 		Seed:     opt.Seed,
-		Store:    sink,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: trajectory: %v", err))
-	}
-	for i, st := range states {
-		extra := st.extra
-		if st.up {
-			sink.steps[trajectoryID(i)] = extra.Start
-		} else {
-			sink.steps[trajectoryID(i)] = extra.Stop
-		}
-		p := simprobe.New(st.net.Sim, st.net.Links, 10*netsim.Millisecond)
-		if err := mon.AddPath(trajectoryID(i), p); err != nil {
-			panic(fmt.Sprintf("experiments: trajectory: %v", err))
-		}
-	}
-	if err := mon.Start(); err != nil {
-		panic(fmt.Sprintf("experiments: trajectory: %v", err))
-	}
-	for s := range mon.Results() {
-		if s.Err != nil {
-			panic(fmt.Sprintf("experiments: trajectory: %s round %d: %v", s.Path, s.Round, s.Err))
-		}
-	}
-	mon.Wait()
+	}, func(s pathload.Sample) bool { return s.Round == stepRound-1 })
 
 	res := TrajectoryResult{Rounds: rounds, StepRound: stepRound}
-	slack := pathload.DefaultResolution + pathload.DefaultGreyResolution
-	for i, st := range states {
-		id := trajectoryID(i)
-		topo := st.net.Topo
-		base := topo.TightCap * (1 - topo.TightUtil)
-		stepped := topo.TightCap * (1 - topo.TightUtil - trajectoryDeltaUtil)
-		tp := TrajectoryPath{Path: id, StepUp: st.up}
-		if st.up {
-			tp.TrueBefore, tp.TrueAfter = base, stepped
-		} else {
-			tp.TrueBefore, tp.TrueAfter = stepped, base
-		}
-
-		pts := store.Snapshot(id)
-		for _, p := range pts {
+	for i, v := range verdicts {
+		tp := TrajectoryPath{Path: PathID(i), StepVerdict: v}
+		for _, p := range store.Snapshot(tp.Path) {
 			tp.Points = append(tp.Points, ScalePoint{At: p.At, Lo: p.Lo, Hi: p.Hi})
-			if p.Round == stepRound {
-				tp.StepAt = p.At
-			}
 		}
-		tp.Before = store.Window(id, 0, tp.StepAt)
-		tp.After = store.Window(id, tp.StepAt, 1<<62)
-
-		tp.TrackedBefore = tp.Before.MinLo-slack <= tp.TrueBefore && tp.TrueBefore <= tp.Before.MaxHi+slack
-		tp.TrackedAfter = tp.After.MinLo-slack <= tp.TrueAfter && tp.TrueAfter <= tp.After.MaxHi+slack
-		move := tp.After.MeanMid - tp.Before.MeanMid
-		trueMove := tp.TrueAfter - tp.TrueBefore
-		tp.TrackedMove = move*trueMove > 0 && absf(move) >= absf(trueMove)/2
 		res.Paths = append(res.Paths, tp)
 	}
 	return res
-}
-
-// trajectoryID names trajectory path i.
-func trajectoryID(i int) string { return fmt.Sprintf("path-%02d", i) }
-
-// absf is a float64 absolute value without importing math for one call.
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

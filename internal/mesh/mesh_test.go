@@ -367,13 +367,13 @@ func TestSequencedProbersMeasure(t *testing.T) {
 		t.Fatal("sequencer stalled")
 	}
 
-	slack := pathload.DefaultResolution + pathload.DefaultGreyResolution
+	slack := pathload.Config{}.Slack()
 	for i, p := range m.Paths() {
 		if errs[i] != nil {
 			t.Fatalf("%s: %v", p.Name, errs[i])
 		}
 		a := p.AvailBw()
-		if results[i].Lo-slack > a || results[i].Hi+slack < a {
+		if !pathload.Brackets(results[i].Lo, results[i].Hi, a, slack) {
 			t.Errorf("%s: range [%.2f, %.2f] Mb/s misses A = %.2f Mb/s",
 				p.Name, results[i].Lo/1e6, results[i].Hi/1e6, a/1e6)
 		}

@@ -293,6 +293,21 @@ func (i *Instance) Advance() bool {
 	return true
 }
 
+// AdvanceToRound brings the instance to the epoch that measurement
+// round `round` of `rounds` runs in — rounds split evenly across epochs,
+// epoch(r) = r·E/rounds — letting each new regime settle for `settle`
+// of simulated time, and returns how many epochs it advanced. Like
+// Advance, call it only at a round boundary, from the goroutine driving
+// the simulator.
+func (i *Instance) AdvanceToRound(round, rounds int, settle netsim.Time) int {
+	n := 0
+	for i.epoch < round*i.Epochs()/rounds && i.Advance() {
+		i.Sim().RunFor(settle)
+		n++
+	}
+	return n
+}
+
 // Truth returns the current epoch's analytic available bandwidth of
 // the first route.
 func (i *Instance) Truth() float64 {

@@ -93,6 +93,28 @@ func TestAdvanceRealizesUtilization(t *testing.T) {
 	}
 }
 
+// TestAdvanceToRound: rounds split evenly across epochs — on the
+// two-epoch migrate scenario with four rounds, rounds 0–1 run in epoch 0
+// and rounds 2–3 in epoch 1; the one advance spends exactly the settle
+// time, repeated calls are idempotent, and a round index at or past
+// `rounds` stops at the final epoch instead of spinning.
+func TestAdvanceToRound(t *testing.T) {
+	inst := mustGet(t, "migrate", Params{Load: 0.4}).MustBuild(11)
+	const rounds, settle = 4, 3 * netsim.Second
+	for r, want := range []struct{ advanced, epoch int }{{0, 0}, {0, 0}, {1, 1}, {0, 1}} {
+		before := inst.Sim().Now()
+		if n := inst.AdvanceToRound(r, rounds, settle); n != want.advanced || inst.Epoch() != want.epoch {
+			t.Errorf("round %d: advanced %d to epoch %d, want %d to %d", r, n, inst.Epoch(), want.advanced, want.epoch)
+		}
+		if got := inst.Sim().Now() - before; got != netsim.Time(want.advanced)*settle {
+			t.Errorf("round %d: simulator ran %v, want %v", r, got, netsim.Time(want.advanced)*settle)
+		}
+	}
+	if n := inst.AdvanceToRound(rounds, rounds, settle); n != 0 || inst.Epoch() != 1 {
+		t.Errorf("round == rounds: advanced %d to epoch %d, want to stay at the final epoch", n, inst.Epoch())
+	}
+}
+
 // TestFlashRealizesLoad: the flash epoch adds its peak rate to the
 // tight link's measured utilization and the truth drops accordingly.
 func TestFlashRealizesLoad(t *testing.T) {

@@ -25,6 +25,32 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestConfigSlack: the bracketing tolerance is ω + χ of the defaulted
+// config — a zero resolution reads as its default on its own, not only
+// when both are zero (pathload -monitor -omega 0 used to grade with
+// 0 + χ = 1.5 Mb/s against a search that terminated at 2.5).
+func TestConfigSlack(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		omega, chi float64
+		want       float64
+	}{
+		{"both set", 2e6, 3e6, 5e6},
+		{"omega 0", 0, 3e6, pathload.DefaultResolution + 3e6},
+		{"chi 0", 2e6, 0, 2e6 + pathload.DefaultGreyResolution},
+		{"both 0", 0, 0, pathload.DefaultResolution + pathload.DefaultGreyResolution},
+	} {
+		cfg := pathload.Config{Resolution: c.omega, GreyResolution: c.chi}
+		if got := cfg.Slack(); got != c.want {
+			t.Errorf("%s: Slack() = %v, want %v", c.name, got, c.want)
+		}
+	}
+	if !pathload.Brackets(4e6, 5e6, 2e6, 2.5e6) || pathload.Brackets(4e6, 5e6, 1e6, 2.5e6) ||
+		!pathload.Brackets(4e6, 5e6, 7.5e6, 2.5e6) || pathload.Brackets(4e6, 5e6, 7.6e6, 2.5e6) {
+		t.Error("Brackets: [4, 5] ± 2.5 must hold 2 and 7.5 and exclude 1 and 7.6")
+	}
+}
+
 // TestStreamParams pins the §IV parameter selection rules.
 func TestStreamParams(t *testing.T) {
 	cfg := pathload.Config{}

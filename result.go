@@ -130,7 +130,14 @@ func (r Result) RelVar() float64 {
 }
 
 // Contains reports whether a falls inside the reported range.
-func (r Result) Contains(a float64) bool { return a >= r.Lo && a <= r.Hi }
+func (r Result) Contains(a float64) bool { return Brackets(r.Lo, r.Hi, a, 0) }
+
+// Brackets is the one grading rule for an estimate against a known
+// avail-bw a: the range [lo, hi] — one Result's [Lo, Hi] or a window's
+// [MinLo, MaxHi] — brackets a when it contains it after widening by
+// slack on both sides. Graders pass Config.Slack, so every estimator
+// and every experiment is held to the same tolerance.
+func Brackets(lo, hi, a, slack float64) bool { return lo-slack <= a && a <= hi+slack }
 
 // String formats the range in Mb/s.
 func (r Result) String() string {
