@@ -2,8 +2,12 @@ package tsstore_test
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
+	"math/rand"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -145,5 +149,64 @@ func TestHandler(t *testing.T) {
 	}
 	if code, _ := get("/series?path=ghost"); code != 404 {
 		t.Errorf("/series unknown path → %d, want 404", code)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
+
+// goldenStore builds a seeded store that takes every branch the
+// exposition has: a ring that wrapped under a digest past its centroid
+// budget, a ring still filling, a path with only failed rounds, a path
+// whose newest round failed, a zero-centre range, a path id that needs
+// quoting, and two links.
+func goldenStore() *tsstore.Store {
+	rng := rand.New(rand.NewSource(21))
+	st := tsstore.New(tsstore.Config{Capacity: 8, DigestSize: 16})
+	observe := func(path string, rounds int, level float64) {
+		for r := 0; r < rounds; r++ {
+			mid := level * (0.8 + 0.4*rng.Float64())
+			width := 0.2e6 + 1.8e6*rng.Float64()
+			st.Observe(sample(path, r, time.Duration(r)*5*time.Second, mid-width/2, mid+width/2))
+		}
+	}
+	fail := func(path string, round int) {
+		st.Observe(pathload.Sample{Path: path, Round: round, At: time.Duration(round) * 5 * time.Second, Err: io.ErrUnexpectedEOF})
+	}
+	observe("wrapped", 40, 74e6) // 40 distinct mids into 16 centroids, 8 retained
+	observe("filling", 5, 9.3e6)
+	for r := 0; r < 3; r++ {
+		fail("only-failed", r)
+	}
+	observe("newest-failed", 3, 4.1e6)
+	fail("newest-failed", 3)
+	st.Observe(sample("zero-centre", 0, 0, 0, 0))
+	observe(`we"ird\päth`, 2, 155e6)
+	for r := 0; r < 3; r++ {
+		at := time.Duration(r) * 20 * time.Second
+		st.ObserveLink("core-1", r, at, 20*time.Second, 0.2+0.6*rng.Float64(), 155e6)
+		st.ObserveLink("edge-2", r, at, 20*time.Second, 0.2+0.6*rng.Float64(), 12.4e6)
+	}
+	return st
+}
+
+// TestMetricsGolden pins the /metrics exposition byte for byte. Run
+// with -update to regolden after an intentional change.
+func TestMetricsGolden(t *testing.T) {
+	var sb strings.Builder
+	if err := goldenStore().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "metrics.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (run once with -update to create it): %v", err)
+	}
+	if sb.String() != string(want) {
+		t.Fatalf("exposition deviates from golden %s:\n--- got ---\n%s\n--- want ---\n%s", golden, sb.String(), want)
 	}
 }
