@@ -86,9 +86,11 @@ func (d *Digest) Merge(o *Digest) {
 	if o == nil || len(o.cs) == 0 {
 		return
 	}
-	// Snapshot first: o may alias d (self-merge), and AddWeighted
-	// mutates d.cs while we iterate.
-	cs := append([]centroid(nil), o.cs...)
+	cs := o.cs
+	if o == d {
+		// Self-merge: AddWeighted would mutate the slice being ranged.
+		cs = append([]centroid(nil), cs...)
+	}
 	for _, c := range cs {
 		d.AddWeighted(c.mean, c.weight)
 	}

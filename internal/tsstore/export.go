@@ -6,152 +6,286 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/mrtg"
 )
 
-// ExportQuantiles are the quantiles the scrape surface publishes per
-// path, chosen to read like the paper's variability analysis: median
-// for the central tendency, the inter-quartile spread, and the 5/95
-// tails that bound the avail-bw process.
-var ExportQuantiles = []float64{0.05, 0.25, 0.5, 0.75, 0.95}
+// exportQuantiles are the quantiles the scrape surface publishes per
+// path, ascending, chosen to read like the paper's variability
+// analysis: median for the central tendency, the inter-quartile spread,
+// and the 5/95 tails that bound the avail-bw process. label is the
+// second label of the quantile's /metrics series, rendered once here
+// rather than on every line.
+var exportQuantiles = [...]struct {
+	q     float64
+	label string
+}{
+	{0.05, `,quantile="0.05"`},
+	{0.25, `,quantile="0.25"`},
+	{0.5, `,quantile="0.5"`},
+	{0.75, `,quantile="0.75"`},
+	{0.95, `,quantile="0.95"`},
+}
 
-// MRTGStep is the default exposition bucket for the MRTG-style
-// rendering: the paper reads its verification graphs in 6 Mb/s buckets
-// (§V-B, "MRTG readings are given as 6-Mb/s ranges").
-const MRTGStep = 6e6
+// scrapeChunk is the most WritePrometheus hands its writer in one
+// Write: large enough that a thousand-path scrape is some eighteen
+// writes, small enough that the pooled buffer behind it stays cheap to
+// keep around.
+const scrapeChunk = 64 << 10
+
+// scrapeBufs pools the exposition buffers, one per scrape in flight; a
+// little over a chunk, so the line that crosses the chunk boundary
+// does not regrow it.
+var scrapeBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, scrapeChunk+4<<10)
+	return &b
+}}
+
+// A pathRow is everything one path contributes to a scrape, as plain
+// values: Store.pathRow reads them off the live ring and digest in one
+// locked pass, with no point copied and no digest cloned.
+type pathRow struct {
+	id          string
+	total, errs uint64
+	retained    int
+	// win sums the retained window's successful rounds; the families
+	// from lo_bps on are printed only when it holds one (win.n > 0).
+	win windowSum
+	// The newest successful round in the window, which is not the
+	// newest round when that one failed.
+	lo, hi, mid, rho float64
+	// quantiles follow exportQuantiles, off the all-time digest: NaN
+	// for a path that never had a successful round.
+	quantiles [len(exportQuantiles)]float64
+}
+
+// pathRow reads the path's series under a single lock acquisition, so
+// every value in the row is of one epoch even while a monitor is
+// feeding the store; ok is false for unknown paths.
+func (st *Store) pathRow(id string) (r pathRow, ok bool) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	se := st.series[id]
+	if se == nil {
+		return pathRow{}, false
+	}
+	r = pathRow{id: id, total: se.total, errs: se.errs, retained: se.n}
+	var last *Point
+	older, newer := se.segments()
+	for _, seg := range [2][]Point{older, newer} {
+		for i := range seg {
+			if p := &seg[i]; p.OK() {
+				r.win.add(p.Lo, p.Hi)
+				last = p
+			}
+		}
+	}
+	if last != nil {
+		r.lo, r.hi, r.mid, r.rho = last.Lo, last.Hi, last.Mid(), last.RelVar()
+	}
+	for i, eq := range exportQuantiles {
+		r.quantiles[i] = se.digest.Quantile(eq.q)
+	}
+	return r, true
+}
+
+// A linkRow is one link's contribution to a scrape.
+type linkRow struct {
+	name  string
+	total uint64
+	last  LinkPoint
+}
+
+// linkRow reads the link's window count and newest window under a
+// single lock acquisition, like pathRow: the counter and the gauges
+// beside it are of one epoch even while a mesh fleet is feeding the
+// store. ok is false for unknown and empty links.
+func (st *Store) linkRow(name string) (r linkRow, ok bool) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	se := st.links[name]
+	if se == nil {
+		return linkRow{}, false
+	}
+	last, ok := se.last()
+	return linkRow{name: name, total: se.total, last: last}, ok
+}
+
+// pathFamilies are the per-path families in exposition order. The
+// windowed ones describe successful rounds the ring still holds and
+// skip a path that has none.
+var pathFamilies = [...]struct {
+	name, help, typ string
+	windowed        bool
+	value           func(*pathRow) float64
+}{
+	{"pathload_availbw_samples_total", "Monitor rounds ever observed per path (retained and evicted).", "counter", false,
+		func(r *pathRow) float64 { return float64(r.total) }},
+	{"pathload_availbw_errors_total", "Failed monitor rounds ever observed per path.", "counter", false,
+		func(r *pathRow) float64 { return float64(r.errs) }},
+	{"pathload_availbw_retained_points", "Points currently held in the path's ring buffer.", "gauge", false,
+		func(r *pathRow) float64 { return float64(r.retained) }},
+	{"pathload_availbw_lo_bps", "Latest measured avail-bw range lower bound Rmin, bits/s.", "gauge", true,
+		func(r *pathRow) float64 { return r.lo }},
+	{"pathload_availbw_hi_bps", "Latest measured avail-bw range upper bound Rmax, bits/s.", "gauge", true,
+		func(r *pathRow) float64 { return r.hi }},
+	{"pathload_availbw_mid_bps", "Latest mid-range avail-bw estimate, bits/s.", "gauge", true,
+		func(r *pathRow) float64 { return r.mid }},
+	{"pathload_availbw_relvar", "Latest relative variation rho = (Rmax-Rmin)/mid (Eq. 12).", "gauge", true,
+		func(r *pathRow) float64 { return r.rho }},
+	{"pathload_availbw_window_min_bps", "Minimum Rmin across the retained window, bits/s.", "gauge", true,
+		func(r *pathRow) float64 { return r.win.minLo }},
+	{"pathload_availbw_window_max_bps", "Maximum Rmax across the retained window, bits/s.", "gauge", true,
+		func(r *pathRow) float64 { return r.win.maxHi }},
+	{"pathload_availbw_window_mean_bps", "Mean mid-range estimate across the retained window, bits/s.", "gauge", true,
+		func(r *pathRow) float64 { return r.win.meanMid() }},
+	{"pathload_availbw_window_relvar", "Windowed relative variation of the retained series (long-timescale rho).", "gauge", true,
+		func(r *pathRow) float64 { return r.win.relVar() }},
+}
+
+// linkFamilies are the per-link families (mesh fleets only): the
+// shared backbone's own utilization, so a scrape shows which common hop
+// a fleet loads.
+var linkFamilies = [...]struct {
+	name, help, typ string
+	value           func(*linkRow) float64
+}{
+	{"pathload_link_windows_total", "Utilization windows ever observed per mesh link.", "counter",
+		func(r *linkRow) float64 { return float64(r.total) }},
+	{"pathload_link_capacity_bps", "Mesh link capacity, bits/s.", "gauge",
+		func(r *linkRow) float64 { return r.last.Capacity }},
+	{"pathload_link_utilization", "Latest windowed mean utilization of the mesh link.", "gauge",
+		func(r *linkRow) float64 { return r.last.Util }},
+	{"pathload_link_load_bps", "Latest windowed mean carried load of the mesh link, bits/s.", "gauge",
+		func(r *linkRow) float64 { return r.last.Load() }},
+	{"pathload_link_availbw_bps", "Latest windowed spare capacity C*(1-u) of the mesh link, bits/s.", "gauge",
+		func(r *linkRow) float64 { return r.last.AvailBw() }},
+}
 
 // WritePrometheus renders the whole store in the Prometheus text
 // exposition format (version 0.0.4): one family per aggregate, one
 // labelled series per path, paths sorted so the output is
 // deterministic. Wall-clock fields are deliberately absent — under the
 // simulator two identical runs scrape byte-identically.
+//
+// Every row is read first, one lock acquisition per path and per link,
+// and only then rendered, so no store lock is ever held across a Write:
+// a scraper that stalls mid-response cannot stall Observe. The text
+// reaches w in chunks of scrapeChunk bytes; the first Write error ends
+// the scrape and is returned.
 func (st *Store) WritePrometheus(w io.Writer) error {
 	paths := st.Paths()
-	type pathRow struct {
-		id       string
-		total    uint64
-		errs     uint64
-		retained int
-		agg      Aggregate
-		last     Point
-		hasLast  bool
-		digest   Digest
-	}
 	rows := make([]pathRow, 0, len(paths))
 	for _, id := range paths {
-		// One locked read per path keeps every gauge in the row from
-		// the same epoch even while a monitor is feeding the store.
-		v, ok := st.view(id)
-		if !ok {
-			continue
+		if r, ok := st.pathRow(id); ok {
+			rows = append(rows, r)
 		}
-		r := pathRow{id: id, total: v.total, errs: v.errs, retained: len(v.pts),
-			agg: st.aggregate(v.pts), digest: v.digest}
-		for i := len(v.pts) - 1; i >= 0; i-- {
-			if v.pts[i].OK() {
-				r.last, r.hasLast = v.pts[i], true
-				break
-			}
+	}
+	var links []linkRow
+	for _, name := range st.Links() {
+		if r, ok := st.linkRow(name); ok {
+			links = append(links, r)
 		}
-		rows = append(rows, r)
 	}
 
-	var err error
-	emit := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	family := func(name, help, typ string, value func(pathRow) (float64, bool)) {
-		emit("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, r := range rows {
-			if v, ok := value(r); ok {
-				emit("%s{path=%q} %s\n", name, r.id, formatFloat(v))
+	buf := scrapeBufs.Get().(*[]byte)
+	e := exposition{w: w, buf: (*buf)[:0]}
+	for _, f := range pathFamilies {
+		e.family(f.name, f.help, f.typ)
+		for i := range rows {
+			if r := &rows[i]; !f.windowed || r.win.n > 0 {
+				e.series(f.name, "path", r.id, "", f.value(r))
 			}
 		}
 	}
-
-	family("pathload_availbw_samples_total", "Monitor rounds ever observed per path (retained and evicted).", "counter",
-		func(r pathRow) (float64, bool) { return float64(r.total), true })
-	family("pathload_availbw_errors_total", "Failed monitor rounds ever observed per path.", "counter",
-		func(r pathRow) (float64, bool) { return float64(r.errs), true })
-	family("pathload_availbw_retained_points", "Points currently held in the path's ring buffer.", "gauge",
-		func(r pathRow) (float64, bool) { return float64(r.retained), true })
-	family("pathload_availbw_lo_bps", "Latest measured avail-bw range lower bound Rmin, bits/s.", "gauge",
-		func(r pathRow) (float64, bool) { return r.last.Lo, r.hasLast })
-	family("pathload_availbw_hi_bps", "Latest measured avail-bw range upper bound Rmax, bits/s.", "gauge",
-		func(r pathRow) (float64, bool) { return r.last.Hi, r.hasLast })
-	family("pathload_availbw_mid_bps", "Latest mid-range avail-bw estimate, bits/s.", "gauge",
-		func(r pathRow) (float64, bool) { return r.last.Mid(), r.hasLast })
-	family("pathload_availbw_relvar", "Latest relative variation rho = (Rmax-Rmin)/mid (Eq. 12).", "gauge",
-		func(r pathRow) (float64, bool) { return r.last.RelVar(), r.hasLast })
-	family("pathload_availbw_window_min_bps", "Minimum Rmin across the retained window, bits/s.", "gauge",
-		func(r pathRow) (float64, bool) { return r.agg.MinLo, r.agg.Digest != nil })
-	family("pathload_availbw_window_max_bps", "Maximum Rmax across the retained window, bits/s.", "gauge",
-		func(r pathRow) (float64, bool) { return r.agg.MaxHi, r.agg.Digest != nil })
-	family("pathload_availbw_window_mean_bps", "Mean mid-range estimate across the retained window, bits/s.", "gauge",
-		func(r pathRow) (float64, bool) { return r.agg.MeanMid, r.agg.Digest != nil })
-	family("pathload_availbw_window_relvar", "Windowed relative variation of the retained series (long-timescale rho).", "gauge",
-		func(r pathRow) (float64, bool) { return r.agg.RelVar, r.agg.Digest != nil })
-
 	// Quantile family last, summary-style: one series per path and
 	// quantile from the all-time digest.
-	name := "pathload_availbw_quantile_bps"
-	emit("# HELP %s Quantiles of the path's mid-range estimates over all time (digest).\n# TYPE %s gauge\n", name, name)
-	for _, r := range rows {
-		for _, q := range ExportQuantiles {
-			if v := r.digest.Quantile(q); !math.IsNaN(v) {
-				emit("%s{path=%q,quantile=%q} %s\n", name, r.id, trimFloat(q), formatFloat(v))
+	const quantiles = "pathload_availbw_quantile_bps"
+	e.family(quantiles, "Quantiles of the path's mid-range estimates over all time (digest).", "gauge")
+	for i := range rows {
+		for k, eq := range exportQuantiles {
+			if v := rows[i].quantiles[k]; !math.IsNaN(v) {
+				e.series(quantiles, "path", rows[i].id, eq.label, v)
 			}
 		}
 	}
-
-	// Per-link families (mesh fleets only): the shared backbone's own
-	// utilization, so a scrape shows which common hop a fleet loads.
-	type linkRow struct {
-		name  string
-		total uint64
-		last  LinkPoint
-	}
-	var lrows []linkRow
-	for _, l := range st.Links() {
-		last, ok := st.LinkLast(l)
-		if !ok {
-			continue
-		}
-		lrows = append(lrows, linkRow{name: l, total: st.LinkTotal(l), last: last})
-	}
-	linkFamily := func(name, help, typ string, value func(linkRow) float64) {
-		if len(lrows) == 0 {
-			return
-		}
-		emit("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, r := range lrows {
-			emit("%s{link=%q} %s\n", name, r.name, formatFloat(value(r)))
+	if len(links) > 0 {
+		for _, f := range linkFamilies {
+			e.family(f.name, f.help, f.typ)
+			for i := range links {
+				e.series(f.name, "link", links[i].name, "", f.value(&links[i]))
+			}
 		}
 	}
-	linkFamily("pathload_link_windows_total", "Utilization windows ever observed per mesh link.", "counter",
-		func(r linkRow) float64 { return float64(r.total) })
-	linkFamily("pathload_link_capacity_bps", "Mesh link capacity, bits/s.", "gauge",
-		func(r linkRow) float64 { return r.last.Capacity })
-	linkFamily("pathload_link_utilization", "Latest windowed mean utilization of the mesh link.", "gauge",
-		func(r linkRow) float64 { return r.last.Util })
-	linkFamily("pathload_link_load_bps", "Latest windowed mean carried load of the mesh link, bits/s.", "gauge",
-		func(r linkRow) float64 { return r.last.Load() })
-	linkFamily("pathload_link_availbw_bps", "Latest windowed spare capacity C*(1-u) of the mesh link, bits/s.", "gauge",
-		func(r linkRow) float64 { return r.last.AvailBw() })
+	err := e.finish()
+	*buf = e.buf
+	scrapeBufs.Put(buf)
 	return err
 }
 
-// formatFloat renders a sample value the way Prometheus clients expect.
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// An exposition accumulates exposition text and passes it to w a full
+// chunk at a time. Its error is sticky: after the first failed Write
+// it takes no more text and calls w no more.
+type exposition struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
 
-// trimFloat renders a quantile label without trailing zeros.
-func trimFloat(q float64) string { return strconv.FormatFloat(q, 'g', -1, 64) }
+// family starts a metric family.
+func (e *exposition) family(name, help, typ string) {
+	if e.err != nil {
+		return
+	}
+	e.buf = append(append(append(append(e.buf, "# HELP "...), name...), ' '), help...)
+	e.buf = append(append(append(append(e.buf, "\n# TYPE "...), name...), ' '), typ...)
+	e.buf = append(e.buf, '\n')
+	e.spill()
+}
+
+// series adds one sample line.
+func (e *exposition) series(name, labelKey, labelValue, moreLabels string, v float64) {
+	if e.err != nil {
+		return
+	}
+	e.buf = appendSeries(e.buf, name, labelKey, labelValue, moreLabels, v)
+	e.spill()
+}
+
+// spill writes out the full chunks the buffer holds and keeps the rest.
+func (e *exposition) spill() {
+	for len(e.buf) >= scrapeChunk && e.err == nil {
+		_, e.err = e.w.Write(e.buf[:scrapeChunk])
+		e.buf = e.buf[:copy(e.buf, e.buf[scrapeChunk:])]
+	}
+}
+
+// finish writes the last, partial chunk and reports the scrape's error.
+func (e *exposition) finish() error {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	return e.err
+}
+
+// appendSeries appends the sample line name{labelKey="labelValue"} v,
+// the value quoted as fmt's %q quotes it and v as Prometheus clients
+// expect it. moreLabels, when not empty, is further labels already
+// rendered, leading comma included.
+func appendSeries(b []byte, name, labelKey, labelValue, moreLabels string, v float64) []byte {
+	b = append(append(append(append(b, name...), '{'), labelKey...), '=')
+	b = append(strconv.AppendQuote(b, labelValue), moreLabels...)
+	b = append(b, '}', ' ')
+	return append(strconv.AppendFloat(b, v, 'g', -1, 64), '\n')
+}
+
+// MRTGStep is the default exposition bucket for the MRTG-style
+// rendering: the paper reads its verification graphs in 6 Mb/s buckets
+// (§V-B, "MRTG readings are given as 6-Mb/s ranges").
+const MRTGStep = 6e6
 
 // WriteMRTG renders one path's retained series in the shape of the
 // paper's MRTG verification tables (§V-B): one row per point, the
@@ -321,11 +455,9 @@ func (st *Store) seriesJSON(id string) seriesJSON {
 		MinLo: agg.MinLo, MaxHi: agg.MaxHi, MeanMid: agg.MeanMid,
 		MeanRelVar: agg.MeanRelVar, RelVar: agg.RelVar,
 	}
-	qs := append([]float64(nil), ExportQuantiles...)
-	sort.Float64s(qs)
-	for _, q := range qs {
-		if val := v.digest.Quantile(q); !math.IsNaN(val) {
-			s.Quantiles = append(s.Quantiles, qtJSON{Q: q, V: val})
+	for _, eq := range exportQuantiles {
+		if val := v.digest.Quantile(eq.q); !math.IsNaN(val) {
+			s.Quantiles = append(s.Quantiles, qtJSON{Q: eq.q, V: val})
 		}
 	}
 	for _, p := range v.pts {

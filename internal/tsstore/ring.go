@@ -58,11 +58,19 @@ func (r *ring[T]) last() (v T, ok bool) {
 	return r.at(r.n - 1), true
 }
 
+// segments returns the retained values in place, oldest first, as the
+// two runs a wrapped ring stores them in (b is empty until the ring
+// wraps). Both alias the ring's storage, so they are only good for as
+// long as the caller keeps writers out.
+func (r *ring[T]) segments() (a, b []T) {
+	if end := r.head + r.n; end > len(r.buf) {
+		return r.buf[r.head:], r.buf[:end-len(r.buf)]
+	}
+	return r.buf[r.head : r.head+r.n], nil
+}
+
 // snapshot copies the retained values, oldest first.
 func (r *ring[T]) snapshot() []T {
-	out := make([]T, r.n)
-	for i := range out {
-		out[i] = r.at(i)
-	}
-	return out
+	a, b := r.segments()
+	return append(append(make([]T, 0, r.n), a...), b...)
 }

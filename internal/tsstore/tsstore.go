@@ -411,28 +411,16 @@ func (st *Store) RelVar(path string, window time.Duration) (rho float64, ok bool
 	if window > 0 {
 		from = se.at(se.n-1).At - window
 	}
-	var minLo, maxHi float64
-	seen := false
+	var w windowSum
 	for i := 0; i < se.n; i++ {
-		p := se.at(i)
-		if !p.OK() || p.At < from {
-			continue
+		if p := se.at(i); p.OK() && p.At >= from {
+			w.add(p.Lo, p.Hi)
 		}
-		if !seen {
-			minLo, maxHi, seen = p.Lo, p.Hi, true
-			continue
-		}
-		minLo = math.Min(minLo, p.Lo)
-		maxHi = math.Max(maxHi, p.Hi)
 	}
-	if !seen {
+	if w.n == 0 {
 		return 0, false
 	}
-	c := (maxHi + minLo) / 2
-	if c == 0 {
-		return 0, true
-	}
-	return (maxHi - minLo) / c, true
+	return w.relVar(), true
 }
 
 // Quantile returns the q-th quantile of the path's mid-range avail-bw
@@ -530,34 +518,65 @@ func (a Aggregate) Quantile(q float64) float64 {
 func AggregatePoints(pts []Point, digestSize int) Aggregate {
 	var a Aggregate
 	a.Count = len(pts)
-	var sumLo, sumHi, sumMid, sumRho float64
-	ok := 0
+	var w windowSum
+	var sumLo, sumHi, sumRho float64
 	for _, p := range pts {
 		if !p.OK() {
 			a.Errors++
 			continue
 		}
-		if ok == 0 {
-			a.First, a.MinLo, a.MaxHi = p.At, p.Lo, p.Hi
+		if w.n == 0 {
+			a.First = p.At
 			a.Digest = NewDigest(digestSize)
 		}
 		a.Last = p.At
-		a.MinLo = math.Min(a.MinLo, p.Lo)
-		a.MaxHi = math.Max(a.MaxHi, p.Hi)
+		w.add(p.Lo, p.Hi)
 		sumLo += p.Lo
 		sumHi += p.Hi
-		sumMid += p.Mid()
 		sumRho += p.RelVar()
 		a.Digest.Add(p.Mid())
-		ok++
 	}
-	if ok > 0 {
-		n := float64(ok)
-		a.MeanLo, a.MeanHi, a.MeanMid = sumLo/n, sumHi/n, sumMid/n
-		a.MeanRelVar = sumRho / n
-		if c := (a.MaxHi + a.MinLo) / 2; c != 0 {
-			a.RelVar = (a.MaxHi - a.MinLo) / c
-		}
+	if w.n > 0 {
+		n := float64(w.n)
+		a.MinLo, a.MaxHi, a.MeanMid, a.RelVar = w.minLo, w.maxHi, w.meanMid(), w.relVar()
+		a.MeanLo, a.MeanHi, a.MeanRelVar = sumLo/n, sumHi/n, sumRho/n
 	}
 	return a
+}
+
+// A windowSum accumulates the §VI-B summary of a run of successful points
+// one range at a time: the widest [MinLo, MaxHi] visited, the mean
+// mid-range estimate and the windowed ρ. AggregatePoints, the scrape
+// row and Store.RelVar all feed this one accumulator, so the order of
+// the floating-point sums — and with it every rendered byte — is the
+// same wherever a window is summarized.
+type windowSum struct {
+	n            int     // ranges fed
+	minLo, maxHi float64 // meaningful once n > 0
+	sumMid       float64
+}
+
+// add feeds one successful point's range.
+func (w *windowSum) add(lo, hi float64) {
+	if w.n == 0 {
+		w.minLo, w.maxHi = lo, hi
+	} else {
+		w.minLo = math.Min(w.minLo, lo)
+		w.maxHi = math.Max(w.maxHi, hi)
+	}
+	w.sumMid += (lo + hi) / 2
+	w.n++
+}
+
+// meanMid is the mean range centre; the caller checks n > 0.
+func (w *windowSum) meanMid() float64 { return w.sumMid / float64(w.n) }
+
+// relVar is the windowed relative variation (MaxHi−MinLo) over the
+// window centre, 0 for a zero-centre window.
+func (w *windowSum) relVar() float64 {
+	c := (w.maxHi + w.minLo) / 2
+	if c == 0 {
+		return 0
+	}
+	return (w.maxHi - w.minLo) / c
 }
