@@ -28,15 +28,17 @@ func TestRunAllocationBudget(t *testing.T) {
 	// The counter is process-wide, so the simulator must be past its own
 	// amortised growth before the one measured run. The first run sizes
 	// the prober's arena and most freelists, but a link's in-service ring
-	// and the event freelist still double once each on the third and
-	// fourth (a per-site MemProfileRate = 1 diff of each run shows
-	// netsim.(*ring).push and eventq.(*Queue).Schedule and nothing under
-	// Run beyond the formula); the simulation is seeded, so which run
-	// pays is fixed. Three warm-ups plus AllocsPerRun's own make the
-	// measured run the fifth, the first of a long clean stretch. If this
-	// fails after simulated timing moved, take that profile before
-	// touching the count.
-	for range 3 {
+	// holds its peak backlog and nothing more, so a new peak doubles one:
+	// on the third, fourth and fifth runs here, with the event freelist
+	// growing on the fourth (a per-site MemProfileRate = 1 diff of each
+	// run shows netsim.(*ring).push under Link.arrive and
+	// eventq.(*Queue).ScheduleReserved, and nothing under Run beyond the
+	// formula); the simulation is seeded, so which run pays is fixed.
+	// Four warm-ups plus AllocsPerRun's own make the measured run the
+	// sixth, which is clean (the next growth is four fresh packets on the
+	// seventh and a doubling on the ninth). If this fails after simulated
+	// timing moved, take that profile before touching the count.
+	for range 4 {
 		run()
 	}
 	allocs := testing.AllocsPerRun(1, run)

@@ -9,15 +9,34 @@
 // cancelled events are recycled through a freelist, so steady-state
 // Schedule allocates nothing, and the heap is a flat quaternary heap
 // (no container/heap interface dispatch, half the levels of a binary
-// heap), which is where a discrete-event core spends most of its time.
+// heap) whose slots carry the (time, order) key beside the event
+// pointer, so sifting — where a discrete-event core spends most of its
+// time — compares without dereferencing events.
+//
+// The heap is also kept short. A FIFO producer (a link's transmission
+// stage, a periodic probe stream) has many events outstanding but only
+// its oldest can be the next to fire, so it is a lane: it takes an
+// order ticket per event where it would have called Schedule (Reserve)
+// and enqueues each one under its ticket (ScheduleReserved) only when
+// the one before it has fired. The firing order is unchanged, because
+//
+//  1. order is (time, ticket) and nothing else, and tickets are taken
+//     at the same points in the same sequence as Schedule would;
+//  2. a lane's events have non-decreasing times and increasing tickets,
+//     so none of them precedes the lane's head;
+//  3. the earliest event overall is therefore a plain event or some
+//     lane's head — both in the heap — and Pop returns the same event
+//     either way.
+//
+// TestLaneOrderEquivalence holds this as a property.
 package eventq
 
 // An Event is a callback scheduled at a point in simulated time. Event
 // structs are owned by their Queue and recycled after they fire or are
-// cancelled; external code holds Handles, never *Events.
+// cancelled; external code holds Handles, never *Events. The ordering
+// key lives in the event's heap slot, not here.
 type Event struct {
 	at    int64
-	seq   uint64
 	fn    func()
 	index int    // heap index; -1 once popped or cancelled
 	gen   uint32 // bumped on recycle, invalidating stale Handles
@@ -58,16 +77,31 @@ func (h Handle) At() (at int64, ok bool) {
 	return h.e.at, true
 }
 
+// A slot is one heap entry: the event's ordering key beside its
+// pointer, so sifting compares keys without dereferencing events.
+type slot struct {
+	at  int64
+	seq uint64
+	e   *Event
+}
+
+// before orders slots by (at, seq): activation time, scheduling order.
+func (a slot) before(b slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
 // A Queue is a time-ordered event queue. The zero value is ready to use.
 // Queue is not safe for concurrent use; the simulator is single-threaded
 // by design so that runs are reproducible.
 type Queue struct {
-	h    []*Event
+	h    []slot
 	seq  uint64
 	free []*Event
 }
 
-// Len returns the number of pending events.
+// Len returns the number of heap entries: pending events, where a lane
+// (see Reserve) counts as one however many of its tickets are still to
+// be enqueued. Zero still means nothing is left to fire.
 func (q *Queue) Len() int { return len(q.h) }
 
 // Schedule enqueues fn to run at time at and returns a handle that can
@@ -76,6 +110,22 @@ func (q *Queue) Len() int { return len(q.h) }
 // time travel separately. Steady state, Schedule is allocation-free:
 // it reuses events recycled by Recycle and Cancel.
 func (q *Queue) Schedule(at int64, fn func()) Handle {
+	return q.ScheduleReserved(at, q.Reserve(1), fn)
+}
+
+// Reserve takes the next n scheduling-order numbers and returns the
+// first: the caller may enqueue one event under each of them later,
+// with ScheduleReserved, and it fires exactly where a Schedule made now
+// would have put it. Lanes (see the package comment) are built on this.
+func (q *Queue) Reserve(n int) uint64 {
+	seq := q.seq
+	q.seq += uint64(n)
+	return seq
+}
+
+// ScheduleReserved is Schedule under an order number taken earlier with
+// Reserve. Each reserved number may be used at most once.
+func (q *Queue) ScheduleReserved(at int64, seq uint64, fn func()) Handle {
 	var e *Event
 	if n := len(q.free); n > 0 {
 		e = q.free[n-1]
@@ -84,11 +134,9 @@ func (q *Queue) Schedule(at int64, fn func()) Handle {
 	} else {
 		e = &Event{}
 	}
-	e.at, e.seq, e.fn = at, q.seq, fn
-	q.seq++
-	q.h = append(q.h, e)
-	e.index = len(q.h) - 1
-	q.up(e.index)
+	e.at, e.fn = at, fn
+	q.h = append(q.h, slot{at: at, seq: seq, e: e})
+	q.up(len(q.h) - 1)
 	return Handle{e: e, gen: e.gen}
 }
 
@@ -121,7 +169,7 @@ func (q *Queue) Pop() *Event {
 	if len(q.h) == 0 {
 		return nil
 	}
-	e := q.h[0]
+	e := q.h[0].e
 	q.remove(0)
 	return e
 }
@@ -139,77 +187,61 @@ func (q *Queue) Recycle(e *Event) {
 	q.free = append(q.free, e)
 }
 
-// less orders events by (at, seq): activation time, scheduling order.
-func (q *Queue) less(i, j int) bool {
-	a, b := q.h[i], q.h[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // remove takes the event at heap index i out of the heap, leaving its
 // index at -1.
 func (q *Queue) remove(i int) {
 	n := len(q.h) - 1
-	e := q.h[i]
-	if i != n {
-		q.h[i] = q.h[n]
-		q.h[i].index = i
-	}
-	q.h[n] = nil
+	q.h[i].e.index = -1
+	last := q.h[n]
+	q.h[n] = slot{}
 	q.h = q.h[:n]
-	e.index = -1
 	if i < n {
+		q.h[i] = last
 		q.down(i)
 		q.up(i)
 	}
 }
 
-// up sifts the event at index i toward the root of the 4-ary heap.
+// up sifts the slot at index i toward the root of the 4-ary heap.
 func (q *Queue) up(i int) {
-	e := q.h[i]
+	s := q.h[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
 		p := q.h[parent]
-		if p.at < e.at || (p.at == e.at && p.seq < e.seq) {
+		if p.before(s) {
 			break
 		}
 		q.h[i] = p
-		p.index = i
+		p.e.index = i
 		i = parent
 	}
-	q.h[i] = e
-	e.index = i
+	q.h[i] = s
+	s.e.index = i
 }
 
-// down sifts the event at index i toward the leaves of the 4-ary heap.
+// down sifts the slot at index i toward the leaves of the 4-ary heap.
 func (q *Queue) down(i int) {
-	e := q.h[i]
+	s := q.h[i]
 	n := len(q.h)
 	for {
 		first := i<<2 + 1
 		if first >= n {
 			break
 		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if q.less(c, min) {
-				min = c
+		least := first
+		for c, last := first+1, min(first+4, n); c < last; c++ {
+			if q.h[c].before(q.h[least]) {
+				least = c
 			}
 		}
-		m := q.h[min]
-		if e.at < m.at || (e.at == m.at && e.seq < m.seq) {
+		m := q.h[least]
+		if s.before(m) {
 			break
 		}
 		q.h[i] = m
-		m.index = i
-		i = min
+		m.e.index = i
+		i = least
 	}
-	q.h[i] = e
-	e.index = i
+	q.h[i] = s
+	s.e.index = i
 }

@@ -1,0 +1,58 @@
+package netsim_test
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/crosstraffic"
+	"repro/internal/experiments"
+	"repro/internal/netsim"
+	"repro/internal/simprobe"
+
+	pathload "repro"
+)
+
+// TestHeapDepthBounded is the structural half of the simulator's speed,
+// the half CI hardware can hold: the event heap carries one entry per
+// cross-traffic source (its next arrival), at most two per link (the
+// heads of its in-service and propagation lanes) and one per probe
+// stream in flight — never one per packet. With a heap entry per packet
+// a 50 ms propagation delay alone parks rate × 50 ms of them there, and
+// a stream its K injections: hundreds on either topology below.
+func TestHeapDepthBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		topo experiments.Topology
+	}{
+		// The fleet tier's shard: one link carries the whole 50 ms.
+		{"one-hop shard", experiments.Topology{Hops: 1, TightCap: 24e6, TightUtil: 0.75, SourcesPerHop: 4, Model: crosstraffic.ModelCBR, Seed: 1}},
+		{"default 5-hop", experiments.Topology{Seed: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := tc.topo.Build()
+			links := len(net.Links)
+			bound := links*net.Topo.SourcesPerHop + 2*links + 1 // + the stream's lane
+
+			// Sampled from inside the event loop, at every transmission on
+			// every link, so mid-stream depth is seen as it happens.
+			peak := 0
+			for _, l := range net.Links {
+				l.OnTransmit(func(*netsim.Packet, netsim.Time) { peak = max(peak, net.Sim.Pending()) })
+			}
+			net.Warmup(3 * netsim.Second)
+			p := simprobe.New(net.Sim, net.Links, 10*netsim.Millisecond)
+			spec := pathload.StreamSpec{Rate: 3e6, K: 100, L: 375, T: time.Millisecond}
+			for i := 0; i < 3; i++ {
+				if res, err := p.SendStream(spec); err != nil || len(res.OWDs) != spec.K {
+					t.Fatalf("stream delivered %d/%d packets, err %v", len(res.OWDs), spec.K, err)
+				}
+			}
+			if peak > bound {
+				t.Fatalf("event heap reached %d entries; want at most %d = %d sources + 2·%d links + 1 stream", peak, bound, links*net.Topo.SourcesPerHop, links)
+			}
+			if peak < links {
+				t.Fatalf("event heap never held more than %d entries; the sampling measures nothing", peak)
+			}
+		})
+	}
+}

@@ -24,10 +24,13 @@ type LinkCounters struct {
 // line for 8·Size/Capacity seconds; the packet then arrives at the next
 // hop after the propagation delay.
 //
-// The per-packet event path is allocation-free: because service and
+// The per-packet event path is allocation-free and costs the event heap
+// two entries per link, not two per packet: because service and
 // propagation complete in FIFO order per link, the link keeps its
-// in-flight packets in two rings and schedules two prebound callbacks
-// (no per-packet closures), each of which pops its ring's head.
+// in-flight packets in two rings, each a lane of the event queue (see
+// the package comment). A packet takes its order ticket where it enters
+// a ring, only the ring's head is ever enqueued, and the two prebound
+// callbacks (no per-packet closures) pop the head and enqueue the next.
 type Link struct {
 	sim      *Simulator
 	name     string
@@ -41,8 +44,9 @@ type Link struct {
 	ctr LinkCounters
 
 	// inService and propagating are FIFO rings of packets being
-	// transmitted and in flight to the next hop; their heads are popped
-	// by txDoneFn and propFn, bound once at NewLink.
+	// transmitted and in flight to the next hop; their heads are the
+	// link's (at most) two heap entries, popped by txDoneFn and propFn,
+	// bound once at NewLink.
 	inService   ring[txRec]
 	propagating ring[propRec]
 	txDoneFn    func()
@@ -100,18 +104,21 @@ func (l *Link) Impair(cfg Impairment) {
 	l.impair = &impairState{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// txRec is one packet in service: its transmission time and completion
-// instant, recorded at arrival so the completion callback needs no
-// closure state.
+// txRec is one packet in service: its transmission time, completion
+// instant and order ticket, recorded at arrival so the completion
+// callback needs no closure state.
 type txRec struct {
 	pkt      *Packet
 	tx, done Time
+	seq      uint64
 }
 
-// propRec is one packet propagating toward the next hop.
+// propRec is one packet propagating toward the next hop, with its
+// arrival instant and order ticket.
 type propRec struct {
 	pkt *Packet
 	at  Time
+	seq uint64
 }
 
 // NewLink creates a link attached to sim. capacity is in bits per
@@ -181,12 +188,12 @@ func (l *Link) arrive(pkt *Packet, at Time) {
 	l.ctr.PktsIn++
 	if imp := l.impair; imp != nil && imp.cfg.Loss > 0 && imp.rng.Float64() < imp.cfg.Loss {
 		// Wire erasure: the packet vanishes before this hop's queue.
-		// Like a buffer drop the sink is never invoked, but the loss is
-		// counted separately and drop observers stay buffer-only.
+		// Like a buffer drop the sink is never invoked, so a pooled
+		// packet goes back to the freelist whoever was waiting for it;
+		// the loss is counted separately and drop observers stay
+		// buffer-only.
 		l.ctr.RandLoss++
-		if pkt.sink == nil {
-			l.sim.FreePacket(pkt)
-		}
+		l.sim.FreePacket(pkt)
 		return
 	}
 	if l.buf > 0 && l.queued+pkt.Size > l.buf {
@@ -195,9 +202,7 @@ func (l *Link) arrive(pkt *Packet, at Time) {
 		for _, fn := range l.onDrop {
 			fn(pkt, at)
 		}
-		if pkt.sink == nil {
-			l.sim.FreePacket(pkt)
-		}
+		l.sim.FreePacket(pkt)
 		return
 	}
 	l.queued += pkt.Size
@@ -208,15 +213,24 @@ func (l *Link) arrive(pkt *Packet, at Time) {
 	tx := l.TxTime(pkt.Size)
 	done := start + tx
 	l.busyUntil = done
-	l.inService.push(txRec{pkt: pkt, tx: tx, done: done})
-	l.sim.Schedule(done, l.txDoneFn)
+	seq := l.sim.Reserve(1)
+	l.inService.push(txRec{pkt: pkt, tx: tx, done: done, seq: seq})
+	if l.inService.len() == 1 {
+		l.sim.ScheduleReserved(done, seq, l.txDoneFn)
+	}
 }
 
 // txDone completes the head of the in-service ring. Completions are
 // FIFO because busyUntil never decreases, so the ring head is always
-// the packet whose event is firing.
+// the packet whose event is firing. The next head is enqueued before
+// anything else runs, so an arrival this completion causes finds the
+// lane armed.
 func (l *Link) txDone() {
 	rec := l.inService.pop()
+	if l.inService.len() > 0 {
+		next := l.inService.peek()
+		l.sim.ScheduleReserved(next.done, next.seq, l.txDoneFn)
+	}
 	pkt := rec.pkt
 	l.queued -= pkt.Size
 	l.ctr.PktsOut++
@@ -225,49 +239,81 @@ func (l *Link) txDone() {
 	for _, fn := range l.onTransmit {
 		fn(pkt, rec.done)
 	}
+	// The reorder draw is taken for every transmitted packet, before the
+	// dead-end check, so the link's RNG stream and its Reordered counter
+	// do not depend on who observes the delivery.
+	reorder := false
 	if imp := l.impair; imp != nil && imp.cfg.Reorder > 0 && imp.rng.Float64() < imp.cfg.Reorder {
+		reorder = true
+		l.ctr.Reordered++
+	}
+	if pkt.deadEnd() {
+		// Nobody observes the delivery, so the packet leaves the network
+		// here instead of propagating to a nil sink: one event and one
+		// heap entry less per cross-traffic packet, and no effect on any
+		// other event.
+		l.sim.FreePacket(pkt)
+		return
+	}
+	if reorder {
 		// Reordered delivery: this packet bypasses the FIFO propagation
 		// ring (whose invariant is constant per-link latency) and takes
 		// its own event at prop + ReorderDelay, arriving behind packets
-		// transmitted after it. The closure allocation is confined to
-		// impaired packets, keeping the unimpaired hot path alloc-free.
-		l.ctr.Reordered++
-		at := rec.done + l.prop + imp.cfg.ReorderDelay
+		// transmitted after it. The closure allocation and the heap
+		// entry are confined to impaired packets, keeping the unimpaired
+		// hot path alloc-free.
+		at := rec.done + l.prop + l.impair.cfg.ReorderDelay
 		l.sim.Schedule(at, func() { pkt.forward(l.sim, at) })
 		return
 	}
 	if l.prop == 0 {
 		pkt.forward(l.sim, rec.done)
-	} else {
-		l.propagating.push(propRec{pkt: pkt, at: rec.done + l.prop})
-		l.sim.Schedule(rec.done+l.prop, l.propFn)
+		return
+	}
+	seq := l.sim.Reserve(1)
+	l.propagating.push(propRec{pkt: pkt, at: rec.done + l.prop, seq: seq})
+	if l.propagating.len() == 1 {
+		l.sim.ScheduleReserved(rec.done+l.prop, seq, l.propFn)
 	}
 }
 
-// propArrive delivers the head of the propagation ring to the next hop.
-// Arrivals are FIFO because completion times are nondecreasing and the
-// propagation delay is constant per link.
+// propArrive delivers the head of the propagation ring to the next hop,
+// after enqueuing the ring's next head. Arrivals are FIFO because
+// completion times are nondecreasing and the propagation delay is
+// constant per link.
 func (l *Link) propArrive() {
 	rec := l.propagating.pop()
+	if l.propagating.len() > 0 {
+		next := l.propagating.peek()
+		l.sim.ScheduleReserved(next.at, next.seq, l.propFn)
+	}
 	rec.pkt.forward(l.sim, rec.at)
 }
 
-// ring is an amortized allocation-free FIFO queue.
+// ring is a FIFO queue on circular power-of-two storage that doubles
+// when full: it holds the peak backlog and nothing more, so steady
+// state allocates nothing.
 type ring[T any] struct {
-	buf  []T
-	head int
+	buf  []T // len is zero or a power of two
+	head int // index of the oldest element
+	n    int // elements held
 }
 
-// push appends v, compacting the dead head region first when it
-// dominates the buffer.
+func (r *ring[T]) len() int { return r.n }
+
+// peek returns the oldest element in place; the ring must not be empty.
+func (r *ring[T]) peek() *T { return &r.buf[r.head] }
+
+// push appends v, doubling the storage first when it is full.
 func (r *ring[T]) push(v T) {
-	if r.head > 64 && r.head > len(r.buf)/2 {
-		n := copy(r.buf, r.buf[r.head:])
-		clear(r.buf[n:])
-		r.buf = r.buf[:n]
-		r.head = 0
+	if r.n == len(r.buf) {
+		buf := make([]T, max(4, 2*len(r.buf)))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
 	}
-	r.buf = append(r.buf, v)
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
 }
 
 // pop removes and returns the oldest element.
@@ -275,10 +321,7 @@ func (r *ring[T]) pop() T {
 	v := r.buf[r.head]
 	var zero T
 	r.buf[r.head] = zero
-	r.head++
-	if r.head == len(r.buf) {
-		r.buf = r.buf[:0]
-		r.head = 0
-	}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
 	return v
 }

@@ -23,10 +23,14 @@ type Packet struct {
 
 // NewPacket returns a packet from the simulator's freelist (or a fresh
 // one), for allocation-free per-packet hot paths. Ownership rules: a
-// pooled packet injected with a nil sink is recycled automatically when
-// it leaves the network (delivery or drop); with a non-nil sink,
-// ownership passes to the sink, which may return it with FreePacket
-// once it no longer holds any reference (including Payload).
+// pooled packet that is dropped at a full buffer or erased by a loss
+// impairment is recycled by the link, sink or no sink — nobody else
+// ever sees it again. One that is delivered is recycled automatically
+// when it was injected with a nil sink (on finishing transmission on
+// its last link: a delivery nobody observes is not simulated); with a
+// non-nil sink, ownership passes to the sink, which may return it with
+// FreePacket once it no longer holds any reference (including Payload).
+// Drop observers (Link.OnDrop) must not keep the packet.
 func (s *Simulator) NewPacket() *Packet {
 	if n := len(s.pktFree); n > 0 {
 		pkt := s.pktFree[n-1]
@@ -70,6 +74,13 @@ func (s *Simulator) Inject(pkt *Packet, route []*Link, sink Sink) {
 		return
 	}
 	route[0].arrive(pkt, s.now)
+}
+
+// deadEnd reports whether the packet is on the last link of its route
+// with nobody to deliver it to: forwarding it from here could only free
+// it, so the link frees it at end of transmission instead.
+func (pkt *Packet) deadEnd() bool {
+	return pkt.sink == nil && pkt.hop == len(pkt.route)-1
 }
 
 // forward moves the packet to its next hop, or delivers it to the sink

@@ -96,6 +96,11 @@ type stream struct {
 	size    int    // wire size of each packet
 	sent    int    // packets injected so far
 	got     int    // slots of owd filled so far
+	// The injections are one lane of the event queue: packet i fires at
+	// start + i·period under order ticket seq0 + i, and only the next
+	// one is ever enqueued (see send).
+	start, period netsim.Time
+	seq0          uint64
 	// owd holds the stream's one-way delays by sequence number; −1
 	// marks a packet that has not arrived (a measured delay is never
 	// negative).
@@ -123,12 +128,25 @@ func (st *stream) open(firstID uint64, k, size int) {
 	st.firstID, st.k, st.size, st.sent, st.got = firstID, k, size, 0, 0
 }
 
-// fire injects the stream's next packet.
+// send starts the open stream's injections, one period apart from
+// start. It takes all k order tickets now — the injections fire exactly
+// where k events scheduled here would — and enqueues only the first;
+// fire arms the rest one at a time.
+func (st *stream) send(start, period netsim.Time) {
+	st.start, st.period, st.seq0 = start, period, st.sim.Reserve(st.k)
+	st.sim.ScheduleReserved(start, st.seq0, st.fireFn)
+}
+
+// fire injects the stream's next packet, arming the injection after it
+// first.
 func (st *stream) fire() {
 	pkt := st.sim.NewPacket()
 	pkt.ID = st.firstID + uint64(st.sent)
 	pkt.Size = st.size
 	st.sent++
+	if st.sent < st.k {
+		st.sim.ScheduleReserved(st.start+netsim.Time(st.sent)*st.period, st.seq0+uint64(st.sent), st.fireFn)
+	}
 	st.sim.Inject(pkt, st.route, st.arriveFn)
 }
 
@@ -160,7 +178,7 @@ func (st *stream) collect(clockOffset time.Duration) []pathload.OWDSample {
 	return out
 }
 
-// SendStream schedules the K packet injections of one periodic stream,
+// SendStream starts the K packet injections of one periodic stream,
 // runs the simulation until every packet has arrived or timed out, and
 // returns the per-packet relative OWDs, which stay valid until the
 // prober's next SendStream.
@@ -173,9 +191,7 @@ func (p *Prober) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, er
 	sim := p.begin()
 	start := sim.Now()
 	p.st.open(p.slot.seq.reservePktIDs(spec.K), spec.K, spec.L)
-	for i := 0; i < spec.K; i++ {
-		sim.Schedule(start+netsim.Time(i)*period, p.st.fireFn)
-	}
+	p.st.send(start, period)
 	// The stream finishes sending at start + K·T; give arrivals until
 	// the base path delay plus a generous queueing allowance. The K-th
 	// arrival ends the wait early.
