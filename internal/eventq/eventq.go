@@ -161,6 +161,10 @@ func (q *Queue) PeekTime() (at int64, ok bool) {
 	return q.h[0].at, true
 }
 
+// PeekTicket returns the order ticket of the earliest pending event,
+// the other half of its (time, ticket) key. The queue must not be empty.
+func (q *Queue) PeekTicket() uint64 { return q.h[0].seq }
+
 // Pop removes and returns the earliest pending event. The caller is
 // responsible for invoking its callback via Fire and then returning the
 // event to the queue with Recycle. Pop returns nil if the queue is

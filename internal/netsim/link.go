@@ -3,6 +3,8 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/eventq"
 )
 
 // LinkCounters is a snapshot of a link's cumulative activity, used by
@@ -31,6 +33,16 @@ type LinkCounters struct {
 // the package comment). A packet takes its order ticket where it enters
 // a ring, only the ring's head is ever enqueued, and the two prebound
 // callbacks (no per-packet closures) pop the head and enqueue the next.
+//
+// A completion is an event only when somebody waits for it: a next hop,
+// a sink, an OnTransmit observer. The completion of a dead-end packet
+// on an unobserved link changes nothing but this link's own counters,
+// queue occupancy and reorder draws, so its record is lazy: it takes
+// its ticket at arrival like any other and stays in the ring, but the
+// lane skips it, and settle retires it — the bookkeeping txDone would
+// have done — the next time anything reads or changes that state, if
+// its (done, ticket) precedes the simulator's position in the event
+// order by then. What a reader sees is what firing it would have left.
 type Link struct {
 	sim      *Simulator
 	name     string
@@ -44,11 +56,16 @@ type Link struct {
 	ctr LinkCounters
 
 	// inService and propagating are FIFO rings of packets being
-	// transmitted and in flight to the next hop; their heads are the
-	// link's (at most) two heap entries, popped by txDoneFn and propFn,
-	// bound once at NewLink.
+	// transmitted and in flight to the next hop; the first live record
+	// of the one and the head of the other are the link's (at most) two
+	// heap entries, fired into txDoneFn and propFn, bound once at
+	// NewLink. live counts the in-service records that are not lazy, so
+	// the tx lane is armed exactly while it is positive, and txArmed
+	// names its heap entry for OnTransmit to move.
 	inService   ring[txRec]
 	propagating ring[propRec]
+	live        int
+	txArmed     eventq.Handle
 	txDoneFn    func()
 	propFn      func()
 
@@ -86,7 +103,9 @@ type impairState struct {
 // loss/reordering impairment. Reordered packets take a one-off
 // scheduled event instead of the allocation-free propagation ring, so
 // only impaired traffic pays for the flexibility. Out-of-range
-// probabilities panic, like the NewLink parameter checks.
+// probabilities panic, like the NewLink parameter checks. Completions
+// that precede the call draw under the configuration they completed
+// under: the link settles before the new one is installed.
 func (l *Link) Impair(cfg Impairment) {
 	if cfg.Loss < 0 || cfg.Loss >= 1 || cfg.Reorder < 0 || cfg.Reorder >= 1 {
 		panic(fmt.Sprintf("netsim: link %q: impairment probabilities loss=%v reorder=%v outside [0, 1)", l.name, cfg.Loss, cfg.Reorder))
@@ -97,6 +116,7 @@ func (l *Link) Impair(cfg Impairment) {
 	if cfg.ReorderDelay < 0 {
 		panic(fmt.Sprintf("netsim: link %q: negative ReorderDelay %v", l.name, cfg.ReorderDelay))
 	}
+	l.settle()
 	if cfg.Loss == 0 && cfg.Reorder == 0 {
 		l.impair = nil
 		return
@@ -106,7 +126,8 @@ func (l *Link) Impair(cfg Impairment) {
 
 // txRec is one packet in service: its transmission time, completion
 // instant and order ticket, recorded at arrival so the completion
-// callback needs no closure state.
+// callback needs no closure state. A lazy record's completion is not an
+// event: settle retires it (see Link).
 type txRec struct {
 	pkt      *Packet
 	tx, done Time
@@ -150,16 +171,43 @@ func (l *Link) PropDelay() Time { return l.prop }
 // Buffer returns the drop-tail queue limit in bytes (0 = unbounded).
 func (l *Link) Buffer() int { return l.buf }
 
-// QueuedBytes returns the bytes currently queued or in service.
-func (l *Link) QueuedBytes() int { return l.queued }
+// QueuedBytes returns the bytes currently queued or in service. It
+// settles first, like Counters.
+func (l *Link) QueuedBytes() int {
+	l.settle()
+	return l.queued
+}
 
-// Counters returns a snapshot of the link's cumulative counters.
-func (l *Link) Counters() LinkCounters { return l.ctr }
+// Counters returns a snapshot of the link's cumulative counters. It
+// settles first — completions the link kept out of the event heap are
+// accounted up to the simulator's position in the event order — so it
+// is a write to the link and, like everything else on a simulator,
+// belongs to the simulator's goroutine.
+func (l *Link) Counters() LinkCounters {
+	l.settle()
+	return l.ctr
+}
 
 // OnTransmit registers an observer invoked whenever a packet finishes
 // transmission on this link, with the completion time. Monitors use it
-// for windowed byte counting.
-func (l *Link) OnTransmit(fn func(pkt *Packet, done Time)) { l.onTransmit = append(l.onTransmit, fn) }
+// for windowed byte counting. An observed link's completions are all
+// events again, one heap entry and one Events() count each, so observe
+// a link only to see individual packets: Counters() gives the totals
+// for free. Registered mid-run, the observer sees every completion that
+// has not happened yet.
+func (l *Link) OnTransmit(fn func(pkt *Packet, done Time)) {
+	l.settle()
+	l.onTransmit = append(l.onTransmit, fn)
+	if l.live == l.inService.len() {
+		return
+	}
+	// Lazy records remain, all still to complete: make them events. The
+	// lane's entry, if it has one, is for a record behind them.
+	l.sim.Cancel(l.txArmed)
+	l.live = l.inService.len()
+	head := l.inService.peek()
+	l.txArmed = l.sim.ScheduleReserved(head.done, head.seq, l.txDoneFn)
+}
 
 // OnDrop registers an observer invoked when a packet is dropped at this
 // link's full buffer.
@@ -185,6 +233,7 @@ func Utilization(before, after LinkCounters, window Time) float64 {
 
 // arrive handles a packet reaching this link's input queue.
 func (l *Link) arrive(pkt *Packet, at Time) {
+	l.settle()
 	l.ctr.PktsIn++
 	if imp := l.impair; imp != nil && imp.cfg.Loss > 0 && imp.rng.Float64() < imp.cfg.Loss {
 		// Wire erasure: the packet vanishes before this hop's queue.
@@ -213,24 +262,45 @@ func (l *Link) arrive(pkt *Packet, at Time) {
 	tx := l.TxTime(pkt.Size)
 	done := start + tx
 	l.busyUntil = done
+	// The ticket is taken whether or not an event will use it, so every
+	// other event keeps the ticket it would have had.
 	seq := l.sim.Reserve(1)
 	l.inService.push(txRec{pkt: pkt, tx: tx, done: done, seq: seq})
-	if l.inService.len() == 1 {
-		l.sim.ScheduleReserved(done, seq, l.txDoneFn)
+	if l.lazy(pkt) {
+		return
+	}
+	if l.live++; l.live == 1 {
+		l.txArmed = l.sim.ScheduleReserved(done, seq, l.txDoneFn)
 	}
 }
 
-// txDone completes the head of the in-service ring. Completions are
-// FIFO because busyUntil never decreases, so the ring head is always
-// the packet whose event is firing. The next head is enqueued before
-// anything else runs, so an arrival this completion causes finds the
-// lane armed.
-func (l *Link) txDone() {
-	rec := l.inService.pop()
-	if l.inService.len() > 0 {
-		next := l.inService.peek()
-		l.sim.ScheduleReserved(next.done, next.seq, l.txDoneFn)
+// lazy reports whether pkt's completion on this link is not an event:
+// nobody waits for it.
+func (l *Link) lazy(pkt *Packet) bool { return len(l.onTransmit) == 0 && pkt.deadEnd() }
+
+// settle retires the lazy records at the ring head whose completion
+// precedes the simulator's position in the event order: exactly those
+// whose events, had they been in the heap, would have fired by now.
+// Every path that reads or changes what a completion changes — arrive,
+// txDone, Counters, QueuedBytes, Impair, OnTransmit — settles first, so
+// completions keep their order relative to every loss draw and buffer
+// check on this link, and no other state depends on them.
+func (l *Link) settle() {
+	for l.inService.len() > l.live {
+		rec := l.inService.peek()
+		if !l.lazy(rec.pkt) || !l.sim.passed(rec.done, rec.seq) {
+			return
+		}
+		l.complete(rec)
+		l.sim.FreePacket(l.inService.pop().pkt)
 	}
+}
+
+// complete accounts a finished transmission — queue occupancy,
+// counters, observers, the reorder draw — and reports the draw. It is
+// all a completion does to the link, shared by the event (txDone) and
+// the lazy path (settle).
+func (l *Link) complete(rec *txRec) (reorder bool) {
 	pkt := rec.pkt
 	l.queued -= pkt.Size
 	l.ctr.PktsOut++
@@ -239,19 +309,40 @@ func (l *Link) txDone() {
 	for _, fn := range l.onTransmit {
 		fn(pkt, rec.done)
 	}
-	// The reorder draw is taken for every transmitted packet, before the
-	// dead-end check, so the link's RNG stream and its Reordered counter
-	// do not depend on who observes the delivery.
-	reorder := false
+	// The reorder draw is taken for every transmitted packet, dead end
+	// or not, so the link's RNG stream and its Reordered counter do not
+	// depend on who observes the delivery.
 	if imp := l.impair; imp != nil && imp.cfg.Reorder > 0 && imp.rng.Float64() < imp.cfg.Reorder {
 		reorder = true
 		l.ctr.Reordered++
 	}
+	return reorder
+}
+
+// txDone completes the first live record of the in-service ring, the
+// one whose event is firing. Completions are FIFO because busyUntil
+// never decreases, so every record ahead of it is lazy and has passed:
+// settling brings it to the head. The next live record is enqueued
+// before anything else runs, so an arrival this completion causes finds
+// the lane armed; the lazy records skipped on the way to it are looked
+// at once more, by the settle that retires them.
+func (l *Link) txDone() {
+	l.settle()
+	rec := l.inService.pop()
+	if l.live--; l.live > 0 {
+		i := 0
+		for l.lazy(l.inService.at(i).pkt) {
+			i++
+		}
+		next := l.inService.at(i)
+		l.txArmed = l.sim.ScheduleReserved(next.done, next.seq, l.txDoneFn)
+	}
+	pkt := rec.pkt
+	reorder := l.complete(&rec)
 	if pkt.deadEnd() {
 		// Nobody observes the delivery, so the packet leaves the network
-		// here instead of propagating to a nil sink: one event and one
-		// heap entry less per cross-traffic packet, and no effect on any
-		// other event.
+		// here instead of propagating to a nil sink. Only an observed
+		// link fires this event for one: unobserved, settle got here.
 		l.sim.FreePacket(pkt)
 		return
 	}
@@ -303,6 +394,9 @@ func (r *ring[T]) len() int { return r.n }
 
 // peek returns the oldest element in place; the ring must not be empty.
 func (r *ring[T]) peek() *T { return &r.buf[r.head] }
+
+// at returns the i-th oldest element in place, 0 ≤ i < len.
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
 
 // push appends v, doubling the storage first when it is full.
 func (r *ring[T]) push(v T) {
