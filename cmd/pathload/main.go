@@ -561,15 +561,6 @@ func buildFleet(o monitorOpts, store *tsstore.Store) (*pathload.Monitor, map[str
 		Store:     store,
 		Scheduler: sched,
 	}
-	if o.archive != "" {
-		// The archive recovered prior series into the store; resume each
-		// path's round counter and clock from them instead of rewinding
-		// to round 0.
-		cfg.Resume = func(path string) pathload.PathState {
-			round, at := tsstore.Resume(store, path)
-			return pathload.PathState{Round: round, At: at}
-		}
-	}
 	if o.schedule != "" && o.schedule != "fixed" || o.budget > 0 {
 		fmt.Printf("schedule: %s", o.schedule)
 		if o.budget > 0 {

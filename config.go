@@ -23,26 +23,29 @@ package pathload
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/core"
 )
 
-// Defaults for Config fields, from the paper (§IV).
+// Defaults for Config fields, from the paper (§IV). The fleet fraction
+// and the trend thresholds are internal/core's, which applies them.
 const (
-	DefaultPacketsPerStream = 100                    // K
-	DefaultStreamsPerFleet  = 12                     // N
-	DefaultFleetFraction    = 0.7                    // f
-	DefaultPCTIncreasing    = 0.60                   // PCT above ⇒ increasing
-	DefaultPCTNonIncreasing = 0.45                   // PCT below ⇒ non-increasing
-	DefaultPDTIncreasing    = 0.40                   // PDT above ⇒ increasing
-	DefaultPDTNonIncreasing = 0.15                   // PDT below ⇒ non-increasing
-	DefaultResolution       = 1e6                    // ω, bits/s
-	DefaultGreyResolution   = 1.5e6                  // χ, bits/s
-	DefaultMinPeriod        = 100 * time.Microsecond // T_min
-	DefaultMinPacket        = 96                     // L_min, bytes (layer-2 header amortization)
-	DefaultMTU              = 1500                   // bytes
-	DefaultStreamAbortLoss  = 0.10                   // abort fleet if one stream loses > 10%
-	DefaultModerateLoss     = 0.03                   // a stream with > 3% loss is "moderately lossy"
-	DefaultInterStreamRTTs  = 9                      // Δ = max(RTT, 9·τ) keeps mean rate ≤ R/10
-	DefaultMaxFleets        = 100                    // safety cap on the iterative search
+	DefaultPacketsPerStream = 100                          // K
+	DefaultStreamsPerFleet  = 12                           // N
+	DefaultFleetFraction    = core.DefaultFleetFraction    // f
+	DefaultPCTIncreasing    = core.DefaultPCTIncreasing    // PCT above ⇒ increasing
+	DefaultPCTNonIncreasing = core.DefaultPCTNonIncreasing // PCT below ⇒ non-increasing
+	DefaultPDTIncreasing    = core.DefaultPDTIncreasing    // PDT above ⇒ increasing
+	DefaultPDTNonIncreasing = core.DefaultPDTNonIncreasing // PDT below ⇒ non-increasing
+	DefaultResolution       = 1e6                          // ω, bits/s
+	DefaultGreyResolution   = 1.5e6                        // χ, bits/s
+	DefaultMinPeriod        = 100 * time.Microsecond       // T_min
+	DefaultMinPacket        = 96                           // L_min, bytes (layer-2 header amortization)
+	DefaultMTU              = 1500                         // bytes
+	DefaultStreamAbortLoss  = 0.10                         // abort fleet if one stream loses > 10%
+	DefaultModerateLoss     = 0.03                         // a stream with > 3% loss is "moderately lossy"
+	DefaultInterStreamRTTs  = 9                            // Δ = max(RTT, 9·τ) keeps mean rate ≤ R/10
+	DefaultMaxFleets        = 100                          // safety cap on the iterative search
 )
 
 // Config holds every tunable of the measurement. The zero value is

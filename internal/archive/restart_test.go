@@ -29,16 +29,13 @@ func (f *rampProber) RTT() time.Duration       { return time.Millisecond }
 // runFleet runs one monitor incarnation over the archived store:
 // every path measured `rounds` times, then a hard stop with NO
 // archive Close — the files must carry the state, as after a kill.
+// The store is also where each session resumes (Store.Resume).
 func runFleet(t *testing.T, st *tsstore.Store, paths []string, rounds int) {
 	t.Helper()
 	mon, err := pathload.NewMonitor(pathload.MonitorConfig{
 		Rounds:   rounds,
 		Interval: time.Millisecond,
 		Store:    st,
-		Resume: func(path string) pathload.PathState {
-			r, at := tsstore.Resume(st, path)
-			return pathload.PathState{Round: r, At: at}
-		},
 		Config: pathload.Config{
 			PacketsPerStream: 8,
 			StreamsPerFleet:  3,
@@ -132,24 +129,5 @@ func TestMonitorRestartRecovery(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Fatalf("post-restart archive fails verify: %v", rep.Problems)
-	}
-}
-
-// TestMonitorResumeHookValidation: a Resume hook returning negative
-// state must fail Start, not corrupt a session.
-func TestMonitorResumeHookValidation(t *testing.T) {
-	mon, err := pathload.NewMonitor(pathload.MonitorConfig{
-		Rounds: 1,
-		Resume: func(string) pathload.PathState { return pathload.PathState{Round: -1} },
-		Config: pathload.Config{PacketsPerStream: 8, StreamsPerFleet: 3, DisableInitProbe: true},
-	})
-	if err != nil {
-		t.Fatalf("NewMonitor: %v", err)
-	}
-	if err := mon.AddPath("p", &rampProber{avail: 5e6}); err != nil {
-		t.Fatalf("AddPath: %v", err)
-	}
-	if err := mon.Start(); err == nil {
-		t.Fatal("Start accepted a negative Resume state")
 	}
 }

@@ -139,8 +139,8 @@ func TestOpenStoreRoundtrip(t *testing.T) {
 		t.Fatal("link snapshot differs after recovery")
 	}
 	// Resume state: the next round continues, not rewinds.
-	if round, at := tsstore.Resume(re, "path-00"); round != 15 || at <= 0 {
-		t.Fatalf("Resume = (%d, %v), want round 15", round, at)
+	if st := re.Resume("path-00"); st.Round != 15 || st.At <= 0 {
+		t.Fatalf("Resume = %+v, want round 15", st)
 	}
 }
 
@@ -269,7 +269,7 @@ func TestOpenStoreCorruptCheckpoint(t *testing.T) {
 	if total != wantTotal || errs != wantErrs {
 		t.Fatalf("fallback totals = (%d, %d), want (%d, %d)", total, errs, wantTotal, wantErrs)
 	}
-	if round, _ := tsstore.Resume(re, "path-00"); round != 8 {
+	if round := re.Resume("path-00").Round; round != 8 {
 		t.Fatalf("resume round = %d, want 8", round)
 	}
 }

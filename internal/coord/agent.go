@@ -440,8 +440,7 @@ func (a *Agent) reconcile(asg assignMsg) error {
 		if err != nil {
 			return fmt.Errorf("coord: provider for %q: %w", l.Path, err)
 		}
-		round, at := tsstore.Resume(a.store, l.Path)
-		if err := mon.AddPathFactoryResume(l.Path, factory, pathload.PathState{Round: round, At: at}); err != nil {
+		if err := mon.AddPathFactory(l.Path, factory); err != nil {
 			return err
 		}
 		names = append(names, l.Path)

@@ -56,24 +56,6 @@ type Result struct {
 	Fleets         int // number of fleet verdicts consumed
 }
 
-// Mid returns the center of the reported range, the scalar estimate the
-// evaluation compares against ground truth.
-func (r Result) Mid() float64 { return (r.Lo + r.Hi) / 2 }
-
-// Width returns Hi − Lo.
-func (r Result) Width() float64 { return r.Hi - r.Lo }
-
-// RelVar returns the paper's relative variation metric ρ (Eq. 12): the
-// width of the reported range over its center. It returns 0 for a
-// degenerate (zero-center) range.
-func (r Result) RelVar() float64 {
-	mid := r.Mid()
-	if mid == 0 {
-		return 0
-	}
-	return r.Width() / mid
-}
-
 // A Controller runs the SLoPS binary search over fleet rates. Create
 // one with NewController, then alternate Rate (the rate to probe at)
 // and Record (the fleet verdict at that rate) until Done.

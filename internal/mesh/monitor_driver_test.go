@@ -13,6 +13,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/schedule"
 	"repro/internal/simprobe"
+	"repro/internal/tsstore"
 )
 
 // driverFleetConfig is a small-but-real sequenced fleet config shared by
@@ -229,6 +230,57 @@ func TestMonitorDriverHonoursAdmission(t *testing.T) {
 				t.Errorf("%s and %s were mid-round together under NewWorkers(1): %v vs %v", a.Name, b.Name, rec.spans[a.Name], rec.spans[b.Name])
 			}
 		}
+	}
+}
+
+// TestMonitorFleetResumesFromStore: a sequenced fleet over a store that
+// already holds history — `pathload -monitor -mesh … -archive` after a
+// restart — continues every path's rounds and path-local clock from the
+// store, and the resumed incarnation replays byte for byte.
+func TestMonitorFleetResumesFromStore(t *testing.T) {
+	const rounds = 2
+	run := func() string {
+		st := tsstore.New(tsstore.Config{})
+		var lines []string
+		for inc := 0; inc < 2; inc++ {
+			// Each incarnation is a fresh process: a new mesh, one store.
+			m := Star(4, 5).MustBuild()
+			m.Warmup(2 * netsim.Second)
+			cfg := driverFleetConfig(4, rounds)
+			cfg.Store = st
+			mon, _, err := m.MonitorFleet(cfg, 10*netsim.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mon.Start(); err != nil {
+				t.Fatal(err)
+			}
+			for s := range mon.Results() {
+				if s.Err != nil {
+					t.Errorf("%s round %d: %v", s.Path, s.Round, s.Err)
+				}
+				lines = append(lines, s.String())
+			}
+		}
+		for _, p := range []string{"path-00", "path-01", "path-02", "path-03"} {
+			pts := st.Snapshot(p)
+			if len(pts) != 2*rounds {
+				t.Fatalf("%s: %d points, want %d", p, len(pts), 2*rounds)
+			}
+			for i, pt := range pts {
+				if pt.Round != i {
+					t.Fatalf("%s: point %d is round %d — the series rewound", p, i, pt.Round)
+				}
+				if i > 0 && pt.At < pts[i-1].At+pts[i-1].Span {
+					t.Fatalf("%s: round %d starts at %v, before round %d ended", p, i, pt.At, i-1)
+				}
+			}
+		}
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	if a, b := run(), run(); a != b {
+		t.Errorf("resumed fleet transcripts differ run to run:\n%s\n--- vs ---\n%s", a, b)
 	}
 }
 

@@ -249,6 +249,12 @@ func clampGap(gap, min, max time.Duration) time.Duration {
 // additionally borrow at most Burst + one round's bits, the bucket
 // depth plus the round in flight when the bucket empties).
 //
+// A path's bucket starts accruing at its first charged round's start
+// (Round.At), so a session resumed mid-clock pays for its first round
+// exactly as a fresh one does. For a fresh AddPath session that start
+// is 0; a factory path whose first dial backed off starts accruing
+// after the backoff, not during it.
+//
 // Bind is what arms the bucket: the Monitor calls it on the scheduler
 // it is configured with, and wrappers shipped here (Until) forward it.
 // A custom wrapper that hides the FleetBinder interface leaves the
@@ -325,6 +331,9 @@ func (b *Budgeted) Next(path string, h History) (time.Duration, bool) {
 		// A path registered after Bind still gets a share-fed bucket.
 		bk = &bucket{}
 		b.buckets[path] = bk
+	}
+	if !bk.phased {
+		bk.lastEnd = r.At // first charge: accrue from this round's start, not 0
 	}
 	// Accrue tokens for the virtual time since the last accounting,
 	// charge the finished round, then forfeit any credit beyond Burst:

@@ -202,6 +202,26 @@ func TestBudgetedHoldsRateInEveryWindow(t *testing.T) {
 	}
 }
 
+// TestBudgetedChargesResumedFirstRound: a bucket accrues from its first
+// charged round's start, not from path-local time 0. A session resumed
+// an hour into its clock (a monitor restarted on a lease change) is not
+// credited that hour, so its first round is charged exactly as a fresh
+// session's: 2 Mb over a 1 s round at 1 Mb/s leaves 1 s to repay.
+func TestBudgetedChargesResumedFirstRound(t *testing.T) {
+	firstGap := func(at time.Duration) time.Duration {
+		b := &Budgeted{Inner: &Fixed{Interval: 100 * time.Millisecond}, Rate: 1e6}
+		b.Bind([]string{"p"})
+		gap, _ := b.Next("p", &fakeHistory{last: Round{At: at, Span: time.Second, Bits: 2e6}, haveLast: true})
+		return gap
+	}
+	if fresh := firstGap(0); fresh != time.Second {
+		t.Fatalf("fresh first round: gap %v, want 1s", fresh)
+	}
+	if resumed := firstGap(time.Hour); resumed != time.Second {
+		t.Fatalf("first round resumed at 1h: gap %v, want the fresh round's 1s", resumed)
+	}
+}
+
 // TestBudgetedSharesAreDeterministicPerPath: a path's gaps depend only
 // on its own history — interleaving a second path's calls must not
 // change them.

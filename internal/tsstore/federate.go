@@ -4,7 +4,8 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"time"
+
+	pathload "repro"
 )
 
 // A Contribution is one agent's latest view of one path's series: the
@@ -169,13 +170,15 @@ func (f *Federation) Handler() http.Handler {
 	})
 }
 
-// Resume derives the pathload.PathState-shaped counters — next round
-// number and path-local clock offset — from a store's last retained
-// point for the path. It is the agent-side helper for lease handoffs
-// within one process; zero values mean "fresh path".
-func Resume(st *Store, path string) (round int, at time.Duration) {
+// Resume is where a monitor writing to this store continues path: the
+// round after the last retained point, at that point's At + Span. It
+// makes the store the monitor's resume hook (pathload.MonitorConfig.Store)
+// for lease handoffs within one process and restarts over a recovered
+// archive alike; a path the store has never seen resumes at the zero
+// state, a fresh path.
+func (st *Store) Resume(path string) pathload.PathState {
 	if p, ok := st.Last(path); ok {
-		return p.Round + 1, p.At + p.Span
+		return pathload.PathState{Round: p.Round + 1, At: p.At + p.Span}
 	}
-	return 0, 0
+	return pathload.PathState{}
 }

@@ -181,18 +181,18 @@ func TestFederationIsolation(t *testing.T) {
 	}
 }
 
-// TestResume: the lease-handoff helper continues round/clock counters
+// TestResume: the store's resume state continues round/clock counters
 // from the last retained point, and starts fresh on unknown paths.
 func TestResume(t *testing.T) {
 	st := New(Config{})
-	if r, at := Resume(st, "p00"); r != 0 || at != 0 {
-		t.Fatalf("fresh Resume = (%d, %v), want (0, 0)", r, at)
+	if got := st.Resume("p00"); got != (pathload.PathState{}) {
+		t.Fatalf("fresh Resume = %+v, want the zero state", got)
 	}
 	st.Observe(pathload.Sample{
 		Path: "p00", Round: 4, At: 10 * time.Second,
 		Result: pathload.Result{Lo: 1e6, Hi: 2e6, Elapsed: 2 * time.Second},
 	})
-	if r, at := Resume(st, "p00"); r != 5 || at != 12*time.Second {
-		t.Fatalf("Resume = (%d, %v), want (5, 12s)", r, at)
+	if got, want := st.Resume("p00"), (pathload.PathState{Round: 5, At: 12 * time.Second}); got != want {
+		t.Fatalf("Resume = %+v, want %+v", got, want)
 	}
 }

@@ -180,17 +180,6 @@ func TestLossPolicyCalibration(t *testing.T) {
 func TestSettledExitMatchesFullFleet(t *testing.T) {
 	const n = 12
 	rng := rand.New(rand.NewSource(19))
-	public := map[core.StreamType]pathload.StreamKind{
-		core.TypeIncreasing:    pathload.StreamIncreasing,
-		core.TypeNonIncreasing: pathload.StreamNonIncreasing,
-		core.TypeDiscard:       pathload.StreamDiscarded,
-	}
-	publicVerdict := map[core.FleetVerdict]pathload.Verdict{
-		core.VerdictBelow:   pathload.FleetBelow,
-		core.VerdictAbove:   pathload.FleetAbove,
-		core.VerdictGrey:    pathload.FleetGrey,
-		core.VerdictAborted: pathload.FleetAborted,
-	}
 	early, saved := 0, 0
 	const trials = 3000
 	for trial := 0; trial < trials; trial++ {
@@ -199,7 +188,7 @@ func TestSettledExitMatchesFullFleet(t *testing.T) {
 		// draw would make nearly every fleet grey.
 		pInc, pDiscard, pLossy := rng.Float64(), 0.2*rng.Float64(), 0.5*rng.Float64()
 		kinds := make([]core.StreamType, n)
-		script := &lossScript{lossy: make([]bool, n), kinds: make([]pathload.StreamKind, n)}
+		script := &lossScript{lossy: make([]bool, n), kinds: kinds}
 		for i := range kinds {
 			switch {
 			case rng.Float64() < pDiscard:
@@ -209,14 +198,13 @@ func TestSettledExitMatchesFullFleet(t *testing.T) {
 			default:
 				kinds[i] = core.TypeNonIncreasing
 			}
-			script.kinds[i] = public[kinds[i]]
 			script.lossy[i] = rng.Float64() < pLossy
 		}
 
 		// Reference: all n streams, the online loss rule, ClassifyFleet.
 		want := pathload.FleetAborted
 		if !lossAbortsUnstopped(script.lossy) {
-			want = publicVerdict[core.ClassifyFleet(kinds, f)]
+			want = core.ClassifyFleet(kinds, f)
 		}
 		wantStreams, _ := onlineFleet(kinds, script.lossy, f)
 

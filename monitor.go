@@ -103,7 +103,13 @@ type MonitorConfig struct {
 	// retain time series (internal/tsstore) without giving up the live
 	// channel. When the sink also implements schedule.VarSource (as
 	// internal/tsstore.Store does), schedulers get windowed-ρ feedback
-	// from it.
+	// from it. When it also has a Resume(path string) PathState method
+	// (tsstore.Store again), Start begins every session at the state it
+	// returns: a monitor over a store recovered from an archive, or an
+	// agent's store across a lease change, continues each series —
+	// monotone rounds, advancing path-local clock — instead of rewinding
+	// to round 0, and a fresh store returns the zero state. A sink that
+	// wraps a store without forwarding Resume starts every path fresh.
 	Store SampleSink
 	// Scheduler decides each path's re-measurement gap. nil selects
 	// schedule.Fixed{Interval, Jitter, Seed} — byte-identical to the
@@ -125,16 +131,6 @@ type MonitorConfig struct {
 	// defaults documented on the Reconnect type; it is ignored for
 	// paths added with AddPath.
 	Reconnect Reconnect
-	// Resume, when non-nil, supplies the starting PathState for every
-	// path at Start (paths registered with explicit state via
-	// AddPathFactoryResume keep it; all others — AddPath and
-	// AddPathFactory alike — consult the hook). Wire it to
-	// tsstore.Resume over a store recovered from a durable archive and
-	// a restarted monitor continues every series where it left off —
-	// monotone rounds, advancing path-local clocks — instead of
-	// rewinding to round 0. Returning the zero PathState means a fresh
-	// path; negative state makes Start fail.
-	Resume func(path string) PathState
 	// Driver, when non-nil, takes over time and session lifecycle (see
 	// the Driver interface). Setting it restricts the monitor to
 	// AddPath sessions: factory healing needs wall time. Workers is
@@ -255,9 +251,9 @@ type SampleSink interface {
 }
 
 // PathState is where a path's session resumes counting: the next
-// round number and the accumulated path-local clock. A coordinator
-// agent that re-acquires a lease passes the state derived from its
-// retained series (tsstore.Resume) so the path's sample stream stays
+// round number and the accumulated path-local clock. A Store with a
+// Resume method supplies it at Start (tsstore.Store derives it from
+// the path's retained series), so the path's sample stream stays
 // monotone across monitor restarts instead of rewinding to round 0.
 // The zero value is a fresh path.
 type PathState struct {
@@ -330,7 +326,8 @@ func (h *sessionHistory) RelVar(path string, window time.Duration) (float64, boo
 // Results is closed when every session has finished. Attach a
 // SampleSink via MonitorConfig.Store to retain the per-path series
 // beyond the channel (windowed ρ, quantiles, scrape export — see
-// internal/tsstore).
+// internal/tsstore); a store that already holds a path's series is also
+// where that path's session resumes counting at Start.
 type Monitor struct {
 	cfg      MonitorConfig
 	sessions []*session
@@ -400,22 +397,6 @@ func (m *Monitor) AddPathFactory(id string, f ProberFactory) error {
 	return nil
 }
 
-// AddPathFactoryResume is AddPathFactory for a path with history: the
-// session's rounds and path-local clock continue from st rather than
-// zero. Negative state is rejected.
-func (m *Monitor) AddPathFactoryResume(id string, f ProberFactory, st PathState) error {
-	if st.Round < 0 || st.At < 0 {
-		return fmt.Errorf("pathload: AddPathFactoryResume(%q) with negative state", id)
-	}
-	if err := m.AddPathFactory(id, f); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sessions[len(m.sessions)-1].resume = st
-	return nil
-}
-
 // Paths returns the registered path identifiers in AddPath order.
 func (m *Monitor) Paths() []string {
 	m.mu.Lock()
@@ -445,18 +426,6 @@ func (m *Monitor) Start() error {
 			}
 		}
 	}
-	if m.cfg.Resume != nil {
-		for _, s := range m.sessions {
-			if s.resume != (PathState{}) {
-				continue // explicit AddPathFactoryResume state wins
-			}
-			st := m.cfg.Resume(s.id)
-			if st.Round < 0 || st.At < 0 {
-				return fmt.Errorf("pathload: Resume(%q) returned negative state", s.id)
-			}
-			s.resume = st
-		}
-	}
 	m.started = true
 	m.cfg = m.cfg.withDefaults(len(m.sessions))
 	m.results = make(chan Sample, m.cfg.Buffer)
@@ -483,8 +452,12 @@ func (m *Monitor) Start() error {
 		}
 	}
 	vars, _ := m.cfg.Store.(schedule.VarSource)
+	resumer, _ := m.cfg.Store.(interface{ Resume(path string) PathState })
 	for _, s := range m.sessions {
 		s.hist.vars = vars
+		if resumer != nil {
+			s.resume = resumer.Resume(s.id)
+		}
 		m.wg.Add(1)
 		go m.run(s)
 	}

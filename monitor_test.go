@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/schedule"
+	"repro/internal/tsstore"
 
 	pathload "repro"
 )
@@ -952,57 +953,56 @@ func TestMonitorIdleErrorReachesSink(t *testing.T) {
 	}
 }
 
-// TestMonitorResumeState: a session added with AddPathFactoryResume
-// continues round numbers and the path-local clock from the given
-// state — the lease-handoff contract the coordinator agent relies on —
-// and Rounds counts new measurements, not absolute round numbers.
+// TestMonitorResumeState: a monitor whose Store holds a path's history
+// continues it — round n+1 from the last point's At + Span, the
+// lease-handoff and restart contract — while a path the store has never
+// seen starts at round 0, and Rounds counts new measurements, not
+// absolute round numbers. Factory and AddPath sessions resume alike. A
+// sink that wraps the store without forwarding Resume starts fresh.
 func TestMonitorResumeState(t *testing.T) {
-	sink := &recordingSink{}
-	mon, err := pathload.NewMonitor(pathload.MonitorConfig{
-		Rounds: 2,
-		Config: fastCfg(),
-		Store:  sink,
+	st := tsstore.New(tsstore.Config{})
+	st.Observe(pathload.Sample{
+		Path: "old", Round: 4, At: 10 * time.Second,
+		Result: pathload.Result{Lo: 1e6, Hi: 2e6, Elapsed: 2 * time.Second},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resume := pathload.PathState{Round: 5, At: 3 * time.Second}
-	err = mon.AddPathFactoryResume("p", func() (pathload.Prober, error) {
-		return &fakePath{avail: 5e6}, nil
-	}, resume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	var got []pathload.Sample
-	for s := range mon.Results() {
-		if s.Err != nil {
-			t.Fatalf("round error: %v", s.Err)
+	run := func(sink pathload.SampleSink) map[string][]pathload.Sample {
+		t.Helper()
+		mon, err := pathload.NewMonitor(pathload.MonitorConfig{Rounds: 2, Config: fastCfg(), Store: sink})
+		if err != nil {
+			t.Fatal(err)
 		}
-		got = append(got, s)
+		if err := mon.AddPathFactory("old", func() (pathload.Prober, error) { return &fakePath{avail: 5e6}, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.AddPath("new", &fakePath{avail: 5e6}); err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.Start(); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string][]pathload.Sample{}
+		for s := range mon.Results() {
+			if s.Err != nil {
+				t.Fatalf("round error: %v", s.Err)
+			}
+			got[s.Path] = append(got[s.Path], s)
+		}
+		return got
 	}
-	mon.Wait()
-	if len(got) != 2 {
-		t.Fatalf("samples = %d, want 2", len(got))
-	}
-	if got[0].Round != 5 || got[1].Round != 6 {
-		t.Fatalf("rounds = %d, %d; want 5, 6", got[0].Round, got[1].Round)
-	}
-	if got[0].At != 3*time.Second {
-		t.Fatalf("first At = %v, want 3s", got[0].At)
-	}
-	if got[1].At <= got[0].At {
-		t.Fatalf("At did not advance: %v then %v", got[0].At, got[1].At)
+	check := func(what string, got []pathload.Sample, round int, at time.Duration) {
+		t.Helper()
+		if len(got) != 2 || got[0].Round != round || got[1].Round != round+1 {
+			t.Fatalf("%s: %d samples %v, want rounds %d, %d", what, len(got), got, round, round+1)
+		}
+		if got[0].At != at || got[1].At <= got[0].At {
+			t.Fatalf("%s: At %v then %v, want %v then later", what, got[0].At, got[1].At, at)
+		}
 	}
 
-	// Negative state is a caller bug, refused up front.
-	mon2, _ := pathload.NewMonitor(pathload.MonitorConfig{Rounds: 1, Config: fastCfg()})
-	err = mon2.AddPathFactoryResume("q", func() (pathload.Prober, error) {
-		return &fakePath{avail: 5e6}, nil
-	}, pathload.PathState{Round: -1})
-	if err == nil {
-		t.Fatalf("negative resume state accepted")
-	}
+	got := run(st)
+	check("old path", got["old"], 5, 12*time.Second)
+	check("new path", got["new"], 0, 0)
+
+	wrapped := run(struct{ pathload.SampleSink }{st})
+	check("old path behind a wrapper", wrapped["old"], 0, 0)
 }

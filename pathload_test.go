@@ -51,6 +51,17 @@ func TestConfigSlack(t *testing.T) {
 	}
 }
 
+// TestResultHelpers checks Mid/Width/RelVar arithmetic.
+func TestResultHelpers(t *testing.T) {
+	r := pathload.Result{Lo: 2e6, Hi: 6e6}
+	if r.Mid() != 4e6 || r.Width() != 4e6 || r.RelVar() != 1 {
+		t.Fatalf("Mid/Width/RelVar = %v/%v/%v", r.Mid(), r.Width(), r.RelVar())
+	}
+	if (pathload.Result{}).RelVar() != 0 {
+		t.Fatal("zero result RelVar not 0")
+	}
+}
+
 // TestStreamParams pins the §IV parameter selection rules.
 func TestStreamParams(t *testing.T) {
 	cfg := pathload.Config{}
@@ -169,7 +180,7 @@ func TestRunConvergesOnFluidOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("A=%v: %v", a, err)
 		}
-		if !res.Contains(a) {
+		if !pathload.Brackets(res.Lo, res.Hi, a, 0) {
 			t.Errorf("A=%.0f: range [%.0f, %.0f] misses it", a, res.Lo, res.Hi)
 		}
 		if res.Width() > pathload.DefaultResolution+1 {
@@ -223,7 +234,7 @@ func TestRunMultiHopFluid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Contains(74e6) {
+	if !pathload.Brackets(res.Lo, res.Hi, 74e6, 0) {
 		t.Fatalf("range [%.0f, %.0f] misses the 74 Mb/s tight link", res.Lo, res.Hi)
 	}
 }
@@ -260,7 +271,7 @@ func TestRunDisableInitProbe(t *testing.T) {
 	if res.ADR != 0 {
 		t.Fatalf("ADR %v recorded with the init probe disabled", res.ADR)
 	}
-	if !res.Contains(4e6) {
+	if !pathload.Brackets(res.Lo, res.Hi, 4e6, 0) {
 		t.Fatalf("range [%.0f, %.0f] misses 4 Mb/s", res.Lo, res.Hi)
 	}
 }
@@ -449,6 +460,6 @@ func max(a, b int) int {
 func ExampleRun() {
 	p := &fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}
 	res, _ := pathload.Run(p, pathload.Config{})
-	fmt.Println(res.Contains(4e6))
+	fmt.Println(pathload.Brackets(res.Lo, res.Hi, 4e6, 0))
 	// Output: true
 }

@@ -3,61 +3,35 @@ package pathload
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/core"
 )
 
-// StreamKind is a pathload-level stream verdict.
-type StreamKind int
+// StreamKind is a stream verdict: internal/core's type, under the name
+// this package exports.
+type StreamKind = core.StreamType
 
 // Stream verdicts: increasing OWD trend (rate above avail-bw),
 // non-increasing, or discarded (lossy/flagged, did not vote).
 const (
-	StreamNonIncreasing StreamKind = iota
-	StreamIncreasing
-	StreamDiscarded
+	StreamNonIncreasing = core.TypeNonIncreasing
+	StreamIncreasing    = core.TypeIncreasing
+	StreamDiscarded     = core.TypeDiscard
 )
 
-// String names the stream verdict.
-func (k StreamKind) String() string {
-	switch k {
-	case StreamNonIncreasing:
-		return "N"
-	case StreamIncreasing:
-		return "I"
-	case StreamDiscarded:
-		return "discard"
-	default:
-		return fmt.Sprintf("StreamKind(%d)", int(k))
-	}
-}
-
-// Verdict is a pathload-level fleet verdict.
-type Verdict int
+// Verdict is a fleet verdict: internal/core's type, under the name this
+// package exports.
+type Verdict = core.FleetVerdict
 
 // Fleet verdicts: the probing rate was below the avail-bw, above it, in
 // the grey region (the avail-bw fluctuated around it), or the fleet was
 // aborted because of losses (treated as "rate too high").
 const (
-	FleetBelow Verdict = iota
-	FleetAbove
-	FleetGrey
-	FleetAborted
+	FleetBelow   = core.VerdictBelow
+	FleetAbove   = core.VerdictAbove
+	FleetGrey    = core.VerdictGrey
+	FleetAborted = core.VerdictAborted
 )
-
-// String names the fleet verdict.
-func (v Verdict) String() string {
-	switch v {
-	case FleetBelow:
-		return "R<A"
-	case FleetAbove:
-		return "R>A"
-	case FleetGrey:
-		return "grey"
-	case FleetAborted:
-		return "aborted"
-	default:
-		return fmt.Sprintf("Verdict(%d)", int(v))
-	}
-}
 
 // A StreamTrace records the classification of one stream.
 type StreamTrace struct {
@@ -128,9 +102,6 @@ func (r Result) RelVar() float64 {
 	}
 	return r.Width() / r.Mid()
 }
-
-// Contains reports whether a falls inside the reported range.
-func (r Result) Contains(a float64) bool { return Brackets(r.Lo, r.Hi, a, 0) }
 
 // Brackets is the one grading rule for an estimate against a known
 // avail-bw a: the range [lo, hi] — one Result's [Lo, Hi] or a window's

@@ -74,14 +74,14 @@ func Run(p Prober, cfg Config) (Result, error) {
 	sc := newScratch(cfg)
 	for fleet := 0; !ctrl.Done() && fleet < cfg.MaxFleets; fleet++ {
 		rate := ctrl.Rate()
-		trace, verdict, elapsed, bits, err := runFleet(p, cfg, trendCfg, sc, fleet, rate)
+		trace, elapsed, bits, err := runFleet(p, cfg, trendCfg, sc, fleet, rate)
 		res.Elapsed += elapsed
 		res.Bits += bits
 		if err != nil {
 			return res, fmt.Errorf("pathload: fleet %d at %.2f Mb/s: %w", fleet, rate/1e6, err)
 		}
 		res.Fleets = append(res.Fleets, trace)
-		ctrl.Record(coreVerdict(verdict))
+		ctrl.Record(trace.Verdict)
 	}
 
 	cr := ctrl.Result()
@@ -168,7 +168,7 @@ func initProbe(p Prober, cfg Config) (adr float64, elapsed time.Duration, bits f
 // and the rest would be probe load (§VIII) and latency spent on
 // nothing. The one thing an unsent stream could still have done is
 // exceed StreamAbortLoss: a single stream aborts a fleet only if sent.
-func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet int, rate float64) (FleetTrace, Verdict, time.Duration, float64, error) {
+func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet int, rate float64) (FleetTrace, time.Duration, float64, error) {
 	l, t := cfg.StreamParams(rate)
 	tau := time.Duration(cfg.PacketsPerStream) * t
 	delta := time.Duration(cfg.InterStreamRTTs) * tau
@@ -189,7 +189,7 @@ func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet
 		elapsed += tau
 		bits += float64(sr.Sent*spec.L) * 8
 		if err != nil {
-			return trace, FleetAborted, elapsed, bits, err
+			return trace, elapsed, bits, err
 		}
 
 		st := StreamTrace{Loss: sr.LossRate()}
@@ -219,7 +219,7 @@ func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet
 				aborted = true
 			}
 		}
-		st.Kind = streamKind(kind)
+		st.Kind = kind
 		trace.Streams = append(trace.Streams, st)
 		kinds = append(kinds, kind)
 
@@ -228,19 +228,16 @@ func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet
 			break
 		}
 		if err := p.Idle(delta); err != nil {
-			return trace, FleetAborted, elapsed, bits, err
+			return trace, elapsed, bits, err
 		}
 		elapsed += delta
 	}
 
-	var verdict Verdict
-	if aborted {
-		verdict = FleetAborted
-	} else {
-		verdict = fleetVerdict(core.ClassifyFleet(kinds, cfg.FleetFraction))
+	trace.Verdict = FleetAborted
+	if !aborted {
+		trace.Verdict = core.ClassifyFleet(kinds, cfg.FleetFraction)
 	}
-	trace.Verdict = verdict
-	return trace, verdict, elapsed, bits, nil
+	return trace, elapsed, bits, nil
 }
 
 // fleetSettled reports whether the rem streams a fleet has not sent yet
@@ -251,44 +248,4 @@ func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet
 // majority iff k > sent − 2·lossy, and then also the quorum of two).
 func fleetSettled(kinds []core.StreamType, moderatelyLossy, rem int, f float64) bool {
 	return rem <= len(kinds)-2*moderatelyLossy && core.FleetDecided(kinds, rem, f)
-}
-
-// streamKind converts the core stream verdict to the public enum.
-func streamKind(t core.StreamType) StreamKind {
-	switch t {
-	case core.TypeIncreasing:
-		return StreamIncreasing
-	case core.TypeNonIncreasing:
-		return StreamNonIncreasing
-	default:
-		return StreamDiscarded
-	}
-}
-
-// fleetVerdict converts the core fleet verdict to the public enum.
-func fleetVerdict(v core.FleetVerdict) Verdict {
-	switch v {
-	case core.VerdictBelow:
-		return FleetBelow
-	case core.VerdictAbove:
-		return FleetAbove
-	case core.VerdictGrey:
-		return FleetGrey
-	default:
-		return FleetAborted
-	}
-}
-
-// coreVerdict converts the public verdict back to the controller's.
-func coreVerdict(v Verdict) core.FleetVerdict {
-	switch v {
-	case FleetBelow:
-		return core.VerdictBelow
-	case FleetAbove:
-		return core.VerdictAbove
-	case FleetGrey:
-		return core.VerdictGrey
-	default:
-		return core.VerdictAborted
-	}
 }
