@@ -105,18 +105,16 @@ func (f FixedSize) Next(*rand.Rand) int { return f.Bytes }
 // MeanBytes returns the fixed size.
 func (f FixedSize) MeanBytes() float64 { return float64(f.Bytes) }
 
-// A Source injects packets into a route at random times. Sources are
-// started with Start and removed with Stop; a stopped source can be
-// restarted.
+// An emitter is the emission machinery every source shares: the one
+// link it loads, its size distribution and RNG, the arrival callback
+// bound once, and the pending-arrival handle Stop cancels.
 //
-// The per-arrival path is allocation-free: the tick callback is bound
-// once, the pending-arrival handle is a value, and packets with a nil
-// sink come from (and return to) the simulator's packet freelist.
-type Source struct {
+// The per-arrival path is allocation-free: the callback is bound once,
+// the pending-arrival handle is a value, and packets come from (and
+// return to) the simulator's packet freelist.
+type emitter struct {
 	sim   *netsim.Simulator
-	route []*netsim.Link
-	sink  netsim.Sink
-	iat   Interarrival
+	route []*netsim.Link // the one link, as Inject takes a route
 	sizes SizeDist
 	rng   *rand.Rand
 
@@ -126,19 +124,50 @@ type Source struct {
 	nextID  uint64
 }
 
-// NewSource creates a traffic source that injects packets over route
-// and discards them at the end (or delivers them to sink if non-nil).
-// Each source owns its RNG so that experiments are reproducible and
-// sources are statistically independent.
-func NewSource(sim *netsim.Simulator, route []*netsim.Link, sink netsim.Sink, iat Interarrival, sizes SizeDist, seed int64) *Source {
-	s := &Source{
-		sim:   sim,
-		route: route,
-		sink:  sink,
-		iat:   iat,
-		sizes: sizes,
-		rng:   rand.New(rand.NewSource(seed)),
+func newEmitter(sim *netsim.Simulator, route []*netsim.Link, sizes SizeDist, seed int64) emitter {
+	return emitter{sim: sim, route: route, sizes: sizes, rng: rand.New(rand.NewSource(seed))}
+}
+
+// emit injects one packet now.
+func (e *emitter) emit() {
+	e.nextID++
+	pkt := e.sim.NewPacket()
+	pkt.ID = e.nextID
+	pkt.Size = e.sizes.Next(e.rng)
+	e.sim.Inject(pkt, e.route, nil)
+}
+
+// after books the next arrival d from now.
+func (e *emitter) after(d netsim.Time) { e.next = e.sim.After(d, e.tickFn) }
+
+// Stop cancels the source's pending arrival; a stopped source can be
+// restarted with Start.
+func (e *emitter) Stop() {
+	if e.started {
+		e.sim.Cancel(e.next)
+		e.next = eventq.Handle{}
+		e.started = false
 	}
+}
+
+// A Source injects packets into one link at random times and discards
+// them once transmitted. Sources are started with Start and removed
+// with Stop; a stopped source can be restarted.
+type Source struct {
+	emitter
+	iat Interarrival
+}
+
+// NewSource creates a traffic source loading link. Each source owns its
+// RNG so that experiments are reproducible and sources are
+// statistically independent.
+func NewSource(sim *netsim.Simulator, link *netsim.Link, iat Interarrival, sizes SizeDist, seed int64) *Source {
+	return newSource(sim, []*netsim.Link{link}, iat, sizes, seed)
+}
+
+// newSource is NewSource over a route slice the caller may share.
+func newSource(sim *netsim.Simulator, route []*netsim.Link, iat Interarrival, sizes SizeDist, seed int64) *Source {
+	s := &Source{emitter: newEmitter(sim, route, sizes, seed), iat: iat}
 	s.tickFn = s.tick
 	return s
 }
@@ -153,32 +182,13 @@ func (s *Source) Start() {
 		return
 	}
 	s.started = true
-	first := netsim.Time(s.rng.Float64() * float64(s.iat.Next(s.rng)))
-	s.next = s.sim.After(first, s.tickFn)
+	s.after(netsim.Time(s.rng.Float64() * float64(s.iat.Next(s.rng))))
 }
 
 // tick emits one packet and schedules the next arrival.
 func (s *Source) tick() {
 	s.emit()
-	s.next = s.sim.After(s.iat.Next(s.rng), s.tickFn)
-}
-
-// emit injects one packet now.
-func (s *Source) emit() {
-	s.nextID++
-	pkt := s.sim.NewPacket()
-	pkt.ID = s.nextID
-	pkt.Size = s.sizes.Next(s.rng)
-	s.sim.Inject(pkt, s.route, s.sink)
-}
-
-// Stop cancels the source's pending arrival.
-func (s *Source) Stop() {
-	if s.started {
-		s.sim.Cancel(s.next)
-		s.next = eventq.Handle{}
-		s.started = false
-	}
+	s.after(s.iat.Next(s.rng))
 }
 
 // Model selects an interarrival family for aggregates.
@@ -212,15 +222,15 @@ func (m Model) String() string {
 // cross traffic: infinite variance, finite mean.
 const ParetoAlpha = 1.9
 
-// An Aggregate is a set of independent sources sharing a route, the
+// An Aggregate is a set of independent sources loading one link, the
 // paper's "ten random sources" per hop.
 type Aggregate struct{ Sources []*Source }
 
-// NewAggregate creates n independent sources whose combined mean rate
-// is rate bits per second, using the given interarrival model and size
+// NewAggregate creates n independent sources loading link whose
+// combined mean rate is rate bits per second, using the given interarrival model and size
 // distribution. Seeds are derived from seed so distinct aggregates can
 // be made independent.
-func NewAggregate(sim *netsim.Simulator, route []*netsim.Link, rate float64, n int, model Model, sizes SizeDist, seed int64) *Aggregate {
+func NewAggregate(sim *netsim.Simulator, link *netsim.Link, rate float64, n int, model Model, sizes SizeDist, seed int64) *Aggregate {
 	if n <= 0 {
 		panic(fmt.Sprintf("crosstraffic: aggregate needs at least one source, got %d", n))
 	}
@@ -231,6 +241,7 @@ func NewAggregate(sim *netsim.Simulator, route []*netsim.Link, rate float64, n i
 	if rate == 0 {
 		return agg
 	}
+	route := []*netsim.Link{link}
 	perSource := rate / float64(n)
 	meanIAT := netsim.FromSeconds(sizes.MeanBytes() * 8 / perSource)
 	for i := 0; i < n; i++ {
@@ -251,7 +262,7 @@ func NewAggregate(sim *netsim.Simulator, route []*netsim.Link, rate float64, n i
 			panic(fmt.Sprintf("crosstraffic: unknown model %v", model))
 		}
 		// Offset seeds; the multiplier keeps streams well separated.
-		agg.Sources = append(agg.Sources, NewSource(sim, route, nil, iat, sizes, seed+int64(i)*0x9e3779b9))
+		agg.Sources = append(agg.Sources, newSource(sim, route, iat, sizes, seed+int64(i)*0x9e3779b9))
 	}
 	return agg
 }

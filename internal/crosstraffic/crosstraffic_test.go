@@ -124,7 +124,7 @@ func TestSourceRate(t *testing.T) {
 	link := netsim.NewLink(sim, "l", 100_000_000, 0, 0)
 	const rate = 2_000_000.0
 	meanIAT := netsim.FromSeconds(441 * 8 / rate)
-	src := NewSource(sim, []*netsim.Link{link}, nil, Exponential{M: meanIAT}, Trimodal{}, 7)
+	src := NewSource(sim, link, Exponential{M: meanIAT}, Trimodal{}, 7)
 	src.Start()
 	sim.RunFor(60 * netsim.Second)
 	got := float64(link.Counters().BytesOut) * 8 / sim.Now().Seconds()
@@ -141,7 +141,7 @@ func TestAggregateRate(t *testing.T) {
 			sim := netsim.NewSimulator()
 			link := netsim.NewLink(sim, "l", 100_000_000, 0, 0)
 			const rate = 6_000_000.0
-			agg := NewAggregate(sim, []*netsim.Link{link}, rate, 10, model, Trimodal{}, 11)
+			agg := NewAggregate(sim, link, rate, 10, model, Trimodal{}, 11)
 			agg.Start()
 			sim.RunFor(120 * netsim.Second)
 			got := float64(link.Counters().BytesOut) * 8 / sim.Now().Seconds()
@@ -161,7 +161,7 @@ func TestAggregateRate(t *testing.T) {
 func TestSourceStop(t *testing.T) {
 	sim := netsim.NewSimulator()
 	link := netsim.NewLink(sim, "l", 10_000_000, 0, 0)
-	src := NewSource(sim, []*netsim.Link{link}, nil, Constant{M: netsim.Millisecond}, FixedSize{Bytes: 100}, 1)
+	src := NewSource(sim, link, Constant{M: netsim.Millisecond}, FixedSize{Bytes: 100}, 1)
 	src.Start()
 	sim.RunFor(100 * netsim.Millisecond)
 	src.Stop()
@@ -181,7 +181,7 @@ func TestSourceStop(t *testing.T) {
 func TestAggregateZeroRate(t *testing.T) {
 	sim := netsim.NewSimulator()
 	link := netsim.NewLink(sim, "l", 10_000_000, 0, 0)
-	agg := NewAggregate(sim, []*netsim.Link{link}, 0, 10, ModelPoisson, Trimodal{}, 1)
+	agg := NewAggregate(sim, link, 0, 10, ModelPoisson, Trimodal{}, 1)
 	agg.Start()
 	sim.RunFor(netsim.Second)
 	if got := link.Counters().PktsIn; got != 0 {
@@ -195,9 +195,9 @@ func TestAggregateValidation(t *testing.T) {
 	sim := netsim.NewSimulator()
 	link := netsim.NewLink(sim, "l", 10_000_000, 0, 0)
 	for name, fn := range map[string]func(){
-		"zero sources":  func() { NewAggregate(sim, []*netsim.Link{link}, 1e6, 0, ModelPoisson, Trimodal{}, 1) },
-		"negative rate": func() { NewAggregate(sim, []*netsim.Link{link}, -1, 1, ModelPoisson, Trimodal{}, 1) },
-		"unknown model": func() { NewAggregate(sim, []*netsim.Link{link}, 1e6, 1, Model(99), Trimodal{}, 1) },
+		"zero sources":  func() { NewAggregate(sim, link, 1e6, 0, ModelPoisson, Trimodal{}, 1) },
+		"negative rate": func() { NewAggregate(sim, link, -1, 1, ModelPoisson, Trimodal{}, 1) },
+		"unknown model": func() { NewAggregate(sim, link, 1e6, 1, Model(99), Trimodal{}, 1) },
 	} {
 		func() {
 			defer func() {
@@ -218,7 +218,7 @@ func TestRandomPhaseDesynchronizesCBR(t *testing.T) {
 	link := netsim.NewLink(sim, "l", 100_000_000, 0, 0)
 	var arrivals []netsim.Time
 	link.OnTransmit(func(_ *netsim.Packet, done netsim.Time) { arrivals = append(arrivals, done) })
-	agg := NewAggregate(sim, []*netsim.Link{link}, 4e6, 10, ModelCBR, FixedSize{Bytes: 500}, 13)
+	agg := NewAggregate(sim, link, 4e6, 10, ModelCBR, FixedSize{Bytes: 500}, 13)
 	agg.Start()
 	sim.RunFor(5 * netsim.Second)
 

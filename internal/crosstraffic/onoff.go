@@ -86,28 +86,20 @@ func (p *ParetoOnOff) Mean() netsim.Time {
 // Peak rate, so the process is exact (not stepwise) and deterministic
 // per seed.
 type RampSource struct {
-	sim   *netsim.Simulator
-	route []*netsim.Link
-	sizes SizeDist
-	rng   *rand.Rand
+	emitter
 
 	peak    float64 // bits/s at the plateau
 	rampUp  netsim.Time
 	hold    netsim.Time // 0 = indefinite
 	rampDn  netsim.Time
 	meanIAT netsim.Time // candidate spacing at Peak rate
-
-	tickFn  func()
-	next    eventq.Handle
 	origin  netsim.Time
-	started bool
-	nextID  uint64
 }
 
-// NewRampSource creates a flash-crowd source over route. peak is the
+// NewRampSource creates a flash-crowd source loading link. peak is the
 // plateau rate in bits/s; rampUp, hold, and rampDown shape the
 // trapezoid (hold 0 = indefinite plateau).
-func NewRampSource(sim *netsim.Simulator, route []*netsim.Link, peak float64, rampUp, hold, rampDown netsim.Time, sizes SizeDist, seed int64) *RampSource {
+func NewRampSource(sim *netsim.Simulator, link *netsim.Link, peak float64, rampUp, hold, rampDown netsim.Time, sizes SizeDist, seed int64) *RampSource {
 	if peak <= 0 {
 		panic(fmt.Sprintf("crosstraffic: RampSource peak must be positive, got %v", peak))
 	}
@@ -115,10 +107,7 @@ func NewRampSource(sim *netsim.Simulator, route []*netsim.Link, peak float64, ra
 		panic("crosstraffic: RampSource durations must be non-negative")
 	}
 	r := &RampSource{
-		sim:     sim,
-		route:   route,
-		sizes:   sizes,
-		rng:     rand.New(rand.NewSource(seed)),
+		emitter: newEmitter(sim, []*netsim.Link{link}, sizes, seed),
 		peak:    peak,
 		rampUp:  rampUp,
 		hold:    hold,
@@ -147,7 +136,8 @@ func (r *RampSource) RateAt(t netsim.Time) float64 {
 }
 
 // Start arms the ramp at the current simulated time. Starting a started
-// source is a no-op.
+// source is a no-op; a stopped source can be re-armed, restarting the
+// trapezoid from its new origin.
 func (r *RampSource) Start() {
 	if r.started {
 		return
@@ -157,20 +147,10 @@ func (r *RampSource) Start() {
 	r.schedule()
 }
 
-// Stop silences the source; a stopped source can be re-armed with
-// Start (restarting the trapezoid from its origin).
-func (r *RampSource) Stop() {
-	if r.started {
-		r.sim.Cancel(r.next)
-		r.next = eventq.Handle{}
-		r.started = false
-	}
-}
-
 // schedule books the next thinning candidate at the Peak-rate Poisson
 // spacing.
 func (r *RampSource) schedule() {
-	r.next = r.sim.After(netsim.Time(r.rng.ExpFloat64()*float64(r.meanIAT)), r.tickFn)
+	r.after(netsim.Time(r.rng.ExpFloat64() * float64(r.meanIAT)))
 }
 
 // tick accepts the candidate arrival with probability rate(t)/Peak and
@@ -183,11 +163,7 @@ func (r *RampSource) tick() {
 		return
 	}
 	if r.rng.Float64()*r.peak < r.RateAt(t) {
-		r.nextID++
-		pkt := r.sim.NewPacket()
-		pkt.ID = r.nextID
-		pkt.Size = r.sizes.Next(r.rng)
-		r.sim.Inject(pkt, r.route, nil)
+		r.emit()
 	}
 	r.schedule()
 }

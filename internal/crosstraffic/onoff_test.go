@@ -75,7 +75,7 @@ func TestAggregateOnOffRate(t *testing.T) {
 	sim := netsim.NewSimulator()
 	link := netsim.NewLink(sim, "l", 100_000_000, 0, 0)
 	const rate = 6_000_000.0
-	agg := NewAggregate(sim, []*netsim.Link{link}, rate, 10, ModelOnOff, Trimodal{}, 11)
+	agg := NewAggregate(sim, link, rate, 10, ModelOnOff, Trimodal{}, 11)
 	agg.Start()
 	sim.RunFor(300 * netsim.Second)
 	got := float64(link.Counters().BytesOut) * 8 / sim.Now().Seconds()
@@ -91,7 +91,7 @@ func TestRampSourceShape(t *testing.T) {
 	sim := netsim.NewSimulator()
 	link := netsim.NewLink(sim, "l", 100_000_000, 0, 0)
 	const peak = 8_000_000.0
-	ramp := NewRampSource(sim, []*netsim.Link{link},
+	ramp := NewRampSource(sim, link,
 		peak, 2*netsim.Second, 10*netsim.Second, 2*netsim.Second, Trimodal{}, 21)
 
 	if got := ramp.RateAt(netsim.Second); math.Abs(got-peak/2) > 1 {
@@ -137,7 +137,7 @@ func TestRampSourceIndefiniteHold(t *testing.T) {
 	sim := netsim.NewSimulator()
 	link := netsim.NewLink(sim, "l", 100_000_000, 0, 0)
 	const peak = 8_000_000.0
-	ramp := NewRampSource(sim, []*netsim.Link{link},
+	ramp := NewRampSource(sim, link,
 		peak, netsim.Second, 0, netsim.Second, Trimodal{}, 22)
 	ramp.Start()
 	sim.RunFor(30 * netsim.Second)
@@ -159,12 +159,11 @@ func TestRampSourceIndefiniteHold(t *testing.T) {
 func TestRampSourceValidation(t *testing.T) {
 	sim := netsim.NewSimulator()
 	link := netsim.NewLink(sim, "l", 10_000_000, 0, 0)
-	route := []*netsim.Link{link}
 	for name, fn := range map[string]func(){
-		"zero peak":     func() { NewRampSource(sim, route, 0, netsim.Second, 0, 0, Trimodal{}, 1) },
-		"negative ramp": func() { NewRampSource(sim, route, 1e6, -1, 0, 0, Trimodal{}, 1) },
-		"negative hold": func() { NewRampSource(sim, route, 1e6, netsim.Second, -1, 0, Trimodal{}, 1) },
-		"negative down": func() { NewRampSource(sim, route, 1e6, netsim.Second, 0, -1, Trimodal{}, 1) },
+		"zero peak":     func() { NewRampSource(sim, link, 0, netsim.Second, 0, 0, Trimodal{}, 1) },
+		"negative ramp": func() { NewRampSource(sim, link, 1e6, -1, 0, 0, Trimodal{}, 1) },
+		"negative hold": func() { NewRampSource(sim, link, 1e6, netsim.Second, -1, 0, Trimodal{}, 1) },
+		"negative down": func() { NewRampSource(sim, link, 1e6, netsim.Second, 0, -1, Trimodal{}, 1) },
 	} {
 		func() {
 			defer func() {

@@ -52,7 +52,7 @@ func buildBTCPath(seed int64) *btcPath {
 	}
 	tight := links[1]
 
-	agg := crosstraffic.NewAggregate(sim, []*netsim.Link{tight}, 1.2e6, 10,
+	agg := crosstraffic.NewAggregate(sim, tight, 1.2e6, 10,
 		crosstraffic.ModelPoisson, crosstraffic.Trimodal{}, seed)
 	agg.Start()
 

@@ -86,19 +86,6 @@ func TestMeasuredAvailMatchesConfig(t *testing.T) {
 	}
 }
 
-// TestStopTraffic silences the path.
-func TestStopTraffic(t *testing.T) {
-	net := Topology{Seed: 2}.Build()
-	net.Warmup(netsim.Second)
-	net.StopTraffic()
-	net.Sim.RunFor(netsim.Second) // drain
-	before := net.Tight().Counters()
-	net.Sim.RunFor(5 * netsim.Second)
-	if got := net.Tight().Counters().BytesOut - before.BytesOut; got != 0 {
-		t.Fatalf("%d bytes transmitted after StopTraffic", got)
-	}
-}
-
 // TestOWDTracesShape: Fig 1 increasing, Fig 2 not.
 func TestOWDTracesShape(t *testing.T) {
 	traces := OWDTraces(Options{Seed: 7})

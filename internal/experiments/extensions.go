@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/availproc"
 	"repro/internal/baseline"
 	"repro/internal/crosstraffic"
 	"repro/internal/fluid"
+	"repro/internal/mrtg"
 	"repro/internal/netsim"
 	"repro/internal/simprobe"
 
@@ -92,7 +92,7 @@ func RenderBaseline(pts []BaselinePoint) string {
 // averaging timescales for one traffic model.
 type TimescaleCDF struct {
 	Model  string
-	Points []availproc.TimescalePoint
+	Points []mrtg.TimescalePoint
 }
 
 // TimescaleVariance measures the ground-truth avail-bw process of the
@@ -117,11 +117,11 @@ func TimescaleVariance(opt Options) []TimescaleCDF {
 		topo := Topology{Seed: opt.runSeed(500 + i), Model: model.m}
 		net := topo.Build()
 		net.Warmup(warmup)
-		s := availproc.NewSampler(net.Sim, net.Tight(), 10*netsim.Millisecond)
-		s.Start()
+		mon := mrtg.NewMonitor(net.Sim, net.Tight(), 10*netsim.Millisecond)
+		mon.Start()
 		net.Sim.RunFor(horizon)
-		s.Stop()
-		out = append(out, TimescaleCDF{Model: model.name, Points: s.VarianceByTimescale(taus)})
+		mon.Stop()
+		out = append(out, TimescaleCDF{Model: model.name, Points: mon.VarianceByTimescale(taus)})
 	}
 	return out
 }

@@ -28,33 +28,36 @@ type OWDTrace struct {
 	RiseMs float64
 }
 
-// wanPath builds a path shaped like the paper's Univ-Oregon →
+// A wanHop is one link of a hand-built WAN path: its name, capacity in
+// bits/s and cross-traffic utilization.
+type wanHop struct {
+	name string
+	cap  float64
+	util float64
+}
+
+// oregonDelaware is shaped like the paper's Univ-Oregon →
 // Univ-Delaware route: the narrow link is a 100 Mb/s Fast Ethernet
 // interface while the tight link is a 155 Mb/s OC-3 carrying enough
 // traffic to leave ≈ 74 Mb/s available.
-func wanPath(seed int64) (*netsim.Simulator, []*netsim.Link) {
+var oregonDelaware = []wanHop{
+	{"gigapop", 622e6, 0.10},
+	{"fast-ethernet(narrow)", 100e6, 0.05},
+	{"oc3(tight)", 155e6, 0.5226}, // A ≈ 74 Mb/s
+	{"abilene", 622e6, 0.10},
+	{"campus", 622e6, 0.08},
+}
+
+// hopPath builds a chain of hops with 10 ms of propagation each, hop i
+// loaded by ten Pareto sources of the trimodal mix at cap·util, seeded
+// seed + i·999 983.
+func hopPath(seed int64, hops ...wanHop) (*netsim.Simulator, []*netsim.Link) {
 	sim := netsim.NewSimulator()
-	type hop struct {
-		name string
-		cap  float64
-		util float64
-	}
-	hops := []hop{
-		{"gigapop", 622e6, 0.10},
-		{"fast-ethernet(narrow)", 100e6, 0.05},
-		{"oc3(tight)", 155e6, 0.5226}, // A ≈ 74 Mb/s
-		{"abilene", 622e6, 0.10},
-		{"campus", 622e6, 0.08},
-	}
-	var links []*netsim.Link
+	links := make([]*netsim.Link, len(hops))
 	for i, h := range hops {
-		l := netsim.NewLink(sim, h.name, int64(h.cap), 10*netsim.Millisecond, 0)
-		links = append(links, l)
-		if h.util > 0 {
-			agg := crosstraffic.NewAggregate(sim, []*netsim.Link{l}, h.cap*h.util, 10,
-				crosstraffic.ModelPareto, crosstraffic.Trimodal{}, seed+int64(i)*999_983)
-			agg.Start()
-		}
+		links[i] = netsim.NewLink(sim, h.name, int64(h.cap), 10*netsim.Millisecond, 0)
+		crosstraffic.NewAggregate(sim, links[i], h.cap*h.util, 10,
+			crosstraffic.ModelPareto, crosstraffic.Trimodal{}, seed+int64(i)*999_983).Start()
 	}
 	return sim, links
 }
@@ -76,7 +79,7 @@ func OWDTraces(opt Options) []OWDTrace {
 	cfg := pathload.Config{}
 	var out []OWDTrace
 	for i, c := range cases {
-		sim, links := wanPath(opt.runSeed(i))
+		sim, links := hopPath(opt.runSeed(i), oregonDelaware...)
 		sim.RunFor(warmup)
 		prober := simprobe.New(sim, links, 10*netsim.Millisecond)
 		rate := c.rateMbps * 1e6

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/crosstraffic"
-	"repro/internal/netsim"
 	"repro/internal/tsstore"
 
 	pathload "repro"
@@ -109,9 +107,7 @@ func runStepFleet(topos []Topology, deltaUtil float64, cfg pathload.MonitorConfi
 	for i, t := range topos {
 		n := t.Build()
 		nets[i] = n
-		extra := crosstraffic.NewAggregate(n.Sim, []*netsim.Link{n.Tight()},
-			n.Topo.TightCap*deltaUtil, n.Topo.SourcesPerHop, n.Topo.Model,
-			crosstraffic.Trimodal{}, n.Topo.Seed+500_000_009)
+		extra := n.mesh.CrossTraffic(n.Tight(), n.Topo.TightCap*deltaUtil, n.Topo.Seed+500_000_009)
 		if i%2 == 0 {
 			sink.steps[PathID(i)] = extra.Start
 		} else {

@@ -156,10 +156,6 @@ func (t Topology) Build() *Net {
 	return &Net{Sim: m.Sim, Links: m.Links(), TightIdx: tightIdx, Topo: t, mesh: m}
 }
 
-// StopTraffic halts all cross-traffic sources (used by tests that want
-// a quiet path mid-run).
-func (n *Net) StopTraffic() { n.mesh.StopTraffic() }
-
 // Warmup advances the simulation so queues and heavy-tailed sources
 // reach steady state before measurement begins.
 func (n *Net) Warmup(d netsim.Time) { n.Sim.RunFor(d) }

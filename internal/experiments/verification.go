@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/crosstraffic"
 	"repro/internal/mrtg"
 	"repro/internal/netsim"
 	"repro/internal/simprobe"
@@ -59,25 +58,10 @@ func Fig10(opt Options) []VerificationRun {
 		// 95 Mb/s so the OC-3 stays the tight link MRTG should match.
 		util := 0.40 + rng.Float64()*0.30
 
-		sim := netsim.NewSimulator()
-		type hop struct {
-			name string
-			cap  float64
-			util float64
-		}
-		hops := []hop{
-			{"fast-ethernet(narrow)", 100e6, 0.05},
-			{"oc3(tight)", 155e6, util},
-			{"backbone", 622e6, 0.10},
-		}
-		var links []*netsim.Link
-		for i, h := range hops {
-			l := netsim.NewLink(sim, h.name, int64(h.cap), 10*netsim.Millisecond, 0)
-			links = append(links, l)
-			agg := crosstraffic.NewAggregate(sim, []*netsim.Link{l}, h.cap*h.util, 10,
-				crosstraffic.ModelPareto, crosstraffic.Trimodal{}, opt.runSeed(r)+int64(i)*999_983)
-			agg.Start()
-		}
+		sim, links := hopPath(opt.runSeed(r),
+			wanHop{"fast-ethernet(narrow)", 100e6, 0.05},
+			wanHop{"oc3(tight)", 155e6, util},
+			wanHop{"backbone", 622e6, 0.10})
 		tight := links[1]
 		sim.RunFor(warmup)
 

@@ -178,21 +178,6 @@ func (p *Path) TightLink() *netsim.Link { return p.Route[p.TightIdx] }
 // A = min over the route of C_l·(1−u_l), excluding any probe load.
 func (p *Path) AvailBw() float64 { return p.avail }
 
-// Overlap counts the links this path shares with other.
-func (p *Path) Overlap(other *Path) int {
-	names := map[string]bool{}
-	for _, n := range p.LinkNames {
-		names[n] = true
-	}
-	shared := 0
-	for _, n := range other.LinkNames {
-		if names[n] {
-			shared++
-		}
-	}
-	return shared
-}
-
 // A Mesh is a built Spec: one live simulator with the link pool wired,
 // cross traffic attached and started, and per-path ground truth
 // precomputed.
@@ -204,10 +189,10 @@ type Mesh struct {
 	byLink map[string]*netsim.Link
 	paths  []*Path
 	byPath map[string]*Path
-	aggs   []*crosstraffic.Aggregate
 }
 
 // Build constructs the simulator, links, routes, and cross traffic.
+// The built mesh's Spec carries the defaults Build filled in.
 func (s Spec) Build() (*Mesh, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -215,9 +200,8 @@ func (s Spec) Build() (*Mesh, error) {
 	if s.SourcesPerLink == 0 {
 		s.SourcesPerLink = DefaultSourcesPerLink
 	}
-	sizes := s.Sizes
-	if sizes == nil {
-		sizes = crosstraffic.Trimodal{}
+	if s.Sizes == nil {
+		s.Sizes = crosstraffic.Trimodal{}
 	}
 
 	m := &Mesh{
@@ -244,10 +228,7 @@ func (s Spec) Build() (*Mesh, error) {
 		specByName[ls.Name] = ls
 
 		if rate := ls.Capacity * ls.Util; rate > 0 {
-			agg := crosstraffic.NewAggregate(m.Sim, []*netsim.Link{link}, rate,
-				s.SourcesPerLink, s.Model, sizes, s.Seed+int64(i)*1_000_003)
-			agg.Start()
-			m.aggs = append(m.aggs, agg)
+			m.CrossTraffic(link, rate, s.Seed+int64(i)*1_000_003).Start()
 		}
 	}
 	for _, rs := range s.Routes {
@@ -291,55 +272,37 @@ func (m *Mesh) Path(name string) *Path { return m.byPath[name] }
 // steady state. Call it before creating probers on the mesh.
 func (m *Mesh) Warmup(d netsim.Time) { m.Sim.Run(m.Sim.Now() + d) }
 
-// StopTraffic halts all cross-traffic sources.
-func (m *Mesh) StopTraffic() {
-	for _, a := range m.aggs {
-		a.Stop()
-	}
+// CrossTraffic builds a stopped cross-traffic aggregate of rate bits/s
+// on link, multiplexed and shaped as the spec's base load is:
+// SourcesPerLink sources of its Model drawing packet sizes from Sizes.
+func (m *Mesh) CrossTraffic(link *netsim.Link, rate float64, seed int64) *crosstraffic.Aggregate {
+	return crosstraffic.NewAggregate(m.Sim, link, rate, m.Spec.SourcesPerLink, m.Spec.Model, m.Spec.Sizes, seed)
 }
 
-// Overlaps returns the fleet's path-overlap graph: for every path, the
-// sibling paths it shares at least one link with, sorted, in a map
-// keyed by path name. Paths with no overlaps map to nil — the graph is
-// what a contention-aware layer consults to know which sessions can
-// interfere at all.
-func (m *Mesh) Overlaps() map[string][]string {
-	return m.overlapGraph(func(a, b *Path) bool { return a.Overlap(b) > 0 })
-}
-
-// TightOverlaps restricts the overlap graph to pairs sharing a link
-// that is the tight link of at least one of the two paths — the pairs
-// whose co-probing lands contention exactly on a hop being estimated,
-// the bias the contention experiment measures at ≈ −3 Mb/s. Feed it to
-// schedule.NewStagger to keep those sessions from measuring at once.
+// TightOverlaps returns the fleet's tight-overlap graph: for every
+// path, the sibling paths it shares a link with that is the tight link
+// of at least one of the two — the pairs whose co-probing lands
+// contention exactly on a hop being estimated, the bias the contention
+// experiment measures at ≈ −3 Mb/s. The graph is keyed by path name,
+// neighbor lists follow spec (path) order, and paths with no such
+// sibling map to nil. Feed it to schedule.NewStagger to keep those
+// sessions from measuring at once.
 func (m *Mesh) TightOverlaps() map[string][]string {
-	return m.overlapGraph(func(a, b *Path) bool {
-		ta, tb := a.LinkNames[a.TightIdx], b.LinkNames[b.TightIdx]
+	crosses := func(a, b *Path) bool {
 		for _, n := range b.LinkNames {
-			if n == ta {
-				return true
-			}
-		}
-		for _, n := range a.LinkNames {
-			if n == tb {
+			if n == a.LinkNames[a.TightIdx] {
 				return true
 			}
 		}
 		return false
-	})
-}
-
-// overlapGraph builds an adjacency map over the fleet's paths using
-// the given pair predicate. Neighbor lists follow spec (path) order,
-// so the graph is deterministic.
-func (m *Mesh) overlapGraph(conflict func(a, b *Path) bool) map[string][]string {
+	}
 	g := make(map[string][]string, len(m.paths))
 	for _, p := range m.paths {
 		g[p.Name] = nil
 	}
 	for i, a := range m.paths {
 		for _, b := range m.paths[i+1:] {
-			if conflict(a, b) {
+			if crosses(a, b) || crosses(b, a) {
 				g[a.Name] = append(g[a.Name], b.Name)
 				g[b.Name] = append(g[b.Name], a.Name)
 			}

@@ -30,15 +30,9 @@ func TestStarGroundTruth(t *testing.T) {
 			t.Errorf("%s: A = %v, want %v", p.Name, p.AvailBw(), want)
 		}
 	}
-	// Full overlap: every pair shares exactly the core.
-	ps := m.Paths()
-	if got := ps[0].Overlap(ps[2]); got != 1 {
-		t.Errorf("star overlap = %d, want 1", got)
-	}
 }
 
-// TestChainGroundTruth: parking-lot paths alternate tight hops, and
-// only adjacent paths overlap.
+// TestChainGroundTruth: parking-lot paths alternate tight hops.
 func TestChainGroundTruth(t *testing.T) {
 	m := Chain(3, 7).MustBuild()
 	want := []struct {
@@ -58,17 +52,9 @@ func TestChainGroundTruth(t *testing.T) {
 			t.Errorf("%s: A = %v, want %v", p.Name, p.AvailBw(), wantA)
 		}
 	}
-	ps := m.Paths()
-	if got := ps[0].Overlap(ps[1]); got != 1 {
-		t.Errorf("adjacent chain overlap = %d, want 1", got)
-	}
-	if got := ps[0].Overlap(ps[2]); got != 0 {
-		t.Errorf("non-adjacent chain overlap = %d, want 0", got)
-	}
 }
 
-// TestTreeGroundTruth: the root is tight for every path; group
-// siblings share two links, cross-group paths one.
+// TestTreeGroundTruth: the root is tight for every path.
 func TestTreeGroundTruth(t *testing.T) {
 	m := Tree(3, 7).MustBuild()
 	for _, p := range m.Paths() {
@@ -79,23 +65,12 @@ func TestTreeGroundTruth(t *testing.T) {
 			t.Errorf("%s: A = %v, want %v", p.Name, p.AvailBw(), want)
 		}
 	}
-	ps := m.Paths()
-	if got := ps[0].Overlap(ps[1]); got != 2 { // agg-00 + root
-		t.Errorf("sibling tree overlap = %d, want 2", got)
-	}
-	if got := ps[0].Overlap(ps[2]); got != 1 { // root only
-		t.Errorf("cross-group tree overlap = %d, want 1", got)
-	}
 }
 
 // TestDisjointGroundTruth: the control shape has no shared links.
 func TestDisjointGroundTruth(t *testing.T) {
 	m := Disjoint(2, 7).MustBuild()
-	ps := m.Paths()
-	if got := ps[0].Overlap(ps[1]); got != 0 {
-		t.Errorf("disjoint overlap = %d, want 0", got)
-	}
-	for _, p := range ps {
+	for _, p := range m.Paths() {
 		if want := soloCap * (1 - soloUtil); p.AvailBw() != want {
 			t.Errorf("%s: A = %v, want %v", p.Name, p.AvailBw(), want)
 		}
@@ -330,11 +305,23 @@ func TestCrossTrafficRealizesUtil(t *testing.T) {
 	if util < coreUtil-0.06 || util > coreUtil+0.06 {
 		t.Fatalf("core utilization %.3f, want ≈ %.2f", util, coreUtil)
 	}
-	m.StopTraffic()
-	before = m.Link("core").Counters()
-	m.Sim.RunFor(5 * netsim.Second)
-	if after := m.Link("core").Counters(); after.PktsIn != before.PktsIn {
-		t.Fatalf("traffic kept flowing after StopTraffic")
+}
+
+// TestCrossTrafficIsStopped: an aggregate built on top of the base load
+// follows the spec's defaults and books no arrival until started.
+func TestCrossTrafficIsStopped(t *testing.T) {
+	m := Disjoint(1, 3).MustBuild()
+	pending := m.Sim.Pending()
+	agg := m.CrossTraffic(m.Links()[0], 1e6, 9)
+	if len(agg.Sources) != DefaultSourcesPerLink {
+		t.Fatalf("%d sources, want the default %d", len(agg.Sources), DefaultSourcesPerLink)
+	}
+	if got := m.Sim.Pending(); got != pending {
+		t.Fatalf("built aggregate booked %d arrivals before Start", got-pending)
+	}
+	agg.Start()
+	if got := m.Sim.Pending(); got != pending+DefaultSourcesPerLink {
+		t.Fatalf("started aggregate booked %d arrivals, want %d", got-pending, DefaultSourcesPerLink)
 	}
 }
 
@@ -452,31 +439,24 @@ func TestMonitorFleetOverMesh(t *testing.T) {
 }
 
 // TestOverlapGraphs pins the exported path-overlap graphs on the
-// canonical shapes: Overlaps counts any shared link, TightOverlaps only
-// links tight for at least one endpoint — the distinction the chain
-// shape exists to exercise.
+// canonical shapes: TightOverlaps counts only shared links tight for at
+// least one endpoint — the distinction the chain shape exists to
+// exercise.
 func TestOverlapGraphs(t *testing.T) {
 	adj := func(g map[string][]string, p string) string {
 		return fmt.Sprintf("%v", g[p])
 	}
 
-	// Star: one shared core, tight for everyone — both graphs are the
-	// complete graph.
+	// Star: one shared core, tight for everyone — the complete graph.
 	star := Star(3, 1).MustBuild()
-	for _, g := range []map[string][]string{star.Overlaps(), star.TightOverlaps()} {
-		if got := adj(g, "path-01"); got != "[path-00 path-02]" {
-			t.Errorf("star path-01 overlaps %s, want [path-00 path-02]", got)
-		}
+	if got := adj(star.TightOverlaps(), "path-01"); got != "[path-00 path-02]" {
+		t.Errorf("star path-01 overlaps %s, want [path-00 path-02]", got)
 	}
 
 	// Chain of 3: neighbors share a hop, but only the path-01/path-02
 	// pair shares a link (hop-02) that is tight for either of them —
 	// path-00 and path-01 share the quiet hop-01.
-	chain := Chain(3, 1).MustBuild()
-	over, tight := chain.Overlaps(), chain.TightOverlaps()
-	if got := adj(over, "path-01"); got != "[path-00 path-02]" {
-		t.Errorf("chain path-01 overlaps %s, want both neighbors", got)
-	}
+	tight := Chain(3, 1).MustBuild().TightOverlaps()
 	if got := adj(tight, "path-01"); got != "[path-02]" {
 		t.Errorf("chain path-01 tight-overlaps %s, want only path-02 (hop-01 is quiet)", got)
 	}
@@ -487,7 +467,7 @@ func TestOverlapGraphs(t *testing.T) {
 	// Disjoint: no shared links at all, but every path still appears in
 	// the map (schedule.NewStagger wants the full roster shape).
 	dis := Disjoint(3, 1).MustBuild()
-	g := dis.Overlaps()
+	g := dis.TightOverlaps()
 	if len(g) != 3 {
 		t.Fatalf("disjoint graph has %d entries, want 3", len(g))
 	}

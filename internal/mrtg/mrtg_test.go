@@ -14,7 +14,7 @@ func TestWindowedReadings(t *testing.T) {
 	sim := netsim.NewSimulator()
 	link := netsim.NewLink(sim, "l", 10_000_000, 0, 0)
 	// 500 kB/s of 1000-byte packets = 40% utilization.
-	src := crosstraffic.NewSource(sim, []*netsim.Link{link}, nil,
+	src := crosstraffic.NewSource(sim, link,
 		crosstraffic.Constant{M: 2 * netsim.Millisecond},
 		crosstraffic.FixedSize{Bytes: 1000}, 1)
 	src.Start()
@@ -113,5 +113,112 @@ func TestDoubleStartIsIdempotent(t *testing.T) {
 	sim.RunFor(3500 * netsim.Millisecond)
 	if got := len(mon.Readings()); got != 3 {
 		t.Fatalf("%d readings after double Start, want 3", got)
+	}
+}
+
+// TestRestartWithinWindow: stopping mid-window and starting again must
+// leave one sampling chain, so every reading still spans one window.
+func TestRestartWithinWindow(t *testing.T) {
+	sim := netsim.NewSimulator()
+	link := netsim.NewLink(sim, "l", 1_000_000, 0, 0)
+	mon := NewMonitor(sim, link, netsim.Second)
+	mon.Start()
+	sim.RunFor(500 * netsim.Millisecond)
+	mon.Stop()
+	mon.Start()
+	sim.RunFor(3 * netsim.Second)
+	rs := mon.Readings()
+	if len(rs) != 3 {
+		t.Fatalf("%d readings after a restart and 3s of 1s windows, want 3", len(rs))
+	}
+	for i, r := range rs {
+		if r.End-r.Start != netsim.Second {
+			t.Errorf("reading %d spans %v, want 1s", i, r.End-r.Start)
+		}
+	}
+}
+
+// loadedLink builds a 10 Mb/s link with 6 Mb/s of Poisson load.
+func loadedLink(seed int64) (*netsim.Simulator, *netsim.Link) {
+	sim := netsim.NewSimulator()
+	link := netsim.NewLink(sim, "l", 10_000_000, 0, 0)
+	crosstraffic.NewAggregate(sim, link, 6e6, 10,
+		crosstraffic.ModelPoisson, crosstraffic.Trimodal{}, seed).Start()
+	return sim, link
+}
+
+// TestSeriesMeanMatchesLoad: the sampled avail-bw process must average
+// to C − load.
+func TestSeriesMeanMatchesLoad(t *testing.T) {
+	sim, link := loadedLink(1)
+	mon := NewMonitor(sim, link, 10*netsim.Millisecond)
+	mon.Start()
+	sim.RunFor(60 * netsim.Second)
+	series, err := mon.Series(netsim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, v := range series {
+		sum += v
+	}
+	mean := sum / float64(len(series))
+	if math.Abs(mean-4e6)/4e6 > 0.05 {
+		t.Fatalf("process mean %.2f Mb/s, want ≈4", mean/1e6)
+	}
+}
+
+// TestVarianceDecreasesWithTimescale is the paper's §I relation.
+func TestVarianceDecreasesWithTimescale(t *testing.T) {
+	sim, link := loadedLink(2)
+	mon := NewMonitor(sim, link, 10*netsim.Millisecond)
+	mon.Start()
+	sim.RunFor(120 * netsim.Second)
+	pts := mon.VarianceByTimescale([]netsim.Time{
+		10 * netsim.Millisecond, 100 * netsim.Millisecond, netsim.Second,
+	})
+	if len(pts) != 3 {
+		t.Fatalf("got %d timescale points, want 3", len(pts))
+	}
+	for i := 1; i < len(pts); i++ {
+		if pts[i].StdDev >= pts[i-1].StdDev {
+			t.Fatalf("σ(τ=%v)=%.0f not below σ(τ=%v)=%.0f",
+				pts[i].Tau, pts[i].StdDev, pts[i-1].Tau, pts[i-1].StdDev)
+		}
+	}
+}
+
+// TestSeriesValidation covers misaligned and oversized timescales.
+func TestSeriesValidation(t *testing.T) {
+	sim, link := loadedLink(3)
+	mon := NewMonitor(sim, link, 10*netsim.Millisecond)
+	mon.Start()
+	sim.RunFor(netsim.Second)
+	if _, err := mon.Series(15 * netsim.Millisecond); err == nil {
+		t.Error("misaligned timescale accepted")
+	}
+	if _, err := mon.Series(0); err == nil {
+		t.Error("zero timescale accepted")
+	}
+	if _, err := mon.Series(10 * netsim.Second); err == nil {
+		t.Error("timescale longer than the recording accepted")
+	}
+}
+
+// TestIdleLinkSeries: with no traffic, A(t, τ) = C at every timescale.
+func TestIdleLinkSeries(t *testing.T) {
+	sim := netsim.NewSimulator()
+	link := netsim.NewLink(sim, "l", 10_000_000, 0, 0)
+	mon := NewMonitor(sim, link, 10*netsim.Millisecond)
+	mon.Start()
+	sim.RunFor(5 * netsim.Second)
+	series, err := mon.Series(100 * netsim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range series {
+		if v != 10e6 {
+			t.Fatalf("idle link avail %v, want capacity", v)
+		}
 	}
 }

@@ -3,8 +3,9 @@
 // It models a network as store-and-forward links with FIFO drop-tail
 // queues, the service discipline assumed by the SLoPS analysis (Jain &
 // Dovrolis, SIGCOMM 2002). Packets carry an explicit route (a sequence
-// of links) and a sink callback, so path traffic and one-hop cross
-// traffic share links naturally.
+// of links) and a sink callback: path traffic crosses its route to a
+// sink, while cross traffic enters one link with a nil sink, so the two
+// share links naturally.
 //
 // The event heap holds lane heads, not packets. A FIFO link stage
 // (transmission, propagation) and a periodic probe stream each have

@@ -151,8 +151,10 @@ func Names() []string {
 	return out
 }
 
-// Get builds a registry scenario with the given parameters. Unknown
-// names error.
+// Get builds a registry scenario with the given parameters and
+// validates it, so parameters that overload a link in some epoch (a
+// flash crowd on an already busy tight link) error here instead of at
+// Build. Unknown names error.
 func Get(name string, p Params) (Scenario, error) {
 	p = p.withDefaults()
 	if p.Load < 0 || p.Load > 0.95 {
@@ -160,7 +162,11 @@ func Get(name string, p Params) (Scenario, error) {
 	}
 	for _, r := range registry {
 		if r.name == name {
-			return r.build(p), nil
+			s := r.build(p)
+			if err := s.validate(); err != nil {
+				return Scenario{}, err
+			}
+			return s, nil
 		}
 	}
 	return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (have %v)", name, Names())

@@ -126,6 +126,11 @@ func (s Scenario) validate() error {
 				return fmt.Errorf("scenario %q: epoch %d: flash ramp-up must be positive, got %v", s.Name, e, f.RampUp)
 			}
 		}
+		for _, l := range s.Spec.Links {
+			if a := s.availIn(l, e); a < 0 {
+				return fmt.Errorf("scenario %q: epoch %d: link %q offered %v b/s beyond its capacity", s.Name, e, l.Name, -a)
+			}
+		}
 	}
 	return nil
 }
@@ -137,6 +142,16 @@ func (s Scenario) utilIn(l mesh.LinkSpec, e int) float64 {
 		return u
 	}
 	return l.Util
+}
+
+// availIn returns link l's analytic avail-bw in epoch e, C·(1−u_e),
+// less the epoch's flash peak when the flash is on l.
+func (s Scenario) availIn(l mesh.LinkSpec, e int) float64 {
+	a := l.Capacity * (1 - s.utilIn(l, e))
+	if f := s.Epochs[e].Flash; f != nil && f.Link == l.Name {
+		a -= f.Peak
+	}
+	return a
 }
 
 // RouteTruth returns the analytic ground truth of route r in epoch e:
@@ -151,11 +166,7 @@ func (s Scenario) RouteTruth(e, r int) (avail float64, tightHop int) {
 		byName[l.Name] = l
 	}
 	for hop, name := range s.Spec.Routes[r].Links {
-		l := byName[name]
-		a := l.Capacity * (1 - s.utilIn(l, e))
-		if f := s.Epochs[e].Flash; f != nil && f.Link == name {
-			a -= f.Peak
-		}
+		a := s.availIn(byName[name], e)
 		if hop == 0 || a < avail {
 			avail, tightHop = a, hop
 		}
@@ -214,14 +225,6 @@ func (s Scenario) Build(seed int64) (*Instance, error) {
 	}
 
 	inst := &Instance{Scenario: s, Mesh: m, Paths: m.Paths(), Path: m.Paths()[0]}
-	sources := s.Spec.SourcesPerLink
-	if sources == 0 {
-		sources = mesh.DefaultSourcesPerLink
-	}
-	sizes := s.Spec.Sizes
-	if sizes == nil {
-		sizes = crosstraffic.Trimodal{}
-	}
 	for e := range s.Epochs {
 		var ds []*crosstraffic.Aggregate
 		for i, l := range s.Spec.Links {
@@ -229,16 +232,13 @@ func (s Scenario) Build(seed int64) (*Instance, error) {
 			if delta <= 0 {
 				continue
 			}
-			ds = append(ds, crosstraffic.NewAggregate(
-				m.Sim, []*netsim.Link{m.Link(l.Name)}, delta, sources,
-				s.Spec.Model, sizes, seed+7_654_321*int64(e+1)+int64(i)*1_000_003))
+			ds = append(ds, m.CrossTraffic(m.Link(l.Name), delta, seed+7_654_321*int64(e+1)+int64(i)*1_000_003))
 		}
 		inst.deltas = append(inst.deltas, ds)
 		var ramp *crosstraffic.RampSource
 		if f := s.Epochs[e].Flash; f != nil {
-			ramp = crosstraffic.NewRampSource(
-				m.Sim, []*netsim.Link{m.Link(f.Link)}, f.Peak,
-				f.RampUp, 0, netsim.Second, sizes, seed+13*int64(e+1))
+			ramp = crosstraffic.NewRampSource(m.Sim, m.Link(f.Link), f.Peak,
+				f.RampUp, 0, netsim.Second, m.Spec.Sizes, seed+13*int64(e+1))
 		}
 		inst.flashes = append(inst.flashes, ramp)
 	}

@@ -245,12 +245,19 @@ func TestParse(t *testing.T) {
 	if s, err := Parse("steady"); err != nil || s.Name != "steady" {
 		t.Fatalf("bare name: %v, %v", s.Name, err)
 	}
+	// The flash crowd adds 0.30·C to the tight link: load 0.70 leaves it
+	// exactly saturated and still builds, anything above overloads it.
+	if s, err := Parse("flash:load=0.7"); err != nil {
+		t.Fatalf("saturating flash: %v", err)
+	} else if _, err := s.Build(1); err != nil {
+		t.Fatalf("saturating flash does not build: %v", err)
+	}
 	for _, bad := range []string{
 		"", ":", "steady:", "steady:load", "steady:load=", "steady:=0.5",
 		"steady:load=x", "steady:load=2", "steady:load=-1", "steady:load=NaN",
 		"steady:loss=1", "steady:reorder=1.5", "steady:delay=0s", "steady:delay=-5ms",
 		"steady:delay=zzz", "steady:frobnicate=1", "nope", "nope:load=0.5",
-		"steady:load=0.5,,", "steady:load=0.5,load",
+		"steady:load=0.5,,", "steady:load=0.5,load", "flash:load=0.8", "flash:load=0.94",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)

@@ -107,7 +107,7 @@ func TestArenaReuseMatchesFreshStreams(t *testing.T) {
 	p, ref := twinPaths(func() (*netsim.Simulator, []*netsim.Link) {
 		sim := netsim.NewSimulator()
 		link := netsim.NewLink(sim, "slow", 1_000_000, 5*netsim.Millisecond, 0)
-		agg := crosstraffic.NewAggregate(sim, []*netsim.Link{link}, 3e5, 5,
+		agg := crosstraffic.NewAggregate(sim, link, 3e5, 5,
 			crosstraffic.ModelPoisson, crosstraffic.FixedSize{Bytes: 200}, 3)
 		agg.Start()
 		return sim, []*netsim.Link{link}

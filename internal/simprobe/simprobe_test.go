@@ -26,7 +26,7 @@ func TestOWDsMatchFluidModel(t *testing.T) {
 	sim := netsim.NewSimulator()
 	link := netsim.NewLink(sim, "l", 10_000_000, 5*netsim.Millisecond, 0)
 	// Smooth CBR load: 6 Mb/s of 100-byte packets from 50 sources.
-	agg := crosstraffic.NewAggregate(sim, []*netsim.Link{link}, 6e6, 50,
+	agg := crosstraffic.NewAggregate(sim, link, 6e6, 50,
 		crosstraffic.ModelCBR, crosstraffic.FixedSize{Bytes: 100}, 9)
 	agg.Start()
 	sim.RunFor(2 * netsim.Second)
