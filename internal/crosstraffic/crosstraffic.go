@@ -114,7 +114,7 @@ func (f FixedSize) MeanBytes() float64 { return float64(f.Bytes) }
 // return to) the simulator's packet freelist.
 type emitter struct {
 	sim   *netsim.Simulator
-	route []*netsim.Link // the one link, as Inject takes a route
+	route [1]*netsim.Link // the one link; Inject takes route[:]
 	sizes SizeDist
 	rng   *rand.Rand
 
@@ -124,8 +124,8 @@ type emitter struct {
 	nextID  uint64
 }
 
-func newEmitter(sim *netsim.Simulator, route []*netsim.Link, sizes SizeDist, seed int64) emitter {
-	return emitter{sim: sim, route: route, sizes: sizes, rng: rand.New(rand.NewSource(seed))}
+func newEmitter(sim *netsim.Simulator, link *netsim.Link, sizes SizeDist, seed int64) emitter {
+	return emitter{sim: sim, route: [1]*netsim.Link{link}, sizes: sizes, rng: rand.New(rand.NewSource(seed))}
 }
 
 // emit injects one packet now.
@@ -134,7 +134,7 @@ func (e *emitter) emit() {
 	pkt := e.sim.NewPacket()
 	pkt.ID = e.nextID
 	pkt.Size = e.sizes.Next(e.rng)
-	e.sim.Inject(pkt, e.route, nil)
+	e.sim.Inject(pkt, e.route[:], nil)
 }
 
 // after books the next arrival d from now.
@@ -162,12 +162,7 @@ type Source struct {
 // RNG so that experiments are reproducible and sources are
 // statistically independent.
 func NewSource(sim *netsim.Simulator, link *netsim.Link, iat Interarrival, sizes SizeDist, seed int64) *Source {
-	return newSource(sim, []*netsim.Link{link}, iat, sizes, seed)
-}
-
-// newSource is NewSource over a route slice the caller may share.
-func newSource(sim *netsim.Simulator, route []*netsim.Link, iat Interarrival, sizes SizeDist, seed int64) *Source {
-	s := &Source{emitter: newEmitter(sim, route, sizes, seed), iat: iat}
+	s := &Source{emitter: newEmitter(sim, link, sizes, seed), iat: iat}
 	s.tickFn = s.tick
 	return s
 }
@@ -241,7 +236,6 @@ func NewAggregate(sim *netsim.Simulator, link *netsim.Link, rate float64, n int,
 	if rate == 0 {
 		return agg
 	}
-	route := []*netsim.Link{link}
 	perSource := rate / float64(n)
 	meanIAT := netsim.FromSeconds(sizes.MeanBytes() * 8 / perSource)
 	for i := 0; i < n; i++ {
@@ -262,7 +256,7 @@ func NewAggregate(sim *netsim.Simulator, link *netsim.Link, rate float64, n int,
 			panic(fmt.Sprintf("crosstraffic: unknown model %v", model))
 		}
 		// Offset seeds; the multiplier keeps streams well separated.
-		agg.Sources = append(agg.Sources, newSource(sim, route, iat, sizes, seed+int64(i)*0x9e3779b9))
+		agg.Sources = append(agg.Sources, NewSource(sim, link, iat, sizes, seed+int64(i)*0x9e3779b9))
 	}
 	return agg
 }

@@ -107,7 +107,7 @@ func NewRampSource(sim *netsim.Simulator, link *netsim.Link, peak float64, rampU
 		panic("crosstraffic: RampSource durations must be non-negative")
 	}
 	r := &RampSource{
-		emitter: newEmitter(sim, []*netsim.Link{link}, sizes, seed),
+		emitter: newEmitter(sim, link, sizes, seed),
 		peak:    peak,
 		rampUp:  rampUp,
 		hold:    hold,

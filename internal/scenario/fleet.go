@@ -122,15 +122,16 @@ func FleetNames() []string {
 	return out
 }
 
-// GetFleet builds the named fleet scenario for an n-path fleet.
-// Unknown names and non-positive fleet sizes error.
+// GetFleet builds the named fleet scenario for an n-path fleet and
+// validates it as Get does. Unknown names and non-positive fleet sizes
+// error.
 func GetFleet(name string, n int) (Scenario, error) {
 	if n < 1 {
 		return Scenario{}, fmt.Errorf("scenario: fleet %q needs at least one path, got %d", name, n)
 	}
 	for _, r := range fleetRegistry {
 		if r.name == name {
-			return r.build(n), nil
+			return checked(r.build(n))
 		}
 	}
 	return Scenario{}, fmt.Errorf("scenario: unknown fleet scenario %q (have %v)", name, FleetNames())

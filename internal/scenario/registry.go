@@ -162,12 +162,17 @@ func Get(name string, p Params) (Scenario, error) {
 	}
 	for _, r := range registry {
 		if r.name == name {
-			s := r.build(p)
-			if err := s.validate(); err != nil {
-				return Scenario{}, err
-			}
-			return s, nil
+			return checked(r.build(p))
 		}
 	}
 	return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (have %v)", name, Names())
+}
+
+// checked returns s, or the error validate finds in it: Get and GetFleet
+// hand out only scenarios that build.
+func checked(s Scenario) (Scenario, error) {
+	if err := s.validate(); err != nil {
+		return Scenario{}, err
+	}
+	return s, nil
 }

@@ -203,6 +203,8 @@ type Instance struct {
 // simulator mid-run. Epoch 0's deltas are started here — warm the mesh
 // up after Build and the warmup already reflects epoch 0.
 func (s Scenario) Build(seed int64) (*Instance, error) {
+	// Get and GetFleet validated s, but its fields are exported and
+	// callers edit them (a fleet scenario cut to one route), so check again.
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
