@@ -179,15 +179,16 @@ func TestRenderersProduceTables(t *testing.T) {
 
 // TestPaperSmallGolden pins, at a fifth of the paper's scale, the
 // renders of the figures that wire their own links (figs 1–3) or read
-// a link's windowed counters (timescale, figs 15–18), which no other
-// golden covers. Run with -update to regolden after an intentional
-// change.
+// a link's windowed counters (timescale, figs 15–18), and the cprobe
+// baseline (§II), which no other golden covers. Run with -update to
+// regolden after an intentional change.
 func TestPaperSmallGolden(t *testing.T) {
 	opt := Options{Scale: 0.2}
 	got := RenderOWDTraces(OWDTraces(opt)) +
 		RenderTimescale(TimescaleVariance(opt)) +
 		RenderBTC(Fig15and16(opt)) +
-		RenderIntrusive(Fig17and18(opt))
+		RenderIntrusive(Fig17and18(opt)) +
+		RenderBaseline(BaselineComparison(opt))
 	checkGolden(t, "papersmall.golden", got)
 }
 
