@@ -436,7 +436,7 @@ func BenchmarkPathloadRunSimulated(b *testing.B) {
 func BenchmarkTCPBulkTransfer(b *testing.B) {
 	sim := netsim.NewSimulator()
 	link := netsim.NewLink(sim, "l", 100e6, 5*netsim.Millisecond, 256<<10)
-	flow := tcpsim.NewFlow(sim, "bench", []*netsim.Link{link}, 5*netsim.Millisecond, tcpsim.Config{})
+	flow := tcpsim.NewFlow(sim, "bench", []*netsim.Link{link}, 5*netsim.Millisecond, 0)
 	flow.Start()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

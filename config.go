@@ -27,8 +27,10 @@ import (
 	"repro/internal/core"
 )
 
-// Defaults for Config fields, from the paper (§IV). The fleet fraction
-// and the trend thresholds are internal/core's, which applies them.
+// Defaults for Config fields, from the paper (§IV). The loss policy and
+// the initialization stream length are fixed: no field overrides them.
+// The fleet fraction and the trend thresholds are internal/core's,
+// which applies them.
 const (
 	DefaultPacketsPerStream = 100                          // K
 	DefaultStreamsPerFleet  = 12                           // N
@@ -44,6 +46,7 @@ const (
 	DefaultMTU              = 1500                         // bytes
 	DefaultStreamAbortLoss  = 0.10                         // abort fleet if one stream loses > 10%
 	DefaultModerateLoss     = 0.03                         // a stream with > 3% loss is "moderately lossy"
+	DefaultInitProbePackets = 20                           // initialization (ADR) stream length
 	DefaultInterStreamRTTs  = 9                            // Δ = max(RTT, 9·τ) keeps mean rate ≤ R/10
 	DefaultMaxFleets        = 100                          // safety cap on the iterative search
 )
@@ -102,12 +105,6 @@ type Config struct {
 	// MTU caps the probe packet wire size to avoid fragmentation.
 	MTU int
 
-	// StreamAbortLoss aborts the fleet when a single stream loses more
-	// than this fraction of its packets; ModerateLoss counts a stream
-	// as moderately lossy, and the fleet aborts when more than half of
-	// its streams are. An aborted fleet means "rate too high".
-	StreamAbortLoss, ModerateLoss float64
-
 	// InterStreamRTTs sets the idle gap between a fleet's streams:
 	// Δ = max(RTT, InterStreamRTTs·τ). The default 9 keeps the mean
 	// probing rate during a fleet below R/10 (§VIII non-intrusiveness).
@@ -124,13 +121,7 @@ type Config struct {
 	// tool-paper initialization), which shortens convergence and keeps
 	// early fleets from flooding slow paths.
 	DisableInitProbe bool
-	// InitProbePackets is the length of the initialization stream
-	// (default 20 packets).
-	InitProbePackets int
 }
-
-// DefaultInitProbePackets is the initialization stream length.
-const DefaultInitProbePackets = 20
 
 // ADRMargin is the safety factor applied to the measured asymptotic
 // dispersion rate when tightening MaxRate: ADR ≥ A in the fluid model,
@@ -175,20 +166,11 @@ func (c Config) withDefaults() Config {
 	if c.MTU == 0 {
 		c.MTU = DefaultMTU
 	}
-	if c.StreamAbortLoss == 0 {
-		c.StreamAbortLoss = DefaultStreamAbortLoss
-	}
-	if c.ModerateLoss == 0 {
-		c.ModerateLoss = DefaultModerateLoss
-	}
 	if c.InterStreamRTTs == 0 {
 		c.InterStreamRTTs = DefaultInterStreamRTTs
 	}
 	if c.MaxFleets == 0 {
 		c.MaxFleets = DefaultMaxFleets
-	}
-	if c.InitProbePackets == 0 {
-		c.InitProbePackets = DefaultInitProbePackets
 	}
 	if max := c.GenerationLimit(); c.MaxRate == 0 || c.MaxRate > max {
 		c.MaxRate = max

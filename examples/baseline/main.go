@@ -23,7 +23,7 @@ func main() {
 		net.Warmup(3 * netsim.Second)
 		prober := simprobe.New(net.Sim, net.Links, 10*netsim.Millisecond)
 
-		cp, err := baseline.Cprobe(prober, baseline.CprobeConfig{})
+		cp, err := baseline.Cprobe(prober)
 		if err != nil {
 			panic(err)
 		}

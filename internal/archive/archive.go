@@ -29,7 +29,7 @@
 // reported. Recovery is exact or explicit, never silent invention.
 //
 // The checkpoint blob carried by each segment is produced by the owner
-// (Options/SetHooks Checkpoint) at seal time and must summarize every
+// (SetHooks' checkpoint) at seal time and must summarize every
 // record up to and including that segment — it is what lets replay
 // skip re-counting sealed records and what lets Compact drop old
 // segments without losing all-time counters.
@@ -77,16 +77,6 @@ type Options struct {
 	// NowUnix supplies segment seal timestamps; nil selects wall time.
 	// Injectable so test fixtures are byte-reproducible.
 	NowUnix func() int64
-	// Checkpoint, when non-nil, is called at seal time (under the
-	// archive lock, after the sealed records are fixed) and must return
-	// a blob summarizing every record appended so far. SetHooks can
-	// install it after Open for owners that need the recovered state
-	// first.
-	Checkpoint func() []byte
-	// OnAppend, when non-nil, observes every appended record under the
-	// archive lock, in append order — the hook a checkpoint producer
-	// uses to keep its summary exactly in step with the WAL.
-	OnAppend func(Record)
 }
 
 // An OpenReport says what Open found and what it had to do about it.
@@ -148,6 +138,10 @@ type Archive struct {
 	ckpt     []byte        // newest sealed segment's checkpoint blob
 	closed   bool
 
+	// onAppend and checkpoint are the owner's hooks (SetHooks).
+	onAppend   func(Record)
+	checkpoint func() []byte
+
 	// failpoint, when set (tests only), is consulted between the
 	// atomic steps of sealLocked to simulate a crash at that boundary.
 	failpoint func(stage string) error
@@ -189,13 +183,19 @@ func Open(dir string, opt Options) (*Archive, OpenReport, error) {
 // Dir returns the archive directory.
 func (a *Archive) Dir() string { return a.dir }
 
-// SetHooks installs the checkpoint producer and append observer after
-// Open (overriding any set via Options). Call before concurrent use.
+// SetHooks installs the owner's hooks after Open, once the owner has
+// read the recovered state. onAppend, when non-nil, observes every
+// appended record under the archive lock, in append order — the hook a
+// checkpoint producer uses to keep its summary exactly in step with
+// the WAL. checkpoint, when non-nil, is called at seal time (under the
+// archive lock, after the sealed records are fixed) and must return a
+// blob summarizing every record appended so far. Call before
+// concurrent use.
 func (a *Archive) SetHooks(onAppend func(Record), checkpoint func() []byte) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.opt.OnAppend = onAppend
-	a.opt.Checkpoint = checkpoint
+	a.onAppend = onAppend
+	a.checkpoint = checkpoint
 }
 
 // Segments returns the sealed segments, oldest first.
@@ -220,7 +220,7 @@ func (a *Archive) Checkpoint() []byte {
 	return append([]byte(nil), a.ckpt...)
 }
 
-// Append writes rec to the WAL, invokes the OnAppend hook, and seals
+// Append writes rec to the WAL, invokes the onAppend hook, and seals
 // automatically when the WAL crosses Options.SealBytes.
 func (a *Archive) Append(rec Record) error {
 	a.mu.Lock()
@@ -242,8 +242,8 @@ func (a *Archive) Append(rec Record) error {
 	}
 	a.walBytes += int64(len(buf))
 	a.walRecs++
-	if a.opt.OnAppend != nil {
-		a.opt.OnAppend(rec)
+	if a.onAppend != nil {
+		a.onAppend(rec)
 	}
 	if a.opt.SealBytes > 0 && a.walBytes >= a.opt.SealBytes {
 		return a.sealLocked()
@@ -394,8 +394,8 @@ func (a *Archive) sealLocked() error {
 		prev = a.segs[n-1].Hash
 	}
 	var ckpt []byte
-	if a.opt.Checkpoint != nil {
-		ckpt = a.opt.Checkpoint()
+	if a.checkpoint != nil {
+		ckpt = a.checkpoint()
 	}
 	hdr := make([]byte, 0, segHdrLen)
 	hdr = binary.BigEndian.AppendUint32(hdr, segMagic)

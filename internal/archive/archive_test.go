@@ -235,7 +235,8 @@ func TestCompact(t *testing.T) {
 // hash chain or HEAD anchor.
 func TestVerifyDetectsAnyFlippedByte(t *testing.T) {
 	dir := t.TempDir()
-	a, _ := openT(t, dir, Options{Checkpoint: func() []byte { return []byte("checkpoint-blob") }})
+	a, _ := openT(t, dir, Options{})
+	a.SetHooks(nil, func() []byte { return []byte("checkpoint-blob") })
 	for s := 0; s < 3; s++ {
 		appendN(t, a, s*4, 4)
 		if err := a.Seal(); err != nil {

@@ -28,10 +28,10 @@ const (
 // and link window the store ingests becomes one WAL record. It also
 // maintains the checkpoint shadow — per-path all-time totals, error
 // counts, and mergeable digests, plus per-link window counts — updated
-// record-by-record under the archive lock (the OnAppend hook), so the
-// checkpoint sealed into a segment summarizes exactly the records that
-// segment and its predecessors hold, regardless of what the live store
-// ingested concurrently. Summarizing the live store instead would
+// record-by-record under the archive lock (the SetHooks append hook),
+// so the checkpoint sealed into a segment summarizes exactly the
+// records that segment and its predecessors hold, regardless of what
+// the live store ingested concurrently. Summarizing the live store instead would
 // race: a sample landing between the seal boundary and the summary
 // would be counted by the checkpoint *and* replayed from the next WAL.
 //
@@ -42,7 +42,7 @@ type StoreBackend struct {
 	digestSize int
 
 	// The shadow maps are touched only under the archive lock (via the
-	// OnAppend/Checkpoint hooks) after seeding.
+	// SetHooks hooks) after seeding.
 	paths map[string]*shadowSeries
 	links map[string]uint64
 }

@@ -243,13 +243,11 @@ func TestOpenStoreCorruptCheckpoint(t *testing.T) {
 	// Build an archive whose checkpoints are garbage (a buggy or
 	// foreign producer), with otherwise valid records.
 	clock := int64(3000)
-	a, _, err := Open(dir, Options{
-		NowUnix:    func() int64 { clock++; return clock },
-		Checkpoint: func() []byte { return []byte("not a checkpoint") },
-	})
+	a, _, err := Open(dir, Options{NowUnix: func() int64 { clock++; return clock }})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	a.SetHooks(nil, func() []byte { return []byte("not a checkpoint") })
 	be := &StoreBackend{a: a, digestSize: tsstore.DefaultDigestSize, paths: map[string]*shadowSeries{}, links: map[string]uint64{}}
 	st := tsstore.NewWithBackend(tsstore.Config{Capacity: 32}, be)
 	feed(st, testPaths[:1], 0, 6)

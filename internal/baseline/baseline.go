@@ -16,49 +16,26 @@ import (
 	pathload "repro"
 )
 
-// CprobeConfig tunes the dispersion estimator.
-type CprobeConfig struct {
-	// Trains is the number of trains averaged (cprobe used several;
-	// default 8).
-	Trains int
-	// TrainLength is the number of packets per train (default 60,
-	// a "long train" in the paper's sense).
-	TrainLength int
-	// PacketSize is the probe packet wire size (default the MTU,
-	// 1500 bytes — large packets maximize the dispersion signal).
-	PacketSize int
-	// Rate is the injection rate in bits/s; trains are meant to be
-	// back-to-back, so this defaults to the prober's generation
-	// ceiling given PacketSize and MinPeriod.
-	Rate float64
-	// MinPeriod is the smallest interspacing the sender sustains
-	// (default 100 µs, back-to-back at MTU size).
-	MinPeriod time.Duration
-	// Gap separates consecutive trains (default 500 ms).
-	Gap time.Duration
-}
-
-func (c CprobeConfig) withDefaults() CprobeConfig {
-	if c.Trains == 0 {
-		c.Trains = 8
-	}
-	if c.TrainLength == 0 {
-		c.TrainLength = 60
-	}
-	if c.PacketSize == 0 {
-		c.PacketSize = 1500
-	}
-	if c.MinPeriod == 0 {
-		c.MinPeriod = 100 * time.Microsecond
-	}
-	if c.Rate == 0 {
-		c.Rate = float64(c.PacketSize) * 8 / c.MinPeriod.Seconds()
-	}
-	if c.Gap == 0 {
-		c.Gap = 500 * time.Millisecond
-	}
-	return c
-}
+// The cprobe recipe: a fixed train, as the paper describes it (§II).
+const (
+	// cprobeTrains is the number of trains averaged (cprobe used
+	// several).
+	cprobeTrains = 8
+	// cprobeTrainLength is the number of packets per train, a "long
+	// train" in the paper's sense.
+	cprobeTrainLength = 60
+	// cprobePacketSize is the probe packet wire size, the MTU: large
+	// packets maximize the dispersion signal.
+	cprobePacketSize = 1500
+	// cprobePeriod is the packet interspacing, back-to-back at MTU
+	// size.
+	cprobePeriod = 100 * time.Microsecond
+	// cprobeRate is the injection rate in bits/s that cprobePeriod
+	// gives: 120 Mb/s.
+	cprobeRate = cprobePacketSize * 8 * float64(time.Second) / float64(cprobePeriod)
+	// cprobeGap separates consecutive trains.
+	cprobeGap = 500 * time.Millisecond
+)
 
 // CprobeResult is the dispersion estimate.
 type CprobeResult struct {
@@ -76,19 +53,14 @@ type CprobeResult struct {
 // estimate converges to the ADR, which systematically exceeds the true
 // avail-bw — the comparison experiment (cmd/repro -fig baseline)
 // quantifies by how much.
-func Cprobe(p pathload.Prober, cfg CprobeConfig) (CprobeResult, error) {
-	cfg = cfg.withDefaults()
+func Cprobe(p pathload.Prober) (CprobeResult, error) {
 	var res CprobeResult
-	period := time.Duration(float64(cfg.PacketSize) * 8 / cfg.Rate * float64(time.Second))
-	if period < cfg.MinPeriod {
-		period = cfg.MinPeriod
-	}
-	for i := 0; i < cfg.Trains; i++ {
+	for i := 0; i < cprobeTrains; i++ {
 		spec := pathload.StreamSpec{
-			Rate:  cfg.Rate,
-			K:     cfg.TrainLength,
-			L:     cfg.PacketSize,
-			T:     period,
+			Rate:  cprobeRate,
+			K:     cprobeTrainLength,
+			L:     cprobePacketSize,
+			T:     cprobePeriod,
 			Fleet: -1,
 			Index: i,
 		}
@@ -100,12 +72,12 @@ func Cprobe(p pathload.Prober, cfg CprobeConfig) (CprobeResult, error) {
 		if rate, ok := dispersionRate(spec, sr); ok {
 			res.TrainRates = append(res.TrainRates, rate)
 		}
-		if err := p.Idle(cfg.Gap); err != nil {
+		if err := p.Idle(cprobeGap); err != nil {
 			return res, fmt.Errorf("baseline: inter-train gap: %w", err)
 		}
 	}
 	if len(res.TrainRates) == 0 {
-		return res, fmt.Errorf("baseline: no usable trains out of %d", cfg.Trains)
+		return res, fmt.Errorf("baseline: no usable trains out of %d", cprobeTrains)
 	}
 	var sum float64
 	for _, r := range res.TrainRates {

@@ -16,12 +16,20 @@ import (
 type fluidProber struct {
 	path fluid.Path
 	fail bool
+	// specs and idles record what the estimator sent.
+	specs []pathload.StreamSpec
+	idles []time.Duration
 }
 
-func (f *fluidProber) RTT() time.Duration         { return 10 * time.Millisecond }
-func (f *fluidProber) Idle(d time.Duration) error { return nil }
+func (f *fluidProber) RTT() time.Duration { return 10 * time.Millisecond }
+
+func (f *fluidProber) Idle(d time.Duration) error {
+	f.idles = append(f.idles, d)
+	return nil
+}
 
 func (f *fluidProber) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, error) {
+	f.specs = append(f.specs, spec)
 	if f.fail {
 		return pathload.StreamResult{}, errors.New("transport down")
 	}
@@ -46,7 +54,7 @@ func (f *fluidProber) SendStream(spec pathload.StreamSpec) (pathload.StreamResul
 func TestCprobeMeasuresADRNotAvailBw(t *testing.T) {
 	path := fluid.Path{{C: 10e6, A: 4e6}}
 	p := &fluidProber{path: path}
-	res, err := Cprobe(p, CprobeConfig{})
+	res, err := Cprobe(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +74,7 @@ func TestCprobeMeasuresADRNotAvailBw(t *testing.T) {
 func TestCprobeOnIdlePath(t *testing.T) {
 	path := fluid.Path{{C: 10e6, A: 10e6}}
 	p := &fluidProber{path: path}
-	res, err := Cprobe(p, CprobeConfig{})
+	res, err := Cprobe(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,21 +83,34 @@ func TestCprobeOnIdlePath(t *testing.T) {
 	}
 }
 
-// TestCprobeDefaults checks config defaulting.
+// TestCprobeDefaults checks the fixed train recipe as it reaches the
+// prober: eight back-to-back 120 Mb/s trains of sixty MTU packets,
+// 500 ms apart.
 func TestCprobeDefaults(t *testing.T) {
-	cfg := CprobeConfig{}.withDefaults()
-	if cfg.Trains != 8 || cfg.TrainLength != 60 || cfg.PacketSize != 1500 {
-		t.Fatalf("defaults %+v", cfg)
+	p := &fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}
+	if _, err := Cprobe(p); err != nil {
+		t.Fatal(err)
 	}
-	if cfg.Rate != 120e6 {
-		t.Fatalf("default rate %v, want back-to-back 120 Mb/s", cfg.Rate)
+	if len(p.specs) != 8 || len(p.idles) != 8 {
+		t.Fatalf("%d trains and %d gaps, want 8 of each", len(p.specs), len(p.idles))
+	}
+	for i, spec := range p.specs {
+		if spec.K != 60 || spec.L != 1500 || spec.T != 100*time.Microsecond || spec.Index != i {
+			t.Fatalf("train %d: %+v", i, spec)
+		}
+		if spec.Rate != 120e6 {
+			t.Fatalf("train %d: rate %v, want back-to-back 120 Mb/s", i, spec.Rate)
+		}
+		if p.idles[i] != 500*time.Millisecond {
+			t.Fatalf("gap %d: %v, want 500ms", i, p.idles[i])
+		}
 	}
 }
 
 // TestCprobeTransportError propagates failures.
 func TestCprobeTransportError(t *testing.T) {
 	p := &fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}, fail: true}
-	if _, err := Cprobe(p, CprobeConfig{}); err == nil {
+	if _, err := Cprobe(p); err == nil {
 		t.Fatal("transport failure swallowed")
 	}
 }
@@ -111,7 +132,7 @@ func (l *lossyProber) SendStream(spec pathload.StreamSpec) (pathload.StreamResul
 // an error, not a zero estimate.
 func TestCprobeAllTrainsUnusable(t *testing.T) {
 	p := &lossyProber{fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}}
-	if _, err := Cprobe(p, CprobeConfig{}); err == nil {
+	if _, err := Cprobe(p); err == nil {
 		t.Fatal("estimate produced from unusable trains")
 	}
 }

@@ -19,7 +19,23 @@ import (
 	pathload "repro"
 )
 
-// MinPlusConfig tunes the direct-probing estimator.
+// The min-plus train recipe.
+const (
+	// minPlusTrainLength is the number of packets per CBR train.
+	minPlusTrainLength = 60
+	// minPlusPacketSize is the probe packet wire size, pathload's
+	// stream packet scale.
+	minPlusPacketSize = 300
+	// minPlusBacklogDelay is the OWD growth across a train that
+	// declares it backlogged (compare pathload's PCT/PDT thresholds,
+	// which this estimator deliberately does not use).
+	minPlusBacklogDelay = time.Millisecond
+	// minPlusGap separates consecutive trains so one rate's backlog
+	// drains before the next.
+	minPlusGap = 300 * time.Millisecond
+)
+
+// MinPlusConfig sets the rate grid of the direct-probing estimator.
 type MinPlusConfig struct {
 	// MinRate and MaxRate bound the probed grid in bits/s. MaxRate is
 	// required (there is no ADR pre-phase here; the caller supplies the
@@ -29,37 +45,6 @@ type MinPlusConfig struct {
 	// Grid is the number of probed rates, spaced linearly across
 	// (MinRate, MaxRate] (default 12).
 	Grid int
-	// TrainLength is the number of packets per CBR train (default 60).
-	TrainLength int
-	// PacketSize is the probe packet wire size (default 300 bytes,
-	// pathload's stream packet scale).
-	PacketSize int
-	// BacklogDelay is the OWD growth across a train that declares it
-	// backlogged (default 1 ms; compare pathload's PCT/PDT thresholds,
-	// which this estimator deliberately does not use).
-	BacklogDelay time.Duration
-	// Gap separates consecutive trains so one rate's backlog drains
-	// before the next (default 300 ms).
-	Gap time.Duration
-}
-
-func (c MinPlusConfig) withDefaults() MinPlusConfig {
-	if c.Grid == 0 {
-		c.Grid = 12
-	}
-	if c.TrainLength == 0 {
-		c.TrainLength = 60
-	}
-	if c.PacketSize == 0 {
-		c.PacketSize = 300
-	}
-	if c.BacklogDelay == 0 {
-		c.BacklogDelay = time.Millisecond
-	}
-	if c.Gap == 0 {
-		c.Gap = 300 * time.Millisecond
-	}
-	return c
 }
 
 // MinPlusResult brackets the available bandwidth from one grid sweep.
@@ -81,7 +66,9 @@ type MinPlusResult struct {
 // random loss still votes via whatever packets arrive, which is exactly
 // the behavioral difference the lossy scenario grades.
 func MinPlus(p pathload.Prober, cfg MinPlusConfig) (MinPlusResult, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Grid == 0 {
+		cfg.Grid = 12
+	}
 	if cfg.MinRate < 0 || cfg.MaxRate <= cfg.MinRate {
 		return MinPlusResult{}, fmt.Errorf("baseline: min-plus rate range [%v, %v] invalid", cfg.MinRate, cfg.MaxRate)
 	}
@@ -89,11 +76,11 @@ func MinPlus(p pathload.Prober, cfg MinPlusConfig) (MinPlusResult, error) {
 	step := (cfg.MaxRate - cfg.MinRate) / float64(cfg.Grid)
 	for i := 1; i <= cfg.Grid; i++ {
 		rate := cfg.MinRate + float64(i)*step
-		period := time.Duration(float64(cfg.PacketSize) * 8 / rate * float64(time.Second))
+		period := time.Duration(float64(minPlusPacketSize) * 8 / rate * float64(time.Second))
 		spec := pathload.StreamSpec{
 			Rate:  rate,
-			K:     cfg.TrainLength,
-			L:     cfg.PacketSize,
+			K:     minPlusTrainLength,
+			L:     minPlusPacketSize,
 			T:     period,
 			Fleet: -1,
 			Index: i,
@@ -104,13 +91,13 @@ func MinPlus(p pathload.Prober, cfg MinPlusConfig) (MinPlusResult, error) {
 		}
 		res.Probed++
 		res.Lost += spec.K - len(sr.OWDs)
-		if backlogged(sr, cfg.BacklogDelay) {
+		if backlogged(sr) {
 			res.Hi = rate
 			res.Backlogged = true
 			break
 		}
 		res.Lo = rate
-		if err := p.Idle(cfg.Gap); err != nil {
+		if err := p.Idle(minPlusGap); err != nil {
 			return res, fmt.Errorf("baseline: min-plus gap: %w", err)
 		}
 	}
@@ -118,11 +105,12 @@ func MinPlus(p pathload.Prober, cfg MinPlusConfig) (MinPlusResult, error) {
 }
 
 // backlogged declares a train backlogged when the mean OWD of its last
-// third exceeds the mean of its first third by at least minDelay — the
-// persistent queue growth a rate above the service rate must build. A
-// train too decimated to split into thirds is conservatively declared
-// backlogged (heavy loss is itself a backlog symptom).
-func backlogged(sr pathload.StreamResult, minDelay time.Duration) bool {
+// third exceeds the mean of its first third by at least
+// minPlusBacklogDelay — the persistent queue growth a rate above the
+// service rate must build. A train too decimated to split into thirds
+// is conservatively declared backlogged (heavy loss is itself a backlog
+// symptom).
+func backlogged(sr pathload.StreamResult) bool {
 	owds := append([]pathload.OWDSample(nil), sr.OWDs...)
 	sort.Slice(owds, func(i, j int) bool { return owds[i].Seq < owds[j].Seq })
 	n := len(owds)
@@ -135,5 +123,5 @@ func backlogged(sr pathload.StreamResult, minDelay time.Duration) bool {
 		head += owds[i].OWD
 		tail += owds[n-third+i].OWD
 	}
-	return (tail-head)/time.Duration(third) >= minDelay
+	return (tail-head)/time.Duration(third) >= minPlusBacklogDelay
 }

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/fluid"
 
@@ -96,11 +95,11 @@ func TestMinPlusDecimatedTrainIsBacklogged(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		sr.OWDs = append(sr.OWDs, pathload.OWDSample{Seq: i})
 	}
-	if !backlogged(sr, time.Millisecond) {
+	if !backlogged(sr) {
 		t.Fatal("8-packet remnant not declared backlogged")
 	}
 	sr.OWDs = append(sr.OWDs, pathload.OWDSample{Seq: 8})
-	if backlogged(sr, time.Millisecond) {
+	if backlogged(sr) {
 		t.Fatal("9 flat OWDs declared backlogged")
 	}
 }

@@ -146,9 +146,15 @@ func (a *Agent) Run() error {
 			return nil
 		default:
 		}
-		err := a.session()
+		registered := false
+		err := a.session(&registered)
 		if err == nil { // Stop closed the session cleanly
 			return nil
+		}
+		if registered {
+			// A session that registered was healthy: the next loss
+			// starts the backoff over, however long ago it escalated.
+			backoff = a.cfg.DialBackoff
 		}
 		if errors.Is(err, ErrRejected) {
 			// A deliberate, versioned refusal: retrying would hammer a
@@ -172,8 +178,9 @@ func (a *Agent) Run() error {
 }
 
 // session runs one control connection to completion: nil means Stop
-// ended it, any error means dial again.
-func (a *Agent) session() error {
+// ended it, any error means dial again. It sets *registered once the
+// coordinator's hello-ack is accepted.
+func (a *Agent) session(registered *bool) error {
 	conn, err := a.cfg.Dial()
 	if err != nil {
 		return fmt.Errorf("dial: %w", err)
@@ -230,6 +237,7 @@ func (a *Agent) session() error {
 	if _, err := Negotiate(ack.Version, ack.Version); err != nil {
 		return err
 	}
+	*registered = true
 
 	heartbeat := a.cfg.Heartbeat
 	if heartbeat <= 0 {

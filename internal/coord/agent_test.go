@@ -1,7 +1,10 @@
 package coord
 
 import (
+	"errors"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -251,5 +254,75 @@ func TestAgentSurvivesCoordinatorRestart(t *testing.T) {
 	a.Stop()
 	if err := <-done; err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestAgentBackoffResetsAfterRegistering: a session that registered
+// resets the dial backoff, so after two failed dials and one healthy
+// session the next loss waits DialBackoff again, not the escalated 4×.
+func TestAgentBackoffResetsAfterRegistering(t *testing.T) {
+	const backoff = 5 * time.Millisecond
+	var (
+		mu     sync.Mutex
+		dials  int
+		events []string
+	)
+	dial := func() (net.Conn, error) {
+		mu.Lock()
+		dials++
+		n := dials
+		mu.Unlock()
+		if n <= 2 {
+			return nil, errors.New("coordinator down")
+		}
+		agent, coordEnd := net.Pipe()
+		go func() {
+			defer coordEnd.Close()
+			if n > 3 {
+				return // later sessions drop before hello-ack
+			}
+			if _, _, err := readFrame(coordEnd); err != nil {
+				return
+			}
+			// Register the agent, then drop the session.
+			writeFrame(coordEnd, msgHelloAck, marshalHelloAck(helloAckMsg{Version: Version, TTL: time.Second}))
+		}()
+		return agent, nil
+	}
+	a, err := NewAgent(AgentConfig{
+		Dial: dial,
+		Name: "a1",
+		Provider: func(string) (pathload.ProberFactory, error) {
+			return func() (pathload.Prober, error) { return &stubProber{avail: 5e6}, nil }, nil
+		},
+		DialBackoff: backoff,
+		OnEvent: func(line string) {
+			mu.Lock()
+			defer mu.Unlock()
+			if strings.HasPrefix(line, "control session lost:") {
+				events = append(events, line)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewAgent: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- a.Run() }()
+	waitFor(t, "three lost sessions", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(events) >= 3
+	})
+	a.Stop()
+	if err := <-done; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, want := range []time.Duration{backoff, 2 * backoff, backoff} {
+		if suffix := "(retry in " + want.String() + ")"; !strings.HasSuffix(events[i], suffix) {
+			t.Errorf("loss %d: %q, want it to end %q", i+1, events[i], suffix)
+		}
 	}
 }

@@ -180,7 +180,7 @@ const (
 // Log is the archive-backed Persister: lease snapshots and applied
 // contributions stream into an archive.Archive WAL, seal into
 // hash-chained segments, and come back on restart via Restore. The
-// shadow maps are maintained by the archive's OnAppend hook under the
+// shadow maps are maintained by the archive's append hook under the
 // archive lock, so checkpoints written at seal time summarize exactly
 // the records sealed so far.
 type Log struct {

@@ -225,10 +225,11 @@ func TestLogRoundtrip(t *testing.T) {
 	// Route 3: a foreign (undecodable) checkpoint forces — and is
 	// explicitly reported as — a full sealed replay.
 	dir2 := t.TempDir()
-	a, _, err := archive.Open(dir2, archive.Options{Checkpoint: func() []byte { return []byte("junk") }})
+	a, _, err := archive.Open(dir2, archive.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.SetHooks(nil, func() []byte { return []byte("junk") })
 	lw := &Log{contribs: map[string][]byte{}}
 	lw.a = a
 	if err := lw.SaveLeases(snapB); err != nil {

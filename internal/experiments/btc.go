@@ -62,8 +62,7 @@ func buildBTCPath(seed int64) *btcPath {
 		// each, ≈3.8 Mb/s total. Their throughput is window/RTT, so
 		// they shed load as soon as anything inflates the tight link's
 		// queue — the responsiveness behind the paper's BTC overshoot.
-		f := tcpsim.NewFlow(sim, "cross-tcp", []*netsim.Link{tight}, 167*netsim.Millisecond,
-			tcpsim.Config{RcvWindow: 16_000})
+		f := tcpsim.NewFlow(sim, "cross-tcp", []*netsim.Link{tight}, 167*netsim.Millisecond, 16_000)
 		f.Start()
 		p.crossTCP = append(p.crossTCP, f)
 	}
@@ -133,7 +132,7 @@ func Fig15and16(opt Options) BTCResult {
 		pingStart := len(ping.Samples())
 		var delivered0 int64
 		if active {
-			flow = tcpsim.NewFlow(p.sim, "btc-"+name, p.links, p.reverse, tcpsim.Config{RcvWindow: btcWindow})
+			flow = tcpsim.NewFlow(p.sim, "btc-"+name, p.links, p.reverse, btcWindow)
 			delivered0 = flow.Delivered()
 			flow.Start()
 		}

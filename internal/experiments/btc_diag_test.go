@@ -28,7 +28,7 @@ func TestBTCDiagnostics(t *testing.T) {
 		t.Logf("cross tcp %d pre-BTC: %.2f Mb/s (timeouts %d)", i, tput/1e6, f.Timeouts())
 	}
 
-	flow := tcpsim.NewFlow(p.sim, "btc", p.links, p.reverse, tcpsim.Config{RcvWindow: btcWindow})
+	flow := tcpsim.NewFlow(p.sim, "btc", p.links, p.reverse, btcWindow)
 	flow.Start()
 	start := p.sim.Now()
 	for i, f := range p.crossTCP {

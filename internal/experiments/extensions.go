@@ -40,7 +40,7 @@ func BaselineComparison(opt Options) []BaselinePoint {
 		net.Warmup(warmup)
 		prober := simprobe.New(net.Sim, net.Links, 10*netsim.Millisecond)
 
-		cp, err := baseline.Cprobe(prober, baseline.CprobeConfig{})
+		cp, err := baseline.Cprobe(prober)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: baseline u=%v: %v", u, err))
 		}

@@ -41,9 +41,6 @@ type Topology struct {
 	// Sizes overrides the cross-traffic packet size distribution;
 	// nil selects the paper's trimodal mix.
 	Sizes crosstraffic.SizeDist
-	// TotalProp is the end-to-end propagation delay, spread evenly
-	// across hops (the paper uses 50 ms).
-	TotalProp netsim.Time
 	// BufBytes bounds each link's queue; 0 means unbounded ("links are
 	// sufficiently buffered to avoid packet losses").
 	BufBytes int
@@ -62,7 +59,8 @@ const (
 	DefaultSourcesPerHop = 10
 )
 
-// DefaultTotalProp is the paper's 50 ms end-to-end propagation delay.
+// DefaultTotalProp is the paper's 50 ms end-to-end propagation delay,
+// spread evenly across hops.
 const DefaultTotalProp = 50 * netsim.Millisecond
 
 // withDefaults fills zero fields with the paper's defaults.
@@ -84,9 +82,6 @@ func (t Topology) withDefaults() Topology {
 	}
 	if t.SourcesPerHop == 0 {
 		t.SourcesPerHop = DefaultSourcesPerHop
-	}
-	if t.TotalProp == 0 {
-		t.TotalProp = DefaultTotalProp
 	}
 	return t
 }
@@ -132,7 +127,7 @@ func (t Topology) Build() *Net {
 	nontight := mesh.LinkSpec{
 		Capacity: t.Beta * t.AvailBw() / (1 - t.NonTightUtil),
 		Util:     t.NonTightUtil,
-		Prop:     t.TotalProp / netsim.Time(t.Hops),
+		Prop:     DefaultTotalProp / netsim.Time(t.Hops),
 		BufBytes: t.BufBytes,
 	}
 	spec := mesh.Spec{

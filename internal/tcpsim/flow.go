@@ -20,48 +20,26 @@ import (
 	"repro/internal/netsim"
 )
 
-// Config parameterizes a Flow. The zero value gives a standard
-// Ethernet-framed bulk transfer with an effectively unlimited receiver
-// window ("a persistent TCP connection with sufficiently large
-// advertised window").
-type Config struct {
-	// MSS is the maximum segment payload in bytes (default 1460).
-	MSS int
-	// HeaderBytes is the TCP/IP header overhead added to each data
-	// segment's wire size (default 40, so MSS 1460 fills a 1500-byte
-	// frame). Acks are pure headers.
-	HeaderBytes int
-	// RcvWindow is the receiver's advertised window in bytes (default
-	// 4 MiB, effectively unlimited at the capacities simulated here).
-	RcvWindow int
-	// InitCwndSegments is the initial congestion window (default 2).
-	InitCwndSegments int
-	// MinRTO and MaxRTO clamp the retransmission timeout (defaults
-	// 200 ms and 60 s).
-	MinRTO, MaxRTO netsim.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
-	if c.HeaderBytes == 0 {
-		c.HeaderBytes = 40
-	}
-	if c.RcvWindow == 0 {
-		c.RcvWindow = 4 << 20
-	}
-	if c.InitCwndSegments == 0 {
-		c.InitCwndSegments = 2
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * netsim.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60 * netsim.Second
-	}
-	return c
-}
+// The sender's fixed parameters: a standard Ethernet-framed bulk
+// transfer.
+const (
+	// mssBytes is the maximum segment payload.
+	mssBytes = 1460
+	// headerBytes is the TCP/IP header overhead added to each data
+	// segment's wire size, so a full segment fills a 1500-byte frame.
+	// Acks are pure headers.
+	headerBytes = 40
+	// initCwndSegments is the initial congestion window.
+	initCwndSegments = 2
+	// minRTO and maxRTO clamp the retransmission timeout.
+	minRTO = 200 * netsim.Millisecond
+	maxRTO = 60 * netsim.Second
+	// defaultRcvWindow is the receiver's advertised window NewFlow
+	// assumes for a zero rcvWindow, effectively unlimited at the
+	// capacities simulated here ("a persistent TCP connection with
+	// sufficiently large advertised window").
+	defaultRcvWindow = 4 << 20
+)
 
 // segment is the payload of a simulated TCP data packet.
 type segment struct {
@@ -83,8 +61,9 @@ type Flow struct {
 	sim     *netsim.Simulator
 	route   []*netsim.Link
 	reverse netsim.Time
-	cfg     Config
-	name    string
+	// rcvWindow is the receiver's advertised window in bytes.
+	rcvWindow int
+	name      string
 
 	running bool
 
@@ -116,20 +95,24 @@ type Flow struct {
 }
 
 // NewFlow creates a bulk flow that sends over route and receives acks
-// after the constant reverse delay. name labels diagnostics.
-func NewFlow(sim *netsim.Simulator, name string, route []*netsim.Link, reverse netsim.Time, cfg Config) *Flow {
+// after the constant reverse delay. rcvWindow is the receiver's
+// advertised window in bytes; 0 selects an effectively unlimited
+// 4 MiB. name labels diagnostics.
+func NewFlow(sim *netsim.Simulator, name string, route []*netsim.Link, reverse netsim.Time, rcvWindow int) *Flow {
 	if len(route) == 0 {
 		panic("tcpsim: flow needs a route")
 	}
-	cfg = cfg.withDefaults()
+	if rcvWindow == 0 {
+		rcvWindow = defaultRcvWindow
+	}
 	f := &Flow{
 		sim:       sim,
 		route:     route,
 		reverse:   reverse,
-		cfg:       cfg,
+		rcvWindow: rcvWindow,
 		name:      name,
-		ssthresh:  float64(cfg.RcvWindow),
-		cwnd:      float64(cfg.InitCwndSegments * cfg.MSS),
+		ssthresh:  float64(rcvWindow),
+		cwnd:      float64(initCwndSegments * mssBytes),
 		rto:       1 * netsim.Second, // RFC 6298 initial RTO
 		sendTimes: make(map[int64]netsim.Time),
 		ooo:       make(map[int64]int64),
@@ -180,7 +163,7 @@ func (f *Flow) flight() int64 { return f.nextSeq - f.sndUna }
 // window returns the sender's current usable window in bytes.
 func (f *Flow) window() int64 {
 	w := int64(f.cwnd)
-	if rw := int64(f.cfg.RcvWindow); w > rw {
+	if rw := int64(f.rcvWindow); w > rw {
 		w = rw
 	}
 	return w
@@ -191,9 +174,9 @@ func (f *Flow) trySend() {
 	if !f.running {
 		return
 	}
-	for f.flight()+int64(f.cfg.MSS) <= f.window() {
+	for f.flight()+int64(mssBytes) <= f.window() {
 		f.sendSegment(f.nextSeq, false)
-		f.nextSeq += int64(f.cfg.MSS)
+		f.nextSeq += int64(mssBytes)
 		if f.nextSeq > f.highestSent {
 			f.highestSent = f.nextSeq
 		}
@@ -205,7 +188,7 @@ func (f *Flow) trySend() {
 
 // sendSegment injects one data segment into the forward path.
 func (f *Flow) sendSegment(seq int64, retx bool) {
-	seg := segment{seq: seq, len: f.cfg.MSS, retx: retx}
+	seg := segment{seq: seq, len: mssBytes, retx: retx}
 	end := seq + int64(seg.len)
 	if retx {
 		f.retransmissions++
@@ -214,7 +197,7 @@ func (f *Flow) sendSegment(seq int64, retx bool) {
 		f.sendTimes[end] = f.sim.Now()
 	}
 	pkt := &netsim.Packet{
-		Size:    seg.len + f.cfg.HeaderBytes,
+		Size:    seg.len + headerBytes,
 		Payload: seg,
 	}
 	f.sim.Inject(pkt, f.route, f.receive)
@@ -280,10 +263,10 @@ func (f *Flow) onAck(ackNo int64) {
 				f.partialAcks++
 				f.sendSegment(f.sndUna, true)
 				f.cwnd -= float64(newly)
-				if f.cwnd < float64(f.cfg.MSS) {
-					f.cwnd = float64(f.cfg.MSS)
+				if f.cwnd < float64(mssBytes) {
+					f.cwnd = float64(mssBytes)
 				}
-				f.cwnd += float64(f.cfg.MSS)
+				f.cwnd += float64(mssBytes)
 				// RFC 6582 "impatient" timer: only the first partial
 				// ack resets the RTO. A burst loss of many segments
 				// would otherwise be repaired one hole per RTT while
@@ -298,7 +281,7 @@ func (f *Flow) onAck(ackNo int64) {
 			}
 		} else {
 			f.dupAcks = 0
-			mss := float64(f.cfg.MSS)
+			mss := float64(mssBytes)
 			if f.cwnd < f.ssthresh {
 				f.cwnd += mss // slow start
 			} else {
@@ -318,7 +301,7 @@ func (f *Flow) onAck(ackNo int64) {
 	switch {
 	case f.inRecovery:
 		// Inflate during recovery; each dup ack signals a departure.
-		f.cwnd += float64(f.cfg.MSS)
+		f.cwnd += float64(mssBytes)
 		f.trySend()
 	case f.dupAcks == 3 && f.sndUna >= f.recover:
 		// RFC 6582 "avoid multiple fast retransmits": dup acks below
@@ -331,7 +314,7 @@ func (f *Flow) onAck(ackNo int64) {
 
 // enterRecovery performs fast retransmit / fast recovery.
 func (f *Flow) enterRecovery() {
-	mss := float64(f.cfg.MSS)
+	mss := float64(mssBytes)
 	half := float64(f.flight()) / 2
 	if half < 2*mss {
 		half = 2 * mss
@@ -381,11 +364,11 @@ func (f *Flow) sampleRTT(ackNo int64) {
 }
 
 func (f *Flow) clampRTO() {
-	if f.rto < f.cfg.MinRTO {
-		f.rto = f.cfg.MinRTO
+	if f.rto < minRTO {
+		f.rto = minRTO
 	}
-	if f.rto > f.cfg.MaxRTO {
-		f.rto = f.cfg.MaxRTO
+	if f.rto > maxRTO {
+		f.rto = maxRTO
 	}
 }
 
@@ -405,8 +388,8 @@ func (f *Flow) ensureRTOTimer() {
 		return
 	}
 	rto := f.rto << f.rtoBackoff
-	if rto > f.cfg.MaxRTO {
-		rto = f.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	f.rtoTimer = f.sim.After(rto, f.onRTO)
 }
@@ -420,7 +403,7 @@ func (f *Flow) stopRTOTimer() {
 // window collapse, go-back-N from the last cumulative ack.
 func (f *Flow) onRTO() {
 	f.timeouts++
-	mss := float64(f.cfg.MSS)
+	mss := float64(mssBytes)
 	half := float64(f.flight()) / 2
 	if half < 2*mss {
 		half = 2 * mss

@@ -19,7 +19,7 @@ func testPath(t *testing.T, capacity int64, buf int, prop netsim.Time) (*netsim.
 // reach a goodput close to the link capacity.
 func TestBulkFlowSaturatesEmptyLink(t *testing.T) {
 	sim, route := testPath(t, 8_200_000, 64<<10, 20*netsim.Millisecond)
-	f := NewFlow(sim, "btc", route, 20*netsim.Millisecond, Config{})
+	f := NewFlow(sim, "btc", route, 20*netsim.Millisecond, 0)
 	f.Start()
 	sim.RunFor(30 * netsim.Second)
 
@@ -38,8 +38,8 @@ func TestBulkFlowSaturatesEmptyLink(t *testing.T) {
 // roughly evenly and together still saturate it.
 func TestTwoFlowsShareFairly(t *testing.T) {
 	sim, route := testPath(t, 8_200_000, 64<<10, 20*netsim.Millisecond)
-	a := NewFlow(sim, "a", route, 20*netsim.Millisecond, Config{})
-	b := NewFlow(sim, "b", route, 20*netsim.Millisecond, Config{})
+	a := NewFlow(sim, "a", route, 20*netsim.Millisecond, 0)
+	b := NewFlow(sim, "b", route, 20*netsim.Millisecond, 0)
 	a.Start()
 	b.Start()
 	sim.RunFor(60 * netsim.Second)

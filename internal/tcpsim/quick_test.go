@@ -20,7 +20,7 @@ func TestQuickDataIntegrity(t *testing.T) {
 
 		sim := netsim.NewSimulator()
 		link := netsim.NewLink(sim, "l", capacity, prop, buf)
-		flow := NewFlow(sim, "q", []*netsim.Link{link}, 10*netsim.Millisecond, Config{})
+		flow := NewFlow(sim, "q", []*netsim.Link{link}, 10*netsim.Millisecond, 0)
 		flow.Start()
 		sim.RunFor(20 * netsim.Second)
 
@@ -48,14 +48,14 @@ func TestQuickCwndFloor(t *testing.T) {
 		sim := netsim.NewSimulator()
 		// Harsh little buffer to force constant loss activity.
 		link := netsim.NewLink(sim, "l", 1_000_000, netsim.Millisecond, 3000+int(bufSel)%10_000)
-		flow := NewFlow(sim, "floor", []*netsim.Link{link}, 5*netsim.Millisecond, Config{})
+		flow := NewFlow(sim, "floor", []*netsim.Link{link}, 5*netsim.Millisecond, 0)
 		flow.Start()
 		for i := 0; i < 40; i++ {
 			sim.RunFor(500 * netsim.Millisecond)
-			if flow.cwnd < float64(flow.cfg.MSS) {
+			if flow.cwnd < float64(mssBytes) {
 				return false
 			}
-			if flow.ssthresh < 2*float64(flow.cfg.MSS) {
+			if flow.ssthresh < 2*float64(mssBytes) {
 				return false
 			}
 		}
@@ -72,7 +72,7 @@ func TestQuickFlightNeverNegative(t *testing.T) {
 	f := func(capSel uint32) bool {
 		sim := netsim.NewSimulator()
 		link := netsim.NewLink(sim, "l", int64(100_000+capSel%5_000_000), 2*netsim.Millisecond, 5000)
-		flow := NewFlow(sim, "flight", []*netsim.Link{link}, 10*netsim.Millisecond, Config{})
+		flow := NewFlow(sim, "flight", []*netsim.Link{link}, 10*netsim.Millisecond, 0)
 		flow.Start()
 		for i := 0; i < 20; i++ {
 			sim.RunFor(netsim.Second)

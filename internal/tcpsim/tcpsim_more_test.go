@@ -12,7 +12,7 @@ import (
 func TestWindowLimitedThroughput(t *testing.T) {
 	sim, route := testPath(t, 100_000_000, 0, 50*netsim.Millisecond)
 	// RTT = 50ms + 150ms reverse = 200ms; 25 kB window ⇒ 1 Mb/s.
-	f := NewFlow(sim, "wl", route, 150*netsim.Millisecond, Config{RcvWindow: 25_000})
+	f := NewFlow(sim, "wl", route, 150*netsim.Millisecond, 25_000)
 	f.Start()
 	sim.RunFor(60 * netsim.Second)
 	goodput := float64(f.Delivered()) * 8 / sim.Now().Seconds()
@@ -29,7 +29,7 @@ func TestWindowLimitedThroughput(t *testing.T) {
 // exponentially (cwnd doubles per round trip).
 func TestSlowStartDoubling(t *testing.T) {
 	sim, route := testPath(t, 1_000_000_000, 0, 50*netsim.Millisecond)
-	f := NewFlow(sim, "ss", route, 50*netsim.Millisecond, Config{})
+	f := NewFlow(sim, "ss", route, 50*netsim.Millisecond, 0)
 	f.Start()
 	// After k RTTs of slow start, delivered ≈ (2^k − 1)·initcwnd.
 	var delivered []int64
@@ -51,7 +51,7 @@ func TestRTOOnBlackhole(t *testing.T) {
 	sim := netsim.NewSimulator()
 	// A 1-byte buffer drops every segment.
 	link := netsim.NewLink(sim, "blackhole", 1_000_000, 0, 1)
-	f := NewFlow(sim, "bh", []*netsim.Link{link}, 10*netsim.Millisecond, Config{})
+	f := NewFlow(sim, "bh", []*netsim.Link{link}, 10*netsim.Millisecond, 0)
 	f.Start()
 	sim.RunFor(30 * netsim.Second)
 	if f.Delivered() != 0 {
@@ -71,7 +71,7 @@ func TestRTOOnBlackhole(t *testing.T) {
 // verify fast retransmit repairs it without an RTO.
 func TestRecoveryFromSingleLoss(t *testing.T) {
 	sim, route := testPath(t, 10_000_000, 0, 10*netsim.Millisecond)
-	f := NewFlow(sim, "fr", route, 10*netsim.Millisecond, Config{RcvWindow: 64_000})
+	f := NewFlow(sim, "fr", route, 10*netsim.Millisecond, 64_000)
 	f.Start()
 	sim.RunFor(2 * netsim.Second)
 
@@ -86,7 +86,7 @@ func TestRecoveryFromSingleLoss(t *testing.T) {
 	// Now run through a drop-tail bottleneck and verify fast recovery
 	// dominates over timeouts (the flow stays ack-clocked).
 	sim2, route2 := testPath(t, 8_200_000, 64<<10, 20*netsim.Millisecond)
-	g := NewFlow(sim2, "fr2", route2, 20*netsim.Millisecond, Config{RcvWindow: 128_000})
+	g := NewFlow(sim2, "fr2", route2, 20*netsim.Millisecond, 128_000)
 	g.Start()
 	sim2.RunFor(60 * netsim.Second)
 	if g.Recoveries() == 0 {
@@ -103,7 +103,7 @@ func TestStopAndResume(t *testing.T) {
 	sim, route := testPath(t, 10_000_000, 0, 10*netsim.Millisecond)
 	// A small window keeps the in-flight backlog short so a one-second
 	// drain after Stop suffices.
-	f := NewFlow(sim, "sr", route, 10*netsim.Millisecond, Config{RcvWindow: 64_000})
+	f := NewFlow(sim, "sr", route, 10*netsim.Millisecond, 64_000)
 	f.Start()
 	sim.RunFor(5 * netsim.Second)
 	f.Stop()
@@ -124,7 +124,7 @@ func TestStopAndResume(t *testing.T) {
 // regresses and ends equal to Delivered().
 func TestDeliveriesMonotone(t *testing.T) {
 	sim, route := testPath(t, 8_200_000, 32<<10, 20*netsim.Millisecond)
-	f := NewFlow(sim, "mono", route, 20*netsim.Millisecond, Config{})
+	f := NewFlow(sim, "mono", route, 20*netsim.Millisecond, 0)
 	f.Start()
 	sim.RunFor(30 * netsim.Second)
 	pts := f.Deliveries()
@@ -145,7 +145,7 @@ func TestDeliveriesMonotone(t *testing.T) {
 // round-trip time.
 func TestSRTTTracksPathRTT(t *testing.T) {
 	sim, route := testPath(t, 100_000_000, 0, 40*netsim.Millisecond)
-	f := NewFlow(sim, "rtt", route, 60*netsim.Millisecond, Config{RcvWindow: 20_000})
+	f := NewFlow(sim, "rtt", route, 60*netsim.Millisecond, 20_000)
 	f.Start()
 	sim.RunFor(10 * netsim.Second)
 	want := 100 * netsim.Millisecond // 40 prop + 60 reverse, tx negligible
@@ -184,7 +184,7 @@ func TestPingerSeesQueueInflation(t *testing.T) {
 	sim.RunFor(5 * netsim.Second)
 	quiet := ping.RTTSeconds()
 
-	btc := NewFlow(sim, "btc", route, 150*netsim.Millisecond, Config{RcvWindow: 370_000})
+	btc := NewFlow(sim, "btc", route, 150*netsim.Millisecond, 370_000)
 	btc.Start()
 	sim.RunFor(30 * netsim.Second)
 	all := ping.RTTSeconds()
@@ -222,14 +222,19 @@ func TestPingerCountsLosses(t *testing.T) {
 	}
 }
 
-// TestConfigDefaultsApplied pins the zero-value contract.
+// TestConfigDefaultsApplied pins the fixed sender parameters and the
+// zero-window default.
 func TestConfigDefaultsApplied(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.MSS != 1460 || cfg.HeaderBytes != 40 || cfg.RcvWindow != 4<<20 {
-		t.Fatalf("defaults %+v", cfg)
+	if mssBytes != 1460 || headerBytes != 40 || initCwndSegments != 2 {
+		t.Fatalf("segment constants %d / %d / %d", mssBytes, headerBytes, initCwndSegments)
 	}
-	if cfg.MinRTO != 200*netsim.Millisecond || cfg.MaxRTO != 60*netsim.Second {
-		t.Fatalf("RTO defaults %v / %v", cfg.MinRTO, cfg.MaxRTO)
+	if minRTO != 200*netsim.Millisecond || maxRTO != 60*netsim.Second {
+		t.Fatalf("RTO bounds %v / %v", minRTO, maxRTO)
+	}
+	sim := netsim.NewSimulator()
+	f := NewFlow(sim, "zero", []*netsim.Link{netsim.NewLink(sim, "l", 10e6, 0, 0)}, 0, 0)
+	if f.rcvWindow != 4<<20 || f.ssthresh != 4<<20 || f.cwnd != 2*1460 {
+		t.Fatalf("zero window: rcvWindow %d ssthresh %v cwnd %v", f.rcvWindow, f.ssthresh, f.cwnd)
 	}
 }
 
@@ -241,13 +246,13 @@ func TestFlowValidation(t *testing.T) {
 			t.Fatal("empty route accepted")
 		}
 	}()
-	NewFlow(sim, "bad", nil, 0, Config{})
+	NewFlow(sim, "bad", nil, 0, 0)
 }
 
 // TestStringDiagnostics: the debug formatter includes the key state.
 func TestStringDiagnostics(t *testing.T) {
 	sim, route := testPath(t, 10_000_000, 0, 0)
-	f := NewFlow(sim, "diag", route, 0, Config{})
+	f := NewFlow(sim, "diag", route, 0, 0)
 	if s := f.String(); s == "" {
 		t.Fatal("empty diagnostics")
 	}

@@ -58,15 +58,12 @@ func TestSenderRejectsWrongVersion(t *testing.T) {
 }
 
 // TestSenderBoundsStreamRequests: absurd K or L must terminate the
-// session, not allocate gigabytes or flood the network.
+// session, not allocate gigabytes or flood the network. The payload
+// bound is the largest IPv4 UDP payload, 65507 bytes: one byte more is
+// refused before any write, and a one-packet stream at the bound is
+// served.
 func TestSenderBoundsStreamRequests(t *testing.T) {
 	addr := startSender(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
 	udp, err := net.ListenUDP("udp", &net.UDPAddr{})
 	if err != nil {
 		t.Fatal(err)
@@ -74,19 +71,49 @@ func TestSenderBoundsStreamRequests(t *testing.T) {
 	defer udp.Close()
 	port := uint16(udp.LocalAddr().(*net.UDPAddr).Port)
 
-	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHello(wire.Hello{Version: wire.Version, UDPPort: port})); err != nil {
-		t.Fatal(err)
-	}
-	if mt, _, err := wire.ReadMessage(conn); err != nil || mt != wire.MsgHelloAck {
-		t.Fatalf("handshake: %v %v", mt, err)
-	}
-	req := wire.StreamRequest{K: 1 << 30, L: 1 << 20, PeriodNs: 1}
-	if err := wire.WriteMessage(conn, wire.MsgStreamRequest, wire.MarshalStreamRequest(req)); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if mt, _, err := wire.ReadMessage(conn); err == nil && mt == wire.MsgStreamDone {
-		t.Fatal("sender executed an absurd stream request")
+	for _, tc := range []struct {
+		req    wire.StreamRequest
+		served bool
+	}{
+		{wire.StreamRequest{K: 1 << 30, L: 1 << 20, PeriodNs: 1}, false},
+		{wire.StreamRequest{K: 1, L: 65_508, PeriodNs: 1000}, false},
+		{wire.StreamRequest{K: 1, L: 65_507, PeriodNs: 1000}, true},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHello(wire.Hello{Version: wire.Version, UDPPort: port})); err != nil {
+			t.Fatal(err)
+		}
+		if mt, _, err := wire.ReadMessage(conn); err != nil || mt != wire.MsgHelloAck {
+			t.Fatalf("handshake: %v %v", mt, err)
+		}
+		if err := wire.WriteMessage(conn, wire.MsgStreamRequest, wire.MarshalStreamRequest(tc.req)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		mt, payload, err := wire.ReadMessage(conn)
+		conn.Close()
+		if !tc.served {
+			if err == nil && mt == wire.MsgStreamDone {
+				t.Errorf("K=%d L=%d: sender executed an out-of-bounds stream request", tc.req.K, tc.req.L)
+			}
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Errorf("K=%d L=%d: session still open after an out-of-bounds request", tc.req.K, tc.req.L)
+			}
+			continue
+		}
+		if err != nil || mt != wire.MsgStreamDone {
+			t.Fatalf("K=%d L=%d: %v %v, want a stream-done reply", tc.req.K, tc.req.L, mt, err)
+		}
+		done, err := wire.UnmarshalStreamDone(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done.Sent != 1 || done.Flagged != 0 {
+			t.Errorf("K=%d L=%d: sent %d flagged %d, want one clean packet", tc.req.K, tc.req.L, done.Sent, done.Flagged)
+		}
 	}
 }
 

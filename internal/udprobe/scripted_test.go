@@ -346,7 +346,7 @@ func TestSenderSessionIdleTimeout(t *testing.T) {
 // TestSenderEmissionGateSerializesOverlappingStreams: two sessions
 // firing stream requests at the same instant must not pace onto the
 // wire simultaneously — concurrent pacing loops skew each other's
-// interspacings. The admission gate (EmitConcurrency = 1) serializes
+// interspacings. The admission gate (emitConcurrency = 1) serializes
 // them, so the two streams' sender-timestamp windows are disjoint.
 func TestSenderEmissionGateSerializesOverlappingStreams(t *testing.T) {
 	addr, _ := startSenderCfg(t, SenderConfig{Logf: t.Logf})

@@ -25,17 +25,33 @@ import (
 	"repro/internal/wire"
 )
 
+// The sender's fixed pacing and bounds.
+const (
+	// maxStreamK and maxStreamL bound per-stream resource use against
+	// malformed or hostile requests: 10000 packets, and the largest
+	// IPv4 UDP payload (65535 less the 20-byte IP and 8-byte UDP
+	// headers), above which the first write of the stream would fail.
+	maxStreamK = 10_000
+	maxStreamL = 65_507
+	// spinThreshold is the remaining wait below which the pacer spins
+	// instead of sleeping.
+	spinThreshold = 500 * time.Microsecond
+	// gapFactor flags a stream when any actual interspacing exceeds
+	// gapFactor·T + spinThreshold.
+	gapFactor = 3
+	// emitConcurrency is how many probe streams may pace onto the wire
+	// at once: one, so stream emissions are serialized. Concurrent
+	// streams share the NIC, so their pacing loops skew each other's
+	// interspacings — two overlapping sessions each measuring a clean
+	// path would flag or, worse, subtly bias each other's streams.
+	// Sessions wait their turn at the admission gate; the control
+	// channel's stream-done reply is late, but the packets that do go
+	// out are paced truthfully.
+	emitConcurrency = 1
+)
+
 // SenderConfig tunes the sender daemon.
 type SenderConfig struct {
-	// MaxK and MaxL bound per-stream resource use against malformed or
-	// hostile requests (defaults 10000 packets and 64 kB).
-	MaxK, MaxL int
-	// SpinThreshold is the remaining-wait below which the pacer spins
-	// instead of sleeping (default 500 µs).
-	SpinThreshold time.Duration
-	// GapFactor flags a stream when any actual interspacing exceeds
-	// GapFactor·T + SpinThreshold (default 3).
-	GapFactor float64
 	// SessionTimeout bounds how long a control session may sit idle
 	// between messages before the daemon drops it (default 2 minutes).
 	// A vanished receiver — half-open TCP, no MsgBye — would otherwise
@@ -44,41 +60,16 @@ type SenderConfig struct {
 	// MaxSessions caps concurrent control sessions (default 64);
 	// connections beyond the cap are refused at accept.
 	MaxSessions int
-	// EmitConcurrency caps how many probe streams may pace onto the
-	// wire at once (default 1: stream emissions are serialized).
-	// Concurrent streams share the NIC, so their pacing loops skew each
-	// other's interspacings — two overlapping sessions each measuring a
-	// clean path would flag or, worse, subtly bias each other's
-	// streams. Sessions beyond the cap wait their turn at the admission
-	// gate; the control channel's stream-done reply is late, but the
-	// packets that do go out are paced truthfully. Raise it only on
-	// hosts with known NIC headroom.
-	EmitConcurrency int
 	// Logf, if set, receives diagnostics.
 	Logf func(format string, args ...any)
 }
 
 func (c SenderConfig) withDefaults() SenderConfig {
-	if c.MaxK == 0 {
-		c.MaxK = 10_000
-	}
-	if c.MaxL == 0 {
-		c.MaxL = 64 << 10
-	}
-	if c.SpinThreshold == 0 {
-		c.SpinThreshold = 500 * time.Microsecond
-	}
-	if c.GapFactor == 0 {
-		c.GapFactor = 3
-	}
 	if c.SessionTimeout == 0 {
 		c.SessionTimeout = 2 * time.Minute
 	}
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 64
-	}
-	if c.EmitConcurrency == 0 {
-		c.EmitConcurrency = 1
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -93,7 +84,7 @@ type Sender struct {
 	ln  net.Listener
 
 	// emitSem is the emission admission gate: a session must hold a
-	// slot while its pacing loop runs, so at most EmitConcurrency
+	// slot while its pacing loop runs, so at most emitConcurrency
 	// streams contend for the NIC at once.
 	emitSem chan struct{}
 	quit    chan struct{}
@@ -114,7 +105,7 @@ func NewSender(addr string, cfg SenderConfig) (*Sender, error) {
 	return &Sender{
 		cfg:     cfg,
 		ln:      ln,
-		emitSem: make(chan struct{}, cfg.EmitConcurrency),
+		emitSem: make(chan struct{}, emitConcurrency),
 		quit:    make(chan struct{}),
 		conns:   map[net.Conn]struct{}{},
 	}, nil
@@ -284,7 +275,7 @@ func (s *Sender) serveSession(conn net.Conn) error {
 // emitStream paces one periodic stream onto the data socket.
 func (s *Sender) emitStream(udp *net.UDPConn, req wire.StreamRequest) (wire.StreamDone, error) {
 	done := wire.StreamDone{Gen: req.Gen, Fleet: req.Fleet, Stream: req.Stream}
-	if int(req.K) > s.cfg.MaxK || int(req.L) > s.cfg.MaxL || req.K == 0 || int(req.L) < wire.ProbeHeaderSize {
+	if req.K > maxStreamK || req.L > maxStreamL || req.K == 0 || int(req.L) < wire.ProbeHeaderSize {
 		return done, fmt.Errorf("stream request out of bounds: K=%d L=%d", req.K, req.L)
 	}
 	period := time.Duration(req.PeriodNs)
@@ -312,14 +303,14 @@ func (s *Sender) emitStream(udp *net.UDPConn, req wire.StreamRequest) (wire.Stre
 	buf := make([]byte, req.L)
 	hdr := wire.ProbeHeader{Gen: req.Gen, Fleet: req.Fleet, Stream: req.Stream}
 
-	flagLimit := time.Duration(s.cfg.GapFactor*float64(period)) + s.cfg.SpinThreshold
+	flagLimit := time.Duration(gapFactor*float64(period)) + spinThreshold
 	start := time.Now()
 	prev := start
 	flagged := false
 
 	for i := uint32(0); i < req.K; i++ {
 		target := start.Add(time.Duration(i) * period)
-		sleepUntil(target, s.cfg.SpinThreshold)
+		sleepUntil(target)
 
 		now := time.Now()
 		hdr.Seq, hdr.SentNs = i, now.UnixNano()
@@ -346,14 +337,14 @@ func (s *Sender) emitStream(udp *net.UDPConn, req wire.StreamRequest) (wire.Stre
 // sleepUntil sleeps coarsely and then spins for the final approach, the
 // standard defense against timer granularity and scheduler wake-up
 // latency.
-func sleepUntil(target time.Time, spin time.Duration) {
+func sleepUntil(target time.Time) {
 	for {
 		rem := time.Until(target)
 		if rem <= 0 {
 			return
 		}
-		if rem > spin {
-			time.Sleep(rem - spin)
+		if rem > spinThreshold {
+			time.Sleep(rem - spinThreshold)
 			continue
 		}
 		// Busy-wait the last stretch.

@@ -230,7 +230,7 @@ func TestSettledExitMatchesFullFleet(t *testing.T) {
 }
 
 // TestLossPolicySingleStreamAbort pins the other loss boundary: one
-// stream above StreamAbortLoss (10%) condemns the fleet immediately,
+// stream above DefaultStreamAbortLoss (10%) condemns the fleet immediately,
 // independent of the majority machinery.
 func TestLossPolicySingleStreamAbort(t *testing.T) {
 	res, err := pathload.Run(&heavyLossScript{abortOn: 2}, pathload.Config{

@@ -276,6 +276,29 @@ func TestRunDisableInitProbe(t *testing.T) {
 	}
 }
 
+// TestRunPCTThresholds: Config's PCT thresholds reach the classifier.
+// With PCT the only metric, the defaults bracket the avail-bw; a
+// threshold above PCT's ceiling of 1 calls every stream non-increasing,
+// so the search climbs past the avail-bw to the top of its range.
+func TestRunPCTThresholds(t *testing.T) {
+	p := &fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}
+	res, err := pathload.Run(p, pathload.Config{DisablePDT: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pathload.Brackets(res.Lo, res.Hi, 4e6, 0) {
+		t.Fatalf("default PCT thresholds: range [%.0f, %.0f] misses 4 Mb/s", res.Lo, res.Hi)
+	}
+	p = &fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}
+	res, err = pathload.Run(p, pathload.Config{DisablePDT: true, PCTIncreasing: 1.01, PCTNonIncreasing: 1.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lo < 8e6 {
+		t.Fatalf("PCT threshold 1.01: range [%.0f, %.0f], want it driven above 8 Mb/s", res.Lo, res.Hi)
+	}
+}
+
 // TestRunAbortsLossyFleets: heavy loss must produce "rate too high"
 // behavior, not a bogus estimate from partial streams.
 func TestRunAbortsLossyFleets(t *testing.T) {

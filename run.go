@@ -125,8 +125,7 @@ func newScratch(cfg Config) scratch {
 func initProbe(p Prober, cfg Config) (adr float64, elapsed time.Duration, bits float64, err error) {
 	rate := cfg.GenerationLimit()
 	l, t := cfg.StreamParams(rate)
-	k := cfg.InitProbePackets
-	spec := StreamSpec{Rate: rate, K: k, L: l, T: t, Fleet: -1}
+	spec := StreamSpec{Rate: rate, K: DefaultInitProbePackets, L: l, T: t, Fleet: -1}
 	sr, err := p.SendStream(spec)
 	elapsed = spec.Duration()
 	bits = float64(sr.Sent*l) * 8
@@ -154,12 +153,14 @@ func initProbe(p Prober, cfg Config) (adr float64, elapsed time.Duration, bits f
 // runFleet emits one fleet of at most N streams at the given rate and
 // reduces it to a verdict. It stops before stream N on two grounds.
 // Loss (§IV): losses mean the probing rate overloads the path, so the
-// fleet aborts when a single stream loses more than StreamAbortLoss of
-// its packets, or when at least two streams and a strict majority of
-// the streams sent so far are moderately lossy — the paper's fleet-wide
-// moderate-loss rule evaluated online, at the earliest point a majority
-// is established, with the two-stream quorum keeping one unlucky stream
-// from condemning a fleet that ModerateLoss is meant to tolerate.
+// fleet aborts when a single stream loses more than
+// DefaultStreamAbortLoss of its packets, or when at least two streams
+// and a strict majority of the streams sent so far are moderately lossy
+// (above DefaultModerateLoss) — the paper's fleet-wide moderate-loss
+// rule evaluated online, at the earliest point a majority is
+// established, with the two-stream quorum keeping one unlucky stream
+// from condemning a fleet that the moderate-loss rule is meant to
+// tolerate.
 // Decided: the fleet also ends, before the inter-stream idle, once the
 // streams not yet sent could change neither the trend vote
 // (core.FleetDecided) nor the loss outcome — even if all of them were
@@ -167,7 +168,8 @@ func initProbe(p Prober, cfg Config) (adr float64, elapsed time.Duration, bits f
 // — so the verdict is exactly what all N streams would have produced
 // and the rest would be probe load (§VIII) and latency spent on
 // nothing. The one thing an unsent stream could still have done is
-// exceed StreamAbortLoss: a single stream aborts a fleet only if sent.
+// exceed DefaultStreamAbortLoss: a single stream aborts a fleet only if
+// sent.
 func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet int, rate float64) (FleetTrace, time.Duration, float64, error) {
 	l, t := cfg.StreamParams(rate)
 	tau := time.Duration(cfg.PacketsPerStream) * t
@@ -197,7 +199,7 @@ func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet
 		switch {
 		case sr.Flagged:
 			kind = core.TypeDiscard
-		case sr.LossRate() > cfg.StreamAbortLoss:
+		case sr.LossRate() > DefaultStreamAbortLoss:
 			// One badly lossy stream condemns the whole fleet.
 			aborted = true
 			kind = core.TypeDiscard
@@ -210,7 +212,7 @@ func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet
 			kind, metrics = core.ClassifyInPlace(owds, sc.medians, trendCfg)
 			st.PCT, st.PDT = metrics.PCT, metrics.PDT
 		}
-		if !aborted && sr.LossRate() > cfg.ModerateLoss {
+		if !aborted && sr.LossRate() > DefaultModerateLoss {
 			moderatelyLossy++
 			// At least two, and more than half, of the i+1 streams so
 			// far are moderately lossy: the fleet majority is already

@@ -64,8 +64,8 @@ func TestRunClampsInitialRateToADR(t *testing.T) {
 }
 
 // lossScript is a prober whose stream i of fleet 0 loses a scripted
-// fraction of its packets (between ModerateLoss and StreamAbortLoss
-// when lossy[i] is true) and shows a scripted trend: kinds[i] picks a
+// fraction of its packets (between DefaultModerateLoss and
+// DefaultStreamAbortLoss when lossy[i] is true) and shows a scripted trend: kinds[i] picks a
 // clean ramp, flat OWDs or a sender flag, and streams beyond kinds are
 // flat, so with no kinds only the loss policy can abort the fleet.
 type lossScript struct {
