@@ -1,6 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -53,5 +60,64 @@ func TestValidateFlagMatrix(t *testing.T) {
 		if err := validateFlagMatrix(c.scen, c.mesh, c.senders, c.sched, c.budget, c.stagger, c.archive); err != nil {
 			t.Errorf("%s: unexpected error %v", name, err)
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/cli.golden")
+
+// rejectedArgs are TestValidateFlagMatrix's rejected combinations as
+// command lines.
+var rejectedArgs = [][]string{
+	{"-monitor", "-scenario", "lossy", "-mesh", "star"},
+	{"-monitor", "-scenario", "lossy", "-senders", "a:1"},
+	{"-monitor", "-scenario", "lossy", "-stagger"},
+	{"-monitor", "-scenario", "lossy", "-schedule", "adaptive"},
+	{"-monitor", "-scenario", "lossy", "-budget", "1"},
+	{"-monitor", "-scenario", "lossy", "-archive", "d"},
+	{"-monitor", "-senders", "a:1", "-mesh", "star"},
+	{"-monitor", "-senders", "a:1", "-stagger"},
+	{"-monitor", "-stagger"},
+	{"-monitor", "-schedule", "budgeted"},
+}
+
+// TestCommandLineGolden builds the command and pins, byte for byte, what
+// it prints and its exit status for -h and for every rejected
+// combination (testdata/cli.golden; -update rewrites it). The child runs
+// with GOMAXPROCS=4 so the -workers default does not depend on the host.
+func TestCommandLineGolden(t *testing.T) {
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go toolchain on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "pathload")
+	if out, err := exec.Command(gobin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	var got bytes.Buffer
+	for _, args := range append([][]string{{"-h"}}, rejectedArgs...) {
+		cmd := &exec.Cmd{
+			Path: bin,
+			Args: append([]string{"pathload"}, args...),
+			Env:  append(os.Environ(), "GOMAXPROCS=4"),
+		}
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatalf("%v: %v", args, err)
+		}
+		fmt.Fprintf(&got, "$ pathload %s\n%s(exit %d)\n\n", strings.Join(args, " "), out, cmd.ProcessState.ExitCode())
+	}
+	golden := filepath.Join("testdata", "cli.golden")
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("command-line output differs from %s (-update rewrites it):\n%s", golden, got.Bytes())
 	}
 }
