@@ -40,15 +40,15 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
 
 	"repro/internal/archive"
+	"repro/internal/cli"
 	"repro/internal/coord"
 	"repro/internal/mesh"
+	"repro/internal/schedule"
 	"repro/internal/tsstore"
 )
 
@@ -69,9 +69,9 @@ func main() {
 		pushRate    = flag.Float64("push-rate", 0, "per-remote-host contribution push rate limit in pushes/second (0 = unlimited)")
 		rateBurst   = flag.Float64("rate-burst", 0, "token-bucket depth for -register-rate/-push-rate (0 = default)")
 	)
-	flag.Parse()
+	cli.Parse(flag.CommandLine, os.Args[1:]) // exits 2 on a bad command line
 
-	pathList := splitList(*paths)
+	pathList := cli.Split(*paths)
 	if len(pathList) == 0 {
 		fmt.Fprintln(os.Stderr, "pathload-coord: -paths is required")
 		os.Exit(2)
@@ -145,43 +145,18 @@ func main() {
 		ln.Addr(), len(pathList), *ttl, *epoch)
 
 	if *export != "" {
-		eln, err := net.Listen("tcp", *export)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pathload-coord: -export: %v\n", err)
-			os.Exit(1)
-		}
-		url := fmt.Sprintf("http://%s/", eln.Addr())
-		go func() {
-			// Losing the scrape surface defeats the point of a
-			// coordinator; fail loudly instead of serving nothing.
-			err := http.Serve(eln, srv.Handler())
-			fmt.Fprintf(os.Stderr, "pathload-coord: export: serving %s failed: %v\n", url, err)
-			os.Exit(1)
-		}()
+		url := cli.Export("pathload-coord", *export, srv.Handler())
 		fmt.Printf("coord: exporting federated store on %s (endpoints: /metrics /series /mrtg /coord)\n", url)
 	}
 
 	go func() {
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
+		cli.WaitInterrupt()
 		srv.Close()
 	}()
 	if err := srv.Serve(ln); err != nil {
 		fmt.Fprintf(os.Stderr, "pathload-coord: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// splitList parses a comma-separated list, dropping empties.
-func splitList(s string) []string {
-	var out []string
-	for _, e := range strings.Split(s, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // conflictsFromMesh derives the conflict adjacency from a backbone
@@ -225,19 +200,9 @@ func conflictsFromMesh(shape string, userPaths []string, seed int64) (map[string
 // schedule.ConflictGroups consumes: every pair within a ';'-separated
 // group conflicts.
 func parseConflicts(s string) map[string][]string {
-	adj := map[string][]string{}
+	var groups [][]string
 	for _, group := range strings.Split(s, ";") {
-		members := splitList(group)
-		for _, p := range members {
-			for _, o := range members {
-				if o != p {
-					adj[p] = append(adj[p], o)
-				}
-			}
-		}
+		groups = append(groups, cli.Split(group))
 	}
-	if len(adj) == 0 {
-		return nil
-	}
-	return adj
+	return schedule.GroupConflicts(groups)
 }

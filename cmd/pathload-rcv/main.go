@@ -17,6 +17,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/udprobe"
 
 	pathload "repro"
@@ -24,15 +25,12 @@ import (
 
 func main() {
 	var (
-		sender = flag.String("sender", "", "pathload-snd control address (host:port)")
-		k      = flag.Int("k", pathload.DefaultPacketsPerStream, "packets per stream (K)")
-		n      = flag.Int("n", pathload.DefaultStreamsPerFleet, "streams per fleet (N, at most: a decided fleet stops early)")
-		omega  = flag.Float64("omega", pathload.DefaultResolution/1e6, "estimation resolution ω, Mb/s")
-		chi    = flag.Float64("chi", pathload.DefaultGreyResolution/1e6, "grey resolution χ, Mb/s")
-		maxMbs = flag.Float64("max", 0, "cap the probed rate, Mb/s (0: MTU/Tmin limit)")
-		v      = flag.Bool("v", false, "log every fleet")
+		sender  = flag.String("sender", "", "pathload-snd control address (host:port)")
+		measure = cli.MeasureFlags(flag.CommandLine)
+		maxMbs  = flag.Float64("max", 0, "cap the probed rate, Mb/s (0: MTU/Tmin limit)")
+		v       = flag.Bool("v", false, "log every fleet")
 	)
-	flag.Parse()
+	cli.Parse(flag.CommandLine, os.Args[1:]) // exits 2 on a bad command line
 	log.SetPrefix("pathload-rcv: ")
 	if *sender == "" {
 		flag.Usage()
@@ -46,26 +44,16 @@ func main() {
 	defer p.Close()
 	log.Printf("connected to %s (control RTT %v)", *sender, p.RTT().Round(time.Microsecond))
 
+	cfg := measure()
+	cfg.MaxRate = *maxMbs * 1e6
 	start := time.Now()
-	res, err := pathload.Run(p, pathload.Config{
-		PacketsPerStream: *k,
-		StreamsPerFleet:  *n,
-		Resolution:       *omega * 1e6,
-		GreyResolution:   *chi * 1e6,
-		MaxRate:          *maxMbs * 1e6,
-	})
+	res, err := pathload.Run(p, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	if *v {
-		maxStreams := *n
-		if maxStreams == 0 { // Config reads 0 as the default
-			maxStreams = pathload.DefaultStreamsPerFleet
-		}
-		for i, f := range res.Fleets {
-			fmt.Printf("fleet %2d: R=%8.2f Mb/s → %-7v streams=%d/%d\n", i, f.Rate/1e6, f.Verdict, len(f.Streams), maxStreams)
-		}
+		cli.LogFleets(os.Stdout, res, cfg)
 	}
 	fmt.Printf("measured: %v\n", res)
 	fmt.Printf("ADR init: %.2f Mb/s\n", res.ADR/1e6)

@@ -12,8 +12,10 @@ package main
 import (
 	"flag"
 	"log"
+	"os"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/udprobe"
 )
 
@@ -23,7 +25,7 @@ func main() {
 		sessTimeout = flag.Duration("session-timeout", 2*time.Minute, "drop control sessions idle longer than this")
 		maxSessions = flag.Int("max-sessions", 64, "concurrent control session cap; further connections are refused")
 	)
-	flag.Parse()
+	cli.Parse(flag.CommandLine, os.Args[1:]) // exits 2 on a bad command line
 
 	log.SetPrefix("pathload-snd: ")
 	cfg := udprobe.SenderConfig{

@@ -2,14 +2,11 @@ package main
 
 import (
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/coord"
 	"repro/internal/crosstraffic"
 	"repro/internal/experiments"
@@ -20,32 +17,20 @@ import (
 	pathload "repro"
 )
 
-// agentOpts carries the -agent flags.
-type agentOpts struct {
-	coord     string // coordinator control address
-	name      string
-	secret    string // shared auth secret; "" = unauthenticated
-	heartbeat time.Duration
-	push      time.Duration
-	export    string // optional local scrape address
-	archive   string // optional durable store spec (-archive)
-	interval  time.Duration
-	jitter    float64
-	workers   int
-	seed      int64
-	backoff   time.Duration
-	measure   pathload.Config
-}
-
 // agentProvider resolves a leased path identifier to a prober factory:
 //
 //   - "sim:<util>[@seed]" builds a fresh single-hop 10 Mb/s Poisson
 //     simulator at that utilization per (re)dial — the self-contained
-//     form used by tests and demos ("sim:0.4", "sim:0.6@7").
+//     form used by tests and demos ("sim:0.4", "sim:0.6@7"). Any other
+//     path with the "sim:" prefix is an error, never a network address.
 //   - anything else is a pathload-snd control address dialed over UDP
 //     (the -senders transport), re-dialed by the monitor on failure.
 func agentProvider(path string) (pathload.ProberFactory, error) {
-	if util, seed, ok := parseSimPath(path); ok {
+	if spec, ok := strings.CutPrefix(path, "sim:"); ok {
+		util, seed, err := parseSimSpec(spec)
+		if err != nil {
+			return nil, fmt.Errorf("want sim:<util in [0,1)>[@seed]: %v", err)
+		}
 		return func() (pathload.Prober, error) {
 			topo := experiments.Topology{
 				Hops:          1,
@@ -66,31 +51,28 @@ func agentProvider(path string) (pathload.ProberFactory, error) {
 	}, nil
 }
 
-// parseSimPath recognizes the "sim:<util>[@seed]" form.
-func parseSimPath(path string) (util float64, seed int64, ok bool) {
-	spec, found := strings.CutPrefix(path, "sim:")
-	if !found {
-		return 0, 0, false
-	}
+// parseSimSpec parses the "<util>[@seed]" after a "sim:" prefix.
+func parseSimSpec(spec string) (util float64, seed int64, err error) {
 	seed = 1
 	if at := strings.IndexByte(spec, '@'); at >= 0 {
-		s, err := strconv.ParseInt(spec[at+1:], 10, 64)
-		if err != nil {
-			return 0, 0, false
+		if seed, err = strconv.ParseInt(spec[at+1:], 10, 64); err != nil {
+			return 0, 0, err
 		}
-		seed, spec = s, spec[:at]
+		spec = spec[:at]
 	}
-	u, err := strconv.ParseFloat(spec, 64)
-	if err != nil || u < 0 || u >= 1 {
-		return 0, 0, false
+	if util, err = strconv.ParseFloat(spec, 64); err != nil {
+		return 0, 0, err
 	}
-	return u, seed, true
+	if util < 0 || util >= 1 {
+		return 0, 0, fmt.Errorf("utilization %v outside [0,1)", util)
+	}
+	return util, seed, nil
 }
 
 // runAgent joins the fleet: register with the coordinator, measure
 // whatever it leases, push the series back, until interrupted.
-func runAgent(o agentOpts) {
-	name := o.name
+func runAgent(o *options) {
+	name := o.agentName
 	if name == "" {
 		h, err := os.Hostname()
 		if err != nil || h == "" {
@@ -110,7 +92,7 @@ func runAgent(o agentOpts) {
 	}
 	defer closeStore()
 	agent, err := coord.NewAgent(coord.AgentConfig{
-		Coord:      o.coord,
+		Coord:      o.agent,
 		Name:       name,
 		Secret:     o.secret,
 		LocalStore: store,
@@ -133,25 +115,12 @@ func runAgent(o agentOpts) {
 	}
 
 	if o.export != "" {
-		ln, err := net.Listen("tcp", o.export)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pathload: -export: %v\n", err)
-			os.Exit(1)
-		}
-		url := fmt.Sprintf("http://%s/", ln.Addr())
-		go func() {
-			err := http.Serve(ln, agent.Store().Handler())
-			fmt.Fprintf(os.Stderr, "pathload: export: serving %s failed: %v\n", url, err)
-			os.Exit(1)
-		}()
-		fmt.Printf("agent: exporting local store on %s\n", url)
+		fmt.Printf("agent: exporting local store on %s\n", cli.Export("pathload", o.export, agent.Store().Handler()))
 	}
 
-	fmt.Printf("agent: %s joining coordinator %s\n", name, o.coord)
+	fmt.Printf("agent: %s joining coordinator %s\n", name, o.agent)
 	go func() {
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
+		cli.WaitInterrupt()
 		agent.Stop()
 	}()
 	if err := agent.Run(); err != nil {

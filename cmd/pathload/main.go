@@ -70,18 +70,19 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/cli"
 	"repro/internal/crosstraffic"
 	"repro/internal/experiments"
 	"repro/internal/mesh"
@@ -96,151 +97,220 @@ import (
 )
 
 func main() {
-	var (
-		hops    = flag.Int("hops", 5, "number of links in the path")
-		capMbps = flag.Float64("cap", 10, "tight link capacity, Mb/s")
-		util    = flag.Float64("util", 0.6, "tight link utilization in [0,1)")
-		beta    = flag.Float64("beta", 4, "path tightness factor β = A_nt/A (≥ 1)")
-		model   = flag.String("model", "pareto", "cross traffic model: poisson, pareto, cbr")
-		sources = flag.Int("sources", 10, "cross-traffic sources per hop")
-		seed    = flag.Int64("seed", 1, "random seed")
-		k       = flag.Int("k", pathload.DefaultPacketsPerStream, "packets per stream (K)")
-		n       = flag.Int("n", pathload.DefaultStreamsPerFleet, "streams per fleet (N, at most: a decided fleet stops early)")
-		omega   = flag.Float64("omega", pathload.DefaultResolution/1e6, "estimation resolution ω, Mb/s")
-		chi     = flag.Float64("chi", pathload.DefaultGreyResolution/1e6, "grey resolution χ, Mb/s")
-		verbose = flag.Bool("v", false, "log every fleet")
-
-		monitor   = flag.Bool("monitor", false, "monitor a fleet of single-hop paths instead of measuring one (honors -cap -util -model -sources -seed -k -n -omega -chi)")
-		paths     = flag.Int("paths", 16, "monitor: number of simulated paths")
-		rounds    = flag.Int("rounds", 3, "monitor: measurements per path (≥ 1)")
-		interval  = flag.Duration("interval", 100*time.Millisecond, "monitor: re-measurement gap per path")
-		jitter    = flag.Float64("jitter", 0.3, "monitor: gap randomization fraction in [0,1]")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "monitor: max concurrent measurements (a -mesh fleet is sequenced on one virtual clock and ignores it)")
-		export    = flag.String("export", "", "monitor: HTTP listen address for the time-series store (e.g. :9090); keeps serving after the fleet finishes, until interrupted")
-		meshName  = flag.String("mesh", "", "monitor: run the fleet over a shared backbone instead of independent paths: star, chain, tree, disjoint (fixed shape parameters; ignores -cap -util -model -sources)")
-		schedName = flag.String("schedule", "fixed", "monitor: re-measurement schedule: fixed (jittered -interval), adaptive (per-path gaps scaled by recent windowed ρ), budgeted (fixed under the -budget cap)")
-		budget    = flag.Float64("budget", 0, "monitor: aggregate probe bit-rate cap in Mb/s across the fleet (token bucket); wraps the chosen -schedule, required by -schedule budgeted")
-		stagger   = flag.Bool("stagger", false, "monitor: with -mesh, never co-measure paths that share a tight link (contention-aware admission)")
-		senders   = flag.String("senders", "", "monitor: comma-separated pathload-snd control addresses (host:port,…); each becomes one real-network path with reconnect-on-error (ignores -paths -cap -util -model -sources; excludes -mesh)")
-		scen      = flag.String("scenario", "", "monitor: measure one composed scenario (name[:key=value,…], e.g. lossy:load=0.7) instead of a fleet; rounds split across its epochs (honors -rounds -k -n -omega -chi -seed; excludes -mesh -senders)")
-		backoff   = flag.Duration("reconnect-backoff", 500*time.Millisecond, "monitor: with -senders, first re-dial delay after a transport failure (doubles up to 15s)")
-
-		agentAddr = flag.String("agent", "", "run as a fleet agent of the pathload-coord at this control address (host:port); leased paths are measured and pushed to the coordinator (honors -k -n -omega -chi -interval -jitter -workers -seed -export)")
-		agentName = flag.String("agent-name", "", "agent: fleet-unique agent name (default the hostname)")
-		heartbeat = flag.Duration("heartbeat", 0, "agent: heartbeat cadence (0 derives min(TTL/3, epoch) from the coordinator)")
-		pushEvery = flag.Duration("push", 0, "agent: contribution push cadence (0 pushes on every heartbeat)")
-		secret    = flag.String("secret", "", "agent: shared authentication secret (required when the coordinator runs with -secret)")
-
-		archiveSpec = flag.String("archive", "", "monitor/agent: durable measurement archive dir[:seal=<bytes>[k|m]][,sync]; series recover and resume across restarts (inspect with pathload-archive)")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "Usage of %s:\n", os.Args[0])
-		flag.PrintDefaults()
-		fmt.Fprint(flag.CommandLine.Output(), flagMatrix)
+	o, m, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pathload: %v\n", err)
+		os.Exit(2)
 	}
-	flag.Parse()
+	m.run(o)
+}
 
+// options holds every pathload flag; which of them a run reads is its
+// mode's business (modes).
+type options struct {
+	hops, sources, paths, rounds, workers            int
+	capMbps, util, beta, jitter, budget              float64
+	model, export, mesh, schedule, senders, scenario string
+	agent, agentName, secret, archive                string
+	seed                                             int64
+	verbose, monitor, stagger                        bool
+	interval, backoff, heartbeat, push               time.Duration
+	measure                                          pathload.Config
+}
+
+// A mode is one way to run pathload: the flags that select it (all of
+// them set), what it does, and every flag it reads, selectors included.
+// A flag set to anything but its default that the selected mode does
+// not read is an error, so no flag is ever silently dropped.
+type mode struct {
+	selector, usage, does, flags string
+	run                          func(*options)
+}
+
+// modes is the mode table: -h prints it, and parseArgs selects the last
+// row whose selector flags are all set.
+var modes = []mode{
+	{usage: "(no mode flag)", run: runPath,
+		does:  "measure one simulated multi-hop path",
+		flags: "hops cap util beta model sources seed k n omega chi v"},
+	{selector: "monitor", usage: "-monitor", run: runMonitor,
+		does:  "monitor a fleet of independent single-hop simulator shards",
+		flags: "monitor paths rounds interval jitter workers schedule budget export archive cap util model sources seed k n omega chi"},
+	{selector: "monitor mesh", usage: "-monitor -mesh <shape>", run: runMonitor,
+		does:  "monitor a fleet over one shared backbone, sequenced on one virtual clock (replays byte-for-byte)",
+		flags: "monitor mesh stagger paths rounds interval jitter schedule budget export archive seed k n omega chi"},
+	{selector: "monitor senders", usage: "-monitor -senders a,b,…", run: runMonitor,
+		does:  "monitor a real-network fleet, one path per pathload-snd daemon, re-dialed after failures",
+		flags: "monitor senders reconnect-backoff rounds interval jitter workers schedule budget export archive seed k n omega chi"},
+	{selector: "monitor scenario", usage: "-monitor -scenario spec", run: runScenario,
+		does:  "measure one composed adversarial path, rounds split across its epochs (fleet-wide scenarios: repro -fig fleetscenarios)",
+		flags: "monitor scenario rounds seed k n omega chi"},
+	{selector: "agent", usage: "-agent host:port", run: runAgent,
+		does:  "measure the paths a pathload-coord leases and push their series back",
+		flags: "agent agent-name secret heartbeat push reconnect-backoff interval jitter workers export archive seed k n omega chi"},
+}
+
+func (m mode) reads(flag string) bool { return slices.Contains(strings.Fields(m.flags), flag) }
+
+// name is the mode as an error message names it: its last selector.
+func (m mode) name() string {
+	if m.selector == "" {
+		return "single-path mode"
+	}
+	return "-" + m.selector[strings.LastIndexByte(m.selector, ' ')+1:]
+}
+
+// printModes renders the mode table for -h.
+func printModes(w io.Writer) {
+	fmt.Fprint(w, "\nModes: the mode flags select one, and setting a flag the selected mode\ndoes not read to anything but its default is an error.\n")
+	for _, m := range modes {
+		fmt.Fprintf(w, "  %s\n", m.usage)
+		wrap(w, "     ", "     ", strings.Fields(m.does))
+		wrap(w, "      reads", "           ", strings.Fields(strings.ReplaceAll(" "+m.flags, " ", " -")))
+	}
+}
+
+// wrap writes words after first, in lines of at most 78 bytes, each
+// further line starting with indent.
+func wrap(w io.Writer, first, indent string, words []string) {
+	line := first
+	for i, word := range words {
+		if i > 0 && len(line)+1+len(word) > 78 {
+			fmt.Fprintln(w, line)
+			line = indent
+		}
+		line += " " + word
+	}
+	fmt.Fprintln(w, line)
+}
+
+var models = map[string]crosstraffic.Model{
+	"poisson": crosstraffic.ModelPoisson,
+	"pareto":  crosstraffic.ModelPareto,
+	"cbr":     crosstraffic.ModelCBR,
+}
+
+// parseArgs defines the flags on fs, parses args and validates them:
+// the selected mode must read every flag set, and every value must lie
+// in range.
+func parseArgs(fs *flag.FlagSet, args []string) (*options, mode, error) {
+	o := &options{}
+	fs.IntVar(&o.hops, "hops", 5, "number of links in the path")
+	fs.Float64Var(&o.capMbps, "cap", 10, "tight link capacity, Mb/s")
+	fs.Float64Var(&o.util, "util", 0.6, "tight link utilization in [0,1)")
+	fs.Float64Var(&o.beta, "beta", 4, "path tightness factor β = A_nt/A (≥ 1)")
+	fs.StringVar(&o.model, "model", "pareto", "cross traffic model: poisson, pareto, cbr")
+	fs.IntVar(&o.sources, "sources", 10, "cross-traffic sources per hop")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	measure := cli.MeasureFlags(fs)
+	fs.BoolVar(&o.verbose, "v", false, "log every fleet")
+
+	fs.BoolVar(&o.monitor, "monitor", false, "monitor a fleet of single-hop paths instead of measuring one")
+	fs.IntVar(&o.paths, "paths", 16, "monitor: number of simulated paths")
+	fs.IntVar(&o.rounds, "rounds", 3, "monitor: measurements per path (≥ 1)")
+	fs.DurationVar(&o.interval, "interval", 100*time.Millisecond, "monitor: re-measurement gap per path")
+	fs.Float64Var(&o.jitter, "jitter", 0.3, "monitor: gap randomization fraction in [0,1]")
+	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "monitor: max concurrent measurements (a -mesh fleet is sequenced on one virtual clock and ignores it)")
+	fs.StringVar(&o.export, "export", "", "monitor: HTTP listen address for the time-series store (e.g. :9090); keeps serving after the fleet finishes, until interrupted")
+	fs.StringVar(&o.mesh, "mesh", "", "monitor: run the fleet over a shared backbone instead of independent paths: star, chain, tree, disjoint (fixed shape parameters)")
+	fs.StringVar(&o.schedule, "schedule", "fixed", "monitor: re-measurement schedule: fixed (jittered -interval), adaptive (per-path gaps scaled by recent windowed ρ), budgeted (fixed under the -budget cap)")
+	fs.Float64Var(&o.budget, "budget", 0, "monitor: aggregate probe bit-rate cap in Mb/s across the fleet (token bucket); wraps the chosen -schedule, required by -schedule budgeted")
+	fs.BoolVar(&o.stagger, "stagger", false, "monitor: with -mesh, never co-measure paths that share a tight link (contention-aware admission)")
+	fs.StringVar(&o.senders, "senders", "", "monitor: comma-separated pathload-snd control addresses (host:port,…); each becomes one real-network path with reconnect-on-error")
+	fs.StringVar(&o.scenario, "scenario", "", "monitor: measure one composed scenario (name[:key=value,…], e.g. lossy:load=0.7) instead of a fleet; rounds split across its epochs")
+	fs.DurationVar(&o.backoff, "reconnect-backoff", 500*time.Millisecond, "monitor: with -senders, first re-dial delay after a transport failure (doubles up to 15s)")
+
+	fs.StringVar(&o.agent, "agent", "", "run as a fleet agent of the pathload-coord at this control address (host:port); leased paths are measured and pushed to the coordinator")
+	fs.StringVar(&o.agentName, "agent-name", "", "agent: fleet-unique agent name (default the hostname)")
+	fs.DurationVar(&o.heartbeat, "heartbeat", 0, "agent: heartbeat cadence (0 derives min(TTL/3, epoch) from the coordinator)")
+	fs.DurationVar(&o.push, "push", 0, "agent: contribution push cadence (0 pushes on every heartbeat)")
+	fs.StringVar(&o.secret, "secret", "", "agent: shared authentication secret (required when the coordinator runs with -secret)")
+
+	fs.StringVar(&o.archive, "archive", "", "monitor/agent: durable measurement archive dir[:seal=<bytes>[k|m]][,sync]; series recover and resume across restarts (inspect with pathload-archive)")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "Usage of %s:\n", fs.Name())
+		fs.PrintDefaults()
+		printModes(fs.Output())
+	}
+	if err := cli.Parse(fs, args); err != nil {
+		return nil, mode{}, err
+	}
 	// One measurement Config for every mode, so the slack a mode grades
 	// with (Config.Slack) is read from the Config its rounds ran under.
-	measure := pathload.Config{
-		PacketsPerStream: *k,
-		StreamsPerFleet:  *n,
-		Resolution:       *omega * 1e6,
-		GreyResolution:   *chi * 1e6,
-	}
-	var m crosstraffic.Model
-	switch *model {
-	case "poisson":
-		m = crosstraffic.ModelPoisson
-	case "pareto":
-		m = crosstraffic.ModelPareto
-	case "cbr":
-		m = crosstraffic.ModelCBR
-	default:
-		fmt.Fprintf(os.Stderr, "pathload: unknown model %q\n", *model)
-		os.Exit(2)
-	}
+	o.measure = measure()
 
-	if *agentAddr != "" {
-		runAgent(agentOpts{
-			coord: *agentAddr, name: *agentName, secret: *secret,
-			heartbeat: *heartbeat, push: *pushEvery, export: *export,
-			interval: *interval, jitter: *jitter, workers: *workers,
-			seed: *seed, backoff: *backoff, archive: *archiveSpec,
-			measure: measure,
-		})
-		return
-	}
-
-	if !*monitor && *archiveSpec != "" {
-		fmt.Fprintln(os.Stderr, "pathload: -archive persists a monitored or agent store; it needs -monitor or -agent")
-		os.Exit(2)
-	}
-
-	if *monitor {
-		if *rounds < 1 {
-			fmt.Fprintln(os.Stderr, "pathload: -monitor needs -rounds ≥ 1")
-			os.Exit(2)
+	var set []string // flags set to other than their default, sorted
+	fs.Visit(func(f *flag.Flag) {
+		if f.Value.String() != f.DefValue {
+			set = append(set, f.Name)
 		}
-		if err := validateFlagMatrix(*scen, *meshName, *senders, *schedName, *budget, *stagger, *archiveSpec); err != nil {
-			fmt.Fprintf(os.Stderr, "pathload: %v\n", err)
-			os.Exit(2)
+	})
+	unset := func(r mode) []string {
+		return slices.DeleteFunc(strings.Fields(r.selector), func(s string) bool { return slices.Contains(set, s) })
+	}
+	m := modes[0]
+	for _, r := range modes[1:] {
+		if len(unset(r)) == 0 {
+			m = r
 		}
-		if *scen != "" {
-			runScenario(*scen, *rounds, *seed, measure)
-			return
+	}
+	for _, name := range set {
+		if m.reads(name) {
+			continue
 		}
-		runMonitor(monitorOpts{
-			paths: *paths, rounds: *rounds, workers: *workers, archive: *archiveSpec,
-			interval: *interval, jitter: *jitter, export: *export, mesh: *meshName,
-			schedule: *schedName, budget: *budget * 1e6, stagger: *stagger,
-			senders: splitSenders(*senders), backoff: *backoff,
-			capMbps: *capMbps, util: *util, model: m, sources: *sources, seed: *seed,
-			measure: measure,
-		})
-		return
+		readers := slices.DeleteFunc(slices.Clone(modes), func(r mode) bool { return !r.reads(name) })
+		if len(readers) == 1 && len(unset(readers[0])) > 0 {
+			return nil, m, fmt.Errorf("-%s needs -%s", name, strings.Join(unset(readers[0]), " -"))
+		}
+		return nil, m, fmt.Errorf("%s excludes -%s (drop it; -h lists the flags each mode reads)", m.name(), name)
 	}
 
+	_, knownModel := models[o.model]
+	for _, r := range []struct {
+		bad bool
+		msg string
+	}{
+		{o.rounds < 1, "-monitor needs -rounds ≥ 1"},
+		{o.hops < 0, "-hops must not be negative"},
+		{o.capMbps < 0, "-cap must not be negative"},
+		{o.util < 0 || o.util >= 1, "-util must lie in [0,1)"},
+		{o.beta != 0 && o.beta < 1, "-beta must be ≥ 1"},
+		{o.sources < 0, "-sources must not be negative"},
+		{!knownModel, fmt.Sprintf("unknown model %q", o.model)},
+		{!slices.Contains([]string{"fixed", "adaptive", "budgeted"}, o.schedule), fmt.Sprintf("unknown -schedule %q (have fixed, adaptive, budgeted)", o.schedule)},
+		{o.schedule == "budgeted" && o.budget <= 0, "-schedule budgeted needs -budget > 0 (the fleet's aggregate probe cap in Mb/s)"},
+		{o.mesh != "" && !slices.Contains(mesh.ShapeNames(), o.mesh), fmt.Sprintf("unknown -mesh %q (have %s)", o.mesh, strings.Join(mesh.ShapeNames(), ", "))},
+	} {
+		if r.bad {
+			return nil, m, errors.New(r.msg)
+		}
+	}
+	return o, m, nil
+}
+
+// runPath measures one simulated multi-hop path.
+func runPath(o *options) {
 	topo := experiments.Topology{
-		Hops:          *hops,
-		TightCap:      *capMbps * 1e6,
-		TightUtil:     *util,
-		Beta:          *beta,
-		Model:         m,
-		SourcesPerHop: *sources,
-		Seed:          *seed,
+		Hops:          o.hops,
+		TightCap:      o.capMbps * 1e6,
+		TightUtil:     o.util,
+		Beta:          o.beta,
+		Model:         models[o.model],
+		SourcesPerHop: o.sources,
+		Seed:          o.seed,
 	}
 	net := topo.Build()
 	net.Warmup(3 * netsim.Second)
 	prober := simprobe.New(net.Sim, net.Links, 10*netsim.Millisecond)
 
 	start := time.Now()
-	res, err := pathload.Run(prober, measure)
+	res, err := pathload.Run(prober, o.measure)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pathload: %v\n", err)
 		os.Exit(1)
 	}
-
-	if *verbose {
-		maxStreams := *n
-		if maxStreams == 0 { // Config reads 0 as the default
-			maxStreams = pathload.DefaultStreamsPerFleet
-		}
-		for i, f := range res.Fleets {
-			inc, non, dis := 0, 0, 0
-			for _, s := range f.Streams {
-				switch s.Kind {
-				case pathload.StreamIncreasing:
-					inc++
-				case pathload.StreamNonIncreasing:
-					non++
-				default:
-					dis++
-				}
-			}
-			fmt.Printf("fleet %2d: R=%7.2f Mb/s L=%4dB T=%8v → %-7v streams=%d/%d (I=%d N=%d discard=%d)\n",
-				i, f.Rate/1e6, f.L, f.T, f.Verdict, len(f.Streams), maxStreams, inc, non, dis)
-		}
+	if o.verbose {
+		cli.LogFleets(os.Stdout, res, o.measure)
 	}
 	fmt.Printf("true avail-bw: %.2f Mb/s\n", topo.AvailBw()/1e6)
 	fmt.Printf("measured:      %v\n", res)
@@ -249,74 +319,18 @@ func main() {
 	fmt.Printf("sim events:    %d\n", net.Sim.Events())
 }
 
-// flagMatrix documents which -monitor mode flags compose; appended to
-// -h after the per-flag defaults. validateFlagMatrix enforces it.
-const flagMatrix = `
-Monitor-mode flag matrix (with -monitor):
-  (no mode flag)   independent single-hop simulator shards; composes with
-                   -schedule, -budget, -export
-  -mesh <shape>    shared-backbone fleet, sequenced on one virtual clock
-                   (replays byte-for-byte); composes with -schedule, -budget,
-                   -export; add -stagger for contention-aware admission (paths
-                   sharing a tight link never co-probe; admission waits pass in
-                   virtual time, so the replay guarantee holds)
-  -senders a,b,…   real-network fleet over pathload-snd daemons; composes with
-                   -schedule, -budget, -export; excludes -mesh and -stagger
-                   (real paths have no shared backbone, hence no conflict graph)
-  -scenario spec   one composed adversarial path, rounds split across the
-                   scenario's epochs; excludes -mesh, -senders, -stagger, any
-                   non-fixed -schedule and -budget (a single path has no fleet
-                   to schedule); fleet-wide scenarios live in
-                   ` + "`repro -fig fleetscenarios`" + `
-  -archive spec    durable store under every mode above except -scenario
-                   (which grades against analytic truth and keeps no store):
-                   samples write through to a WAL + hash-chained segments, and
-                   a restarted monitor recovers the series and resumes rounds
-                   where they stopped; inspect with ` + "`pathload-archive`" + `
-`
-
-// validateFlagMatrix rejects contradictory -monitor mode combinations
-// up front, each error naming the remedy, so a bad invocation fails
-// loudly instead of silently ignoring a flag. The accepted matrix is
-// the one -h prints (flagMatrix).
-func validateFlagMatrix(scen, meshName, senders, schedName string, budget float64, stagger bool, archiveSpec string) error {
-	switch {
-	case scen != "" && archiveSpec != "":
-		return fmt.Errorf("-scenario grades rounds against analytic epoch truth and keeps no store; it excludes -archive (drop one)")
-	case scen != "" && meshName != "":
-		return fmt.Errorf("-scenario measures one composed path; it excludes -mesh (drop one; fleet-wide scenarios live in `repro -fig fleetscenarios`)")
-	case scen != "" && senders != "":
-		return fmt.Errorf("-scenario measures one composed simulated path; it excludes -senders (drop one)")
-	case scen != "" && stagger:
-		return fmt.Errorf("-scenario measures one path; -stagger only staggers a -mesh fleet (drop -stagger)")
-	case scen != "" && schedName != "" && schedName != "fixed":
-		return fmt.Errorf("-scenario runs its rounds back to back; -schedule %s only applies to a monitored fleet (drop -schedule)", schedName)
-	case scen != "" && budget > 0:
-		return fmt.Errorf("-scenario measures one path; the fleet-wide -budget cap only applies to a monitored fleet (drop -budget)")
-	case senders != "" && meshName != "":
-		return fmt.Errorf("-senders measures real paths; it excludes -mesh (drop one)")
-	case senders != "" && stagger:
-		return fmt.Errorf("-stagger needs -mesh: the conflict graph comes from the shared backbone, which real -senders paths do not have (drop -stagger)")
-	case stagger && meshName == "":
-		return fmt.Errorf("-stagger needs -mesh (the conflict graph comes from the shared backbone)")
-	case schedName == "budgeted" && budget <= 0:
-		return fmt.Errorf("-schedule budgeted needs -budget > 0 (the fleet's aggregate probe cap in Mb/s)")
-	}
-	return nil
-}
-
 // runScenario measures one composed scenario: build it, warm it up, and
 // run rounds back to back, advancing the scenario's epoch at its round
 // boundary so each round is graded against the truth of the epoch it
 // ran in. The spec string is untrusted CLI input — scenario.Parse
 // rejects malformed specs with an error (FuzzParse holds it to that).
-func runScenario(spec string, rounds int, seed int64, cfg pathload.Config) {
-	s, err := scenario.Parse(spec)
+func runScenario(o *options) {
+	s, err := scenario.Parse(o.scenario)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pathload: -scenario: %v\n", err)
 		os.Exit(2)
 	}
-	inst, err := s.Build(seed)
+	inst, err := s.Build(o.seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pathload: -scenario: %v\n", err)
 		os.Exit(1)
@@ -324,22 +338,22 @@ func runScenario(spec string, rounds int, seed int64, cfg pathload.Config) {
 	inst.Mesh.Warmup(3 * netsim.Second)
 	prober := simprobe.New(inst.Sim(), inst.Path.Route, 10*netsim.Millisecond)
 
-	fmt.Printf("scenario %s: %s (%d epoch(s), %d rounds)\n", s.Name, s.Info, inst.Epochs(), rounds)
+	fmt.Printf("scenario %s: %s (%d epoch(s), %d rounds)\n", s.Name, s.Info, inst.Epochs(), o.rounds)
 	if s.FailureMode != "" {
 		fmt.Printf("expected failure mode: %s\n", s.FailureMode)
 	}
-	slack := cfg.Slack()
+	slack := o.measure.Slack()
 	fmt.Printf("epoch 0: true avail-bw %.2f Mb/s (tight hop %d)\n", inst.Truth()/1e6, inst.TightHop())
 
 	start := time.Now()
 	hit := 0
-	for r := 0; r < rounds; r++ {
-		if inst.AdvanceToRound(r, rounds, 3*netsim.Second) > 0 {
+	for r := 0; r < o.rounds; r++ {
+		if inst.AdvanceToRound(r, o.rounds, 3*netsim.Second) > 0 {
 			fmt.Printf("epoch %d: true avail-bw now %.2f Mb/s (tight hop %d)\n",
 				inst.Epoch(), inst.Truth()/1e6, inst.TightHop())
 		}
 		truth := inst.Truth()
-		res, err := pathload.Run(prober, cfg)
+		res, err := pathload.Run(prober, o.measure)
 		if err != nil {
 			fmt.Printf("r%d e%d true %6.2f Mb/s → error: %v\n", r, inst.Epoch(), truth/1e6, err)
 			continue
@@ -353,69 +367,24 @@ func runScenario(spec string, rounds int, seed int64, cfg pathload.Config) {
 		inst.Sim().RunFor(500 * netsim.Millisecond)
 	}
 	fmt.Printf("scenario %s: %d/%d ranges bracket the epoch truth (slack ω+χ = %.1f Mb/s) in %v wall\n",
-		s.Name, hit, rounds, slack/1e6, time.Since(start).Round(time.Millisecond))
-}
-
-// monitorOpts carries the fleet-mode flags.
-type monitorOpts struct {
-	paths, rounds, workers int
-	interval               time.Duration
-	jitter                 float64
-	export                 string
-	archive                string
-	mesh                   string
-	schedule               string
-	budget                 float64 // bits/s aggregate, 0 = uncapped
-	stagger                bool
-	senders                []string // real-network sender addresses; empty = simulate
-	backoff                time.Duration
-	capMbps, util          float64
-	model                  crosstraffic.Model
-	sources                int
-	seed                   int64
-	measure                pathload.Config
-}
-
-// splitSenders parses the -senders list.
-func splitSenders(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
+		s.Name, hit, o.rounds, slack/1e6, time.Since(start).Round(time.Millisecond))
 }
 
 // scheduler builds the fleet's re-measurement schedule from the flags:
 // the named base schedule, wrapped in a token bucket when -budget caps
 // the fleet's aggregate probe bit-rate.
-func (o monitorOpts) scheduler() (schedule.Scheduler, error) {
-	var s schedule.Scheduler
-	switch o.schedule {
-	case "", "fixed":
-		s = nil // monitor default: Fixed from Interval/Jitter/Seed
-	case "adaptive":
+func (o *options) scheduler() schedule.Scheduler {
+	var s schedule.Scheduler // nil: the monitor's Fixed from Interval/Jitter/Seed
+	if o.schedule == "adaptive" {
 		s = &schedule.Adaptive{Base: o.interval, Window: 8 * o.interval}
-	case "budgeted":
-		if o.budget <= 0 {
-			return nil, fmt.Errorf("-schedule budgeted needs -budget > 0")
-		}
-		s = nil
-	default:
-		return nil, fmt.Errorf("unknown -schedule %q (have fixed, adaptive, budgeted)", o.schedule)
 	}
 	if o.budget > 0 {
-		inner := s
-		if inner == nil {
-			inner = &schedule.Fixed{Interval: o.interval, Jitter: o.jitter, Seed: o.seed}
+		if s == nil {
+			s = &schedule.Fixed{Interval: o.interval, Jitter: o.jitter, Seed: o.seed}
 		}
-		s = &schedule.Budgeted{Inner: inner, Rate: o.budget}
+		s = &schedule.Budgeted{Inner: s, Rate: o.budget * 1e6}
 	}
-	return s, nil
+	return s
 }
 
 // runMonitor builds the monitored fleet (independent single-hop shards
@@ -423,7 +392,7 @@ func (o monitorOpts) scheduler() (schedule.Scheduler, error) {
 // the monitor's samples as they complete. Every sample also lands in a
 // tsstore.Store; with -export the store is served over HTTP and the
 // process stays up for scraping after the fleet finishes.
-func runMonitor(o monitorOpts) {
+func runMonitor(o *options) {
 	store, closeStore, err := openMonitorStore(o.archive)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pathload: -archive: %v\n", err)
@@ -432,20 +401,7 @@ func runMonitor(o monitorOpts) {
 	defer closeStore()
 	var exportURL string
 	if o.export != "" {
-		ln, err := net.Listen("tcp", o.export)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pathload: -export: %v\n", err)
-			os.Exit(1)
-		}
-		exportURL = fmt.Sprintf("http://%s/", ln.Addr())
-		go func() {
-			// A scrape endpoint that died is not a degraded mode — the
-			// operator asked for -export, so losing it is fatal, not a
-			// log line behind a silently dead port.
-			err := http.Serve(ln, store.Handler())
-			fmt.Fprintf(os.Stderr, "pathload: export: serving %s failed: %v\n", exportURL, err)
-			os.Exit(1)
-		}()
+		exportURL = cli.Export("pathload", o.export, store.Handler())
 		fmt.Printf("exporting store on %s (endpoints: /metrics /series /mrtg)\n", exportURL)
 	}
 	mon, avail, err := buildFleet(o, store)
@@ -506,9 +462,7 @@ func runMonitor(o monitorOpts) {
 
 	if o.export != "" {
 		fmt.Printf("\nfleet done; still serving %s — curl /metrics, Ctrl-C to exit\n", exportURL)
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
+		cli.WaitInterrupt()
 	}
 }
 
@@ -546,11 +500,7 @@ func openMonitorStore(spec string) (*tsstore.Store, func(), error) {
 // one shared-backbone simulator whose probe streams contend on common
 // links. It returns the wired (unstarted) monitor and the per-path
 // analytic avail-bw ground truth.
-func buildFleet(o monitorOpts, store *tsstore.Store) (*pathload.Monitor, map[string]float64, error) {
-	sched, err := o.scheduler()
-	if err != nil {
-		return nil, nil, err
-	}
+func buildFleet(o *options, store *tsstore.Store) (*pathload.Monitor, map[string]float64, error) {
 	cfg := pathload.MonitorConfig{
 		Workers:   o.workers,
 		Rounds:    o.rounds,
@@ -559,18 +509,18 @@ func buildFleet(o monitorOpts, store *tsstore.Store) (*pathload.Monitor, map[str
 		Seed:      o.seed,
 		Config:    o.measure,
 		Store:     store,
-		Scheduler: sched,
+		Scheduler: o.scheduler(),
 	}
-	if o.schedule != "" && o.schedule != "fixed" || o.budget > 0 {
+	if o.schedule != "fixed" || o.budget > 0 {
 		fmt.Printf("schedule: %s", o.schedule)
 		if o.budget > 0 {
-			fmt.Printf(" under a %.2f Mb/s aggregate probe budget", o.budget/1e6)
+			fmt.Printf(" under a %.2f Mb/s aggregate probe budget", o.budget)
 		}
 		fmt.Println()
 	}
 	avail := map[string]float64{}
 
-	if len(o.senders) > 0 {
+	if senders := cli.Split(o.senders); len(senders) > 0 {
 		// A real-network fleet: every sender address becomes one
 		// factory-backed path the monitor dials itself, so a dead or
 		// restarted pathload-snd heals the session instead of ending it.
@@ -580,7 +530,7 @@ func buildFleet(o monitorOpts, store *tsstore.Store) (*pathload.Monitor, map[str
 			return nil, nil, err
 		}
 		used := map[string]bool{}
-		for i, addr := range o.senders {
+		for i, addr := range senders {
 			addr := addr
 			id := addr
 			if used[id] {
@@ -596,7 +546,7 @@ func buildFleet(o monitorOpts, store *tsstore.Store) (*pathload.Monitor, map[str
 				return nil, nil, err
 			}
 		}
-		fmt.Printf("real fleet: %d udprobe paths (reconnect backoff %v)\n", len(o.senders), o.backoff)
+		fmt.Printf("real fleet: %d udprobe paths (reconnect backoff %v)\n", len(senders), o.backoff)
 		return mon, avail, nil
 	}
 
@@ -643,7 +593,7 @@ func buildFleet(o monitorOpts, store *tsstore.Store) (*pathload.Monitor, map[str
 			Hops:          1,
 			TightCap:      o.capMbps * 1e6,
 			TightUtil:     u,
-			Model:         o.model,
+			Model:         models[o.model],
 			SourcesPerHop: o.sources,
 			Seed:          o.seed + int64(i)*7_919_317,
 		}

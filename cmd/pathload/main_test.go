@@ -5,80 +5,178 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestValidateFlagMatrix pins the -monitor mode matrix: every rejected
+// A rejectCase is a command line pathload refuses and the substring its
+// error must carry.
+type rejectCase struct {
+	name string
+	args []string
+	want string
+}
+
+// rejected are the mode-matrix combinations pathload refuses;
+// TestCommandLineGolden pins their full text.
+var rejected = []rejectCase{
+	{"scenario+mesh", []string{"-monitor", "-scenario", "lossy", "-mesh", "star"}, "excludes -mesh"},
+	{"scenario+senders", []string{"-monitor", "-scenario", "lossy", "-senders", "a:1"}, "excludes -senders"},
+	{"scenario+stagger", []string{"-monitor", "-scenario", "lossy", "-stagger"}, "-stagger"},
+	{"scenario+adaptive", []string{"-monitor", "-scenario", "lossy", "-schedule", "adaptive"}, "-schedule"},
+	{"scenario+budget", []string{"-monitor", "-scenario", "lossy", "-budget", "1"}, "-budget"},
+	{"scenario+archive", []string{"-monitor", "-scenario", "lossy", "-archive", "d"}, "excludes -archive"},
+	{"senders+mesh", []string{"-monitor", "-senders", "a:1", "-mesh", "star"}, "excludes -mesh"},
+	{"senders+stagger", []string{"-monitor", "-senders", "a:1", "-stagger"}, "needs -mesh"},
+	{"stagger alone", []string{"-monitor", "-stagger"}, "needs -mesh"},
+	{"budgeted, no budget", []string{"-monitor", "-schedule", "budgeted"}, "needs -budget"},
+}
+
+// validate runs args through flag parsing and the mode table without
+// running anything.
+func validate(args ...string) error {
+	fs := flag.NewFlagSet("pathload", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	_, _, err := parseArgs(fs, args)
+	return err
+}
+
+// TestValidateFlagMatrix pins the mode matrix: every rejected
 // combination errors with the remedy in the message, every documented
 // composition is accepted.
 func TestValidateFlagMatrix(t *testing.T) {
-	type combo struct {
-		scen, mesh, senders, sched string
-		budget                     float64
-		stagger                    bool
-		archive                    string
-	}
-	reject := map[string]struct {
-		c    combo
-		want string
-	}{
-		"scenario+mesh":       {combo{scen: "lossy", mesh: "star"}, "excludes -mesh"},
-		"scenario+senders":    {combo{scen: "lossy", senders: "a:1"}, "excludes -senders"},
-		"scenario+stagger":    {combo{scen: "lossy", stagger: true}, "-stagger"},
-		"scenario+adaptive":   {combo{scen: "lossy", sched: "adaptive"}, "-schedule"},
-		"scenario+budget":     {combo{scen: "lossy", budget: 1e6}, "-budget"},
-		"scenario+archive":    {combo{scen: "lossy", archive: "d"}, "excludes -archive"},
-		"senders+mesh":        {combo{senders: "a:1", mesh: "star"}, "excludes -mesh"},
-		"senders+stagger":     {combo{senders: "a:1", stagger: true}, "needs -mesh"},
-		"stagger alone":       {combo{stagger: true}, "needs -mesh"},
-		"budgeted, no budget": {combo{sched: "budgeted"}, "needs -budget"},
-	}
-	for name, tc := range reject {
-		err := validateFlagMatrix(tc.c.scen, tc.c.mesh, tc.c.senders, tc.c.sched, tc.c.budget, tc.c.stagger, tc.c.archive)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want substring %q", name, err, tc.want)
+	reject := slices.Concat(rejected, []rejectCase{
+		{"mesh+cap", []string{"-monitor", "-mesh", "star", "-cap", "5"}, "-mesh excludes -cap"},
+		{"agent+mesh", []string{"-agent", "c:1", "-mesh", "star", "-stagger", "-rounds", "0"}, "-mesh needs -monitor"},
+		{"agent+monitor", []string{"-agent", "c:1", "-monitor"}, "-agent excludes -monitor"},
+		{"agent-name alone", []string{"-agent-name", "a1"}, "-agent-name needs -agent"},
+		{"paths alone", []string{"-paths", "4"}, "single-path mode excludes -paths"},
+		{"verbose fleet", []string{"-monitor", "-v"}, "-monitor excludes -v"},
+		{"positional", []string{"-monitor", "sim:0.3", "-rounds", "0"}, "unexpected argument \"sim:0.3\""},
+		{"rounds 0", []string{"-monitor", "-rounds", "0"}, "-rounds ≥ 1"},
+		{"unknown schedule", []string{"-monitor", "-schedule", "often"}, "unknown -schedule"},
+		{"unknown mesh", []string{"-monitor", "-mesh", "pretzel"}, "unknown -mesh"},
+	})
+	for _, tc := range reject {
+		if err := validate(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
-	accept := map[string]combo{
+	accept := map[string][]string{
 		"bare fleet":        {},
-		"scenario":          {scen: "lossy", sched: "fixed"},
-		"mesh":              {mesh: "star"},
-		"mesh+stagger":      {mesh: "star", stagger: true},
-		"mesh+budgeted":     {mesh: "star", sched: "budgeted", budget: 2e6},
-		"senders+adaptive":  {senders: "a:1,b:2", sched: "adaptive"},
-		"fleet budget wrap": {budget: 2e6},
-		"archive":           {archive: "data/arch:seal=1m"},
-		"mesh+archive":      {mesh: "star", archive: "data/arch"},
-		"senders+archive":   {senders: "a:1", archive: "data/arch"},
-		"archive+budget":    {archive: "data/arch", budget: 2e6},
+		"scenario":          {"-scenario", "lossy", "-schedule", "fixed"},
+		"mesh":              {"-mesh", "star"},
+		"mesh+stagger":      {"-mesh", "star", "-stagger"},
+		"mesh+budgeted":     {"-mesh", "star", "-schedule", "budgeted", "-budget", "2"},
+		"senders+adaptive":  {"-senders", "a:1,b:2", "-schedule", "adaptive"},
+		"fleet budget wrap": {"-budget", "2"},
+		"archive":           {"-archive", "data/arch:seal=1m"},
+		"mesh+archive":      {"-mesh", "star", "-archive", "data/arch"},
+		"senders+archive":   {"-senders", "a:1", "-archive", "data/arch"},
+		"archive+budget":    {"-archive", "data/arch", "-budget", "2"},
 	}
-	for name, c := range accept {
-		if err := validateFlagMatrix(c.scen, c.mesh, c.senders, c.sched, c.budget, c.stagger, c.archive); err != nil {
+	for name, args := range accept {
+		if err := validate(append([]string{"-monitor"}, args...)...); err != nil {
 			t.Errorf("%s: unexpected error %v", name, err)
 		}
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/cli.golden")
-
-// rejectedArgs are TestValidateFlagMatrix's rejected combinations as
-// command lines.
-var rejectedArgs = [][]string{
-	{"-monitor", "-scenario", "lossy", "-mesh", "star"},
-	{"-monitor", "-scenario", "lossy", "-senders", "a:1"},
-	{"-monitor", "-scenario", "lossy", "-stagger"},
-	{"-monitor", "-scenario", "lossy", "-schedule", "adaptive"},
-	{"-monitor", "-scenario", "lossy", "-budget", "1"},
-	{"-monitor", "-scenario", "lossy", "-archive", "d"},
-	{"-monitor", "-senders", "a:1", "-mesh", "star"},
-	{"-monitor", "-senders", "a:1", "-stagger"},
-	{"-monitor", "-stagger"},
-	{"-monitor", "-schedule", "budgeted"},
+// TestModeTable checks the table against the flags: every flag is read
+// by some mode, every name a row lists is a flag, and every row reads
+// its own selector flags.
+func TestModeTable(t *testing.T) {
+	fs := flag.NewFlagSet("pathload", flag.ContinueOnError)
+	parseArgs(fs, nil)
+	fs.VisitAll(func(f *flag.Flag) {
+		if !slices.ContainsFunc(modes, func(m mode) bool { return m.reads(f.Name) }) {
+			t.Errorf("no mode reads -%s", f.Name)
+		}
+	})
+	for _, m := range modes {
+		for _, name := range strings.Fields(m.flags) {
+			if fs.Lookup(name) == nil {
+				t.Errorf("%s reads -%s, which is not a flag", m.usage, name)
+			}
+		}
+		for _, name := range strings.Fields(m.selector) {
+			if !m.reads(name) {
+				t.Errorf("%s does not read its selector -%s", m.usage, name)
+			}
+		}
+	}
 }
+
+// TestRangeChecks: values the simulator cannot build exit 2 with a
+// message in every mode that reads the flag, instead of panicking.
+func TestRangeChecks(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-util", "1.5"}, "-util must lie in [0,1)"},
+		{[]string{"-monitor", "-util", "1.5"}, "-util must lie in [0,1)"},
+		{[]string{"-hops", "-1"}, "-hops must not be negative"},
+		{[]string{"-cap", "-5"}, "-cap must not be negative"},
+		{[]string{"-monitor", "-cap", "-5"}, "-cap must not be negative"},
+		{[]string{"-sources", "-1"}, "-sources must not be negative"},
+		{[]string{"-monitor", "-sources", "-1"}, "-sources must not be negative"},
+		{[]string{"-beta", "0.5"}, "-beta must be ≥ 1"},
+	} {
+		if err := validate(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want substring %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestReadmeInvocations runs every `go run ./cmd/pathload` command line
+// in README.md (continuation lines joined) through the flag parser and
+// the mode table, so a documented invocation cannot silently drop a
+// flag.
+func TestReadmeInvocations(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.ReplaceAll(string(readme), "\\\n", " ")
+	n := 0
+	for _, line := range strings.Split(text, "\n") {
+		_, cmd, ok := strings.Cut(line, "go run ./cmd/pathload ")
+		if !ok {
+			continue
+		}
+		n++
+		args := strings.Fields(strings.TrimSuffix(strings.TrimSpace(cmd), "&"))
+		if err := validate(args...); err != nil {
+			t.Errorf("README: pathload %s: %v", strings.Join(args, " "), err)
+		}
+	}
+	if n == 0 {
+		t.Fatal("README.md has no go run ./cmd/pathload invocation")
+	}
+}
+
+// TestAgentProviderSimPaths: a malformed sim: lease is an error, not a
+// network address to dial.
+func TestAgentProviderSimPaths(t *testing.T) {
+	for _, path := range []string{"sim:0.4@", "sim:1.2", "sim:x"} {
+		if _, err := agentProvider(path); err == nil {
+			t.Errorf("agentProvider(%q) succeeded, want an error", path)
+		}
+	}
+	for _, path := range []string{"sim:0.4@7", "host:8365"} {
+		if _, err := agentProvider(path); err != nil {
+			t.Errorf("agentProvider(%q): %v", path, err)
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/cli.golden")
 
 // TestCommandLineGolden builds the command and pins, byte for byte, what
 // it prints and its exit status for -h and for every rejected
@@ -94,7 +192,11 @@ func TestCommandLineGolden(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	var got bytes.Buffer
-	for _, args := range append([][]string{{"-h"}}, rejectedArgs...) {
+	runs := [][]string{{"-h"}}
+	for _, tc := range rejected {
+		runs = append(runs, tc.args)
+	}
+	for _, args := range runs {
 		cmd := &exec.Cmd{
 			Path: bin,
 			Args: append([]string{"pathload"}, args...),

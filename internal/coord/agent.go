@@ -3,7 +3,9 @@ package coord
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -419,20 +421,7 @@ func (a *Agent) reconcile(asg assignMsg) error {
 	for _, l := range leases {
 		byGroup[l.Group] = append(byGroup[l.Group], l.Path)
 	}
-	conflicts := map[string][]string{}
-	for _, members := range byGroup {
-		if len(members) < 2 {
-			continue
-		}
-		for _, p := range members {
-			for _, o := range members {
-				if o != p {
-					conflicts[p] = append(conflicts[p], o)
-				}
-			}
-		}
-	}
-	if len(conflicts) > 0 {
+	if conflicts := schedule.GroupConflicts(slices.Collect(maps.Values(byGroup))); conflicts != nil {
 		cfg.Admission = schedule.NewStagger(conflicts, cfg.Workers)
 	}
 

@@ -183,6 +183,27 @@ func (g *Stagger) try(path string) (release func(), changed <-chan struct{}) {
 	return func() { once.Do(func() { g.release(path) }) }, nil
 }
 
+// GroupConflicts expands conflict groups into the pairwise adjacency
+// NewStagger and ConflictGroups consume: every member of a group
+// conflicts with every other member, in group order. A group of fewer
+// than two members adds nothing; with no pair at all it returns nil.
+func GroupConflicts(groups [][]string) map[string][]string {
+	var adj map[string][]string
+	for _, members := range groups {
+		for _, p := range members {
+			for _, o := range members {
+				if o != p {
+					if adj == nil {
+						adj = map[string][]string{}
+					}
+					adj[p] = append(adj[p], o)
+				}
+			}
+		}
+	}
+	return adj
+}
+
 // ConflictGroups partitions paths into the connected components of the
 // conflict graph (the same adjacency shape NewStagger consumes, e.g.
 // mesh.Mesh.TightOverlaps): two paths land in the same group exactly

@@ -267,3 +267,17 @@ func TestConflictGroups(t *testing.T) {
 		t.Errorf("empty universe: %v, want none", got)
 	}
 }
+
+// TestGroupConflicts: expanding groups into pairs and partitioning the
+// pairs back returns the groups, canonical whatever their order.
+func TestGroupConflicts(t *testing.T) {
+	groups := [][]string{{"p4", "p1"}, {"p0"}, {"p5", "p2", "p3"}}
+	paths := []string{"p3", "p0", "p5", "p1", "p4", "p2"}
+	want := [][]string{{"p0"}, {"p1", "p4"}, {"p2", "p3", "p5"}}
+	if got := ConflictGroups(paths, GroupConflicts(groups)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("ConflictGroups(GroupConflicts(%v)) = %v, want %v", groups, got, want)
+	}
+	if adj := GroupConflicts([][]string{{"a"}, nil}); adj != nil {
+		t.Errorf("no pairs: %v, want nil", adj)
+	}
+}
