@@ -105,15 +105,15 @@ func main() {
 	m.run(o)
 }
 
-// options holds every pathload flag; which of them a run reads is its
-// mode's business (modes).
+// options holds the pathload flags a run reads (-monitor only selects a
+// mode); which of them it reads is its mode's business (modes).
 type options struct {
 	hops, sources, paths, rounds, workers            int
 	capMbps, util, beta, jitter, budget              float64
 	model, export, mesh, schedule, senders, scenario string
 	agent, agentName, secret, archive                string
 	seed                                             int64
-	verbose, monitor, stagger                        bool
+	verbose, stagger                                 bool
 	interval, backoff, heartbeat, push               time.Duration
 	measure                                          pathload.Config
 }
@@ -205,7 +205,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (*options, mode, error) {
 	measure := cli.MeasureFlags(fs)
 	fs.BoolVar(&o.verbose, "v", false, "log every fleet")
 
-	fs.BoolVar(&o.monitor, "monitor", false, "monitor a fleet of single-hop paths instead of measuring one")
+	fs.Bool("monitor", false, "monitor a fleet of single-hop paths instead of measuring one")
 	fs.IntVar(&o.paths, "paths", 16, "monitor: number of simulated paths")
 	fs.IntVar(&o.rounds, "rounds", 3, "monitor: measurements per path (≥ 1)")
 	fs.DurationVar(&o.interval, "interval", 100*time.Millisecond, "monitor: re-measurement gap per path")
