@@ -210,7 +210,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (*options, mode, error) {
 	fs.IntVar(&o.rounds, "rounds", 3, "monitor: measurements per path (≥ 1)")
 	fs.DurationVar(&o.interval, "interval", 100*time.Millisecond, "monitor: re-measurement gap per path")
 	fs.Float64Var(&o.jitter, "jitter", 0.3, "monitor: gap randomization fraction in [0,1]")
-	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "monitor: max concurrent measurements (a -mesh fleet is sequenced on one virtual clock and ignores it)")
+	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "monitor: max concurrent measurements (not with -mesh: a mesh fleet is sequenced on one virtual clock)")
 	fs.StringVar(&o.export, "export", "", "monitor: HTTP listen address for the time-series store (e.g. :9090); keeps serving after the fleet finishes, until interrupted")
 	fs.StringVar(&o.mesh, "mesh", "", "monitor: run the fleet over a shared backbone instead of independent paths: star, chain, tree, disjoint (fixed shape parameters)")
 	fs.StringVar(&o.schedule, "schedule", "fixed", "monitor: re-measurement schedule: fixed (jittered -interval), adaptive (per-path gaps scaled by recent windowed ρ), budgeted (fixed under the -budget cap)")

@@ -69,7 +69,7 @@ func Cprobe(p pathload.Prober) (CprobeResult, error) {
 			return res, fmt.Errorf("baseline: train %d: %w", i, err)
 		}
 		res.Lost += spec.K - len(sr.OWDs)
-		if rate, ok := dispersionRate(spec, sr); ok {
+		if rate, ok := sr.DispersionRate(spec); ok {
 			res.TrainRates = append(res.TrainRates, rate)
 		}
 		if err := p.Idle(cprobeGap); err != nil {
@@ -85,20 +85,4 @@ func Cprobe(p pathload.Prober) (CprobeResult, error) {
 	}
 	res.Estimate = sum / float64(len(res.TrainRates))
 	return res, nil
-}
-
-// dispersionRate converts one train's arrivals to a dispersion rate:
-// bits between the first and last received packet over their arrival
-// span.
-func dispersionRate(spec pathload.StreamSpec, sr pathload.StreamResult) (float64, bool) {
-	if len(sr.OWDs) < 2 {
-		return 0, false
-	}
-	first, last := sr.OWDs[0], sr.OWDs[len(sr.OWDs)-1]
-	span := time.Duration(last.Seq-first.Seq)*spec.T + (last.OWD - first.OWD)
-	if span <= 0 {
-		return 0, false
-	}
-	bits := float64(last.Seq-first.Seq) * float64(spec.L) * 8
-	return bits / span.Seconds(), true
 }

@@ -13,7 +13,6 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	pathload "repro"
@@ -111,8 +110,7 @@ func MinPlus(p pathload.Prober, cfg MinPlusConfig) (MinPlusResult, error) {
 // is conservatively declared backlogged (heavy loss is itself a backlog
 // symptom).
 func backlogged(sr pathload.StreamResult) bool {
-	owds := append([]pathload.OWDSample(nil), sr.OWDs...)
-	sort.Slice(owds, func(i, j int) bool { return owds[i].Seq < owds[j].Seq })
+	owds := sr.OWDs // in sequence order, as StreamResult promises
 	n := len(owds)
 	if n < 9 {
 		return true

@@ -277,15 +277,15 @@ func TestArenaAcceptsItsOwnPacketsOnce(t *testing.T) {
 	} {
 		p.slot.woken = false
 		p.st.arrive(&netsim.Packet{ID: step.id}, 7)
-		if p.st.got != step.got || p.slot.woken != step.wakes {
-			t.Fatalf("after ID %d (%s): got %d woken %v, want %d and %v", step.id, step.rejection, p.st.got, p.slot.woken, step.got, step.wakes)
+		if p.st.col.Len() != step.got || p.slot.woken != step.wakes {
+			t.Fatalf("after ID %d (%s): got %d woken %v, want %d and %v", step.id, step.rejection, p.st.col.Len(), p.slot.woken, step.got, step.wakes)
 		}
 	}
 	if owds := p.st.collect(0); len(owds) != 3 || owds[2] != (pathload.OWDSample{Seq: 2, OWD: 7}) {
 		t.Fatalf("collected %v, want three samples of 7ns", owds)
 	}
 	p.st.arrive(&netsim.Packet{ID: 100}, 9) // in the old range, after collection
-	if p.st.got != 3 || p.slot.woken {
-		t.Fatalf("a straggler after collect counted: got %d woken %v", p.st.got, p.slot.woken)
+	if p.st.col.Len() != 3 || p.slot.woken {
+		t.Fatalf("a straggler after collect counted: got %d woken %v", p.st.col.Len(), p.slot.woken)
 	}
 }

@@ -81,30 +81,25 @@ func (p *Prober) Idle(d time.Duration) error {
 // of K packets allocates nothing.
 //
 // A stream's packets are recognised by their IDs. SendStream reserves K
-// contiguous IDs while it holds the floor, packet seq carries
-// firstID+seq, and arrive accepts a packet only when its ID falls in
-// [firstID, firstID+k) and its slot is still empty. IDs only grow, so a
-// straggler of an earlier, timed-out stream is below firstID and can
-// match nothing; between streams k is 0 and nothing matches at all.
+// contiguous IDs while it holds the floor, and arrive puts packet ID
+// under seq ID−firstID. IDs only grow, so a straggler of an earlier,
+// timed-out stream wraps to a seq far out of range; between streams the
+// collector is closed and nothing matches at all.
 type stream struct {
 	sim   *netsim.Simulator
 	route []*netsim.Link
 	seat  *seqSlot
 
 	firstID uint64 // ID of the stream's packet 0
-	k       int    // packets in the stream; 0 when none is collecting
+	k       int    // packets in the stream
 	size    int    // wire size of each packet
 	sent    int    // packets injected so far
-	got     int    // slots of owd filled so far
 	// The injections are one lane of the event queue: packet i fires at
 	// start + i·period under order ticket seq0 + i, and only the next
 	// one is ever enqueued (see send).
 	start, period netsim.Time
 	seq0          uint64
-	// owd holds the stream's one-way delays by sequence number; −1
-	// marks a packet that has not arrived (a measured delay is never
-	// negative).
-	owd []netsim.Time
+	col           pathload.StreamCollector
 	// out backs the OWDs SendStream returns, which is why they are only
 	// valid until the prober's next stream.
 	out []pathload.OWDSample
@@ -117,15 +112,8 @@ type stream struct {
 // open readies the arena for a stream of k packets of size bytes whose
 // IDs start at firstID.
 func (st *stream) open(firstID uint64, k, size int) {
-	if cap(st.owd) < k {
-		st.owd = make([]netsim.Time, k)
-		st.out = make([]pathload.OWDSample, 0, k)
-	}
-	st.owd = st.owd[:k]
-	for i := range st.owd {
-		st.owd[i] = -1
-	}
-	st.firstID, st.k, st.size, st.sent, st.got = firstID, k, size, 0, 0
+	st.col.Open(k)
+	st.firstID, st.k, st.size, st.sent = firstID, k, size, 0
 }
 
 // send starts the open stream's injections, one period apart from
@@ -151,31 +139,18 @@ func (st *stream) fire() {
 }
 
 func (st *stream) arrive(pk *netsim.Packet, at netsim.Time) {
-	// An ID below firstID wraps to a huge seq, so one comparison rejects
-	// stragglers on both sides of the range.
-	if seq := pk.ID - st.firstID; seq < uint64(st.k) && st.owd[seq] < 0 {
-		st.owd[seq] = at - pk.SentAt
-		st.got++
-		if st.got == st.k { // all K are in
-			st.seat.wake()
-		}
+	if st.col.Put(pk.ID-st.firstID, (at - pk.SentAt).Duration()) { // all K are in
+		st.seat.wake()
 	}
 	st.sim.FreePacket(pk)
 }
 
 // collect closes the stream and returns what arrived of it, in sequence
-// order. A timed-out stream's stragglers still reach arrive after this;
-// with k at 0 they count for nothing, and in particular the K-th of
-// them cannot wake the seat out of its next await.
+// order. The closed collector takes none of a timed-out stream's
+// stragglers, so the K-th cannot wake the seat out of its next await.
 func (st *stream) collect(clockOffset time.Duration) []pathload.OWDSample {
-	out := st.out[:0]
-	for seq, owd := range st.owd {
-		if owd >= 0 {
-			out = append(out, pathload.OWDSample{Seq: seq, OWD: owd.Duration() + clockOffset})
-		}
-	}
-	st.k = 0
-	return out
+	st.out = st.col.Drain(st.out[:0], clockOffset)
+	return st.out
 }
 
 // SendStream starts the K packet injections of one periodic stream,

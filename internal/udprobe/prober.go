@@ -3,7 +3,6 @@ package udprobe
 import (
 	"fmt"
 	"net"
-	"sort"
 	"time"
 
 	"repro/internal/wire"
@@ -68,6 +67,7 @@ type Prober struct {
 	// answer (and its late data packets) instead of mistaking them for
 	// the current round's.
 	gen uint32
+	col pathload.StreamCollector
 }
 
 // Dial connects to a sender daemon's control address and performs the
@@ -254,17 +254,15 @@ func (p *Prober) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, er
 		return res, err
 	}
 
-	type sample struct {
-		seq int
-		owd time.Duration
-	}
-	var got []sample
-	// Duplicated datagrams must not count toward the spec.K exit
-	// condition: K duplicates would end collection with real packets
-	// still in flight. Dedup by seq as packets arrive.
-	seen := make(map[uint32]bool, spec.K)
+	// The collector rejects duplicates and sequence numbers ≥ K: either
+	// would end collection with real packets still in flight.
+	p.col.Open(spec.K)
+	// A fresh slice, since callers may keep a result past the next stream.
+	// It is made before the first read: with the sender in-process, parking
+	// on that read sooner let whole stream tails overflow the socket buffer.
+	owds := make([]pathload.OWDSample, 0, spec.K)
 	deadline := time.Now().Add(spec.Duration() + p.rtt + p.cfg.CollectSlack)
-	for len(got) < spec.K {
+	for p.col.Len() < spec.K {
 		if err := p.udp.SetReadDeadline(deadline); err != nil {
 			return res, fmt.Errorf("udprobe: data deadline: %w", err)
 		}
@@ -283,14 +281,7 @@ func (p *Prober) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, er
 		if hdr.Gen != req.Gen || hdr.Fleet != req.Fleet || hdr.Stream != req.Stream {
 			continue // straggler from an earlier stream or abandoned round
 		}
-		if seen[hdr.Seq] {
-			continue // duplicated datagram
-		}
-		seen[hdr.Seq] = true
-		got = append(got, sample{
-			seq: int(hdr.Seq),
-			owd: time.Duration(recv.UnixNano() - hdr.SentNs),
-		})
+		p.col.Put(uint64(hdr.Seq), time.Duration(recv.UnixNano()-hdr.SentNs))
 	}
 
 	// The sender's verdict: how many packets went out, and whether the
@@ -304,12 +295,9 @@ func (p *Prober) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, er
 		return res, err
 	}
 
-	sort.Slice(got, func(i, j int) bool { return got[i].seq < got[j].seq })
 	res.Sent = int(done.Sent)
 	res.Flagged = done.Flagged != 0
-	for _, s := range got {
-		res.OWDs = append(res.OWDs, pathload.OWDSample{Seq: s.seq, OWD: s.owd})
-	}
+	res.OWDs = p.col.Drain(owds, 0)
 	return res, nil
 }
 

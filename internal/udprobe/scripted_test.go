@@ -3,6 +3,7 @@ package udprobe
 import (
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -120,8 +121,8 @@ func sendProbe(t *testing.T, udp *net.UDPConn, h wire.ProbeHeader, size int) {
 }
 
 // TestProberDedupsAndFiltersDatagrams: every real packet arrives twice,
-// interleaved with stray garbage, a wrong-stream straggler, and a
-// stale-generation packet. Collection must still gather all K real
+// interleaved with stray garbage, a wrong-stream straggler, a
+// stale-generation packet and an out-of-range sequence number. Collection must still gather all K real
 // packets: duplicates must not count toward the K exit condition (K
 // duplicates would otherwise end collection with real packets still in
 // flight), and the noise must be filtered, not collected.
@@ -142,6 +143,10 @@ func TestProberDedupsAndFiltersDatagrams(t *testing.T) {
 			if i == 6 {
 				// Late packet from an abandoned earlier round.
 				sendProbe(t, udp, wire.ProbeHeader{Gen: req.Gen - 1, Fleet: req.Fleet, Stream: req.Stream, Seq: i, SentNs: time.Now().UnixNano()}, int(req.L))
+			}
+			if i == 8 {
+				// This stream's tags on a sequence number past K.
+				sendProbe(t, udp, wire.ProbeHeader{Gen: req.Gen, Fleet: req.Fleet, Stream: req.Stream, Seq: req.K + 1000, SentNs: time.Now().UnixNano()}, int(req.L))
 			}
 			time.Sleep(time.Duration(req.PeriodNs))
 		}
@@ -168,6 +173,50 @@ func TestProberDedupsAndFiltersDatagrams(t *testing.T) {
 		if s.Seq != i {
 			t.Fatalf("OWDs[%d].Seq = %d, want %d (distinct, ordered)", i, s.Seq, i)
 		}
+	}
+}
+
+// TestProberKeepsNegativeOWDsAndFreshResults: a sender whose clock runs
+// a second ahead of the receiver's makes every OWD negative, and every
+// packet must still be collected — occupancy cannot come from the
+// delay's sign. Each stream's OWDs must also be a fresh slice: a caller
+// may keep one result past the next SendStream.
+func TestProberKeepsNegativeOWDsAndFreshResults(t *testing.T) {
+	addr := startScripted(t, func(req wire.StreamRequest, udp *net.UDPConn) wire.StreamDone {
+		for i := uint32(0); i < req.K; i++ {
+			sendProbe(t, udp, wire.ProbeHeader{Gen: req.Gen, Fleet: req.Fleet, Stream: req.Stream, Seq: i, SentNs: time.Now().Add(time.Second).UnixNano()}, int(req.L))
+			time.Sleep(time.Duration(req.PeriodNs))
+		}
+		return wire.StreamDone{Gen: req.Gen, Fleet: req.Fleet, Stream: req.Stream, Sent: req.K}
+	})
+	p, err := Dial(addr, ProberConfig{CollectSlack: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	spec := pathload.StreamSpec{K: 20, L: 150, T: 500 * time.Microsecond}
+	var results [2]pathload.StreamResult
+	var kept []pathload.OWDSample
+	for i := range results {
+		spec.Index = i
+		if results[i], err = p.SendStream(spec); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(results[i].OWDs); got != spec.K {
+			t.Fatalf("stream %d collected %d of %d negative-OWD samples", i, got, spec.K)
+		}
+		if i == 0 {
+			kept = slices.Clone(results[0].OWDs)
+		}
+	}
+	for _, s := range kept {
+		if s.OWD >= 0 {
+			t.Fatalf("OWD %v of seq %d is not negative; the case tests nothing", s.OWD, s.Seq)
+		}
+	}
+	if !slices.Equal(results[0].OWDs, kept) {
+		t.Fatal("the first stream's OWDs changed under the second SendStream")
 	}
 }
 

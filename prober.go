@@ -1,6 +1,9 @@
 package pathload
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // A StreamSpec tells a prober to emit one periodic stream: K packets of
 // L bytes, one every T, a constant-rate stream of R = 8·L/T bits/s.
@@ -53,6 +56,72 @@ func (r StreamResult) LossRate() float64 {
 		return 0
 	}
 	return 1 - float64(len(r.OWDs))/float64(r.Sent)
+}
+
+// DispersionRate is (lastSeq−firstSeq)·L·8 over (lastSeq−firstSeq)·T +
+// (OWD_last − OWD_first): the bits between the first and last arrival
+// over their sent span plus the path's dispersion, loss-robust because
+// it spans sequence numbers. It is false for < 2 arrivals or span ≤ 0.
+func (r StreamResult) DispersionRate(spec StreamSpec) (float64, bool) {
+	if len(r.OWDs) < 2 {
+		return 0, false
+	}
+	first, last := r.OWDs[0], r.OWDs[len(r.OWDs)-1]
+	span := time.Duration(last.Seq-first.Seq)*spec.T + (last.OWD - first.OWD)
+	if span <= 0 {
+		return 0, false
+	}
+	bits := float64(last.Seq-first.Seq) * float64(spec.L) * 8
+	return bits / span.Seconds(), true
+}
+
+// A StreamCollector is StreamResult's receive rule: one sample per
+// sequence number in [0, K), first arrival wins, read out in sequence
+// order. Occupancy is a flag, never the delay's sign: a sender's clock
+// running ahead makes OWDs negative. The seq-indexed slots are reused,
+// regrown only when K grows; the zero value is closed.
+type StreamCollector struct {
+	owd  []time.Duration // by sequence number
+	have []bool          // have[seq]: owd[seq] holds an arrival
+	got  int             // slots filled
+}
+
+// Open readies the collector for a stream of k packets.
+func (c *StreamCollector) Open(k int) {
+	if cap(c.owd) < k {
+		c.owd, c.have = make([]time.Duration, k), make([]bool, k)
+	}
+	c.owd, c.have, c.got = c.owd[:k], c.have[:k], 0
+	clear(c.have)
+}
+
+// Put keeps the delay of packet seq if seq < k and its slot is empty,
+// and reports whether that filled the k-th slot.
+func (c *StreamCollector) Put(seq uint64, owd time.Duration) (full bool) {
+	if seq >= uint64(len(c.have)) || c.have[seq] {
+		return false
+	}
+	c.owd[seq], c.have[seq] = owd, true
+	c.got++
+	return c.got == len(c.have)
+}
+
+// Len reports how many samples are in, until the next Open.
+func (c *StreamCollector) Len() int { return c.got }
+
+// Drain appends the samples to dst in sequence order, offset added to
+// each delay, and closes the collector: no Put matches until the next
+// Open. It grows dst to room for k, so a dst kept across streams of one
+// K stops allocating.
+func (c *StreamCollector) Drain(dst []OWDSample, offset time.Duration) []OWDSample {
+	dst = slices.Grow(dst, len(c.have))
+	for seq, in := range c.have {
+		if in {
+			dst = append(dst, OWDSample{Seq: seq, OWD: c.owd[seq] + offset})
+		}
+	}
+	c.owd, c.have = c.owd[:0], c.have[:0]
+	return dst
 }
 
 // A Prober emits probing streams on some transport and reports per-

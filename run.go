@@ -113,14 +113,8 @@ func newScratch(cfg Config) scratch {
 
 // initProbe sends one short stream at the generation limit and
 // estimates the path's asymptotic dispersion rate from the received
-// packets: (lastSeq−firstSeq)·L·8 over the sent span of those packets
-// plus the dispersion the path added, (lastSeq−firstSeq)·T +
-// (OWD_last − OWD_first). Spanning sequence numbers rather than
-// counting received packets keeps the estimate loss-robust: packets
-// lost between the first and last survivor carried bits across the
-// same span, so dropping them from the numerator (a received−1 count)
-// would understate the rate. In the fluid model the ADR of a
-// saturating train satisfies A ≤ ADR ≤ C, so it upper-bounds the
+// packets (StreamResult.DispersionRate). In the fluid model the ADR of
+// a saturating train satisfies A ≤ ADR ≤ C, so it upper-bounds the
 // avail-bw search.
 func initProbe(p Prober, cfg Config) (adr float64, elapsed time.Duration, bits float64, err error) {
 	rate := cfg.GenerationLimit()
@@ -138,16 +132,8 @@ func initProbe(p Prober, cfg Config) (adr float64, elapsed time.Duration, bits f
 		}
 		elapsed += idle
 	}
-	if len(sr.OWDs) < 2 {
-		return 0, elapsed, bits, nil // unusable train; keep the configured MaxRate
-	}
-	first, last := sr.OWDs[0], sr.OWDs[len(sr.OWDs)-1]
-	span := time.Duration(last.Seq-first.Seq)*t + (last.OWD - first.OWD)
-	if span <= 0 {
-		return 0, elapsed, bits, nil
-	}
-	dispersed := float64(last.Seq-first.Seq) * float64(l) * 8
-	return dispersed / span.Seconds(), elapsed, bits, nil
+	adr, _ = sr.DispersionRate(spec) // 0 on an unusable train: keep the configured MaxRate
+	return adr, elapsed, bits, nil
 }
 
 // runFleet emits one fleet of at most N streams at the given rate and
