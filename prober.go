@@ -77,33 +77,33 @@ func (r StreamResult) DispersionRate(spec StreamSpec) (float64, bool) {
 
 // A StreamCollector is StreamResult's receive rule: one sample per
 // sequence number in [0, K), first arrival wins, read out in sequence
-// order. Occupancy is a flag, never the delay's sign: a sender's clock
-// running ahead makes OWDs negative. The seq-indexed slots are reused,
-// regrown only when K grows; the zero value is closed.
+// order. Occupancy is a flag beside the delay, never its sign (a fast
+// sender clock makes OWDs negative), so a Put writes one cache line and
+// no small flag array shares one with another goroutine's collector.
+// The slots are reused, regrown only when K grows; zero value is closed.
 type StreamCollector struct {
-	owd  []time.Duration // by sequence number
-	have []bool          // have[seq]: owd[seq] holds an arrival
-	got  int             // slots filled
+	slot []struct {
+		owd time.Duration
+		in  bool // owd holds an arrival
+	} // by sequence number
+	got int // slots filled
 }
 
 // Open readies the collector for a stream of k packets.
 func (c *StreamCollector) Open(k int) {
-	if cap(c.owd) < k {
-		c.owd, c.have = make([]time.Duration, k), make([]bool, k)
-	}
-	c.owd, c.have, c.got = c.owd[:k], c.have[:k], 0
-	clear(c.have)
+	c.slot, c.got = slices.Grow(c.slot[:0], k)[:k], 0
+	clear(c.slot)
 }
 
 // Put keeps the delay of packet seq if seq < k and its slot is empty,
 // and reports whether that filled the k-th slot.
 func (c *StreamCollector) Put(seq uint64, owd time.Duration) (full bool) {
-	if seq >= uint64(len(c.have)) || c.have[seq] {
+	if seq >= uint64(len(c.slot)) || c.slot[seq].in {
 		return false
 	}
-	c.owd[seq], c.have[seq] = owd, true
+	c.slot[seq].owd, c.slot[seq].in = owd, true
 	c.got++
-	return c.got == len(c.have)
+	return c.got == len(c.slot)
 }
 
 // Len reports how many samples are in, until the next Open.
@@ -114,13 +114,13 @@ func (c *StreamCollector) Len() int { return c.got }
 // Open. It grows dst to room for k, so a dst kept across streams of one
 // K stops allocating.
 func (c *StreamCollector) Drain(dst []OWDSample, offset time.Duration) []OWDSample {
-	dst = slices.Grow(dst, len(c.have))
-	for seq, in := range c.have {
-		if in {
-			dst = append(dst, OWDSample{Seq: seq, OWD: c.owd[seq] + offset})
+	dst = slices.Grow(dst, len(c.slot))
+	for seq, s := range c.slot {
+		if s.in {
+			dst = append(dst, OWDSample{Seq: seq, OWD: s.owd + offset})
 		}
 	}
-	c.owd, c.have = c.owd[:0], c.have[:0]
+	c.slot = c.slot[:0]
 	return dst
 }
 
