@@ -210,3 +210,55 @@ func TestMetricsGolden(t *testing.T) {
 		t.Fatalf("exposition deviates from golden %s:\n--- got ---\n%s\n--- want ---\n%s", golden, sb.String(), want)
 	}
 }
+
+// escapeIDs are path ids every character class of the label quoting
+// meets: a quote, a backslash, a newline, a closing brace, non-ASCII
+// text and a byte that is not UTF-8.
+var escapeIDs = []string{`say "hi"`, `c:\probe`, "two\nlines", `brace}`, "zürich→genève", "bad\xffbyte"}
+
+// TestEscapeGolden pins the scrape of one store and of a two-agent
+// federation snapshot whose path ids all need escaping, byte for byte.
+// Run with -update to regolden after an intentional change.
+func TestEscapeGolden(t *testing.T) {
+	st := tsstore.New(tsstore.Config{Capacity: 4, DigestSize: 8})
+	fed := tsstore.NewFederation(tsstore.Config{Capacity: 4, DigestSize: 8})
+	for i, id := range escapeIDs {
+		level := 1e6 * float64(3+7*i)
+		for r := 0; r < 12; r++ { // 11 distinct mids into 8 centroids
+			mid := level + float64(r*r%11)*0.25e6
+			st.Observe(sample(id, r, time.Duration(r)*time.Second, mid-0.5e6, mid+0.5e6))
+		}
+		for a, agent := range []string{"agent-b", "agent-a"} {
+			d := tsstore.NewDigest(8)
+			c := tsstore.Contribution{Seq: 1, Total: 5, Errors: 1, Digest: d}
+			for r := 0; r < 4; r++ {
+				mid := level + float64(a+r)*0.1e6
+				c.Points = append(c.Points, tsstore.Point{Round: r, At: time.Duration(r) * time.Second, Lo: mid - 0.2e6, Hi: mid + 0.2e6})
+				d.Add(mid)
+			}
+			fed.Push(agent, id, c)
+		}
+	}
+	var sb strings.Builder
+	sb.WriteString("# store\n")
+	if err := st.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	sb.WriteString("# federation snapshot\n")
+	if err := fed.Snapshot().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "escape.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (run once with -update to create it): %v", err)
+	}
+	if sb.String() != string(want) {
+		t.Fatalf("exposition deviates from golden %s:\n--- got ---\n%s\n--- want ---\n%s", golden, sb.String(), want)
+	}
+}
