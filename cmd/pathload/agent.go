@@ -63,7 +63,7 @@ func parseSimSpec(spec string) (util float64, seed int64, err error) {
 	if util, err = strconv.ParseFloat(spec, 64); err != nil {
 		return 0, 0, err
 	}
-	if util < 0 || util >= 1 {
+	if !(util >= 0 && util < 1) { // NaN too
 		return 0, 0, fmt.Errorf("utilization %v outside [0,1)", util)
 	}
 	return util, seed, nil

@@ -265,6 +265,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (*options, mode, error) {
 		return nil, m, fmt.Errorf("%s excludes -%s (drop it; -h lists the flags each mode reads)", m.name(), name)
 	}
 
+	// Each float check is written so that NaN fails it.
 	_, knownModel := models[o.model]
 	for _, r := range []struct {
 		bad bool
@@ -272,13 +273,14 @@ func parseArgs(fs *flag.FlagSet, args []string) (*options, mode, error) {
 	}{
 		{o.rounds < 1, "-monitor needs -rounds ≥ 1"},
 		{o.hops < 0, "-hops must not be negative"},
-		{o.capMbps < 0, "-cap must not be negative"},
-		{o.util < 0 || o.util >= 1, "-util must lie in [0,1)"},
-		{o.beta != 0 && o.beta < 1, "-beta must be ≥ 1"},
+		{!(o.capMbps >= 0 && o.capMbps <= math.MaxFloat64), "-cap must not be negative or infinite"},
+		{!(o.util >= 0 && o.util < 1), "-util must lie in [0,1)"},
+		{o.beta != 0 && !(o.beta >= 1 && o.beta <= math.MaxFloat64), "-beta must be ≥ 1 and finite"},
 		{o.sources < 0, "-sources must not be negative"},
 		{!knownModel, fmt.Sprintf("unknown model %q", o.model)},
 		{!slices.Contains([]string{"fixed", "adaptive", "budgeted"}, o.schedule), fmt.Sprintf("unknown -schedule %q (have fixed, adaptive, budgeted)", o.schedule)},
-		{o.schedule == "budgeted" && o.budget <= 0, "-schedule budgeted needs -budget > 0 (the fleet's aggregate probe cap in Mb/s)"},
+		{!(o.budget >= 0 && o.budget <= math.MaxFloat64), "-budget must be a finite Mb/s ≥ 0"},
+		{o.schedule == "budgeted" && o.budget == 0, "-schedule budgeted needs -budget > 0 (the fleet's aggregate probe cap in Mb/s)"},
 		{o.mesh != "" && !slices.Contains(mesh.ShapeNames(), o.mesh), fmt.Sprintf("unknown -mesh %q (have %s)", o.mesh, strings.Join(mesh.ShapeNames(), ", "))},
 	} {
 		if r.bad {

@@ -127,6 +127,18 @@ func TestRangeChecks(t *testing.T) {
 		{[]string{"-sources", "-1"}, "-sources must not be negative"},
 		{[]string{"-monitor", "-sources", "-1"}, "-sources must not be negative"},
 		{[]string{"-beta", "0.5"}, "-beta must be ≥ 1"},
+		// NaN fails every comparison, so each check must be one that
+		// NaN fails; +Inf overflows the link's integer rate.
+		{[]string{"-util", "NaN"}, "-util must lie in [0,1)"},
+		{[]string{"-monitor", "-util", "NaN"}, "-util must lie in [0,1)"},
+		{[]string{"-cap", "NaN"}, "-cap must not be negative"},
+		{[]string{"-monitor", "-cap", "NaN"}, "-cap must not be negative"},
+		{[]string{"-cap", "Inf"}, "-cap must not be negative or infinite"},
+		{[]string{"-beta", "NaN"}, "-beta must be ≥ 1"},
+		{[]string{"-beta", "Inf"}, "-beta must be ≥ 1 and finite"},
+		{[]string{"-monitor", "-budget", "NaN"}, "-budget must be a finite Mb/s ≥ 0"},
+		{[]string{"-monitor", "-schedule", "budgeted", "-budget", "NaN"}, "-budget must be a finite Mb/s ≥ 0"},
+		{[]string{"-monitor", "-budget", "-1"}, "-budget must be a finite Mb/s ≥ 0"},
 	} {
 		if err := validate(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: err = %v, want substring %q", tc.args, err, tc.want)
@@ -164,7 +176,7 @@ func TestReadmeInvocations(t *testing.T) {
 // TestAgentProviderSimPaths: a malformed sim: lease is an error, not a
 // network address to dial.
 func TestAgentProviderSimPaths(t *testing.T) {
-	for _, path := range []string{"sim:0.4@", "sim:1.2", "sim:x"} {
+	for _, path := range []string{"sim:0.4@", "sim:1.2", "sim:x", "sim:NaN", "sim:NaN@3", "sim:-0.1"} {
 		if _, err := agentProvider(path); err == nil {
 			t.Errorf("agentProvider(%q) succeeded, want an error", path)
 		}

@@ -119,32 +119,58 @@ func (d *Digest) compress() {
 
 // Quantile returns an estimate of the q-th quantile (q in [0, 1]) by
 // linear interpolation between centroid midpoints. It returns NaN for
-// an empty digest and panics on q outside [0, 1]. While the digest has
-// not yet compressed (Count() distinct values <= size) the estimates
-// are exact order statistics under midpoint interpolation.
+// an empty digest and panics on q outside [0, 1], NaN included. While
+// the digest has not yet compressed (Count() distinct values <= size)
+// the estimates are exact order statistics under midpoint
+// interpolation.
 func (d *Digest) Quantile(q float64) float64 {
-	if q < 0 || q > 1 {
+	if !(q >= 0 && q <= 1) {
 		panic(fmt.Sprintf("tsstore: quantile %v out of range [0,1]", q))
 	}
+	var v [1]float64
+	d.quantiles([]float64{q}, v[:])
+	return v[0]
+}
+
+// quantiles sets out[k] to Quantile(qs[k]) for qs ascending in [0, 1],
+// in one walk over the centroids: the targets ascend with q and the
+// centroid midpoints never descend, so each target stops at the
+// centroid a walk of its own would stop at, with the same running state
+// (cum, prevMid, prevMean), and every value is bit-identical to that
+// walk's. All are NaN for an empty digest.
+func (d *Digest) quantiles(qs, out []float64) {
 	if d.n == 0 {
-		return math.NaN()
+		for k := range out {
+			out[k] = math.NaN()
+		}
+		return
 	}
-	target := q * float64(d.n)
+	k := 0
 	var cum float64
 	prevMid, prevMean := math.Inf(-1), 0.0
 	for i, c := range d.cs {
 		mid := cum + float64(c.weight)/2
-		if target <= mid {
-			if i == 0 || prevMid == math.Inf(-1) {
-				return c.mean
+		for ; k < len(qs); k++ {
+			target := qs[k] * float64(d.n)
+			if !(target <= mid) {
+				break
+			}
+			if i == 0 {
+				out[k] = c.mean
+				continue
 			}
 			frac := (target - prevMid) / (mid - prevMid)
-			return prevMean + frac*(c.mean-prevMean)
+			out[k] = prevMean + frac*(c.mean-prevMean)
+		}
+		if k == len(qs) {
+			return
 		}
 		cum += float64(c.weight)
 		prevMid, prevMean = mid, c.mean
 	}
-	return d.cs[len(d.cs)-1].mean
+	for ; k < len(qs); k++ {
+		out[k] = d.cs[len(d.cs)-1].mean
+	}
 }
 
 // clone returns an independent deep copy of the digest.

@@ -1,6 +1,7 @@
 package tsstore
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -47,11 +48,11 @@ func TestDigestEmpty(t *testing.T) {
 	}
 }
 
-// TestDigestQuantileRange: out-of-range q panics.
+// TestDigestQuantileRange: out-of-range q panics, and so does NaN.
 func TestDigestQuantileRange(t *testing.T) {
 	d := NewDigest(4)
 	d.Add(1)
-	for _, q := range []float64{-0.1, 1.1} {
+	for _, q := range []float64{-0.1, 1.1, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -210,4 +211,72 @@ func TestDigestWeightedAndNaN(t *testing.T) {
 		}
 	}()
 	d.Add(math.NaN())
+}
+
+// refQuantile walks the centroids for one quantile alone, returning at
+// the first midpoint that reaches the target: the reference
+// FuzzDigestQuantiles holds the shared walk to.
+func refQuantile(d *Digest, q float64) float64 {
+	if d.n == 0 {
+		return math.NaN()
+	}
+	target := q * float64(d.n)
+	var cum float64
+	prevMid, prevMean := math.Inf(-1), 0.0
+	for i, c := range d.cs {
+		mid := cum + float64(c.weight)/2
+		if target <= mid {
+			if i == 0 || prevMid == math.Inf(-1) {
+				return c.mean
+			}
+			frac := (target - prevMid) / (mid - prevMid)
+			return prevMean + frac*(c.mean-prevMean)
+		}
+		cum += float64(c.weight)
+		prevMid, prevMean = mid, c.mean
+	}
+	return d.cs[len(d.cs)-1].mean
+}
+
+// FuzzDigestQuantiles: one walk for all of the scrape's quantiles
+// (and for the extremes 0 and 1 around them) gives, bit for bit, what
+// a walk per quantile gives, and Quantile does too; all are NaN for an
+// empty digest. The input is read twice: as an UnmarshalDigest blob,
+// and as a budget byte followed by 3-byte (int16 value, weight)
+// records for AddWeighted, whose small value range makes exact hits
+// and compression common. Seeds under testdata/fuzz: the
+// FuzzUnmarshalDigest blobs.
+func FuzzDigestQuantiles(f *testing.F) {
+	f.Add(digestBlob(8, 0))
+	f.Add([]byte{3, 0, 1, 1, 0, 2, 5, 0x80, 0, 1, 0x7f, 0xff, 9, 0, 1, 2, 0, 3, 0})
+	qs := append(append([]float64{0}, exportQuantiles[:]...), 1)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(how string, d *Digest) {
+			got := make([]float64, len(qs))
+			d.quantiles(qs, got)
+			for k, q := range qs {
+				want := refQuantile(d, q)
+				if math.Float64bits(got[k]) != math.Float64bits(want) {
+					t.Fatalf("%s digest %x: q=%v gives %v in one walk, %v in a walk of its own", how, data, q, got[k], want)
+				}
+				if one := d.Quantile(q); math.Float64bits(one) != math.Float64bits(want) {
+					t.Fatalf("%s digest %x: Quantile(%v) = %v, want %v", how, data, q, one, want)
+				}
+				if d.Count() == 0 && !math.IsNaN(got[k]) {
+					t.Fatalf("%s empty digest: q=%v gives %v, want NaN", how, q, got[k])
+				}
+			}
+		}
+		if d, err := UnmarshalDigest(data); err == nil {
+			check("decoded", d)
+		}
+		if len(data) == 0 {
+			return
+		}
+		d := NewDigest(1 + int(data[0]%16))
+		for rec := data[1:]; len(rec) >= 3; rec = rec[3:] {
+			d.AddWeighted(float64(int16(binary.BigEndian.Uint16(rec)))*1e4, uint64(rec[2]))
+		}
+		check("built", d)
+	})
 }

@@ -16,18 +16,13 @@ import (
 // exportQuantiles are the quantiles the scrape surface publishes per
 // path, ascending, chosen to read like the paper's variability
 // analysis: median for the central tendency, the inter-quartile spread,
-// and the 5/95 tails that bound the avail-bw process. label is the
-// second label of the quantile's /metrics series, rendered once here
-// rather than on every line.
-var exportQuantiles = [...]struct {
-	q     float64
-	label string
-}{
-	{0.05, `,quantile="0.05"`},
-	{0.25, `,quantile="0.25"`},
-	{0.5, `,quantile="0.5"`},
-	{0.75, `,quantile="0.75"`},
-	{0.95, `,quantile="0.95"`},
+// and the 5/95 tails that bound the avail-bw process.
+var exportQuantiles = [...]float64{0.05, 0.25, 0.5, 0.75, 0.95}
+
+// quantileLabels[k] is the second label of exportQuantiles[k]'s
+// /metrics series, rendered once here rather than on every line.
+var quantileLabels = [len(exportQuantiles)]string{
+	`,quantile="0.05"`, `,quantile="0.25"`, `,quantile="0.5"`, `,quantile="0.75"`, `,quantile="0.95"`,
 }
 
 // scrapeChunk is the most WritePrometheus hands its writer in one
@@ -48,7 +43,9 @@ var scrapeBufs = sync.Pool{New: func() any {
 // values: Store.pathRow reads them off the live ring and digest in one
 // locked pass, with no point copied and no digest cloned.
 type pathRow struct {
-	id          string
+	// label is the series' path="id" label, quoted when the series was
+	// created: the scrape copies it onto each line as it is.
+	label       string
 	total, errs uint64
 	retained    int
 	// win sums the retained window's successful rounds; the families
@@ -57,8 +54,8 @@ type pathRow struct {
 	// The newest successful round in the window, which is not the
 	// newest round when that one failed.
 	lo, hi, mid, rho float64
-	// quantiles follow exportQuantiles, off the all-time digest: NaN
-	// for a path that never had a successful round.
+	// quantiles follow exportQuantiles, off the all-time digest in one
+	// walk: NaN for a path that never had a successful round.
 	quantiles [len(exportQuantiles)]float64
 }
 
@@ -72,12 +69,12 @@ func (st *Store) pathRow(id string) (r pathRow, ok bool) {
 	if se == nil {
 		return pathRow{}, false
 	}
-	r = pathRow{id: id, total: se.total, errs: se.errs, retained: se.n}
+	r = pathRow{label: se.label, total: se.total, errs: se.errs, retained: se.n}
 	var last *Point
 	older, newer := se.segments()
 	for _, seg := range [2][]Point{older, newer} {
 		for i := range seg {
-			if p := &seg[i]; p.OK() {
+			if p := &seg[i]; p.Err == "" { // not p.OK(), which copies the point
 				r.win.add(p.Lo, p.Hi)
 				last = p
 			}
@@ -86,15 +83,14 @@ func (st *Store) pathRow(id string) (r pathRow, ok bool) {
 	if last != nil {
 		r.lo, r.hi, r.mid, r.rho = last.Lo, last.Hi, last.Mid(), last.RelVar()
 	}
-	for i, eq := range exportQuantiles {
-		r.quantiles[i] = se.digest.Quantile(eq.q)
-	}
+	se.digest.quantiles(exportQuantiles[:], r.quantiles[:])
 	return r, true
 }
 
-// A linkRow is one link's contribution to a scrape.
+// A linkRow is one link's contribution to a scrape; label is its
+// link="name" label, quoted like a path's.
 type linkRow struct {
-	name  string
+	label string
 	total uint64
 	last  LinkPoint
 }
@@ -111,7 +107,7 @@ func (st *Store) linkRow(name string) (r linkRow, ok bool) {
 		return linkRow{}, false
 	}
 	last, ok := se.last()
-	return linkRow{name: name, total: se.total, last: last}, ok
+	return linkRow{label: "link=" + strconv.Quote(name), total: se.total, last: last}, ok
 }
 
 // pathFamilies are the per-path families in exposition order. The
@@ -173,9 +169,12 @@ var linkFamilies = [...]struct {
 //
 // Every row is read first, one lock acquisition per path and per link,
 // and only then rendered, so no store lock is ever held across a Write:
-// a scraper that stalls mid-response cannot stall Observe. The text
-// reaches w in chunks of scrapeChunk bytes; the first Write error ends
-// the scrape and is returned.
+// a scraper that stalls mid-response cannot stall Observe. Nothing that
+// is fixed per path is redone per scrape: the store keeps its path list
+// sorted, each path's label was quoted when its series was created, and
+// each digest is walked once for all its quantiles. The text reaches w
+// in chunks of scrapeChunk bytes; the first Write error ends the scrape
+// and is returned.
 func (st *Store) WritePrometheus(w io.Writer) error {
 	paths := st.Paths()
 	rows := make([]pathRow, 0, len(paths))
@@ -197,7 +196,7 @@ func (st *Store) WritePrometheus(w io.Writer) error {
 		e.family(f.name, f.help, f.typ)
 		for i := range rows {
 			if r := &rows[i]; !f.windowed || r.win.n > 0 {
-				e.series(f.name, "path", r.id, "", f.value(r))
+				e.series(f.name, r.label, "", f.value(r))
 			}
 		}
 	}
@@ -206,9 +205,9 @@ func (st *Store) WritePrometheus(w io.Writer) error {
 	const quantiles = "pathload_availbw_quantile_bps"
 	e.family(quantiles, "Quantiles of the path's mid-range estimates over all time (digest).", "gauge")
 	for i := range rows {
-		for k, eq := range exportQuantiles {
-			if v := rows[i].quantiles[k]; !math.IsNaN(v) {
-				e.series(quantiles, "path", rows[i].id, eq.label, v)
+		for k, v := range rows[i].quantiles {
+			if !math.IsNaN(v) {
+				e.series(quantiles, rows[i].label, quantileLabels[k], v)
 			}
 		}
 	}
@@ -216,7 +215,7 @@ func (st *Store) WritePrometheus(w io.Writer) error {
 		for _, f := range linkFamilies {
 			e.family(f.name, f.help, f.typ)
 			for i := range links {
-				e.series(f.name, "link", links[i].name, "", f.value(&links[i]))
+				e.series(f.name, links[i].label, "", f.value(&links[i]))
 			}
 		}
 	}
@@ -246,12 +245,16 @@ func (e *exposition) family(name, help, typ string) {
 	e.spill()
 }
 
-// series adds one sample line.
-func (e *exposition) series(name, labelKey, labelValue, moreLabels string, v float64) {
+// series adds the sample line name{label moreLabels} v. label is the
+// series' first label, already rendered; moreLabels, when not empty,
+// is further labels, leading comma included. v is formatted as
+// Prometheus clients expect it.
+func (e *exposition) series(name, label, moreLabels string, v float64) {
 	if e.err != nil {
 		return
 	}
-	e.buf = appendSeries(e.buf, name, labelKey, labelValue, moreLabels, v)
+	e.buf = append(append(append(append(append(e.buf, name...), '{'), label...), moreLabels...), '}', ' ')
+	e.buf = append(strconv.AppendFloat(e.buf, v, 'g', -1, 64), '\n')
 	e.spill()
 }
 
@@ -269,17 +272,6 @@ func (e *exposition) finish() error {
 		_, e.err = e.w.Write(e.buf)
 	}
 	return e.err
-}
-
-// appendSeries appends the sample line name{labelKey="labelValue"} v,
-// the value quoted as fmt's %q quotes it and v as Prometheus clients
-// expect it. moreLabels, when not empty, is further labels already
-// rendered, leading comma included.
-func appendSeries(b []byte, name, labelKey, labelValue, moreLabels string, v float64) []byte {
-	b = append(append(append(append(b, name...), '{'), labelKey...), '=')
-	b = append(strconv.AppendQuote(b, labelValue), moreLabels...)
-	b = append(b, '}', ' ')
-	return append(strconv.AppendFloat(b, v, 'g', -1, 64), '\n')
 }
 
 // MRTGStep is the default exposition bucket for the MRTG-style
@@ -425,11 +417,11 @@ func (st *Store) Handler() http.Handler {
 		step := 0.0
 		if s := r.URL.Query().Get("step"); s != "" {
 			v, err := strconv.ParseFloat(s, 64)
-			if err != nil || v <= 0 {
-				http.Error(w, fmt.Sprintf("bad ?step=%q (want Mb/s > 0)", s), http.StatusBadRequest)
+			step = v * 1e6
+			if err != nil || !(step > 0 && step <= math.MaxFloat64) { // NaN and ±Inf fail too
+				http.Error(w, fmt.Sprintf("bad ?step=%q (want finite Mb/s > 0)", s), http.StatusBadRequest)
 				return
 			}
-			step = v * 1e6
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if l != "" {
@@ -455,9 +447,11 @@ func (st *Store) seriesJSON(id string) seriesJSON {
 		MinLo: agg.MinLo, MaxHi: agg.MaxHi, MeanMid: agg.MeanMid,
 		MeanRelVar: agg.MeanRelVar, RelVar: agg.RelVar,
 	}
-	for _, eq := range exportQuantiles {
-		if val := v.digest.Quantile(eq.q); !math.IsNaN(val) {
-			s.Quantiles = append(s.Quantiles, qtJSON{Q: eq.q, V: val})
+	var qs [len(exportQuantiles)]float64
+	v.digest.quantiles(exportQuantiles[:], qs[:])
+	for k, val := range qs {
+		if !math.IsNaN(val) {
+			s.Quantiles = append(s.Quantiles, qtJSON{Q: exportQuantiles[k], V: val})
 		}
 	}
 	for _, p := range v.pts {

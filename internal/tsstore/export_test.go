@@ -82,10 +82,16 @@ func TestWriteMRTG(t *testing.T) {
 
 // TestHandler drives every endpoint through httptest.
 func TestHandler(t *testing.T) {
-	srv := httptest.NewServer(exportStore().Handler())
+	st := exportStore()
+	srv := httptest.NewServer(st.Handler())
 	defer srv.Close()
+	// The federation serves a snapshot through the same handler.
+	fed := tsstore.NewFederation(tsstore.Config{})
+	fed.Push("agent", "path-a", tsstore.Contribution{Seq: 1, Points: st.Snapshot("path-a"), Digest: st.DigestSnapshot("path-a")})
+	fedSrv := httptest.NewServer(fed.Handler())
+	defer fedSrv.Close()
 
-	get := func(path string) (int, string) {
+	getAt := func(srv *httptest.Server, path string) (int, string) {
 		t.Helper()
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
@@ -97,6 +103,10 @@ func TestHandler(t *testing.T) {
 			t.Fatal(err)
 		}
 		return resp.StatusCode, string(body)
+	}
+	get := func(path string) (int, string) {
+		t.Helper()
+		return getAt(srv, path)
 	}
 
 	if code, body := get("/"); code != 200 || !strings.Contains(body, "path-a") {
@@ -114,8 +124,15 @@ func TestHandler(t *testing.T) {
 	if code, _ := get("/mrtg?path=ghost"); code != 404 {
 		t.Errorf("/mrtg unknown path → %d, want 404", code)
 	}
-	if code, _ := get("/mrtg?path=path-a&step=-1"); code != 400 {
-		t.Errorf("/mrtg bad step → %d, want 400", code)
+	for _, step := range []string{"-1", "0", "NaN", "Inf", "1e308"} { // 1e308 Mb/s overflows to +Inf b/s
+		for name, srv := range map[string]*httptest.Server{"store": srv, "federation": fedSrv} {
+			if code, _ := getAt(srv, "/mrtg?path=path-a&step="+step); code != 400 {
+				t.Errorf("%s /mrtg step=%s → %d, want 400", name, step, code)
+			}
+		}
+	}
+	if code, body := getAt(fedSrv, "/mrtg?path=path-a&step=12"); code != 200 || !strings.Contains(body, "12 Mb/s buckets") {
+		t.Errorf("federation /mrtg step=12 → %d\n%s", code, body)
 	}
 	if code, _ := get("/nope"); code != 404 {
 		t.Errorf("/nope → %d, want 404", code)

@@ -1,7 +1,9 @@
 package tsstore
 
 import (
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 
@@ -105,12 +107,7 @@ func (f *Federation) Contribution(agent, path string) (c Contribution, ok bool) 
 func (f *Federation) Paths() []string {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	out := make([]string, 0, len(f.contribs))
-	for p := range f.contribs {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(f.contribs))
 }
 
 // Agents returns the agents contributing to a path, sorted.
@@ -140,7 +137,12 @@ func (f *Federation) Snapshot() *Store {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	st := New(f.cfg)
-	for path, byAgent := range f.contribs {
+	// Paths in sorted order, so that each one ensure adds to the store's
+	// sorted path list is an append, into room made for all of them.
+	paths := slices.Sorted(maps.Keys(f.contribs))
+	st.paths = make([]string, 0, len(paths))
+	for _, path := range paths {
+		byAgent := f.contribs[path]
 		agents := make([]string, 0, len(byAgent))
 		for a := range byAgent {
 			agents = append(agents, a)

@@ -24,7 +24,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -133,6 +134,10 @@ type series struct {
 	ring[Point]
 	errs   uint64  // failed rounds ever observed
 	digest *Digest // all-time digest of OK mid-range estimates
+	// label is the path's /metrics label, path="id" with the id quoted
+	// as fmt's %q quotes it: rendered once, when the series is created,
+	// since an id never changes and every scrape prints it on every line.
+	label string
 }
 
 // push appends a point, evicting the oldest when full, and counts it
@@ -162,6 +167,7 @@ type Store struct {
 
 	mu     sync.RWMutex
 	series map[string]*series
+	paths  []string // the keys of series, sorted; ensure inserts each new one
 	links  map[string]*ring[LinkPoint]
 
 	durMu   sync.Mutex
@@ -200,13 +206,16 @@ func NewWithBackend(cfg Config, dur Backend) *Store {
 	return &Store{cfg: cfg.validated(), dur: dur, series: map[string]*series{}, links: map[string]*ring[LinkPoint]{}}
 }
 
-// ensure returns the path's series, creating it empty if needed. The
-// caller holds st.mu.
+// ensure returns the path's series, creating it empty if needed and
+// inserting its id into the sorted path list. The caller holds st.mu.
 func (st *Store) ensure(path string) *series {
 	se := st.series[path]
 	if se == nil {
-		se = &series{ring: ring[Point]{limit: st.cfg.Capacity}, digest: NewDigest(st.cfg.DigestSize)}
+		se = &series{ring: ring[Point]{limit: st.cfg.Capacity}, digest: NewDigest(st.cfg.DigestSize),
+			label: "path=" + strconv.Quote(path)}
 		st.series[path] = se
+		i, _ := slices.BinarySearch(st.paths, path)
+		st.paths = slices.Insert(st.paths, i, path)
 	}
 	return se
 }
@@ -298,16 +307,12 @@ func (st *Store) SeedSeries(path string, total, errs uint64, d *Digest) {
 }
 
 // Paths returns the known path identifiers, sorted, so that every
-// rendering of the store is deterministic.
+// rendering of the store is deterministic. The store keeps them sorted
+// as it learns them; this is a copy.
 func (st *Store) Paths() []string {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	ids := make([]string, 0, len(st.series))
-	for id := range st.series {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return append(make([]string, 0, len(st.paths)), st.paths...)
 }
 
 // Len returns the number of retained points for path (0 for unknown

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/schedule"
 	"repro/internal/tsstore"
 
@@ -295,4 +298,57 @@ func TestPointBitsRetained(t *testing.T) {
 	if len(pts) != 2 || pts[0].Bits != 123456 || pts[1].Bits != 789 {
 		t.Fatalf("stored Bits = %v, want [123456 789]", []float64{pts[0].Bits, pts[1].Bits})
 	}
+}
+
+// TestPathsStaySorted: the store keeps its path list sorted as it
+// learns ids — from Observes in random order, from archive recovery
+// (sealed segment, checkpoint and tail alike) and from a federation
+// snapshot — and Paths hands out a copy of it.
+func TestPathsStaySorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ids := slices.Clone(escapeIDs)
+	for len(ids) < 300 {
+		ids = append(ids, fmt.Sprintf("p-%x", rng.Uint32()))
+	}
+	want := slices.Compact(slices.Sorted(slices.Values(ids)))
+	check := func(when string, got []string) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: Paths() is not the %d ids, sorted: %q", when, len(want), got)
+		}
+	}
+
+	dir := t.TempDir()
+	cfg := tsstore.Config{Capacity: 4}
+	st, backend, _, err := archive.OpenStore(dir, archive.Options{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, i := range rng.Perm(len(ids)) {
+		st.Observe(sample(ids[i], 0, 0, 1e6, 2e6))
+		if n == len(ids)/2 {
+			if err := backend.Archive().Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("after Observes in random order", st.Paths())
+	st.Paths()[0] = "~"
+	check("after a caller wrote to its copy", st.Paths())
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, _, _, err := archive.OpenStore(dir, archive.Options{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check("after archive recovery", re.Paths())
+
+	fed := tsstore.NewFederation(cfg)
+	for _, i := range rng.Perm(len(ids)) {
+		fed.Push("agent", ids[i], tsstore.Contribution{Seq: 1, Total: 1, Points: re.Snapshot(ids[i]), Digest: re.DigestSnapshot(ids[i])})
+	}
+	check("after a federation snapshot", fed.Snapshot().Paths())
 }
