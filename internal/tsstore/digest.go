@@ -72,6 +72,12 @@ func (d *Digest) AddWeighted(x float64, w uint64) {
 		d.n += w
 		return
 	}
+	if len(d.cs) == cap(d.cs) && 2*len(d.cs) >= d.size {
+		// Full, and doubling would reach past the budget: grow once to
+		// the most a digest ever holds, its budget plus the centroid
+		// compress folds away, rather than to twice the budget.
+		d.cs = append(make([]centroid, 0, d.size+1), d.cs...)
+	}
 	d.cs = append(d.cs, centroid{})
 	copy(d.cs[i+1:], d.cs[i:])
 	d.cs[i] = centroid{mean: x, weight: w}

@@ -65,8 +65,9 @@ func TestDigestQuantileRange(t *testing.T) {
 }
 
 // TestDigestCompression: the centroid count never exceeds the budget,
-// the total weight is preserved, and quantiles stay within a few
-// percent of the exact values for a large uniform stream.
+// the storage behind it is the budget plus one, the total weight is
+// preserved, and quantiles stay within a few percent of the exact
+// values for a large uniform stream.
 func TestDigestCompression(t *testing.T) {
 	const n = 10_000
 	d := NewDigest(64)
@@ -78,6 +79,9 @@ func TestDigestCompression(t *testing.T) {
 	}
 	if len(d.cs) > 64 {
 		t.Fatalf("digest holds %d centroids, budget 64", len(d.cs))
+	}
+	if cap(d.cs) != 65 { // the budget and the one compress folds away
+		t.Fatalf("digest storage holds %d centroids, want 65", cap(d.cs))
 	}
 	if d.Count() != n {
 		t.Fatalf("Count = %d, want %d", d.Count(), n)
