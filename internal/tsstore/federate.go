@@ -107,7 +107,12 @@ func (f *Federation) Contribution(agent, path string) (c Contribution, ok bool) 
 func (f *Federation) Paths() []string {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return slices.Sorted(maps.Keys(f.contribs))
+	out := make([]string, 0, len(f.contribs))
+	for p := range f.contribs {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Agents returns the agents contributing to a path, sorted.
