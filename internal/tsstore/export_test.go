@@ -241,7 +241,7 @@ func TestEscapeGolden(t *testing.T) {
 	fed := tsstore.NewFederation(tsstore.Config{Capacity: 4, DigestSize: 8})
 	for i, id := range escapeIDs {
 		level := 1e6 * float64(3+7*i)
-		for r := 0; r < 12; r++ { // 11 distinct mids into 8 centroids
+		for r := 0; r < 12; r++ { // six distinct mids, each twice: exact hits, and a ring that wrapped
 			mid := level + float64(r*r%11)*0.25e6
 			st.Observe(sample(id, r, time.Duration(r)*time.Second, mid-0.5e6, mid+0.5e6))
 		}
