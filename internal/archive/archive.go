@@ -36,11 +36,14 @@
 package archive
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -136,6 +139,7 @@ type Archive struct {
 	walRecs  int
 	segs     []SegmentInfo // sorted by Index
 	ckpt     []byte        // newest sealed segment's checkpoint blob
+	frame    []byte        // Append's record frame, reused
 	closed   bool
 
 	// onAppend and checkpoint are the owner's hooks (SetHooks).
@@ -163,14 +167,6 @@ func Open(dir string, opt Options) (*Archive, OpenReport, error) {
 	}
 	if err := a.checkHead(&rep); err != nil {
 		return nil, rep, err
-	}
-	if len(a.segs) > 0 {
-		last := a.segs[len(a.segs)-1]
-		blob, _, err := readSegment(segPath(a.dir, last.Index), last.Index)
-		if err != nil {
-			return nil, rep, err
-		}
-		a.ckpt = blob
 	}
 	if err := a.openWAL(&rep); err != nil {
 		return nil, rep, err
@@ -220,18 +216,22 @@ func (a *Archive) Checkpoint() []byte {
 	return append([]byte(nil), a.ckpt...)
 }
 
-// Append writes rec to the WAL, invokes the onAppend hook, and seals
-// automatically when the WAL crosses Options.SealBytes.
+// Append writes rec to the WAL in one write, invokes the onAppend
+// hook, and seals automatically when the WAL crosses
+// Options.SealBytes. Nothing is buffered in the process: once Append
+// returns nil the record is in the file, and with Options.Sync on the
+// disk.
 func (a *Archive) Append(rec Record) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
 		return errors.New("archive: appending to closed archive")
 	}
-	buf, err := appendRecord(nil, rec)
+	buf, err := appendRecord(a.frame[:0], rec)
 	if err != nil {
 		return err
 	}
+	a.frame = buf
 	if _, err := a.wal.Write(buf); err != nil {
 		return fmt.Errorf("archive: wal append: %w", err)
 	}
@@ -322,15 +322,14 @@ func (a *Archive) Compact(maxBytes int64, maxAge time.Duration) ([]uint64, error
 
 // ReplaySealed streams every record retained in sealed segments,
 // oldest segment first, records in append order. These are exactly the
-// records the newest checkpoint summarizes.
+// records the newest checkpoint summarizes. Each segment is read once,
+// and its header, record CRCs and record count are checked in that
+// same pass: a defect fails the call after fn has seen the records
+// before it.
 func (a *Archive) ReplaySealed(fn func(Record) error) error {
 	for _, s := range a.Segments() {
-		_, recs, err := readSegment(segPath(a.dir, s.Index), s.Index)
-		if err != nil {
+		if err := replaySegment(a.dir, s.Index, fn); err != nil {
 			return err
-		}
-		if _, _, err := scanRecords(recs, fn); err != nil {
-			return fmt.Errorf("archive: segment %d: %w", s.Index, err)
 		}
 	}
 	return nil
@@ -339,19 +338,27 @@ func (a *Archive) ReplaySealed(fn func(Record) error) error {
 // ReplayTail streams the live WAL records, in append order — the
 // records no checkpoint covers yet.
 func (a *Archive) ReplayTail(fn func(Record) error) error {
-	a.mu.Lock()
-	path := filepath.Join(a.dir, walName)
-	a.mu.Unlock()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	_, recs, err := parseWAL(b)
-	if err != nil {
-		return err
-	}
-	if _, _, err := scanRecords(recs, fn); err != nil {
-		return fmt.Errorf("archive: wal: %w", err)
+	return readWAL(filepath.Join(a.dir, walName), func(_ uint64, rr *recordReader) error {
+		if err := rr.each(fn); err != nil {
+			return fmt.Errorf("archive: wal: %w", err)
+		}
+		return nil
+	})
+}
+
+// replaySegment hands fn every record of segment idx in dir, in one
+// pass that also checks the segment.
+func replaySegment(dir string, idx uint64, fn func(Record) error) error {
+	var fnErr error
+	_, _, err := scanSegment(segPath(dir, idx), idx, false, false, func(r Record) error {
+		fnErr = fn(r)
+		return fnErr
+	})
+	switch {
+	case fnErr != nil:
+		return fmt.Errorf("archive: segment %d: %w", idx, fnErr)
+	case err != nil:
+		return fmt.Errorf("archive: %s: %w", filepath.Base(segPath(dir, idx)), err)
 	}
 	return nil
 }
@@ -368,25 +375,13 @@ func segPath(dir string, index uint64) string {
 }
 
 // sealLocked is the three-step seal: segment rename, WAL swap, HEAD
-// rewrite — each atomic, each a legal crash boundary.
+// rewrite — each atomic, each a legal crash boundary. The segment is
+// written by streaming the WAL's records into it, one record at a
+// time, checking each one's CRC and the count on the way.
 func (a *Archive) sealLocked() error {
 	if a.walRecs == 0 {
 		return nil
 	}
-	walPath := filepath.Join(a.dir, walName)
-	b, err := os.ReadFile(walPath)
-	if err != nil {
-		return err
-	}
-	_, recs, err := parseWAL(b)
-	if err != nil {
-		return err
-	}
-	if consumed, n, err := scanRecords(recs, nil); err != nil || n != a.walRecs {
-		return fmt.Errorf("archive: wal readback: %d/%d records, %d/%d bytes, %v",
-			n, a.walRecs, consumed, len(recs), err)
-	}
-
 	index := uint64(1)
 	var prev [sha256.Size]byte
 	if n := len(a.segs); n > 0 {
@@ -397,41 +392,80 @@ func (a *Archive) sealLocked() error {
 	if a.checkpoint != nil {
 		ckpt = a.checkpoint()
 	}
-	hdr := make([]byte, 0, segHdrLen)
-	hdr = binary.BigEndian.AppendUint32(hdr, segMagic)
-	hdr = binary.BigEndian.AppendUint16(hdr, Version)
-	hdr = binary.BigEndian.AppendUint64(hdr, index)
-	hdr = append(hdr, prev[:]...)
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(a.now()))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(a.walRecs))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(ckpt)))
-	file := append(hdr, ckpt...)
-	file = append(file, recs...)
-	if err := writeAtomic(segPath(a.dir, index), file); err != nil {
+	info := SegmentInfo{Index: index, Records: a.walRecs, SealedUnix: a.now(), PrevHash: prev}
+	sum := sha256.New()
+	err := writeAtomic(segPath(a.dir, index), func(f io.Writer) error {
+		bw := bufio.NewWriterSize(f, fileBufSize)
+		w := io.MultiWriter(bw, sum)
+		hdr := make([]byte, 0, segHdrLen)
+		hdr = binary.BigEndian.AppendUint32(hdr, segMagic)
+		hdr = binary.BigEndian.AppendUint16(hdr, Version)
+		hdr = binary.BigEndian.AppendUint64(hdr, index)
+		hdr = append(hdr, prev[:]...)
+		hdr = binary.BigEndian.AppendUint64(hdr, uint64(info.SealedUnix))
+		hdr = binary.BigEndian.AppendUint32(hdr, uint32(a.walRecs))
+		hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(ckpt)))
+		if _, err := w.Write(hdr); err != nil {
+			return err
+		}
+		if _, err := w.Write(ckpt); err != nil {
+			return err
+		}
+		err := readWAL(filepath.Join(a.dir, walName), func(_ uint64, rr *recordReader) error {
+			frame, err := rr.next()
+			for ; err == nil; frame, err = rr.next() {
+				if _, err := w.Write(frame); err != nil {
+					return err
+				}
+			}
+			if err == io.EOF && rr.n == a.walRecs {
+				info.Bytes = segHdrLen + int64(len(ckpt)) + rr.off
+				return nil
+			}
+			if err == io.EOF {
+				err = nil
+			}
+			return fmt.Errorf("archive: wal readback: %d/%d records, %d/%d bytes, %v",
+				rr.n, a.walRecs, rr.off, rr.off+rr.left, err)
+		})
+		if err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
+	if err != nil {
 		return err
 	}
-	info := SegmentInfo{
-		Index:      index,
-		Records:    a.walRecs,
-		Bytes:      int64(len(file)),
-		SealedUnix: int64(binary.BigEndian.Uint64(hdr[14+sha256.Size:])),
-		Hash:       sha256.Sum256(file),
-		PrevHash:   prev,
-	}
+	sum.Sum(info.Hash[:0])
 	a.segs = append(a.segs, info)
+	if cap(ckpt) > len(ckpt) { // hold the blob, not the hook's spare capacity
+		ckpt = append(make([]byte, 0, len(ckpt)), ckpt...)
+	}
 	a.ckpt = ckpt
+	// The segment is in place. A failure from here on leaves the
+	// directory in one of the crash windows Open heals (a stale WAL, a
+	// trailing HEAD) — but an open archive would go on appending into a
+	// WAL the next Open may discard. Stop as a crash would.
+	if err := a.swapAndAnchor(info); err != nil {
+		a.closed = true
+		return err
+	}
+	return nil
+}
+
+// swapAndAnchor is the second and third step of a seal: swap in a
+// fresh WAL following the new segment, then rewrite HEAD to it.
+func (a *Archive) swapAndAnchor(info SegmentInfo) error {
 	if a.failpoint != nil {
 		if err := a.failpoint("sealed-segment"); err != nil {
-			a.closed = true
 			return err
 		}
 	}
-	if err := a.swapFreshWAL(index); err != nil {
+	if err := a.swapFreshWAL(info.Index); err != nil {
 		return err
 	}
 	if a.failpoint != nil {
 		if err := a.failpoint("swapped-wal"); err != nil {
-			a.closed = true
 			return err
 		}
 	}
@@ -446,7 +480,7 @@ func (a *Archive) swapFreshWAL(index uint64) error {
 	hdr = binary.BigEndian.AppendUint16(hdr, Version)
 	hdr = binary.BigEndian.AppendUint64(hdr, index)
 	walPath := filepath.Join(a.dir, walName)
-	if err := writeAtomic(walPath, hdr); err != nil {
+	if err := writeAtomic(walPath, writeBytes(hdr)); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -463,12 +497,13 @@ func (a *Archive) swapFreshWAL(index uint64) error {
 
 func (a *Archive) writeHead(s SegmentInfo) error {
 	body := fmt.Sprintf("%s%d %x\n", headPrefix, s.Index, s.Hash)
-	return writeAtomic(filepath.Join(a.dir, headName), []byte(body))
+	return writeAtomic(filepath.Join(a.dir, headName), writeBytes([]byte(body)))
 }
 
 // loadSegments discovers, header-checks, and hashes every segment
 // file, verifying name/header agreement, sequence contiguity, and the
-// hash chain.
+// hash chain. Each file is read once; only the newest segment's
+// checkpoint is kept.
 func (a *Archive) loadSegments() error {
 	idxs, bad, err := listSegments(a.dir)
 	if err != nil {
@@ -481,14 +516,19 @@ func (a *Archive) loadSegments() error {
 		if i > 0 && idx != idxs[i-1]+1 {
 			return fmt.Errorf("archive: segment sequence gap: %d then %d", idxs[i-1], idx)
 		}
-		info, err := statSegment(segPath(a.dir, idx), idx)
+		path := segPath(a.dir, idx)
+		newest := i == len(idxs)-1
+		info, ckpt, err := scanSegment(path, idx, true, newest, nil)
 		if err != nil {
-			return err
+			return fmt.Errorf("archive: %s: %w", filepath.Base(path), err)
 		}
 		if i > 0 && info.PrevHash != a.segs[len(a.segs)-1].Hash {
 			return fmt.Errorf("archive: hash chain broken at segment %d", idx)
 		}
 		a.segs = append(a.segs, info)
+		if newest {
+			a.ckpt = ckpt
+		}
 	}
 	return nil
 }
@@ -544,48 +584,48 @@ func (a *Archive) openWAL(rep *OpenReport) error {
 		newest = a.segs[n-1].Index
 	}
 	walPath := filepath.Join(a.dir, walName)
-	b, err := os.ReadFile(walPath)
+	live := false
+	err := readWAL(walPath, func(after uint64, rr *recordReader) error {
+		switch {
+		case after == newest:
+			// The live WAL. Truncate a torn tail, keep the valid prefix.
+			if err := rr.each(nil); err != nil && !recordDefect(err) {
+				return err
+			}
+			live = true
+			a.walBytes, a.walRecs = rr.off, rr.n
+			rep.DroppedTailBytes = rr.left
+			return nil
+		case after == newest-1 && newest > 0:
+			// Crash between segment rename and WAL swap: every record in
+			// this WAL is already inside segment `newest`. Count for the
+			// report, then discard: a defect only ends the count.
+			_ = rr.each(nil)
+			rep.StaleWALRecords = rr.n
+			return nil
+		default:
+			return fmt.Errorf("archive: wal follows segment %d but newest segment is %d", after, newest)
+		}
+	})
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		return a.swapFreshWAL(newest)
 	case err != nil:
 		return err
+	case !live:
+		return a.swapFreshWAL(newest)
 	}
-	after, recs, err := parseWAL(b)
+	if rep.DroppedTailBytes > 0 {
+		if err := os.Truncate(walPath, walHdrLen+a.walBytes); err != nil {
+			return err
+		}
+	}
+	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	switch {
-	case after == newest:
-		// The live WAL. Truncate a torn tail, keep the valid prefix.
-		consumed, n, err := scanRecords(recs, nil)
-		if err != nil && !errors.Is(err, errShortRecord) && !errors.Is(err, errCorruptRecord) {
-			return err
-		}
-		good := walHdrLen + consumed
-		if good < len(b) {
-			if err := os.Truncate(walPath, int64(good)); err != nil {
-				return err
-			}
-			rep.DroppedTailBytes = int64(len(b) - good)
-		}
-		f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		a.wal = f
-		a.walBytes, a.walRecs = int64(consumed), n
-		return nil
-	case after == newest-1 && newest > 0:
-		// Crash between segment rename and WAL swap: every record in
-		// this WAL is already inside segment `newest`. Count for the
-		// report, then discard.
-		_, n, _ := scanRecords(recs, nil)
-		rep.StaleWALRecords = n
-		return a.swapFreshWAL(newest)
-	default:
-		return fmt.Errorf("archive: wal follows segment %d but newest segment is %d", after, newest)
-	}
+	a.wal = f
+	return nil
 }
 
 // listSegments returns the indexes of dir's seg-* files, ascending, and
@@ -612,86 +652,112 @@ func listSegments(dir string) (idxs []uint64, bad []string, err error) {
 	return idxs, bad, nil
 }
 
-// parseWAL checks a WAL image's header and splits it into the segment
-// index the WAL follows and its record region. The header is written
-// atomically, so a short, foreign or future-version file was never
-// this archive's WAL: nothing in it is attributable, and every reader
-// refuses it rather than scan it for records.
-func parseWAL(b []byte) (after uint64, recs []byte, err error) {
-	if len(b) < walHdrLen {
-		return 0, nil, fmt.Errorf("archive: %s is %d bytes, below its %d-byte header", walName, len(b), walHdrLen)
+// readWAL opens the WAL at path, checks its header, and hands read
+// the segment index the WAL follows and a reader over its records. The
+// header is written atomically, so a short, foreign or future-version
+// file was never this archive's WAL: nothing in it is attributable,
+// and every reader refuses it rather than scan it for records.
+func readWAL(path string, read func(after uint64, rr *recordReader) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
 	}
-	if binary.BigEndian.Uint32(b[0:4]) != walMagic {
-		return 0, nil, fmt.Errorf("archive: %s has wrong magic", walName)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
 	}
-	if v := binary.BigEndian.Uint16(b[4:6]); v != Version {
-		return 0, nil, fmt.Errorf("archive: %s format version %d, want %d", walName, v, Version)
+	if fi.Size() < walHdrLen {
+		return fmt.Errorf("archive: %s is %d bytes, below its %d-byte header", walName, fi.Size(), walHdrLen)
 	}
-	return binary.BigEndian.Uint64(b[6:walHdrLen]), b[walHdrLen:], nil
+	br := bufio.NewReaderSize(f, fileBufSize)
+	var hdr [walHdrLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return fmt.Errorf("archive: %s header: %w", walName, err)
+	}
+	if binary.BigEndian.Uint32(hdr[0:4]) != walMagic {
+		return fmt.Errorf("archive: %s has wrong magic", walName)
+	}
+	if v := binary.BigEndian.Uint16(hdr[4:6]); v != Version {
+		return fmt.Errorf("archive: %s format version %d, want %d", walName, v, Version)
+	}
+	return read(binary.BigEndian.Uint64(hdr[6:walHdrLen]), &recordReader{r: br, left: fi.Size() - walHdrLen})
 }
 
-// statSegment reads and validates one segment file's header and
-// structure (not its chain position) and returns its info.
-func statSegment(path string, wantIndex uint64) (SegmentInfo, error) {
-	b, err := os.ReadFile(path)
+// scanSegment reads the segment file at path in one pass, holding one
+// record at a time: it checks the header (against wantIndex, when not
+// 0), every record's frame and CRC, and the header's record count, and
+// returns the segment's info. With hashed set it also fills info.Hash,
+// the SHA-256 of the whole file. With keepCkpt set it returns a copy
+// of the checkpoint blob; otherwise the checkpoint is read past and
+// not held. fn, when non-nil, is handed each record in order. Errors
+// do not name the file; info.Bytes is set once the file is open.
+func scanSegment(path string, wantIndex uint64, hashed, keepCkpt bool, fn func(Record) error) (info SegmentInfo, ckpt []byte, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return SegmentInfo{}, err
+		return info, nil, err
 	}
-	info, _, _, err := parseSegment(b, wantIndex)
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
-		return SegmentInfo{}, fmt.Errorf("archive: %s: %w", filepath.Base(path), err)
+		return info, nil, err
 	}
-	return info, nil
-}
+	size := fi.Size()
+	info.Bytes = size
+	var src io.Reader = f
+	var sum hash.Hash
+	if hashed {
+		sum = sha256.New()
+		src = io.TeeReader(f, sum)
+	}
+	br := bufio.NewReaderSize(src, fileBufSize)
 
-// readSegment returns a segment's checkpoint blob and raw record bytes.
-func readSegment(path string, wantIndex uint64) (ckpt, recs []byte, err error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
+	if size < segHdrLen {
+		return info, nil, errors.New("truncated segment header")
 	}
-	_, ckpt, recs, err = parseSegment(b, wantIndex)
-	if err != nil {
-		return nil, nil, fmt.Errorf("archive: %s: %w", filepath.Base(path), err)
+	var hdr [segHdrLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return info, nil, err
 	}
-	return ckpt, recs, nil
-}
-
-// parseSegment validates a segment image: header sanity, index
-// agreement, record-region integrity, and record count.
-func parseSegment(b []byte, wantIndex uint64) (info SegmentInfo, ckpt, recs []byte, err error) {
-	if len(b) < segHdrLen {
-		return info, nil, nil, errors.New("truncated segment header")
+	if binary.BigEndian.Uint32(hdr[0:4]) != segMagic {
+		return info, nil, errors.New("wrong segment magic")
 	}
-	if binary.BigEndian.Uint32(b[0:4]) != segMagic {
-		return info, nil, nil, errors.New("wrong segment magic")
+	if v := binary.BigEndian.Uint16(hdr[4:6]); v != Version {
+		return info, nil, fmt.Errorf("segment format version %d, want %d", v, Version)
 	}
-	if v := binary.BigEndian.Uint16(b[4:6]); v != Version {
-		return info, nil, nil, fmt.Errorf("segment format version %d, want %d", v, Version)
-	}
-	info.Index = binary.BigEndian.Uint64(b[6:14])
+	info.Index = binary.BigEndian.Uint64(hdr[6:14])
 	if wantIndex != 0 && info.Index != wantIndex {
-		return info, nil, nil, fmt.Errorf("segment header index %d disagrees with filename %d", info.Index, wantIndex)
+		return info, nil, fmt.Errorf("segment header index %d disagrees with filename %d", info.Index, wantIndex)
 	}
-	copy(info.PrevHash[:], b[14:14+sha256.Size])
+	copy(info.PrevHash[:], hdr[14:14+sha256.Size])
 	off := 14 + sha256.Size
-	info.SealedUnix = int64(binary.BigEndian.Uint64(b[off : off+8]))
-	count := int(binary.BigEndian.Uint32(b[off+8 : off+12]))
-	ckptLen := int(binary.BigEndian.Uint32(b[off+12 : off+16]))
-	if segHdrLen+ckptLen > len(b) {
-		return info, nil, nil, fmt.Errorf("checkpoint length %d overruns %d-byte segment", ckptLen, len(b))
+	info.SealedUnix = int64(binary.BigEndian.Uint64(hdr[off : off+8]))
+	count := int(binary.BigEndian.Uint32(hdr[off+8 : off+12]))
+	ckptLen := int64(binary.BigEndian.Uint32(hdr[off+12 : off+16]))
+	if segHdrLen+ckptLen > size {
+		return info, nil, fmt.Errorf("checkpoint length %d overruns %d-byte segment", ckptLen, size)
 	}
-	ckpt = b[segHdrLen : segHdrLen+ckptLen]
-	recs = b[segHdrLen+ckptLen:]
-	if _, n, serr := scanRecords(recs, nil); serr != nil {
-		return info, nil, nil, fmt.Errorf("record region: %w", serr)
-	} else if n != count {
-		return info, nil, nil, fmt.Errorf("header claims %d records, file holds %d", count, n)
+	if keepCkpt && ckptLen > 0 {
+		ckpt = make([]byte, ckptLen)
+		_, err = io.ReadFull(br, ckpt)
+	} else {
+		_, err = br.Discard(int(ckptLen))
+	}
+	if err != nil {
+		return info, nil, err
+	}
+	rr := recordReader{r: br, left: size - segHdrLen - ckptLen}
+	if err := rr.each(fn); err != nil {
+		return info, nil, fmt.Errorf("record region: %w", err)
+	}
+	if rr.n != count {
+		return info, nil, fmt.Errorf("header claims %d records, file holds %d", count, rr.n)
 	}
 	info.Records = count
-	info.Bytes = int64(len(b))
-	info.Hash = sha256.Sum256(b)
-	return info, ckpt, recs, nil
+	if sum != nil {
+		sum.Sum(info.Hash[:0])
+	}
+	return info, ckpt, nil
 }
 
 // readHead parses the HEAD file; exists is false when absent.
@@ -723,31 +789,28 @@ func readHead(dir string) (index uint64, hash [sha256.Size]byte, exists bool, er
 	return index, hash, true, nil
 }
 
-// writeAtomic writes data to path via temp file, fsync, and rename,
-// then best-effort syncs the directory so the rename itself is
-// durable.
-func writeAtomic(path string, data []byte) error {
+// writeAtomic writes a file at path through write, via temp file,
+// fsync, and rename, then best-effort syncs the directory so the
+// rename itself is durable. If anything fails, the temp file is
+// removed and path is untouched.
+func writeAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
+	if err == nil {
+		err = os.Rename(name, path)
 	}
-	if err := os.Rename(name, path); err != nil {
+	if err != nil {
 		os.Remove(name)
 		return err
 	}
@@ -756,4 +819,12 @@ func writeAtomic(path string, data []byte) error {
 		d.Close()
 	}
 	return nil
+}
+
+// writeBytes is a writeAtomic body that writes b.
+func writeBytes(b []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	}
 }

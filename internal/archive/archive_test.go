@@ -70,16 +70,18 @@ func TestRecordRoundtrip(t *testing.T) {
 			t.Fatalf("appendRecord: %v", err)
 		}
 	}
-	off := 0
+	recs, off, err := streamRecords(buf)
+	if err != nil {
+		t.Fatalf("reading records back: %v", err)
+	}
+	if len(recs) != len(cases) {
+		t.Fatalf("read %d records, want %d", len(recs), len(cases))
+	}
 	for i, want := range cases {
-		got, n, err := readRecord(buf[off:])
-		if err != nil {
-			t.Fatalf("readRecord[%d]: %v", i, err)
-		}
+		got := recs[i]
 		if got.Kind != want.Kind || got.Key != want.Key || !bytes.Equal(got.Data, want.Data) {
 			t.Fatalf("record %d: got %+v want %+v", i, got, want)
 		}
-		off += n
 	}
 	if off != len(buf) {
 		t.Fatalf("consumed %d of %d bytes", off, len(buf))
@@ -92,12 +94,12 @@ func TestRecordBounds(t *testing.T) {
 	}
 	// A torn frame reads as short, a bit-flipped one as corrupt.
 	buf, _ := appendRecord(nil, rec(0))
-	if _, _, err := readRecord(buf[:len(buf)-1]); err != errShortRecord {
+	if _, _, err := streamRecords(buf[:len(buf)-1]); err != errShortRecord {
 		t.Fatalf("torn record: %v", err)
 	}
 	flipped := append([]byte(nil), buf...)
 	flipped[10] ^= 0x01
-	if _, _, err := readRecord(flipped); err != errCorruptRecord {
+	if _, _, err := streamRecords(flipped); err != errCorruptRecord {
 		t.Fatalf("flipped record: %v", err)
 	}
 }

@@ -1,8 +1,12 @@
 package archive
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"repro/internal/tsstore"
@@ -13,10 +17,78 @@ import (
 // (cmd/pathload-archive/testdata/mini); the f.Add seeds below are the
 // malformed neighbours.
 
+// readRecord is the reference rule for one frame, over an in-memory
+// image of the record region: it decodes the record at the head of b,
+// returning it and the number of bytes consumed. errShortRecord means b
+// ends mid-record; errCorruptRecord means the bytes are not a record at
+// all. The archive reads files with recordReader instead, which
+// FuzzReadRecord holds to this rule.
+func readRecord(b []byte) (Record, int, error) {
+	if len(b) < 8 {
+		return Record{}, 0, errShortRecord
+	}
+	if b[0] != recMagic {
+		return Record{}, 0, errCorruptRecord
+	}
+	keyLen := int(binary.BigEndian.Uint16(b[2:4]))
+	dataLen := int(binary.BigEndian.Uint32(b[4:8]))
+	if dataLen > MaxData {
+		return Record{}, 0, errCorruptRecord
+	}
+	total := 8 + keyLen + dataLen + 4
+	if len(b) < total {
+		return Record{}, 0, errShortRecord
+	}
+	sum := binary.BigEndian.Uint32(b[total-4 : total])
+	if crc32.ChecksumIEEE(b[:total-4]) != sum {
+		return Record{}, 0, errCorruptRecord
+	}
+	r := Record{
+		Kind: b[1],
+		Key:  string(b[8 : 8+keyLen]),
+		Data: append([]byte(nil), b[8+keyLen:total-4]...),
+	}
+	return r, total, nil
+}
+
+// scanRecords is the reference scan: it walks every whole record in b,
+// calling fn for each, and returns the byte offset of the first defect
+// (== len(b) on a clean scan), the number of records delivered, and the
+// defect itself.
+func scanRecords(b []byte, fn func(Record) error) (consumed, n int, err error) {
+	off := 0
+	for off < len(b) {
+		rec, sz, err := readRecord(b[off:])
+		if err != nil {
+			return off, n, err
+		}
+		if fn != nil {
+			if err := fn(rec); err != nil {
+				return off, n, err
+			}
+		}
+		off += sz
+		n++
+	}
+	return off, n, nil
+}
+
+// streamRecords reads b as a record region through the streaming
+// reader, over the smallest buffer bufio allows, so frames straddle
+// its refills. It returns the records, the bytes of whole records
+// consumed, and the defect that stopped the scan.
+func streamRecords(b []byte) (recs []Record, consumed int, err error) {
+	rr := recordReader{r: bufio.NewReaderSize(bytes.NewReader(b), 16), left: int64(len(b))}
+	err = rr.each(func(r Record) error { recs = append(recs, r); return nil })
+	return recs, int(rr.off), err
+}
+
 // FuzzReadRecord: arbitrary bytes at the WAL cursor must read as a
 // record, a torn tail or corruption — never panic, never consume more
 // than is there — and a record that reads must re-frame to the bytes
-// it came from.
+// it came from. The streaming reader must make of the same bytes
+// exactly what the in-memory reference makes of them: the same
+// records, the same consumed offset, the same defect.
 func FuzzReadRecord(f *testing.F) {
 	ok, _ := appendRecord(nil, Record{Kind: KindPoint, Key: "p0", Data: encodePoint(tsstore.Point{Round: 1, Lo: 1e6, Hi: 2e6})})
 	f.Add(ok)
@@ -52,6 +124,16 @@ func FuzzReadRecord(f *testing.F) {
 		}
 		if (err == nil) != (count > 0) && len(data) > 0 {
 			t.Fatalf("readRecord err %v but scanRecords delivered %d records", err, count)
+		}
+
+		var want []Record
+		scanRecords(data, func(r Record) error { want = append(want, r); return nil })
+		got, gotConsumed, gerr := streamRecords(data)
+		if gotConsumed != consumed || gerr != serr {
+			t.Fatalf("streaming reader consumed %d bytes with err %v; reference %d with %v", gotConsumed, gerr, consumed, serr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("streaming reader read %d records, reference %d:\n got %+v\nwant %+v", len(got), len(want), got, want)
 		}
 	})
 }

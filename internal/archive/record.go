@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // A Record is one appended archive entry: an opaque payload under a
@@ -67,56 +68,117 @@ func appendRecord(buf []byte, r Record) ([]byte, error) {
 	return buf, nil
 }
 
-// readRecord decodes the record at the head of b, returning it and the
-// number of bytes consumed. errShortRecord means b ends mid-record;
-// errCorruptRecord means the bytes are not a record at all.
-func readRecord(b []byte) (Record, int, error) {
-	if len(b) < 8 {
-		return Record{}, 0, errShortRecord
+// A recordReader reads the record region of an archive file — the
+// frames after its header — one frame at a time through one reused
+// buffer, so a reader holds one record however long the file is. It
+// checks each frame's magic, lengths and CRC, and tells a torn tail
+// from corruption, by the rule an in-memory scan of the region would
+// apply: the region ends where the file did when it was opened.
+type recordReader struct {
+	r     io.Reader // the file past its header, usually through a bufio.Reader
+	left  int64     // region bytes after the last whole record
+	off   int64     // region bytes of whole records read
+	n     int       // whole records read
+	frame []byte
+}
+
+// fileBufSize is the bufio buffer an archive file is read, or a
+// segment written, through.
+const fileBufSize = 32 << 10
+
+// next reads the frame at the cursor and returns it; the frame stays
+// valid until the next call. It returns io.EOF at the end of the
+// region, errShortRecord when the region ends mid-frame (a torn tail,
+// the expected artifact of a crash during append), errCorruptRecord
+// when the bytes are not a record (bad magic, an impossible length, a
+// CRC mismatch), or a read error. After an error, off and left still
+// end at the start of the frame it could not read; the reader is not
+// read again.
+func (rr *recordReader) next() ([]byte, error) {
+	if rr.left == 0 {
+		return nil, io.EOF
+	}
+	if rr.left < 8 {
+		return nil, errShortRecord
+	}
+	if cap(rr.frame) < 8 {
+		rr.frame = make([]byte, 0, 256)
+	}
+	b := rr.frame[:8]
+	if err := rr.read(b); err != nil {
+		return nil, err
 	}
 	if b[0] != recMagic {
-		return Record{}, 0, errCorruptRecord
+		return nil, errCorruptRecord
 	}
 	keyLen := int(binary.BigEndian.Uint16(b[2:4]))
 	dataLen := int(binary.BigEndian.Uint32(b[4:8]))
 	if dataLen > MaxData {
-		return Record{}, 0, errCorruptRecord
+		return nil, errCorruptRecord
 	}
 	total := 8 + keyLen + dataLen + 4
-	if len(b) < total {
-		return Record{}, 0, errShortRecord
+	if int64(total) > rr.left {
+		return nil, errShortRecord
 	}
-	sum := binary.BigEndian.Uint32(b[total-4 : total])
-	if crc32.ChecksumIEEE(b[:total-4]) != sum {
-		return Record{}, 0, errCorruptRecord
+	if cap(b) < total {
+		b = append(make([]byte, 0, max(total, 2*cap(b))), b...)
+		rr.frame = b
 	}
-	r := Record{
-		Kind: b[1],
-		Key:  string(b[8 : 8+keyLen]),
-		Data: append([]byte(nil), b[8+keyLen:total-4]...),
+	b = b[:total]
+	if err := rr.read(b[8:]); err != nil {
+		return nil, err
 	}
-	return r, total, nil
+	if crc32.ChecksumIEEE(b[:total-4]) != binary.BigEndian.Uint32(b[total-4:]) {
+		return nil, errCorruptRecord
+	}
+	rr.left -= int64(total)
+	rr.off += int64(total)
+	rr.n++
+	return b, nil
 }
 
-// scanRecords walks every whole record in b, calling fn for each. It
-// returns the byte offset of the first defect (== len(b) on a clean
-// scan), the number of records delivered, and the defect itself —
-// errShortRecord for a torn tail, errCorruptRecord for garbage, or an
-// error from fn (which stops the scan without consuming the record).
-func scanRecords(b []byte, fn func(Record) error) (consumed, n int, err error) {
-	off := 0
-	for off < len(b) {
-		rec, sz, err := readRecord(b[off:])
-		if err != nil {
-			return off, n, err
-		}
-		if fn != nil {
-			if err := fn(rec); err != nil {
-				return off, n, err
-			}
-		}
-		off += sz
-		n++
+// read fills b. The region's length came from the file's size when it
+// was opened, so a file that ends sooner was cut short under the
+// reader: that reads as a torn tail.
+func (rr *recordReader) read(b []byte) error {
+	_, err := io.ReadFull(rr.r, b)
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return errShortRecord
 	}
-	return off, n, nil
+	return err
+}
+
+// each hands fn every record from the cursor to the end of the region,
+// in order, each owning a fresh copy of its key and data (fn may be
+// nil to only check them). It returns nil at the end of the region,
+// the defect or read error next met, or fn's error.
+func (rr *recordReader) each(fn func(Record) error) error {
+	for {
+		frame, err := rr.next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if fn == nil {
+			continue
+		}
+		keyLen := int(binary.BigEndian.Uint16(frame[2:4]))
+		rec := Record{
+			Kind: frame[1],
+			Key:  string(frame[8 : 8+keyLen]),
+			Data: append([]byte(nil), frame[8+keyLen:len(frame)-4]...),
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+}
+
+// recordDefect reports whether err is a defect in the records
+// themselves — a torn tail or corruption — as opposed to an I/O error
+// or a caller's.
+func recordDefect(err error) bool {
+	return errors.Is(err, errShortRecord) || errors.Is(err, errCorruptRecord)
 }

@@ -94,29 +94,36 @@ func (t *StoreBackend) onAppend(rec Record) {
 }
 
 // checkpoint encodes the shadow; called under the archive lock at seal.
+// It writes into one buffer of the checkpoint's exact size, each
+// digest appended in place. (A key is a record key, at most MaxKey
+// bytes, so its u16 length prefix never cuts it.)
 func (t *StoreBackend) checkpoint() []byte {
-	b := binary.BigEndian.AppendUint32(nil, ckptMagic)
-	b = binary.BigEndian.AppendUint16(b, ckptVersion)
 	paths := make([]string, 0, len(t.paths))
-	for p := range t.paths {
+	size := 4 + 2 + 4 + 4
+	for p, s := range t.paths {
 		paths = append(paths, p)
+		size += 2 + len(p) + 8 + 8 + 4 + s.digest.BinarySize()
 	}
 	sort.Strings(paths)
+	links := make([]string, 0, len(t.links))
+	for l := range t.links {
+		links = append(links, l)
+		size += 2 + len(l) + 8
+	}
+	sort.Strings(links)
+
+	b := make([]byte, 0, size)
+	b = binary.BigEndian.AppendUint32(b, ckptMagic)
+	b = binary.BigEndian.AppendUint16(b, ckptVersion)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(paths)))
 	for _, p := range paths {
 		s := t.paths[p]
 		b = wire.AppendString(b, p)
 		b = binary.BigEndian.AppendUint64(b, s.total)
 		b = binary.BigEndian.AppendUint64(b, s.errs)
-		blob, _ := s.digest.MarshalBinary()
-		b = binary.BigEndian.AppendUint32(b, uint32(len(blob)))
-		b = append(b, blob...)
+		b = binary.BigEndian.AppendUint32(b, uint32(s.digest.BinarySize()))
+		b = s.digest.AppendBinary(b)
 	}
-	links := make([]string, 0, len(t.links))
-	for l := range t.links {
-		links = append(links, l)
-	}
-	sort.Strings(links)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(links)))
 	for _, l := range links {
 		b = wire.AppendString(b, l)

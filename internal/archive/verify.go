@@ -84,16 +84,8 @@ func Verify(dir string) (*VerifyReport, error) {
 	var prev *SegmentInfo
 	for i, idx := range idxs {
 		sv := SegmentVerify{Index: idx}
-		b, rerr := os.ReadFile(segPath(dir, idx))
-		if rerr != nil {
-			sv.Err = rerr.Error()
-			rep.Problems = append(rep.Problems, fmt.Sprintf("segment %d: %v", idx, rerr))
-			rep.Segments = append(rep.Segments, sv)
-			prev = nil
-			continue
-		}
-		sv.Bytes = int64(len(b))
-		info, _, _, perr := parseSegment(b, idx)
+		info, _, perr := scanSegment(segPath(dir, idx), idx, true, false, nil)
+		sv.Bytes = info.Bytes
 		if perr != nil {
 			sv.Err = perr.Error()
 			rep.Problems = append(rep.Problems, fmt.Sprintf("segment %d: %v", idx, perr))
@@ -139,36 +131,34 @@ func Verify(dir string) (*VerifyReport, error) {
 // walVerify checks the WAL's header and framing, tolerating (but
 // measuring) a torn tail.
 func (rep *VerifyReport) walVerify(idxs []uint64) {
-	b, err := os.ReadFile(filepath.Join(rep.Dir, walName))
-	if errors.Is(err, os.ErrNotExist) {
-		return
-	}
-	if err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("wal: %v", err))
-		return
-	}
-	after, recs, err := parseWAL(b)
-	if err != nil {
-		rep.Problems = append(rep.Problems, err.Error())
-		return
-	}
 	var newest uint64
 	if len(idxs) > 0 {
 		newest = idxs[len(idxs)-1]
 	}
-	if after != newest && !(newest > 0 && after == newest-1) {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("wal follows segment %d but newest segment is %d", after, newest))
+	err := readWAL(filepath.Join(rep.Dir, walName), func(after uint64, rr *recordReader) error {
+		if after != newest && !(newest > 0 && after == newest-1) {
+			rep.Problems = append(rep.Problems, fmt.Sprintf("wal follows segment %d but newest segment is %d", after, newest))
+		}
+		err := rr.each(nil)
+		rep.WALRecords = rr.n
+		rep.WALTornBytes = rr.left
+		if recordDefect(err) {
+			return nil
+		}
+		return err
+	})
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		rep.Problems = append(rep.Problems, err.Error())
 	}
-	consumed, n, _ := scanRecords(recs, nil)
-	rep.WALRecords = n
-	rep.WALTornBytes = int64(len(recs) - consumed)
 }
 
 // Walk streams every record in an archive directory read-only, sealed
 // segments oldest first and then the WAL's valid prefix, calling
 // fn(record, sealed). Unlike Open it never heals or truncates; like
-// recovery it stops the WAL scan at the first unverifiable record. It
-// is the engine of `pathload-archive cat`.
+// recovery it stops the WAL scan at the first unverifiable record.
+// Each file is read once: a damaged segment fails the walk after fn
+// has seen the records before the damage. It is the engine of
+// `pathload-archive cat`.
 func Walk(dir string, fn func(r Record, sealed bool) error) error {
 	idxs, bad, err := listSegments(dir)
 	if err != nil {
@@ -178,27 +168,18 @@ func Walk(dir string, fn func(r Record, sealed bool) error) error {
 		return fmt.Errorf("archive: unparseable segment name %q", bad[0])
 	}
 	for _, idx := range idxs {
-		_, recs, err := readSegment(segPath(dir, idx), idx)
-		if err != nil {
+		if err := replaySegment(dir, idx, func(r Record) error { return fn(r, true) }); err != nil {
 			return err
 		}
-		if _, _, err := scanRecords(recs, func(r Record) error { return fn(r, true) }); err != nil {
-			return fmt.Errorf("archive: segment %d: %w", idx, err)
+	}
+	err = readWAL(filepath.Join(dir, walName), func(_ uint64, rr *recordReader) error {
+		err := rr.each(func(r Record) error { return fn(r, false) })
+		if recordDefect(err) {
+			return nil
 		}
-	}
-	b, err := os.ReadFile(filepath.Join(dir, walName))
+		return err
+	})
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	_, recs, err := parseWAL(b)
-	if err != nil {
-		return err
-	}
-	_, _, err = scanRecords(recs, func(r Record) error { return fn(r, false) })
-	if errors.Is(err, errShortRecord) || errors.Is(err, errCorruptRecord) {
 		return nil
 	}
 	return err

@@ -189,15 +189,23 @@ func (d *Digest) clone() *Digest {
 // mean order). It is the wire and archive form of a digest: agents
 // push it to the coordinator, which rebuilds it with UnmarshalDigest.
 func (d *Digest) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 16+16*len(d.cs))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(d.size))
-	buf = binary.BigEndian.AppendUint64(buf, d.n)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(d.cs)))
+	return d.AppendBinary(make([]byte, 0, d.BinarySize())), nil
+}
+
+// BinarySize is the length of the MarshalBinary encoding of d.
+func (d *Digest) BinarySize() int { return 16 + 16*len(d.cs) }
+
+// AppendBinary appends the MarshalBinary encoding of d to b, so an
+// encoder that holds many digests can write them into one buffer.
+func (d *Digest) AppendBinary(b []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(d.size))
+	b = binary.BigEndian.AppendUint64(b, d.n)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(d.cs)))
 	for _, c := range d.cs {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(c.mean))
-		buf = binary.BigEndian.AppendUint64(buf, c.weight)
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(c.mean))
+		b = binary.BigEndian.AppendUint64(b, c.weight)
 	}
-	return buf, nil
+	return b
 }
 
 // maxDigestMean bounds the centroid means UnmarshalDigest accepts to
