@@ -8,7 +8,7 @@
 //	repro -all -scale 0.2   # scaled-down run counts and windows
 //
 // Output is plain text: one table or series per figure, in the shape of
-// the paper's plots.
+// the paper's plots. The figures are the rows of experiments.Figures.
 package main
 
 import (
@@ -18,124 +18,78 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 )
-
-// A figure is one entry of the figure table: everything -fig, -all, the
-// help string and the per-figure footer know about it.
-type figure struct {
-	keys  []string // -fig selectors; -all runs the first
-	label string   // what the per-figure footer calls it
-	inAll bool     // part of -all (the 10k-path tier takes minutes)
-	run   func(opts) string
-}
-
-type opts = experiments.Options
-
-var figures = []figure{
-	{[]string{"1", "2", "3"}, "figs 1-3", true, func(o opts) string { return experiments.RenderOWDTraces(experiments.OWDTraces(o)) }},
-	{[]string{"5"}, "fig 5", true, func(o opts) string {
-		return experiments.RenderAccuracy("Fig 5: accuracy vs tight-link load and traffic model", experiments.Fig5(o))
-	}},
-	{[]string{"6"}, "fig 6", true, func(o opts) string {
-		return experiments.RenderAccuracy("Fig 6: accuracy vs non-tight-link load (A = 4 Mb/s throughout)", experiments.Fig6(o))
-	}},
-	{[]string{"7"}, "fig 7", true, func(o opts) string {
-		return experiments.RenderAccuracy("Fig 7: accuracy vs path tightness factor β (A = 4 Mb/s)", experiments.Fig7(o))
-	}},
-	{[]string{"8"}, "fig 8", true, func(o opts) string {
-		return experiments.RenderSensitivity("Fig 8: effect of fleet fraction f (single runs)", "f", experiments.Fig8(o))
-	}},
-	{[]string{"9"}, "fig 9", true, func(o opts) string {
-		return experiments.RenderSensitivity("Fig 9: effect of the PDT threshold (PDT-only detection)", "thresh", experiments.Fig9(o))
-	}},
-	{[]string{"10"}, "fig 10", true, func(o opts) string { return experiments.RenderVerification(experiments.Fig10(o)) }},
-	{[]string{"11"}, "fig 11", true, func(o opts) string {
-		return experiments.RenderDynamics("Fig 11: avail-bw variability vs tight-link load (C_t = 12.4 Mb/s)", experiments.Fig11(o))
-	}},
-	{[]string{"12"}, "fig 12", true, func(o opts) string {
-		return experiments.RenderDynamics("Fig 12: variability vs statistical multiplexing (u ≈ 65%)", experiments.Fig12(o))
-	}},
-	{[]string{"13"}, "fig 13", true, func(o opts) string {
-		return experiments.RenderDynamics("Fig 13: variability vs stream length K", experiments.Fig13(o))
-	}},
-	{[]string{"14"}, "fig 14", true, func(o opts) string {
-		return experiments.RenderDynamics("Fig 14: variability vs fleet length N", experiments.Fig14(o))
-	}},
-	{[]string{"15", "16"}, "figs 15-16", true, func(o opts) string { return experiments.RenderBTC(experiments.Fig15and16(o)) }},
-	{[]string{"17", "18"}, "figs 17-18", true, func(o opts) string { return experiments.RenderIntrusive(experiments.Fig17and18(o)) }},
-	{[]string{"baseline"}, "fig baseline", true, func(o opts) string { return experiments.RenderBaseline(experiments.BaselineComparison(o)) }},
-	{[]string{"timescale"}, "fig timescale", true, func(o opts) string { return experiments.RenderTimescale(experiments.TimescaleVariance(o)) }},
-	{[]string{"scale"}, "dynamics at scale", true, func(o opts) string { return experiments.RenderScale(experiments.DynamicsAtScale(o)) }},
-	{[]string{"scale10k"}, "dynamics at 10k paths", false, func(o opts) string { return experiments.RenderScaleSummary(experiments.DynamicsAtScale10k(o)) }},
-	{[]string{"trajectory"}, "avail-bw trajectories", true, func(o opts) string { return experiments.RenderTrajectory(experiments.AvailBwTrajectory(o)) }},
-	{[]string{"contention"}, "fleet self-interference", true, func(o opts) string { return experiments.RenderContention(experiments.Contention(o)) }},
-	{[]string{"adaptive"}, "adaptive scheduling", true, func(o opts) string { return experiments.RenderAdaptive(experiments.AdaptiveSchedule(o)) }},
-	{[]string{"scenarios"}, "scenario grading matrix", true, func(o opts) string { return experiments.RenderScenarios(experiments.Scenarios(o)) }},
-	{[]string{"fleetscenarios"}, "sequenced fleet scenarios", true, func(o opts) string { return experiments.RenderFleetScenarios(experiments.FleetScenarios(o)) }},
-}
 
 // figHelp lists every selector of the table, for the -fig usage text.
 func figHelp() string {
 	var keys []string
-	for _, f := range figures {
-		keys = append(keys, f.keys...)
+	for _, f := range experiments.Figures {
+		keys = append(keys, f.Keys...)
 	}
 	return strings.Join(keys, ", ")
 }
 
-// selectFigures resolves the -fig / -all flags against the table before
-// anything runs, so a typo fails at once instead of after the figures
-// in front of it.
-func selectFigures(fig string, all bool) ([]figure, error) {
-	if all && fig != "" {
-		return nil, fmt.Errorf("-all runs every figure; drop -fig %q or drop -all", fig)
-	}
-	var sel []figure
+// selectFigures resolves the -fig keys or -all against the table, each
+// row once, in the order of its first key.
+func selectFigures(keys []string, all bool) ([]experiments.Figure, error) {
+	var sel []experiments.Figure
 	if all {
-		for _, f := range figures {
-			if f.inAll {
+		for _, f := range experiments.Figures {
+			if f.InAll {
 				sel = append(sel, f)
 			}
 		}
 		return sel, nil
 	}
-next:
-	for _, key := range strings.Split(fig, ",") {
-		key = strings.TrimSpace(key)
-		for _, f := range figures {
-			for _, k := range f.keys {
-				if k == key {
-					sel = append(sel, f)
-					continue next
-				}
-			}
+	if len(keys) == 0 {
+		return nil, fmt.Errorf("no figure selected: pass -all or -fig with some of %s", figHelp())
+	}
+	seen := map[string]bool{}
+	for _, key := range keys {
+		f, ok := experiments.FigureByKey(key)
+		if !ok {
+			return nil, fmt.Errorf("unknown figure %q (have %s)", key, figHelp())
 		}
-		return nil, fmt.Errorf("unknown figure %q (have %s)", key, figHelp())
+		if !seen[f.Keys[0]] {
+			seen[f.Keys[0]] = true
+			sel = append(sel, f)
+		}
 	}
 	return sel, nil
 }
 
-func main() {
-	fig := flag.String("fig", "", "figure(s) to reproduce, comma-separated: "+figHelp())
-	all := flag.Bool("all", false, "reproduce every figure (except scale10k)")
-	scale := flag.Float64("scale", 1.0, "scale factor for run counts and measurement windows (1 = paper scale)")
-	seed := flag.Int64("seed", 1, "master random seed")
-	flag.Parse()
-
-	opt := experiments.Options{Scale: *scale, Seed: *seed}
-	if !*all && *fig == "" {
-		flag.Usage()
-		os.Exit(2)
+// parseArgs defines the flags on fs, parses args and resolves them
+// before anything runs, so a typo or a bad scale fails at once instead
+// of after the figures in front of it.
+func parseArgs(fs *flag.FlagSet, args []string) (experiments.Options, []experiments.Figure, error) {
+	fig := fs.String("fig", "", "figure(s) to reproduce, comma-separated: "+figHelp())
+	all := fs.Bool("all", false, "reproduce every figure (except scale10k)")
+	scale := fs.Float64("scale", 1.0, "scale factor for run counts and measurement windows, in (0, 1] (1 = paper scale)")
+	seed := fs.Int64("seed", 1, "master random seed")
+	if err := cli.Parse(fs, args); err != nil {
+		return experiments.Options{}, nil, err
 	}
-	sel, err := selectFigures(*fig, *all)
+	switch {
+	case !(*scale > 0 && *scale <= 1): // NaN fails too
+		return experiments.Options{}, nil, fmt.Errorf("-scale %v outside (0, 1]", *scale)
+	case *all && *fig != "":
+		return experiments.Options{}, nil, fmt.Errorf("-all runs every figure; drop -fig %q or drop -all", *fig)
+	}
+	sel, err := selectFigures(cli.Split(*fig), *all)
+	return experiments.Options{Scale: *scale, Seed: *seed}, sel, err
+}
+
+func main() {
+	opt, sel, err := parseArgs(flag.CommandLine, os.Args[1:]) // a bad flag exits 2
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(2)
 	}
 	for _, f := range sel {
 		start := time.Now()
-		fmt.Print(f.run(opt))
-		fmt.Printf("(%s in %.1fs)\n\n", f.label, time.Since(start).Seconds())
+		fmt.Print(f.Run(opt))
+		fmt.Printf("(%s in %.1fs)\n\n", f.Label, time.Since(start).Seconds())
 	}
 }

@@ -27,16 +27,14 @@ import (
 	"repro/internal/core"
 )
 
-// Defaults for Config fields, from the paper (§IV). The loss policy and
-// the initialization stream length are fixed: no field overrides them.
-// The fleet fraction and the trend thresholds are internal/core's,
-// which applies them.
+// Defaults for Config fields, from the paper (§IV). The loss policy,
+// the initialization stream length and the inter-stream gap are fixed:
+// no field overrides them. The fleet fraction and the PDT thresholds
+// are internal/core's, which applies them.
 const (
 	DefaultPacketsPerStream = 100                          // K
 	DefaultStreamsPerFleet  = 12                           // N
 	DefaultFleetFraction    = core.DefaultFleetFraction    // f
-	DefaultPCTIncreasing    = core.DefaultPCTIncreasing    // PCT above ⇒ increasing
-	DefaultPCTNonIncreasing = core.DefaultPCTNonIncreasing // PCT below ⇒ non-increasing
 	DefaultPDTIncreasing    = core.DefaultPDTIncreasing    // PDT above ⇒ increasing
 	DefaultPDTNonIncreasing = core.DefaultPDTNonIncreasing // PDT below ⇒ non-increasing
 	DefaultResolution       = 1e6                          // ω, bits/s
@@ -72,20 +70,17 @@ type Config struct {
 	// in between is the grey region.
 	FleetFraction float64
 
-	// The trend-detection thresholds. Each metric sees the stream as
-	// increasing above its Increasing threshold, non-increasing below
-	// its NonIncreasing threshold, and ambiguous in between; streams
-	// whose metrics conflict (or are both ambiguous) are discarded.
-	// Setting NonIncreasing equal to Increasing collapses the ambiguous
-	// band into the single-threshold rule the journal paper describes.
-	// DisablePCT/DisablePDT restrict detection to a single statistic
-	// (the paper's Fig. 9 sensitivity study).
-	PCTIncreasing, PCTNonIncreasing float64
+	// The PDT thresholds: PDT sees a stream's Γ = √K median groups as
+	// increasing above PDTIncreasing, non-increasing below
+	// PDTNonIncreasing, and ambiguous in between. PCT votes the same
+	// way with internal/core's fixed bounds (0.60 and 0.45). A stream
+	// is discarded when the votes conflict or are both ambiguous.
+	// DisablePCT leaves PDT the only vote, and PDTNonIncreasing equal
+	// to PDTIncreasing collapses its ambiguous band into the journal
+	// paper's single threshold: together, the PDT-only detection of the
+	// Fig. 9 sensitivity study.
 	PDTIncreasing, PDTNonIncreasing float64
-	DisablePCT, DisablePDT          bool
-	// MedianGroups overrides Γ, the number of median groups in the
-	// trend preprocessing; 0 selects the paper's Γ = √K.
-	MedianGroups int
+	DisablePCT                      bool
 
 	// Resolution (ω) and GreyResolution (χ) are the termination
 	// criteria in bits/s.
@@ -104,11 +99,6 @@ type Config struct {
 	MinPacket int
 	// MTU caps the probe packet wire size to avoid fragmentation.
 	MTU int
-
-	// InterStreamRTTs sets the idle gap between a fleet's streams:
-	// Δ = max(RTT, InterStreamRTTs·τ). The default 9 keeps the mean
-	// probing rate during a fleet below R/10 (§VIII non-intrusiveness).
-	InterStreamRTTs int
 
 	// MaxFleets caps the number of fleets before the search gives up
 	// and reports its current bracket.
@@ -139,12 +129,6 @@ func (c Config) withDefaults() Config {
 	if c.FleetFraction == 0 {
 		c.FleetFraction = DefaultFleetFraction
 	}
-	if c.PCTIncreasing == 0 {
-		c.PCTIncreasing = DefaultPCTIncreasing
-	}
-	if c.PCTNonIncreasing == 0 {
-		c.PCTNonIncreasing = DefaultPCTNonIncreasing
-	}
 	if c.PDTIncreasing == 0 {
 		c.PDTIncreasing = DefaultPDTIncreasing
 	}
@@ -165,9 +149,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MTU == 0 {
 		c.MTU = DefaultMTU
-	}
-	if c.InterStreamRTTs == 0 {
-		c.InterStreamRTTs = DefaultInterStreamRTTs
 	}
 	if c.MaxFleets == 0 {
 		c.MaxFleets = DefaultMaxFleets

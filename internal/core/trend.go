@@ -17,7 +17,7 @@ import (
 	"sort"
 )
 
-// Default decision thresholds. Each metric has an increasing zone, a
+// Decision thresholds. Each metric has an increasing zone, a
 // non-increasing zone, and an ambiguous band in between, the structure
 // of the pathload tool paper (Jain & Dovrolis, PAM 2002), which the
 // journal version summarizes as single thresholds. The zone bounds are
@@ -35,9 +35,10 @@ import (
 //     sits at 0.15 so that mildly loaded streams are not misread as
 //     trend-free.
 //
-// Setting a metric's non-increasing threshold equal to its increasing
-// threshold collapses the ambiguous band and recovers the journal
-// paper's single-threshold description (the Fig. 9 sensitivity sweep).
+// The PCT bounds are fixed. The PDT bounds are TrendConfig's defaults:
+// setting PDTNonIncreasing equal to PDTIncreasing collapses the
+// ambiguous band and recovers the journal paper's single-threshold
+// description (the Fig. 9 sensitivity sweep).
 const (
 	DefaultPCTIncreasing    = 0.60
 	DefaultPCTNonIncreasing = 0.45
@@ -48,29 +49,16 @@ const (
 // TrendConfig controls how a stream's one-way delays are reduced to an
 // increasing / non-increasing verdict.
 type TrendConfig struct {
-	// PCTIncreasing and PCTNonIncreasing bound the PCT zones: the
-	// stream looks increasing to PCT above the former, non-increasing
+	// PDTIncreasing and PDTNonIncreasing bound the PDT zones: the
+	// stream looks increasing to PDT above the former, non-increasing
 	// below the latter, ambiguous in between. Zero selects defaults.
-	PCTIncreasing, PCTNonIncreasing float64
-	// PDTIncreasing and PDTNonIncreasing are the PDT zone bounds.
 	PDTIncreasing, PDTNonIncreasing float64
-	// DisablePCT ignores the PCT statistic (used by the Fig. 9 style
-	// single-metric ablations).
+	// DisablePCT ignores the PCT statistic (the Fig. 9 PDT-only
+	// sensitivity study).
 	DisablePCT bool
-	// DisablePDT ignores the PDT statistic.
-	DisablePDT bool
-	// Gamma overrides the number of median groups. Zero selects the
-	// paper's Γ = √K.
-	Gamma int
 }
 
 func (c TrendConfig) withDefaults() TrendConfig {
-	if c.PCTIncreasing == 0 {
-		c.PCTIncreasing = DefaultPCTIncreasing
-	}
-	if c.PCTNonIncreasing == 0 {
-		c.PCTNonIncreasing = DefaultPCTNonIncreasing
-	}
 	if c.PDTIncreasing == 0 {
 		c.PDTIncreasing = DefaultPDTIncreasing
 	}
@@ -237,20 +225,17 @@ func ClassifyOWDs(owds []float64, cfg TrendConfig) (StreamType, TrendMetrics) {
 // returned TrendMetrics.Medians aliases that buffer.
 func ClassifyInPlace(owds, medians []float64, cfg TrendConfig) (StreamType, TrendMetrics) {
 	cfg = cfg.withDefaults()
-	med := medianGroupsInPlace(owds, cfg.Gamma, medians)
+	med := medianGroupsInPlace(owds, 0, medians)
 	m := TrendMetrics{PCT: PCT(med), PDT: PDT(med), Gamma: len(med), Medians: med}
 	if len(med) < 2 {
 		return TypeDiscard, m
 	}
-	// A disabled metric abstains; with both disabled the stream is
-	// unclassifiable rather than silently non-increasing.
-	var pct, pdt int
+	// A disabled PCT abstains.
+	var pct int
 	if !cfg.DisablePCT {
-		pct = zone(m.PCT, cfg.PCTIncreasing, cfg.PCTNonIncreasing)
+		pct = zone(m.PCT, DefaultPCTIncreasing, DefaultPCTNonIncreasing)
 	}
-	if !cfg.DisablePDT {
-		pdt = zone(m.PDT, cfg.PDTIncreasing, cfg.PDTNonIncreasing)
-	}
+	pdt := zone(m.PDT, cfg.PDTIncreasing, cfg.PDTNonIncreasing)
 	pos, neg := pct > 0 || pdt > 0, pct < 0 || pdt < 0
 	switch {
 	case pos && !neg:

@@ -156,9 +156,16 @@ func TestClassifyOWDs(t *testing.T) {
 		{"decreasing", mkTrend(-0.01, 100), TrendConfig{}, TypeNonIncreasing},
 		{"too short", mkTrend(0.01, 1), TrendConfig{}, TypeDiscard},
 		{"empty", nil, TrendConfig{}, TypeDiscard},
-		{"both metrics disabled", mkTrend(0.01, 100), TrendConfig{DisablePCT: true, DisablePDT: true}, TypeDiscard},
-		{"pct only, trend", mkTrend(0.01, 100), TrendConfig{DisablePDT: true}, TypeIncreasing},
 		{"pdt only, trend", mkTrend(0.01, 100), TrendConfig{DisablePCT: true}, TypeIncreasing},
+		// PCT 8/9 increasing, PDT 3/13 ambiguous: PCT alone decides.
+		{"pct decides", expandGroups([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 3}), TrendConfig{}, TypeIncreasing},
+		// Without PCT's vote the same stream has none.
+		{"pct decides, pct disabled", expandGroups([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 3}), TrendConfig{DisablePCT: true}, TypeDiscard},
+		// PCT 1/9 non-increasing, PDT 4/20 ambiguous.
+		{"pct decides, falling", expandGroups([]float64{0, 12, 11, 10, 9, 8, 7, 6, 5, 4}), TrendConfig{}, TypeNonIncreasing},
+		{"pct decides, falling, pct disabled", expandGroups([]float64{0, 12, 11, 10, 9, 8, 7, 6, 5, 4}), TrendConfig{DisablePCT: true}, TypeDiscard},
+		// PCT 5/9 ambiguous, PDT 50/58 increasing: PDT alone decides.
+		{"pdt decides", expandGroups([]float64{0, 10, 9, 20, 19, 30, 29, 40, 39, 50}), TrendConfig{}, TypeIncreasing},
 	} {
 		got, m := ClassifyOWDs(tc.owds, tc.cfg)
 		if got != tc.want {

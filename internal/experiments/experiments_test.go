@@ -144,9 +144,9 @@ func TestTimescaleVarianceShape(t *testing.T) {
 	}
 }
 
-// TestRenderersProduceTables smoke-tests every text renderer against
-// tiny experiment runs; a renderer that panics or emits nothing is a
-// broken report.
+// TestRenderersProduceTables smoke-tests eight rows of Figures on tiny
+// experiment runs; a row that panics or emits nothing is a broken
+// report.
 func TestRenderersProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several scaled-down experiments")
@@ -154,19 +154,14 @@ func TestRenderersProduceTables(t *testing.T) {
 	t.Parallel() // pool these cells with the other parallel group's
 	// Independent experiments: parallel subtests, so the package uses
 	// both cores.
-	for name, render := range map[string]func() string{
-		"owd":       func() string { return RenderOWDTraces(OWDTraces(smallOpt)) },
-		"fig5":      func() string { return RenderAccuracy("t", Fig5(smallOpt)) },
-		"fig8":      func() string { return RenderSensitivity("t", "f", Fig8(smallOpt)) },
-		"fig11":     func() string { return RenderDynamics("t", Fig11(smallOpt)) },
-		"fig15":     func() string { return RenderBTC(Fig15and16(smallOpt)) },
-		"fig17":     func() string { return RenderIntrusive(Fig17and18(smallOpt)) },
-		"baseline":  func() string { return RenderBaseline(BaselineComparison(smallOpt)) },
-		"timescale": func() string { return RenderTimescale(TimescaleVariance(smallOpt)) },
+	for name, key := range map[string]string{
+		"owd": "1", "fig5": "5", "fig8": "8", "fig11": "11", "fig15": "15",
+		"fig17": "17", "baseline": "baseline", "timescale": "timescale",
 	} {
+		render := figure(t, key).Run
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			out := render()
+			out := render(smallOpt)
 			if len(out) < 80 {
 				t.Errorf("renderer produced %d bytes", len(out))
 			}
@@ -183,12 +178,10 @@ func TestRenderersProduceTables(t *testing.T) {
 // baseline (§II), which no other golden covers. Run with -update to
 // regolden after an intentional change.
 func TestPaperSmallGolden(t *testing.T) {
-	opt := Options{Scale: 0.2}
-	got := RenderOWDTraces(OWDTraces(opt)) +
-		RenderTimescale(TimescaleVariance(opt)) +
-		RenderBTC(Fig15and16(opt)) +
-		RenderIntrusive(Fig17and18(opt)) +
-		RenderBaseline(BaselineComparison(opt))
+	var got string
+	for _, key := range []string{"1", "timescale", "15", "17", "baseline"} {
+		got += figure(t, key).Run(Options{Scale: 0.2})
+	}
 	checkGolden(t, "papersmall.golden", got)
 }
 

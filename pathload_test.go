@@ -8,7 +8,11 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/fluid"
+	"repro/internal/netsim"
+	"repro/internal/simprobe"
 
 	pathload "repro"
 )
@@ -276,26 +280,51 @@ func TestRunDisableInitProbe(t *testing.T) {
 	}
 }
 
-// TestRunPCTThresholds: Config's PCT thresholds reach the classifier.
-// With PCT the only metric, the defaults bracket the avail-bw; a
-// threshold above PCT's ceiling of 1 calls every stream non-increasing,
-// so the search climbs past the avail-bw to the top of its range.
+// TestRunPCTThresholds: Run classifies every stream by PCT's fixed
+// zones (internal/core's 0.60 and 0.45) beside PDT's default ones, and
+// PCT's vote counts: on the default simulated path some streams are
+// decided by PCT alone, with PDT in its ambiguous band.
 func TestRunPCTThresholds(t *testing.T) {
-	p := &fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}
-	res, err := pathload.Run(p, pathload.Config{DisablePDT: true})
+	net := experiments.Topology{Seed: 1}.Build()
+	net.Warmup(2 * netsim.Second)
+	res, err := pathload.Run(simprobe.New(net.Sim, net.Links, 10*netsim.Millisecond), pathload.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pathload.Brackets(res.Lo, res.Hi, 4e6, 0) {
-		t.Fatalf("default PCT thresholds: range [%.0f, %.0f] misses 4 Mb/s", res.Lo, res.Hi)
+	zone := func(v, incr, nonIncr float64) int {
+		switch {
+		case v > incr:
+			return +1
+		case v < nonIncr:
+			return -1
+		}
+		return 0
 	}
-	p = &fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}
-	res, err = pathload.Run(p, pathload.Config{DisablePDT: true, PCTIncreasing: 1.01, PCTNonIncreasing: 1.01})
-	if err != nil {
-		t.Fatal(err)
+	pctDecided := 0
+	for _, f := range res.Fleets {
+		for _, s := range f.Streams {
+			if s.Loss > pathload.DefaultStreamAbortLoss {
+				continue // discarded unclassified
+			}
+			pct := zone(s.PCT, core.DefaultPCTIncreasing, core.DefaultPCTNonIncreasing)
+			pdt := zone(s.PDT, pathload.DefaultPDTIncreasing, pathload.DefaultPDTNonIncreasing)
+			want := pathload.StreamDiscarded
+			switch {
+			case max(pct, pdt) > 0 && min(pct, pdt) >= 0:
+				want = pathload.StreamIncreasing
+			case min(pct, pdt) < 0 && max(pct, pdt) <= 0:
+				want = pathload.StreamNonIncreasing
+			}
+			if s.Kind != want {
+				t.Errorf("stream at %.2f Mb/s with PCT %.2f, PDT %.2f classified %v, want %v", f.Rate/1e6, s.PCT, s.PDT, s.Kind, want)
+			}
+			if pct != 0 && pdt == 0 {
+				pctDecided++
+			}
+		}
 	}
-	if res.Lo < 8e6 {
-		t.Fatalf("PCT threshold 1.01: range [%.0f, %.0f], want it driven above 8 Mb/s", res.Lo, res.Hi)
+	if pctDecided == 0 {
+		t.Error("no stream was decided by PCT alone; the check does not reach PCT's zones")
 	}
 }
 

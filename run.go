@@ -62,13 +62,9 @@ func Run(p Prober, cfg Config) (Result, error) {
 	}
 
 	trendCfg := core.TrendConfig{
-		PCTIncreasing:    cfg.PCTIncreasing,
-		PCTNonIncreasing: cfg.PCTNonIncreasing,
 		PDTIncreasing:    cfg.PDTIncreasing,
 		PDTNonIncreasing: cfg.PDTNonIncreasing,
 		DisablePCT:       cfg.DisablePCT,
-		DisablePDT:       cfg.DisablePDT,
-		Gamma:            cfg.MedianGroups,
 	}
 
 	sc := newScratch(cfg)
@@ -159,7 +155,7 @@ func initProbe(p Prober, cfg Config) (adr float64, elapsed time.Duration, bits f
 func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet int, rate float64) (FleetTrace, time.Duration, float64, error) {
 	l, t := cfg.StreamParams(rate)
 	tau := time.Duration(cfg.PacketsPerStream) * t
-	delta := time.Duration(cfg.InterStreamRTTs) * tau
+	delta := DefaultInterStreamRTTs * tau
 	if rtt := p.RTT(); delta < rtt {
 		delta = rtt
 	}
