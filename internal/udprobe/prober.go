@@ -2,6 +2,7 @@ package udprobe
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -48,11 +49,37 @@ func (c ProberConfig) withDefaults() ProberConfig {
 	return c
 }
 
+// rxDatagramOverhead is what a queued datagram of L bytes costs the
+// receive buffer beyond 2·L; a stream of K asks for K·(2·L + this).
+// Linux charges a datagram its buffer's true size: payload and headers
+// rounded up to a power of two, plus the buffer's bookkeeping. Measured
+// on loopback (Linux 6.18), that is 832 B up to 197 B of payload,
+// 1 280 B up to 645 B, 2 304 B up to 1 669 B, and never more than
+// 2·L + 1 012 B up to 65 507 B. The default 212 992 B buffer holds 92
+// datagrams of 800–1 500 B, short of one pathload stream.
+const rxDatagramOverhead = 1024
+
+// RxInfo describes a prober's data-socket receive path.
+type RxInfo struct {
+	// KernelStamps says the latest arrival carried the kernel's
+	// SO_TIMESTAMPNS stamp, taken when the datagram reached the socket;
+	// false means time.Now() once the read returned, which includes
+	// however long the reading goroutine waited to be scheduled. Before
+	// the first arrival it says what the socket was set up for.
+	KernelStamps bool
+	// ReadBuffer is the receive buffer the kernel granted, in bytes.
+	ReadBuffer int
+}
+
 // A Prober measures the path from a remote sender daemon to this host.
 // It implements pathload.Prober: each SendStream asks the sender to
-// emit one periodic UDP stream and timestamps its arrivals locally.
-// One-way delays are relative — sender and receiver clocks are never
-// synchronized; SLoPS only consumes OWD differences.
+// emit one periodic UDP stream and stamps each arrival with the time
+// it reached the data socket — the kernel's receive stamp on Linux,
+// time.Now() after the read elsewhere. The socket's receive buffer is
+// grown to hold one whole stream, so a reader that stalls reads the
+// tail late rather than losing it. One-way delays are relative —
+// sender and receiver clocks are never synchronized; SLoPS only
+// consumes OWD differences.
 type Prober struct {
 	cfg     ProberConfig
 	ctrl    net.Conn
@@ -61,6 +88,9 @@ type Prober struct {
 	rttAt   time.Time // when rtt was last measured
 	version uint16
 	buf     []byte
+	oob     []byte // one read's control messages: the kernel's stamp
+	rx      RxInfo
+	rxAsked int // the largest receive buffer asked for so far
 	// gen numbers this session's stream requests. The sender echoes it
 	// in every probe packet and in the StreamDone, so after an errored
 	// round the receiver can discard the abandoned request's late
@@ -77,14 +107,14 @@ type Prober struct {
 // redials once and falls back to the legacy exact-version form. The
 // returned prober must be closed after use.
 func Dial(senderAddr string, cfg ProberConfig) (*Prober, error) {
-	cfg = cfg.withDefaults()
-	udp, err := net.ListenUDP("udp", &net.UDPAddr{})
+	p, err := listenData()
 	if err != nil {
-		return nil, fmt.Errorf("udprobe: data listen: %w", err)
+		return nil, err
 	}
-	port := uint16(udp.LocalAddr().(*net.UDPAddr).Port)
+	p.cfg = cfg.withDefaults()
+	port := uint16(p.udp.LocalAddr().(*net.UDPAddr).Port)
 
-	p, rangeErr := dialHandshake(senderAddr, cfg, udp, wire.MarshalHelloRange(wire.HelloRange{
+	rangeErr := p.handshake(senderAddr, wire.MarshalHelloRange(wire.HelloRange{
 		Min: wire.VersionMin, Max: wire.Version, UDPPort: port,
 	}), wire.VersionMin)
 	if rangeErr == nil {
@@ -94,30 +124,43 @@ func Dial(senderAddr string, cfg ProberConfig) (*Prober, error) {
 	// modern sender that refuses [VersionMin, Version] outright would
 	// refuse the narrower legacy form too, so one fallback attempt is
 	// sound either way.
-	p, legacyErr := dialHandshake(senderAddr, cfg, udp, wire.MarshalHello(wire.Hello{
+	legacyErr := p.handshake(senderAddr, wire.MarshalHello(wire.Hello{
 		Version: wire.VersionMin, UDPPort: port,
 	}), wire.VersionMin)
 	if legacyErr != nil {
-		udp.Close()
+		p.udp.Close()
 		return nil, fmt.Errorf("udprobe: hello handshake failed at both forms: range: %v; legacy: %w", rangeErr, legacyErr)
 	}
 	return p, nil
 }
 
-// dialHandshake runs one control connection attempt with the given
-// hello payload. ackFallback is the session version implied by a
-// legacy empty-payload ack — the exact version the hello proposed. On
-// error the control connection is closed; the UDP socket is the
-// caller's.
-func dialHandshake(senderAddr string, cfg ProberConfig, udp *net.UDPConn, hello []byte, ackFallback uint16) (*Prober, error) {
-	ctrl, err := net.DialTimeout("tcp", senderAddr, cfg.ControlTimeout)
+// listenData opens a prober's data socket on an ephemeral port, with
+// kernel receive stamps where the platform has them.
+func listenData() (*Prober, error) {
+	udp, err := net.ListenUDP("udp", &net.UDPAddr{})
 	if err != nil {
-		return nil, fmt.Errorf("udprobe: control dial: %w", err)
+		return nil, fmt.Errorf("udprobe: data listen: %w", err)
 	}
-	p := &Prober{cfg: cfg, ctrl: ctrl, udp: udp, buf: make([]byte, 64<<10)}
-	fail := func(err error) (*Prober, error) {
+	p := &Prober{udp: udp, buf: make([]byte, 64<<10), oob: make([]byte, rxOOBSize)}
+	p.rx.ReadBuffer = grantedReadBuffer(udp, 0)
+	p.rx.KernelStamps = enableKernelStamps(udp)
+	return p, nil
+}
+
+// handshake runs one control connection attempt with the given hello
+// payload. ackFallback is the session version implied by a legacy
+// empty-payload ack — the exact version the hello proposed. On error
+// the control connection is closed; the data socket stays open.
+func (p *Prober) handshake(senderAddr string, hello []byte, ackFallback uint16) error {
+	ctrl, err := net.DialTimeout("tcp", senderAddr, p.cfg.ControlTimeout)
+	if err != nil {
+		return fmt.Errorf("udprobe: control dial: %w", err)
+	}
+	p.ctrl = ctrl
+	fail := func(err error) error {
 		ctrl.Close()
-		return nil, err
+		p.ctrl = nil
+		return err
 	}
 
 	t0 := time.Now()
@@ -141,12 +184,16 @@ func dialHandshake(senderAddr string, cfg ProberConfig, udp *net.UDPConn, hello 
 		return fail(fmt.Errorf("udprobe: sender chose protocol version %d outside [%d, %d]", ack.Version, wire.VersionMin, wire.Version))
 	}
 	p.version = ack.Version
-	return p, nil
+	return nil
 }
 
 // NegotiatedVersion reports the protocol version the hello handshake
 // settled on.
 func (p *Prober) NegotiatedVersion() uint16 { return p.version }
+
+// Rx reports whether arrivals carry the kernel's stamp and the receive
+// buffer the kernel granted the data socket.
+func (p *Prober) Rx() RxInfo { return p.rx }
 
 // Close says goodbye to the sender and releases sockets.
 func (p *Prober) Close() error {
@@ -250,6 +297,7 @@ func (p *Prober) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, er
 	if err := p.drainData(); err != nil {
 		return res, err
 	}
+	p.growReadBuffer(spec.K, spec.L)
 	if err := p.writeCtrl(wire.MsgStreamRequest, wire.MarshalStreamRequest(req)); err != nil {
 		return res, err
 	}
@@ -258,16 +306,13 @@ func (p *Prober) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, er
 	// would end collection with real packets still in flight.
 	p.col.Open(spec.K)
 	// A fresh slice, since callers may keep a result past the next stream.
-	// It is made before the first read: with the sender in-process, parking
-	// on that read sooner let whole stream tails overflow the socket buffer.
 	owds := make([]pathload.OWDSample, 0, spec.K)
 	deadline := time.Now().Add(spec.Duration() + p.rtt + p.cfg.CollectSlack)
 	for p.col.Len() < spec.K {
 		if err := p.udp.SetReadDeadline(deadline); err != nil {
 			return res, fmt.Errorf("udprobe: data deadline: %w", err)
 		}
-		n, err := p.udp.Read(p.buf)
-		recv := time.Now()
+		n, recv, err := p.readProbe()
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				break // the rest are lost
@@ -281,7 +326,7 @@ func (p *Prober) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, er
 		if hdr.Gen != req.Gen || hdr.Fleet != req.Fleet || hdr.Stream != req.Stream {
 			continue // straggler from an earlier stream or abandoned round
 		}
-		p.col.Put(uint64(hdr.Seq), time.Duration(recv.UnixNano()-hdr.SentNs))
+		p.col.Put(uint64(hdr.Seq), time.Duration(recv-hdr.SentNs))
 	}
 
 	// The sender's verdict: how many packets went out, and whether the
@@ -329,6 +374,43 @@ func (p *Prober) awaitStreamDone(gen uint32) (wire.StreamDone, error) {
 		}
 		// Stale answer to an abandoned round; keep draining.
 	}
+}
+
+// growReadBuffer grows the data socket's receive buffer to hold k
+// datagrams of l bytes, so the whole stream can queue while the reader
+// is not scheduled. It never shrinks the buffer, and asks at most once
+// per size: a grant clamped by rmem_max is not an error, and a refused
+// request leaves the buffer as it was.
+func (p *Prober) growReadBuffer(k, l int) {
+	need := min(k*(2*l+rxDatagramOverhead), math.MaxInt32)
+	if need <= p.rx.ReadBuffer || need <= p.rxAsked {
+		return
+	}
+	p.rxAsked = need
+	if p.udp.SetReadBuffer(need) == nil {
+		p.rx.ReadBuffer = grantedReadBuffer(p.udp, need)
+	}
+}
+
+// readProbe reads one datagram into p.buf and returns its length and
+// arrival time in Unix nanoseconds.
+func (p *Prober) readProbe() (int, int64, error) {
+	n, oobn, _, _, err := p.udp.ReadMsgUDPAddrPort(p.buf, p.oob)
+	if err != nil {
+		return 0, 0, err
+	}
+	return n, p.stamp(p.oob[:oobn]), nil
+}
+
+// stamp returns the arrival time carried in a read's control messages,
+// or time.Now() when they carry none, and records which it was.
+func (p *Prober) stamp(oob []byte) int64 {
+	ns, ok := rxStamp(oob)
+	p.rx.KernelStamps = ok
+	if !ok {
+		ns = time.Now().UnixNano()
+	}
+	return ns
 }
 
 // drainData discards stale datagrams buffered on the data socket.

@@ -1,7 +1,7 @@
 // Package udprobe implements pathload on real networks: a sender
 // daemon that emits periodic UDP probe streams on request, and a
 // receiver-side Prober that drives the measurement over a TCP control
-// channel and timestamps arrivals.
+// channel and stamps each arrival with the time it reached the socket.
 //
 // Timing on a garbage-collected runtime is the hard part (the reason
 // the paper-figure evaluation runs on the simulator instead): a GC
@@ -10,7 +10,11 @@
 // way the original tool does — it timestamps every packet at emission,
 // paces with a hybrid sleep/spin loop pinned to an OS thread, and
 // flags streams whose actual interspacings deviated, so the analysis
-// discards them instead of misreading them.
+// discards them instead of misreading them. The receiver keeps a stall
+// of its own out of the delays: on Linux the kernel stamps each
+// datagram on arrival (SO_TIMESTAMPNS), and the receive buffer is grown
+// to hold a whole stream, so a late read neither moves a stamp nor
+// loses the stream's tail.
 package udprobe
 
 import (
