@@ -142,7 +142,7 @@ func runCat(args []string) error {
 			src = "seg"
 		}
 		switch r.Kind {
-		case archive.KindPoint:
+		case archive.KindPoint, archive.KindPointCompact:
 			path, p, err := archive.DecodePointRecord(r)
 			if err != nil {
 				return err

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +26,11 @@ const fixtureDir = "testdata/mini"
 
 // regenFixture rebuilds testdata/mini from scratch. Run with
 // PATHLOAD_REGEN_FIXTURE=1 when the on-disk format changes, and
-// commit the result.
+// commit the result. The committed fixture predates the compact point
+// kind and checkpoint version 2 (its points are KindPoint records under
+// a version 1 checkpoint), and TestMixedFormatRecovery holds today's
+// reader and writer to that older form: regenerating writes today's
+// form and loses that coverage.
 func regenFixture(t *testing.T) {
 	t.Helper()
 	if err := os.RemoveAll(fixtureDir); err != nil {
@@ -34,18 +42,7 @@ func regenFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample := func(path string, round int, lo, hi float64) pathload.Sample {
-		return pathload.Sample{
-			Path:  path,
-			Round: round,
-			At:    time.Duration(round) * time.Second,
-			Result: pathload.Result{
-				Lo: lo, Hi: hi,
-				Elapsed: 200 * time.Millisecond,
-				Bits:    96000,
-			},
-		}
-	}
+	sample := fixtureSample
 	for r := 0; r < 3; r++ {
 		st.Observe(sample("p00", r, 4e6, 6e6))
 		st.Observe(sample("p01", r, 2e6, 3e6))
@@ -64,6 +61,21 @@ func regenFixture(t *testing.T) {
 	st.Observe(sample("p01", 3, 2.5e6, 3.5e6))
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fixtureSample is the fixture's sample of path in round: one second
+// per round, a 200 ms measurement of [lo, hi].
+func fixtureSample(path string, round int, lo, hi float64) pathload.Sample {
+	return pathload.Sample{
+		Path:  path,
+		Round: round,
+		At:    time.Duration(round) * time.Second,
+		Result: pathload.Result{
+			Lo: lo, Hi: hi,
+			Elapsed: 200 * time.Millisecond,
+			Bits:    96000,
+		},
 	}
 }
 
@@ -100,7 +112,7 @@ func TestFixtureDecodes(t *testing.T) {
 	points, links := 0, 0
 	err := archive.Walk(fixtureDir, func(r archive.Record, sealed bool) error {
 		switch r.Kind {
-		case archive.KindPoint:
+		case archive.KindPoint, archive.KindPointCompact:
 			path, p, err := archive.DecodePointRecord(r)
 			if err != nil {
 				return err
@@ -198,6 +210,111 @@ func copyDir(t *testing.T, from, to string) {
 		}
 		if err := os.WriteFile(filepath.Join(to, e.Name()), b, 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestMixedFormatRecovery: today's writer appends to an archive of the
+// older form — a copy of the fixture, KindPoint records under a version
+// 1 checkpoint — and seals. The reopened store holds exactly what an
+// in-memory store fed the same points holds (totals, error counts,
+// digests, rings, link series), the archive verifies, and cat prints
+// both point kinds in one line format.
+func TestMixedFormatRecovery(t *testing.T) {
+	maybeRegen(t)
+	dir := t.TempDir()
+	copyDir(t, fixtureDir, dir)
+	control := tsstore.New(tsstore.Config{})
+	err := archive.Walk(fixtureDir, func(r archive.Record, _ bool) error {
+		switch r.Kind {
+		case archive.KindPoint:
+			path, p, err := archive.DecodePointRecord(r)
+			control.ReplayPoint(path, p, true)
+			return err
+		case archive.KindLink:
+			link, lp, err := archive.DecodeLinkRecord(r)
+			control.ReplayLink(link, lp, true)
+			return err
+		}
+		return fmt.Errorf("fixture holds a kind 0x%02x record", r.Kind)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	opts := archive.Options{NowUnix: func() int64 { return 1700000100 }}
+	st, backend, rep, err := archive.OpenStore(dir, opts, tsstore.Config{})
+	if err != nil || rep.CheckpointCorrupt || rep.ForeignRecords != 0 {
+		t.Fatalf("OpenStore(fixture copy): %v, %v", rep, err)
+	}
+	observe := func(s pathload.Sample) { st.Observe(s); control.Observe(s) }
+	observe(fixtureSample("p00", 5, 4.5e6, 6.5e6))
+	observe(fixtureSample("p02", 0, 1e6, 1.5e6))
+	st.ObserveLink("hop-01", 3, 3*time.Second, time.Second, 0.5, 10e6)
+	control.ObserveLink("hop-01", 3, 3*time.Second, time.Second, 0.5, 10e6)
+	if err := backend.Archive().Seal(); err != nil {
+		t.Fatal(err)
+	}
+	observe(pathload.Sample{Path: "p01", Round: 4, At: 4 * time.Second, Err: errors.New("timeout"),
+		Result: pathload.Result{Elapsed: 200 * time.Millisecond, Bits: 96000}})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, _, rep, err := archive.OpenStore(dir, opts, tsstore.Config{})
+	if err != nil || rep.CheckpointCorrupt || rep.ForeignRecords != 0 || rep.SealedRecords != 15 || rep.TailRecords != 1 {
+		t.Fatalf("reopen: %v, %v; want 15 sealed + 1 tail records under a sound checkpoint", rep, err)
+	}
+	defer re.Close()
+	if got, want := re.Paths(), control.Paths(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("paths %v, want %v", got, want)
+	}
+	for _, p := range control.Paths() {
+		gt, ge := re.Totals(p)
+		wt, we := control.Totals(p)
+		gd, _ := re.DigestSnapshot(p).MarshalBinary()
+		wd, _ := control.DigestSnapshot(p).MarshalBinary()
+		if gt != wt || ge != we || !bytes.Equal(gd, wd) {
+			t.Errorf("%s: totals (%d, %d) digest %x; want (%d, %d) %x", p, gt, ge, gd, wt, we, wd)
+		}
+		if got, want := re.Snapshot(p), control.Snapshot(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: ring %+v, want %+v", p, got, want)
+		}
+	}
+	if re.LinkTotal("hop-01") != 4 || !reflect.DeepEqual(re.LinkSnapshot("hop-01"), control.LinkSnapshot("hop-01")) {
+		t.Errorf("link hop-01: %d windows %+v, want 4 %+v", re.LinkTotal("hop-01"), re.LinkSnapshot("hop-01"), control.LinkSnapshot("hop-01"))
+	}
+	var got, want bytes.Buffer
+	re.WritePrometheus(&got)
+	control.WritePrometheus(&want)
+	if got.String() != want.String() {
+		t.Errorf("recovered exposition differs:\n%s\nwant\n%s", got.String(), want.String())
+	}
+	if ver, err := archive.Verify(dir); err != nil || !ver.OK() {
+		t.Fatalf("mixed archive does not verify: %v\n%s", err, ver.String())
+	}
+	kinds := map[uint8]int{}
+	if err := archive.Walk(dir, func(r archive.Record, _ bool) error { kinds[r.Kind]++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if kinds[archive.KindPoint] != 9 || kinds[archive.KindPointCompact] != 3 {
+		t.Errorf("mixed archive holds %d KindPoint and %d KindPointCompact records, want 9 and 3", kinds[archive.KindPoint], kinds[archive.KindPointCompact])
+	}
+
+	text, err := catOutput(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`seg point p00          round=4 at=4s span=200ms lo=5000000 hi=7000000 bits=96000 err=""`,
+		`seg point p01          round=3 at=3s span=200ms lo=2500000 hi=3500000 bits=96000 err=""`,
+		`seg point p00          round=5 at=5s span=200ms lo=4500000 hi=6500000 bits=96000 err=""`,
+		`seg point p02          round=0 at=0s span=200ms lo=1000000 hi=1500000 bits=96000 err=""`,
+		`seg link  hop-01       round=3 at=3s span=1s util=0.500 cap=10000000`,
+		`wal point p01          round=4 at=4s span=200ms lo=0 hi=0 bits=96000 err="timeout"`,
+	} {
+		if !strings.Contains(text, line+"\n") {
+			t.Errorf("cat output lacks %q:\n%s", line, text)
 		}
 	}
 }

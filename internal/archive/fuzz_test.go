@@ -90,7 +90,7 @@ func streamRecords(b []byte) (recs []Record, consumed int, err error) {
 // exactly what the in-memory reference makes of them: the same
 // records, the same consumed offset, the same defect.
 func FuzzReadRecord(f *testing.F) {
-	ok, _ := appendRecord(nil, Record{Kind: KindPoint, Key: "p0", Data: encodePoint(tsstore.Point{Round: 1, Lo: 1e6, Hi: 2e6})})
+	ok, _ := appendRecord(nil, Record{Kind: KindPointCompact, Key: "p0", Data: encodePoint(tsstore.Point{Round: 1, Lo: 1e6, Hi: 2e6})})
 	f.Add(ok)
 	f.Add(ok[:len(ok)-1])                                // torn tail
 	f.Add(append(append([]byte(nil), ok...), ok[:5]...)) // whole record, then a torn one
@@ -138,16 +138,22 @@ func FuzzReadRecord(f *testing.F) {
 	})
 }
 
-// FuzzRecordPayloads: the point and link payload decoders must reject
-// malformed payloads with an error and round-trip the ones they accept
-// (encodePoint only truncates error texts past a u16, which no payload
-// can carry).
+// FuzzRecordPayloads: the payload decoders of every record kind must
+// reject malformed payloads with an error, and the kinds the adapter
+// writes must round-trip the payloads they accept (encodePoint only
+// truncates error texts past 65 535 bytes, which no payload that
+// decodes can carry). KindPoint, which nothing writes any more, must
+// only decode without panicking. The committed seeds are the mini
+// fixture's KindPoint and KindLink payloads.
 func FuzzRecordPayloads(f *testing.F) {
-	f.Add(encodePoint(tsstore.Point{Round: -1, At: 1, Span: 2, Lo: 3, Hi: 4, Bits: 5, Err: "timeout"}))
+	p := tsstore.Point{Round: -1, At: 1, Span: 2, Lo: 3, Hi: 4, Bits: 5, Err: "timeout"}
+	f.Add(encodePoint(p))
+	f.Add(p.AppendBinary(nil))
 	f.Add(encodeLink(tsstore.LinkPoint{Round: 7, At: 1, Span: 2, Util: 0.5, Capacity: 1e7}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if p, err := decodePoint(data); err == nil {
+		decodePoint(KindPoint, data)
+		if p, err := decodePoint(KindPointCompact, data); err == nil {
 			if !bytes.Equal(encodePoint(p), data) {
 				t.Fatalf("point round-trip mismatch for %x", data)
 			}
@@ -173,9 +179,11 @@ func strictlyAscending(keys []string) bool {
 
 // FuzzDecodeCheckpoint: a corrupt store checkpoint must decode to an
 // error (recovery then falls back to counted replay), never panic, and
-// never to more series than its bytes can describe; one that decodes
-// in canonical (sorted, duplicate-free) order must re-encode
-// byte-for-byte.
+// never to more series than its bytes can describe. A version 2
+// checkpoint that decodes in canonical (sorted, duplicate-free) order
+// must re-encode byte-for-byte; a version 1 checkpoint, which nothing
+// writes any more, must only decode within its own bound. The
+// committed seed is the mini fixture's version 1 checkpoint.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	t0 := &StoreBackend{
 		paths: map[string]*shadowSeries{"p0": {total: 3, errs: 1, digest: tsstore.NewDigest(8)}},
@@ -191,11 +199,18 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if err != nil || ck == nil {
 			return
 		}
-		// A path entry is at least 2+8+8+4+16 bytes, a link entry 2+8.
-		if 38*len(ck.pathOrder)+10*len(ck.linkOrder) > len(data) {
+		// The least bytes an entry can take. Version 1: a path is
+		// 2+8+8+4+16 (key length, total, errs, digest length, a digest
+		// with no centroid), a link 2+8. Version 2: a path is 1+1+1+3
+		// (the same fields as one-byte varints), a link 1+1.
+		pathMin, linkMin := 6, 2
+		if binary.BigEndian.Uint16(data[4:6]) == 1 {
+			pathMin, linkMin = 38, 10
+		}
+		if pathMin*len(ck.pathOrder)+linkMin*len(ck.linkOrder) > len(data) {
 			t.Fatalf("%d-byte checkpoint decoded to %d paths and %d links", len(data), len(ck.pathOrder), len(ck.linkOrder))
 		}
-		if !strictlyAscending(ck.pathOrder) || !strictlyAscending(ck.linkOrder) {
+		if pathMin == 38 || !strictlyAscending(ck.pathOrder) || !strictlyAscending(ck.linkOrder) {
 			return
 		}
 		re := &StoreBackend{paths: map[string]*shadowSeries{}, links: ck.links}

@@ -10,9 +10,9 @@ import (
 
 // A Record is one appended archive entry: an opaque payload under a
 // small routing header. The archive core does not interpret Kind, Key,
-// or Data — the tsstore adapter (KindPoint, KindLink) and the
-// coordinator's persistence log define their own kinds over the same
-// framing, so one directory can hold a mixed durability stream.
+// or Data — the tsstore adapter (KindPoint, KindPointCompact, KindLink)
+// and the coordinator's persistence log define their own kinds over the
+// same framing, so one directory can hold a mixed durability stream.
 type Record struct {
 	// Kind routes the record to its decoder. Kinds 0x01–0x1f are
 	// reserved for the tsstore adapter, 0x20–0x2f for the coordinator.

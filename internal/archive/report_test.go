@@ -103,8 +103,10 @@ func TestDecodeRecordHelpers(t *testing.T) {
 		t.Error("DecodeLinkRecord accepted a point record")
 	}
 	// Truncated payloads error instead of inventing fields.
-	if _, _, err := DecodePointRecord(Record{Kind: KindPoint, Key: "p", Data: []byte{1, 2}}); err == nil {
-		t.Error("DecodePointRecord accepted a truncated payload")
+	for _, kind := range []uint8{KindPoint, KindPointCompact} {
+		if _, _, err := DecodePointRecord(Record{Kind: kind, Key: "p", Data: []byte{1, 2}}); err == nil {
+			t.Errorf("DecodePointRecord accepted a truncated kind 0x%02x payload", kind)
+		}
 	}
 	if _, _, err := DecodeLinkRecord(Record{Kind: KindLink, Key: "l", Data: []byte{1}}); err == nil {
 		t.Error("DecodeLinkRecord accepted a truncated payload")

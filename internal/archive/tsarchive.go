@@ -13,15 +13,27 @@ import (
 
 // Record kinds of the tsstore adapter.
 const (
-	// KindPoint is one per-path sample (tsstore.Point, Wall excluded).
+	// KindPoint is one per-path sample in tsstore.Point's AppendBinary
+	// layout (Wall excluded). Archives written before KindPointCompact
+	// hold these; recovery reads them, nothing writes them any more.
 	KindPoint uint8 = 0x01
 	// KindLink is one per-link utilization window (tsstore.LinkPoint).
 	KindLink uint8 = 0x02
+	// KindPointCompact is one per-path sample in tsstore.Point's
+	// AppendCompact form: what StoreBackend.AppendPoint writes. A reader
+	// that predates it counts these records as foreign.
+	KindPointCompact uint8 = 0x03
 )
 
+// The checkpoint blob opens with ckptMagic and a u16 version. Version
+// 1 holds fixed-width counts and MarshalBinary digests; version 2,
+// which checkpoint writes, holds uvarint counts and AppendCompact
+// digests. Recovery reads both; a reader that predates version 2 calls
+// such a checkpoint corrupt and rebuilds its counters by counted
+// replay.
 const (
 	ckptMagic   = 0x5453434b // "TSCK"
-	ckptVersion = 1
+	ckptVersion = 2
 )
 
 // A StoreBackend adapts an Archive to tsstore.Backend: every sample
@@ -54,7 +66,7 @@ type shadowSeries struct {
 
 // AppendPoint implements tsstore.Backend.
 func (t *StoreBackend) AppendPoint(path string, p tsstore.Point) error {
-	return t.a.Append(Record{Kind: KindPoint, Key: path, Data: encodePoint(p)})
+	return t.a.Append(Record{Kind: KindPointCompact, Key: path, Data: encodePoint(p)})
 }
 
 // AppendLink implements tsstore.Backend.
@@ -72,8 +84,8 @@ func (t *StoreBackend) Archive() *Archive { return t.a }
 // archive lock for every appended record.
 func (t *StoreBackend) onAppend(rec Record) {
 	switch rec.Kind {
-	case KindPoint:
-		p, err := decodePoint(rec.Data)
+	case KindPoint, KindPointCompact:
+		p, err := decodePoint(rec.Kind, rec.Data)
 		if err != nil {
 			return
 		}
@@ -93,41 +105,47 @@ func (t *StoreBackend) onAppend(rec Record) {
 	}
 }
 
-// checkpoint encodes the shadow; called under the archive lock at seal.
-// It writes into one buffer of the checkpoint's exact size, each
-// digest appended in place. (A key is a record key, at most MaxKey
-// bytes, so its u16 length prefix never cuts it.)
+// checkpoint encodes the shadow, in checkpoint version 2:
+//
+//	magic u32 | version u16 | nPaths uvarint |
+//	  per path, in key order: key (uvarint length) | total uvarint |
+//	  errs uvarint | digest (tsstore.Digest.AppendCompact) |
+//	nLinks uvarint | per link, in key order: key | total uvarint
+//
+// Called under the archive lock at seal, it writes into one buffer of
+// the checkpoint's exact size, every length computed before the first
+// byte is written. (A key is a record key, at most MaxKey bytes, so its
+// string prefix never cuts it.)
 func (t *StoreBackend) checkpoint() []byte {
 	paths := make([]string, 0, len(t.paths))
-	size := 4 + 2 + 4 + 4
+	size := 4 + 2 + wire.UvarintLen(uint64(len(t.paths))) + wire.UvarintLen(uint64(len(t.links)))
 	for p, s := range t.paths {
 		paths = append(paths, p)
-		size += 2 + len(p) + 8 + 8 + 4 + s.digest.BinarySize()
+		size += wire.VarStringLen(p) + wire.UvarintLen(s.total) + wire.UvarintLen(s.errs) + s.digest.CompactSize()
 	}
 	sort.Strings(paths)
 	links := make([]string, 0, len(t.links))
-	for l := range t.links {
+	for l, n := range t.links {
 		links = append(links, l)
-		size += 2 + len(l) + 8
+		size += wire.VarStringLen(l) + wire.UvarintLen(n)
 	}
 	sort.Strings(links)
 
 	b := make([]byte, 0, size)
 	b = binary.BigEndian.AppendUint32(b, ckptMagic)
 	b = binary.BigEndian.AppendUint16(b, ckptVersion)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(paths)))
+	b = binary.AppendUvarint(b, uint64(len(paths)))
 	for _, p := range paths {
 		s := t.paths[p]
-		b = wire.AppendString(b, p)
-		b = binary.BigEndian.AppendUint64(b, s.total)
-		b = binary.BigEndian.AppendUint64(b, s.errs)
-		b = binary.BigEndian.AppendUint32(b, uint32(s.digest.BinarySize()))
-		b = s.digest.AppendBinary(b)
+		b = wire.AppendVarString(b, p)
+		b = binary.AppendUvarint(b, s.total)
+		b = binary.AppendUvarint(b, s.errs)
+		b = s.digest.AppendCompact(b)
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(links)))
+	b = binary.AppendUvarint(b, uint64(len(links)))
 	for _, l := range links {
-		b = wire.AppendString(b, l)
-		b = binary.BigEndian.AppendUint64(b, t.links[l])
+		b = wire.AppendVarString(b, l)
+		b = binary.AppendUvarint(b, t.links[l])
 	}
 	return b
 }
@@ -212,8 +230,8 @@ func OpenStore(dir string, opt Options, cfg tsstore.Config) (*tsstore.Store, *St
 	counted := ck == nil
 	replay := func(r Record, counted bool) error {
 		switch r.Kind {
-		case KindPoint:
-			p, derr := decodePoint(r.Data)
+		case KindPoint, KindPointCompact:
+			p, derr := decodePoint(r.Kind, r.Data)
 			if derr != nil {
 				return fmt.Errorf("archive: point record for %q: %w", r.Key, derr)
 			}
@@ -260,53 +278,100 @@ type decodedCkpt struct {
 	links     map[string]uint64
 }
 
-// decodeCheckpoint parses a checkpoint blob; (nil, nil) for an empty
-// blob (no checkpoint sealed yet), an error for a corrupt one.
+// decodeCheckpoint parses a checkpoint blob of either version; (nil,
+// nil) for an empty blob (no checkpoint sealed yet), an error for a
+// corrupt one.
 func decodeCheckpoint(b []byte) (*decodedCkpt, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	d := wire.NewReader("archive: checkpoint", b)
+	d := ckptReader{Reader: wire.NewReader("archive: checkpoint", b)}
 	if d.U32() != ckptMagic {
 		return nil, errors.New("archive: checkpoint has wrong magic")
 	}
-	if v := d.U16(); v != ckptVersion && d.Err() == nil {
-		return nil, fmt.Errorf("archive: checkpoint version %d, want %d", v, ckptVersion)
+	v := d.U16()
+	if v != 1 && v != ckptVersion && d.Err() == nil {
+		return nil, fmt.Errorf("archive: checkpoint version %d, want 1 or %d", v, ckptVersion)
 	}
+	d.v1 = v == 1
 	out := &decodedCkpt{paths: map[string]shadowSeries{}, links: map[string]uint64{}}
-	nPaths := int(d.U32())
-	for i := 0; i < nPaths; i++ {
-		key, total, errs, blob := d.Str(), d.U64(), d.U64(), d.Bytes()
+	nPaths := d.count()
+	for i := uint64(0); i < nPaths; i++ {
+		key, total, errs := d.key(), d.num(), d.num()
 		if d.Err() != nil {
 			break
 		}
-		dig, derr := tsstore.UnmarshalDigest(blob)
+		dig, derr := d.digest()
 		if derr != nil {
 			return nil, fmt.Errorf("archive: checkpoint digest for %q: %w", key, derr)
 		}
 		out.pathOrder = append(out.pathOrder, key)
 		out.paths[key] = shadowSeries{total, errs, dig}
 	}
-	nLinks := int(d.U32())
-	for i := 0; i < nLinks; i++ {
-		key, total := d.Str(), d.U64()
+	nLinks := d.count()
+	for i := uint64(0); i < nLinks; i++ {
+		key, total := d.key(), d.num()
 		if d.Err() != nil {
 			break
 		}
 		out.linkOrder = append(out.linkOrder, key)
 		out.links[key] = total
 	}
-	return wire.Finish(&d, out)
+	return wire.Finish(&d.Reader, out)
 }
 
-// encodePoint serializes a Point for the WAL: tsstore's own layout, in
-// the one exact-size allocation AppendBinary makes.
-func encodePoint(p tsstore.Point) []byte { return p.AppendBinary(nil) }
+// A ckptReader reads a checkpoint's counts, keys, totals and digests in
+// the layout of its version: fixed-width for version 1, varint for 2.
+type ckptReader struct {
+	wire.Reader
+	v1 bool
+}
 
-// decodePoint is the inverse of encodePoint (Wall stays zero).
-func decodePoint(b []byte) (tsstore.Point, error) {
+func (r *ckptReader) count() uint64 {
+	if r.v1 {
+		return uint64(r.U32())
+	}
+	return r.Uvarint()
+}
+
+func (r *ckptReader) num() uint64 {
+	if r.v1 {
+		return r.U64()
+	}
+	return r.Uvarint()
+}
+
+func (r *ckptReader) key() string {
+	if r.v1 {
+		return r.Str()
+	}
+	return r.VarStr()
+}
+
+func (r *ckptReader) digest() (*tsstore.Digest, error) {
+	if !r.v1 {
+		return tsstore.ReadCompactDigest(&r.Reader)
+	}
+	blob := r.Bytes()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return tsstore.UnmarshalDigest(blob)
+}
+
+// encodePoint serializes a Point for a KindPointCompact record, in the
+// one exact-size allocation AppendCompact makes.
+func encodePoint(p tsstore.Point) []byte { return p.AppendCompact(nil) }
+
+// decodePoint decodes the payload of a point record of the given kind:
+// KindPoint through tsstore.ReadPoint (the SLCP push codec), anything
+// else as KindPointCompact. Wall stays zero.
+func decodePoint(kind uint8, b []byte) (tsstore.Point, error) {
 	d := wire.NewReader("archive: point record", b)
-	return wire.Finish(&d, tsstore.ReadPoint(&d))
+	if kind == KindPoint {
+		return wire.Finish(&d, tsstore.ReadPoint(&d))
+	}
+	return wire.Finish(&d, tsstore.ReadCompactPoint(&d))
 }
 
 // encodeLink serializes a LinkPoint for the WAL.
@@ -332,12 +397,13 @@ func decodeLink(b []byte) (tsstore.LinkPoint, error) {
 	})
 }
 
-// DecodePointRecord decodes a KindPoint record (for cat-style tools).
+// DecodePointRecord decodes a point record of either kind (for
+// cat-style tools).
 func DecodePointRecord(r Record) (path string, p tsstore.Point, err error) {
-	if r.Kind != KindPoint {
+	if r.Kind != KindPoint && r.Kind != KindPointCompact {
 		return "", tsstore.Point{}, fmt.Errorf("archive: record kind 0x%02x is not a point", r.Kind)
 	}
-	p, err = decodePoint(r.Data)
+	p, err = decodePoint(r.Kind, r.Data)
 	return r.Key, p, err
 }
 

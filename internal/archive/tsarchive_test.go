@@ -2,10 +2,12 @@ package archive
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"reflect"
 	"strings"
@@ -14,6 +16,7 @@ import (
 
 	pathload "repro"
 	"repro/internal/tsstore"
+	"repro/internal/wire"
 )
 
 // sample fabricates a deterministic monitor sample for path/round.
@@ -306,10 +309,10 @@ func TestStoreBackendAutoSealCheckpointConsistency(t *testing.T) {
 	}
 }
 
-// TestPointCodecRoundtripAndDamage: the point, link and checkpoint
-// decoders round-trip what the encoders write, and turn every strict
-// prefix of it — and one trailing byte — into an error and a zero
-// value instead of inventing fields.
+// TestPointCodecRoundtripAndDamage: the point (both kinds), link and
+// checkpoint (both versions) decoders round-trip what the encoders
+// write, and turn every strict prefix of it — and one trailing byte —
+// into an error and a zero value instead of inventing fields.
 func TestPointCodecRoundtripAndDamage(t *testing.T) {
 	p := tsstore.Point{Round: 42, At: time.Second, Span: 60 * time.Millisecond, Lo: 39.5e6, Hi: 44e6, Bits: 1.25e6, Err: "loss"}
 	lp := tsstore.LinkPoint{Round: 3, At: time.Second, Span: time.Second, Util: 0.7, Capacity: 1e8}
@@ -325,9 +328,17 @@ func TestPointCodecRoundtripAndDamage(t *testing.T) {
 		decode func([]byte) (any, error)
 		want   any
 	}{
-		{"point", encodePoint(p), func(b []byte) (any, error) { return decodePoint(b) }, p},
+		{"point", encodePoint(p), func(b []byte) (any, error) { return decodePoint(KindPointCompact, b) }, p},
+		{"KindPoint point", p.AppendBinary(nil), func(b []byte) (any, error) { return decodePoint(KindPoint, b) }, p},
 		{"link", encodeLink(lp), func(b []byte) (any, error) { return decodeLink(b) }, lp},
 		{"checkpoint", ck.checkpoint(), func(b []byte) (any, error) {
+			d, err := decodeCheckpoint(b)
+			if d == nil {
+				return nil, err
+			}
+			return d.pathOrder, err
+		}, []string{"p0"}},
+		{"version 1 checkpoint", ckptV1("p0", 3, 1, ck.paths["p0"].digest), func(b []byte) (any, error) {
 			d, err := decodeCheckpoint(b)
 			if d == nil {
 				return nil, err
@@ -348,39 +359,67 @@ func TestPointCodecRoundtripAndDamage(t *testing.T) {
 			}
 		}
 	}
-	if _, err := decodePoint(nil); err == nil {
-		t.Error("empty point payload accepted")
+	for _, kind := range []uint8{KindPoint, KindPointCompact} {
+		if _, err := decodePoint(kind, nil); err == nil {
+			t.Errorf("empty kind 0x%02x point payload accepted", kind)
+		}
 	}
 }
 
-// TestPointRecordLayout: a KindPoint payload is tsstore.Point's own
-// layout — the committed vector the coordinator's push is pinned to as
-// well, so the two users cannot drift apart again.
+// ckptV1 hand-assembles a version 1 checkpoint of one path and no
+// links, as archives written before version 2 hold them: fixed-width
+// counts and a length-prefixed MarshalBinary digest.
+func ckptV1(path string, total, errs uint64, d *tsstore.Digest) []byte {
+	blob, _ := d.MarshalBinary()
+	return ckptV1Blob(path, total, errs, blob)
+}
+
+func ckptV1Blob(path string, total, errs uint64, digest []byte) []byte {
+	b := binary.BigEndian.AppendUint32(nil, ckptMagic)
+	b = binary.BigEndian.AppendUint16(b, 1)
+	b = binary.BigEndian.AppendUint32(b, 1)
+	b = wire.AppendString(b, path)
+	b = binary.BigEndian.AppendUint64(b, total)
+	b = binary.BigEndian.AppendUint64(b, errs)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(digest)))
+	b = append(b, digest...)
+	return binary.BigEndian.AppendUint32(b, 0)
+}
+
+// TestPointRecordLayout: a KindPoint payload is tsstore.Point's
+// AppendBinary layout — the committed vector the coordinator's push is
+// pinned to as well — and a KindPointCompact payload, what AppendPoint
+// writes, is its AppendCompact form, pinned to its own vector.
 func TestPointRecordLayout(t *testing.T) {
-	raw, err := os.ReadFile("../tsstore/testdata/point.hex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := decodePoint(want)
-	if err != nil {
-		t.Fatalf("decodePoint(vector): %v", err)
-	}
-	if p.Round != 7 || p.At != 3*time.Second || p.Hi != 6e6 || p.Err != "timeout" {
-		t.Fatalf("vector decoded to %+v", p)
-	}
-	if got := encodePoint(p); !bytes.Equal(got, want) {
-		t.Fatalf("encodePoint:\n got %x\nwant %x", got, want)
+	for _, c := range []struct {
+		kind   uint8
+		vector string
+	}{{KindPoint, "point.hex"}, {KindPointCompact, "point_compact.hex"}} {
+		raw, err := os.ReadFile("../tsstore/testdata/" + c.vector)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := decodePoint(c.kind, want)
+		if err != nil {
+			t.Fatalf("decodePoint(0x%02x, %s): %v", c.kind, c.vector, err)
+		}
+		if p.Round != 7 || p.At != 3*time.Second || p.Hi != 6e6 || p.Err != "timeout" {
+			t.Fatalf("%s decoded to %+v", c.vector, p)
+		}
+		if c.kind == KindPointCompact && !bytes.Equal(encodePoint(p), want) {
+			t.Fatalf("encodePoint:\n got %x\nwant %x", encodePoint(p), want)
+		}
 	}
 }
 
-// TestCheckpointRejectsPoisonedDigest: a checkpoint carrying a digest
-// whose centroid weights wrap u64 to its stated count is corrupt —
-// recovery falls back to counted replay rather than seed a series'
-// all-time distribution from it.
+// TestCheckpointRejectsPoisonedDigest: a checkpoint, of either
+// version, carrying a digest whose centroid weights wrap u64 to its
+// stated count is corrupt — recovery falls back to counted replay
+// rather than seed a series' all-time distribution from it.
 func TestCheckpointRejectsPoisonedDigest(t *testing.T) {
 	good := &StoreBackend{paths: map[string]*shadowSeries{"p0": {total: 2, digest: tsstore.NewDigest(64)}}}
 	good.paths["p0"].digest.Add(1e6)
@@ -389,14 +428,95 @@ func TestCheckpointRejectsPoisonedDigest(t *testing.T) {
 	if _, err := decodeCheckpoint(blob); err != nil {
 		t.Fatalf("clean checkpoint: %v", err)
 	}
-	// The digest is the last 16+2*16 bytes before the u32 link count:
-	// zero its count and give both centroids weight 2^63.
-	end := len(blob) - 4
-	copy(blob[end-48+4:], make([]byte, 8))
-	for _, w := range []int{end - 24, end - 8} {
-		copy(blob[w:], []byte{0x80, 0, 0, 0, 0, 0, 0, 0})
+	// The digest is last before the one-byte link count: give it a
+	// count of 0 and both centroids weight 2^63.
+	poison := binary.AppendUvarint(nil, 64)
+	poison = binary.AppendUvarint(poison, 0)
+	poison = binary.AppendUvarint(poison, 2)
+	for _, mean := range []float64{1e6, 2e6} {
+		poison = binary.BigEndian.AppendUint64(poison, math.Float64bits(mean))
+		poison = binary.AppendUvarint(poison, 1<<63)
 	}
-	if ck, err := decodeCheckpoint(blob); err == nil || ck != nil {
-		t.Fatalf("poisoned checkpoint decoded: %+v, %v", ck, err)
+	d := good.paths["p0"].digest
+	at := len(blob) - 1 - d.CompactSize()
+	head := blob[:at:at]
+	if !bytes.Equal(append(append(head, d.AppendCompact(nil)...), 0), blob) {
+		t.Fatal("the digest is not where this test splices")
+	}
+	v2 := append(append(head, poison...), 0)
+	fixed := binary.BigEndian.AppendUint32(nil, 64)
+	fixed = binary.BigEndian.AppendUint64(fixed, 0)
+	fixed = binary.BigEndian.AppendUint32(fixed, 2)
+	for _, mean := range []float64{1e6, 2e6} {
+		fixed = binary.BigEndian.AppendUint64(fixed, math.Float64bits(mean))
+		fixed = binary.BigEndian.AppendUint64(fixed, 1<<63)
+	}
+	for name, b := range map[string][]byte{"version 2": v2, "version 1": ckptV1Blob("p0", 2, 0, fixed)} {
+		if ck, err := decodeCheckpoint(b); err == nil || ck != nil {
+			t.Fatalf("%s: poisoned checkpoint decoded: %+v, %v", name, ck, err)
+		}
+	}
+}
+
+// Archive size gate. sizeBudgetPerRecord is the bytes on disk per
+// point record — WAL, segments, checkpoints and HEAD over the number of
+// points — that TestArchiveSizeBudget's shape may take: 83.0 B measured
+// with compact point records and version 2 checkpoints, plus about 2 %.
+// The same shape took 116.8 B with KindPoint records and version 1
+// checkpoints, so losing either half of the compact encoding fails it.
+const sizeBudgetPerRecord = 85
+
+// TestArchiveSizeBudget writes a fixed synthetic history — 300 paths,
+// 40 rounds, a seal every 10, samples shaped like the benchmark's
+// store_pipeline — and holds the directory's size per record to
+// sizeBudgetPerRecord.
+func TestArchiveSizeBudget(t *testing.T) {
+	const paths, rounds, sealEvery = 300, 40, 10
+	dir := t.TempDir()
+	st, be, _ := openStoreT(t, dir, Options{}, tsstore.Config{Capacity: 32})
+	rng := rand.New(rand.NewSource(1))
+	levels := make([]float64, paths)
+	for i := range levels {
+		levels[i] = 2e6 + 20e6*rng.Float64()
+	}
+	for r := 0; r < rounds; r++ {
+		for i, level := range levels {
+			mid, width := level*(0.9+0.2*rng.Float64()), 0.2e6+1.8e6*rng.Float64()
+			st.Observe(pathload.Sample{
+				Path:  fmt.Sprintf("path-%05d", i),
+				Round: r,
+				At:    time.Duration(r)*5*time.Second + time.Duration(rng.Int63n(int64(time.Second))),
+				Result: pathload.Result{
+					Lo: mid - width/2, Hi: mid + width/2,
+					Elapsed: 3*time.Second + time.Duration(rng.Int63n(int64(3*time.Second))),
+					Bits:    1e6 + 3e6*rng.Float64(),
+				},
+			})
+		}
+		if (r+1)%sealEvery == 0 {
+			if err := be.Archive().Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := be.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += info.Size()
+	}
+	perRecord := float64(size) / (paths * rounds)
+	t.Logf("%d bytes on disk for %d records: %.1f B per record", size, paths*rounds, perRecord)
+	if perRecord > sizeBudgetPerRecord {
+		t.Fatalf("archive takes %.1f B per record, budget %d", perRecord, sizeBudgetPerRecord)
 	}
 }

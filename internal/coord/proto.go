@@ -171,8 +171,8 @@ func readFrame(r io.Reader) (msgType, []byte, error) {
 // lets it check once, and returns through wire.Finish, so a truncated
 // or over-long payload yields an error and a zero message, never a
 // half-filled one. A pushed point is tsstore.Point's own layout
-// (AppendBinary/ReadPoint), the same bytes an archive point record
-// holds.
+// (AppendBinary/ReadPoint), the same bytes an archive's KindPoint
+// record holds (new archive records use the compact form).
 
 // helloMsg opens a control session: the agent's version range and name.
 type helloMsg struct {

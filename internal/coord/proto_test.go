@@ -193,9 +193,9 @@ func TestDecodersRejectEveryPrefix(t *testing.T) {
 	}
 }
 
-// TestPushPointLayout: the point inside a push is tsstore.Point's own
-// layout — the committed vector the archive's point record is pinned
-// to as well.
+// TestPushPointLayout: the point inside a push is tsstore.Point's
+// AppendBinary layout — the committed vector the archive's KindPoint
+// record, which recovery still reads, is pinned to as well.
 func TestPushPointLayout(t *testing.T) {
 	raw, err := os.ReadFile("../tsstore/testdata/point.hex")
 	if err != nil {

@@ -186,24 +186,43 @@ func (d *Digest) clone() *Digest {
 
 // MarshalBinary encodes the digest deterministically (big-endian:
 // centroid budget, total count, then mean/weight pairs in ascending
-// mean order). It is the wire and archive form of a digest: agents
-// push it to the coordinator, which rebuilds it with UnmarshalDigest.
+// mean order). It is the wire form of a digest: agents push it to the
+// coordinator, which rebuilds it with UnmarshalDigest. Archive
+// checkpoints hold AppendCompact's form instead.
 func (d *Digest) MarshalBinary() ([]byte, error) {
-	return d.AppendBinary(make([]byte, 0, d.BinarySize())), nil
-}
-
-// BinarySize is the length of the MarshalBinary encoding of d.
-func (d *Digest) BinarySize() int { return 16 + 16*len(d.cs) }
-
-// AppendBinary appends the MarshalBinary encoding of d to b, so an
-// encoder that holds many digests can write them into one buffer.
-func (d *Digest) AppendBinary(b []byte) []byte {
+	b := make([]byte, 0, 16+16*len(d.cs))
 	b = binary.BigEndian.AppendUint32(b, uint32(d.size))
 	b = binary.BigEndian.AppendUint64(b, d.n)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(d.cs)))
 	for _, c := range d.cs {
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(c.mean))
 		b = binary.BigEndian.AppendUint64(b, c.weight)
+	}
+	return b, nil
+}
+
+// CompactSize is the length of the AppendCompact encoding of d.
+func (d *Digest) CompactSize() int {
+	n := wire.UvarintLen(uint64(d.size)) + wire.UvarintLen(d.n) + wire.UvarintLen(uint64(len(d.cs))) + 8*len(d.cs)
+	for _, c := range d.cs {
+		n += wire.UvarintLen(c.weight)
+	}
+	return n
+}
+
+// AppendCompact appends d's compact form to b: centroid budget, total
+// count and centroid count as uvarints, then per centroid, in ascending
+// mean order, its mean as big-endian float64 bits and its weight as a
+// uvarint. Most weights are a handful of samples, so a centroid takes 9
+// bytes rather than MarshalBinary's 16. It is the archive checkpoint's
+// form of a digest; ReadCompactDigest is its inverse.
+func (d *Digest) AppendCompact(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(d.size))
+	b = binary.AppendUvarint(b, d.n)
+	b = binary.AppendUvarint(b, uint64(len(d.cs)))
+	for _, c := range d.cs {
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(c.mean))
+		b = binary.AppendUvarint(b, c.weight)
 	}
 	return b
 }
@@ -223,20 +242,53 @@ const maxDigestMean = math.MaxFloat64 / (1 << 65)
 // federated store.
 func UnmarshalDigest(data []byte) (*Digest, error) {
 	r := wire.NewReader("tsstore: digest blob", data)
-	size, n, k := int(r.U32()), r.U64(), int(r.U32())
+	d, err := readDigest(&r, false)
+	if err != nil {
+		return nil, err
+	}
+	return wire.Finish(&r, d)
+}
+
+// ReadCompactDigest reads one AppendCompact digest off r under
+// UnmarshalDigest's validation. The digest is self-delimiting, so r may
+// hold more after it.
+func ReadCompactDigest(r *wire.Reader) (*Digest, error) { return readDigest(r, true) }
+
+// readDigest is the one digest decoder: the two forms differ only in
+// how the header and each weight are read.
+func readDigest(r *wire.Reader, compact bool) (*Digest, error) {
+	var size, n, k uint64
+	if compact {
+		size, n, k = r.Uvarint(), r.Uvarint(), r.Uvarint()
+	} else {
+		size, n, k = uint64(r.U32()), r.U64(), uint64(r.U32())
+	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if size <= 0 || k < 0 || k > size {
+	if size == 0 || size > math.MaxUint32 || k > size {
 		return nil, fmt.Errorf("tsstore: digest holds %d centroids against budget %d", k, size)
 	}
-	if r.Len() != 16*k {
-		return nil, fmt.Errorf("tsstore: digest blob %d bytes, want %d for %d centroids", len(data), 16+16*k, k)
+	// Bound k by the bytes left before allocating for it: a centroid
+	// takes 16 bytes, or at least 9 in the compact form.
+	if !compact && uint64(r.Len()) != 16*k {
+		return nil, fmt.Errorf("tsstore: digest blob %d bytes, want %d for %d centroids", 16+r.Len(), 16+16*k, k)
 	}
-	d := &Digest{size: size, n: n, cs: make([]centroid, k)}
+	if compact && uint64(r.Len()) < 9*k {
+		return nil, fmt.Errorf("tsstore: compact digest has %d bytes left for %d centroids", r.Len(), k)
+	}
+	d := &Digest{size: int(size), n: n, cs: make([]centroid, k)}
 	var sum uint64
 	for i := range d.cs {
-		c := centroid{mean: r.F64(), weight: r.U64()}
+		c := centroid{mean: r.F64()}
+		if compact {
+			c.weight = r.Uvarint()
+		} else {
+			c.weight = r.U64()
+		}
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
 		if !(math.Abs(c.mean) <= maxDigestMean) { // also NaN and ±Inf
 			return nil, fmt.Errorf("tsstore: digest centroid %d mean %v is not a finite bandwidth", i, c.mean)
 		}

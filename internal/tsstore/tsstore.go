@@ -98,8 +98,8 @@ func (p Point) RelVar() float64 {
 // to what that length can state — all big-endian. Wall is deliberately left out:
 // pushes and archives must be byte-reproducible under the deterministic
 // harness, and wall clocks are the one field that never is. This is the
-// layout of a point in an SLCP push and in an archive KindPoint record
-// alike; ReadPoint is its inverse.
+// layout of a point in an SLCP push and in the archive's older KindPoint
+// records (new ones hold AppendCompact); ReadPoint is its inverse.
 func (p Point) AppendBinary(b []byte) []byte {
 	if b == nil {
 		b = make([]byte, 0, 8*6+2+min(len(p.Err), math.MaxUint16))
@@ -124,6 +124,42 @@ func ReadPoint(r *wire.Reader) Point {
 		Hi:    r.F64(),
 		Bits:  r.F64(),
 		Err:   r.Str(),
+	}
+}
+
+// AppendCompact appends the point's compact form to b (a nil b becomes
+// one allocation of exactly the encoded size): Round, At, Span as
+// zigzag varints, Lo, Hi, Bits as big-endian float64 bits (so they
+// round-trip bit for bit), Err as a uvarint-length-prefixed string cut
+// to 65 535 bytes. Wall is left out, as in AppendBinary. This is an
+// archive point record's payload: a round count takes a byte or two,
+// and a duration of seconds five or six, rather than 8 each.
+// ReadCompactPoint is its inverse.
+func (p Point) AppendCompact(b []byte) []byte {
+	if b == nil {
+		b = make([]byte, 0, wire.VarintLen(int64(p.Round))+wire.VarintLen(int64(p.At))+
+			wire.VarintLen(int64(p.Span))+8*3+wire.VarStringLen(p.Err))
+	}
+	b = binary.AppendVarint(b, int64(p.Round))
+	b = binary.AppendVarint(b, int64(p.At))
+	b = binary.AppendVarint(b, int64(p.Span))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Lo))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Hi))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Bits))
+	return wire.AppendVarString(b, p.Err)
+}
+
+// ReadCompactPoint reads one AppendCompact point off r (Wall stays
+// zero). A short or non-canonical payload fails r, not the call.
+func ReadCompactPoint(r *wire.Reader) Point {
+	return Point{
+		Round: int(r.Varint()),
+		At:    time.Duration(r.Varint()),
+		Span:  time.Duration(r.Varint()),
+		Lo:    r.F64(),
+		Hi:    r.F64(),
+		Bits:  r.F64(),
+		Err:   r.VarStr(),
 	}
 }
 

@@ -4,19 +4,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
 // A Reader is the one cursor the variable-length decoders of the store
 // stack read through (the SLCP payloads and checkpoint in coord, the
 // record payloads and checkpoint in archive, the digest blob in
-// tsstore): big-endian integers, u16-length-prefixed strings and
-// u32-length-prefixed byte runs. The first read past the end of the
-// payload sets a sticky error, after which every read returns zero and
-// Len reports 0, so a decoder reads its fields in one straight line
-// and checks once, with Done or Finish. A Reader is a plain value:
-// declared as a local it stays on the stack, and it allocates only to
-// build an error or a string.
+// tsstore): big-endian integers, minimal LEB128 varints,
+// u16-length-prefixed strings and u32-length-prefixed byte runs. The
+// first read past the end of the payload sets a sticky error, after
+// which every read returns zero and Len reports 0, so a decoder reads
+// its fields in one straight line and checks once, with Done or
+// Finish. A Reader is a plain value: declared as a local it stays on
+// the stack, and it allocates only to build an error or a string.
 type Reader struct {
 	buf  []byte
 	what string
@@ -30,10 +31,7 @@ func NewReader(what string, b []byte) Reader { return Reader{buf: b, what: what}
 // take consumes n bytes, or fails the Reader when fewer remain.
 func (r *Reader) take(n uint64) []byte {
 	if uint64(len(r.buf)) < n {
-		if r.err == nil {
-			r.err = fmt.Errorf("%s truncated", r.what)
-		}
-		r.buf = nil
+		r.fail("%s truncated", r.what)
 		return nil
 	}
 	b := r.buf[:n]
@@ -86,6 +84,54 @@ func (r *Reader) Str() string { return string(r.take(uint64(r.U16()))) }
 // payload: copy it before keeping it past the payload's lifetime.
 func (r *Reader) Bytes() []byte { return r.take(uint64(r.U32())) }
 
+// Uvarint reads an unsigned LEB128 varint (encoding/binary's Uvarint
+// form). Only the minimal encoding of a value reads: a varint that is
+// cut short, runs past 64 bits, or carries redundant trailing zero
+// groups fails the Reader, so every payload that decodes re-encodes to
+// the same bytes.
+func (r *Reader) Uvarint() uint64 {
+	x, n := binary.Uvarint(r.buf)
+	switch {
+	case n == 0:
+		r.fail("%s truncated", r.what)
+	case n < 0:
+		r.fail("%s varint overflows 64 bits", r.what)
+	case n > 1 && r.buf[n-1] == 0:
+		r.fail("%s varint is not minimally encoded", r.what)
+	default:
+		r.buf = r.buf[n:]
+		return x
+	}
+	return 0
+}
+
+// Varint reads a zigzag-signed varint (encoding/binary's Varint form)
+// under Uvarint's rules.
+func (r *Reader) Varint() int64 {
+	ux := r.Uvarint()
+	return int64(ux>>1) ^ -int64(ux&1)
+}
+
+// VarStr reads a uvarint-length-prefixed string of at most 65 535
+// bytes, the inverse of AppendVarString.
+func (r *Reader) VarStr() string {
+	n := r.Uvarint()
+	if n > math.MaxUint16 {
+		r.fail("%s string of %d bytes exceeds %d", r.what, n, math.MaxUint16)
+		return ""
+	}
+	return string(r.take(n))
+}
+
+// fail sets the sticky error, unless one is already set, and empties
+// the Reader.
+func (r *Reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+	r.buf = nil
+}
+
 // Len returns the unread byte count: 0 once the Reader has failed, so
 // an element count checked against it cannot pass on a failed Reader.
 func (r *Reader) Len() int { return len(r.buf) }
@@ -111,6 +157,29 @@ func Finish[T any](r *Reader, v T) (T, error) {
 		return zero, err
 	}
 	return v, nil
+}
+
+// UvarintLen is the length of x's uvarint encoding, so an encoder can
+// size its buffer exactly before appending.
+func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// VarintLen is the length of x's zigzag varint encoding.
+func VarintLen(x int64) int { return UvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+// VarStringLen is the length of AppendVarString's encoding of s.
+func VarStringLen(s string) int {
+	n := min(len(s), math.MaxUint16)
+	return UvarintLen(uint64(n)) + n
+}
+
+// AppendVarString appends s as a uvarint length and its bytes, cut to
+// 65 535 bytes as AppendString cuts it.
+func AppendVarString(b []byte, s string) []byte {
+	if len(s) > math.MaxUint16 {
+		s = s[:math.MaxUint16]
+	}
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 // AppendString appends s as a u16 length and its bytes. A longer s is

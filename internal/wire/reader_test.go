@@ -107,15 +107,80 @@ func TestAppendStringClamps(t *testing.T) {
 // once per pushed point.
 func TestReaderAllocationFree(t *testing.T) {
 	blob := readerSample{G: "", H: []byte{1}}.marshal()
+	blob = binary.AppendVarint(binary.AppendUvarint(blob, 1<<40), -5)
+	blob = AppendVarString(blob, "")
 	var sink uint64
 	if n := testing.AllocsPerRun(100, func() {
 		r := NewReader("wire: sample", blob)
 		sink += uint64(r.U8()) + uint64(r.U16()) + uint64(r.U32()) + r.U64() + uint64(r.F64()) + uint64(r.Dur())
 		sink += uint64(len(r.Str()) + len(r.Bytes()))
+		sink += r.Uvarint() + uint64(r.Varint()) + uint64(len(r.VarStr()))
 		if r.Done() != nil {
 			t.Fatal(r.Err())
 		}
 	}); n != 0 {
 		t.Fatalf("Reader allocates %.0f times per payload, want 0", n)
+	}
+}
+
+// TestReaderVarints: Uvarint and Varint read exactly the minimal
+// encodings binary.AppendUvarint / AppendVarint write, and fail the
+// Reader on a cut-short, over-64-bit or overlong one; UvarintLen and
+// VarintLen state each encoding's length.
+func TestReaderVarints(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		in   []byte
+		want uint64
+		err  string // "" reads want and consumes in
+	}{
+		{"zero", []byte{0x00}, 0, ""},
+		{"one byte max", []byte{0x7f}, 127, ""},
+		{"two bytes", []byte{0x80, 0x01}, 128, ""},
+		{"u64 max", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, math.MaxUint64, ""},
+		{"empty", nil, 0, "truncated"},
+		{"cut short", []byte{0x80}, 0, "truncated"},
+		{"cut short at ten", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 0, "truncated"},
+		{"past 64 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, 0, "overflows"},
+		{"eleven bytes", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, 0, "overflows"},
+		{"overlong zero", []byte{0x80, 0x00}, 0, "not minimally encoded"},
+		{"overlong one", []byte{0x81, 0x80, 0x00}, 0, "not minimally encoded"},
+	} {
+		r := NewReader("v", c.in)
+		got := r.Uvarint()
+		if c.err == "" {
+			if err := r.Done(); err != nil || got != c.want {
+				t.Errorf("%s: Uvarint = %d, %v; want %d", c.name, got, err, c.want)
+			}
+			if n := UvarintLen(c.want); n != len(c.in) || !bytes.Equal(binary.AppendUvarint(nil, c.want), c.in) {
+				t.Errorf("%s: UvarintLen = %d for a %d-byte encoding", c.name, n, len(c.in))
+			}
+			continue
+		}
+		if got != 0 || r.Err() == nil || !strings.Contains(r.Err().Error(), c.err) || r.Len() != 0 {
+			t.Errorf("%s: Uvarint = %d, err %v, %d bytes left; want 0 and an error saying %q", c.name, got, r.Err(), r.Len(), c.err)
+		}
+		r = NewReader("v", c.in)
+		if v := r.Varint(); v != 0 || r.Err() == nil {
+			t.Errorf("%s: Varint = %d, err %v; want the same failure", c.name, v, r.Err())
+		}
+	}
+	for _, x := range []int64{0, -1, 1, -64, 63, -65, 64, math.MinInt64, math.MaxInt64} {
+		b := binary.AppendVarint(nil, x)
+		r := NewReader("v", b)
+		if got := r.Varint(); r.Done() != nil || got != x || VarintLen(x) != len(b) {
+			t.Errorf("Varint(%x) = %d, err %v, VarintLen %d; want %d in %d bytes", b, got, r.Err(), VarintLen(x), x, len(b))
+		}
+	}
+	for _, n := range []int{0, 1, 127, 128, math.MaxUint16, math.MaxUint16 + 1} {
+		b := AppendVarString(nil, strings.Repeat("e", n))
+		r := NewReader("v", b)
+		if s := r.VarStr(); r.Done() != nil || len(s) != min(n, math.MaxUint16) || VarStringLen(strings.Repeat("e", n)) != len(b) {
+			t.Errorf("AppendVarString(%d bytes): decoded %d bytes in %d, err %v", n, len(s), len(b), r.Err())
+		}
+	}
+	r := NewReader("v", binary.AppendUvarint(nil, math.MaxUint16+1))
+	if s := r.VarStr(); s != "" || r.Err() == nil || !strings.Contains(r.Err().Error(), "exceeds") {
+		t.Errorf("VarStr over 65 535 bytes = %q, err %v", s, r.Err())
 	}
 }
