@@ -23,9 +23,10 @@ type defect struct {
 	damage func(t *testing.T, dir string)
 }
 
-// Offsets into a segment file: the header is magic u32 | version u16 |
-// index u64 | prevHash 32B | sealedUnix i64 | recordCount u32 |
-// ckptLen u32, then the checkpoint, then the records.
+// Offsets into one of the fixture's version 1 segment files: the header
+// is magic u32 | version u16 | index u64 | prevHash 32B | sealedUnix
+// i64 | recordCount u32 | ckptLen u32, then the checkpoint, then the
+// records.
 const (
 	segHdrLen    = 4 + 2 + 8 + 32 + 8 + 4 + 4
 	segCkptLenAt = segHdrLen - 4

@@ -1,17 +1,19 @@
 // Command pathload-archive inspects and maintains the durable
 // measurement archives written by `pathload -archive` and
 // `pathload-coord -archive` (internal/archive: an append-only WAL
-// sealed into hash-chained segment files).
+// sealed into hash-chained segment files beside one live checkpoint
+// file).
 //
 //	pathload-archive verify  <dir>            # integrity walk; exit 1 on tampering
 //	pathload-archive compact <dir> [flags]    # drop old segments under a byte/age cap
 //	pathload-archive cat     <dir>            # decode every retained record
 //
 // verify recomputes every record CRC, every segment's whole-file
-// SHA-256, the prev-hash chain between segments, and the HEAD anchor:
-// a single flipped byte anywhere in sealed history fails the walk. A
-// torn WAL tail is reported but is ordinary crash fallout, not a
-// failure.
+// SHA-256, the prev-hash chain between segments, the HEAD anchor, and
+// the live checkpoint's SHA-256 against the newest segment's header:
+// a single flipped byte anywhere in sealed history or the live
+// checkpoint fails the walk. A torn WAL tail is reported but is
+// ordinary crash fallout, not a failure.
 package main
 
 import (
@@ -57,8 +59,9 @@ func usage() {
 
 commands:
   verify  <dir>                      integrity walk: record CRCs, segment
-                                     hashes, prev-hash chain, HEAD anchor;
-                                     exit 1 if anything fails
+                                     hashes, prev-hash chain, HEAD anchor,
+                                     live checkpoint; exit 1 if anything
+                                     fails
   compact <dir> -max-bytes n -max-age d
                                      drop oldest sealed segments while the
                                      archive exceeds either cap (the newest

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -216,10 +217,11 @@ func copyDir(t *testing.T, from, to string) {
 
 // TestMixedFormatRecovery: today's writer appends to an archive of the
 // older form — a copy of the fixture, KindPoint records under a version
-// 1 checkpoint — and seals. The reopened store holds exactly what an
-// in-memory store fed the same points holds (totals, error counts,
-// digests, rings, link series), the archive verifies, and cat prints
-// both point kinds in one line format.
+// 1 checkpoint inside version 1 segments — and seals a version 2
+// segment, whose checkpoint is the one file beside it. The reopened
+// store holds exactly what an in-memory store fed the same points holds
+// (totals, error counts, digests, rings, link series), the archive
+// verifies, and cat prints both point kinds in one line format.
 func TestMixedFormatRecovery(t *testing.T) {
 	maybeRegen(t)
 	dir := t.TempDir()
@@ -254,6 +256,26 @@ func TestMixedFormatRecovery(t *testing.T) {
 	control.ObserveLink("hop-01", 3, 3*time.Second, time.Second, 0.5, 10e6)
 	if err := backend.Archive().Seal(); err != nil {
 		t.Fatal(err)
+	}
+	var versions, ckpts []string
+	for _, name := range []string{"seg-00000001", "seg-00000002", "seg-00000003"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, fmt.Sprint(binary.BigEndian.Uint16(b[4:6])))
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), "ckpt-") {
+			ckpts = append(ckpts, e.Name())
+		}
+	}
+	if got := strings.Join(versions, " ") + " | " + strings.Join(ckpts, " "); got != "1 1 2 | ckpt-00000003" {
+		t.Fatalf("segment versions and checkpoint files after the seal: %s, want 1 1 2 | ckpt-00000003", got)
 	}
 	observe(pathload.Sample{Path: "p01", Round: 4, At: 4 * time.Second, Err: errors.New("timeout"),
 		Result: pathload.Result{Elapsed: 200 * time.Millisecond, Bits: 96000}})

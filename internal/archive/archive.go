@@ -1,38 +1,57 @@
 // Package archive is the durable tier behind tsstore: an append-only
 // write-ahead log of Records, periodically sealed into immutable,
-// hash-chained segment files with a cumulative checkpoint per segment.
+// hash-chained segment files, beside one live cumulative checkpoint.
 // It is what makes a monitored fleet's history survive the process —
 // and trustworthy after it: every sealed segment's header commits to
-// the SHA-256 of its predecessor's whole file, a HEAD file anchors the
-// newest hash, and a cheap chain walk (Verify) detects any flipped
-// byte in sealed history. The shape follows the off-chain-data /
-// on-chain-hash split of audit-log systems: bulk records live in
-// ordinary files; integrity lives in one 32-byte chain head.
+// the SHA-256 of its predecessor's whole file and to its checkpoint's,
+// a HEAD file anchors the newest hash, and a cheap chain walk (Verify)
+// detects any flipped byte in sealed history or the live checkpoint.
+// The shape follows the off-chain-data / on-chain-hash split of
+// audit-log systems: bulk records live in ordinary files; integrity
+// lives in one 32-byte chain head.
 //
 // Layout of an archive directory:
 //
-//	wal.log        walMagic u32 | version u16 | afterSeg u64 | records…
-//	seg-NNNNNNNN   segMagic u32 | version u16 | index u64 | prevHash 32B |
+//	wal.log        walMagic u32 | version u16 (1) | afterSeg u64 | records…
+//	seg-NNNNNNNN   segMagic u32 | version u16 (2) | index u64 | prevHash 32B |
 //	               sealedUnix i64 | recordCount u32 | ckptLen u32 |
-//	               checkpoint | records…
+//	               ckptHash 32B | records…
+//	ckpt-NNNNNNNN  the checkpoint blob of segment NNNNNNNN, ckptLen bytes
+//	               whose SHA-256 is ckptHash; only the newest segment's
+//	               is kept, and none when ckptLen is 0
 //	HEAD           "plarchive v1\n<index> <sha256 hex>\n"
+//
+// Segments written before version 2 have no ckptHash and carry their
+// checkpoint inline, between the header and the records; they still
+// open, replay and verify, alone or followed by version 2 segments. A
+// reader that predates version 2 refuses a version 2 segment by its
+// version, so an older binary fails on a newer archive instead of
+// misreading it.
 //
 // The WAL header's afterSeg names the newest segment the WAL follows;
 // it is what makes crash windows around sealing unambiguous. Sealing
-// writes the new segment, swaps in a fresh WAL, then rewrites HEAD —
-// each step an atomic temp+rename — so a crash leaves exactly one of
-// three states, and Open heals or reports each explicitly: a WAL whose
+// writes the new checkpoint file, then the new segment, swaps in a
+// fresh WAL, rewrites HEAD and removes the checkpoint file the new one
+// replaces — each write an atomic temp+rename — so a crash leaves one
+// of five states, and Open heals or reports each explicitly: a
+// checkpoint file no segment names (an orphan from before the segment
+// rename, or the replaced one) is removed with a report; a WAL whose
 // afterSeg trails the newest segment is stale (its records were
 // sealed) and is discarded with a report; a HEAD trailing the newest
 // segment by one is healed after the chain link checks out; a torn WAL
 // tail is truncated at the last whole record with the dropped bytes
-// reported. Recovery is exact or explicit, never silent invention.
+// reported. Recovery is exact or explicit, never silent invention. No
+// crash leaves the newest segment's checkpoint file missing or other
+// than its header says, so Open and Verify treat either as damage to
+// sealed history, as they treat a broken chain link.
 //
-// The checkpoint blob carried by each segment is produced by the owner
-// (SetHooks' checkpoint) at seal time and must summarize every
-// record up to and including that segment — it is what lets replay
-// skip re-counting sealed records and what lets Compact drop old
-// segments without losing all-time counters.
+// The checkpoint blob is produced by the owner (SetHooks' checkpoint)
+// at seal time and must summarize every record up to and including
+// that segment — it is what lets replay skip re-counting sealed
+// records and what lets Compact drop old segments without losing
+// all-time counters. Only the newest one is ever read, so a seal
+// replaces it rather than keeping one per segment: what a directory
+// holds grows with its records, not with paths × seals.
 package archive
 
 import (
@@ -44,6 +63,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -56,15 +76,23 @@ import (
 const (
 	walMagic = 0x504c5741 // "PLWA"
 	segMagic = 0x504c5347 // "PLSG"
-	// Version is the on-disk format version of WAL and segment files.
+	// Version is the on-disk format version of the WAL.
 	Version = 1
+	// segVersion is the format version of the segments a seal writes:
+	// 2, whose checkpoint lives in its own file. Version 1 segments
+	// embed theirs; Open, Verify and Walk read both.
+	segVersion = 2
 
 	walName    = "wal.log"
 	headName   = "HEAD"
 	segPrefix  = "seg-"
+	ckptPrefix = "ckpt-"
 	walHdrLen  = 4 + 2 + 8
-	segHdrLen  = 4 + 2 + 8 + sha256.Size + 8 + 4 + 4
-	headPrefix = "plarchive v1\n"
+	// segHdrLenV1 and segHdrLen are the header lengths of segment
+	// versions 1 and 2: version 2 adds the checkpoint's SHA-256.
+	segHdrLenV1 = 4 + 2 + 8 + sha256.Size + 8 + 4 + 4
+	segHdrLen   = segHdrLenV1 + sha256.Size
+	headPrefix  = "plarchive v1\n"
 )
 
 // Options tunes an Archive.
@@ -100,6 +128,11 @@ type OpenReport struct {
 	// HealedHead is set when HEAD trailed the newest segment (crash
 	// between WAL swap and HEAD rewrite) and was rewritten forward.
 	HealedHead bool
+	// RemovedCheckpoints counts the checkpoint files Open removed
+	// because the newest segment does not name them: an orphan written
+	// by a seal that crashed before its segment rename, or the one a
+	// seal that crashed before removing it had replaced.
+	RemovedCheckpoints int
 }
 
 // String renders the report for operator logs.
@@ -113,6 +146,9 @@ func (r OpenReport) String() string {
 	}
 	if r.HealedHead {
 		s += ", healed HEAD"
+	}
+	if r.RemovedCheckpoints > 0 {
+		s += fmt.Sprintf(", removed %d unnamed checkpoint files", r.RemovedCheckpoints)
 	}
 	return s
 }
@@ -139,6 +175,7 @@ type Archive struct {
 	walRecs  int
 	segs     []SegmentInfo // sorted by Index
 	ckpt     []byte        // newest sealed segment's checkpoint blob
+	ckptFile uint64        // index of the live checkpoint file, 0 if none
 	frame    []byte        // Append's record frame, reused
 	closed   bool
 
@@ -169,6 +206,10 @@ func Open(dir string, opt Options) (*Archive, OpenReport, error) {
 		return nil, rep, err
 	}
 	if err := a.openWAL(&rep); err != nil {
+		return nil, rep, err
+	}
+	if err := a.removeUnnamedCheckpoints(&rep); err != nil {
+		a.wal.Close()
 		return nil, rep, err
 	}
 	rep.Segments = len(a.segs)
@@ -350,7 +391,7 @@ func (a *Archive) ReplayTail(fn func(Record) error) error {
 // pass that also checks the segment.
 func replaySegment(dir string, idx uint64, fn func(Record) error) error {
 	var fnErr error
-	_, _, err := scanSegment(segPath(dir, idx), idx, false, false, func(r Record) error {
+	_, _, _, err := scanSegment(segPath(dir, idx), idx, false, false, func(r Record) error {
 		fnErr = fn(r)
 		return fnErr
 	})
@@ -374,41 +415,51 @@ func segPath(dir string, index uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%08d", segPrefix, index))
 }
 
-// sealLocked is the three-step seal: segment rename, WAL swap, HEAD
-// rewrite — each atomic, each a legal crash boundary. The segment is
-// written by streaming the WAL's records into it, one record at a
-// time, checking each one's CRC and the count on the way.
+func ckptPath(dir string, index uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%08d", ckptPrefix, index))
+}
+
+// sealLocked is the five-step seal: checkpoint file rename, segment
+// rename, WAL swap, HEAD rewrite, removal of the replaced checkpoint
+// file — each atomic, each a legal crash boundary. The header is built
+// before anything is written, so a count it cannot hold fails the seal
+// with the directory untouched. The segment is written by streaming
+// the WAL's records into it, one record at a time, checking each one's
+// CRC and the count on the way.
 func (a *Archive) sealLocked() error {
 	if a.walRecs == 0 {
 		return nil
 	}
-	index := uint64(1)
-	var prev [sha256.Size]byte
+	h := segHeader{version: segVersion, index: 1, sealedUnix: a.now(), records: int64(a.walRecs)}
 	if n := len(a.segs); n > 0 {
-		index = a.segs[n-1].Index + 1
-		prev = a.segs[n-1].Hash
+		h.index = a.segs[n-1].Index + 1
+		h.prevHash = a.segs[n-1].Hash
 	}
 	var ckpt []byte
 	if a.checkpoint != nil {
 		ckpt = a.checkpoint()
 	}
-	info := SegmentInfo{Index: index, Records: a.walRecs, SealedUnix: a.now(), PrevHash: prev}
-	sum := sha256.New()
-	err := writeAtomic(segPath(a.dir, index), func(f io.Writer) error {
-		bw := bufio.NewWriterSize(f, fileBufSize)
-		w := io.MultiWriter(bw, sum)
-		hdr := make([]byte, 0, segHdrLen)
-		hdr = binary.BigEndian.AppendUint32(hdr, segMagic)
-		hdr = binary.BigEndian.AppendUint16(hdr, Version)
-		hdr = binary.BigEndian.AppendUint64(hdr, index)
-		hdr = append(hdr, prev[:]...)
-		hdr = binary.BigEndian.AppendUint64(hdr, uint64(info.SealedUnix))
-		hdr = binary.BigEndian.AppendUint32(hdr, uint32(a.walRecs))
-		hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(ckpt)))
-		if _, err := w.Write(hdr); err != nil {
+	if h.ckptLen = int64(len(ckpt)); h.ckptLen > 0 {
+		h.ckptHash = sha256.Sum256(ckpt)
+	}
+	hdr, err := appendSegHeader(make([]byte, 0, segHdrLen), h)
+	if err != nil {
+		return err
+	}
+	if h.ckptLen > 0 {
+		if err := writeAtomic(ckptPath(a.dir, h.index), writeBytes(ckpt)); err != nil {
 			return err
 		}
-		if _, err := w.Write(ckpt); err != nil {
+		if err := a.fail("wrote-checkpoint"); err != nil {
+			return err
+		}
+	}
+	info := SegmentInfo{Index: h.index, Records: a.walRecs, SealedUnix: h.sealedUnix, PrevHash: h.prevHash}
+	sum := sha256.New()
+	err = writeAtomic(segPath(a.dir, h.index), func(f io.Writer) error {
+		bw := bufio.NewWriterSize(f, fileBufSize)
+		w := io.MultiWriter(bw, sum)
+		if _, err := w.Write(hdr); err != nil {
 			return err
 		}
 		err := readWAL(filepath.Join(a.dir, walName), func(_ uint64, rr *recordReader) error {
@@ -419,7 +470,7 @@ func (a *Archive) sealLocked() error {
 				}
 			}
 			if err == io.EOF && rr.n == a.walRecs {
-				info.Bytes = segHdrLen + int64(len(ckpt)) + rr.off
+				info.Bytes = segHdrLen + rr.off
 				return nil
 			}
 			if err == io.EOF {
@@ -434,6 +485,9 @@ func (a *Archive) sealLocked() error {
 		return bw.Flush()
 	})
 	if err != nil {
+		if h.ckptLen > 0 { // no segment names it: leave the directory as it was
+			os.Remove(ckptPath(a.dir, h.index))
+		}
 		return err
 	}
 	sum.Sum(info.Hash[:0])
@@ -442,6 +496,11 @@ func (a *Archive) sealLocked() error {
 		ckpt = append(make([]byte, 0, len(ckpt)), ckpt...)
 	}
 	a.ckpt = ckpt
+	replaced := a.ckptFile
+	a.ckptFile = 0
+	if h.ckptLen > 0 {
+		a.ckptFile = h.index
+	}
 	// The segment is in place. A failure from here on leaves the
 	// directory in one of the crash windows Open heals (a stale WAL, a
 	// trailing HEAD) — but an open archive would go on appending into a
@@ -450,24 +509,38 @@ func (a *Archive) sealLocked() error {
 		a.closed = true
 		return err
 	}
+	// Nothing reads the replaced checkpoint any more. Should removing it
+	// fail, the archive is sound and the next Open removes it.
+	if err := a.fail("anchored-head"); err != nil {
+		return err
+	}
+	if replaced != 0 {
+		if err := os.Remove(ckptPath(a.dir, replaced)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+	}
 	return nil
 }
 
-// swapAndAnchor is the second and third step of a seal: swap in a
+// fail consults the failpoint (tests only) at a seal step boundary.
+func (a *Archive) fail(stage string) error {
+	if a.failpoint == nil {
+		return nil
+	}
+	return a.failpoint(stage)
+}
+
+// swapAndAnchor is the third and fourth step of a seal: swap in a
 // fresh WAL following the new segment, then rewrite HEAD to it.
 func (a *Archive) swapAndAnchor(info SegmentInfo) error {
-	if a.failpoint != nil {
-		if err := a.failpoint("sealed-segment"); err != nil {
-			return err
-		}
+	if err := a.fail("sealed-segment"); err != nil {
+		return err
 	}
 	if err := a.swapFreshWAL(info.Index); err != nil {
 		return err
 	}
-	if a.failpoint != nil {
-		if err := a.failpoint("swapped-wal"); err != nil {
-			return err
-		}
+	if err := a.fail("swapped-wal"); err != nil {
+		return err
 	}
 	return a.writeHead(info)
 }
@@ -503,7 +576,8 @@ func (a *Archive) writeHead(s SegmentInfo) error {
 // loadSegments discovers, header-checks, and hashes every segment
 // file, verifying name/header agreement, sequence contiguity, and the
 // hash chain. Each file is read once; only the newest segment's
-// checkpoint is kept.
+// checkpoint is kept, read from the segment itself (version 1) or from
+// the checkpoint file it names, checked against its header (version 2).
 func (a *Archive) loadSegments() error {
 	idxs, bad, err := listSegments(a.dir)
 	if err != nil {
@@ -518,7 +592,7 @@ func (a *Archive) loadSegments() error {
 		}
 		path := segPath(a.dir, idx)
 		newest := i == len(idxs)-1
-		info, ckpt, err := scanSegment(path, idx, true, newest, nil)
+		info, h, ckpt, err := scanSegment(path, idx, true, newest, nil)
 		if err != nil {
 			return fmt.Errorf("archive: %s: %w", filepath.Base(path), err)
 		}
@@ -526,9 +600,78 @@ func (a *Archive) loadSegments() error {
 			return fmt.Errorf("archive: hash chain broken at segment %d", idx)
 		}
 		a.segs = append(a.segs, info)
-		if newest {
-			a.ckpt = ckpt
+		if !newest {
+			continue
 		}
+		if h.version != 1 && h.ckptLen > 0 {
+			if ckpt, err = readCheckpointFile(a.dir, h); err != nil {
+				return err
+			}
+			a.ckptFile = idx
+		}
+		a.ckpt = ckpt
+	}
+	return nil
+}
+
+// readCheckpointFile reads the checkpoint file a version 2 segment
+// header h names, into a buffer of exactly its length. A missing file,
+// or one whose length or SHA-256 differs from the header's, is an
+// error: no crash leaves either.
+func readCheckpointFile(dir string, h segHeader) ([]byte, error) {
+	path := ckptPath(dir, h.index)
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("archive: %s, the checkpoint segment %d commits to, is missing", filepath.Base(path), h.index)
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	mismatch := fmt.Errorf("archive: %s differs from the checkpoint segment %d commits to — sealed history was modified",
+		filepath.Base(path), h.index)
+	if fi.Size() != h.ckptLen {
+		return nil, mismatch
+	}
+	b := make([]byte, h.ckptLen)
+	if _, err := io.ReadFull(f, b); err != nil {
+		return nil, fmt.Errorf("archive: %s: %w", filepath.Base(path), err)
+	}
+	if sha256.Sum256(b) != h.ckptHash {
+		return nil, mismatch
+	}
+	return b, nil
+}
+
+// removeUnnamedCheckpoints removes every ckpt-<index> file but the one
+// the newest segment names — crash fallout of a seal (package comment)
+// — counting them in rep. Files by other names are not the archive's.
+func (a *Archive) removeUnnamedCheckpoints(rep *OpenReport) error {
+	ents, err := os.ReadDir(a.dir)
+	if err != nil {
+		return err
+	}
+	live := ""
+	if a.ckptFile != 0 {
+		live = filepath.Base(ckptPath(a.dir, a.ckptFile))
+	}
+	for _, e := range ents {
+		name := e.Name()
+		idx, ok := strings.CutPrefix(name, ckptPrefix)
+		if !ok || name == live || e.IsDir() {
+			continue
+		}
+		if _, err := strconv.ParseUint(idx, 10, 64); err != nil {
+			continue
+		}
+		if err := os.Remove(filepath.Join(a.dir, name)); err != nil {
+			return err
+		}
+		rep.RemovedCheckpoints++
 	}
 	return nil
 }
@@ -684,23 +827,99 @@ func readWAL(path string, read func(after uint64, rr *recordReader) error) error
 	return read(binary.BigEndian.Uint64(hdr[6:walHdrLen]), &recordReader{r: br, left: fi.Size() - walHdrLen})
 }
 
+// A segHeader is a segment file's header. In version 1 the checkpoint
+// blob, ckptLen bytes, follows it inline and ckptHash is zero; in
+// version 2 the blob is the file ckpt-<index>, whose SHA-256 is
+// ckptHash. The records follow either.
+type segHeader struct {
+	version    uint16
+	index      uint64
+	prevHash   [sha256.Size]byte
+	sealedUnix int64
+	records    int64
+	ckptLen    int64
+	ckptHash   [sha256.Size]byte
+}
+
+// size returns the header's length on disk.
+func (h *segHeader) size() int64 {
+	if h.version == 1 {
+		return segHdrLenV1
+	}
+	return segHdrLen
+}
+
+// appendSegHeader appends h to b in the layout of h.version. A record
+// count or checkpoint length that its u32 field cannot hold is an
+// error, and b comes back unchanged: a header that misstated its own
+// file would be sealed into the chain for good.
+func appendSegHeader(b []byte, h segHeader) ([]byte, error) {
+	if h.records < 0 || h.records > math.MaxUint32 {
+		return b, fmt.Errorf("archive: %d records do not fit a segment header", h.records)
+	}
+	if h.ckptLen < 0 || h.ckptLen > math.MaxUint32 {
+		return b, fmt.Errorf("archive: a %d-byte checkpoint does not fit a segment header", h.ckptLen)
+	}
+	b = binary.BigEndian.AppendUint32(b, segMagic)
+	b = binary.BigEndian.AppendUint16(b, h.version)
+	b = binary.BigEndian.AppendUint64(b, h.index)
+	b = append(b, h.prevHash[:]...)
+	b = binary.BigEndian.AppendUint64(b, uint64(h.sealedUnix))
+	b = binary.BigEndian.AppendUint32(b, uint32(h.records))
+	b = binary.BigEndian.AppendUint32(b, uint32(h.ckptLen))
+	if h.version != 1 {
+		b = append(b, h.ckptHash[:]...)
+	}
+	return b, nil
+}
+
+// parseSegHeader parses the segment header at the start of b, of
+// either version; b may run on past it.
+func parseSegHeader(b []byte) (h segHeader, err error) {
+	if len(b) < 6 {
+		return h, errors.New("truncated segment header")
+	}
+	if binary.BigEndian.Uint32(b[0:4]) != segMagic {
+		return h, errors.New("wrong segment magic")
+	}
+	h.version = binary.BigEndian.Uint16(b[4:6])
+	if h.version != 1 && h.version != segVersion {
+		return h, fmt.Errorf("segment format version %d, want 1 or %d", h.version, segVersion)
+	}
+	if int64(len(b)) < h.size() {
+		return h, errors.New("truncated segment header")
+	}
+	h.index = binary.BigEndian.Uint64(b[6:14])
+	copy(h.prevHash[:], b[14:14+sha256.Size])
+	off := 14 + sha256.Size
+	h.sealedUnix = int64(binary.BigEndian.Uint64(b[off : off+8]))
+	h.records = int64(binary.BigEndian.Uint32(b[off+8 : off+12]))
+	h.ckptLen = int64(binary.BigEndian.Uint32(b[off+12 : off+16]))
+	if h.version != 1 {
+		copy(h.ckptHash[:], b[segHdrLenV1:segHdrLen])
+	}
+	return h, nil
+}
+
 // scanSegment reads the segment file at path in one pass, holding one
 // record at a time: it checks the header (against wantIndex, when not
 // 0), every record's frame and CRC, and the header's record count, and
-// returns the segment's info. With hashed set it also fills info.Hash,
-// the SHA-256 of the whole file. With keepCkpt set it returns a copy
-// of the checkpoint blob; otherwise the checkpoint is read past and
-// not held. fn, when non-nil, is handed each record in order. Errors
-// do not name the file; info.Bytes is set once the file is open.
-func scanSegment(path string, wantIndex uint64, hashed, keepCkpt bool, fn func(Record) error) (info SegmentInfo, ckpt []byte, err error) {
+// returns the segment's info and header. With hashed set it also fills
+// info.Hash, the SHA-256 of the whole file. With keepCkpt set it
+// returns a copy of a version 1 segment's inline checkpoint blob;
+// otherwise the blob is read past and not held (a version 2 segment
+// has none inline: the header names its file). fn, when non-nil, is
+// handed each record in order. Errors do not name the file; info.Bytes
+// is set once the file is open.
+func scanSegment(path string, wantIndex uint64, hashed, keepCkpt bool, fn func(Record) error) (info SegmentInfo, h segHeader, ckpt []byte, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return info, nil, err
+		return info, h, nil, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return info, nil, err
+		return info, h, nil, err
 	}
 	size := fi.Size()
 	info.Bytes = size
@@ -712,52 +931,46 @@ func scanSegment(path string, wantIndex uint64, hashed, keepCkpt bool, fn func(R
 	}
 	br := bufio.NewReaderSize(src, fileBufSize)
 
-	if size < segHdrLen {
-		return info, nil, errors.New("truncated segment header")
+	peek, err := br.Peek(int(min(size, segHdrLen)))
+	if err != nil {
+		return info, h, nil, err
 	}
-	var hdr [segHdrLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return info, nil, err
+	if h, err = parseSegHeader(peek); err != nil {
+		return info, h, nil, err
 	}
-	if binary.BigEndian.Uint32(hdr[0:4]) != segMagic {
-		return info, nil, errors.New("wrong segment magic")
+	if wantIndex != 0 && h.index != wantIndex {
+		return info, h, nil, fmt.Errorf("segment header index %d disagrees with filename %d", h.index, wantIndex)
 	}
-	if v := binary.BigEndian.Uint16(hdr[4:6]); v != Version {
-		return info, nil, fmt.Errorf("segment format version %d, want %d", v, Version)
+	info.Index, info.PrevHash, info.SealedUnix = h.index, h.prevHash, h.sealedUnix
+	br.Discard(int(h.size()))
+	inline := int64(0)
+	if h.version == 1 {
+		inline = h.ckptLen
 	}
-	info.Index = binary.BigEndian.Uint64(hdr[6:14])
-	if wantIndex != 0 && info.Index != wantIndex {
-		return info, nil, fmt.Errorf("segment header index %d disagrees with filename %d", info.Index, wantIndex)
+	if h.size()+inline > size {
+		return info, h, nil, fmt.Errorf("checkpoint length %d overruns %d-byte segment", inline, size)
 	}
-	copy(info.PrevHash[:], hdr[14:14+sha256.Size])
-	off := 14 + sha256.Size
-	info.SealedUnix = int64(binary.BigEndian.Uint64(hdr[off : off+8]))
-	count := int(binary.BigEndian.Uint32(hdr[off+8 : off+12]))
-	ckptLen := int64(binary.BigEndian.Uint32(hdr[off+12 : off+16]))
-	if segHdrLen+ckptLen > size {
-		return info, nil, fmt.Errorf("checkpoint length %d overruns %d-byte segment", ckptLen, size)
-	}
-	if keepCkpt && ckptLen > 0 {
-		ckpt = make([]byte, ckptLen)
+	if keepCkpt && inline > 0 {
+		ckpt = make([]byte, inline)
 		_, err = io.ReadFull(br, ckpt)
 	} else {
-		_, err = br.Discard(int(ckptLen))
+		_, err = br.Discard(int(inline))
 	}
 	if err != nil {
-		return info, nil, err
+		return info, h, nil, err
 	}
-	rr := recordReader{r: br, left: size - segHdrLen - ckptLen}
+	rr := recordReader{r: br, left: size - h.size() - inline}
 	if err := rr.each(fn); err != nil {
-		return info, nil, fmt.Errorf("record region: %w", err)
+		return info, h, nil, fmt.Errorf("record region: %w", err)
 	}
-	if rr.n != count {
-		return info, nil, fmt.Errorf("header claims %d records, file holds %d", count, rr.n)
+	if int64(rr.n) != h.records {
+		return info, h, nil, fmt.Errorf("header claims %d records, file holds %d", h.records, rr.n)
 	}
-	info.Records = count
+	info.Records = rr.n
 	if sum != nil {
 		sum.Sum(info.Hash[:0])
 	}
-	return info, ckpt, nil
+	return info, h, ckpt, nil
 }
 
 // readHead parses the HEAD file; exists is false when absent.

@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -233,8 +234,8 @@ func TestCompact(t *testing.T) {
 
 // TestVerifyDetectsAnyFlippedByte is the tamper-evidence acceptance
 // criterion: a single flipped byte anywhere in any sealed segment —
-// header, checkpoint, record region — must fail verification via the
-// hash chain or HEAD anchor.
+// header, checkpoint hash, record region — or in the live checkpoint
+// file must fail verification via the hash chain or HEAD anchor.
 func TestVerifyDetectsAnyFlippedByte(t *testing.T) {
 	dir := t.TempDir()
 	a, _ := openT(t, dir, Options{})
@@ -249,14 +250,19 @@ func TestVerifyDetectsAnyFlippedByte(t *testing.T) {
 	if rep, err := Verify(dir); err != nil || !rep.OK() {
 		t.Fatalf("clean archive fails verify: %v %v", err, rep.Problems)
 	}
-	for seg := 1; seg <= 3; seg++ {
-		path := filepath.Join(dir, fmt.Sprintf("seg-%08d", seg))
+	for _, name := range []string{"seg-00000001", "seg-00000002", "seg-00000003", "ckpt-00000003"} {
+		path := filepath.Join(dir, name)
 		orig, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Try a byte in every region: header, checkpoint, records.
-		for _, off := range []int{6, segHdrLen + 3, len(orig) - 2} {
+		// Try a byte in every region: header, checkpoint hash, records;
+		// and the first, a middle and the last of the checkpoint's.
+		offs := []int{6, segHdrLenV1 + 3, segHdrLen + 3, len(orig) - 2}
+		if strings.HasPrefix(name, ckptPrefix) {
+			offs = []int{0, len(orig) / 2, len(orig) - 1}
+		}
+		for _, off := range offs {
 			mod := append([]byte(nil), orig...)
 			mod[off] ^= 0x40
 			if err := os.WriteFile(path, mod, 0o644); err != nil {
@@ -267,10 +273,10 @@ func TestVerifyDetectsAnyFlippedByte(t *testing.T) {
 				t.Fatalf("Verify: %v", err)
 			}
 			if rep.OK() {
-				t.Fatalf("flipped byte at seg %d offset %d went undetected", seg, off)
+				t.Fatalf("flipped byte at %s offset %d went undetected", name, off)
 			}
 			if _, _, err := Open(dir, Options{}); err == nil {
-				t.Fatalf("Open accepted tampered segment %d (offset %d)", seg, off)
+				t.Fatalf("Open accepted tampered %s (offset %d)", name, off)
 			}
 		}
 		if err := os.WriteFile(path, orig, 0o644); err != nil {
@@ -407,5 +413,56 @@ func TestOpenRejectsSequenceGap(t *testing.T) {
 	}
 	if rep.OK() {
 		t.Fatal("sequence gap went undetected by Verify")
+	}
+}
+
+// TestSegmentHeaderBounds: the header's record count and checkpoint
+// length are u32 fields. A value they cannot hold is an error from the
+// function that builds the header, which leaves its buffer as it was —
+// and from a seal, before it writes any file. Values at the bound
+// round-trip, in both header versions.
+func TestSegmentHeaderBounds(t *testing.T) {
+	ok := segHeader{version: segVersion, index: 9, sealedUnix: 1700000000, records: math.MaxUint32, ckptLen: math.MaxUint32}
+	ok.prevHash[0], ok.ckptHash[31] = 0xaa, 0xbb
+	for _, version := range []uint16{1, segVersion} {
+		h := ok
+		if h.version = version; version == 1 {
+			h.ckptHash = [32]byte{}
+		}
+		b, err := appendSegHeader([]byte("x"), h)
+		if err != nil || int64(len(b)) != 1+h.size() {
+			t.Fatalf("version %d at the bound: %d bytes, %v", version, len(b), err)
+		}
+		if got, err := parseSegHeader(b[1:]); err != nil || got != h {
+			t.Fatalf("version %d round-trip: %+v, %v; want %+v", version, got, err, h)
+		}
+	}
+	for name, h := range map[string]segHeader{
+		"records":           {version: segVersion, records: math.MaxUint32 + 1},
+		"checkpoint length": {version: segVersion, ckptLen: math.MaxUint32 + 1},
+		"negative records":  {version: segVersion, records: -1},
+	} {
+		if b, err := appendSegHeader([]byte("x"), h); err == nil || string(b) != "x" {
+			t.Errorf("%s out of range: %q, %v; want an error and the buffer untouched", name, b, err)
+		}
+	}
+
+	dir := t.TempDir()
+	a, _ := openT(t, dir, Options{})
+	defer a.Close()
+	a.SetHooks(nil, fixedCheckpoint("blob"))
+	appendN(t, a, 0, 3)
+	a.walRecs = math.MaxUint32 + 1
+	if err := a.Seal(); err == nil || !strings.Contains(err.Error(), "do not fit") {
+		t.Fatalf("Seal with %d records counted: %v", a.walRecs, err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if e.Name() != walName {
+			t.Errorf("a seal that cannot build its header left %s behind", e.Name())
+		}
 	}
 }

@@ -1,15 +1,54 @@
 package archive
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/tsstore"
 )
 
 // errCrash simulates the process dying at a seal failpoint.
 var errCrash = errors.New("injected crash")
+
+// crashAt is a failpoint that crashes the seal at stage.
+func crashAt(stage string) func(string) error {
+	return func(s string) error {
+		if s == stage {
+			return errCrash
+		}
+		return nil
+	}
+}
+
+// fixedCheckpoint is a checkpoint hook that seals blob every time.
+func fixedCheckpoint(blob string) func() []byte {
+	return func() []byte { return []byte(blob) }
+}
+
+// checkpointFiles fails the test unless dir's ckpt-* files are exactly
+// want, in name order.
+func checkpointFiles(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), ckptPrefix) {
+			got = append(got, e.Name())
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("checkpoint files %v, want %v", got, want)
+	}
+}
 
 // TestCrashMatrix is the crash-point fault-injection table: each case
 // damages an archive the way a kill or corruption would at one precise
@@ -19,10 +58,12 @@ var errCrash = errors.New("injected crash")
 // damage) must refuse to open and fail Verify instead.
 func TestCrashMatrix(t *testing.T) {
 	// Every case starts from the same base: segment 1 sealed with
-	// records 0..5, WAL tail holding records 6..9.
+	// records 0..5 and its checkpoint file, WAL tail holding records
+	// 6..9.
 	mkBase := func(t *testing.T) string {
 		dir := t.TempDir()
 		a, _ := openT(t, dir, Options{})
+		a.SetHooks(nil, fixedCheckpoint("seg 1"))
 		appendN(t, a, 0, 6)
 		if err := a.Seal(); err != nil {
 			t.Fatalf("Seal: %v", err)
@@ -88,6 +129,36 @@ func TestCrashMatrix(t *testing.T) {
 			},
 		},
 		{
+			name: "kill between checkpoint write and segment rename",
+			damage: func(t *testing.T, dir string) {
+				a, _ := openT(t, dir, Options{})
+				a.SetHooks(nil, fixedCheckpoint("seg 2"))
+				a.failpoint = crashAt("wrote-checkpoint")
+				if err := a.Seal(); !errors.Is(err, errCrash) {
+					t.Fatalf("failpoint not hit: %v", err)
+				}
+				a.Close()
+				checkpointFiles(t, dir, "ckpt-00000001", "ckpt-00000002")
+			},
+			check: func(t *testing.T, dir string) {
+				a, rep := openT(t, dir, Options{})
+				defer a.Close()
+				// The orphan names records the WAL still holds: it goes,
+				// the WAL stays live, and segment 1's checkpoint stays.
+				if rep.Segments != 1 || rep.TailRecords != 4 || rep.RemovedCheckpoints != 1 || rep.HealedHead {
+					t.Fatalf("orphan-checkpoint recovery: %+v", rep)
+				}
+				checkpointFiles(t, dir, "ckpt-00000001")
+				if got := string(a.Checkpoint()); got != "seg 1" {
+					t.Fatalf("live checkpoint %q, want segment 1's", got)
+				}
+				sealed, tail := collect(t, a)
+				if len(sealed) != 6 || len(tail) != 4 {
+					t.Fatalf("records after orphan removal: %d sealed + %d tail", len(sealed), len(tail))
+				}
+			},
+		},
+		{
 			name: "kill between segment rename and wal swap",
 			damage: func(t *testing.T, dir string) {
 				a, _ := openT(t, dir, Options{})
@@ -144,6 +215,34 @@ func TestCrashMatrix(t *testing.T) {
 				sealed, tail := collect(t, a)
 				if len(sealed) != 10 || len(tail) != 0 {
 					t.Fatalf("records after heal: %d sealed + %d tail", len(sealed), len(tail))
+				}
+			},
+		},
+		{
+			name: "kill between head rewrite and checkpoint removal",
+			damage: func(t *testing.T, dir string) {
+				a, _ := openT(t, dir, Options{})
+				a.SetHooks(nil, fixedCheckpoint("seg 2"))
+				a.failpoint = crashAt("anchored-head")
+				if err := a.Seal(); !errors.Is(err, errCrash) {
+					t.Fatalf("failpoint not hit: %v", err)
+				}
+				a.Close()
+				checkpointFiles(t, dir, "ckpt-00000001", "ckpt-00000002")
+			},
+			check: func(t *testing.T, dir string) {
+				a, rep := openT(t, dir, Options{})
+				defer a.Close()
+				if rep.Segments != 2 || rep.TailRecords != 0 || rep.RemovedCheckpoints != 1 || rep.HealedHead || rep.StaleWALRecords != 0 {
+					t.Fatalf("replaced-checkpoint recovery: %+v", rep)
+				}
+				checkpointFiles(t, dir, "ckpt-00000002")
+				if got := string(a.Checkpoint()); got != "seg 2" {
+					t.Fatalf("live checkpoint %q, want the one segment 2 names", got)
+				}
+				sealed, tail := collect(t, a)
+				if len(sealed) != 10 || len(tail) != 0 {
+					t.Fatalf("records after removal: %d sealed + %d tail", len(sealed), len(tail))
 				}
 			},
 		},
@@ -284,5 +383,246 @@ func TestCrashStateStillVerifies(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Fatalf("crash window misreported as tampering: %v", rep.Problems)
+	}
+}
+
+// copyArchive copies the archive directory from into a fresh temporary
+// directory and returns it.
+func copyArchive(t *testing.T, from string) string {
+	t.Helper()
+	to := t.TempDir()
+	ents, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(from, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return to
+}
+
+// sameStore fails the test unless got, recovered from an archive,
+// holds what want, fed the same samples in memory, holds: exposition,
+// totals, error counts, digests, rings (Wall aside, which the archive
+// does not keep) and link series.
+func sameStore(t *testing.T, got, want *tsstore.Store) {
+	t.Helper()
+	if g, w := prom(t, got), prom(t, want); g != w {
+		t.Fatalf("recovered store renders differently:\n--- got ---\n%s\n--- want ---\n%s", g, w)
+	}
+	if !reflect.DeepEqual(got.Paths(), want.Paths()) {
+		t.Fatalf("paths %v, want %v", got.Paths(), want.Paths())
+	}
+	for _, p := range want.Paths() {
+		gt, ge := got.Totals(p)
+		wt, we := want.Totals(p)
+		gd, _ := got.DigestSnapshot(p).MarshalBinary()
+		wd, _ := want.DigestSnapshot(p).MarshalBinary()
+		if gt != wt || ge != we || !bytes.Equal(gd, wd) {
+			t.Fatalf("%s: totals (%d, %d) digest %x; want (%d, %d) %x", p, gt, ge, gd, wt, we, wd)
+		}
+		ring := want.Snapshot(p)
+		for i := range ring {
+			ring[i].Wall = time.Time{}
+		}
+		if g := got.Snapshot(p); !reflect.DeepEqual(g, ring) {
+			t.Fatalf("%s: ring %+v, want %+v", p, g, ring)
+		}
+	}
+	for _, l := range want.Links() {
+		if got.LinkTotal(l) != want.LinkTotal(l) || !reflect.DeepEqual(got.LinkSnapshot(l), want.LinkSnapshot(l)) {
+			t.Fatalf("link %s: %d windows %+v, want %d %+v", l, got.LinkTotal(l), got.LinkSnapshot(l), want.LinkTotal(l), want.LinkSnapshot(l))
+		}
+	}
+}
+
+// TestSealCrashStoreRecovery crashes a store-backed archive's second
+// seal at every step boundary. Whatever the crash left verifies; Open
+// replays every record once and removes the checkpoint file the newest
+// segment does not name; OpenStore recovers exactly what an in-memory
+// store fed the same samples holds; and the recovered store seals on,
+// keeping one checkpoint file.
+func TestSealCrashStoreRecovery(t *testing.T) {
+	cfg := tsstore.Config{Capacity: 16}
+	for _, stage := range []string{"wrote-checkpoint", "sealed-segment", "swapped-wal", "anchored-head"} {
+		t.Run(stage, func(t *testing.T) {
+			dir := t.TempDir()
+			st, be, _ := openStoreT(t, dir, Options{}, cfg)
+			control := tsstore.New(cfg)
+			feed(st, testPaths, 0, 6)
+			if err := be.Archive().Seal(); err != nil {
+				t.Fatal(err)
+			}
+			feed(st, testPaths, 6, 10)
+			feed(control, testPaths, 0, 10)
+			be.Archive().failpoint = crashAt(stage)
+			if err := be.Archive().Seal(); !errors.Is(err, errCrash) {
+				t.Fatalf("failpoint not hit: %v", err)
+			}
+			st.Close()
+			checkpointFiles(t, dir, "ckpt-00000001", "ckpt-00000002")
+			if rep, err := Verify(dir); err != nil || !rep.OK() {
+				t.Fatalf("crash state fails Verify: %v %v", err, rep.Problems)
+			}
+			// The seal's segment is in only once its rename happened.
+			segs, live, next := 2, "ckpt-00000002", "ckpt-00000003"
+			if stage == "wrote-checkpoint" {
+				segs, live, next = 1, "ckpt-00000001", "ckpt-00000002"
+			}
+
+			cp := copyArchive(t, dir)
+			a, rep := openT(t, cp, Options{})
+			sealed, tail := collect(t, a)
+			a.Close()
+			if want := 10 * (len(testPaths) + 1); rep.Segments != segs || len(sealed)+len(tail) != want || rep.RemovedCheckpoints != 1 {
+				t.Fatalf("Open: %+v, %d sealed + %d tail records; want %d segments, %d records, one checkpoint file removed",
+					rep, len(sealed), len(tail), segs, want)
+			}
+			checkpointFiles(t, cp, live)
+
+			re, be2, srep := openStoreT(t, dir, Options{}, cfg)
+			if srep.RemovedCheckpoints != 1 || srep.CheckpointCorrupt {
+				t.Fatalf("OpenStore: %+v", srep)
+			}
+			checkpointFiles(t, dir, live)
+			sameStore(t, re, control)
+
+			feed(re, testPaths, 10, 12)
+			feed(control, testPaths, 10, 12)
+			if err := be2.Archive().Seal(); err != nil {
+				t.Fatal(err)
+			}
+			re.Close()
+			checkpointFiles(t, dir, next)
+			re, _, srep = openStoreT(t, dir, Options{}, cfg)
+			defer re.Close()
+			if srep.RemovedCheckpoints != 0 || srep.TailRecords != 0 {
+				t.Fatalf("reopen after sealing on: %+v", srep)
+			}
+			sameStore(t, re, control)
+			if rep, err := Verify(dir); err != nil || !rep.OK() {
+				t.Fatalf("Verify after sealing on: %v %v", err, rep.Problems)
+			}
+		})
+	}
+}
+
+// TestCheckpointFileDamage damages the checkpoint files of a sound
+// store-backed archive whose newest segment, its second, names
+// ckpt-00000002. Deleting that live file, flipping a byte of it or
+// cutting it short is damage to sealed history, never crash fallout:
+// Verify names the file, and Open and OpenStore refuse the directory,
+// as they refuse a broken chain link, and leave it as it was. A file no
+// segment names — the checkpoint the second seal replaced, left beside
+// the live one, or an orphan from a seal that crashed before its
+// segment rename — is crash fallout: Verify passes, and OpenStore
+// removes it, says so, and recovers the store exactly.
+func TestCheckpointFileDamage(t *testing.T) {
+	cfg := tsstore.Config{Capacity: 16}
+	base := t.TempDir()
+	st, be, _ := openStoreT(t, base, Options{}, cfg)
+	feed(st, testPaths, 0, 5)
+	if err := be.Archive().Seal(); err != nil {
+		t.Fatal(err)
+	}
+	replaced, err := os.ReadFile(filepath.Join(base, "ckpt-00000001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(st, testPaths, 5, 10)
+	if err := be.Archive().Seal(); err != nil {
+		t.Fatal(err)
+	}
+	feed(st, testPaths, 10, 12)
+	st.Close()
+	checkpointFiles(t, base, "ckpt-00000002")
+	control := tsstore.New(cfg)
+	feed(control, testPaths, 0, 12)
+	const live = "ckpt-00000002"
+
+	for _, c := range []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+		files  []string // checkpoint files the damage leaves
+		sound  bool     // crash fallout rather than damage to sealed history
+	}{
+		{"live checkpoint deleted", func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, live)); err != nil {
+				t.Fatal(err)
+			}
+		}, nil, false},
+		{"flipped byte in the live checkpoint", func(t *testing.T, dir string) {
+			path := filepath.Join(dir, live)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[len(b)/2] ^= 0x01
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{live}, false},
+		{"live checkpoint cut short", func(t *testing.T, dir string) {
+			path := filepath.Join(dir, live)
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, fi.Size()-1); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{live}, false},
+		{"replaced checkpoint left beside the live one", func(t *testing.T, dir string) {
+			if err := os.WriteFile(filepath.Join(dir, "ckpt-00000001"), replaced, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"ckpt-00000001", live}, true},
+		{"orphan from a crash before the segment rename", func(t *testing.T, dir string) {
+			st, be, _ := openStoreT(t, dir, Options{}, cfg)
+			be.Archive().failpoint = crashAt("wrote-checkpoint")
+			if err := be.Archive().Seal(); !errors.Is(err, errCrash) {
+				t.Fatalf("failpoint not hit: %v", err)
+			}
+			st.Close()
+		}, []string{live, "ckpt-00000003"}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := copyArchive(t, base)
+			c.damage(t, dir)
+			checkpointFiles(t, dir, c.files...)
+			rep, err := Verify(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.sound {
+				if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), live) {
+					t.Fatalf("Verify problems %q do not name %s", rep.Problems, live)
+				}
+				if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), live) {
+					t.Fatalf("Open: %v, want an error naming %s", err, live)
+				}
+				if _, _, _, err := OpenStore(dir, Options{}, cfg); err == nil || !strings.Contains(err.Error(), live) {
+					t.Fatalf("OpenStore: %v, want an error naming %s", err, live)
+				}
+				checkpointFiles(t, dir, c.files...)
+				return
+			}
+			if !rep.OK() {
+				t.Fatalf("crash fallout fails Verify: %v", rep.Problems)
+			}
+			re, _, srep := openStoreT(t, dir, Options{}, cfg)
+			defer re.Close()
+			if srep.RemovedCheckpoints != 1 || srep.CheckpointCorrupt || !strings.Contains(srep.String(), "removed 1 unnamed checkpoint files") {
+				t.Fatalf("OpenStore: %v", srep)
+			}
+			checkpointFiles(t, dir, live)
+			sameStore(t, re, control)
+		})
 	}
 }

@@ -3,17 +3,20 @@ package archive
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/tsstore"
 )
 
-// The seed corpus under testdata/fuzz holds the records, payloads and
-// checkpoint of the committed mini fixture
+// The seed corpus under testdata/fuzz holds the records, payloads,
+// checkpoint and segments of the committed mini fixture
 // (cmd/pathload-archive/testdata/mini); the f.Add seeds below are the
 // malformed neighbours.
 
@@ -219,6 +222,60 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		if !bytes.Equal(re.checkpoint(), data) {
 			t.Fatalf("checkpoint round-trip mismatch:\n got %x\nwant %x", re.checkpoint(), data)
+		}
+	})
+}
+
+// FuzzScanSegment: arbitrary bytes in a segment file must scan to a
+// segment or an error — never panic, never read a checkpoint or record
+// region past the file. A header that parses must re-encode to the
+// bytes it came from, in either version; a file that scans must hash
+// whole, and its header, inline checkpoint and records must account
+// for every byte. The committed seeds are the mini fixture's version 1
+// segments and a version 2 segment sealed onto a copy of it.
+func FuzzScanSegment(f *testing.F) {
+	hdr, _ := appendSegHeader(nil, segHeader{version: segVersion, index: 3, sealedUnix: 1700000100, records: 1, ckptLen: 9})
+	frame, _ := appendRecord(nil, rec(0))
+	f.Add(append(hdr, frame...))
+	f.Add(hdr[:segHdrLen-1]) // torn header
+	v1, _ := appendSegHeader(nil, segHeader{version: 1, index: 1, records: 1, ckptLen: 2})
+	f.Add(append(append(v1, 'c', 'k'), frame...))
+	f.Add(v1[:6])
+	f.Add([]byte{})
+	dir := f.TempDir()
+	path := filepath.Join(dir, "seg")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, perr := parseSegHeader(data)
+		if perr == nil {
+			if h.size() > int64(len(data)) {
+				t.Fatalf("%d-byte header parsed from %d bytes", h.size(), len(data))
+			}
+			re, err := appendSegHeader(nil, h)
+			if err != nil || !bytes.Equal(re, data[:h.size()]) {
+				t.Fatalf("header round-trip: %v\n got %x\nwant %x", err, re, data[:h.size()])
+			}
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var records int64
+		info, sh, ckpt, err := scanSegment(path, 0, true, true, func(r Record) error {
+			records += int64(recOverhead + len(r.Key) + len(r.Data))
+			return nil
+		})
+		if err != nil {
+			return
+		}
+		if perr != nil || sh != h {
+			t.Fatalf("scanSegment read header %+v where parseSegHeader read %+v, %v", sh, h, perr)
+		}
+		inline := int64(len(ckpt))
+		if sh.version == 1 && inline != sh.ckptLen || sh.version != 1 && inline != 0 {
+			t.Fatalf("version %d segment returned a %d-byte inline checkpoint, header says %d", sh.version, inline, sh.ckptLen)
+		}
+		if info.Bytes != int64(len(data)) || sh.size()+inline+records != info.Bytes || info.Hash != sha256.Sum256(data) {
+			t.Fatalf("%d-byte file scanned as %d bytes: header %d + checkpoint %d + records %d, hash %x",
+				len(data), info.Bytes, sh.size(), inline, records, info.Hash)
 		}
 	})
 }

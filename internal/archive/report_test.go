@@ -19,8 +19,9 @@ func TestReportStrings(t *testing.T) {
 	r.DroppedTailBytes = 7
 	r.StaleWALRecords = 4
 	r.HealedHead = true
+	r.RemovedCheckpoints = 1
 	s := r.String()
-	for _, want := range []string{"dropped 7B torn tail", "discarded 4 already-sealed", "healed HEAD"} {
+	for _, want := range []string{"dropped 7B torn tail", "discarded 4 already-sealed", "healed HEAD", "removed 1 unnamed checkpoint files"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("OpenReport %q missing %q", s, want)
 		}

@@ -41,8 +41,8 @@ const (
 // maintains the checkpoint shadow — per-path all-time totals, error
 // counts, and mergeable digests, plus per-link window counts — updated
 // record-by-record under the archive lock (the SetHooks append hook),
-// so the checkpoint sealed into a segment summarizes exactly the
-// records that segment and its predecessors hold, regardless of what
+// so the checkpoint a seal writes summarizes exactly the records that
+// segment and its predecessors hold, regardless of what
 // the live store ingested concurrently. Summarizing the live store instead would
 // race: a sample landing between the seal boundary and the summary
 // would be counted by the checkpoint *and* replayed from the next WAL.

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -459,17 +460,40 @@ func TestCheckpointRejectsPoisonedDigest(t *testing.T) {
 }
 
 // Archive size gate. sizeBudgetPerRecord is the bytes on disk per
-// point record — WAL, segments, checkpoints and HEAD over the number of
-// points — that TestArchiveSizeBudget's shape may take: 83.0 B measured
-// with compact point records and version 2 checkpoints, plus about 2 %.
-// The same shape took 116.8 B with KindPoint records and version 1
-// checkpoints, so losing either half of the compact encoding fails it.
-const sizeBudgetPerRecord = 85
+// point record — WAL, segments, the live checkpoint and HEAD over the
+// number of points — that TestArchiveSizeBudget's shape may take:
+// 68.3 B measured with compact point records, version 2 checkpoints
+// and one live checkpoint file, plus about 2 %. The same shape took
+// 83.0 B with a checkpoint in every segment, and 116.8 B with KindPoint
+// records and version 1 checkpoints as well, so losing any of the three
+// fails it.
+const sizeBudgetPerRecord = 70
+
+// dirBytes sums the sizes of the files in dir.
+func dirBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += info.Size()
+	}
+	return size
+}
 
 // TestArchiveSizeBudget writes a fixed synthetic history — 300 paths,
 // 40 rounds, a seal every 10, samples shaped like the benchmark's
 // store_pipeline — and holds the directory's size per record to
-// sizeBudgetPerRecord.
+// sizeBudgetPerRecord. From one seal to the next the directory must
+// grow by the records appended between them, one segment header, and
+// the checkpoint's growth: a seal replaces the checkpoint, it never
+// keeps the one before beside the new one.
 func TestArchiveSizeBudget(t *testing.T) {
 	const paths, rounds, sealEvery = 300, 40, 10
 	dir := t.TempDir()
@@ -479,6 +503,7 @@ func TestArchiveSizeBudget(t *testing.T) {
 	for i := range levels {
 		levels[i] = 2e6 + 20e6*rng.Float64()
 	}
+	var lastSeal int64 // the directory's size after the last seal
 	for r := 0; r < rounds; r++ {
 		for i, level := range levels {
 			mid, width := level*(0.9+0.2*rng.Float64()), 0.2e6+1.8e6*rng.Float64()
@@ -494,26 +519,27 @@ func TestArchiveSizeBudget(t *testing.T) {
 			})
 		}
 		if (r+1)%sealEvery == 0 {
+			wal, err := os.Stat(filepath.Join(dir, walName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			oldCkpt := int64(len(be.Archive().Checkpoint()))
 			if err := be.Archive().Seal(); err != nil {
 				t.Fatal(err)
 			}
+			size := dirBytes(t, dir)
+			newCkpt := int64(len(be.Archive().Checkpoint()))
+			if want := lastSeal + (wal.Size() - walHdrLen) + segHdrLen + newCkpt - oldCkpt; r >= sealEvery && size != want {
+				t.Fatalf("seal at round %d: directory %d B, want %d B (%d B of records, a %d B header, checkpoint %d B → %d B)",
+					r, size, want, wal.Size()-walHdrLen, segHdrLen, oldCkpt, newCkpt)
+			}
+			lastSeal = size
 		}
 	}
 	if err := be.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var size int64
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		info, err := e.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		size += info.Size()
-	}
+	size := dirBytes(t, dir)
 	perRecord := float64(size) / (paths * rounds)
 	t.Logf("%d bytes on disk for %d records: %.1f B per record", size, paths*rounds, perRecord)
 	if perRecord > sizeBudgetPerRecord {

@@ -65,10 +65,13 @@ func (r *VerifyReport) String() string {
 
 // Verify walks an archive directory without modifying it: every
 // segment's header, record CRCs, and whole-file SHA-256; the hash
-// chain between consecutive segments; the HEAD anchor; and the WAL
+// chain between consecutive segments; the HEAD anchor; the live
+// checkpoint file against the newest segment's header; and the WAL
 // framing. Because each segment's header commits to its predecessor's
-// whole-file hash and HEAD commits to the newest, any flipped byte in
-// sealed history breaks a link this walk checks. The error return is
+// whole-file hash and to its checkpoint's, and HEAD commits to the
+// newest, any flipped byte in sealed history or the live checkpoint
+// breaks a link this walk checks. Checkpoint files no segment names
+// are crash fallout Open removes, not problems. The error return is
 // for an unreadable directory only — integrity findings go in the
 // report.
 func Verify(dir string) (*VerifyReport, error) {
@@ -82,9 +85,10 @@ func Verify(dir string) (*VerifyReport, error) {
 	}
 
 	var prev *SegmentInfo
+	var prevHdr segHeader
 	for i, idx := range idxs {
 		sv := SegmentVerify{Index: idx}
-		info, _, perr := scanSegment(segPath(dir, idx), idx, true, false, nil)
+		info, h, _, perr := scanSegment(segPath(dir, idx), idx, true, false, nil)
 		sv.Bytes = info.Bytes
 		if perr != nil {
 			sv.Err = perr.Error()
@@ -93,6 +97,7 @@ func Verify(dir string) (*VerifyReport, error) {
 			prev = nil
 			continue
 		}
+		prevHdr = h
 		sv.Records = info.Records
 		rep.SealedRecords += info.Records
 		if i > 0 && idx != idxs[i-1]+1 {
@@ -122,6 +127,12 @@ func Verify(dir string) (*VerifyReport, error) {
 		// newest. Verify the anchor it does hold.
 	case prev != nil && headIdx != prev.Index:
 		rep.Problems = append(rep.Problems, fmt.Sprintf("HEAD names segment %d but newest is %d", headIdx, prev.Index))
+	}
+
+	if prev != nil && prevHdr.version != 1 && prevHdr.ckptLen > 0 {
+		if _, err := readCheckpointFile(dir, prevHdr); err != nil {
+			rep.Problems = append(rep.Problems, strings.TrimPrefix(err.Error(), "archive: "))
+		}
 	}
 
 	rep.walVerify(idxs)

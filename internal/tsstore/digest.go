@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/wire"
 )
@@ -64,7 +63,7 @@ func (d *Digest) AddWeighted(x float64, w uint64) {
 	if math.IsNaN(x) {
 		panic("tsstore: NaN added to digest")
 	}
-	i := sort.Search(len(d.cs), func(i int) bool { return d.cs[i].mean >= x })
+	i := lowerBound(d.cs, x)
 	if i < len(d.cs) && d.cs[i].mean == x {
 		// Exact hit: fold into the existing centroid, no compression
 		// needed and no precision lost.
@@ -83,6 +82,22 @@ func (d *Digest) AddWeighted(x float64, w uint64) {
 	d.cs[i] = centroid{mean: x, weight: w}
 	d.n += w
 	d.compress()
+}
+
+// lowerBound returns the index of the first centroid in cs whose mean
+// is at least x, len(cs) if none is: sort.Search's answer, without a
+// closure call per probe.
+func lowerBound(cs []centroid, x float64) int {
+	i, j := 0, len(cs)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if cs[h].mean < x {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
 }
 
 // Merge folds o's centroids into d. o may be nil or empty; merging a

@@ -284,3 +284,23 @@ func FuzzDigestQuantiles(f *testing.F) {
 		check("built", d)
 	})
 }
+
+// TestLowerBoundMatchesSortSearch: AddWeighted's slot search returns
+// sort.Search's index on sorted means with runs of equal values, for
+// probes below, between, on and above them.
+func TestLowerBoundMatchesSortSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 40; n++ {
+		cs := make([]centroid, n)
+		for i := range cs {
+			cs[i].mean = float64(rng.Intn(n/2 + 1))
+		}
+		sort.Slice(cs, func(i, j int) bool { return cs[i].mean < cs[j].mean })
+		for x := -1.0; x <= float64(n/2)+1; x += 0.5 {
+			want := sort.Search(n, func(i int) bool { return cs[i].mean >= x })
+			if got := lowerBound(cs, x); got != want {
+				t.Fatalf("n=%d x=%g: lowerBound = %d, sort.Search = %d", n, x, got, want)
+			}
+		}
+	}
+}
