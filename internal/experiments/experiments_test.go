@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -144,29 +145,33 @@ func TestTimescaleVarianceShape(t *testing.T) {
 	}
 }
 
-// TestRenderersProduceTables smoke-tests eight rows of Figures on tiny
-// experiment runs; a row that panics or emits nothing is a broken
-// report.
+// TestRenderersProduceTables renders nine rows of Figures on tiny
+// experiment runs, one parallel subtest each, and compares their
+// concatenation in the order listed with testdata/renderers.golden
+// once every subtest has finished. A -run pattern that selects only
+// some rows skips the comparison. Run with -update to regolden after
+// an intentional change.
 func TestRenderersProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several scaled-down experiments")
 	}
 	t.Parallel() // pool these cells with the other parallel group's
-	// Independent experiments: parallel subtests, so the package uses
-	// both cores.
-	for name, key := range map[string]string{
-		"owd": "1", "fig5": "5", "fig8": "8", "fig11": "11", "fig15": "15",
-		"fig17": "17", "baseline": "baseline", "timescale": "timescale",
-	} {
-		render := figure(t, key).Run
-		t.Run(name, func(t *testing.T) {
+	rows := []struct{ name, key string }{
+		{"owd", "1"}, {"fig5", "5"}, {"fig8", "8"}, {"fig9", "9"}, {"fig11", "11"},
+		{"fig15", "15"}, {"fig17", "17"}, {"baseline", "baseline"}, {"timescale", "timescale"},
+	}
+	outs := make([]string, len(rows))
+	t.Cleanup(func() {
+		if !slices.Contains(outs, "") {
+			checkGolden(t, "renderers.golden", strings.Join(outs, ""))
+		}
+	})
+	for i, row := range rows {
+		render := figure(t, row.key).Run
+		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			out := render(smallOpt)
-			if len(out) < 80 {
-				t.Errorf("renderer produced %d bytes", len(out))
-			}
-			if !strings.Contains(out, "\n") {
-				t.Errorf("renderer produced no table rows")
+			if outs[i] = render(smallOpt); outs[i] == "" {
+				t.Error("renderer produced nothing")
 			}
 		})
 	}
