@@ -67,13 +67,15 @@ func parseArgs(fs *flag.FlagSet, args []string) (experiments.Options, []experime
 	fig := fs.String("fig", "", "figure(s) to reproduce, comma-separated: "+figHelp())
 	all := fs.Bool("all", false, "reproduce every figure (except scale10k)")
 	scale := fs.Float64("scale", 1.0, "scale factor for run counts and measurement windows, in (0, 1] (1 = paper scale)")
-	seed := fs.Int64("seed", 1, "master random seed")
+	seed := fs.Int64("seed", 1, "master random seed, non-zero")
 	if err := cli.Parse(fs, args); err != nil {
 		return experiments.Options{}, nil, err
 	}
 	switch {
 	case !(*scale > 0 && *scale <= 1): // NaN fails too
 		return experiments.Options{}, nil, fmt.Errorf("-scale %v outside (0, 1]", *scale)
+	case *seed == 0: // Options reads 0 as its default, seed 1
+		return experiments.Options{}, nil, fmt.Errorf("-seed 0 would rerun -seed 1; pass a non-zero seed")
 	case *all && *fig != "":
 		return experiments.Options{}, nil, fmt.Errorf("-all runs every figure; drop -fig %q or drop -all", *fig)
 	}

@@ -86,7 +86,8 @@ func TestFigureTable(t *testing.T) {
 
 // TestParseArgs: every flag is read whatever its place, a positional
 // argument is an error rather than the end of the flags, and a scale
-// outside (0, 1] is rejected by name instead of run as something else.
+// outside (0, 1] or a zero seed is rejected by name instead of run as
+// something else.
 func TestParseArgs(t *testing.T) {
 	opt, sel, err := parse("-fig", "1", "-scale", "0.05", "-seed", "3")
 	if err != nil || opt != (experiments.Options{Scale: 0.05, Seed: 3}) || len(sel) != 1 {
@@ -99,6 +100,9 @@ func TestParseArgs(t *testing.T) {
 		if _, _, err := parse("-fig", "1", "-scale", s); err == nil || !strings.Contains(err.Error(), "-scale") {
 			t.Errorf("-scale %s: err = %v, want a rejection naming -scale", s, err)
 		}
+	}
+	if _, _, err := parse("-fig", "8", "-seed", "0"); err == nil || !strings.Contains(err.Error(), "-seed") {
+		t.Errorf("-seed 0: err = %v, want a rejection naming -seed", err)
 	}
 	if opt, _, err := parse("-all"); err != nil || opt.Scale != 1 {
 		t.Errorf("-all parsed to %+v, %v; want paper scale", opt, err)

@@ -37,32 +37,34 @@ type accuracyCase struct {
 	topo  Topology
 }
 
-// accuracySweep runs pathload repeatedly per case and aggregates.
+// accuracySweep runs pathload repeatedly per case and aggregates. All
+// cases' runs form one pool: run j is case j/runs's run j%runs.
 func accuracySweep(opt Options, cases []accuracyCase, runsFull int) []AccuracyPoint {
 	opt = opt.withDefaults()
 	runs := opt.runs(runsFull)
+	los, his := make([]float64, len(cases)*runs), make([]float64, len(cases)*runs)
+	forRuns(len(los), func(j int) {
+		ci, r := j/runs, j%runs
+		topo := cases[ci].topo
+		topo.Seed = opt.runSeed(ci*1000 + r)
+		res, _, err := measureOnce(topo, pathload.Config{})
+		if err != nil {
+			panic(fmt.Sprintf("experiments: accuracy sweep %q run %d: %v", cases[ci].label, r, err))
+		}
+		los[j], his[j] = res.Lo, res.Hi
+	})
 	out := make([]AccuracyPoint, 0, len(cases))
 	for ci, c := range cases {
-		var los, his []float64
-		for r := 0; r < runs; r++ {
-			topo := c.topo
-			topo.Seed = opt.runSeed(ci*1000 + r)
-			res, _, err := measureOnce(topo, pathload.Config{})
-			if err != nil {
-				panic(fmt.Sprintf("experiments: accuracy sweep %q run %d: %v", c.label, r, err))
-			}
-			los = append(los, res.Lo)
-			his = append(his, res.Hi)
-		}
+		lo, hi := los[ci*runs:(ci+1)*runs], his[ci*runs:(ci+1)*runs]
 		a := c.topo.AvailBw()
 		p := AccuracyPoint{
 			Label:  c.label,
 			Param:  c.param,
 			TrueA:  a,
-			MeanLo: stats.Mean(los),
-			MeanHi: stats.Mean(his),
-			CoVLo:  stats.CoV(los),
-			CoVHi:  stats.CoV(his),
+			MeanLo: stats.Mean(lo),
+			MeanHi: stats.Mean(hi),
+			CoVLo:  stats.CoV(lo),
+			CoVHi:  stats.CoV(hi),
 			Runs:   runs,
 		}
 		p.Contained = p.MeanLo <= a && a <= p.MeanHi

@@ -124,9 +124,9 @@ func contentionConfig(o Options) pathload.Config {
 // tool-interference effect — co-running SLoPS streams raise each
 // other's OWD trends and push estimates down.
 //
-// Identical Options give byte-identical results regardless of host
-// scheduling: solo passes own their simulators, and the co pass is
-// co-scheduled by simprobe.Sequencer.
+// Identical Options give byte-identical results at any GOMAXPROCS:
+// each case's passes run on forRuns' pool, solo passes own their
+// simulators, and the co pass is co-scheduled by simprobe.Sequencer.
 func Contention(opt Options) ContentionResult {
 	opt = opt.withDefaults()
 	cfg := contentionConfig(opt)
@@ -141,8 +141,8 @@ func Contention(opt Options) ContentionResult {
 }
 
 // runContentionCase runs one (shape, fleet) cell: fleet solo passes and
-// one co pass, in parallel — every pass owns an isolated mesh, so
-// parallelism cannot perturb results.
+// one co pass, fleet+1 runs of forRuns' pool — every pass owns an
+// isolated mesh, so the pool cannot perturb results.
 func runContentionCase(shape string, fleet int, seed int64, cfg pathload.Config) ContentionCase {
 	spec, err := mesh.Shape(shape, fleet, seed)
 	if err != nil {
@@ -150,34 +150,25 @@ func runContentionCase(shape string, fleet int, seed int64, cfg pathload.Config)
 	}
 
 	solo := make([]pathload.Result, fleet)
-	var wg sync.WaitGroup
-	for i := 0; i < fleet; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := spec.MustBuild()
-			m.Warmup(warmup)
+	co := make([]pathload.Result, fleet)
+	mrtg := make([]float64, fleet)
+	// Static per-path ground truth (name, analytic A, route links),
+	// published by the co pass; safe to read once forRuns returns.
+	var paths []*mesh.Path
+	// Runs 0..fleet-1 are the solo passes, run fleet the co pass.
+	forRuns(fleet+1, func(i int) {
+		m := spec.MustBuild()
+		m.Warmup(warmup)
+		if i < fleet {
 			p := simprobe.New(m.Sim, m.Paths()[i].Route, reverseDelay)
 			r, err := pathload.Run(p, cfg)
 			if err != nil {
 				panic(fmt.Sprintf("experiments: contention: %s solo %s: %v", shape, m.Paths()[i].Name, err))
 			}
 			solo[i] = r
-		}()
-	}
-
-	co := make([]pathload.Result, fleet)
-	mrtg := make([]float64, fleet)
-	// Static per-path ground truth (name, analytic A, route links),
-	// published by the co-pass goroutine; safe to read after wg.Wait.
-	var paths []*mesh.Path
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		m := spec.MustBuild()
+			return
+		}
 		paths = m.Paths()
-		m.Warmup(warmup)
 		_, probers := m.SequencedProbers(reverseDelay)
 		before := make([]netsim.LinkCounters, fleet)
 		for i, p := range m.Paths() {
@@ -185,9 +176,9 @@ func runContentionCase(shape string, fleet int, seed int64, cfg pathload.Config)
 		}
 		start := m.Sim.Now()
 
+		// Not forRuns: the Sequencer needs every session live, so a bounded pool would deadlock.
 		var fleetWG sync.WaitGroup
 		for i, p := range probers {
-			i, p := i, p
 			fleetWG.Add(1)
 			go func() {
 				defer fleetWG.Done()
@@ -207,8 +198,7 @@ func runContentionCase(shape string, fleet int, seed int64, cfg pathload.Config)
 			util := netsim.Utilization(before[i], link.Counters(), window)
 			mrtg[i] = float64(link.Capacity()) * (1 - util)
 		}
-	}()
-	wg.Wait()
+	})
 
 	// Links shared between routes, from the spec (deterministic).
 	linkRoutes := map[string]int{}

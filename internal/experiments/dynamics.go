@@ -34,8 +34,8 @@ var dynamicsDeciles = []float64{5, 15, 25, 35, 45, 55, 65, 75, 85, 95}
 func rhoSweep(opt Options, label string, runsFull int, mkTopo func(run int, rng *rand.Rand) Topology, cfg pathload.Config) DynamicsCDF {
 	opt = opt.withDefaults()
 	runs := opt.runs(runsFull)
-	d := DynamicsCDF{Label: label, Runs: runs}
-	for r := 0; r < runs; r++ {
+	d := DynamicsCDF{Label: label, Rhos: make([]float64, runs), Runs: runs}
+	forRuns(runs, func(r int) {
 		rng := rand.New(rand.NewSource(opt.runSeed(r) ^ 0x5eed))
 		topo := mkTopo(r, rng)
 		topo.Seed = opt.runSeed(r)
@@ -43,8 +43,8 @@ func rhoSweep(opt Options, label string, runsFull int, mkTopo func(run int, rng 
 		if err != nil {
 			panic(fmt.Sprintf("experiments: dynamics %q run %d: %v", label, r, err))
 		}
-		d.Rhos = append(d.Rhos, res.RelVar())
-	}
+		d.Rhos[r] = res.RelVar()
+	})
 	d.Deciles = stats.Percentiles(d.Rhos, dynamicsDeciles)
 	return d
 }
@@ -61,7 +61,6 @@ func Fig11(opt Options) []DynamicsCDF {
 	bands := []struct{ lo, hi float64 }{{0.20, 0.30}, {0.40, 0.50}, {0.75, 0.85}}
 	var out []DynamicsCDF
 	for _, b := range bands {
-		b := b
 		label := fmt.Sprintf("u=%.0f-%.0f%%", b.lo*100, b.hi*100)
 		out = append(out, rhoSweep(opt, label, paperDynamicsRuns, func(run int, rng *rand.Rand) Topology {
 			u := b.lo + rng.Float64()*(b.hi-b.lo)
@@ -88,7 +87,6 @@ func Fig12(opt Options) []DynamicsCDF {
 	}
 	var out []DynamicsCDF
 	for _, p := range paths {
-		p := p
 		out = append(out, rhoSweep(opt, p.label, paperDynamicsRuns, func(run int, rng *rand.Rand) Topology {
 			u := 0.60 + rng.Float64()*0.10 // "roughly the same (around 65%)"
 			return Topology{
@@ -108,7 +106,6 @@ func Fig12(opt Options) []DynamicsCDF {
 func Fig13(opt Options) []DynamicsCDF {
 	var out []DynamicsCDF
 	for _, k := range []int{100, 200, 1000} {
-		k := k
 		label := fmt.Sprintf("K=%d", k)
 		out = append(out, rhoSweep(opt, label, paperDynamicsRuns, func(run int, rng *rand.Rand) Topology {
 			return Topology{TightCap: dynTightCap, TightUtil: 0.64, Model: crosstraffic.ModelPareto}
@@ -129,7 +126,6 @@ func Fig13(opt Options) []DynamicsCDF {
 func Fig14(opt Options) []DynamicsCDF {
 	var out []DynamicsCDF
 	for _, n := range []int{12, 24, 48} {
-		n := n
 		label := fmt.Sprintf("N=%d", n)
 		out = append(out, rhoSweep(opt, label, paperDynamicsRuns, func(run int, rng *rand.Rand) Topology {
 			return Topology{TightCap: dynTightCap, TightUtil: 0.65, Model: crosstraffic.ModelPareto}

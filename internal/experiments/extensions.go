@@ -33,8 +33,10 @@ type BaselinePoint struct {
 // amount that grows with utilization.
 func BaselineComparison(opt Options) []BaselinePoint {
 	opt = opt.withDefaults()
-	var out []BaselinePoint
-	for i, u := range []float64{0.2, 0.4, 0.6, 0.8} {
+	utils := []float64{0.2, 0.4, 0.6, 0.8}
+	out := make([]BaselinePoint, len(utils))
+	forRuns(len(utils), func(i int) {
+		u := utils[i]
 		topo := Topology{TightUtil: u, Seed: opt.runSeed(400 + i)}
 		net := topo.Build()
 		net.Warmup(warmup)
@@ -62,15 +64,15 @@ func BaselineComparison(opt Options) []BaselinePoint {
 				fp = append(fp, nontight)
 			}
 		}
-		out = append(out, BaselinePoint{
+		out[i] = BaselinePoint{
 			Util:      u,
 			TrueA:     a,
 			Cprobe:    cp.Estimate,
 			FluidADR:  fluid.ExitRate(120e6, fp),
 			PathloadL: pl.Lo,
 			PathloadH: pl.Hi,
-		})
-	}
+		}
+	})
 	return out
 }
 
@@ -109,11 +111,13 @@ func TimescaleVariance(opt Options) []TimescaleCDF {
 		640 * netsim.Millisecond,
 		2560 * netsim.Millisecond,
 	}
-	var out []TimescaleCDF
-	for i, model := range []struct {
+	models := []struct {
 		name string
 		m    crosstraffic.Model
-	}{{"poisson", crosstraffic.ModelPoisson}, {"pareto", crosstraffic.ModelPareto}} {
+	}{{"poisson", crosstraffic.ModelPoisson}, {"pareto", crosstraffic.ModelPareto}}
+	out := make([]TimescaleCDF, len(models))
+	forRuns(len(models), func(i int) {
+		model := models[i]
 		topo := Topology{Seed: opt.runSeed(500 + i), Model: model.m}
 		net := topo.Build()
 		net.Warmup(warmup)
@@ -121,8 +125,8 @@ func TimescaleVariance(opt Options) []TimescaleCDF {
 		mon.Start()
 		net.Sim.RunFor(horizon)
 		mon.Stop()
-		out = append(out, TimescaleCDF{Model: model.name, Points: mon.VarianceByTimescale(taus)})
-	}
+		out[i] = TimescaleCDF{Model: model.name, Points: mon.VarianceByTimescale(taus)}
+	})
 	return out
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/scenario"
@@ -115,9 +114,9 @@ type FleetScenariosResult struct {
 // mesh.MonitorFleet: fleetPaths sessions over one shared backbone on
 // one virtual clock, epochs advanced in the driver's round-boundary
 // hook so every path changes regime in the same fleet round, per-link
-// utilization recorded at the same boundaries. Cells run in parallel on
-// isolated seeded simulations; identical Options give byte-identical
-// results regardless of host scheduling, and the steady-disjoint cell
+// utilization recorded at the same boundaries. Cells run on forRuns'
+// pool, each on an isolated seeded simulation: identical Options give
+// byte-identical results at any GOMAXPROCS, and the steady-disjoint cell
 // additionally proves each path's fleet transcript equals a fresh solo
 // run (the PR 3 disjoint-control argument, lifted to whole monitor
 // sessions).
@@ -128,16 +127,7 @@ func FleetScenarios(opt Options) FleetScenariosResult {
 
 	names := scenario.FleetNames()
 	cells := make([]FleetCell, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		i, name := i, name
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cells[i] = runFleetCell(name, rounds, opt.runSeed(i), cfg)
-		}()
-	}
-	wg.Wait()
+	forRuns(len(names), func(i int) { cells[i] = runFleetCell(names[i], rounds, opt.runSeed(i), cfg) })
 	return FleetScenariosResult{Cells: cells, K: cfg.PacketsPerStream, N: cfg.StreamsPerFleet, Rounds: rounds}
 }
 

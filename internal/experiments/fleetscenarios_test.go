@@ -28,14 +28,16 @@ func TestFleetScenariosGolden(t *testing.T) {
 // byte-identically regardless of host scheduling — the whole monitored
 // fleet (sessions, barrier, epoch advances, link snapshots) runs on one
 // virtual clock under the sequenced driver. CI runs this with -race
-// -count=2.
+// -count=2. The solo-replay check reads the first run: the second
+// renders identically or the test has already failed.
 func TestDeterminismFleetScenarios(t *testing.T) {
-	a := RenderFleetScenarios(FleetScenarios(fleetOpt))
+	res := FleetScenarios(fleetOpt)
+	a := RenderFleetScenarios(res)
 	b := RenderFleetScenarios(FleetScenarios(fleetOpt))
 	if a != b {
 		t.Fatalf("two identical fleet runs rendered differently:\n--- run 1\n%s\n--- run 2\n%s", a, b)
 	}
-	assertSoloReplay(t, FleetScenarios(fleetOpt))
+	assertSoloReplay(t, res)
 }
 
 // assertSoloReplay checks the steady-disjoint control: its precondition

@@ -115,9 +115,7 @@ func DynamicsAtScale10k(opt Options) ScaleResult {
 
 func dynamicsAtScale(opt Options, paths, rounds int) ScaleResult {
 	nets := make([]*Net, paths)
-	for i := range nets {
-		nets[i] = scaleTopology(i, paths, opt.Seed).Build()
-	}
+	forRuns(paths, func(i int) { nets[i] = scaleTopology(i, paths, opt.Seed).Build() })
 	workers := runtime.GOMAXPROCS(0)
 	mon, err := MonitorShards(nets, pathload.MonitorConfig{
 		Workers:  workers,

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/netsim"
@@ -56,6 +58,31 @@ func (o Options) window(full, floor netsim.Time) netsim.Time {
 // runSeed derives a per-run seed; the large odd multiplier keeps the
 // per-run RNG streams far apart.
 func (o Options) runSeed(run int) int64 { return o.Seed + int64(run)*7_919_317 }
+
+// forRuns calls run(i) once for every i in [0, n), on at most
+// GOMAXPROCS goroutines (the caller's among them), and returns when
+// every call has. Runs share nothing: each builds its own simulation
+// from its own seed and writes only index i of its caller's slices,
+// and the caller aggregates in index order after forRuns returns, so
+// results do not depend on the worker count. A run's panic is not
+// recovered; its message names the run.
+func forRuns(n int, run func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			run(i)
+		}
+	}
+	done := make(chan struct{})
+	for range workers - 1 {
+		go func() { work(); done <- struct{}{} }()
+	}
+	work()
+	for range workers - 1 {
+		<-done
+	}
+}
 
 // Warmup time before any measurement, letting queues and heavy-tailed
 // sources reach steady state.

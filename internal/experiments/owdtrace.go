@@ -77,8 +77,9 @@ func OWDTraces(opt Options) []OWDTrace {
 		{"fig3", 82},
 	}
 	cfg := pathload.Config{}
-	var out []OWDTrace
-	for i, c := range cases {
+	out := make([]OWDTrace, len(cases))
+	forRuns(len(cases), func(i int) {
+		c := cases[i]
 		sim, links := hopPath(opt.runSeed(i), oregonDelaware...)
 		sim.RunFor(warmup)
 		prober := simprobe.New(sim, links, 10*netsim.Millisecond)
@@ -109,7 +110,7 @@ func OWDTraces(opt Options) []OWDTrace {
 		if len(tr.OWDms) > 0 {
 			tr.RiseMs = tr.OWDms[len(tr.OWDms)-1] - tr.OWDms[0]
 		}
-		out = append(out, tr)
-	}
+		out[i] = tr
+	})
 	return out
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/baseline"
 	"repro/internal/netsim"
@@ -145,9 +144,9 @@ type ScenariosResult struct {
 // scenario matrix: every registry scenario × ScenarioLoads ×
 // ScenarioEstimators, Rounds measurement rounds per cell, with
 // multi-epoch scenarios advancing at round boundaries (rounds split
-// evenly across epochs). Cells run in parallel, each on its own
+// evenly across epochs). Cells run on forRuns' pool, each on its own
 // isolated, seeded simulation, so identical Options give byte-identical
-// results regardless of host scheduling.
+// results at any GOMAXPROCS.
 func Scenarios(opt Options) ScenariosResult {
 	opt = opt.withDefaults()
 	cfg := contentionConfig(opt)
@@ -171,16 +170,9 @@ func Scenarios(opt Options) ScenariosResult {
 	}
 
 	cells := make([]ScenarioCell, len(specs))
-	var wg sync.WaitGroup
-	for i, sp := range specs {
-		i, sp := i, sp
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cells[i] = runScenarioCell(sp.name, sp.load, sp.estimator, rounds, opt.runSeed(i), cfg)
-		}()
-	}
-	wg.Wait()
+	forRuns(len(specs), func(i int) {
+		cells[i] = runScenarioCell(specs[i].name, specs[i].load, specs[i].estimator, rounds, opt.runSeed(i), cfg)
+	})
 	return ScenariosResult{Cells: cells, K: cfg.PacketsPerStream, N: cfg.StreamsPerFleet, Rounds: rounds}
 }
 
@@ -214,14 +206,14 @@ func runScenarioCell(name string, load float64, estimator string, rounds int, se
 		case "slops":
 			res, err := pathload.Run(p, cfg)
 			if err != nil {
-				panic(fmt.Sprintf("experiments: scenarios: %s load %.2f round %d: %v", name, load, r, err))
+				panic(fmt.Sprintf("experiments: scenarios: %s load %.2f %s round %d: %v", name, load, estimator, r, err))
 			}
 			round.Lo, round.Hi = res.Lo, res.Hi
 			round.Grey, round.Floor = res.GreySet, res.HitMin
 		case "minplus":
 			res, err := baseline.MinPlus(p, baseline.MinPlusConfig{MaxRate: narrow})
 			if err != nil {
-				panic(fmt.Sprintf("experiments: scenarios: %s load %.2f round %d: %v", name, load, r, err))
+				panic(fmt.Sprintf("experiments: scenarios: %s load %.2f %s round %d: %v", name, load, estimator, r, err))
 			}
 			round.Lo, round.Hi = res.Lo, res.Hi
 			round.Floor = res.Backlogged && res.Probed == 1

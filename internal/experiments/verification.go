@@ -51,8 +51,8 @@ func Fig10(opt Options) []VerificationRun {
 	window := opt.window(Fig10Window, 30*netsim.Second)
 	const runs = 12
 
-	var out []VerificationRun
-	for r := 0; r < runs; r++ {
+	out := make([]VerificationRun, runs)
+	forRuns(runs, func(r int) {
 		rng := rand.New(rand.NewSource(opt.runSeed(r) ^ 0xf16))
 		// 46–93 Mb/s avail on the OC-3, always below the narrow link's
 		// 95 Mb/s so the OC-3 stays the tight link MRTG should match.
@@ -86,7 +86,7 @@ func Fig10(opt Options) []VerificationRun {
 
 		readings := mon.Readings()
 		if len(readings) == 0 {
-			panic("experiments: fig10: MRTG window never closed")
+			panic(fmt.Sprintf("experiments: fig10 run %d: MRTG window never closed", r))
 		}
 		avail := readings[0].Avail
 		lo, hi := mrtg.Quantize(avail, MRTGQuantum)
@@ -101,7 +101,7 @@ func Fig10(opt Options) []VerificationRun {
 			PathloadN:   len(centers),
 		}
 		v.Within = v.PathloadAvg >= lo && v.PathloadAvg <= hi
-		out = append(out, v)
-	}
+		out[r] = v
+	})
 	return out
 }
