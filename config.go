@@ -175,7 +175,7 @@ func (c Config) validate() error {
 	if c.StreamsPerFleet < 1 {
 		return fmt.Errorf("pathload: StreamsPerFleet must be positive, got %d", c.StreamsPerFleet)
 	}
-	if c.FleetFraction < 0 || c.FleetFraction > 1 {
+	if !(c.FleetFraction >= 0 && c.FleetFraction <= 1) { // NaN too
 		return fmt.Errorf("pathload: FleetFraction %v outside [0,1]", c.FleetFraction)
 	}
 	if c.MinPacket > c.MTU {
@@ -184,8 +184,11 @@ func (c Config) validate() error {
 	if c.MinPeriod <= 0 {
 		return fmt.Errorf("pathload: MinPeriod must be positive, got %v", c.MinPeriod)
 	}
-	if c.MinRate < 0 || (c.MaxRate != 0 && c.MinRate >= c.MaxRate) {
+	if !(c.MinRate >= 0 && c.MinRate < c.MaxRate) { // defaulting caps MaxRate, so NaN and ±Inf fail
 		return fmt.Errorf("pathload: rate bounds [%v, %v] invalid", c.MinRate, c.MaxRate)
+	}
+	if c.PDTIncreasing*0+c.PDTNonIncreasing*0+c.Resolution*0+c.GreyResolution*0+c.InitialRate*0 != 0 { // x·0 is NaN for NaN and ±Inf
+		return fmt.Errorf("pathload: a PDT threshold, resolution or InitialRate is not finite in %+v", c)
 	}
 	return nil
 }

@@ -34,6 +34,7 @@ package schedule
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -408,7 +409,7 @@ func Validate(s Scheduler) error {
 	case nil:
 		return nil
 	case *Fixed:
-		if sc.Jitter < 0 || sc.Jitter > 1 {
+		if !(sc.Jitter >= 0 && sc.Jitter <= 1) { // NaN too
 			return fmt.Errorf("schedule: Fixed.Jitter %v outside [0,1]", sc.Jitter)
 		}
 	case *Adaptive:
@@ -418,15 +419,18 @@ func Validate(s Scheduler) error {
 		if min, max := sc.Bounds(); min < 0 || min > max {
 			return fmt.Errorf("schedule: Adaptive clamp [%v, %v] invalid", min, max)
 		}
+		if math.IsNaN(sc.Ref) || math.IsInf(sc.Ref, 0) {
+			return fmt.Errorf("schedule: Adaptive.Ref %v is not finite", sc.Ref)
+		}
 	case *Budgeted:
 		if sc.Inner == nil {
 			return fmt.Errorf("schedule: Budgeted.Inner is nil")
 		}
-		if sc.Rate <= 0 {
-			return fmt.Errorf("schedule: Budgeted.Rate must be positive, got %v", sc.Rate)
+		if !(sc.Rate > 0 && sc.Rate <= math.MaxFloat64) {
+			return fmt.Errorf("schedule: Budgeted.Rate must be positive and finite, got %v", sc.Rate)
 		}
-		if sc.Burst < 0 {
-			return fmt.Errorf("schedule: Budgeted.Burst must not be negative, got %v", sc.Burst)
+		if !(sc.Burst >= 0 && sc.Burst <= math.MaxFloat64) {
+			return fmt.Errorf("schedule: Budgeted.Burst must be finite and not negative, got %v", sc.Burst)
 		}
 		return Validate(sc.Inner)
 	case *Until:

@@ -2,7 +2,9 @@ package schedule
 
 import (
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -271,6 +273,36 @@ func TestUntilEndsSessionsAtHorizon(t *testing.T) {
 	done := &fakeHistory{last: Round{At: 59 * time.Second, Span: time.Second}, haveLast: true}
 	if _, ok := u.Next("p", done); ok {
 		t.Fatal("session kept running at the horizon")
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN or ±Inf in any exported float
+// field of a valid scheduler fails Validate. NaN used to pass every
+// range check written as x < lo || x > hi.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	valid := []func() Scheduler{
+		func() Scheduler { return &Fixed{Interval: time.Second} },
+		func() Scheduler { return &Adaptive{Base: time.Second} },
+		func() Scheduler { return &Budgeted{Inner: &Fixed{}, Rate: 1e6} },
+	}
+	for _, mk := range valid {
+		v := reflect.ValueOf(mk()).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() || f.Type.Kind() != reflect.Float64 {
+				continue
+			}
+			for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				s := mk()
+				reflect.ValueOf(s).Elem().Field(i).SetFloat(x)
+				if err := Validate(s); err == nil {
+					t.Errorf("%s.%s = %v accepted", v.Type().Name(), f.Name, x)
+				}
+				if err := Validate(&Until{Inner: s}); err == nil {
+					t.Errorf("Until{%s.%s = %v} accepted", v.Type().Name(), f.Name, x)
+				}
+			}
+		}
 	}
 }
 

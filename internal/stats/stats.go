@@ -74,32 +74,28 @@ func Median(xs []float64) float64 {
 // linear interpolation between order statistics. It panics on an empty
 // slice or out-of-range p: percentiles of nothing are a caller bug.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	return Percentiles(xs, []float64{p})[0]
+}
+
+// Percentiles evaluates several percentiles in one sort. Empty ps
+// returns an empty slice, whatever xs is.
+func Percentiles(xs []float64, ps []float64) []float64 {
+	out := make([]float64, len(ps))
+	if len(xs) == 0 && len(ps) > 0 {
 		panic("stats: percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("stats: percentile %v out of range [0,100]", p))
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Percentiles evaluates several percentiles in one sort.
-func Percentiles(xs []float64, ps []float64) []float64 {
-	out := make([]float64, len(ps))
 	for i, p := range ps {
-		out[i] = Percentile(xs, p)
+		if !(p >= 0 && p <= 100) { // NaN too
+			panic(fmt.Sprintf("stats: percentile %v out of range [0,100]", p))
+		}
+		pos := p / 100 * float64(len(s)-1)
+		lo := int(math.Floor(pos))
+		out[i] = s[lo]
+		if frac := pos - float64(lo); frac > 0 {
+			out[i] = s[lo]*(1-frac) + s[lo+1]*frac
+		}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -92,6 +93,68 @@ func TestPercentilePanics(t *testing.T) {
 		"empty":        func() { Percentile(nil, 50) },
 		"negative":     func() { Percentile([]float64{1}, -1) },
 		"over hundred": func() { Percentile([]float64{1}, 101) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// percentileRef is the rule Percentile used when every call sorted a
+// fresh copy: the one-sort Percentiles must reproduce it bit for bit.
+func percentileRef(xs []float64, p float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if len(s) == 1 {
+		return s[0]
+	}
+	pos := p / 100 * float64(len(s)-1)
+	lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := pos - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// TestPercentilesMatchPercentile: Percentiles sorts once yet gives,
+// in the caller's p order, exactly what per-p Percentile calls and the
+// sort-per-call rule give, and leaves xs unsorted.
+func TestPercentilesMatchPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]float64, 1+trial%17)
+		for i := range xs {
+			xs[i] = rng.NormFloat64() * 1e6
+		}
+		orig := append([]float64(nil), xs...)
+		ps := []float64{100, 0, 50, 10, 90, 33.3, 100 * rng.Float64(), 0}
+		got := Percentiles(xs, ps)
+		for i, p := range ps {
+			want := percentileRef(xs, p)
+			if got[i] != want || Percentile(xs, p) != want {
+				t.Fatalf("n=%d p=%v: Percentiles = %v, Percentile = %v, want %v", len(xs), p, got[i], Percentile(xs, p), want)
+			}
+		}
+		for i := range xs {
+			if xs[i] != orig[i] {
+				t.Fatalf("n=%d: Percentiles reordered its input", len(xs))
+			}
+		}
+	}
+	if got := Percentiles(nil, nil); len(got) != 0 {
+		t.Errorf("Percentiles(nil, nil) = %v, want empty", got)
+	}
+	for name, fn := range map[string]func(){
+		"empty xs":     func() { Percentiles(nil, []float64{50}) },
+		"negative":     func() { Percentiles([]float64{1, 2}, []float64{50, -1}) },
+		"over hundred": func() { Percentiles([]float64{1}, []float64{101}) },
+		"NaN":          func() { Percentiles([]float64{1, 2}, []float64{math.NaN()}) },
 	} {
 		func() {
 			defer func() {

@@ -197,7 +197,7 @@ func (c MonitorConfig) validate() error {
 	if c.Workers < 0 || c.Rounds < 0 || c.Buffer < 0 || c.Interval < 0 {
 		return fmt.Errorf("pathload: monitor config has negative Workers/Rounds/Buffer/Interval")
 	}
-	if c.Jitter < 0 || c.Jitter > 1 {
+	if !(c.Jitter >= 0 && c.Jitter <= 1) { // NaN too
 		return fmt.Errorf("pathload: monitor Jitter %v outside [0,1]", c.Jitter)
 	}
 	if c.Reconnect.Backoff < 0 || c.Reconnect.MaxBackoff < 0 || c.Reconnect.MaxAttempts < 0 {

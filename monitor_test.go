@@ -3,6 +3,7 @@ package pathload_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -181,6 +182,31 @@ func TestMonitorWorkerPoolBound(t *testing.T) {
 	}
 	if got := atomic.LoadInt32(&maxSeen); got > 2 {
 		t.Fatalf("worker pool leaked: %d concurrent streams, want ≤ 2", got)
+	}
+}
+
+// TestNewMonitorRejectsNonFinite: NaN or ±Inf in any float field of
+// MonitorConfig fails NewMonitor (a NaN Jitter used to pass the range
+// check and drop the Interval gap), and so does one in the Scheduler.
+func TestNewMonitorRejectsNonFinite(t *testing.T) {
+	typ := reflect.TypeOf(pathload.MonitorConfig{})
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() != reflect.Float64 {
+			continue
+		}
+		for _, v := range nonFinite {
+			var cfg pathload.MonitorConfig
+			reflect.ValueOf(&cfg).Elem().Field(i).SetFloat(v)
+			if _, err := pathload.NewMonitor(cfg); err == nil {
+				t.Errorf("%s = %v accepted", typ.Field(i).Name, v)
+			}
+		}
+	}
+	for _, v := range nonFinite {
+		cfg := pathload.MonitorConfig{Scheduler: &schedule.Budgeted{Inner: &schedule.Fixed{}, Rate: v}}
+		if _, err := pathload.NewMonitor(cfg); err == nil {
+			t.Errorf("Scheduler Budgeted.Rate = %v accepted", v)
+		}
 	}
 }
 

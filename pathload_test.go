@@ -2,8 +2,8 @@ package pathload_test
 
 import (
 	"errors"
-	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -174,24 +174,63 @@ func (f *fluidProber) SendStream(spec pathload.StreamSpec) (pathload.StreamResul
 	return res, nil
 }
 
+// nonFinite are the float values every validator must refuse; each
+// passes a range check written as x < lo || x > hi.
+var nonFinite = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// TestRunRejectsNonFinite: every float field of Config set to NaN or
+// ±Inf fails Run before the init probe sends a stream. MaxRate = +Inf
+// alone is accepted: it clamps to the generation limit, like any rate
+// above it.
+func TestRunRejectsNonFinite(t *testing.T) {
+	typ := reflect.TypeOf(pathload.Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Float64 {
+			continue
+		}
+		for _, v := range nonFinite {
+			var cfg pathload.Config
+			reflect.ValueOf(&cfg).Elem().Field(i).SetFloat(v)
+			p := &fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}
+			_, err := pathload.Run(p, cfg)
+			if f.Name == "MaxRate" && math.IsInf(v, 1) {
+				if err != nil {
+					t.Errorf("MaxRate = +Inf: %v, want it clamped to the generation limit", err)
+				}
+				continue
+			}
+			if err == nil {
+				t.Errorf("%s = %v accepted", f.Name, v)
+			}
+			if p.streams != 0 {
+				t.Errorf("%s = %v: %d streams sent before the config was refused", f.Name, v, p.streams)
+			}
+		}
+	}
+}
+
 // TestRunConvergesOnFluidOracle: against the noise-free fluid model the
 // tool must bracket the avail-bw within the resolution, with no grey
 // region.
 func TestRunConvergesOnFluidOracle(t *testing.T) {
-	for _, a := range []float64{2e6, 4e6, 37e6, 74e6} {
-		p := &fluidProber{path: fluid.Path{{C: 155e6, A: a}}}
+	for _, link := range []fluid.Link{
+		{C: 155e6, A: 2e6}, {C: 155e6, A: 4e6}, {C: 155e6, A: 37e6}, {C: 155e6, A: 74e6},
+		{C: 10e6, A: 4e6}, // the paper's default tight link at 60 % load
+	} {
+		p := &fluidProber{path: fluid.Path{link}}
 		res, err := pathload.Run(p, pathload.Config{})
 		if err != nil {
-			t.Fatalf("A=%v: %v", a, err)
+			t.Fatalf("%+v: %v", link, err)
 		}
-		if !pathload.Brackets(res.Lo, res.Hi, a, 0) {
-			t.Errorf("A=%.0f: range [%.0f, %.0f] misses it", a, res.Lo, res.Hi)
+		if !pathload.Brackets(res.Lo, res.Hi, link.A, 0) {
+			t.Errorf("%+v: range [%.0f, %.0f] misses A", link, res.Lo, res.Hi)
 		}
 		if res.Width() > pathload.DefaultResolution+1 {
-			t.Errorf("A=%.0f: width %.0f exceeds ω", a, res.Width())
+			t.Errorf("%+v: width %.0f exceeds ω", link, res.Width())
 		}
 		if res.GreySet {
-			t.Errorf("A=%.0f: spurious grey region under a noise-free oracle", a)
+			t.Errorf("%+v: spurious grey region under a noise-free oracle", link)
 		}
 	}
 }
@@ -506,12 +545,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// Example-style doc test for the README quickstart snippet.
-func ExampleRun() {
-	p := &fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}
-	res, _ := pathload.Run(p, pathload.Config{})
-	fmt.Println(pathload.Brackets(res.Lo, res.Hi, 4e6, 0))
-	// Output: true
 }
