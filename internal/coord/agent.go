@@ -88,7 +88,7 @@ type Agent struct {
 	leases  []Lease           // what mon was built from
 	budget  float64
 	seq     map[string]uint64 // per-path push sequence
-	lastTot map[string]uint64 // Totals at last push, for change detection
+	lastTot map[string]uint64 // Totals at the last acked push, for change detection
 	monWG   sync.WaitGroup    // drains the current monitor's Results
 }
 
@@ -311,7 +311,10 @@ func (a *Agent) beat(conn net.Conn, seq *uint64) error {
 
 // pushAll pushes a contribution for every path whose series changed
 // since the last push, in sorted order, over the strict
-// request/response session.
+// request/response session. A path counts as pushed only once its
+// push-ack is read: a session lost part-way leaves the rest to be
+// pushed again by the next one, even if their series never change
+// again (a path whose lease moved away during the outage).
 func (a *Agent) pushAll(conn net.Conn) error {
 	a.mu.Lock()
 	paths := a.store.Paths() // sorted by the store
@@ -333,7 +336,6 @@ func (a *Agent) pushAll(conn net.Conn) error {
 			Points: a.store.Snapshot(p),
 			Digest: a.store.DigestSnapshot(p),
 		}
-		a.lastTot[p] = total
 		updates = append(updates, upd{p, c})
 	}
 	a.mu.Unlock()
@@ -360,6 +362,9 @@ func (a *Agent) pushAll(conn net.Conn) error {
 		if _, err := unmarshalPushAck(payload); err != nil {
 			return err
 		}
+		a.mu.Lock()
+		a.lastTot[u.path] = u.c.Total
+		a.mu.Unlock()
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	pathload "repro"
+	"repro/internal/tsstore"
 )
 
 // stubProber is an analytic prober for agent tests: streams above its
@@ -324,5 +325,119 @@ func TestAgentBackoffResetsAfterRegistering(t *testing.T) {
 		if suffix := "(retry in " + want.String() + ")"; !strings.HasSuffix(events[i], suffix) {
 			t.Errorf("loss %d: %q, want it to end %q", i+1, events[i], suffix)
 		}
+	}
+}
+
+// TestAgentRepushesUnackedPaths: a session lost between pushes leaves
+// every path whose push-ack never arrived to the next session, although
+// no path's series changes in between (the agent holds no lease, as
+// after a lease moved away during the outage). The first coordinator
+// acks one push, reads the next and hangs up; the second acks all.
+func TestAgentRepushesUnackedPaths(t *testing.T) {
+	paths := []string{"p00", "p01", "p02"}
+	store := tsstore.New(tsstore.Config{Capacity: 8})
+	for _, p := range paths {
+		for r := 0; r < 3; r++ {
+			store.Observe(pathload.Sample{Path: p, Round: r, At: time.Duration(r) * time.Second,
+				Result: pathload.Result{Lo: 1e6, Hi: 2e6, Elapsed: time.Second}})
+		}
+	}
+
+	var (
+		mu     sync.Mutex
+		dials  int
+		pushed = map[int][]string{} // session → paths pushed, in order
+		acked  = map[int][]string{} // session → paths acked, in order
+	)
+	// coordinator serves one session: register, answer heartbeats with
+	// an empty assignment, and ack pushes; session 1 acks only the
+	// first and hangs up once it has read the second.
+	coordinator := func(session int, c net.Conn) {
+		defer c.Close()
+		if _, _, err := readFrame(c); err != nil {
+			return
+		}
+		if writeFrame(c, msgHelloAck, marshalHelloAck(helloAckMsg{Version: Version, TTL: time.Hour})) != nil {
+			return
+		}
+		for {
+			typ, payload, err := readFrame(c)
+			if err != nil {
+				return
+			}
+			switch typ {
+			case msgHeartbeat:
+				hb, _ := unmarshalHeartbeat(payload)
+				if writeFrame(c, msgAssign, marshalAssign(assignMsg{Seq: hb.Seq})) != nil {
+					return
+				}
+			case msgPush:
+				p, err := unmarshalPush(payload)
+				if err != nil {
+					t.Errorf("session %d: %v", session, err)
+					return
+				}
+				mu.Lock()
+				pushed[session] = append(pushed[session], p.Path)
+				drop := session == 1 && len(acked[1]) == 1
+				if !drop {
+					acked[session] = append(acked[session], p.Path)
+				}
+				mu.Unlock()
+				if drop {
+					return // the push was read, its ack never sent
+				}
+				if writeFrame(c, msgPushAck, marshalPushAck(pushAckMsg{Seq: p.Seq, Applied: true})) != nil {
+					return
+				}
+			}
+		}
+	}
+	a, err := NewAgent(AgentConfig{
+		Dial: func() (net.Conn, error) {
+			mu.Lock()
+			dials++
+			n := dials
+			mu.Unlock()
+			agentEnd, coordEnd := net.Pipe()
+			go coordinator(n, coordEnd)
+			return agentEnd, nil
+		},
+		Name: "a1",
+		Provider: func(string) (pathload.ProberFactory, error) {
+			return func() (pathload.Prober, error) { return &stubProber{avail: 5e6}, nil }, nil
+		},
+		LocalStore:  store,
+		Heartbeat:   time.Hour,
+		PushEvery:   5 * time.Millisecond,
+		DialBackoff: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("NewAgent: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- a.Run() }()
+	waitFor(t, "the second session to push", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(acked[2]) >= 2
+	})
+	// A few more push ticks: nothing changed, so nothing more is pushed.
+	time.Sleep(50 * time.Millisecond)
+	a.Stop()
+	if err := <-done; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if got, want := strings.Join(acked[1], ","), "p00"; got != want {
+		t.Fatalf("session 1 acked %q, want %q", got, want)
+	}
+	if got, want := strings.Join(pushed[1], ","), "p00,p01"; got != want {
+		t.Fatalf("session 1 pushed %q, want %q", got, want)
+	}
+	if got, want := strings.Join(pushed[2], ","), "p01,p02"; got != want {
+		t.Errorf("session 2 pushed %q, want every path session 1 did not ack, %q", got, want)
 	}
 }

@@ -103,6 +103,11 @@ func lowerBound(cs []centroid, x float64) int {
 // Merge folds o's centroids into d. o may be nil or empty; merging a
 // digest into itself is allowed and doubles every weight. The
 // receiver's centroid budget wins when the two differ.
+//
+// The fold is AddWeighted of each of o's centroids in ascending order,
+// so the result is bit-identical to that loop; only the receiver's
+// storage is grown once up front, to the most the fold can hold at a
+// time, rather than doubled along the way.
 func (d *Digest) Merge(o *Digest) {
 	if o == nil || len(o.cs) == 0 {
 		return
@@ -111,6 +116,9 @@ func (d *Digest) Merge(o *Digest) {
 	if o == d {
 		// Self-merge: AddWeighted would mutate the slice being ranged.
 		cs = append([]centroid(nil), cs...)
+	}
+	if most := min(d.size+1, len(d.cs)+len(cs)); most > cap(d.cs) {
+		d.cs = append(make([]centroid, 0, most), d.cs...)
 	}
 	for _, c := range cs {
 		d.AddWeighted(c.mean, c.weight)
@@ -197,6 +205,13 @@ func (d *Digest) quantiles(qs, out []float64) {
 // clone returns an independent deep copy of the digest.
 func (d *Digest) clone() *Digest {
 	return &Digest{size: d.size, n: d.n, cs: append([]centroid(nil), d.cs...)}
+}
+
+// copyFrom makes d a deep copy of o in d's own centroid storage, which
+// grows only when o holds more centroids than it has room for.
+func (d *Digest) copyFrom(o *Digest) {
+	d.size, d.n = o.size, o.n
+	d.cs = append(d.cs[:0], o.cs...)
 }
 
 // MarshalBinary encodes the digest deterministically (big-endian:

@@ -2,6 +2,7 @@ package tsstore
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -196,6 +197,57 @@ func TestDigestMergeEdges(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMergeMatchesAddWeighted: Merge is a fold of the other digest's
+// centroids through AddWeighted, ascending, and growing the receiver
+// once up front changes no bit of it — centroids, count and budget all
+// equal a hand fold's, whatever the operands' sizes and budgets.
+func TestMergeMatchesAddWeighted(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	random := func(size, values int) *Digest {
+		d := NewDigest(size)
+		for i := 0; i < values; i++ {
+			// Some repeats, so exact hits fold into existing centroids.
+			d.AddWeighted(float64(rng.Intn(4*values+1))*0.37, uint64(1+rng.Intn(3)))
+		}
+		return d
+	}
+	fold := func(d, o *Digest) *Digest {
+		ref := d.clone()
+		if o != nil {
+			for _, c := range append([]centroid(nil), o.cs...) {
+				ref.AddWeighted(c.mean, c.weight)
+			}
+		}
+		return ref
+	}
+	check := func(name string, d, o *Digest) {
+		t.Helper()
+		want := fold(d, o)
+		d.Merge(o)
+		if d.size != want.size || d.n != want.n || len(d.cs) != len(want.cs) {
+			t.Fatalf("%s: size %d n %d len %d, hand fold size %d n %d len %d",
+				name, d.size, d.n, len(d.cs), want.size, want.n, len(want.cs))
+		}
+		for i := range d.cs {
+			if math.Float64bits(d.cs[i].mean) != math.Float64bits(want.cs[i].mean) || d.cs[i].weight != want.cs[i].weight {
+				t.Fatalf("%s: centroid %d = %+v, hand fold %+v", name, i, d.cs[i], want.cs[i])
+			}
+		}
+	}
+
+	check("nil operand", random(16, 10), nil)
+	check("empty operand", random(16, 10), NewDigest(16))
+	check("empty receiver", NewDigest(16), random(16, 40))
+	check("both empty", NewDigest(16), NewDigest(16))
+	self := random(16, 30)
+	check("self-merge", self, self)
+	for trial := 0; trial < 200; trial++ {
+		dSize, oSize := 1+rng.Intn(80), 1+rng.Intn(80)
+		d, o := random(dSize, rng.Intn(3*dSize)), random(oSize, rng.Intn(3*oSize))
+		check(fmt.Sprintf("trial %d (budgets %d into %d)", trial, oSize, dSize), d, o)
+	}
 }
 
 // TestDigestWeightedAndNaN: zero weights are no-ops and NaN panics.

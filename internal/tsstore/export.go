@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -38,6 +39,12 @@ var scrapeBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, scrapeChunk+4<<10)
 	return &b
 }}
+
+// scrapeRows pools the per-path rows a scrape reads before it renders,
+// one slice per scrape in flight, so a store scraped every round
+// allocates them once. A slice goes back cleared: no path label
+// outlives the scrape that read it.
+var scrapeRows = sync.Pool{New: func() any { return new([]pathRow) }}
 
 // A pathRow is everything one path contributes to a scrape, as plain
 // values: Store.pathRow reads them off the live ring and digest in one
@@ -172,12 +179,15 @@ var linkFamilies = [...]struct {
 // a scraper that stalls mid-response cannot stall Observe. Nothing that
 // is fixed per path is redone per scrape: the store keeps its path list
 // sorted, each path's label was quoted when its series was created, and
-// each digest is walked once for all its quantiles. The text reaches w
-// in chunks of scrapeChunk bytes; the first Write error ends the scrape
-// and is returned.
+// each digest is walked once for all its quantiles. The rows and the
+// text buffer come from pools, so a steady scrape allocates little
+// beyond its copy of the path list. The text reaches w in chunks of
+// scrapeChunk bytes; the first Write error ends the scrape and is
+// returned.
 func (st *Store) WritePrometheus(w io.Writer) error {
 	paths := st.Paths()
-	rows := make([]pathRow, 0, len(paths))
+	pooled := scrapeRows.Get().(*[]pathRow)
+	rows := slices.Grow((*pooled)[:0], len(paths))
 	for _, id := range paths {
 		if r, ok := st.pathRow(id); ok {
 			rows = append(rows, r)
@@ -222,6 +232,9 @@ func (st *Store) WritePrometheus(w io.Writer) error {
 	err := e.finish()
 	*buf = e.buf
 	scrapeBufs.Put(buf)
+	clear(rows)
+	*pooled = rows[:0]
+	scrapeRows.Put(pooled)
 	return err
 }
 

@@ -29,12 +29,27 @@ type Contribution struct {
 	Digest *Digest
 }
 
-// clone deep-copies the contribution so the Federation owns its state
-// outright (pushers may reuse their buffers).
+// clone deep-copies the contribution into fresh buffers: what a
+// (path, agent) slot takes on its first push or after a nil digest, and
+// what Federation.Contribution hands out, so neither a pusher nor a
+// reader ever shares a buffer with the federation.
 func (c Contribution) clone() Contribution {
 	c.Points = append([]Point(nil), c.Points...)
 	if c.Digest != nil {
 		c.Digest = c.Digest.clone()
+	}
+	return c
+}
+
+// overwrite deep-copies c into held's buffers, which the federation
+// owns outright: its Points backing array and its digest's centroid
+// slice take c's values, growing only when c holds more. held's digest
+// is not nil. A nil c.Digest drops it, and the slot's next push clones.
+func (held Contribution) overwrite(c Contribution) Contribution {
+	c.Points = append(held.Points[:0], c.Points...)
+	if c.Digest != nil {
+		held.Digest.copyFrom(c.Digest)
+		c.Digest = held.Digest
 	}
 	return c
 }
@@ -71,8 +86,11 @@ func NewFederation(cfg Config) *Federation {
 
 // Push offers an agent's contribution for a path. It is applied only
 // when c.Seq is newer than what the federation already holds for that
-// (path, agent); applied reports which. Pushing is cheap — merging is
-// deferred to Snapshot.
+// (path, agent); applied reports which. Pushing is cheap: merging is
+// deferred to Snapshot, and a push to a slot that already holds a
+// contribution is copied into that contribution's buffers, so a slot
+// pushed the same shape every round allocates nothing after its first.
+// c's buffers are copied either way, never kept.
 func (f *Federation) Push(agent, path string, c Contribution) (applied bool) {
 	if agent == "" || path == "" {
 		return false
@@ -84,10 +102,15 @@ func (f *Federation) Push(agent, path string, c Contribution) (applied bool) {
 		byAgent = map[string]Contribution{}
 		f.contribs[path] = byAgent
 	}
-	if prev, ok := byAgent[agent]; ok && c.Seq <= prev.Seq {
+	prev, ok := byAgent[agent]
+	switch {
+	case ok && c.Seq <= prev.Seq:
 		return false
+	case ok && prev.Digest != nil:
+		byAgent[agent] = prev.overwrite(c)
+	default:
+		byAgent[agent] = c.clone()
 	}
-	byAgent[agent] = c.clone()
 	return true
 }
 
@@ -145,10 +168,12 @@ func (f *Federation) Snapshot() *Store {
 	// Paths in sorted order, so that each one ensure adds to the store's
 	// sorted path list is an append, into room made for all of them.
 	paths := slices.Sorted(maps.Keys(f.contribs))
+	st.series = make(map[string]*series, len(paths))
 	st.paths = make([]string, 0, len(paths))
+	var agents []string // one scratch list, refilled per path
 	for _, path := range paths {
 		byAgent := f.contribs[path]
-		agents := make([]string, 0, len(byAgent))
+		agents = agents[:0]
 		for a := range byAgent {
 			agents = append(agents, a)
 		}

@@ -3,6 +3,8 @@ package tsstore
 import (
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -179,6 +181,149 @@ func TestFederationIsolation(t *testing.T) {
 	if got := renderFed(t, f); got != before {
 		t.Fatalf("reader mutation leaked into the federation")
 	}
+
+	// A newer push lands in the buffers the slot already holds. Whatever
+	// they held before, the federation must then render exactly what a
+	// fresh one that took only the newer push renders.
+	fresh := func(t *testing.T, c Contribution) string {
+		g := NewFederation(Config{})
+		g.Push("a1", "p00", c.clone())
+		return renderFed(t, g)
+	}
+	seq := uint64(1)
+	push := func(t *testing.T, c Contribution) {
+		t.Helper()
+		seq++
+		c.Seq = seq
+		if !f.Push("a1", "p00", c) {
+			t.Fatalf("newer push (seq %d) not applied", seq)
+		}
+	}
+	t.Run("reused buffers", func(t *testing.T) {
+		c := fedContribution("a-two", "p00", 2, 0) // same shape, other values
+		want := fresh(t, c)
+		push(t, c)
+		c.Points[1].Lo = -3e9
+		c.Digest.Add(-3e9)
+		if got := renderFed(t, f); got != want {
+			t.Fatalf("pusher mutation after a reusing push leaked into the federation")
+		}
+	})
+	t.Run("copy taken before a reusing push", func(t *testing.T) {
+		held, _ := f.Contribution("a1", "p00")
+		kept := held.clone()
+		push(t, fedContribution("a-three", "p00", 2, 0))
+		if !reflect.DeepEqual(held, kept) {
+			t.Fatalf("a later push changed an earlier Contribution copy")
+		}
+	})
+	t.Run("push that grows the held slices", func(t *testing.T) {
+		c := fedContribution("a1", "p00", 40, 0) // 40 points, a full digest
+		want := fresh(t, c)
+		push(t, c)
+		c.Points[39].Hi = -4e9
+		c.Digest.Add(-4e9)
+		if got := renderFed(t, f); got != want {
+			t.Fatalf("grown push: federation renders other than a fresh one")
+		}
+	})
+	t.Run("nil digest after a non-nil one", func(t *testing.T) {
+		c := fedContribution("a1", "p00", 3, 0)
+		c.Digest = nil
+		want := fresh(t, c)
+		push(t, c)
+		if got := renderFed(t, f); got != want {
+			t.Fatalf("nil-digest push: federation renders other than a fresh one")
+		}
+		if held, _ := f.Contribution("a1", "p00"); held.Digest != nil {
+			t.Fatalf("nil-digest push kept the old digest")
+		}
+		c = fedContribution("a1", "p00", 3, 0)
+		want = fresh(t, c)
+		push(t, c)
+		c.Digest.Add(-5e9)
+		if got := renderFed(t, f); got != want {
+			t.Fatalf("push after a nil digest: federation renders other than a fresh one")
+		}
+	})
+}
+
+// TestFederationPushAllocationFree: a warmed (path, agent) slot takes a
+// newer push of the same shape into the buffers it holds, allocating
+// nothing.
+func TestFederationPushAllocationFree(t *testing.T) {
+	f := NewFederation(Config{Capacity: 32, DigestSize: 32})
+	c := fedContribution("a1", "p00", 32, 1)
+	f.Push("a1", "p00", c)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Seq++
+		if !f.Push("a1", "p00", c) {
+			t.Fatalf("newer push (seq %d) not applied", c.Seq)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a same-shape push to a warmed slot allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestFederationConcurrentPushes: pushes landing in held buffers while
+// readers take snapshots and copies never show a torn contribution —
+// the points, digest and totals a reader gets are all of one push. The
+// pushers reuse their own points buffer from push to push.
+func TestFederationConcurrentPushes(t *testing.T) {
+	f := NewFederation(Config{Capacity: 16, DigestSize: 8})
+	paths := []string{"p0", "p1", "p2"}
+	var pushers, readers sync.WaitGroup
+	for _, agent := range []string{"a1", "a2"} {
+		pushers.Add(1)
+		go func() {
+			defer pushers.Done()
+			var c Contribution
+			for seq := uint64(1); seq <= 300; seq++ {
+				c.Seq, c.Total, c.Points, c.Digest = seq, seq, c.Points[:0], NewDigest(8)
+				for i := range 1 + int(seq%5) {
+					c.Points = append(c.Points, Point{Round: i, Lo: float64(seq), Hi: float64(seq) + 1})
+					c.Digest.Add(float64(seq))
+				}
+				for _, p := range paths {
+					f.Push(agent, p, c)
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				f.Snapshot()
+				for _, p := range paths {
+					c, ok := f.Contribution("a2", p)
+					if !ok {
+						continue
+					}
+					torn := c.Total != c.Seq || uint64(len(c.Points)) != 1+c.Seq%5 || c.Digest.Count() != uint64(len(c.Points))
+					for _, pt := range c.Points {
+						torn = torn || pt.Lo != float64(c.Seq)
+					}
+					if torn {
+						t.Errorf("%s: torn contribution at seq %d: total %d, %d points, digest count %d",
+							p, c.Seq, c.Total, len(c.Points), c.Digest.Count())
+						return
+					}
+				}
+			}
+		}()
+	}
+	pushers.Wait()
+	close(stop)
+	readers.Wait()
 }
 
 // TestResume: the store's resume state continues round/clock counters

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -37,9 +38,10 @@ func fullStore(paths, capacity int) *tsstore.Store {
 }
 
 // TestScrapeAllocationBudget: a scrape allocates a fixed number of
-// objects however many paths it renders, and a row's worth of bytes per
-// path — nothing that grows with the rings. A full DefaultCapacity ring
-// is 90 kB a path, so that tier runs on a tenth of the paths.
+// objects however many paths it renders, and no more than its copy of
+// the path list per path — the rows and the text buffer are pooled, and
+// nothing grows with the rings. A full DefaultCapacity ring is 90 kB a
+// path, so that tier runs on a tenth of the paths.
 func TestScrapeAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -56,20 +58,27 @@ func TestScrapeAllocationBudget(t *testing.T) {
 		}
 		atFew := testing.AllocsPerRun(20, func() { render(few) })
 		atMany := testing.AllocsPerRun(20, func() { render(many) })
-		if atFew != atMany || atMany > 32 {
-			t.Errorf("capacity %d: %v allocations at %d paths, %v at %d; want the same, at most 32",
+		if atFew != atMany || atMany > 2 {
+			t.Errorf("capacity %d: %v allocations at %d paths, %v at %d; want the same, at most 2",
 				tier.capacity, atFew, tier.few, atMany, tier.many)
 		}
 
-		const renders = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < renders; i++ {
-			render(many)
+		// The least of a few windows: a pool misses now and then (a
+		// collection empties it, or the goroutine moves to another P),
+		// and a miss bills a whole regrown buffer to the window it hits.
+		const windows, renders = 5, 20
+		perPath := uint64(math.MaxUint64)
+		for range windows {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range renders {
+				render(many)
+			}
+			runtime.ReadMemStats(&after)
+			perPath = min(perPath, (after.TotalAlloc-before.TotalAlloc)/renders/uint64(tier.many))
 		}
-		runtime.ReadMemStats(&after)
-		if perPath := (after.TotalAlloc - before.TotalAlloc) / renders / uint64(tier.many); perPath > 256 {
-			t.Errorf("capacity %d: a scrape allocates %d B per path, want at most 256", tier.capacity, perPath)
+		if perPath > 32 {
+			t.Errorf("capacity %d: a scrape allocates %d B per path, want at most 32", tier.capacity, perPath)
 		}
 	}
 }
