@@ -332,7 +332,10 @@ func TestAgentBackoffResetsAfterRegistering(t *testing.T) {
 // every path whose push-ack never arrived to the next session, although
 // no path's series changes in between (the agent holds no lease, as
 // after a lease moved away during the outage). The first coordinator
-// acks one push, reads the next and hangs up; the second acks all.
+// acks one push, reads the next and hangs up; the second acks all, then
+// counts heartbeats: heartbeats and pushes tick at the same period on
+// one loop, so after several heartbeats several pushes found nothing
+// left to push.
 func TestAgentRepushesUnackedPaths(t *testing.T) {
 	paths := []string{"p00", "p01", "p02"}
 	store := tsstore.New(tsstore.Config{Capacity: 8})
@@ -348,6 +351,7 @@ func TestAgentRepushesUnackedPaths(t *testing.T) {
 		dials  int
 		pushed = map[int][]string{} // session → paths pushed, in order
 		acked  = map[int][]string{} // session → paths acked, in order
+		beats  int                  // heartbeats since the last ack
 	)
 	// coordinator serves one session: register, answer heartbeats with
 	// an empty assignment, and ack pushes; session 1 acks only the
@@ -367,6 +371,9 @@ func TestAgentRepushesUnackedPaths(t *testing.T) {
 			}
 			switch typ {
 			case msgHeartbeat:
+				mu.Lock()
+				beats++
+				mu.Unlock()
 				hb, _ := unmarshalHeartbeat(payload)
 				if writeFrame(c, msgAssign, marshalAssign(assignMsg{Seq: hb.Seq})) != nil {
 					return
@@ -382,6 +389,7 @@ func TestAgentRepushesUnackedPaths(t *testing.T) {
 				drop := session == 1 && len(acked[1]) == 1
 				if !drop {
 					acked[session] = append(acked[session], p.Path)
+					beats = 0
 				}
 				mu.Unlock()
 				if drop {
@@ -408,7 +416,7 @@ func TestAgentRepushesUnackedPaths(t *testing.T) {
 			return func() (pathload.Prober, error) { return &stubProber{avail: 5e6}, nil }, nil
 		},
 		LocalStore:  store,
-		Heartbeat:   time.Hour,
+		Heartbeat:   5 * time.Millisecond,
 		PushEvery:   5 * time.Millisecond,
 		DialBackoff: 5 * time.Millisecond,
 	})
@@ -417,13 +425,11 @@ func TestAgentRepushesUnackedPaths(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- a.Run() }()
-	waitFor(t, "the second session to push", func() bool {
+	waitFor(t, "the second session to push, then beat 10 times", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return len(acked[2]) >= 2
+		return len(acked[2]) >= 2 && beats >= 10
 	})
-	// A few more push ticks: nothing changed, so nothing more is pushed.
-	time.Sleep(50 * time.Millisecond)
 	a.Stop()
 	if err := <-done; err != nil {
 		t.Fatalf("Run: %v", err)

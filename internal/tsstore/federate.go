@@ -29,10 +29,9 @@ type Contribution struct {
 	Digest *Digest
 }
 
-// clone deep-copies the contribution into fresh buffers: what a
-// (path, agent) slot takes on its first push or after a nil digest, and
-// what Federation.Contribution hands out, so neither a pusher nor a
-// reader ever shares a buffer with the federation.
+// clone deep-copies the contribution into fresh buffers: what
+// Federation.Contribution hands out, so a reader never shares a buffer
+// with the federation.
 func (c Contribution) clone() Contribution {
 	c.Points = append([]Point(nil), c.Points...)
 	if c.Digest != nil {
@@ -43,11 +42,16 @@ func (c Contribution) clone() Contribution {
 
 // overwrite deep-copies c into held's buffers, which the federation
 // owns outright: its Points backing array and its digest's centroid
-// slice take c's values, growing only when c holds more. held's digest
-// is not nil. A nil c.Digest drops it, and the slot's next push clones.
+// slice take c's values, growing only when c holds more. A held
+// contribution that is empty (a slot's first push) or has no digest
+// (after a nil-digest push) has nothing to grow, so those buffers are
+// allocated here. A nil c.Digest drops held's.
 func (held Contribution) overwrite(c Contribution) Contribution {
 	c.Points = append(held.Points[:0], c.Points...)
 	if c.Digest != nil {
+		if held.Digest == nil {
+			held.Digest = new(Digest)
+		}
 		held.Digest.copyFrom(c.Digest)
 		c.Digest = held.Digest
 	}
@@ -87,10 +91,10 @@ func NewFederation(cfg Config) *Federation {
 // Push offers an agent's contribution for a path. It is applied only
 // when c.Seq is newer than what the federation already holds for that
 // (path, agent); applied reports which. Pushing is cheap: merging is
-// deferred to Snapshot, and a push to a slot that already holds a
-// contribution is copied into that contribution's buffers, so a slot
-// pushed the same shape every round allocates nothing after its first.
-// c's buffers are copied either way, never kept.
+// deferred to Snapshot, and an applied push is copied into the buffers
+// the slot already holds, so a slot pushed the same shape every round
+// allocates nothing after its first push. c's buffers are copied,
+// never kept.
 func (f *Federation) Push(agent, path string, c Contribution) (applied bool) {
 	if agent == "" || path == "" {
 		return false
@@ -103,14 +107,10 @@ func (f *Federation) Push(agent, path string, c Contribution) (applied bool) {
 		f.contribs[path] = byAgent
 	}
 	prev, ok := byAgent[agent]
-	switch {
-	case ok && c.Seq <= prev.Seq:
+	if ok && c.Seq <= prev.Seq {
 		return false
-	case ok && prev.Digest != nil:
-		byAgent[agent] = prev.overwrite(c)
-	default:
-		byAgent[agent] = c.clone()
 	}
+	byAgent[agent] = prev.overwrite(c)
 	return true
 }
 
@@ -164,12 +164,10 @@ func (f *Federation) Agents(path string) []string {
 func (f *Federation) Snapshot() *Store {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	st := New(f.cfg)
 	// Paths in sorted order, so that each one ensure adds to the store's
 	// sorted path list is an append, into room made for all of them.
 	paths := slices.Sorted(maps.Keys(f.contribs))
-	st.series = make(map[string]*series, len(paths))
-	st.paths = make([]string, 0, len(paths))
+	st := newStore(f.cfg, nil, len(paths))
 	var agents []string // one scratch list, refilled per path
 	for _, path := range paths {
 		byAgent := f.contribs[path]

@@ -239,7 +239,13 @@ func New(cfg Config) *Store {
 // series stay correct regardless — and reported by BackendErrs; the
 // caller decides whether a lossy archive is fatal.
 func NewWithBackend(cfg Config, dur Backend) *Store {
-	return &Store{cfg: cfg.validated(), dur: dur, series: map[string]*series{}, links: map[string]*ring[LinkPoint]{}}
+	return newStore(cfg, dur, 0)
+}
+
+// newStore is NewWithBackend with room made for paths series.
+func newStore(cfg Config, dur Backend, paths int) *Store {
+	return &Store{cfg: cfg.validated(), dur: dur, series: make(map[string]*series, paths),
+		paths: make([]string, 0, paths), links: map[string]*ring[LinkPoint]{}}
 }
 
 // ensure returns the path's series, creating it empty if needed and
