@@ -26,10 +26,13 @@
 //	pathload-coord -paths a,b,c,d -mesh star
 //
 // With -archive the coordinator is durable: lease state and every
-// federated contribution write through to a WAL + hash-chained
-// segment archive, and a restarted coordinator restores them — agents
-// re-attach to their prior conflict groups and the federated history
-// continues. -secret requires agents to prove a shared secret before
+// applied push, stored as the payload bytes the agent sent, write
+// through to a WAL + hash-chained segment archive (coord.Log), and a
+// restarted coordinator restores them — agents re-attach to their
+// prior conflict groups and the federated history continues. The
+// "coord: … restore" event lines name every entry the restore dropped
+// and count what came back; /coord shows the archive's write errors.
+// -secret requires agents to prove a shared secret before
 // registering; -register-rate/-push-rate throttle abusive dialers
 // per remote host:
 //
@@ -107,27 +110,19 @@ func main() {
 		RateBurst:    *rateBurst,
 	}
 
-	var log *coord.Log
 	if *archiveSpec != "" {
 		dir, opt, err := archive.ParseSpec(*archiveSpec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pathload-coord: -archive: %v\n", err)
 			os.Exit(2)
 		}
-		var rep coord.LogReport
-		log, rep, err = coord.OpenLog(dir, opt)
+		log, rep, err := coord.OpenLog(dir, opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pathload-coord: -archive: %v\n", err)
 			os.Exit(1)
 		}
-		rs, problems := log.Restore()
-		for _, p := range problems {
-			fmt.Fprintf(os.Stderr, "pathload-coord: archive restore: %s\n", p)
-		}
-		fmt.Printf("coord: archive %s — %s; restored %d contributions, lease snapshot %v\n",
-			dir, rep.String(), len(rs.Contributions), rs.HaveLeases)
-		cfg.Persist = log
-		cfg.Restore = &rs
+		fmt.Printf("coord: archive %s — %s\n", dir, rep.String())
+		cfg.Log = log
 	}
 
 	srv, err := coord.NewServer(cfg)

@@ -341,12 +341,7 @@ func (a *Agent) pushAll(conn net.Conn) error {
 	a.mu.Unlock()
 
 	for _, u := range updates {
-		msg, err := contributionToPush(u.path, u.c)
-		if err != nil {
-			a.eventf("push %s: %v", u.path, err)
-			continue
-		}
-		if err := writeFrame(conn, msgPush, marshalPush(msg)); err != nil {
+		if err := writeFrame(conn, msgPush, marshalPush(u.path, u.c)); err != nil {
 			return err
 		}
 		t, payload, err := readFrame(conn)

@@ -379,16 +379,16 @@ func TestAgentRepushesUnackedPaths(t *testing.T) {
 					return
 				}
 			case msgPush:
-				p, err := unmarshalPush(payload)
+				path, p, err := unmarshalPush(payload)
 				if err != nil {
 					t.Errorf("session %d: %v", session, err)
 					return
 				}
 				mu.Lock()
-				pushed[session] = append(pushed[session], p.Path)
+				pushed[session] = append(pushed[session], path)
 				drop := session == 1 && len(acked[1]) == 1
 				if !drop {
-					acked[session] = append(acked[session], p.Path)
+					acked[session] = append(acked[session], path)
 					beats = 0
 				}
 				mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	pathload "repro"
+	"repro/internal/tsstore"
 )
 
 // startServer spins up a server on loopback for raw-frame clients.
@@ -218,7 +219,7 @@ func TestPushRateLimit(t *testing.T) {
 	if ft != msgHelloAck {
 		t.Fatalf("register: got %v", ft)
 	}
-	push := marshalPush(pushMsg{Seq: 1, Path: "p00", Total: 1})
+	push := marshalPush("p00", tsstore.Contribution{Seq: 1, Total: 1})
 	if err := writeFrame(conn, msgPush, push); err != nil {
 		t.Fatalf("push 1: %v", err)
 	}

@@ -13,19 +13,18 @@ import (
 // neighbours.
 
 // fuzzPush is a push with everything in it: points with and without
-// error text, and a digest.
-func fuzzPush() pushMsg {
+// error text, and a digest. It is pushed for path p00.
+func fuzzPush() tsstore.Contribution {
 	d := tsstore.NewDigest(8)
 	d.Add(1e6)
 	d.Add(3e6)
-	blob, _ := d.MarshalBinary()
-	return pushMsg{
-		Seq: 7, Path: "p00", Total: 3, Errs: 1,
+	return tsstore.Contribution{
+		Seq: 7, Total: 3, Errors: 1,
 		Points: []tsstore.Point{
 			{Round: 1, At: time.Second, Span: 2 * time.Second, Lo: 1e6, Hi: 2e6, Bits: 4e6},
 			{Round: 2, At: 3 * time.Second, Err: "timeout"},
 		},
-		DigestBinary: blob,
+		Digest: d,
 	}
 }
 
@@ -50,7 +49,7 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add(frame(msgHello, marshalHello(helloMsg{Min: 1, Max: 2, Name: "a1"})))
 	f.Add(frame(msgBye, nil))
-	f.Add(frame(msgPush, marshalPush(fuzzPush()))[:40])              // payload cut short
+	f.Add(frame(msgPush, marshalPush("p00", fuzzPush()))[:40])       // payload cut short
 	f.Add([]byte{0x53, 0x4c, 0x43, 0x50, 5, 0xff, 0xff, 0xff, 0xff}) // length far past maxFrame
 	f.Add([]byte("SLPS"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -78,31 +77,30 @@ func FuzzReadFrame(f *testing.F) {
 // maxErrLen; such a push must still reach a fixed point after one
 // re-encode.
 func FuzzPayloads(f *testing.F) {
-	f.Add(marshalPush(fuzzPush()))
-	f.Add(marshalPush(pushMsg{Path: "p"}))
+	f.Add(marshalPush("p00", fuzzPush()))
+	f.Add(marshalPush("p", tsstore.Contribution{}))
 	f.Add(marshalAssign(assignMsg{Seq: 9, Budget: 12e6, Leases: []Lease{{Path: "p00", Group: 0}, {Path: "p02", Group: 1}}}))
 	f.Add(marshalLeaseSnapshot(fuzzLeases()))
 	f.Add(marshalLeaseSnapshot(LeaseSnapshot{}))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0xff, 0xff, 0xff, 0xff}) // a huge count and nothing behind it
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if p, err := unmarshalPush(data); err == nil {
-			// A point is six u64 and a length-prefixed string.
-			if 50*len(p.Points) > len(data) {
-				t.Fatalf("%d-byte push decoded to %d points", len(data), len(p.Points))
+		if path, c, err := unmarshalPush(data); err == nil {
+			if minPointLen*len(c.Points) > len(data) {
+				t.Fatalf("%d-byte push decoded to %d points", len(data), len(c.Points))
 			}
-			re := marshalPush(p)
+			re := marshalPush(path, c)
 			truncated := false
-			for _, pt := range p.Points {
+			for _, pt := range c.Points {
 				truncated = truncated || len(pt.Err) > maxErrLen
 			}
 			if !truncated && !bytes.Equal(re, data) {
 				t.Fatalf("push round-trip mismatch for %x", data)
 			}
-			p2, err := unmarshalPush(re)
+			path2, c2, err := unmarshalPush(re)
 			if err != nil {
 				t.Fatalf("re-encoded push does not decode: %v", err)
 			}
-			if !bytes.Equal(marshalPush(p2), re) {
+			if !bytes.Equal(marshalPush(path2, c2), re) {
 				t.Fatalf("push does not reach a fixed point for %x", data)
 			}
 		}
@@ -131,7 +129,7 @@ func FuzzPayloads(f *testing.F) {
 // whatever decodes must survive a re-encode unchanged.
 func FuzzLogCheckpoint(f *testing.F) {
 	l := &Log{
-		contribs: map[string][]byte{"a1\x00p00": marshalPush(fuzzPush()), "a2\x00p02": marshalPush(pushMsg{Path: "p02"})},
+		contribs: map[string][]byte{"a1\x00p00": marshalPush("p00", fuzzPush()), "a2\x00p02": marshalPush("p02", tsstore.Contribution{})},
 		lease:    marshalLeaseSnapshot(fuzzLeases()),
 	}
 	f.Add(l.checkpoint())

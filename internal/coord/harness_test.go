@@ -71,11 +71,7 @@ func (a *fakeAgent) beat(seq uint64) assignMsg {
 // push sends one contribution and returns whether it was applied.
 func (a *fakeAgent) push(path string, c tsstore.Contribution) bool {
 	a.t.Helper()
-	msg, err := contributionToPush(path, c)
-	if err != nil {
-		a.t.Fatalf("%s: contributionToPush(%s): %v", a.name, path, err)
-	}
-	if err := writeFrame(a.conn, msgPush, marshalPush(msg)); err != nil {
+	if err := writeFrame(a.conn, msgPush, marshalPush(path, c)); err != nil {
 		a.t.Fatalf("%s: push %s: %v", a.name, path, err)
 	}
 	typ, payload, err := readFrame(a.conn)

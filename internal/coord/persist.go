@@ -3,6 +3,8 @@ package coord
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -16,8 +18,8 @@ import (
 // (0x20–0x2f; see archive.Record).
 const (
 	// KindContribution records one applied federation push. Key is
-	// agent‖NUL‖path; the payload reuses the push wire encoding, so the
-	// durable form and the wire form cannot drift apart.
+	// agent‖NUL‖path; the payload is the push payload the coordinator
+	// received, byte for byte, so the durable form is the wire form.
 	KindContribution uint8 = 0x20
 
 	// KindLeases records a whole lease-state snapshot; the latest one
@@ -44,15 +46,6 @@ type LeaseSnapshot struct {
 type OwnerGroup struct {
 	Paths []string // group members, canonical order
 	Owner string
-}
-
-// A Persister receives the coordinator's durable state transitions:
-// every lease-state change and every applied federation push. Errors
-// are reported back so the server can count them, but never stop the
-// control plane — the coordinator keeps serving on a sick disk.
-type Persister interface {
-	SaveLeases(s LeaseSnapshot) error
-	SaveContribution(agent, path string, c tsstore.Contribution) error
 }
 
 // LeaseSnapshot captures the current lease state at the given clock
@@ -177,12 +170,12 @@ const (
 	coordCkptVersion uint16 = 1
 )
 
-// Log is the archive-backed Persister: lease snapshots and applied
-// contributions stream into an archive.Archive WAL, seal into
-// hash-chained segments, and come back on restart via Restore. The
-// shadow maps are maintained by the archive's append hook under the
-// archive lock, so checkpoints written at seal time summarize exactly
-// the records sealed so far.
+// Log is the coordinator's durable state: every lease-state change and
+// every applied push stream into an archive.Archive WAL, seal into
+// hash-chained segments, and come back when a server is built over the
+// log (ServerConfig.Log). The shadow maps are maintained by the
+// archive's append hook under the archive lock, so checkpoints written
+// at seal time summarize exactly the records sealed so far.
 type Log struct {
 	a        *archive.Archive
 	contribs map[string][]byte // agent‖NUL‖path → latest push blob
@@ -259,22 +252,14 @@ func (l *Log) Archive() *archive.Archive { return l.a }
 // unsealed records to the next open.
 func (l *Log) Close() error { return l.a.Close() }
 
-// SaveLeases implements Persister.
-func (l *Log) SaveLeases(s LeaseSnapshot) error {
+// saveLeases appends a lease snapshot.
+func (l *Log) saveLeases(s LeaseSnapshot) error {
 	return l.a.Append(archive.Record{Kind: KindLeases, Key: "leases", Data: marshalLeaseSnapshot(s)})
 }
 
-// SaveContribution implements Persister.
-func (l *Log) SaveContribution(agent, path string, c tsstore.Contribution) error {
-	p, err := contributionToPush(path, c)
-	if err != nil {
-		return err
-	}
-	return l.a.Append(archive.Record{
-		Kind: KindContribution,
-		Key:  agent + "\x00" + path,
-		Data: marshalPush(p),
-	})
+// savePush appends an applied push as the payload it arrived in.
+func (l *Log) savePush(agent, path string, payload []byte) error {
+	return l.a.Append(archive.Record{Kind: KindContribution, Key: agent + "\x00" + path, Data: payload})
 }
 
 // onAppend maintains the checkpoint shadow; the archive calls it under
@@ -337,62 +322,36 @@ func (l *Log) decodeCheckpoint(b []byte) error {
 	return nil
 }
 
-// A RestoredContribution is one recovered federation entry.
-type RestoredContribution struct {
-	Agent, Path string
-	C           tsstore.Contribution
-}
-
-// RestoreState carries recovered coordinator state into NewServer.
-type RestoreState struct {
-	// Leases is the last persisted snapshot; HaveLeases distinguishes
-	// "no snapshot recorded yet" from an empty one.
-	Leases     LeaseSnapshot
-	HaveLeases bool
-
-	// Contributions are the latest per (agent, path), sorted by agent
-	// then path.
-	Contributions []RestoredContribution
-}
-
-// Restore decodes everything the log recovered into a RestoreState.
-// Undecodable entries are dropped with an explicit problem line —
-// recovery never invents data and never hides that it dropped some.
-func (l *Log) Restore() (RestoreState, []string) {
-	var rs RestoreState
-	var problems []string
+// restore pushes every contribution the log recovered into fed, in
+// (agent, path) order, and returns the last lease snapshot (nil when
+// none was recorded), how many contributions it pushed, and a line for
+// every entry it dropped. An undecodable entry is dropped, never
+// guessed at: recovery invents no data and hides none it lost.
+func (l *Log) restore(fed *tsstore.Federation) (leases *LeaseSnapshot, restored int, dropped []string) {
 	if l.lease != nil {
 		snap, err := unmarshalLeaseSnapshot(l.lease)
 		if err != nil {
-			problems = append(problems, fmt.Sprintf("lease snapshot dropped: %v", err))
+			dropped = append(dropped, fmt.Sprintf("lease snapshot dropped: %v", err))
 		} else {
-			rs.Leases, rs.HaveLeases = snap, true
+			leases = &snap
 		}
 	}
-	keys := make([]string, 0, len(l.contribs))
-	for k := range l.contribs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(l.contribs)) {
 		agent, path, ok := strings.Cut(k, "\x00")
 		if !ok || agent == "" || path == "" {
-			problems = append(problems, fmt.Sprintf("contribution %q dropped: malformed key", k))
+			dropped = append(dropped, fmt.Sprintf("contribution %q dropped: malformed key", k))
 			continue
 		}
-		p, err := unmarshalPush(l.contribs[k])
-		if err == nil && p.Path != path {
-			err = fmt.Errorf("payload path %q does not match key path %q", p.Path, path)
-		}
-		var c tsstore.Contribution
-		if err == nil {
-			c, err = pushToContribution(p)
+		got, c, err := unmarshalPush(l.contribs[k])
+		if err == nil && got != path {
+			err = fmt.Errorf("payload path %q does not match key path %q", got, path)
 		}
 		if err != nil {
-			problems = append(problems, fmt.Sprintf("contribution %s/%s dropped: %v", agent, path, err))
+			dropped = append(dropped, fmt.Sprintf("contribution %s/%s dropped: %v", agent, path, err))
 			continue
 		}
-		rs.Contributions = append(rs.Contributions, RestoredContribution{Agent: agent, Path: path, C: c})
+		fed.Push(agent, path, c)
+		restored++
 	}
-	return rs, problems
+	return leases, restored, dropped
 }

@@ -1,7 +1,9 @@
 package coord
 
 import (
+	"fmt"
 	"net"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -135,8 +137,8 @@ func mkContribution(seq, total uint64) tsstore.Contribution {
 	}
 }
 
-// TestLogRoundtrip drives the archive-backed Persister through its
-// full life cycle: save, reopen from the WAL tail, seal, reopen from
+// TestLogRoundtrip drives the coordinator's Log through its full life
+// cycle: save, reopen from the WAL tail, seal, reopen from
 // the checkpoint, and a corrupt checkpoint falling back to a full
 // sealed replay — every route recovering the same latest-per-key
 // state.
@@ -153,19 +155,19 @@ func TestLogRoundtrip(t *testing.T) {
 		Owners: []OwnerGroup{{Paths: []string{"p00"}, Owner: "a1"}}}
 	snapB := LeaseSnapshot{Clock: 2 * time.Second, Agents: []string{"a1", "a2"},
 		Owners: []OwnerGroup{{Paths: []string{"p00"}, Owner: "a2"}}}
-	if err := l1.SaveLeases(snapA); err != nil {
+	if err := l1.saveLeases(snapA); err != nil {
 		t.Fatal(err)
 	}
-	if err := l1.SaveContribution("a1", "p00", mkContribution(1, 2)); err != nil {
+	if err := l1.savePush("a1", "p00", marshalPush("p00", mkContribution(1, 2))); err != nil {
 		t.Fatal(err)
 	}
-	if err := l1.SaveContribution("a1", "p00", mkContribution(2, 5)); err != nil {
+	if err := l1.savePush("a1", "p00", marshalPush("p00", mkContribution(2, 5))); err != nil {
 		t.Fatal(err)
 	}
-	if err := l1.SaveContribution("a2", "p01", mkContribution(7, 3)); err != nil {
+	if err := l1.savePush("a2", "p01", marshalPush("p01", mkContribution(7, 3))); err != nil {
 		t.Fatal(err)
 	}
-	if err := l1.SaveLeases(snapB); err != nil {
+	if err := l1.saveLeases(snapB); err != nil {
 		t.Fatal(err)
 	}
 	if err := l1.Close(); err != nil {
@@ -174,25 +176,26 @@ func TestLogRoundtrip(t *testing.T) {
 
 	check := func(l *Log, what string) {
 		t.Helper()
-		rs, problems := l.Restore()
-		if len(problems) != 0 {
-			t.Fatalf("%s: problems %v", what, problems)
+		fed := tsstore.NewFederation(tsstore.Config{})
+		leases, restored, dropped := l.restore(fed)
+		if len(dropped) != 0 {
+			t.Fatalf("%s: problems %v", what, dropped)
 		}
-		if !rs.HaveLeases || !reflect.DeepEqual(rs.Leases, snapB) {
-			t.Fatalf("%s: leases %+v", what, rs.Leases)
+		if leases == nil || !reflect.DeepEqual(*leases, snapB) {
+			t.Fatalf("%s: leases %+v", what, leases)
 		}
-		if len(rs.Contributions) != 2 {
-			t.Fatalf("%s: %d contributions", what, len(rs.Contributions))
+		if restored != 2 || !reflect.DeepEqual(fed.Paths(), []string{"p00", "p01"}) {
+			t.Fatalf("%s: %d contributions on paths %v", what, restored, fed.Paths())
 		}
-		c0 := rs.Contributions[0]
-		if c0.Agent != "a1" || c0.Path != "p00" || c0.C.Seq != 2 || c0.C.Total != 5 {
+		c0, ok := fed.Contribution("a1", "p00")
+		if !ok || c0.Seq != 2 || c0.Total != 5 {
 			t.Fatalf("%s: latest-per-key lost: %+v", what, c0)
 		}
-		if got := c0.C.Digest.Quantile(0.5); got <= 0 {
+		if got := c0.Digest.Quantile(0.5); got <= 0 {
 			t.Fatalf("%s: digest did not survive: median %v", what, got)
 		}
-		c1 := rs.Contributions[1]
-		if c1.Agent != "a2" || c1.Path != "p01" || c1.C.Seq != 7 {
+		c1, ok := fed.Contribution("a2", "p01")
+		if !ok || c1.Seq != 7 {
 			t.Fatalf("%s: second key: %+v", what, c1)
 		}
 	}
@@ -232,13 +235,13 @@ func TestLogRoundtrip(t *testing.T) {
 	a.SetHooks(nil, func() []byte { return []byte("junk") })
 	lw := &Log{contribs: map[string][]byte{}}
 	lw.a = a
-	if err := lw.SaveLeases(snapB); err != nil {
+	if err := lw.saveLeases(snapB); err != nil {
 		t.Fatal(err)
 	}
-	if err := lw.SaveContribution("a1", "p00", mkContribution(2, 5)); err != nil {
+	if err := lw.savePush("a1", "p00", marshalPush("p00", mkContribution(2, 5))); err != nil {
 		t.Fatal(err)
 	}
-	if err := lw.SaveContribution("a2", "p01", mkContribution(7, 3)); err != nil {
+	if err := lw.savePush("a2", "p01", marshalPush("p01", mkContribution(7, 3))); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Seal(); err != nil {
@@ -254,6 +257,81 @@ func TestLogRoundtrip(t *testing.T) {
 	}
 	check(l4, "sealed replay fallback")
 	l4.Close()
+}
+
+// TestRestoreReportsDroppedEntries: a log entry that no longer decodes
+// is dropped with a transcript line naming it, never restored in part,
+// and the closing count says what did come back.
+func TestRestoreReportsDroppedEntries(t *testing.T) {
+	log := &Log{
+		contribs: map[string][]byte{
+			"a1\x00p00": marshalPush("p00", mkContribution(3, 4)),
+			"a1\x00p01": marshalPush("p00", mkContribution(1, 1)), // payload names another path
+			"a2\x00p00": pushWithDigest(2, "p00", badDigests(t)["over budget"]),
+			"nokey":     marshalPush("p00", mkContribution(1, 1)),
+		},
+		lease: []byte{1, 2, 3},
+	}
+	srv, err := NewServer(ServerConfig{Coord: Config{Paths: []string{"p00", "p01"}}, Log: log, Now: func() time.Duration { return 0 }})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	want := []string{
+		"0s restore lease snapshot dropped: coord: lease snapshot truncated",
+		`0s restore contribution a1/p01 dropped: payload path "p00" does not match key path "p01"`,
+		"0s restore contribution a2/p00 dropped: coord: push digest refused: tsstore: digest holds 9 centroids against budget 1",
+		`0s restore contribution "nokey" dropped: malformed key`,
+		"0s restore 1 contributions, lease snapshot false",
+	}
+	if got := srv.Transcript(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restore transcript:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if c, ok := srv.Federation().Contribution("a1", "p00"); !ok || c.Seq != 3 || len(srv.Federation().Paths()) != 1 {
+		t.Fatalf("restored federation: paths %v, a1/p00 %+v", srv.Federation().Paths(), c)
+	}
+}
+
+// TestCoordStatusShowsLogErrors: with a Log, /coord reports how many
+// writes to it failed and the last error, so a coordinator writing to
+// a failing disk shows it; the control plane keeps serving meanwhile.
+func TestCoordStatusShowsLogErrors(t *testing.T) {
+	log, _, err := OpenLog(t.TempDir(), archive.Options{})
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	srv, addr := startServer(t, ServerConfig{Log: log, Now: func() time.Duration { return 0 }})
+	status := func() string {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/coord", nil))
+		return rec.Body.String()
+	}
+	if got := status(); !strings.HasSuffix(got, "\nlog errors 0 last -\n") {
+		t.Fatalf("/coord over a healthy log:\n%s", got)
+	}
+
+	// Every write from here on fails: the registration's lease
+	// snapshot, then the push.
+	log.Close()
+	conn, ft, _ := sendHello(t, addr, "a1", VersionMin, Version)
+	defer conn.Close()
+	if ft != msgHelloAck {
+		t.Fatalf("register: got %v", ft)
+	}
+	if err := writeFrame(conn, msgPush, marshalPush("p00", mkContribution(1, 2))); err != nil {
+		t.Fatalf("push: %v", err)
+	}
+	if ft, payload, err := readFrame(conn); err != nil || ft != msgPushAck {
+		t.Fatalf("push answer = %v, %v", ft, err)
+	} else if ack, _ := unmarshalPushAck(payload); !ack.Applied {
+		t.Fatal("a push the log failed to store was not applied")
+	}
+	n, perr := srv.PersistErrs()
+	if n != 2 || perr == nil {
+		t.Fatalf("PersistErrs = %d, %v; want the lease write and the push", n, perr)
+	}
+	if want := fmt.Sprintf("\nlog errors 2 last %v\n", perr); !strings.HasSuffix(status(), want) {
+		t.Fatalf("/coord does not end %q:\n%s", want, status())
+	}
 }
 
 // TestCoordinatorRestartRecovery is the coord-layer acceptance test: a
@@ -274,7 +352,7 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenLog: %v", err)
 	}
-	srv1, err := NewServer(ServerConfig{Coord: coordCfg, AutoTick: true, Persist: log1})
+	srv1, err := NewServer(ServerConfig{Coord: coordCfg, AutoTick: true, Log: log1})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -339,6 +417,10 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 	ln1.Close()
 	owners := map[string]string{"p00": srv1.Owner("p00"), "p01": srv1.Owner("p01")}
 	before := srv1.Federation().Snapshot()
+	held := 0 // contributions federated: an agent may have pushed a path before a steal moved it
+	for _, p := range srv1.Federation().Paths() {
+		held += len(srv1.Federation().Agents(p))
+	}
 	log1.Close()
 
 	// Rebuild from the archive.
@@ -347,18 +429,22 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 		t.Fatalf("OpenLog(2): %v", err)
 	}
 	defer log2.Close()
-	rs, problems := log2.Restore()
-	if len(problems) != 0 {
-		t.Fatalf("restore problems: %v", problems)
-	}
-	if !rs.HaveLeases {
-		t.Fatal("no lease snapshot recovered")
-	}
-	srv2, err := NewServer(ServerConfig{Coord: coordCfg, AutoTick: true, Persist: log2, Restore: &rs})
+	srv2, err := NewServer(ServerConfig{Coord: coordCfg, AutoTick: true, Log: log2})
 	if err != nil {
 		t.Fatalf("NewServer(2): %v", err)
 	}
 	defer srv2.Close()
+	summary := fmt.Sprintf(" restore %d contributions, lease snapshot true", held)
+	restoredAll := false
+	for _, line := range srv2.Transcript() {
+		if strings.Contains(line, "drop") {
+			t.Fatalf("restore problem: %q", line)
+		}
+		restoredAll = restoredAll || strings.HasSuffix(line, summary)
+	}
+	if !restoredAll {
+		t.Fatalf("no %q line in the restored transcript %q", summary, srv2.Transcript())
+	}
 
 	// Before any agent reconnects: leases and federated history are
 	// back, byte-continuous with the pre-restart state.

@@ -22,6 +22,7 @@ import (
 	"io"
 	"math"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/tsstore"
 	"repro/internal/wire"
@@ -268,53 +269,101 @@ func unmarshalAssign(b []byte) (assignMsg, error) {
 	return wire.Finish(&d, a)
 }
 
-// pushMsg carries one path's tsstore Contribution. The agent name is
-// implied by the session. Point wall clocks are deliberately not on
-// the wire: the deterministic export surface never renders them, and
-// omitting them keeps federated snapshots reproducible.
-type pushMsg struct {
-	Seq          uint64
-	Path         string
-	Total, Errs  uint64
-	Points       []tsstore.Point
-	DigestBinary []byte // Digest.MarshalBinary, empty when no digest
-}
-
 // maxErrLen caps a pushed point's error text so a pathological error
 // string cannot blow the frame limit.
 const maxErrLen = 256
 
-func marshalPush(p pushMsg) []byte {
-	buf := binary.BigEndian.AppendUint64(nil, p.Seq)
-	buf = wire.AppendString(buf, p.Path)
-	buf = binary.BigEndian.AppendUint64(buf, p.Total)
-	buf = binary.BigEndian.AppendUint64(buf, p.Errs)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Points)))
-	for _, pt := range p.Points {
-		if len(pt.Err) > maxErrLen {
-			pt.Err = pt.Err[:maxErrLen]
-		}
+// minPointLen is the encoded size of a point with no error text: six
+// u64 and a u16 string length.
+const minPointLen = 6*8 + 2
+
+// errBadDigest marks a push payload that decodes but whose digest
+// tsstore refuses: the server acks such a push unapplied and keeps the
+// session, where a malformed payload ends it.
+var errBadDigest = errors.New("coord: push digest refused")
+
+// marshalPush encodes one path's contribution as a push payload, in a
+// buffer sized once: Seq, path, Total, Errors, the points
+// (tsstore.Point's AppendBinary layout) and the digest's MarshalBinary
+// blob, empty when there is none. The agent name is implied by the
+// session. Point wall clocks are deliberately not on the wire: the
+// deterministic export surface never renders them, and omitting them
+// keeps federated snapshots reproducible. A Log stores applied pushes
+// as these same bytes.
+func marshalPush(path string, c tsstore.Contribution) []byte {
+	var digest []byte
+	if c.Digest != nil {
+		// MarshalBinary has encoding.BinaryMarshaler's signature; it
+		// never fails.
+		digest, _ = c.Digest.MarshalBinary()
+	}
+	size := 8 + 2 + len(path) + 8 + 8 + 4 + 4 + len(digest)
+	for _, pt := range c.Points {
+		size += minPointLen + len(cutErr(pt.Err))
+	}
+	buf := make([]byte, 0, size)
+	buf = binary.BigEndian.AppendUint64(buf, c.Seq)
+	buf = wire.AppendString(buf, path)
+	buf = binary.BigEndian.AppendUint64(buf, c.Total)
+	buf = binary.BigEndian.AppendUint64(buf, c.Errors)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Points)))
+	for _, pt := range c.Points {
+		pt.Err = cutErr(pt.Err)
 		buf = pt.AppendBinary(buf)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.DigestBinary)))
-	return append(buf, p.DigestBinary...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(digest)))
+	return append(buf, digest...)
 }
 
-func unmarshalPush(b []byte) (pushMsg, error) {
+// cutErr cuts an error text to at most maxErrLen bytes at a rune
+// boundary, so the cut never leaves half a UTF-8 sequence behind.
+func cutErr(s string) string {
+	if len(s) <= maxErrLen {
+		return s
+	}
+	// The rune the limit splits began at most utf8.UTFMax-1 bytes back.
+	for i := maxErrLen; i > maxErrLen-utf8.UTFMax; i-- {
+		if utf8.RuneStart(s[i]) {
+			return s[:i]
+		}
+	}
+	return s[:maxErrLen]
+}
+
+// unmarshalPush decodes a push payload into the path and the
+// contribution it carries. Points are sized from their count once the
+// bytes left can hold that many, and the digest is decoded straight
+// from the payload. A payload that decodes but carries a digest
+// tsstore refuses returns its path and its contribution without the
+// digest, and an error wrapping errBadDigest.
+func unmarshalPush(b []byte) (string, tsstore.Contribution, error) {
 	d := wire.NewReader("coord: push payload", b)
-	p := pushMsg{Seq: d.U64()}
-	p.Path = d.Str()
-	p.Total = d.U64()
-	p.Errs = d.U64()
+	c := tsstore.Contribution{Seq: d.U64()}
+	path := d.Str()
+	c.Total = d.U64()
+	c.Errors = d.U64()
 	n := int(d.U32())
-	if n > maxFrame/48 {
-		return pushMsg{}, fmt.Errorf("coord: push claims %d points", n)
+	if n > d.Len()/minPointLen {
+		return "", tsstore.Contribution{}, fmt.Errorf("coord: push claims %d points in %d bytes", n, d.Len())
 	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		p.Points = append(p.Points, tsstore.ReadPoint(&d))
+	if n > 0 {
+		c.Points = make([]tsstore.Point, n)
+		for i := range c.Points {
+			c.Points[i] = tsstore.ReadPoint(&d)
+		}
 	}
-	p.DigestBinary = append([]byte(nil), d.Bytes()...)
-	return wire.Finish(&d, p)
+	digest := d.Bytes()
+	if err := d.Done(); err != nil {
+		return "", tsstore.Contribution{}, err
+	}
+	if len(digest) > 0 {
+		dg, err := tsstore.UnmarshalDigest(digest)
+		if err != nil {
+			return path, c, fmt.Errorf("%w: %w", errBadDigest, err)
+		}
+		c.Digest = dg
+	}
+	return path, c, nil
 }
 
 // pushAckMsg confirms a push; Applied is false when the federation
@@ -407,32 +456,4 @@ func marshalError(e errorMsg) []byte {
 func unmarshalError(b []byte) (errorMsg, error) {
 	d := wire.NewReader("coord: error payload", b)
 	return wire.Finish(&d, errorMsg{Version: d.U16(), Code: d.U16(), Text: d.Str()})
-}
-
-// contributionToPush converts a tsstore Contribution into its wire
-// form; digest marshaling cannot fail today but the signature keeps
-// room for future digest versions.
-func contributionToPush(path string, c tsstore.Contribution) (pushMsg, error) {
-	p := pushMsg{Seq: c.Seq, Path: path, Total: c.Total, Errs: c.Errors, Points: c.Points}
-	if c.Digest != nil {
-		blob, err := c.Digest.MarshalBinary()
-		if err != nil {
-			return pushMsg{}, err
-		}
-		p.DigestBinary = blob
-	}
-	return p, nil
-}
-
-// pushToContribution rebuilds the Contribution a push carried.
-func pushToContribution(p pushMsg) (tsstore.Contribution, error) {
-	c := tsstore.Contribution{Seq: p.Seq, Total: p.Total, Errors: p.Errs, Points: p.Points}
-	if len(p.DigestBinary) > 0 {
-		d, err := tsstore.UnmarshalDigest(p.DigestBinary)
-		if err != nil {
-			return tsstore.Contribution{}, err
-		}
-		c.Digest = d
-	}
-	return c, nil
 }

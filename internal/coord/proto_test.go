@@ -2,12 +2,16 @@ package coord
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/tsstore"
 	"repro/internal/wire"
@@ -28,21 +32,16 @@ func TestProtoRoundTrips(t *testing.T) {
 	for _, v := range []float64{1e6, 2e6, 4e6, 4e6, 8e6} {
 		digest.Add(v)
 	}
-	push := pushMsg{
-		Seq:   3,
-		Path:  "p00",
-		Total: 9,
-		Errs:  2,
+	push := tsstore.Contribution{
+		Seq:    3,
+		Total:  9,
+		Errors: 2,
 		Points: []tsstore.Point{
 			{Round: 0, At: 0, Span: time.Second, Lo: 3e6, Hi: 5e6, Bits: 1e5},
 			{Round: 1, At: time.Second, Span: 2 * time.Second, Err: "transport lost"},
 		},
+		Digest: digest,
 	}
-	blob, err := digest.MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
-	}
-	push.DigestBinary = blob
 	pushAck := pushAckMsg{Seq: 3, Applied: true}
 
 	var buf bytes.Buffer
@@ -54,7 +53,7 @@ func TestProtoRoundTrips(t *testing.T) {
 		{msgHelloAck, marshalHelloAck(ack)},
 		{msgHeartbeat, marshalHeartbeat(hb)},
 		{msgAssign, marshalAssign(asg)},
-		{msgPush, marshalPush(push)},
+		{msgPush, marshalPush("p00", push)},
 		{msgPushAck, marshalPushAck(pushAck)},
 		{msgBye, nil},
 	}
@@ -88,15 +87,11 @@ func TestProtoRoundTrips(t *testing.T) {
 	if got, err := unmarshalAssign(readOne(msgAssign)); err != nil || !reflect.DeepEqual(got, asg) {
 		t.Fatalf("assign round-trip = %+v, %v; want %+v", got, err, asg)
 	}
-	gotPush, err := unmarshalPush(readOne(msgPush))
-	if err != nil || !reflect.DeepEqual(gotPush, push) {
-		t.Fatalf("push round-trip = %+v, %v; want %+v", gotPush, err, push)
+	path, c, err := unmarshalPush(readOne(msgPush))
+	if err != nil || path != "p00" || !reflect.DeepEqual(c, push) {
+		t.Fatalf("push round-trip = %q, %+v, %v; want p00, %+v", path, c, err, push)
 	}
-	c, err := pushToContribution(gotPush)
-	if err != nil {
-		t.Fatalf("pushToContribution: %v", err)
-	}
-	if c.Digest == nil || c.Digest.Count() != digest.Count() || c.Digest.Quantile(0.5) != digest.Quantile(0.5) {
+	if c.Digest.Count() != digest.Count() || c.Digest.Quantile(0.5) != digest.Quantile(0.5) {
 		t.Fatalf("push digest did not survive: %+v", c.Digest)
 	}
 	if got, err := unmarshalPushAck(readOne(msgPushAck)); err != nil || got != pushAck {
@@ -120,18 +115,158 @@ func TestProtoRejectsGarbage(t *testing.T) {
 	if _, err := unmarshalHello(marshalHello(helloMsg{Min: 5, Max: 1})); err == nil {
 		t.Fatalf("inverted hello range accepted")
 	}
-	// A push whose digest blob is corrupt must fail conversion, not
+	// A push whose digest blob is corrupt must fail to decode, not
 	// poison the federation: a centroid count over budget, and the two
 	// blobs tsstore.UnmarshalDigest used to let through — centroid
 	// weights that wrap u64 to the stated count, and infinite means.
-	for name, blob := range map[string][]byte{
+	for name, blob := range badDigests(t) {
+		if _, _, err := unmarshalPush(pushWithDigest(1, "p", blob)); !errors.Is(err, errBadDigest) {
+			t.Errorf("push with a corrupt digest blob (%s): err %v, want errBadDigest", name, err)
+		}
+	}
+}
+
+// badDigests are digest blobs tsstore.UnmarshalDigest refuses.
+func badDigests(t *testing.T) map[string][]byte {
+	return map[string][]byte{
 		"over budget":      {0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 9},
 		"weight sum wraps": mustHex(t, "00000040"+"0000000000000000"+"00000002"+"412e848000000000"+"8000000000000000"+"413e848000000000"+"8000000000000000"),
 		"infinite means":   mustHex(t, "00000040"+"0000000000000002"+"00000002"+"fff0000000000000"+"0000000000000001"+"7ff0000000000000"+"0000000000000001"),
-	} {
-		if _, err := pushToContribution(pushMsg{Seq: 1, Path: "p", DigestBinary: blob}); err == nil {
-			t.Errorf("push with a corrupt digest blob (%s) accepted", name)
+	}
+}
+
+// pushWithDigest is the payload of a pointless push whose digest
+// field holds blob, valid or not.
+func pushWithDigest(seq uint64, path string, blob []byte) []byte {
+	b := marshalPush(path, tsstore.Contribution{Seq: seq, Total: 1})
+	b = binary.BigEndian.AppendUint32(b[:len(b)-4], uint32(len(blob)))
+	return append(b, blob...)
+}
+
+// TestBadDigestPushAckedUnapplied: a push whose payload decodes but
+// whose digest tsstore refuses is answered with an unapplied ack and
+// federates nothing, and the session goes on — its next heartbeat is
+// answered.
+func TestBadDigestPushAckedUnapplied(t *testing.T) {
+	srv, addr := startServer(t, ServerConfig{Now: func() time.Duration { return 0 }})
+	conn, ft, _ := sendHello(t, addr, "a1", VersionMin, Version)
+	defer conn.Close()
+	if ft != msgHelloAck {
+		t.Fatalf("register: got %v", ft)
+	}
+	seq := uint64(0)
+	for name, blob := range badDigests(t) {
+		seq++
+		if err := writeFrame(conn, msgPush, pushWithDigest(seq, "p00", blob)); err != nil {
+			t.Fatalf("%s: push: %v", name, err)
 		}
+		ft, payload, err := readFrame(conn)
+		if err != nil || ft != msgPushAck {
+			t.Fatalf("%s: push answer = %v, %v", name, ft, err)
+		}
+		if ack, err := unmarshalPushAck(payload); err != nil || ack != (pushAckMsg{Seq: seq}) {
+			t.Fatalf("%s: push-ack = %+v, %v; want seq %d unapplied", name, ack, err, seq)
+		}
+	}
+	if paths := srv.Federation().Paths(); len(paths) != 0 {
+		t.Fatalf("refused pushes federated paths %v", paths)
+	}
+	if err := writeFrame(conn, msgHeartbeat, marshalHeartbeat(heartbeatMsg{Seq: 9})); err != nil {
+		t.Fatalf("heartbeat: %v", err)
+	}
+	ft, payload, err := readFrame(conn)
+	if err != nil || ft != msgAssign {
+		t.Fatalf("heartbeat answer = %v, %v; want assign", ft, err)
+	}
+	if asg, err := unmarshalAssign(payload); err != nil || asg.Seq != 9 {
+		t.Fatalf("assign = %+v, %v", asg, err)
+	}
+}
+
+// TestPushErrCutAtRuneBoundary: a point's error text past maxErrLen is
+// cut at a rune boundary — here a 2-byte rune straddles byte 256 — so
+// what the coordinator federates and archives stays valid UTF-8.
+func TestPushErrCutAtRuneBoundary(t *testing.T) {
+	long := strings.Repeat("x", maxErrLen-1) + "é" + strings.Repeat("y", 10)
+	if long[maxErrLen-1:maxErrLen+1] != "é" {
+		t.Fatal("the rune does not straddle the limit")
+	}
+	c := tsstore.Contribution{Points: []tsstore.Point{{Err: long}}}
+	_, back, err := unmarshalPush(marshalPush("p", c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := back.Points[0].Err
+	if !utf8.ValidString(got) || len(got) > maxErrLen || got != long[:maxErrLen-1] {
+		t.Fatalf("cut error text: %d bytes, valid UTF-8 %v", len(got), utf8.ValidString(got))
+	}
+}
+
+// TestPushBytesUnchanged: the encoder reproduces the committed push
+// seeds byte for byte, so neither the wire form of a push nor the
+// durable form a Log stores can move unnoticed.
+func TestPushBytesUnchanged(t *testing.T) {
+	var frame bytes.Buffer
+	payload := marshalPush("p00", fuzzPush())
+	if err := writeFrame(&frame, msgPush, payload); err != nil {
+		t.Fatal(err)
+	}
+	for file, want := range map[string][]byte{
+		"testdata/fuzz/FuzzPayloads/seed-push":        payload,
+		"testdata/fuzz/FuzzReadFrame/seed-push-frame": frame.Bytes(),
+	} {
+		if got := readSeed(t, file); !bytes.Equal(got, want) {
+			t.Errorf("%s:\n seed %x\n  now %x", file, got, want)
+		}
+	}
+}
+
+// readSeed reads a one-value []byte fuzz corpus file.
+func readSeed(t *testing.T, file string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("%s: not a []byte corpus entry", file)
+	}
+	b, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	return []byte(b)
+}
+
+// TestPushReceiveAllocationBudget: the coordinator's receive path —
+// decode a 32-point push with a full digest, then Federation.Push it to
+// a slot holding a push of the same shape — allocates the path string,
+// the points, the digest and its centroids once each and nothing else.
+// Run without -race, which changes object counts.
+func TestPushReceiveAllocationBudget(t *testing.T) {
+	c := tsstore.Contribution{Total: 400, Digest: tsstore.NewDigest(0)}
+	for r := range 32 {
+		c.Points = append(c.Points, tsstore.Point{Round: 368 + r, At: time.Duration(r) * time.Second,
+			Span: time.Second, Lo: 1e6 + float64(r)*1e4, Hi: 2e6 + float64(r)*1e4, Bits: 1e5})
+	}
+	for i := range 400 {
+		c.Digest.Add(1e6 + float64(i*7919%1000)*1e3)
+	}
+	payload := marshalPush("p00", c)
+	fed := tsstore.NewFederation(tsstore.Config{Capacity: 32})
+	seq := uint64(0)
+	receive := func() {
+		seq++
+		binary.BigEndian.PutUint64(payload, seq) // Seq leads the payload
+		path, c, err := unmarshalPush(payload)
+		if err != nil || !fed.Push("a1", path, c) {
+			t.Fatalf("push %d not applied: %v", seq, err)
+		}
+	}
+	receive() // the slot's first push allocates its buffers
+	if allocs := testing.AllocsPerRun(100, receive); allocs > 4 {
+		t.Fatalf("decode + Push of a %d-byte push allocates %v objects, want <= 4", len(payload), allocs)
 	}
 }
 
@@ -151,7 +286,7 @@ func mustHex(t *testing.T, s string) []byte {
 // message filled in as far as the bytes went.
 func TestDecodersRejectEveryPrefix(t *testing.T) {
 	ckpt := (&Log{
-		contribs: map[string][]byte{"a1\x00p00": marshalPush(fuzzPush()), "a2\x00p02": marshalPush(pushMsg{Path: "p02"})},
+		contribs: map[string][]byte{"a1\x00p00": marshalPush("p00", fuzzPush()), "a2\x00p02": marshalPush("p02", tsstore.Contribution{})},
 		lease:    marshalLeaseSnapshot(fuzzLeases()),
 	}).checkpoint()
 	for _, c := range []struct {
@@ -163,7 +298,16 @@ func TestDecodersRejectEveryPrefix(t *testing.T) {
 		{"hello-ack", marshalHelloAck(helloAckMsg{Version: 2, TTL: time.Second, Epoch: time.Minute}), func(b []byte) (any, error) { return unmarshalHelloAck(b) }},
 		{"heartbeat", marshalHeartbeat(heartbeatMsg{Seq: 9}), func(b []byte) (any, error) { return unmarshalHeartbeat(b) }},
 		{"assign", marshalAssign(assignMsg{Seq: 9, Budget: 12e6, Leases: []Lease{{Path: "p00"}, {Path: "p02", Group: 1}}}), func(b []byte) (any, error) { return unmarshalAssign(b) }},
-		{"push", marshalPush(fuzzPush()), func(b []byte) (any, error) { return unmarshalPush(b) }},
+		{"push", marshalPush("p00", fuzzPush()), func(b []byte) (any, error) {
+			path, c, err := unmarshalPush(b)
+			if path == "" && c.Seq == 0 && c.Points == nil && c.Digest == nil {
+				return nil, err
+			}
+			return struct {
+				path string
+				c    tsstore.Contribution
+			}{path, c}, err
+		}},
 		{"push-ack", marshalPushAck(pushAckMsg{Seq: 3, Applied: true}), func(b []byte) (any, error) { return unmarshalPushAck(b) }},
 		{"challenge", marshalChallenge(bytes.Repeat([]byte{7}, nonceLen)), func(b []byte) (any, error) { return unmarshalChallenge(b) }},
 		{"auth", marshalAuth(authMAC("s", []byte("n"), "a1")), func(b []byte) (any, error) { return unmarshalAuth(b) }},
@@ -207,14 +351,14 @@ func TestPushPointLayout(t *testing.T) {
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
-	empty := marshalPush(pushMsg{Path: "p"})
-	got := marshalPush(pushMsg{Path: "p", Points: []tsstore.Point{pt}})
+	empty := marshalPush("p", tsstore.Contribution{})
+	got := marshalPush("p", tsstore.Contribution{Points: []tsstore.Point{pt}})
 	// Head: seq, path, total, errs, point count. Tail: digest length.
 	head, tail := len(empty)-4, 4
 	if !bytes.Equal(got[head:len(got)-tail], want) {
 		t.Fatalf("point bytes in a push:\n got %x\nwant %x", got[head:len(got)-tail], want)
 	}
-	back, err := unmarshalPush(got)
+	_, back, err := unmarshalPush(got)
 	if err != nil || len(back.Points) != 1 || back.Points[0] != pt {
 		t.Fatalf("push round trip: %+v, %v", back.Points, err)
 	}

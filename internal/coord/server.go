@@ -52,16 +52,13 @@ type ServerConfig struct {
 	PushRate     float64
 	RateBurst    float64
 
-	// Persist, when non-nil, receives every lease-state change and
-	// every applied push (see Persister). Persist errors are counted
-	// (PersistErrs) but never stop the control plane.
-	Persist Persister
-
-	// Restore, when non-nil, reinstates recovered state before the
-	// server accepts its first connection: leases by conflict-group
-	// member set (mismatches dropped with a transcript line), federated
-	// contributions by the per-(path, agent) Seq replace rule.
-	Restore *RestoreState
+	// Log, when non-nil, makes the coordinator durable: NewServer
+	// restores the leases (by conflict-group member set; mismatches
+	// dropped with a transcript line) and the federated contributions
+	// the log recovered, and every lease-state change and every applied
+	// push is then written through to it. Write errors are counted
+	// (PersistErrs, and on /coord) but never stop the control plane.
+	Log *Log
 }
 
 // Server is the coordinator: it accepts agent control sessions on a
@@ -108,14 +105,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.regLim = newRateLimiter(cfg.RegisterRate, cfg.RateBurst)
 	s.pushLim = newRateLimiter(cfg.PushRate, cfg.RateBurst)
-	if cfg.Restore != nil {
+	if cfg.Log != nil {
 		now := s.cfg.Now()
-		if cfg.Restore.HaveLeases {
-			s.emit(st.RestoreLeases(cfg.Restore.Leases, now))
+		leases, restored, dropped := cfg.Log.restore(s.fed)
+		var lines []string
+		if leases != nil {
+			lines = st.RestoreLeases(*leases, now)
 		}
-		for _, rc := range cfg.Restore.Contributions {
-			s.fed.Push(rc.Agent, rc.Path, rc.C)
+		for _, d := range dropped {
+			lines = append(lines, st.logf(now, "restore %s", d))
 		}
+		s.emit(append(lines, st.logf(now, "restore %d contributions, lease snapshot %v", restored, leases != nil)))
 	}
 	if cfg.AutoTick {
 		s.wg.Add(1)
@@ -124,7 +124,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// PersistErrs reports how many Persist calls failed and the most
+// PersistErrs reports how many writes to the Log failed and the most
 // recent error.
 func (s *Server) PersistErrs() (uint64, error) {
 	s.mu.Lock()
@@ -132,14 +132,14 @@ func (s *Server) PersistErrs() (uint64, error) {
 	return s.persistErrs, s.persistErr
 }
 
-// persistLeases snapshots the lease state into the Persister; callers
-// hold s.mu (which also serializes snapshots, so the log's last write
-// is always the newest state).
+// persistLeases snapshots the lease state into the Log; callers hold
+// s.mu (which also serializes snapshots, so the log's last write is
+// always the newest state).
 func (s *Server) persistLeases() {
-	if s.cfg.Persist == nil {
+	if s.cfg.Log == nil {
 		return
 	}
-	if err := s.cfg.Persist.SaveLeases(s.st.LeaseSnapshot(s.cfg.Now())); err != nil {
+	if err := s.cfg.Log.saveLeases(s.st.LeaseSnapshot(s.cfg.Now())); err != nil {
 		s.persistErrs++
 		s.persistErr = err
 	}
@@ -202,7 +202,8 @@ func (s *Server) Owner(path string) string {
 
 // Handler serves the coordinator's HTTP surface: the federated store's
 // endpoints (/metrics, /series, /mrtg, /) plus /coord, a plain-text
-// control-plane status page (agents, leases, transcript length).
+// control-plane status page (agents, leases, transcript length, and,
+// with a Log, its write errors).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", s.fed.Handler())
@@ -223,6 +224,13 @@ func (s *Server) Handler() http.Handler {
 			fmt.Fprintf(w, "group %s owner=%s\n", s.st.groupName(gi), owner)
 		}
 		fmt.Fprintf(w, "transcript %d lines\n", s.st.logged)
+		if s.cfg.Log != nil {
+			last := "-"
+			if s.persistErr != nil {
+				last = s.persistErr.Error()
+			}
+			fmt.Fprintf(w, "log errors %d last %s\n", s.persistErrs, last)
+		}
 	})
 	return mux
 }
@@ -423,27 +431,26 @@ func (s *Server) handleConn(c net.Conn) {
 				s.reject(c, errCodeRate, "push rate limit exceeded")
 				return
 			}
-			p, err := unmarshalPush(payload)
+			path, contrib, err := unmarshalPush(payload)
+			if errors.Is(err, errBadDigest) {
+				// Structurally invalid digest: refuse the push but keep
+				// the session — the agent's next snapshot may be fine.
+				writeFrame(c, msgPushAck, marshalPushAck(pushAckMsg{Seq: contrib.Seq}))
+				continue
+			}
 			if err != nil {
 				return
 			}
-			contrib, err := pushToContribution(p)
-			if err != nil {
-				// Structurally invalid digest: refuse the push but keep
-				// the session — the agent's next snapshot may be fine.
-				writeFrame(c, msgPushAck, marshalPushAck(pushAckMsg{Seq: p.Seq}))
-				continue
-			}
-			applied := s.fed.Push(hello.Name, p.Path, contrib)
-			if applied && s.cfg.Persist != nil {
-				if perr := s.cfg.Persist.SaveContribution(hello.Name, p.Path, contrib); perr != nil {
+			applied := s.fed.Push(hello.Name, path, contrib)
+			if applied && s.cfg.Log != nil {
+				if perr := s.cfg.Log.savePush(hello.Name, path, payload); perr != nil {
 					s.mu.Lock()
 					s.persistErrs++
 					s.persistErr = perr
 					s.mu.Unlock()
 				}
 			}
-			if err := writeFrame(c, msgPushAck, marshalPushAck(pushAckMsg{Seq: p.Seq, Applied: applied})); err != nil {
+			if err := writeFrame(c, msgPushAck, marshalPushAck(pushAckMsg{Seq: contrib.Seq, Applied: applied})); err != nil {
 				return
 			}
 		case msgBye:

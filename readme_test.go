@@ -11,27 +11,36 @@ import (
 	"testing"
 )
 
-// readmeDocs are the documents whose example references must resolve.
+// readmeDocs are the documents whose references must resolve.
 var readmeDocs = []string{"README.md", "docs/ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"}
 
 var (
-	exampleDirRef  = regexp.MustCompile(`\bexamples/([A-Za-z0-9_]+)`)
-	exampleFuncRef = regexp.MustCompile(`\bExample[A-Z_]\w*`)
-	exampleFuncDef = regexp.MustCompile(`(?m)^func (Example\w*)\(\)`)
+	exampleDirRef = regexp.MustCompile(`\bexamples/([A-Za-z0-9_]+)`)
+	testFuncRef   = regexp.MustCompile(`\b(?:Test|Fuzz|Example)[A-Z_]\w*`)
+	testFuncDef   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
+	goldenRef     = regexp.MustCompile(`(?:[\w./-]*\{[\w,]+\}|[\w./-]*\w)\.golden\b`)
+	internalRef   = regexp.MustCompile(`\binternal/[a-z0-9_]+(?:/[\w.-]+)*`)
 )
 
-// TestReadmeExamples: every examples/<name> the documents mention is a
-// directory holding a main package, and every Example function they
-// name is defined in some _test.go file of the module, so a removed or
-// renamed example cannot stay documented.
-func TestReadmeExamples(t *testing.T) {
+// TestDocReferences: every examples/<name> the documents mention is a
+// directory holding a main package, every Test, Fuzz or Example
+// function they name is defined in some _test.go file of the module,
+// every *.golden file they name exists (a name without a directory, or
+// with only part of one, matches the end of a path), and every
+// internal/<pkg> path they name exists, so a removed or renamed test,
+// golden or package cannot stay documented.
+func TestDocReferences(t *testing.T) {
 	defined := map[string]bool{}
+	var goldens []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata") {
+		if d.IsDir() && d.Name() == ".git" {
 			return filepath.SkipDir
+		}
+		if strings.HasSuffix(path, ".golden") {
+			goldens = append(goldens, filepath.ToSlash(path))
 		}
 		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
 			return nil
@@ -40,7 +49,7 @@ func TestReadmeExamples(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, m := range exampleFuncDef.FindAllSubmatch(src, -1) {
+		for _, m := range testFuncDef.FindAllSubmatch(src, -1) {
 			defined[string(m[1])] = true
 		}
 		return nil
@@ -48,8 +57,16 @@ func TestReadmeExamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !defined["ExampleRun"] {
-		t.Fatal("ExampleRun not found: the walk over _test.go files is broken")
+	if !defined["ExampleRun"] || !defined["TestDocReferences"] || len(goldens) == 0 {
+		t.Fatal("ExampleRun, TestDocReferences or the goldens not found: the walk over the module is broken")
+	}
+	goldenExists := func(ref string) bool {
+		for _, g := range goldens {
+			if g == ref || strings.HasSuffix(g, "/"+ref) {
+				return true
+			}
+		}
+		return false
 	}
 
 	for _, doc := range readmeDocs {
@@ -62,12 +79,40 @@ func TestReadmeExamples(t *testing.T) {
 				t.Errorf("%s mentions %s, which is not a main package", doc, m[0])
 			}
 		}
-		for _, name := range exampleFuncRef.FindAllString(string(text), -1) {
+		for _, name := range testFuncRef.FindAllString(string(text), -1) {
 			if !defined[name] {
 				t.Errorf("%s names %s, which no _test.go file defines", doc, name)
 			}
 		}
+		for _, ref := range goldenRef.FindAllString(string(text), -1) {
+			for _, name := range expandBraces(ref) {
+				if !goldenExists(name) {
+					t.Errorf("%s names %s, which is not in the tree", doc, name)
+				}
+			}
+		}
+		for _, ref := range internalRef.FindAllString(string(text), -1) {
+			ref = strings.TrimRight(ref, ".-") // a sentence's full stop
+			if _, err := os.Stat(ref); err != nil {
+				t.Errorf("%s names %s, which is not in the tree", doc, ref)
+			}
+		}
 	}
+}
+
+// expandBraces expands one {a,b,c} group: "x/{a,b}.golden" is
+// x/a.golden and x/b.golden.
+func expandBraces(s string) []string {
+	pre, rest, ok := strings.Cut(s, "{")
+	if !ok {
+		return []string{s}
+	}
+	alts, post, _ := strings.Cut(rest, "}")
+	var out []string
+	for _, a := range strings.Split(alts, ",") {
+		out = append(out, pre+a+post)
+	}
+	return out
 }
 
 // isMainPackage reports whether dir holds a non-test Go file of
