@@ -294,8 +294,8 @@ func TestMixedFormatRecovery(t *testing.T) {
 	for _, p := range control.Paths() {
 		gt, ge := re.Totals(p)
 		wt, we := control.Totals(p)
-		gd, _ := re.DigestSnapshot(p).MarshalBinary()
-		wd, _ := control.DigestSnapshot(p).MarshalBinary()
+		gd := re.DigestSnapshot(p).AppendBinary(nil)
+		wd := control.DigestSnapshot(p).AppendBinary(nil)
 		if gt != wt || ge != we || !bytes.Equal(gd, wd) {
 			t.Errorf("%s: totals (%d, %d) digest %x; want (%d, %d) %x", p, gt, ge, gd, wt, we, wd)
 		}

@@ -26,7 +26,7 @@ const (
 )
 
 // The checkpoint blob opens with ckptMagic and a u16 version. Version
-// 1 holds fixed-width counts and MarshalBinary digests; version 2,
+// 1 holds fixed-width counts and AppendBinary digests; version 2,
 // which checkpoint writes, holds uvarint counts and AppendCompact
 // digests. Recovery reads both; a reader that predates version 2 calls
 // such a checkpoint corrupt and rebuilds its counters by counted

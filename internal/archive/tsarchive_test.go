@@ -369,9 +369,9 @@ func TestPointCodecRoundtripAndDamage(t *testing.T) {
 
 // ckptV1 hand-assembles a version 1 checkpoint of one path and no
 // links, as archives written before version 2 hold them: fixed-width
-// counts and a length-prefixed MarshalBinary digest.
+// counts and a length-prefixed AppendBinary digest.
 func ckptV1(path string, total, errs uint64, d *tsstore.Digest) []byte {
-	blob, _ := d.MarshalBinary()
+	blob := d.AppendBinary(nil)
 	return ckptV1Blob(path, total, errs, blob)
 }
 

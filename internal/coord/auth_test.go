@@ -263,3 +263,47 @@ func TestRateLimiterRefill(t *testing.T) {
 		t.Fatal("zero rate must disable the limiter")
 	}
 }
+
+// TestCloseEndsServe: Close closes the listener a running Serve
+// accepts on, which then returns nil, and the sessions it accepted;
+// a Serve called after Close refuses to start.
+func TestCloseEndsServe(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Coord: Config{Paths: []string{"p00"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	// An answered hello means Serve has registered its listener.
+	conn, ft, _ := sendHello(t, ln.Addr().String(), "a1", VersionMin, Version)
+	defer conn.Close()
+	if ft != msgHelloAck {
+		t.Fatalf("hello answered with %v", ft)
+	}
+
+	srv.Close()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve after Close returned %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve still running after Close")
+	}
+	if _, _, err := readFrame(conn); err == nil {
+		t.Error("session still open after Close")
+	}
+
+	ln2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln2.Close()
+	if err := srv.Serve(ln2); err == nil {
+		t.Error("Serve on a closed server returned nil")
+	}
+}

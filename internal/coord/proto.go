@@ -59,15 +59,7 @@ var ErrRejected = errors.New("coord: rejected by coordinator")
 // the peer's advertised range and this build's — the wire.Negotiate
 // rule applied to the control plane.
 func Negotiate(peerMin, peerMax uint16) (uint16, error) {
-	chosen := Version
-	if peerMax < chosen {
-		chosen = peerMax
-	}
-	if chosen < VersionMin || chosen < peerMin {
-		return 0, fmt.Errorf("%w: peer speaks [%d, %d], this build [%d, %d]",
-			ErrVersionMismatch, peerMin, peerMax, VersionMin, Version)
-	}
-	return chosen, nil
+	return wire.NegotiateWithin(VersionMin, Version, peerMin, peerMax, ErrVersionMismatch)
 }
 
 // Control message types.
@@ -283,23 +275,20 @@ const minPointLen = 6*8 + 2
 var errBadDigest = errors.New("coord: push digest refused")
 
 // marshalPush encodes one path's contribution as a push payload, in a
-// buffer sized once: Seq, path, Total, Errors, the points
-// (tsstore.Point's AppendBinary layout) and the digest's MarshalBinary
-// blob, empty when there is none. The agent name is implied by the
-// session. Point wall clocks are deliberately not on the wire: the
-// deterministic export surface never renders them, and omitting them
-// keeps federated snapshots reproducible. A Log stores applied pushes
-// as these same bytes.
+// buffer allocated once: Seq, path, Total, Errors, the points
+// (tsstore.Point's AppendBinary layout) and the digest's AppendBinary
+// blob behind its u32 length, empty when there is none. The agent name
+// is implied by the session. Point wall clocks are deliberately not on
+// the wire: the deterministic export surface never renders them, and
+// omitting them keeps federated snapshots reproducible. A Log stores
+// applied pushes as these same bytes.
 func marshalPush(path string, c tsstore.Contribution) []byte {
-	var digest []byte
-	if c.Digest != nil {
-		// MarshalBinary has encoding.BinaryMarshaler's signature; it
-		// never fails.
-		digest, _ = c.Digest.MarshalBinary()
-	}
-	size := 8 + 2 + len(path) + 8 + 8 + 4 + 4 + len(digest)
+	size := 8 + 2 + len(path) + 8 + 8 + 4 + 4
 	for _, pt := range c.Points {
 		size += minPointLen + len(cutErr(pt.Err))
+	}
+	if c.Digest != nil {
+		size += binaryDigestRoom(c.Digest)
 	}
 	buf := make([]byte, 0, size)
 	buf = binary.BigEndian.AppendUint64(buf, c.Seq)
@@ -311,9 +300,20 @@ func marshalPush(path string, c tsstore.Contribution) []byte {
 		pt.Err = cutErr(pt.Err)
 		buf = pt.AppendBinary(buf)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(digest)))
-	return append(buf, digest...)
+	buf = binary.BigEndian.AppendUint32(buf, 0) // the digest's length, set below
+	if c.Digest != nil {
+		at := len(buf)
+		buf = c.Digest.AppendBinary(buf)
+		binary.BigEndian.PutUint32(buf[at-4:], uint32(len(buf)-at))
+	}
+	return buf
 }
+
+// binaryDigestRoom bounds the length of d's AppendBinary form from
+// above. That form spends 16 bytes on its header and 16 a centroid;
+// the compact form spends at least 3 and 9, so its length caps how many
+// centroids d holds, which tsstore does not export.
+func binaryDigestRoom(d *tsstore.Digest) int { return 16 + 16*((d.CompactSize()-3)/9) }
 
 // cutErr cuts an error text to at most maxErrLen bytes at a rune
 // boundary, so the cut never leaves half a UTF-8 sequence behind.

@@ -245,15 +245,7 @@ func readSeed(t *testing.T, file string) []byte {
 // the points, the digest and its centroids once each and nothing else.
 // Run without -race, which changes object counts.
 func TestPushReceiveAllocationBudget(t *testing.T) {
-	c := tsstore.Contribution{Total: 400, Digest: tsstore.NewDigest(0)}
-	for r := range 32 {
-		c.Points = append(c.Points, tsstore.Point{Round: 368 + r, At: time.Duration(r) * time.Second,
-			Span: time.Second, Lo: 1e6 + float64(r)*1e4, Hi: 2e6 + float64(r)*1e4, Bits: 1e5})
-	}
-	for i := range 400 {
-		c.Digest.Add(1e6 + float64(i*7919%1000)*1e3)
-	}
-	payload := marshalPush("p00", c)
+	payload := marshalPush("p00", fullPush())
 	fed := tsstore.NewFederation(tsstore.Config{Capacity: 32})
 	seq := uint64(0)
 	receive := func() {
@@ -268,6 +260,31 @@ func TestPushReceiveAllocationBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, receive); allocs > 4 {
 		t.Fatalf("decode + Push of a %d-byte push allocates %v objects, want <= 4", len(payload), allocs)
 	}
+}
+
+// TestPushEncodeAllocationBudget: encoding a 32-point push with a full
+// digest allocates its one buffer, sized before the first byte is
+// written, and nothing else. Run without -race, which changes object
+// counts.
+func TestPushEncodeAllocationBudget(t *testing.T) {
+	c := fullPush()
+	var payload []byte
+	if allocs := testing.AllocsPerRun(100, func() { payload = marshalPush("p00", c) }); allocs != 1 {
+		t.Fatalf("encoding a %d-byte push allocates %v objects, want 1", len(payload), allocs)
+	}
+}
+
+// fullPush is a 32-point contribution whose digest holds 400 samples.
+func fullPush() tsstore.Contribution {
+	c := tsstore.Contribution{Total: 400, Digest: tsstore.NewDigest(0)}
+	for r := range 32 {
+		c.Points = append(c.Points, tsstore.Point{Round: 368 + r, At: time.Duration(r) * time.Second,
+			Span: time.Second, Lo: 1e6 + float64(r)*1e4, Hi: 2e6 + float64(r)*1e4, Bits: 1e5})
+	}
+	for i := range 400 {
+		c.Digest.Add(1e6 + float64(i*7919%1000)*1e3)
+	}
+	return c
 }
 
 func mustHex(t *testing.T, s string) []byte {

@@ -78,7 +78,7 @@ type Server struct {
 	pushLim *rateLimiter
 
 	connMu sync.Mutex
-	conns  map[net.Conn]bool
+	conns  map[io.Closer]bool // the listeners and open connections Close closes
 	closed bool
 
 	wg       sync.WaitGroup
@@ -97,7 +97,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		start:    time.Now(),
 		st:       st,
 		fed:      tsstore.NewFederation(cfg.Store),
-		conns:    map[net.Conn]bool{},
+		conns:    map[io.Closer]bool{},
 		stopTick: make(chan struct{}),
 	}
 	if s.cfg.Now == nil {
@@ -244,7 +244,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.connMu.Unlock()
 		return errors.New("coord: server closed")
 	}
-	s.conns[listenerConn{ln}] = true
+	s.conns[ln] = true
 	s.connMu.Unlock()
 	for {
 		c, err := ln.Accept()
@@ -273,18 +273,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// listenerConn lets the listener ride in the conns map so Close tears
-// it down with one sweep.
-type listenerConn struct{ net.Listener }
-
-func (l listenerConn) Read([]byte) (int, error)         { return 0, io.EOF }
-func (l listenerConn) Write([]byte) (int, error)        { return 0, io.EOF }
-func (l listenerConn) LocalAddr() net.Addr              { return l.Addr() }
-func (l listenerConn) RemoteAddr() net.Addr             { return l.Addr() }
-func (l listenerConn) SetDeadline(time.Time) error      { return nil }
-func (l listenerConn) SetReadDeadline(time.Time) error  { return nil }
-func (l listenerConn) SetWriteDeadline(time.Time) error { return nil }
-
 // Close stops the tick loop, closes every control connection and
 // listener, and waits for the handlers to drain.
 func (s *Server) Close() {
@@ -298,7 +286,7 @@ func (s *Server) Close() {
 	for c := range s.conns {
 		c.Close()
 	}
-	s.conns = map[net.Conn]bool{}
+	s.conns = map[io.Closer]bool{}
 	s.connMu.Unlock()
 	close(s.stopTick)
 	s.wg.Wait()

@@ -109,8 +109,8 @@ func TestDigestCompactLayout(t *testing.T) {
 	if err != nil || r.Len() != 1 {
 		t.Fatalf("ReadCompactDigest: %v, %d bytes left; want the digest and the byte after it", err, r.Len())
 	}
-	fixed, _ := d.MarshalBinary()
-	if re, _ := back.MarshalBinary(); !bytes.Equal(re, fixed) {
+	fixed := d.AppendBinary(nil)
+	if re := back.AppendBinary(nil); !bytes.Equal(re, fixed) {
 		t.Fatalf("compact digest decoded to %x, want %x", re, fixed)
 	}
 	for n := 0; n < len(want); n++ {
@@ -231,7 +231,7 @@ func TestUnmarshalDigestPrefixes(t *testing.T) {
 	for _, x := range []float64{1e6, 3e6, 3e6, 9e6} {
 		d.Add(x)
 	}
-	blob, _ := d.MarshalBinary()
+	blob := d.AppendBinary(nil)
 	if back, err := UnmarshalDigest(blob); err != nil || back.Count() != 4 || back.Quantile(0.5) != d.Quantile(0.5) {
 		t.Fatalf("round trip: %+v, %v", back, err)
 	}
@@ -246,7 +246,7 @@ func TestUnmarshalDigestPrefixes(t *testing.T) {
 }
 
 // FuzzUnmarshalDigest: a digest blob arrives from an agent's push
-// (MarshalBinary) or a recovered checkpoint (either form). One that
+// (AppendBinary) or a recovered checkpoint (either form). One that
 // decodes, in either form, must be canonical — it re-encodes byte for
 // byte — and safe to serve: every quantile finite, also after it has
 // been merged into another digest. Seeds under testdata/fuzz: the mini
@@ -268,7 +268,7 @@ func FuzzUnmarshalDigest(f *testing.F) {
 			t.Fatalf("rejected blob still yielded a digest: %v %v", fixedErr, compactErr)
 		}
 		if fixed != nil {
-			if re, _ := fixed.MarshalBinary(); !bytes.Equal(re, data) {
+			if re := fixed.AppendBinary(nil); !bytes.Equal(re, data) {
 				t.Fatalf("digest not canonical:\n got %x\nwant %x", re, data)
 			}
 			checkServable(t, fixed, data)

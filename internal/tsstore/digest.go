@@ -214,13 +214,13 @@ func (d *Digest) copyFrom(o *Digest) {
 	d.cs = append(d.cs[:0], o.cs...)
 }
 
-// MarshalBinary encodes the digest deterministically (big-endian:
-// centroid budget, total count, then mean/weight pairs in ascending
-// mean order). It is the wire form of a digest: agents push it to the
-// coordinator, which rebuilds it with UnmarshalDigest. Archive
-// checkpoints hold AppendCompact's form instead.
-func (d *Digest) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, 16+16*len(d.cs))
+// AppendBinary appends d's binary form to b, deterministically
+// (big-endian: centroid budget, total count and centroid count, then
+// mean/weight pairs in ascending mean order; 16 bytes a centroid). It
+// is the wire form of a digest: agents push it to the coordinator,
+// which rebuilds it with UnmarshalDigest. Archive checkpoints hold
+// AppendCompact's form instead.
+func (d *Digest) AppendBinary(b []byte) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(d.size))
 	b = binary.BigEndian.AppendUint64(b, d.n)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(d.cs)))
@@ -228,7 +228,7 @@ func (d *Digest) MarshalBinary() ([]byte, error) {
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(c.mean))
 		b = binary.BigEndian.AppendUint64(b, c.weight)
 	}
-	return b, nil
+	return b
 }
 
 // CompactSize is the length of the AppendCompact encoding of d.
@@ -244,7 +244,7 @@ func (d *Digest) CompactSize() int {
 // count and centroid count as uvarints, then per centroid, in ascending
 // mean order, its mean as big-endian float64 bits and its weight as a
 // uvarint. Most weights are a handful of samples, so a centroid takes 9
-// bytes rather than MarshalBinary's 16. It is the archive checkpoint's
+// bytes rather than AppendBinary's 16. It is the archive checkpoint's
 // form of a digest; ReadCompactDigest is its inverse.
 func (d *Digest) AppendCompact(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(d.size))
@@ -265,7 +265,7 @@ func (d *Digest) AppendCompact(b []byte) []byte {
 // Avail-bw in bits/s sits some 270 orders of magnitude below it.
 const maxDigestMean = math.MaxFloat64 / (1 << 65)
 
-// UnmarshalDigest decodes a MarshalBinary digest, validating the
+// UnmarshalDigest decodes an AppendBinary digest, validating the
 // structural invariants (budget respected, means ascending, finite and
 // within maxDigestMean, weights positive and summing to the count
 // without wrapping) so a corrupt or adversarial blob cannot poison a

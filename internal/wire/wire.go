@@ -138,13 +138,17 @@ var ErrVersionMismatch = errors.New("wire: no protocol version in common")
 // [peerMin, peerMax]: the highest version inside both that range and
 // this build's [VersionMin, Version].
 func Negotiate(peerMin, peerMax uint16) (uint16, error) {
-	chosen := Version
-	if peerMax < chosen {
-		chosen = peerMax
-	}
-	if chosen < VersionMin || chosen < peerMin {
+	return NegotiateWithin(VersionMin, Version, peerMin, peerMax, ErrVersionMismatch)
+}
+
+// NegotiateWithin is the range rule behind every version handshake:
+// the highest version inside both [peerMin, peerMax] and this build's
+// [lo, hi], or an error wrapping mismatch when the ranges are disjoint.
+func NegotiateWithin(lo, hi, peerMin, peerMax uint16, mismatch error) (uint16, error) {
+	chosen := min(hi, peerMax)
+	if chosen < lo || chosen < peerMin {
 		return 0, fmt.Errorf("%w: peer speaks [%d, %d], this build [%d, %d]",
-			ErrVersionMismatch, peerMin, peerMax, VersionMin, Version)
+			mismatch, peerMin, peerMax, lo, hi)
 	}
 	return chosen, nil
 }

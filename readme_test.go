@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // readmeDocs are the documents whose references must resolve.
@@ -16,19 +17,26 @@ var readmeDocs = []string{"README.md", "docs/ARCHITECTURE.md", ".claude/skills/v
 
 var (
 	exampleDirRef = regexp.MustCompile(`\bexamples/([A-Za-z0-9_]+)`)
-	testFuncRef   = regexp.MustCompile(`\b(?:Test|Fuzz|Example)[A-Z_]\w*`)
-	testFuncDef   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
+	testFuncRef   = regexp.MustCompile(`\b(?:Test|Fuzz|Example|Benchmark)[A-Z_]\w*`)
+	testFuncDef   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example|Benchmark)\w*)\(`)
 	goldenRef     = regexp.MustCompile(`(?:[\w./-]*\{[\w,]+\}|[\w./-]*\w)\.golden\b`)
 	internalRef   = regexp.MustCompile(`\binternal/[a-z0-9_]+(?:/[\w.-]+)*`)
+	ciStepRef     = regexp.MustCompile("CI's\\s+`([^`]+)`\\s+step")
+	ciStepOther   = regexp.MustCompile("CI step\\s+[\"`]")
+	ciStepDef     = regexp.MustCompile(`(?m)^\s*- name: (.+)$`)
+	anchorLink    = regexp.MustCompile(`\]\(([^)\s#]*)#([^)\s]+)\)`)
 )
 
 // TestDocReferences: every examples/<name> the documents mention is a
-// directory holding a main package, every Test, Fuzz or Example
-// function they name is defined in some _test.go file of the module,
-// every *.golden file they name exists (a name without a directory, or
-// with only part of one, matches the end of a path), and every
-// internal/<pkg> path they name exists, so a removed or renamed test,
-// golden or package cannot stay documented.
+// directory holding a main package, every Test, Fuzz, Example or
+// Benchmark function they name is defined in some _test.go file of the
+// module, every *.golden file they name exists (a name without a
+// directory, or with only part of one, matches the end of a path),
+// every internal/<pkg> path they name exists, every CI step they cite
+// (as CI's `name` step, the one spelling) is a step of the workflow,
+// and every link to a heading (file.md#anchor) resolves by GitHub's
+// slug rule, so a removed or renamed test, golden, package, step or
+// heading cannot stay documented.
 func TestDocReferences(t *testing.T) {
 	defined := map[string]bool{}
 	var goldens []string
@@ -59,6 +67,17 @@ func TestDocReferences(t *testing.T) {
 	}
 	if !defined["ExampleRun"] || !defined["TestDocReferences"] || len(goldens) == 0 {
 		t.Fatal("ExampleRun, TestDocReferences or the goldens not found: the walk over the module is broken")
+	}
+	workflow, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := map[string]bool{}
+	for _, m := range ciStepDef.FindAllStringSubmatch(string(workflow), -1) {
+		steps[strings.TrimSpace(m[1])] = true
+	}
+	if !steps["Allocation gates"] {
+		t.Fatal("no Allocation gates step found: the workflow parse is broken")
 	}
 	goldenExists := func(ref string) bool {
 		for _, g := range goldens {
@@ -97,7 +116,57 @@ func TestDocReferences(t *testing.T) {
 				t.Errorf("%s names %s, which is not in the tree", doc, ref)
 			}
 		}
+		for _, m := range ciStepRef.FindAllStringSubmatch(string(text), -1) {
+			if name := strings.Join(strings.Fields(m[1]), " "); !steps[name] {
+				t.Errorf("%s cites CI step %q, which .github/workflows/ci.yml does not have", doc, name)
+			}
+		}
+		for _, m := range ciStepOther.FindAllString(string(text), -1) {
+			t.Errorf("%s cites a CI step as %q: write CI's `name` step", doc, m)
+		}
+		for _, m := range anchorLink.FindAllStringSubmatch(string(text), -1) {
+			target := doc
+			if m[1] != "" {
+				target = filepath.Join(filepath.Dir(doc), m[1])
+			}
+			if !headingSlugs(t, target)[m[2]] {
+				t.Errorf("%s links to %s#%s, which has no such heading", doc, m[1], m[2])
+			}
+		}
 	}
+}
+
+// headingSlugs returns the anchors GitHub gives the headings of a
+// Markdown file: lower case, spaces to hyphens, and every character but
+// letters, digits, hyphens and underscores dropped. Lines inside fenced
+// code blocks are not headings.
+func headingSlugs(t *testing.T, path string) map[string]bool {
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slugs := map[string]bool{}
+	fenced := false
+	for _, line := range strings.Split(string(text), "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+		}
+		title, ok := strings.CutPrefix(strings.TrimLeft(line, "#"), " ")
+		if fenced || !ok || !strings.HasPrefix(line, "#") {
+			continue
+		}
+		var b strings.Builder
+		for _, r := range strings.ToLower(title) {
+			switch {
+			case r == ' ':
+				b.WriteByte('-')
+			case r == '-' || r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r):
+				b.WriteRune(r)
+			}
+		}
+		slugs[b.String()] = true
+	}
+	return slugs
 }
 
 // expandBraces expands one {a,b,c} group: "x/{a,b}.golden" is
