@@ -58,7 +58,6 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash"
@@ -66,9 +65,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -193,23 +189,39 @@ type Archive struct {
 // anything heal rules cannot explain — a broken chain link, a HEAD
 // that contradicts the newest segment, a gap in the segment sequence —
 // because those are tampering or operator damage, not crash fallout.
+// It judges the directory by the rules Verify does (survey.go) and
+// heals only once it has found no damage.
 func Open(dir string, opt Options) (*Archive, OpenReport, error) {
 	var rep OpenReport
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, rep, err
 	}
-	a := &Archive{dir: dir, opt: opt}
-	if err := a.loadSegments(); err != nil {
+	s, err := surveyDir(dir)
+	if err != nil {
 		return nil, rep, err
 	}
-	if err := a.checkHead(&rep); err != nil {
-		return nil, rep, err
+	for _, f := range s.findings {
+		if f.heal == nil {
+			return nil, rep, f.err
+		}
 	}
-	if err := a.openWAL(&rep); err != nil {
-		return nil, rep, err
+	a := &Archive{dir: dir, opt: opt, ckpt: s.ckpt, ckptFile: s.ckptFile, walBytes: s.walBytes, walRecs: s.walRecs}
+	for _, seg := range s.segs {
+		a.segs = append(a.segs, seg.info)
 	}
-	if err := a.removeUnnamedCheckpoints(&rep); err != nil {
-		a.wal.Close()
+	for _, f := range s.findings {
+		err = f.heal(a, &rep)
+		if err != nil {
+			break
+		}
+	}
+	if err == nil && a.wal == nil { // no heal replaced the live WAL: append to it
+		a.wal, err = os.OpenFile(filepath.Join(dir, walName), os.O_WRONLY|os.O_APPEND, 0o644)
+	}
+	if err != nil {
+		if a.wal != nil {
+			a.wal.Close()
+		}
 		return nil, rep, err
 	}
 	rep.Segments = len(a.segs)
@@ -573,228 +585,6 @@ func (a *Archive) writeHead(s SegmentInfo) error {
 	return writeAtomic(filepath.Join(a.dir, headName), writeBytes([]byte(body)))
 }
 
-// loadSegments discovers, header-checks, and hashes every segment
-// file, verifying name/header agreement, sequence contiguity, and the
-// hash chain. Each file is read once; only the newest segment's
-// checkpoint is kept, read from the segment itself (version 1) or from
-// the checkpoint file it names, checked against its header (version 2).
-func (a *Archive) loadSegments() error {
-	idxs, bad, err := listSegments(a.dir)
-	if err != nil {
-		return err
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("archive: unparseable segment name %q", bad[0])
-	}
-	for i, idx := range idxs {
-		if i > 0 && idx != idxs[i-1]+1 {
-			return fmt.Errorf("archive: segment sequence gap: %d then %d", idxs[i-1], idx)
-		}
-		path := segPath(a.dir, idx)
-		newest := i == len(idxs)-1
-		info, h, ckpt, err := scanSegment(path, idx, true, newest, nil)
-		if err != nil {
-			return fmt.Errorf("archive: %s: %w", filepath.Base(path), err)
-		}
-		if i > 0 && info.PrevHash != a.segs[len(a.segs)-1].Hash {
-			return fmt.Errorf("archive: hash chain broken at segment %d", idx)
-		}
-		a.segs = append(a.segs, info)
-		if !newest {
-			continue
-		}
-		if h.version != 1 && h.ckptLen > 0 {
-			if ckpt, err = readCheckpointFile(a.dir, h); err != nil {
-				return err
-			}
-			a.ckptFile = idx
-		}
-		a.ckpt = ckpt
-	}
-	return nil
-}
-
-// readCheckpointFile reads the checkpoint file a version 2 segment
-// header h names, into a buffer of exactly its length. A missing file,
-// or one whose length or SHA-256 differs from the header's, is an
-// error: no crash leaves either.
-func readCheckpointFile(dir string, h segHeader) ([]byte, error) {
-	path := ckptPath(dir, h.index)
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("archive: %s, the checkpoint segment %d commits to, is missing", filepath.Base(path), h.index)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	mismatch := fmt.Errorf("archive: %s differs from the checkpoint segment %d commits to — sealed history was modified",
-		filepath.Base(path), h.index)
-	if fi.Size() != h.ckptLen {
-		return nil, mismatch
-	}
-	b := make([]byte, h.ckptLen)
-	if _, err := io.ReadFull(f, b); err != nil {
-		return nil, fmt.Errorf("archive: %s: %w", filepath.Base(path), err)
-	}
-	if sha256.Sum256(b) != h.ckptHash {
-		return nil, mismatch
-	}
-	return b, nil
-}
-
-// removeUnnamedCheckpoints removes every ckpt-<index> file but the one
-// the newest segment names — crash fallout of a seal (package comment)
-// — counting them in rep. Files by other names are not the archive's.
-func (a *Archive) removeUnnamedCheckpoints(rep *OpenReport) error {
-	ents, err := os.ReadDir(a.dir)
-	if err != nil {
-		return err
-	}
-	live := ""
-	if a.ckptFile != 0 {
-		live = filepath.Base(ckptPath(a.dir, a.ckptFile))
-	}
-	for _, e := range ents {
-		name := e.Name()
-		idx, ok := strings.CutPrefix(name, ckptPrefix)
-		if !ok || name == live || e.IsDir() {
-			continue
-		}
-		if _, err := strconv.ParseUint(idx, 10, 64); err != nil {
-			continue
-		}
-		if err := os.Remove(filepath.Join(a.dir, name)); err != nil {
-			return err
-		}
-		rep.RemovedCheckpoints++
-	}
-	return nil
-}
-
-// checkHead reconciles HEAD with the newest segment: exact match is
-// healthy, trailing by one seal is healed, anything else is damage.
-func (a *Archive) checkHead(rep *OpenReport) error {
-	idx, hash, exists, err := readHead(a.dir)
-	if err != nil {
-		return err
-	}
-	if len(a.segs) == 0 {
-		if exists {
-			return fmt.Errorf("archive: HEAD names segment %d but no segments exist", idx)
-		}
-		return nil
-	}
-	newest := a.segs[len(a.segs)-1]
-	switch {
-	case exists && idx == newest.Index:
-		if hash != newest.Hash {
-			return fmt.Errorf("archive: HEAD hash mismatch for segment %d — sealed history was modified", idx)
-		}
-		return nil
-	case exists && idx == newest.Index-1 && len(a.segs) >= 2:
-		// Crash between WAL swap and HEAD rewrite. The chain link from
-		// the HEAD-anchored segment to the newcomer was already checked
-		// by loadSegments; re-check HEAD's own hash, then adopt.
-		prev := a.segs[len(a.segs)-2]
-		if hash != prev.Hash {
-			return fmt.Errorf("archive: HEAD hash mismatch for segment %d — sealed history was modified", idx)
-		}
-	case !exists && len(a.segs) == 1:
-		// Crash before the very first HEAD write.
-	default:
-		if !exists {
-			return fmt.Errorf("archive: HEAD missing with %d segments", len(a.segs))
-		}
-		return fmt.Errorf("archive: HEAD names segment %d but newest is %d", idx, newest.Index)
-	}
-	if err := a.writeHead(newest); err != nil {
-		return err
-	}
-	rep.HealedHead = true
-	return nil
-}
-
-// openWAL opens or creates the WAL, discarding a stale one and
-// truncating a torn tail, per the crash-window rules.
-func (a *Archive) openWAL(rep *OpenReport) error {
-	var newest uint64
-	if n := len(a.segs); n > 0 {
-		newest = a.segs[n-1].Index
-	}
-	walPath := filepath.Join(a.dir, walName)
-	live := false
-	err := readWAL(walPath, func(after uint64, rr *recordReader) error {
-		switch {
-		case after == newest:
-			// The live WAL. Truncate a torn tail, keep the valid prefix.
-			if err := rr.each(nil); err != nil && !recordDefect(err) {
-				return err
-			}
-			live = true
-			a.walBytes, a.walRecs = rr.off, rr.n
-			rep.DroppedTailBytes = rr.left
-			return nil
-		case after == newest-1 && newest > 0:
-			// Crash between segment rename and WAL swap: every record in
-			// this WAL is already inside segment `newest`. Count for the
-			// report, then discard: a defect only ends the count.
-			_ = rr.each(nil)
-			rep.StaleWALRecords = rr.n
-			return nil
-		default:
-			return fmt.Errorf("archive: wal follows segment %d but newest segment is %d", after, newest)
-		}
-	})
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		return a.swapFreshWAL(newest)
-	case err != nil:
-		return err
-	case !live:
-		return a.swapFreshWAL(newest)
-	}
-	if rep.DroppedTailBytes > 0 {
-		if err := os.Truncate(walPath, walHdrLen+a.walBytes); err != nil {
-			return err
-		}
-	}
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	a.wal = f
-	return nil
-}
-
-// listSegments returns the indexes of dir's seg-* files, ascending, and
-// the seg-* names that do not parse as an index — which Open and Walk
-// refuse and Verify reports.
-func listSegments(dir string) (idxs []uint64, bad []string, err error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || e.IsDir() {
-			continue
-		}
-		n, err := strconv.ParseUint(strings.TrimPrefix(name, segPrefix), 10, 64)
-		if err != nil {
-			bad = append(bad, name)
-			continue
-		}
-		idxs = append(idxs, n)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	return idxs, bad, nil
-}
-
 // readWAL opens the WAL at path, checks its header, and hands read
 // the segment index the WAL follows and a reader over its records. The
 // header is written atomically, so a short, foreign or future-version
@@ -971,35 +761,6 @@ func scanSegment(path string, wantIndex uint64, hashed, keepCkpt bool, fn func(R
 		sum.Sum(info.Hash[:0])
 	}
 	return info, h, ckpt, nil
-}
-
-// readHead parses the HEAD file; exists is false when absent.
-func readHead(dir string) (index uint64, hash [sha256.Size]byte, exists bool, err error) {
-	b, err := os.ReadFile(filepath.Join(dir, headName))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, hash, false, nil
-	}
-	if err != nil {
-		return 0, hash, false, err
-	}
-	s, ok := strings.CutPrefix(string(b), headPrefix)
-	if !ok {
-		return 0, hash, false, errors.New("archive: malformed HEAD")
-	}
-	fields := strings.Fields(s)
-	if len(fields) != 2 {
-		return 0, hash, false, errors.New("archive: malformed HEAD")
-	}
-	index, err = strconv.ParseUint(fields[0], 10, 64)
-	if err != nil {
-		return 0, hash, false, errors.New("archive: malformed HEAD")
-	}
-	raw, err := hex.DecodeString(fields[1])
-	if err != nil || len(raw) != sha256.Size {
-		return 0, hash, false, errors.New("archive: malformed HEAD")
-	}
-	copy(hash[:], raw)
-	return index, hash, true, nil
 }
 
 // writeAtomic writes a file at path through write, via temp file,

@@ -285,34 +285,47 @@ func TestVerifyDetectsAnyFlippedByte(t *testing.T) {
 	}
 }
 
+// TestVerifyDetectsHeadTamper: a HEAD that names the newest segment by
+// another hash, or that trails it by one seal — the window a crash
+// before the HEAD rewrite leaves — but names the older segment by a
+// hash not its own, is tampering that Verify reports and Open refuses.
 func TestVerifyDetectsHeadTamper(t *testing.T) {
-	dir := t.TempDir()
-	a, _ := openT(t, dir, Options{})
-	appendN(t, a, 0, 3)
-	a.Seal()
-	a.Close()
-	head := filepath.Join(dir, headName)
-	b, err := os.ReadFile(head)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Point HEAD at a different hash (re-anchoring attack).
-	mod := bytes.Replace(b, []byte("0"), []byte("1"), 1)
-	if bytes.Equal(mod, b) {
-		mod = bytes.Replace(b, []byte("1"), []byte("2"), 1)
-	}
-	if err := os.WriteFile(head, mod, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Verify(dir)
-	if err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	if rep.OK() {
-		t.Fatal("tampered HEAD went undetected")
-	}
-	if _, _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("Open accepted tampered HEAD")
+	for _, c := range []struct {
+		name  string
+		seals int
+		index int // the segment the tampered HEAD names
+	}{
+		{"re-anchored newest", 1, 1},
+		{"trailing HEAD with a bogus hash", 2, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			a, _ := openT(t, dir, Options{})
+			for s := 0; s < c.seals; s++ {
+				appendN(t, a, s*3, 3)
+				if err := a.Seal(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.Close()
+			head := filepath.Join(dir, headName)
+			// Name the segment by a hash that is neither its own nor any
+			// other segment's (re-anchoring attack).
+			bogus := fmt.Sprintf("%s%d %x\n", headPrefix, c.index, bytes.Repeat([]byte{0x5a}, 32))
+			if err := os.WriteFile(head, []byte(bogus), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Verify(dir)
+			if err != nil {
+				t.Fatalf("Verify: %v", err)
+			}
+			if rep.OK() {
+				t.Fatal("tampered HEAD went undetected")
+			}
+			if _, _, err := Open(dir, Options{}); err == nil {
+				t.Fatal("Open accepted tampered HEAD")
+			}
+		})
 	}
 }
 

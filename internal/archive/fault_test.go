@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,6 +26,9 @@ func crashAt(stage string) func(string) error {
 		return nil
 	}
 }
+
+// sealStages are the seal's failpoints, in seal order.
+var sealStages = []string{"wrote-checkpoint", "sealed-segment", "swapped-wal", "anchored-head"}
 
 // fixedCheckpoint is a checkpoint hook that seals blob every time.
 func fixedCheckpoint(blob string) func() []byte {
@@ -442,74 +446,96 @@ func sameStore(t *testing.T, got, want *tsstore.Store) {
 	}
 }
 
-// TestSealCrashStoreRecovery crashes a store-backed archive's second
-// seal at every step boundary. Whatever the crash left verifies; Open
-// replays every record once and removes the checkpoint file the newest
-// segment does not name; OpenStore recovers exactly what an in-memory
-// store fed the same samples holds; and the recovered store seals on,
-// keeping one checkpoint file.
+// TestSealCrashStoreRecovery crashes a store-backed archive's first
+// or second seal at every step boundary. Whatever the crash left
+// verifies — a first seal that crashed after its segment rename leaves
+// no HEAD at all; Open replays every record once and removes the
+// checkpoint files the newest segment does not name; OpenStore recovers
+// exactly what an in-memory store fed the same samples holds; and the
+// recovered store seals on, keeping one checkpoint file.
 func TestSealCrashStoreRecovery(t *testing.T) {
 	cfg := tsstore.Config{Capacity: 16}
-	for _, stage := range []string{"wrote-checkpoint", "sealed-segment", "swapped-wal", "anchored-head"} {
-		t.Run(stage, func(t *testing.T) {
-			dir := t.TempDir()
-			st, be, _ := openStoreT(t, dir, Options{}, cfg)
-			control := tsstore.New(cfg)
-			feed(st, testPaths, 0, 6)
-			if err := be.Archive().Seal(); err != nil {
-				t.Fatal(err)
+	for _, seal := range []int{2, 1} {
+		for _, stage := range sealStages {
+			name := stage
+			if seal == 1 {
+				name = "first seal " + stage
 			}
-			feed(st, testPaths, 6, 10)
-			feed(control, testPaths, 0, 10)
-			be.Archive().failpoint = crashAt(stage)
-			if err := be.Archive().Seal(); !errors.Is(err, errCrash) {
-				t.Fatalf("failpoint not hit: %v", err)
-			}
-			st.Close()
-			checkpointFiles(t, dir, "ckpt-00000001", "ckpt-00000002")
-			if rep, err := Verify(dir); err != nil || !rep.OK() {
-				t.Fatalf("crash state fails Verify: %v %v", err, rep.Problems)
-			}
-			// The seal's segment is in only once its rename happened.
-			segs, live, next := 2, "ckpt-00000002", "ckpt-00000003"
-			if stage == "wrote-checkpoint" {
-				segs, live, next = 1, "ckpt-00000001", "ckpt-00000002"
-			}
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				st, be, _ := openStoreT(t, dir, Options{}, cfg)
+				control := tsstore.New(cfg)
+				feed(st, testPaths, 0, 6)
+				if seal == 2 {
+					if err := be.Archive().Seal(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				feed(st, testPaths, 6, 10)
+				feed(control, testPaths, 0, 10)
+				be.Archive().failpoint = crashAt(stage)
+				if err := be.Archive().Seal(); !errors.Is(err, errCrash) {
+					t.Fatalf("failpoint not hit: %v", err)
+				}
+				st.Close()
+				var written []string // one checkpoint file per seal
+				for i := 1; i <= seal; i++ {
+					written = append(written, fmt.Sprintf("ckpt-%08d", i))
+				}
+				checkpointFiles(t, dir, written...)
+				if rep, err := Verify(dir); err != nil || !rep.OK() {
+					t.Fatalf("crash state fails Verify: %v %v", err, rep.Problems)
+				}
+				// The seal's segment is in only once its rename happened.
+				segs := seal
+				if stage == "wrote-checkpoint" {
+					segs--
+				}
+				var live []string
+				if segs > 0 {
+					live = []string{fmt.Sprintf("ckpt-%08d", segs)}
+				}
+				next := fmt.Sprintf("ckpt-%08d", segs+1)
+				removed := len(written) - len(live)
 
-			cp := copyArchive(t, dir)
-			a, rep := openT(t, cp, Options{})
-			sealed, tail := collect(t, a)
-			a.Close()
-			if want := 10 * (len(testPaths) + 1); rep.Segments != segs || len(sealed)+len(tail) != want || rep.RemovedCheckpoints != 1 {
-				t.Fatalf("Open: %+v, %d sealed + %d tail records; want %d segments, %d records, one checkpoint file removed",
-					rep, len(sealed), len(tail), segs, want)
-			}
-			checkpointFiles(t, cp, live)
+				cp := copyArchive(t, dir)
+				a, rep := openT(t, cp, Options{})
+				sealed, tail := collect(t, a)
+				a.Close()
+				if want := 10 * (len(testPaths) + 1); rep.Segments != segs || len(sealed)+len(tail) != want || rep.RemovedCheckpoints != removed {
+					t.Fatalf("Open: %+v, %d sealed + %d tail records; want %d segments, %d records, %d checkpoint files removed",
+						rep, len(sealed), len(tail), segs, want, removed)
+				}
+				checkpointFiles(t, cp, live...)
+				if rep, err := Verify(cp); err != nil || !rep.OK() {
+					t.Fatalf("Verify after Open: %v %v", err, rep.Problems)
+				}
 
-			re, be2, srep := openStoreT(t, dir, Options{}, cfg)
-			if srep.RemovedCheckpoints != 1 || srep.CheckpointCorrupt {
-				t.Fatalf("OpenStore: %+v", srep)
-			}
-			checkpointFiles(t, dir, live)
-			sameStore(t, re, control)
+				re, be2, srep := openStoreT(t, dir, Options{}, cfg)
+				if srep.RemovedCheckpoints != removed || srep.CheckpointCorrupt {
+					t.Fatalf("OpenStore: %+v", srep)
+				}
+				checkpointFiles(t, dir, live...)
+				sameStore(t, re, control)
 
-			feed(re, testPaths, 10, 12)
-			feed(control, testPaths, 10, 12)
-			if err := be2.Archive().Seal(); err != nil {
-				t.Fatal(err)
-			}
-			re.Close()
-			checkpointFiles(t, dir, next)
-			re, _, srep = openStoreT(t, dir, Options{}, cfg)
-			defer re.Close()
-			if srep.RemovedCheckpoints != 0 || srep.TailRecords != 0 {
-				t.Fatalf("reopen after sealing on: %+v", srep)
-			}
-			sameStore(t, re, control)
-			if rep, err := Verify(dir); err != nil || !rep.OK() {
-				t.Fatalf("Verify after sealing on: %v %v", err, rep.Problems)
-			}
-		})
+				feed(re, testPaths, 10, 12)
+				feed(control, testPaths, 10, 12)
+				if err := be2.Archive().Seal(); err != nil {
+					t.Fatal(err)
+				}
+				re.Close()
+				checkpointFiles(t, dir, next)
+				re, _, srep = openStoreT(t, dir, Options{}, cfg)
+				defer re.Close()
+				if srep.RemovedCheckpoints != 0 || srep.TailRecords != 0 {
+					t.Fatalf("reopen after sealing on: %+v", srep)
+				}
+				sameStore(t, re, control)
+				if rep, err := Verify(dir); err != nil || !rep.OK() {
+					t.Fatalf("Verify after sealing on: %v %v", err, rep.Problems)
+				}
+			})
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -278,4 +279,113 @@ func FuzzScanSegment(f *testing.F) {
 				len(data), info.Bytes, sh.size(), inline, records, info.Hash)
 		}
 	})
+}
+
+// FuzzOpenVerifyAgree: Open and Verify judge a directory by one set of
+// rules. A small archive — two seals and a WAL tail, or one whose first
+// or second seal crashed at any failpoint — takes one mutation: a
+// flipped bit, a truncated or deleted file, or HEAD rewritten to
+// another index or hash. Verify must pass exactly when Open succeeds on
+// a copy, and the directory a successful Open leaves must verify.
+// Verify changes nothing, and neither does an Open that refuses.
+func FuzzOpenVerifyAgree(f *testing.F) {
+	f.Fuzz(func(t *testing.T, crash, stage, op, file uint8, at uint16) {
+		dir := t.TempDir()
+		a, _ := openT(t, dir, Options{})
+		seals := 0
+		a.SetHooks(nil, func() []byte { seals++; return fmt.Appendf(nil, "checkpoint %d", seals) })
+		crashed := int(crash % 3) // the seal that crashes; 0 for none
+		for s := 1; s <= 2; s++ {
+			appendN(t, a, 3*s, 3)
+			if s == crashed {
+				a.failpoint = crashAt(sealStages[int(stage)%len(sealStages)])
+				if err := a.Seal(); !errors.Is(err, errCrash) {
+					t.Fatalf("failpoint not hit: %v", err)
+				}
+				break
+			}
+			if err := a.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if crashed == 0 {
+			appendN(t, a, 9, 2)
+		}
+		a.Close()
+
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, ents[int(file)%len(ents)].Name())
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		headPath := filepath.Join(dir, headName)
+		idx, hash, _, _ := readHead(dir)
+		switch op % 6 {
+		case 1:
+			if len(b) > 0 {
+				b[int(at/8)%len(b)] ^= 1 << (at % 8)
+				err = os.WriteFile(path, b, 0o644)
+			}
+		case 2:
+			if len(b) > 0 {
+				err = os.Truncate(path, int64(at)%int64(len(b)))
+			}
+		case 3:
+			err = os.Remove(path)
+		case 4:
+			err = os.WriteFile(headPath, fmt.Appendf(nil, "%s%d %x\n", headPrefix, at%4, hash), 0o644)
+		case 5:
+			hash[at%sha256.Size] ^= 1
+			err = os.WriteFile(headPath, fmt.Appendf(nil, "%s%d %x\n", headPrefix, idx, hash), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		cp := copyArchive(t, dir)
+		before := dirImage(t, dir)
+		rep, err := Verify(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := dirImage(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatal("Verify changed the directory")
+		}
+		re, orep, oerr := Open(cp, Options{})
+		if rep.OK() != (oerr == nil) {
+			t.Fatalf("Verify problems %q, but Open: %v", rep.Problems, oerr)
+		}
+		if oerr != nil {
+			if after := dirImage(t, cp); !reflect.DeepEqual(after, before) {
+				t.Fatalf("Open refused (%v) but changed the directory", oerr)
+			}
+			return
+		}
+		re.Close()
+		if rep, err := Verify(cp); err != nil || !rep.OK() {
+			t.Fatalf("after Open (%v): Verify %v %q", orep, err, rep.Problems)
+		}
+	})
+}
+
+// dirImage maps each file in dir to its contents.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := map[string]string{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[e.Name()] = string(b)
+	}
+	return img
 }

@@ -70,97 +70,27 @@ func (r *VerifyReport) String() string {
 // framing. Because each segment's header commits to its predecessor's
 // whole-file hash and to its checkpoint's, and HEAD commits to the
 // newest, any flipped byte in sealed history or the live checkpoint
-// breaks a link this walk checks. Checkpoint files no segment names
-// are crash fallout Open removes, not problems. The error return is
-// for an unreadable directory only — integrity findings go in the
-// report.
+// breaks a link this walk checks. It judges the directory by the rules
+// Open does (survey.go): whatever Open would heal — a torn or stale
+// WAL, a trailing or first-seal HEAD, a checkpoint file no segment
+// names — is crash fallout, not a problem. The error return is for an
+// unreadable directory only — integrity findings go in the report.
 func Verify(dir string) (*VerifyReport, error) {
-	rep := &VerifyReport{Dir: dir}
-	idxs, bad, err := listSegments(dir)
+	s, err := surveyDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range bad {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("unparseable segment name %q", name))
+	rep := &VerifyReport{Dir: dir, WALRecords: s.walRecs, WALTornBytes: s.walTorn}
+	for _, seg := range s.segs {
+		rep.Segments = append(rep.Segments, SegmentVerify{Index: seg.info.Index, Records: seg.info.Records, Bytes: seg.info.Bytes, Err: seg.status})
+		rep.SealedRecords += seg.info.Records
 	}
-
-	var prev *SegmentInfo
-	var prevHdr segHeader
-	for i, idx := range idxs {
-		sv := SegmentVerify{Index: idx}
-		info, h, _, perr := scanSegment(segPath(dir, idx), idx, true, false, nil)
-		sv.Bytes = info.Bytes
-		if perr != nil {
-			sv.Err = perr.Error()
-			rep.Problems = append(rep.Problems, fmt.Sprintf("segment %d: %v", idx, perr))
-			rep.Segments = append(rep.Segments, sv)
-			prev = nil
-			continue
-		}
-		prevHdr = h
-		sv.Records = info.Records
-		rep.SealedRecords += info.Records
-		if i > 0 && idx != idxs[i-1]+1 {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("segment sequence gap: %d then %d", idxs[i-1], idx))
-		} else if prev != nil && info.PrevHash != prev.Hash {
-			sv.Err = "chain link broken"
-			rep.Problems = append(rep.Problems,
-				fmt.Sprintf("segment %d back-pointer does not match segment %d's hash — sealed history was modified", idx, prev.Index))
-		}
-		rep.Segments = append(rep.Segments, sv)
-		prev = &info
-	}
-
-	headIdx, headHash, headExists, herr := readHead(dir)
-	switch {
-	case herr != nil:
-		rep.Problems = append(rep.Problems, herr.Error())
-	case prev == nil && headExists:
-		rep.Problems = append(rep.Problems, fmt.Sprintf("HEAD names segment %d but no intact newest segment exists", headIdx))
-	case prev != nil && !headExists:
-		rep.Problems = append(rep.Problems, fmt.Sprintf("HEAD missing with %d segments", len(rep.Segments)))
-	case prev != nil && headIdx == prev.Index && headHash != prev.Hash:
-		rep.Problems = append(rep.Problems, fmt.Sprintf("HEAD hash mismatch for segment %d — sealed history was modified", prev.Index))
-	case prev != nil && headIdx == prev.Index-1 && len(idxs) >= 2:
-		// Legal crash window (heal pending): HEAD anchors the
-		// predecessor; the chain link above already vouches for the
-		// newest. Verify the anchor it does hold.
-	case prev != nil && headIdx != prev.Index:
-		rep.Problems = append(rep.Problems, fmt.Sprintf("HEAD names segment %d but newest is %d", headIdx, prev.Index))
-	}
-
-	if prev != nil && prevHdr.version != 1 && prevHdr.ckptLen > 0 {
-		if _, err := readCheckpointFile(dir, prevHdr); err != nil {
-			rep.Problems = append(rep.Problems, strings.TrimPrefix(err.Error(), "archive: "))
+	for _, f := range s.findings {
+		if f.heal == nil {
+			rep.Problems = append(rep.Problems, f.problem)
 		}
 	}
-
-	rep.walVerify(idxs)
 	return rep, nil
-}
-
-// walVerify checks the WAL's header and framing, tolerating (but
-// measuring) a torn tail.
-func (rep *VerifyReport) walVerify(idxs []uint64) {
-	var newest uint64
-	if len(idxs) > 0 {
-		newest = idxs[len(idxs)-1]
-	}
-	err := readWAL(filepath.Join(rep.Dir, walName), func(after uint64, rr *recordReader) error {
-		if after != newest && !(newest > 0 && after == newest-1) {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("wal follows segment %d but newest segment is %d", after, newest))
-		}
-		err := rr.each(nil)
-		rep.WALRecords = rr.n
-		rep.WALTornBytes = rr.left
-		if recordDefect(err) {
-			return nil
-		}
-		return err
-	})
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		rep.Problems = append(rep.Problems, err.Error())
-	}
 }
 
 // Walk streams every record in an archive directory read-only, sealed
@@ -171,7 +101,7 @@ func (rep *VerifyReport) walVerify(idxs []uint64) {
 // has seen the records before the damage. It is the engine of
 // `pathload-archive cat`.
 func Walk(dir string, fn func(r Record, sealed bool) error) error {
-	idxs, bad, err := listSegments(dir)
+	idxs, bad, _, err := listSegments(dir)
 	if err != nil {
 		return err
 	}

@@ -118,9 +118,12 @@ func (d *SequencedDriver) GapSlack() (slack time.Duration, ok bool) {
 // every live session waits and none is admissible, the last one to park
 // panics rather than spin.
 //
-// A nil policy admits at once without parking: an extra park per round
-// would reorder same-instant setups and break replay of unstaggered
-// fleets against their goldens.
+// A nil policy admits at once without parking, so the session keeps the
+// floor. Parking it would let a sibling whose wait ends at the same
+// instant set up first, since admission waiters are polled only once no
+// section or await is ready: it would reorder same-instant setups, not
+// break determinism (TestNilAdmissionKeepsTheFloor). No golden reaches
+// such a tie.
 func (d *SequencedDriver) Acquire(path string, adm schedule.Admission, stop <-chan struct{}) (func(), bool) {
 	if adm == nil {
 		return func() {}, true

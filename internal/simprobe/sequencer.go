@@ -401,8 +401,9 @@ func (s *Sequencer) firstReadyAwait() *seqSlot {
 }
 
 // firstAdmitted returns the lowest-numbered admission waiter whose
-// condition holds, or nil. The condition takes the slot it reports, so
-// the caller must grant the slot returned here.
+// condition holds, or nil (TestAdmissionGrantsLowestSeatFirst). The
+// condition takes the slot it reports, so the caller must grant the
+// slot returned here.
 func (s *Sequencer) firstAdmitted() *seqSlot {
 	for _, sl := range s.slots {
 		if sl.state == seqParkedAdmit && sl.admit() {

@@ -311,6 +311,90 @@ func TestSequencerAdmissionStallPanics(t *testing.T) {
 	}
 }
 
+// gate is an admission policy that admits nobody until it is opened,
+// then everybody.
+type gate struct{ open bool }
+
+func (g *gate) TryAcquire(string) (func(), bool) {
+	if !g.open {
+		return nil, false
+	}
+	return func() {}, true
+}
+
+func (g *gate) Acquire(path string, _ <-chan struct{}) (func(), bool) { return g.TryAcquire(path) }
+
+// startOrder runs one session per path on a shared sequencer, seats in
+// path order: each runs its own script, holding the floor when it
+// returns, then records its path and retires. It returns the paths in
+// the order they were recorded.
+func startOrder(t *testing.T, paths []string, script func(drv *SequencedDriver, path string)) []string {
+	t.Helper()
+	sim := netsim.NewSimulator()
+	link := netsim.NewLink(sim, "l", 1_000_000, 0, 0)
+	seq := NewSequencer(sim)
+	drv := NewSequencedDriver(seq)
+	for _, path := range paths {
+		drv.Register(path, seq.NewProber([]*netsim.Link{link}, 0))
+	}
+	var order []string
+	var wg sync.WaitGroup
+	for _, path := range paths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer drv.Retire(path)
+			script(drv, path)
+			order = append(order, path) // under the floor
+		}()
+	}
+	waitWithWatchdog(t, &wg)
+	return order
+}
+
+// TestAdmissionGrantsLowestSeatFirst: admission waiters that become
+// admissible at the same release are granted lowest seat first, so the
+// grant order is the fleet's own, not the host scheduler's. Seat 0
+// opens the gate a virtual second in and retires; seats 1 and 2, both
+// parked in Acquire by then, must start in seat order.
+func TestAdmissionGrantsLowestSeatFirst(t *testing.T) {
+	adm := &gate{}
+	order := startOrder(t, []string{"opener", "seat-1", "seat-2"}, func(drv *SequencedDriver, path string) {
+		if path == "opener" {
+			drv.prober(path).Idle(time.Second)
+			adm.open = true
+			return
+		}
+		if _, ok := drv.Acquire(path, adm, nil); !ok {
+			t.Errorf("%s: not admitted", path)
+		}
+	})
+	if got := strings.Join(order, " "); got != "opener seat-1 seat-2" {
+		t.Fatalf("start order %q, want the opener, then the waiters lowest seat first", got)
+	}
+}
+
+// TestNilAdmissionKeepsTheFloor: with a nil policy Acquire returns at
+// once and the session keeps the floor. Seat 0 and seat 1 both idle to
+// the same instant; seat 0, granted first, passes Acquire and must
+// start before seat 1. Parking it in an admission wait instead would
+// hand the floor to seat 1 first — admission waiters are polled only
+// once no section or await is ready — and so reorder the same-instant
+// setups of every fleet without a policy.
+func TestNilAdmissionKeepsTheFloor(t *testing.T) {
+	order := startOrder(t, []string{"seat-0", "seat-1"}, func(drv *SequencedDriver, path string) {
+		drv.prober(path).Idle(time.Second)
+		if path == "seat-0" {
+			if _, ok := drv.Acquire(path, nil, nil); !ok {
+				t.Errorf("%s: not admitted", path)
+			}
+		}
+	})
+	if got := strings.Join(order, " "); got != "seat-0 seat-1" {
+		t.Fatalf("start order %q, want seat-0 first", got)
+	}
+}
+
 // TestGapSlack: the driver measures how far each gap anchor lay past
 // the barrier release that preceded it. Two sessions end their round at
 // 1 s and 5 s, so the barrier releases at 5 s: with 10 s gaps the early
