@@ -59,9 +59,8 @@ func ExampleMonitor() {
 	}
 
 	store := tsstore.New(tsstore.Config{}) // per-path rings + digests
-	// MonitorShards warms every shard in parallel on one lockstep
-	// virtual clock and registers one simulated prober per path
-	// (path-00 … path-07).
+	// MonitorShards warms every shard in parallel and registers one
+	// simulated prober per path (path-00 … path-07).
 	mon, err := experiments.MonitorShards(nets, pathload.MonitorConfig{
 		Workers:  4,                      // at most 4 paths probing at once
 		Rounds:   3,                      // 3 measurements per path

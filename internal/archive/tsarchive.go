@@ -169,13 +169,15 @@ func (t *StoreBackend) seedFrom(st *tsstore.Store) {
 }
 
 // A StoreReport extends OpenReport with what store recovery found.
+// The coordinator's log (coord.OpenLog) reports in the same terms for
+// its own record kinds.
 type StoreReport struct {
 	OpenReport
-	// SealedRecords were replayed from sealed segments; the WAL tail
-	// count is OpenReport.TailRecords.
+	// SealedRecords were replayed from sealed segments, foreign ones
+	// excluded; the WAL tail count is OpenReport.TailRecords.
 	SealedRecords int
-	// ForeignRecords carry kinds the tsstore adapter does not decode
-	// (e.g. coordinator records sharing the directory); skipped.
+	// ForeignRecords carry kinds the reader does not decode (e.g.
+	// coordinator records sharing a store's directory); skipped.
 	ForeignRecords int
 	// CheckpointCorrupt means the newest segment's checkpoint failed
 	// to decode. All-time counters and digests were rebuilt by counted

@@ -38,16 +38,12 @@ type AgentConfig struct {
 	// co-leased conflict groups).
 	Monitor pathload.MonitorConfig
 
-	// Store shapes the agent's local retention (ring capacity, digest
-	// budget). Zero value = tsstore defaults. Contributions pushed to
-	// the coordinator carry this retained window.
-	Store tsstore.Config
-
-	// LocalStore, when non-nil, is used instead of building a fresh
-	// store from Store — the seam that lets `pathload -agent -archive`
-	// hand the agent an archive-recovered store whose series resume
-	// instead of rewinding. The agent takes ownership of writes; the
-	// caller keeps read access.
+	// LocalStore is the agent's local retention; nil starts a fresh
+	// store with tsstore defaults. Contributions pushed to the
+	// coordinator carry its retained window. It is the seam that lets
+	// `pathload -agent -archive` hand the agent an archive-recovered
+	// store whose series resume instead of rewinding. The agent takes
+	// ownership of writes; the caller keeps read access.
 	LocalStore *tsstore.Store
 
 	// Secret is the shared authentication secret. Required when the
@@ -112,7 +108,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	store := cfg.LocalStore
 	if store == nil {
-		store = tsstore.New(cfg.Store)
+		store = tsstore.New(tsstore.Config{})
 	}
 	return &Agent{
 		cfg:     cfg,

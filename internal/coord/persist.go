@@ -182,22 +182,13 @@ type Log struct {
 	lease    []byte            // latest lease snapshot blob
 }
 
-// LogReport describes what OpenLog recovered.
-type LogReport struct {
-	archive.OpenReport
-
-	// SealedRecords counts sealed records replayed (0 when an intact
-	// checkpoint made replay unnecessary).
-	SealedRecords int
-
-	// ForeignRecords counts records of kinds this log does not own
-	// (preserved in the archive, ignored here).
-	ForeignRecords int
-
-	// CheckpointCorrupt notes that the newest segment's checkpoint
-	// failed to decode and recovery fell back to a full sealed replay.
-	CheckpointCorrupt bool
-}
+// LogReport describes what OpenLog recovered. It is the store's
+// report: SealedRecords counts the log's own sealed records replayed
+// (0 when an intact checkpoint made replay unnecessary),
+// ForeignRecords the records of kinds this log does not own (kept in
+// the archive, ignored here), and CheckpointCorrupt a checkpoint that
+// failed to decode, so recovery replayed every sealed record instead.
+type LogReport = archive.StoreReport
 
 // OpenLog opens (or creates) the coordinator's durable log at dir.
 func OpenLog(dir string, opt archive.Options) (*Log, LogReport, error) {
@@ -214,7 +205,8 @@ func OpenLog(dir string, opt archive.Options) (*Log, LogReport, error) {
 		seeded = l.decodeCheckpoint(ck) == nil
 		out.CheckpointCorrupt = !seeded
 	}
-	apply := func(r archive.Record) {
+	// apply reports whether the record is the log's own.
+	apply := func(r archive.Record) bool {
 		switch r.Kind {
 		case KindContribution:
 			l.contribs[r.Key] = append([]byte(nil), r.Data...)
@@ -222,12 +214,15 @@ func OpenLog(dir string, opt archive.Options) (*Log, LogReport, error) {
 			l.lease = append([]byte(nil), r.Data...)
 		default:
 			out.ForeignRecords++
+			return false
 		}
+		return true
 	}
 	if !seeded {
 		if err := a.ReplaySealed(func(r archive.Record) error {
-			out.SealedRecords++
-			apply(r)
+			if apply(r) {
+				out.SealedRecords++
+			}
 			return nil
 		}); err != nil {
 			a.Close()

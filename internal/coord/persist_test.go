@@ -226,7 +226,9 @@ func TestLogRoundtrip(t *testing.T) {
 	l3.Close()
 
 	// Route 3: a foreign (undecodable) checkpoint forces — and is
-	// explicitly reported as — a full sealed replay.
+	// explicitly reported as — a full sealed replay, which skips a
+	// record of a kind the log does not own and does not count it as
+	// sealed; the line pathload-coord prints names both.
 	dir2 := t.TempDir()
 	a, _, err := archive.Open(dir2, archive.Options{})
 	if err != nil {
@@ -244,6 +246,9 @@ func TestLogRoundtrip(t *testing.T) {
 	if err := lw.savePush("a2", "p01", marshalPush("p01", mkContribution(7, 3))); err != nil {
 		t.Fatal(err)
 	}
+	if err := a.Append(archive.Record{Kind: archive.KindPoint, Key: "p00", Data: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
 	if err := a.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +257,14 @@ func TestLogRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenLog(4): %v", err)
 	}
-	if !rep4.CheckpointCorrupt || rep4.SealedRecords != 3 {
+	if !rep4.CheckpointCorrupt || rep4.SealedRecords != 3 || rep4.ForeignRecords != 1 {
 		t.Fatalf("corrupt-checkpoint report %+v", rep4)
+	}
+	line := rep4.String()
+	for _, want := range []string{", 3 sealed records", ", 1 foreign records skipped", ", checkpoint corrupt"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("report line %q lacks %q", line, want)
+		}
 	}
 	check(l4, "sealed replay fallback")
 	l4.Close()

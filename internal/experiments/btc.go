@@ -102,6 +102,61 @@ type BTCResult struct {
 	RTTSeries []tcpsim.PingSample
 }
 
+// A btcExperiment is the frame Figs. 15–18 share: the §VII path warmed
+// up, an MRTG monitor reading its tight link once per interval, and a
+// pinger.
+type btcExperiment struct {
+	*btcPath
+	interval netsim.Time
+	mon      *mrtg.Monitor
+	ping     *tcpsim.Pinger
+}
+
+// newBTCExperiment builds the path from seed, warms it up, and starts
+// the MRTG monitor and a pinger that probes every pingEvery.
+func newBTCExperiment(opt Options, seed int64, pingEvery netsim.Time) *btcExperiment {
+	e := &btcExperiment{btcPath: buildBTCPath(seed), interval: opt.window(btcIntervalFull, 30*netsim.Second)}
+	e.sim.RunFor(warmup)
+	e.mon = mrtg.NewMonitor(e.sim, e.tight, e.interval)
+	e.mon.Start()
+	e.ping = tcpsim.NewPinger(e.sim, e.links, e.reverse, pingEvery, 64)
+	e.ping.Start()
+	return e
+}
+
+// btcIntervalNames are the five intervals A–E; the load under test
+// runs during B and D.
+var btcIntervalNames = []string{"A", "B", "C", "D", "E"}
+
+func btcBusy(name string) bool { return name == "B" || name == "D" }
+
+// run plays intervals A–E. busy(i, end) drives busy interval i and
+// must leave the simulator at end; a quiet interval just runs. It
+// returns each interval's MRTG avail-bw and the ping RTTs, in seconds,
+// of the quiet and of the busy intervals.
+func (e *btcExperiment) run(busy func(i int, end netsim.Time)) (avail, quietRTT, busyRTT []float64) {
+	avail = make([]float64, len(btcIntervalNames))
+	for i, name := range btcIntervalNames {
+		pingStart := len(e.ping.Samples())
+		if btcBusy(name) {
+			busy(i, e.sim.Now()+e.interval)
+		} else {
+			e.sim.RunFor(e.interval)
+		}
+		if len(e.mon.Readings()) > i {
+			avail[i] = e.mon.Readings()[i].Avail
+		}
+		for _, s := range e.ping.Samples()[pingStart:] {
+			if btcBusy(name) {
+				busyRTT = append(busyRTT, s.RTT.Seconds())
+			} else {
+				quietRTT = append(quietRTT, s.RTT.Seconds())
+			}
+		}
+	}
+	return avail, quietRTT, busyRTT
+}
+
 // Fig15and16 reproduces Figs. 15 and 16: a 25-minute experiment in five
 // intervals A–E, with a greedy BTC connection running during B and D.
 // Expected shape: the BTC throughput exceeds the quiet intervals'
@@ -110,58 +165,31 @@ type BTCResult struct {
 // ≈370 ms with heavy jitter.
 func Fig15and16(opt Options) BTCResult {
 	opt = opt.withDefaults()
-	interval := opt.window(btcIntervalFull, 30*netsim.Second)
+	e := newBTCExperiment(opt, opt.runSeed(150), netsim.Second)
 
-	p := buildBTCPath(opt.runSeed(150))
-	p.sim.RunFor(warmup)
+	res := BTCResult{Intervals: make([]BTCInterval, len(btcIntervalNames))}
+	avail, quietRTT, busyRTT := e.run(func(i int, end netsim.Time) {
+		start := e.sim.Now()
+		flow := tcpsim.NewFlow(e.sim, "btc-"+btcIntervalNames[i], e.links, e.reverse, btcWindow)
+		delivered0 := flow.Delivered()
+		flow.Start()
+		e.sim.Run(end)
+		flow.Stop()
+		iv := &res.Intervals[i]
+		iv.BTCMean = float64(flow.Delivered()-delivered0) * 8 / (e.sim.Now() - start).Seconds()
+		iv.BTCMin1s, iv.BTCMax1s = binThroughput(flow.Deliveries(), start, e.sim.Now())
+	})
 
-	mon := mrtg.NewMonitor(p.sim, p.tight, interval)
-	mon.Start()
-	ping := tcpsim.NewPinger(p.sim, p.links, p.reverse, netsim.Second, 64)
-	ping.Start()
-
-	var res BTCResult
-	names := []string{"A", "B", "C", "D", "E"}
 	var quietAvail, busyMean []float64
-	var quietRTT, busyRTT []float64
-
-	for i, name := range names {
-		active := name == "B" || name == "D"
-		var flow *tcpsim.Flow
-		start := p.sim.Now()
-		pingStart := len(ping.Samples())
-		var delivered0 int64
-		if active {
-			flow = tcpsim.NewFlow(p.sim, "btc-"+name, p.links, p.reverse, btcWindow)
-			delivered0 = flow.Delivered()
-			flow.Start()
-		}
-		p.sim.RunFor(interval)
-		if flow != nil {
-			flow.Stop()
-		}
-
-		iv := BTCInterval{Name: name, BTCActive: active}
-		if len(mon.Readings()) > i {
-			iv.Avail = mon.Readings()[i].Avail
-		}
-		if flow != nil {
-			iv.BTCMean = float64(flow.Delivered()-delivered0) * 8 / (p.sim.Now() - start).Seconds()
-			iv.BTCMin1s, iv.BTCMax1s = binThroughput(flow.Deliveries(), start, p.sim.Now())
+	for i, name := range btcIntervalNames {
+		iv := &res.Intervals[i]
+		iv.Name, iv.BTCActive, iv.Avail = name, btcBusy(name), avail[i]
+		if iv.BTCActive {
 			busyMean = append(busyMean, iv.BTCMean)
 		} else {
 			quietAvail = append(quietAvail, iv.Avail)
 		}
-		for _, s := range ping.Samples()[pingStart:] {
-			if active {
-				busyRTT = append(busyRTT, s.RTT.Seconds())
-			} else {
-				quietRTT = append(quietRTT, s.RTT.Seconds())
-			}
-		}
-		res.Intervals = append(res.Intervals, iv)
 	}
-
 	if m := stats.Mean(quietAvail); m > 0 {
 		res.Overshoot = stats.Mean(busyMean)/m - 1
 	}
@@ -171,7 +199,7 @@ func Fig15and16(opt Options) BTCResult {
 		res.RTTBusyP95 = stats.Percentile(busyRTT, 95)
 		_, res.RTTBusyMax = stats.MinMax(busyRTT)
 	}
-	res.RTTSeries = ping.Samples()
+	res.RTTSeries = e.ping.Samples()
 	return res
 }
 

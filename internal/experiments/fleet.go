@@ -22,23 +22,17 @@ func PathID(i int) string { return fmt.Sprintf("path-%02d", i) }
 // independent paths, each a built Topology on its own private
 // simulator, so paths never contend and every series is deterministic
 // whatever the host's scheduling. It warms every shard to steady state
-// in parallel on one lockstep virtual clock — traffic the caller
-// attached to a Net beforehand runs through the warm-up — then wires
-// an unstarted pathload.Monitor over one simprobe prober per shard,
-// path i registered as PathID(i). The caller starts and owns the
-// monitor; collectRun is the usual way to run it out.
+// on the run pool (forRuns) — traffic the caller attached to a Net
+// beforehand runs through the warm-up — then wires an unstarted
+// pathload.Monitor over one simprobe prober per shard, path i
+// registered as PathID(i). The caller starts and owns the monitor;
+// collectRun is the usual way to run it out.
 func MonitorShards(nets []*Net, cfg pathload.MonitorConfig) (*pathload.Monitor, error) {
 	mon, err := pathload.NewMonitor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	sims := make([]*netsim.Simulator, len(nets))
-	for i, n := range nets {
-		sims[i] = n.Sim
-	}
-	warm := netsim.NewLockstep(0, sims...)
-	warm.AdvanceTo(warmup)
-	warm.Close()
+	forRuns(len(nets), func(i int) { nets[i].Warmup(warmup) })
 	for i, n := range nets {
 		if err := mon.AddPath(PathID(i), simprobe.New(n.Sim, n.Links, reverseDelay)); err != nil {
 			return nil, err

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/mrtg"
 	"repro/internal/netsim"
 	"repro/internal/simprobe"
 	"repro/internal/stats"
@@ -48,74 +47,48 @@ type IntrusiveResult struct {
 // anything but.
 func Fig17and18(opt Options) IntrusiveResult {
 	opt = opt.withDefaults()
-	interval := opt.window(btcIntervalFull, 30*netsim.Second)
+	e := newBTCExperiment(opt, opt.runSeed(170), 100*netsim.Millisecond)
+	prober := simprobe.New(e.sim, e.links, e.reverse)
 
-	p := buildBTCPath(opt.runSeed(170))
-	p.sim.RunFor(warmup)
-
-	mon := mrtg.NewMonitor(p.sim, p.tight, interval)
-	mon.Start()
-	ping := tcpsim.NewPinger(p.sim, p.links, p.reverse, 100*netsim.Millisecond, 64)
-	ping.Start()
-	prober := simprobe.New(p.sim, p.links, p.reverse)
-
-	var res IntrusiveResult
-	var quietAvail, busyAvail, quietRTT, busyRTT []float64
-	names := []string{"A", "B", "C", "D", "E"}
-
-	for i, name := range names {
-		active := name == "B" || name == "D"
-		end := p.sim.Now() + interval
-		pingStart := len(ping.Samples())
-		iv := IntrusiveInterval{Name: name, PathloadActive: active}
-
-		if active {
-			var centers []float64
-			for p.sim.Now() < end {
-				r, err := pathload.Run(prober, pathload.Config{})
-				if err != nil {
-					panic(fmt.Sprintf("experiments: fig17 interval %s: %v", name, err))
-				}
-				// The real tool spends a few seconds between runs on
-				// reporting and control-channel setup.
-				prober.Idle(5 * netsim.Second.Duration())
-				centers = append(centers, r.Mid())
-				for _, ft := range r.Fleets {
-					for _, st := range ft.Streams {
-						if st.Loss > 0 {
-							res.ProbeStreamsLost++
-						}
+	res := IntrusiveResult{Intervals: make([]IntrusiveInterval, len(btcIntervalNames))}
+	avail, quietRTT, busyRTT := e.run(func(i int, end netsim.Time) {
+		var centers []float64
+		for e.sim.Now() < end {
+			r, err := pathload.Run(prober, pathload.Config{})
+			if err != nil {
+				panic(fmt.Sprintf("experiments: fig17 interval %s: %v", btcIntervalNames[i], err))
+			}
+			// The real tool spends a few seconds between runs on
+			// reporting and control-channel setup.
+			prober.Idle(5 * netsim.Second.Duration())
+			centers = append(centers, r.Mid())
+			for _, ft := range r.Fleets {
+				for _, st := range ft.Streams {
+					if st.Loss > 0 {
+						res.ProbeStreamsLost++
 					}
 				}
 			}
-			iv.Runs = len(centers)
-			iv.MeanEstimate = stats.Mean(centers)
-			p.sim.RunFor(end - p.sim.Now())
-		} else {
-			p.sim.RunFor(interval)
 		}
+		res.Intervals[i].Runs = len(centers)
+		res.Intervals[i].MeanEstimate = stats.Mean(centers)
+		e.sim.RunFor(end - e.sim.Now())
+	})
 
-		if len(mon.Readings()) > i {
-			iv.Avail = mon.Readings()[i].Avail
-		}
-		for _, s := range ping.Samples()[pingStart:] {
-			if active {
-				busyRTT = append(busyRTT, s.RTT.Seconds())
-			} else {
-				quietRTT = append(quietRTT, s.RTT.Seconds())
-			}
-		}
-		if active {
+	var quietAvail, busyAvail []float64
+	for i, name := range btcIntervalNames {
+		iv := &res.Intervals[i]
+		iv.Name, iv.PathloadActive, iv.Avail = name, btcBusy(name), avail[i]
+		if iv.PathloadActive {
 			busyAvail = append(busyAvail, iv.Avail)
 		} else {
 			quietAvail = append(quietAvail, iv.Avail)
 		}
-		res.Intervals = append(res.Intervals, iv)
 	}
 
 	// Let in-flight pings land before accounting losses.
-	ping.Stop()
-	p.sim.RunFor(2 * netsim.Second)
+	e.ping.Stop()
+	e.sim.RunFor(2 * netsim.Second)
 
 	if m := stats.Mean(quietAvail); m > 0 {
 		res.AvailChange = stats.Mean(busyAvail)/m - 1
@@ -125,7 +98,7 @@ func Fig17and18(opt Options) IntrusiveResult {
 	if res.RTTQuiet > 0 {
 		res.RTTChange = res.RTTBusy/res.RTTQuiet - 1
 	}
-	res.PingsLost = ping.Sent() - len(ping.Samples())
-	res.RTTSeries = ping.Samples()
+	res.PingsLost = e.ping.Sent() - len(e.ping.Samples())
+	res.RTTSeries = e.ping.Samples()
 	return res
 }

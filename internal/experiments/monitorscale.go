@@ -94,7 +94,7 @@ func scaleTopology(i, paths int, seed int64) Topology {
 
 // DynamicsAtScale runs the monitor subsystem over a fleet of
 // ScaleFleetPaths concurrent simulated paths: every path is its own
-// simulator shard (warmed up in parallel on a netsim.Lockstep clock),
+// simulator shard (warmed up in parallel on the run pool),
 // pathload.Monitor re-measures each on a jittered interval through a
 // bounded worker pool, and the per-path time series are checked against
 // both the configured avail-bw and the tight link's MRTG reading. The

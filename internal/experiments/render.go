@@ -96,8 +96,8 @@ func RenderDynamics(title string, cdfs []DynamicsCDF) string {
 // with its configured avail-bw, MRTG reading, and per-round ranges.
 func RenderScale(r ScaleResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Dynamics at scale: %d paths × %d rounds, %d workers (%.2gM sim events, %.1fs wall)\n",
-		len(r.Paths), r.Rounds, r.Workers, float64(r.Events)/1e6, r.Wall.Seconds())
+	fmt.Fprintf(&b, "Dynamics at scale: %d paths × %d rounds (%.2gM sim events)\n",
+		len(r.Paths), r.Rounds, float64(r.Events)/1e6)
 	fmt.Fprintf(&b, "%-9s %8s %8s %4s  %s\n", "path", "true A", "MRTG", "cov", "ranges over time (Mb/s)")
 	for _, p := range r.Paths {
 		fmt.Fprintf(&b, "%-9s %8.2f %8.2f %d/%d ", p.Path, mbps(p.True), mbps(p.MRTG), p.Covered, len(p.Points))

@@ -109,8 +109,10 @@ func (n *Net) Tight() *netsim.Link { return n.Links[n.TightIdx] }
 
 // Build constructs the simulator, links, and cross-traffic sources as
 // a one-route mesh.Spec — the chain is the mesh's simplest shape, so
-// mesh.Spec.Build is the only place links and per-link aggregates are
-// wired. Cross traffic is started; the probe route is Links.
+// mesh.Spec.Build wires its links and per-link aggregates. Two paths
+// are still wired by hand, hopPath (owdtrace.go) and buildBTCPath
+// (btc.go); ROADMAP item 17 folds the BTC path into a scenario. Cross
+// traffic is started; the probe route is Links.
 func (t Topology) Build() *Net {
 	t = t.withDefaults()
 	if t.Hops < 1 {

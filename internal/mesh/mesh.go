@@ -4,12 +4,13 @@
 // It generalizes the single-path chain of internal/experiments.Topology
 // to a link graph. Paths that share links contend — their probe streams
 // queue against each other and against cross traffic on the common
-// hops — which is the scenario family the per-path-shard fleet designs
-// (netsim.Lockstep) cannot express. Every built path still carries its
-// analytic ground truth: the tight link over its route and the
-// end-to-end available bandwidth A = min over the route of C_l·(1−u_l),
-// valid in the absence of co-probing; fleet experiments measure how far
-// co-probing moves the estimate from exactly that baseline.
+// hops — which is the scenario family the fleets of one simulator per
+// path (experiments.MonitorShards) cannot express. Every built path
+// still carries its analytic ground truth: the tight link over its
+// route and the end-to-end available bandwidth A = min over the route
+// of C_l·(1−u_l), valid in the absence of co-probing; fleet
+// experiments measure how far co-probing moves the estimate from
+// exactly that baseline.
 //
 // Parameterized backbone shapes (Star, Chain, Tree, Disjoint) cover the
 // canonical contention patterns; arbitrary Spec route lists cover the

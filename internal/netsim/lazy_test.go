@@ -225,19 +225,20 @@ func TestLazyCompletionEquivalence(t *testing.T) {
 }
 
 // TestLazyCompletionEquivalenceLockstep is the same property with the
-// networks as shards of a Lockstep on several workers, read between
+// networks as shards of a Lockstep on several goroutines, read between
 // barriers from the advancing goroutine: under -race it also holds that
-// a read that settles is ordered against the worker that ran the shard.
+// a read that settles is ordered against the goroutine that ran the
+// shard.
 func TestLazyCompletionEquivalenceLockstep(t *testing.T) {
 	const shards = 6
 	run := func(eager bool) []*lazyNet {
 		nets := make([]*lazyNet, shards)
-		ls := NewLockstep(3)
-		defer ls.Close()
+		sims := make([]*Simulator, shards)
 		for i := range nets {
 			nets[i] = newLazyNet(int64(100+i), eager)
-			ls.Add(nets[i].sim)
+			sims[i] = nets[i].sim
 		}
+		ls := NewLockstep(3, sims...)
 		rng := rand.New(rand.NewSource(7))
 		for ls.Now() < 100*Millisecond {
 			ls.AdvanceFor(Time(1+rng.Intn(50)) * tick)

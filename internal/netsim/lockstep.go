@@ -9,113 +9,47 @@ import (
 // A Lockstep advances a set of independent Simulators to common barrier
 // times. Each simulator is a shard — its own links, traffic, and event
 // queue — but all shards share one virtual timeline: after AdvanceTo(t)
-// every shard's Now() equals t. Between barriers the shards are advanced
-// concurrently by a pool of persistent worker goroutines, each pinned to
-// a static modulo slice of the shard list, so a fleet of per-path
-// simulations scales with the host's cores — no per-barrier goroutine
-// or channel churn — while each individual simulator stays
-// single-threaded and deterministic.
+// every shard's Now() equals t. Each barrier runs the shards on at most
+// parallel goroutines, goroutine w owning the shards ≡ w (mod
+// goroutines), and returns when all have reached it; no goroutine
+// outlives the barrier, and each simulator stays single-threaded and
+// deterministic.
 //
-// This is the sharded answer to "many concurrent measurements on one
-// simulated clock": paths that must not interact get a shard each and a
-// shared timeline; paths that share links belong in one simulator (see
+// Paths that must not interact get a shard each and a shared timeline;
+// paths that share links belong in one simulator (see
 // internal/simprobe.Sequencer for co-scheduling multiple probers on it).
 //
 // A Lockstep must not be advanced while any shard is being driven from
-// elsewhere (e.g. by a prober mid-measurement), and Add/AdvanceTo must
-// be called from one goroutine. Call Close when done with the set to
-// release the workers; a dropped Lockstep also releases them when the
-// garbage collector notices (a cleanup closes the pool), so older
-// callers that never Close do not leak goroutines forever.
+// elsewhere (e.g. by a prober mid-measurement), and AdvanceTo must be
+// called from one goroutine.
 type Lockstep struct {
-	st       *lsState
+	sims     []*Simulator
 	parallel int
 	now      Time
 }
 
-// lsState is the part of a Lockstep shared with its workers. Workers
-// reference only this state, never the Lockstep itself, so an
-// unreachable Lockstep can be collected and its cleanup can stop the
-// pool.
-type lsState struct {
-	sims  []*Simulator
-	start []chan Time   // one per worker: barrier time to advance to
-	done  chan struct{} // worker completion signals, len(start) per barrier
-	quit  chan struct{}
-	stop  sync.Once
-}
-
-// shutdown releases the worker pool; safe to call more than once.
-func (st *lsState) shutdown() {
-	st.stop.Do(func() {
-		if st.quit != nil {
-			close(st.quit)
-		}
-	})
-}
-
 // NewLockstep groups sims into a lockstep set. parallel bounds the
-// number of worker goroutines; 0 selects GOMAXPROCS. All simulators
-// must currently agree on the time (freshly created ones do: they start
-// at zero).
+// number of goroutines a barrier runs on; 0 selects GOMAXPROCS. All
+// simulators must still be at time zero, the set's starting time
+// (freshly created ones are).
 func NewLockstep(parallel int, sims ...*Simulator) *Lockstep {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	l := &Lockstep{parallel: parallel, st: &lsState{}}
 	for _, s := range sims {
-		l.Add(s)
+		if s.Now() > 0 {
+			panic(fmt.Sprintf("netsim: lockstep at 0 cannot adopt simulator already at %v", s.Now()))
+		}
 	}
-	return l
-}
-
-// Add attaches a shard. The simulator must not be ahead of the set's
-// common time; it is advanced to it on the next barrier.
-func (l *Lockstep) Add(s *Simulator) {
-	if s.Now() > l.now {
-		panic(fmt.Sprintf("netsim: lockstep at %v cannot adopt simulator already at %v", l.now, s.Now()))
-	}
-	l.st.sims = append(l.st.sims, s)
+	return &Lockstep{sims: sims, parallel: parallel}
 }
 
 // Now returns the common barrier time reached by the last advance.
 func (l *Lockstep) Now() Time { return l.now }
 
-// Close stops the worker pool. The Lockstep must not be advanced after
-// Close. Closing is idempotent and closing a never-advanced Lockstep is
-// a no-op.
-func (l *Lockstep) Close() { l.st.shutdown() }
-
-// startWorkers spins up the persistent pool on the first advance. Each
-// worker owns the shards at indices ≡ w (mod pool size): the pinning is
-// static, so a shard is always advanced by the same goroutine.
-func (l *Lockstep) startWorkers() {
-	st := l.st
-	n := l.parallel
-	st.start = make([]chan Time, n)
-	st.done = make(chan struct{}, n)
-	st.quit = make(chan struct{})
-	for w := 0; w < n; w++ {
-		st.start[w] = make(chan Time, 1)
-		go func(w int) {
-			for {
-				select {
-				case t := <-st.start[w]:
-					for i := w; i < len(st.sims); i += n {
-						st.sims[i].Run(t)
-					}
-					st.done <- struct{}{}
-				case <-st.quit:
-					return
-				}
-			}
-		}(w)
-	}
-	// The pool must die with the Lockstep even if the owner never calls
-	// Close; workers reference only st, so an unreachable Lockstep is
-	// collectable and this cleanup fires.
-	runtime.AddCleanup(l, func(st *lsState) { st.shutdown() }, st)
-}
+// Close releases nothing, since a barrier leaves no goroutine behind;
+// calling it is harmless.
+func (l *Lockstep) Close() {}
 
 // AdvanceTo runs every shard to the absolute time t and blocks until
 // all have reached it. Shards run concurrently but never share state,
@@ -124,19 +58,18 @@ func (l *Lockstep) AdvanceTo(t Time) {
 	if t < l.now {
 		panic(fmt.Sprintf("netsim: lockstep advancing backwards from %v to %v", l.now, t))
 	}
-	if len(l.st.sims) == 0 {
-		l.now = t
-		return
+	n := min(l.parallel, len(l.sims))
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for w := range n {
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(l.sims); i += n {
+				l.sims[i].Run(t)
+			}
+		}()
 	}
-	if l.st.start == nil {
-		l.startWorkers()
-	}
-	for _, c := range l.st.start {
-		c <- t
-	}
-	for range l.st.start {
-		<-l.st.done
-	}
+	wg.Wait()
 	l.now = t
 }
 

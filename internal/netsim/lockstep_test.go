@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestLockstepAdvances: every shard reaches the barrier, and events
@@ -53,19 +55,28 @@ func TestLockstepAdvances(t *testing.T) {
 	}
 }
 
-// TestLockstepAddBehind: a fresh shard added after advances catches up
-// at the next barrier.
-func TestLockstepAddBehind(t *testing.T) {
-	a := NewSimulator()
-	ls := NewLockstep(2, a)
-	ls.AdvanceFor(50 * Millisecond)
-
-	b := NewSimulator()
-	ls.Add(b)
-	ls.AdvanceFor(50 * Millisecond)
-	if a.Now() != b.Now() || a.Now() != 100*Millisecond {
-		t.Fatalf("shards at %v and %v, want both at %v", a.Now(), b.Now(), 100*Millisecond)
+// TestLockstepLeavesNoGoroutine: a barrier's goroutines are gone when
+// AdvanceTo returns, so a Lockstep nobody closes holds nothing.
+func TestLockstepLeavesNoGoroutine(t *testing.T) {
+	sims := make([]*Simulator, 8)
+	for i := range sims {
+		sims[i] = NewSimulator()
 	}
+	before := runtime.NumGoroutine()
+	ls := NewLockstep(4, sims...)
+	ls.AdvanceFor(10 * Millisecond)
+	ls.AdvanceFor(10 * Millisecond)
+	// A goroutine that has called Done may not have exited yet; give
+	// it up to 100 ms.
+	n := runtime.NumGoroutine()
+	for try := 0; try < 100 && n > before; try++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Fatalf("%d goroutines after AdvanceTo returned, %d before", n, before)
+	}
+	runtime.KeepAlive(ls) // live throughout: nothing may wait for the collector
 }
 
 // TestLockstepPanics: adopting a shard from the future and rewinding
@@ -74,7 +85,7 @@ func TestLockstepPanics(t *testing.T) {
 	ahead := NewSimulator()
 	ahead.RunFor(Second)
 	mustPanic(t, "adopting future shard", func() {
-		NewLockstep(1).Add(ahead)
+		NewLockstep(1, ahead)
 	})
 
 	ls := NewLockstep(1, NewSimulator())
