@@ -236,10 +236,11 @@ func (a *Archive) Dir() string { return a.dir }
 // read the recovered state. onAppend, when non-nil, observes every
 // appended record under the archive lock, in append order — the hook a
 // checkpoint producer uses to keep its summary exactly in step with
-// the WAL. checkpoint, when non-nil, is called at seal time (under the
-// archive lock, after the sealed records are fixed) and must return a
-// blob summarizing every record appended so far. Call before
-// concurrent use.
+// the WAL; the record's Data is on loan from the frame Append wrote.
+// checkpoint, when non-nil, is called at seal time (under the archive
+// lock, after the sealed records are fixed) and must return a blob
+// summarizing every record appended so far. Call before concurrent
+// use.
 func (a *Archive) SetHooks(onAppend func(Record), checkpoint func() []byte) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -275,12 +276,19 @@ func (a *Archive) Checkpoint() []byte {
 // returns nil the record is in the file, and with Options.Sync on the
 // disk.
 func (a *Archive) Append(rec Record) error {
+	return a.appendEncoded(rec.Kind, rec.Key, func(b []byte) []byte { return append(b, rec.Data...) })
+}
+
+// appendEncoded is Append of a record of kind and key whose payload
+// data appends to the slice it is handed: data encodes it once,
+// straight into the archive's frame buffer, under the archive lock.
+func (a *Archive) appendEncoded(kind uint8, key string, data func([]byte) []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
 		return errors.New("archive: appending to closed archive")
 	}
-	buf, err := appendRecord(a.frame[:0], rec)
+	buf, err := appendFrame(a.frame[:0], kind, key, data)
 	if err != nil {
 		return err
 	}
@@ -296,7 +304,7 @@ func (a *Archive) Append(rec Record) error {
 	a.walBytes += int64(len(buf))
 	a.walRecs++
 	if a.onAppend != nil {
-		a.onAppend(rec)
+		a.onAppend(Record{Kind: kind, Key: key, Data: buf[8+len(key) : len(buf)-4 : len(buf)-4]})
 	}
 	if a.opt.SealBytes > 0 && a.walBytes >= a.opt.SealBytes {
 		return a.sealLocked()
@@ -378,10 +386,11 @@ func (a *Archive) Compact(maxBytes int64, maxAge time.Duration) ([]uint64, error
 // records the newest checkpoint summarizes. Each segment is read once,
 // and its header, record CRCs and record count are checked in that
 // same pass: a defect fails the call after fn has seen the records
-// before it.
+// before it. Each record lends its Data until fn returns (see Record).
 func (a *Archive) ReplaySealed(fn func(Record) error) error {
+	keys := keyTable{}
 	for _, s := range a.Segments() {
-		if err := replaySegment(a.dir, s.Index, fn); err != nil {
+		if err := replaySegment(a.dir, s.Index, keys, fn); err != nil {
 			return err
 		}
 	}
@@ -389,7 +398,8 @@ func (a *Archive) ReplaySealed(fn func(Record) error) error {
 }
 
 // ReplayTail streams the live WAL records, in append order — the
-// records no checkpoint covers yet.
+// records no checkpoint covers yet. Each record lends its Data until fn
+// returns (see Record).
 func (a *Archive) ReplayTail(fn func(Record) error) error {
 	return readWAL(filepath.Join(a.dir, walName), func(_ uint64, rr *recordReader) error {
 		if err := rr.each(fn); err != nil {
@@ -400,10 +410,10 @@ func (a *Archive) ReplayTail(fn func(Record) error) error {
 }
 
 // replaySegment hands fn every record of segment idx in dir, in one
-// pass that also checks the segment.
-func replaySegment(dir string, idx uint64, fn func(Record) error) error {
+// pass that also checks the segment, its keys made strings by keys.
+func replaySegment(dir string, idx uint64, keys keyTable, fn func(Record) error) error {
 	var fnErr error
-	_, _, _, err := scanSegment(segPath(dir, idx), idx, false, false, func(r Record) error {
+	_, _, _, err := scanSegment(segPath(dir, idx), idx, false, false, keys, func(r Record) error {
 		fnErr = fn(r)
 		return fnErr
 	})
@@ -699,9 +709,10 @@ func parseSegHeader(b []byte) (h segHeader, err error) {
 // returns a copy of a version 1 segment's inline checkpoint blob;
 // otherwise the blob is read past and not held (a version 2 segment
 // has none inline: the header names its file). fn, when non-nil, is
-// handed each record in order. Errors do not name the file; info.Bytes
-// is set once the file is open.
-func scanSegment(path string, wantIndex uint64, hashed, keepCkpt bool, fn func(Record) error) (info SegmentInfo, h segHeader, ckpt []byte, err error) {
+// handed each record in order, its key made a string by keys (a fresh
+// table when nil). Errors do not name the file; info.Bytes is set once
+// the file is open.
+func scanSegment(path string, wantIndex uint64, hashed, keepCkpt bool, keys keyTable, fn func(Record) error) (info SegmentInfo, h segHeader, ckpt []byte, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return info, h, nil, err
@@ -749,7 +760,7 @@ func scanSegment(path string, wantIndex uint64, hashed, keepCkpt bool, fn func(R
 	if err != nil {
 		return info, h, nil, err
 	}
-	rr := recordReader{r: br, left: size - h.size() - inline}
+	rr := recordReader{r: br, left: size - h.size() - inline, keys: keys}
 	if err := rr.each(fn); err != nil {
 		return info, h, nil, fmt.Errorf("record region: %w", err)
 	}

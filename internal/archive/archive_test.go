@@ -45,13 +45,20 @@ func appendN(t *testing.T, a *Archive, from, n int) {
 	}
 }
 
+// kept is r with its Data copied out of the buffer a reader lent it
+// from, for a test that holds records past the callback.
+func kept(r Record) Record {
+	r.Data = append([]byte(nil), r.Data...)
+	return r
+}
+
 // collect replays the archive into (sealed, tail) record slices.
 func collect(t *testing.T, a *Archive) (sealed, tail []Record) {
 	t.Helper()
-	if err := a.ReplaySealed(func(r Record) error { sealed = append(sealed, r); return nil }); err != nil {
+	if err := a.ReplaySealed(func(r Record) error { sealed = append(sealed, kept(r)); return nil }); err != nil {
 		t.Fatalf("ReplaySealed: %v", err)
 	}
-	if err := a.ReplayTail(func(r Record) error { tail = append(tail, r); return nil }); err != nil {
+	if err := a.ReplayTail(func(r Record) error { tail = append(tail, kept(r)); return nil }); err != nil {
 		t.Fatalf("ReplayTail: %v", err)
 	}
 	return sealed, tail
@@ -342,7 +349,7 @@ func TestWalkStreamsEverything(t *testing.T) {
 		if sealed {
 			sealedN++
 		}
-		got = append(got, r)
+		got = append(got, kept(r))
 		return nil
 	})
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/tsstore"
 )
@@ -431,12 +430,8 @@ func sameStore(t *testing.T, got, want *tsstore.Store) {
 		if gt != wt || ge != we || !bytes.Equal(gd, wd) {
 			t.Fatalf("%s: totals (%d, %d) digest %x; want (%d, %d) %x", p, gt, ge, gd, wt, we, wd)
 		}
-		ring := want.Snapshot(p)
-		for i := range ring {
-			ring[i].Wall = time.Time{}
-		}
-		if g := got.Snapshot(p); !reflect.DeepEqual(g, ring) {
-			t.Fatalf("%s: ring %+v, want %+v", p, g, ring)
+		if g, w := got.Snapshot(p), want.Snapshot(p); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: ring %+v, want %+v", p, g, w)
 		}
 	}
 	for _, l := range want.Links() {

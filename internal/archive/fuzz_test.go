@@ -21,6 +21,11 @@ import (
 // (cmd/pathload-archive/testdata/mini); the f.Add seeds below are the
 // malformed neighbours.
 
+// appendRecord appends r's frame to buf, as Archive.Append frames it.
+func appendRecord(buf []byte, r Record) ([]byte, error) {
+	return appendFrame(buf, r.Kind, r.Key, func(b []byte) []byte { return append(b, r.Data...) })
+}
+
 // readRecord is the reference rule for one frame, over an in-memory
 // image of the record region: it decodes the record at the head of b,
 // returning it and the number of bytes consumed. errShortRecord means b
@@ -79,11 +84,12 @@ func scanRecords(b []byte, fn func(Record) error) (consumed, n int, err error) {
 
 // streamRecords reads b as a record region through the streaming
 // reader, over the smallest buffer bufio allows, so frames straddle
-// its refills. It returns the records, the bytes of whole records
-// consumed, and the defect that stopped the scan.
+// its refills. It returns the records (their Data copied out of the
+// reader's buffer), the bytes of whole records consumed, and the
+// defect that stopped the scan.
 func streamRecords(b []byte) (recs []Record, consumed int, err error) {
 	rr := recordReader{r: bufio.NewReaderSize(bytes.NewReader(b), 16), left: int64(len(b))}
-	err = rr.each(func(r Record) error { recs = append(recs, r); return nil })
+	err = rr.each(func(r Record) error { recs = append(recs, kept(r)); return nil })
 	return recs, int(rr.off), err
 }
 
@@ -94,7 +100,7 @@ func streamRecords(b []byte) (recs []Record, consumed int, err error) {
 // exactly what the in-memory reference makes of them: the same
 // records, the same consumed offset, the same defect.
 func FuzzReadRecord(f *testing.F) {
-	ok, _ := appendRecord(nil, Record{Kind: KindPointCompact, Key: "p0", Data: encodePoint(tsstore.Point{Round: 1, Lo: 1e6, Hi: 2e6})})
+	ok, _ := appendRecord(nil, Record{Kind: KindPointCompact, Key: "p0", Data: tsstore.Point{Round: 1, Lo: 1e6, Hi: 2e6}.AppendCompact(nil)})
 	f.Add(ok)
 	f.Add(ok[:len(ok)-1])                                // torn tail
 	f.Add(append(append([]byte(nil), ok...), ok[:5]...)) // whole record, then a torn one
@@ -144,26 +150,26 @@ func FuzzReadRecord(f *testing.F) {
 
 // FuzzRecordPayloads: the payload decoders of every record kind must
 // reject malformed payloads with an error, and the kinds the adapter
-// writes must round-trip the payloads they accept (encodePoint only
+// writes must round-trip the payloads they accept (AppendCompact only
 // truncates error texts past 65 535 bytes, which no payload that
 // decodes can carry). KindPoint, which nothing writes any more, must
 // only decode without panicking. The committed seeds are the mini
 // fixture's KindPoint and KindLink payloads.
 func FuzzRecordPayloads(f *testing.F) {
 	p := tsstore.Point{Round: -1, At: 1, Span: 2, Lo: 3, Hi: 4, Bits: 5, Err: "timeout"}
-	f.Add(encodePoint(p))
+	f.Add(p.AppendCompact(nil))
 	f.Add(p.AppendBinary(nil))
-	f.Add(encodeLink(tsstore.LinkPoint{Round: 7, At: 1, Span: 2, Util: 0.5, Capacity: 1e7}))
+	f.Add(appendLink(nil, tsstore.LinkPoint{Round: 7, At: 1, Span: 2, Util: 0.5, Capacity: 1e7}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodePoint(KindPoint, data)
 		if p, err := decodePoint(KindPointCompact, data); err == nil {
-			if !bytes.Equal(encodePoint(p), data) {
+			if !bytes.Equal(p.AppendCompact(nil), data) {
 				t.Fatalf("point round-trip mismatch for %x", data)
 			}
 		}
 		if p, err := decodeLink(data); err == nil {
-			if !bytes.Equal(encodeLink(p), data) {
+			if !bytes.Equal(appendLink(nil, p), data) {
 				t.Fatalf("link round-trip mismatch for %x", data)
 			}
 		}
@@ -260,7 +266,7 @@ func FuzzScanSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 		var records int64
-		info, sh, ckpt, err := scanSegment(path, 0, true, true, func(r Record) error {
+		info, sh, ckpt, err := scanSegment(path, 0, true, true, nil, func(r Record) error {
 			records += int64(recOverhead + len(r.Key) + len(r.Data))
 			return nil
 		})

@@ -13,6 +13,12 @@ import (
 // or Data — the tsstore adapter (KindPoint, KindPointCompact, KindLink)
 // and the coordinator's persistence log define their own kinds over the
 // same framing, so one directory can hold a mixed durability stream.
+//
+// A Record the archive hands to a callback (ReplaySealed, ReplayTail,
+// Walk, the SetHooks append hook) lends its Data for the duration of
+// the call: the bytes are the reader's frame buffer, which the next
+// record overwrites. A callback that keeps them copies them. Its Key is
+// an ordinary string, the caller's to keep.
 type Record struct {
 	// Kind routes the record to its decoder. Kinds 0x01–0x1f are
 	// reserved for the tsstore adapter, 0x20–0x2f for the coordinator.
@@ -46,26 +52,44 @@ var errShortRecord = errors.New("archive: truncated record")
 // record: bad magic, an impossible length, or a CRC mismatch.
 var errCorruptRecord = errors.New("archive: corrupt record")
 
-// appendRecord appends r's frame to buf:
+// appendFrame appends to buf the frame of a record of kind and key
+// whose payload is what data appends to the slice it is handed:
 //
 //	magic u8 | kind u8 | keyLen u16 | dataLen u32 | key | data | crc u32
 //
 // (big-endian lengths; the CRC-32 (IEEE) covers everything before it).
-func appendRecord(buf []byte, r Record) ([]byte, error) {
-	if len(r.Key) > MaxKey {
-		return buf, fmt.Errorf("archive: record key %d bytes exceeds %d", len(r.Key), MaxKey)
-	}
-	if len(r.Data) > MaxData {
-		return buf, fmt.Errorf("archive: record data %d bytes exceeds %d", len(r.Data), MaxData)
+// The payload is encoded once, in place, rather than into a slice of
+// its own and then copied. On an error buf comes back at its old
+// length.
+func appendFrame(buf []byte, kind uint8, key string, data func([]byte) []byte) ([]byte, error) {
+	if len(key) > MaxKey {
+		return buf, fmt.Errorf("archive: record key %d bytes exceeds %d", len(key), MaxKey)
 	}
 	start := len(buf)
-	buf = append(buf, recMagic, r.Kind)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Key)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.Data)))
-	buf = append(buf, r.Key...)
-	buf = append(buf, r.Data...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
-	return buf, nil
+	buf = append(buf, recMagic, kind, 0, 0, 0, 0, 0, 0)
+	binary.BigEndian.PutUint16(buf[start+2:], uint16(len(key)))
+	buf = data(append(buf, key...))
+	n := len(buf) - start - 8 - len(key)
+	if n > MaxData {
+		return buf[:start], fmt.Errorf("archive: record data %d bytes exceeds %d", n, MaxData)
+	}
+	binary.BigEndian.PutUint32(buf[start+4:], uint32(n))
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:])), nil
+}
+
+// A keyTable makes record keys strings, each distinct key once: a
+// replay pass shares one across its files, so the key every record of
+// a path repeats costs one string, not one per record.
+type keyTable map[string]string
+
+// intern returns the string for key b, made on its first sighting.
+func (t keyTable) intern(b []byte) string {
+	if k, ok := t[string(b)]; ok {
+		return k
+	}
+	k := string(b)
+	t[k] = k
+	return k
 }
 
 // A recordReader reads the record region of an archive file — the
@@ -80,6 +104,7 @@ type recordReader struct {
 	off   int64     // region bytes of whole records read
 	n     int       // whole records read
 	frame []byte
+	keys  keyTable // each's keys; made on first use when nil
 }
 
 // fileBufSize is the bufio buffer an archive file is read, or a
@@ -149,9 +174,9 @@ func (rr *recordReader) read(b []byte) error {
 }
 
 // each hands fn every record from the cursor to the end of the region,
-// in order, each owning a fresh copy of its key and data (fn may be
-// nil to only check them). It returns nil at the end of the region,
-// the defect or read error next met, or fn's error.
+// in order, each lending its Data from the reader's frame buffer until
+// fn returns (fn may be nil to only check them). It returns nil at the
+// end of the region, the defect or read error next met, or fn's error.
 func (rr *recordReader) each(fn func(Record) error) error {
 	for {
 		frame, err := rr.next()
@@ -164,12 +189,12 @@ func (rr *recordReader) each(fn func(Record) error) error {
 		if fn == nil {
 			continue
 		}
-		keyLen := int(binary.BigEndian.Uint16(frame[2:4]))
-		rec := Record{
-			Kind: frame[1],
-			Key:  string(frame[8 : 8+keyLen]),
-			Data: append([]byte(nil), frame[8+keyLen:len(frame)-4]...),
+		if rr.keys == nil {
+			rr.keys = keyTable{}
 		}
+		// Data is capped at the CRC, so an append to it copies.
+		end := 8 + int(binary.BigEndian.Uint16(frame[2:4]))
+		rec := Record{Kind: frame[1], Key: rr.keys.intern(frame[8:end]), Data: frame[end : len(frame)-4 : len(frame)-4]}
 		if err := fn(rec); err != nil {
 			return err
 		}

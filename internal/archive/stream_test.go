@@ -164,20 +164,21 @@ func TestWalkStopsAtDamage(t *testing.T) {
 	}
 }
 
-// TestRecoveryAllocationBudget: OpenStore holds one record at a time,
-// so what it allocates per replayed record is the record's own key and
-// data plus its decode and ring insert, at any segment size or count.
-// Reading whole segment images instead allocated a segment's bytes for
-// each time a segment was read: 416–568 B per record on these shapes.
+// TestRecoveryAllocationBudget: OpenStore holds one record at a time
+// and decodes it where the reader's buffer holds it, so it allocates
+// per distinct key and per file, never per record, at any segment size
+// or count. Reading whole segment images instead allocated a segment's
+// bytes for each time a segment was read: 416–568 B per record on these
+// shapes; copying every record's key and data, 86–115 B.
 func TestRecoveryAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes")
 	}
-	// Bytes OpenStore may allocate per replayed record. A record's Key
-	// and Data copies are 16 + 64 B; the rest is per-path state (rings,
-	// digests, the checkpoint's series) and per-file read buffers,
-	// spread over the records: 86–115 B in all when this was written.
-	const budget = 128
+	// Bytes OpenStore may allocate per replayed record: per-path state
+	// (rings, digests, the checkpoint's series, one string per key) and
+	// per-file read buffers, spread over the records: 5–32 B in all when
+	// this was written, the most on the fewest records.
+	const budget = 48
 	cfg := tsstore.Config{Capacity: 32}
 	paths := make([]string, 20)
 	for i := range paths {
@@ -233,5 +234,34 @@ func TestRecoveryAllocationBudget(t *testing.T) {
 	}
 	if one, big := perRecord["1 × 10k"], perRecord["1 × 80k"]; big > one {
 		t.Errorf("per-record allocation grows with segment size: %d B at 10 k records, %d B at 80 k", one, big)
+	}
+}
+
+// TestStoreBackendAppendAllocationFree: a warmed archive-backed Observe
+// of an OK sample allocates nothing. The point is encoded straight into
+// the archive's reused frame, and the checkpoint shadow decodes it from
+// there; an encoding of its own cost one allocation per sample.
+func TestStoreBackendAppendAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	st, _, _ := openStoreT(t, t.TempDir(), Options{}, tsstore.Config{Capacity: 32})
+	defer st.Close()
+	s := sample("path-00", 0)
+	for r := range 200 { // full ring, full digests, frame buffer grown
+		s.Round, s.Result.Lo, s.Result.Hi = r, 40e6+float64(r)*1e5, 48e6+float64(r)*1e5
+		st.Observe(s)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Round++
+		s.Result.Lo += 1e5
+		s.Result.Hi += 1e5
+		st.Observe(s)
+	})
+	if n, err := st.BackendErrs(); n != 0 {
+		t.Fatalf("backend errors: %d %v", n, err)
+	}
+	if allocs != 0 {
+		t.Fatalf("an archive-backed Observe allocates %v objects, want 0", allocs)
 	}
 }

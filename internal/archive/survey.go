@@ -86,7 +86,7 @@ func surveyDir(dir string) (*survey, error) {
 	var newest segHeader
 	for i, idx := range idxs {
 		path := segPath(dir, idx)
-		info, h, inline, err := scanSegment(path, idx, true, i == len(idxs)-1, nil)
+		info, h, inline, err := scanSegment(path, idx, true, i == len(idxs)-1, nil, nil)
 		info.Index = idx
 		newest, s.ckpt = h, inline // the last segment's stand
 		seg := surveyedSeg{info: info, read: err == nil}

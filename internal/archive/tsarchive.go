@@ -14,8 +14,8 @@ import (
 // Record kinds of the tsstore adapter.
 const (
 	// KindPoint is one per-path sample in tsstore.Point's AppendBinary
-	// layout (Wall excluded). Archives written before KindPointCompact
-	// hold these; recovery reads them, nothing writes them any more.
+	// layout. Archives written before KindPointCompact hold these;
+	// recovery reads them, nothing writes them any more.
 	KindPoint uint8 = 0x01
 	// KindLink is one per-link utilization window (tsstore.LinkPoint).
 	KindLink uint8 = 0x02
@@ -64,14 +64,15 @@ type shadowSeries struct {
 	digest      *tsstore.Digest
 }
 
-// AppendPoint implements tsstore.Backend.
+// AppendPoint implements tsstore.Backend. The point is encoded once,
+// straight into the archive's frame: an append allocates nothing.
 func (t *StoreBackend) AppendPoint(path string, p tsstore.Point) error {
-	return t.a.Append(Record{Kind: KindPointCompact, Key: path, Data: encodePoint(p)})
+	return t.a.appendEncoded(KindPointCompact, path, p.AppendCompact)
 }
 
-// AppendLink implements tsstore.Backend.
+// AppendLink implements tsstore.Backend, encoding like AppendPoint.
 func (t *StoreBackend) AppendLink(link string, p tsstore.LinkPoint) error {
-	return t.a.Append(Record{Kind: KindLink, Key: link, Data: encodeLink(p)})
+	return t.a.appendEncoded(KindLink, link, func(b []byte) []byte { return appendLink(b, p) })
 }
 
 // Close implements tsstore.Backend, closing the underlying archive.
@@ -361,13 +362,9 @@ func (r *ckptReader) digest() (*tsstore.Digest, error) {
 	return tsstore.UnmarshalDigest(blob)
 }
 
-// encodePoint serializes a Point for a KindPointCompact record, in the
-// one exact-size allocation AppendCompact makes.
-func encodePoint(p tsstore.Point) []byte { return p.AppendCompact(nil) }
-
 // decodePoint decodes the payload of a point record of the given kind:
 // KindPoint through tsstore.ReadPoint (the SLCP push codec), anything
-// else as KindPointCompact. Wall stays zero.
+// else as KindPointCompact.
 func decodePoint(kind uint8, b []byte) (tsstore.Point, error) {
 	d := wire.NewReader("archive: point record", b)
 	if kind == KindPoint {
@@ -376,9 +373,9 @@ func decodePoint(kind uint8, b []byte) (tsstore.Point, error) {
 	return wire.Finish(&d, tsstore.ReadCompactPoint(&d))
 }
 
-// encodeLink serializes a LinkPoint for the WAL.
-func encodeLink(p tsstore.LinkPoint) []byte {
-	b := make([]byte, 0, 8*5)
+// appendLink appends a KindLink record's payload, p's fields as
+// big-endian u64s.
+func appendLink(b []byte, p tsstore.LinkPoint) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(p.Round))
 	b = binary.BigEndian.AppendUint64(b, uint64(p.At))
 	b = binary.BigEndian.AppendUint64(b, uint64(p.Span))
@@ -387,7 +384,7 @@ func encodeLink(p tsstore.LinkPoint) []byte {
 	return b
 }
 
-// decodeLink is the inverse of encodeLink.
+// decodeLink is the inverse of appendLink.
 func decodeLink(b []byte) (tsstore.LinkPoint, error) {
 	d := wire.NewReader("archive: link record", b)
 	return wire.Finish(&d, tsstore.LinkPoint{

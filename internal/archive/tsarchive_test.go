@@ -26,7 +26,7 @@ func sample(path string, round int) pathload.Sample {
 		Path:  path,
 		Round: round,
 		At:    time.Duration(round) * 100 * time.Millisecond,
-		Wall:  time.Unix(int64(round), 0), // must NOT survive the archive
+		Wall:  time.Unix(int64(round), 0), // no stored point keeps it
 	}
 	if round%7 == 3 {
 		s.Err = errors.New("stream loss")
@@ -82,8 +82,7 @@ var testPaths = []string{"path-00", "path-01"}
 
 // TestOpenStoreRoundtrip pins the core recovery contract: a store
 // rebuilt from its archive renders byte-identically to a control store
-// fed the same samples live (minus Wall, which the archive
-// deliberately does not persist).
+// fed the same samples live, point for point.
 func TestOpenStoreRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	st, be, rep := openStoreT(t, dir, Options{}, tsstore.Config{Capacity: 64})
@@ -102,8 +101,7 @@ func TestOpenStoreRoundtrip(t *testing.T) {
 	wantSnap := st.Snapshot("path-00")
 	be.Close()
 
-	// Control: the same samples into a plain in-memory store, but with
-	// Wall zeroed — the archive's deliberate dropped field.
+	// Control: the same samples into a plain in-memory store.
 	control := tsstore.New(tsstore.Config{Capacity: 64})
 	feed(control, testPaths, 0, 15)
 	if got := prom(t, control); got != want {
@@ -121,13 +119,8 @@ func TestOpenStoreRoundtrip(t *testing.T) {
 	if got := prom(t, re); got != want {
 		t.Fatalf("recovered store renders differently:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	gotSnap := re.Snapshot("path-00")
-	for i := range wantSnap {
-		w := wantSnap[i]
-		w.Wall = time.Time{} // the one field recovery must NOT invent
-		if !reflect.DeepEqual(gotSnap[i], w) {
-			t.Fatalf("point %d: got %+v want %+v", i, gotSnap[i], w)
-		}
+	if gotSnap := re.Snapshot("path-00"); !reflect.DeepEqual(gotSnap, wantSnap) {
+		t.Fatalf("points: got %+v want %+v", gotSnap, wantSnap)
 	}
 	// Digest state survives exactly: same quantiles.
 	for _, q := range []float64{0.1, 0.5, 0.9} {
@@ -329,9 +322,9 @@ func TestPointCodecRoundtripAndDamage(t *testing.T) {
 		decode func([]byte) (any, error)
 		want   any
 	}{
-		{"point", encodePoint(p), func(b []byte) (any, error) { return decodePoint(KindPointCompact, b) }, p},
+		{"point", p.AppendCompact(nil), func(b []byte) (any, error) { return decodePoint(KindPointCompact, b) }, p},
 		{"KindPoint point", p.AppendBinary(nil), func(b []byte) (any, error) { return decodePoint(KindPoint, b) }, p},
-		{"link", encodeLink(lp), func(b []byte) (any, error) { return decodeLink(b) }, lp},
+		{"link", appendLink(nil, lp), func(b []byte) (any, error) { return decodeLink(b) }, lp},
 		{"checkpoint", ck.checkpoint(), func(b []byte) (any, error) {
 			d, err := decodeCheckpoint(b)
 			if d == nil {
@@ -411,8 +404,8 @@ func TestPointRecordLayout(t *testing.T) {
 		if p.Round != 7 || p.At != 3*time.Second || p.Hi != 6e6 || p.Err != "timeout" {
 			t.Fatalf("%s decoded to %+v", c.vector, p)
 		}
-		if c.kind == KindPointCompact && !bytes.Equal(encodePoint(p), want) {
-			t.Fatalf("encodePoint:\n got %x\nwant %x", encodePoint(p), want)
+		if c.kind == KindPointCompact && !bytes.Equal(p.AppendCompact(nil), want) {
+			t.Fatalf("AppendCompact:\n got %x\nwant %x", p.AppendCompact(nil), want)
 		}
 	}
 }

@@ -98,7 +98,8 @@ func Verify(dir string) (*VerifyReport, error) {
 // fn(record, sealed). Unlike Open it never heals or truncates; like
 // recovery it stops the WAL scan at the first unverifiable record.
 // Each file is read once: a damaged segment fails the walk after fn
-// has seen the records before the damage. It is the engine of
+// has seen the records before the damage. Each record lends its Data
+// until fn returns (see Record). It is the engine of
 // `pathload-archive cat`.
 func Walk(dir string, fn func(r Record, sealed bool) error) error {
 	idxs, bad, _, err := listSegments(dir)
@@ -108,12 +109,14 @@ func Walk(dir string, fn func(r Record, sealed bool) error) error {
 	if len(bad) > 0 {
 		return fmt.Errorf("archive: unparseable segment name %q", bad[0])
 	}
+	keys := keyTable{}
 	for _, idx := range idxs {
-		if err := replaySegment(dir, idx, func(r Record) error { return fn(r, true) }); err != nil {
+		if err := replaySegment(dir, idx, keys, func(r Record) error { return fn(r, true) }); err != nil {
 			return err
 		}
 	}
 	err = readWAL(filepath.Join(dir, walName), func(_ uint64, rr *recordReader) error {
+		rr.keys = keys
 		err := rr.each(func(r Record) error { return fn(r, false) })
 		if recordDefect(err) {
 			return nil

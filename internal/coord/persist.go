@@ -186,8 +186,9 @@ type Log struct {
 // report: SealedRecords counts the log's own sealed records replayed
 // (0 when an intact checkpoint made replay unnecessary),
 // ForeignRecords the records of kinds this log does not own (kept in
-// the archive, ignored here), and CheckpointCorrupt a checkpoint that
-// failed to decode, so recovery replayed every sealed record instead.
+// the archive, ignored here, and counted whatever the checkpoint), and
+// CheckpointCorrupt a checkpoint that failed to decode, so recovery
+// replayed every sealed record instead.
 type LogReport = archive.StoreReport
 
 // OpenLog opens (or creates) the coordinator's durable log at dir.
@@ -205,32 +206,32 @@ func OpenLog(dir string, opt archive.Options) (*Log, LogReport, error) {
 		seeded = l.decodeCheckpoint(ck) == nil
 		out.CheckpointCorrupt = !seeded
 	}
-	// apply reports whether the record is the log's own.
-	apply := func(r archive.Record) bool {
-		switch r.Kind {
-		case KindContribution:
-			l.contribs[r.Key] = append([]byte(nil), r.Data...)
-		case KindLeases:
-			l.lease = append([]byte(nil), r.Data...)
-		default:
+	// replay counts a foreign record, or applies one of the log's own
+	// when apply is set: onAppend copies the Data the archive lends.
+	replay := func(r archive.Record, apply bool) bool {
+		if r.Kind != KindContribution && r.Kind != KindLeases {
 			out.ForeignRecords++
 			return false
 		}
-		return true
-	}
-	if !seeded {
-		if err := a.ReplaySealed(func(r archive.Record) error {
-			if apply(r) {
-				out.SealedRecords++
-			}
-			return nil
-		}); err != nil {
-			a.Close()
-			return nil, LogReport{}, err
+		if apply {
+			l.onAppend(r)
 		}
+		return apply
+	}
+	// Sealed records are read whatever the checkpoint says, so foreign
+	// ones are counted as archive.OpenStore counts them; the log's own
+	// apply only when no intact checkpoint already holds them.
+	if err := a.ReplaySealed(func(r archive.Record) error {
+		if replay(r, !seeded) {
+			out.SealedRecords++
+		}
+		return nil
+	}); err != nil {
+		a.Close()
+		return nil, LogReport{}, err
 	}
 	if err := a.ReplayTail(func(r archive.Record) error {
-		apply(r)
+		replay(r, true)
 		return nil
 	}); err != nil {
 		a.Close()
@@ -257,8 +258,9 @@ func (l *Log) savePush(agent, path string, payload []byte) error {
 	return l.a.Append(archive.Record{Kind: KindContribution, Key: agent + "\x00" + path, Data: payload})
 }
 
-// onAppend maintains the checkpoint shadow; the archive calls it under
-// its lock for every appended record.
+// onAppend maintains the checkpoint shadow, copying the Data the
+// archive lends; the archive calls it under its lock for every appended
+// record, and OpenLog for every record it replays.
 func (l *Log) onAppend(r archive.Record) {
 	switch r.Kind {
 	case KindContribution:

@@ -270,6 +270,46 @@ func TestLogRoundtrip(t *testing.T) {
 	l4.Close()
 }
 
+// TestOpenLogCountsForeignSealedRecords: OpenLog and archive.OpenStore
+// report the same foreign records for one directory. An intact
+// coordinator checkpoint spares OpenLog replaying its own sealed
+// records, not counting the ones it does not own.
+func TestOpenLogCountsForeignSealedRecords(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := OpenLog(dir, archive.Options{})
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	if err := l.saveLeases(LeaseSnapshot{Clock: time.Second, Agents: []string{"a1"}}); err != nil {
+		t.Fatal(err)
+	}
+	point := tsstore.Point{Round: 1, Lo: 1e6, Hi: 2e6}.AppendBinary(nil)
+	if err := l.Archive().Append(archive.Record{Kind: archive.KindPoint, Key: "p00", Data: point}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Archive().Seal(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	l, logRep, err := OpenLog(dir, archive.Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	l.Close()
+	if logRep.CheckpointCorrupt || logRep.SealedRecords != 0 {
+		t.Fatalf("the coordinator checkpoint did not seed the log: %+v", logRep)
+	}
+	st, _, storeRep, err := archive.OpenStore(dir, archive.Options{}, tsstore.Config{})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	st.Close()
+	if logRep.ForeignRecords != 1 || storeRep.ForeignRecords != 1 {
+		t.Fatalf("foreign records: OpenLog %d, OpenStore %d; want 1 each", logRep.ForeignRecords, storeRep.ForeignRecords)
+	}
+}
+
 // TestRestoreReportsDroppedEntries: a log entry that no longer decodes
 // is dropped with a transcript line naming it, never restored in part,
 // and the closing count says what did come back.

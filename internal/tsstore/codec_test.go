@@ -37,7 +37,6 @@ func hexVector(t *testing.T, name string) []byte {
 func TestPointLayout(t *testing.T) {
 	want := hexVector(t, "point.hex")
 	p := Point{Round: 7, At: 3 * time.Second, Span: 1500 * time.Millisecond, Lo: 4e6, Hi: 6e6, Bits: 1.2e6, Err: "timeout"}
-	p.Wall = time.Unix(1, 0) // never encoded
 	got := p.AppendBinary(nil)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("AppendBinary:\n got %x\nwant %x", got, want)
@@ -50,7 +49,6 @@ func TestPointLayout(t *testing.T) {
 	}
 	r := wire.NewReader("point", want)
 	back := ReadPoint(&r)
-	p.Wall = time.Time{}
 	if err := r.Done(); err != nil || back != p {
 		t.Fatalf("ReadPoint = %+v, %v; want %+v", back, err, p)
 	}

@@ -117,11 +117,18 @@ func (d *Digest) Merge(o *Digest) {
 		// Self-merge: AddWeighted would mutate the slice being ranged.
 		cs = append([]centroid(nil), cs...)
 	}
-	if most := min(d.size+1, len(d.cs)+len(cs)); most > cap(d.cs) {
-		d.cs = append(make([]centroid, 0, most), d.cs...)
-	}
+	d.reserve(len(d.cs) + len(cs))
 	for _, c := range cs {
 		d.AddWeighted(c.mean, c.weight)
+	}
+}
+
+// reserve grows d's centroid storage, once, to hold n centroids at a
+// time, or as many as it ever holds (its budget plus the one compress
+// folds away) if that is fewer. A fold of n centroids never regrows it.
+func (d *Digest) reserve(n int) {
+	if most := min(d.size+1, n); most > cap(d.cs) {
+		d.cs = append(make([]centroid, 0, most), d.cs...)
 	}
 }
 

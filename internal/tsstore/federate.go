@@ -172,11 +172,17 @@ func (f *Federation) Snapshot() *Store {
 	for _, path := range paths {
 		byAgent := f.contribs[path]
 		agents = agents[:0]
-		for a := range byAgent {
+		centroids := 0
+		for a, c := range byAgent {
 			agents = append(agents, a)
+			if c.Digest != nil {
+				centroids += len(c.Digest.cs)
+			}
 		}
 		sort.Strings(agents)
 		se := st.ensure(path) // st is still private to this call: no lock needed
+		// Sized once, for every agent's Merge below.
+		se.digest.reserve(centroids)
 		for _, a := range agents {
 			c := byAgent[a]
 			for _, p := range c.Points {

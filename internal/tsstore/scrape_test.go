@@ -94,6 +94,46 @@ func TestScrapeAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestFederationSnapshotAllocationBudget: a snapshot allocates per path
+// the merged series itself — a ring of 64-byte points and one digest
+// sized once for every agent's centroids — and nothing regrown. Two
+// agents each hold a full ring and a full digest of every path: 3.7 kB
+// a path measured, 2 kB of it the ring. With 88-byte points and a
+// digest grown again for the second agent's merge it was 5.5 kB.
+func TestFederationSnapshotAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	const paths, capacity, budget = 200, 32, 4096
+	fed := tsstore.NewFederation(tsstore.Config{Capacity: capacity})
+	for p := range paths {
+		id := fmt.Sprintf("path-%04d", p)
+		for a, agent := range []string{"agent-a", "agent-b"} {
+			c := tsstore.Contribution{Seq: 1, Total: 2 * capacity, Digest: tsstore.NewDigest(0)}
+			for r := range capacity {
+				lo := 1e6 * float64(10+p%90+a+r%7)
+				c.Points = append(c.Points, tsstore.Point{Round: r, At: time.Duration(r) * 5 * time.Second, Lo: lo, Hi: lo + 0.8e6})
+			}
+			for i := range 2 * tsstore.DefaultDigestSize {
+				c.Digest.Add(1e6 + float64(2*i+a)*1e4)
+			}
+			fed.Push(agent, id, c)
+		}
+	}
+	const snaps = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range snaps {
+		fed.Snapshot()
+	}
+	runtime.ReadMemStats(&after)
+	perPath := (after.TotalAlloc - before.TotalAlloc) / snaps / paths
+	t.Logf("%d B per path", perPath)
+	if perPath > budget {
+		t.Errorf("a two-agent snapshot allocates %d B per path, want at most %d", perPath, budget)
+	}
+}
+
 // A scrapedPath is one path's row as a scraper read it back.
 type scrapedPath struct {
 	values    map[string]float64 // family (less the pathload_availbw_ prefix) → value

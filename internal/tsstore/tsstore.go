@@ -52,7 +52,8 @@ type Config struct {
 // A Point is one stored sample of a path's avail-bw series: the
 // monitor's Sample with the fields the retention layer needs, made
 // comparable across runs (At and Span are virtual path-local time
-// under the simulator, so stored series are reproducible).
+// under the simulator, so stored series are reproducible). It carries
+// no wall clock: nothing stored, pushed or rendered may depend on one.
 type Point struct {
 	// Round counts the path's measurements from 0 (monotone per path,
 	// even across ring eviction).
@@ -62,9 +63,6 @@ type Point struct {
 	// Span is the probing time the measurement consumed; At+Span is
 	// the path-local end of the round.
 	Span time.Duration
-	// Wall is the wall-clock completion time, kept for dashboards but
-	// excluded from all deterministic renderings.
-	Wall time.Time
 	// Lo and Hi bracket the measured avail-bw variation range, bits/s
 	// (the paper's [Rmin, Rmax]); both are 0 for failed rounds.
 	Lo, Hi float64
@@ -95,10 +93,8 @@ func (p Point) RelVar() float64 {
 // AppendBinary appends the point's binary form to b (a nil b becomes
 // one allocation of exactly the encoded size): Round, At, Span as u64,
 // Lo, Hi, Bits as float64 bits, Err as a u16-length-prefixed string cut
-// to what that length can state — all big-endian. Wall is deliberately left out:
-// pushes and archives must be byte-reproducible under the deterministic
-// harness, and wall clocks are the one field that never is. This is the
-// layout of a point in an SLCP push and in the archive's older KindPoint
+// to what that length can state — all big-endian. This is the layout
+// of a point in an SLCP push and in the archive's older KindPoint
 // records (new ones hold AppendCompact); ReadPoint is its inverse.
 func (p Point) AppendBinary(b []byte) []byte {
 	if b == nil {
@@ -113,8 +109,8 @@ func (p Point) AppendBinary(b []byte) []byte {
 	return wire.AppendString(b, p.Err)
 }
 
-// ReadPoint reads one AppendBinary point off r (Wall stays zero). A
-// short payload fails r, not the call: check r.Err, Done or Finish.
+// ReadPoint reads one AppendBinary point off r. A short payload fails
+// r, not the call: check r.Err, Done or Finish.
 func ReadPoint(r *wire.Reader) Point {
 	return Point{
 		Round: int(int64(r.U64())),
@@ -131,10 +127,9 @@ func ReadPoint(r *wire.Reader) Point {
 // one allocation of exactly the encoded size): Round, At, Span as
 // zigzag varints, Lo, Hi, Bits as big-endian float64 bits (so they
 // round-trip bit for bit), Err as a uvarint-length-prefixed string cut
-// to 65 535 bytes. Wall is left out, as in AppendBinary. This is an
-// archive point record's payload: a round count takes a byte or two,
-// and a duration of seconds five or six, rather than 8 each.
-// ReadCompactPoint is its inverse.
+// to 65 535 bytes. This is an archive point record's payload: a round
+// count takes a byte or two, and a duration of seconds five or six,
+// rather than 8 each. ReadCompactPoint is its inverse.
 func (p Point) AppendCompact(b []byte) []byte {
 	if b == nil {
 		b = make([]byte, 0, wire.VarintLen(int64(p.Round))+wire.VarintLen(int64(p.At))+
@@ -149,8 +144,8 @@ func (p Point) AppendCompact(b []byte) []byte {
 	return wire.AppendVarString(b, p.Err)
 }
 
-// ReadCompactPoint reads one AppendCompact point off r (Wall stays
-// zero). A short or non-canonical payload fails r, not the call.
+// ReadCompactPoint reads one AppendCompact point off r. A short or
+// non-canonical payload fails r, not the call.
 func ReadCompactPoint(r *wire.Reader) Point {
 	return Point{
 		Round: int(r.Varint()),
@@ -272,7 +267,7 @@ func (st *Store) Observe(s pathload.Sample) {
 	// probing time and load it consumed before the error, and the
 	// monitor advances the path clock by the former, so dropping them
 	// would leave timeline gaps and under-count probe cost.
-	p := Point{Round: s.Round, At: s.At, Wall: s.Wall, Span: s.Result.Elapsed, Bits: s.Result.Bits}
+	p := Point{Round: s.Round, At: s.At, Span: s.Result.Elapsed, Bits: s.Result.Bits}
 	if s.Err != nil {
 		p.Err = s.Err.Error()
 	} else {
