@@ -45,13 +45,14 @@
 // than its header says, so Open and Verify treat either as damage to
 // sealed history, as they treat a broken chain link.
 //
-// The checkpoint blob is produced by the owner (SetHooks' checkpoint)
-// at seal time and must summarize every record up to and including
-// that segment — it is what lets replay skip re-counting sealed
-// records and what lets Compact drop old segments without losing
-// all-time counters. Only the newest one is ever read, so a seal
-// replaces it rather than keeping one per segment: what a directory
-// holds grows with its records, not with paths × seals.
+// The checkpoint blob is produced by the owner (the Checkpoint hook of
+// the Consumer it recovered with) at seal time and must summarize
+// every record up to and including that segment — it is what lets
+// Recover skip re-counting sealed records and what lets Compact drop
+// old segments without losing all-time counters. Only the newest one
+// is ever read, so a seal replaces it rather than keeping one per
+// segment: what a directory holds grows with its records, not with
+// paths × seals.
 package archive
 
 import (
@@ -175,7 +176,8 @@ type Archive struct {
 	frame    []byte        // Append's record frame, reused
 	closed   bool
 
-	// onAppend and checkpoint are the owner's hooks (SetHooks).
+	// onAppend and checkpoint are the owner's hooks (Consumer's, set by
+	// Recover).
 	onAppend   func(Record)
 	checkpoint func() []byte
 
@@ -232,22 +234,6 @@ func Open(dir string, opt Options) (*Archive, OpenReport, error) {
 // Dir returns the archive directory.
 func (a *Archive) Dir() string { return a.dir }
 
-// SetHooks installs the owner's hooks after Open, once the owner has
-// read the recovered state. onAppend, when non-nil, observes every
-// appended record under the archive lock, in append order — the hook a
-// checkpoint producer uses to keep its summary exactly in step with
-// the WAL; the record's Data is on loan from the frame Append wrote.
-// checkpoint, when non-nil, is called at seal time (under the archive
-// lock, after the sealed records are fixed) and must return a blob
-// summarizing every record appended so far. Call before concurrent
-// use.
-func (a *Archive) SetHooks(onAppend func(Record), checkpoint func() []byte) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.onAppend = onAppend
-	a.checkpoint = checkpoint
-}
-
 // Segments returns the sealed segments, oldest first.
 func (a *Archive) Segments() []SegmentInfo {
 	a.mu.Lock()
@@ -260,14 +246,6 @@ func (a *Archive) TailRecords() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.walRecs
-}
-
-// Checkpoint returns the newest sealed segment's checkpoint blob (nil
-// when no segment exists or the owner seals without checkpoints).
-func (a *Archive) Checkpoint() []byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]byte(nil), a.ckpt...)
 }
 
 // Append writes rec to the WAL in one write, invokes the onAppend
@@ -379,51 +357,6 @@ func (a *Archive) Compact(maxBytes int64, maxAge time.Duration) ([]uint64, error
 		removed = append(removed, victim.Index)
 	}
 	return removed, nil
-}
-
-// ReplaySealed streams every record retained in sealed segments,
-// oldest segment first, records in append order. These are exactly the
-// records the newest checkpoint summarizes. Each segment is read once,
-// and its header, record CRCs and record count are checked in that
-// same pass: a defect fails the call after fn has seen the records
-// before it. Each record lends its Data until fn returns (see Record).
-func (a *Archive) ReplaySealed(fn func(Record) error) error {
-	keys := keyTable{}
-	for _, s := range a.Segments() {
-		if err := replaySegment(a.dir, s.Index, keys, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReplayTail streams the live WAL records, in append order — the
-// records no checkpoint covers yet. Each record lends its Data until fn
-// returns (see Record).
-func (a *Archive) ReplayTail(fn func(Record) error) error {
-	return readWAL(filepath.Join(a.dir, walName), func(_ uint64, rr *recordReader) error {
-		if err := rr.each(fn); err != nil {
-			return fmt.Errorf("archive: wal: %w", err)
-		}
-		return nil
-	})
-}
-
-// replaySegment hands fn every record of segment idx in dir, in one
-// pass that also checks the segment, its keys made strings by keys.
-func replaySegment(dir string, idx uint64, keys keyTable, fn func(Record) error) error {
-	var fnErr error
-	_, _, _, err := scanSegment(segPath(dir, idx), idx, false, false, keys, func(r Record) error {
-		fnErr = fn(r)
-		return fnErr
-	})
-	switch {
-	case fnErr != nil:
-		return fmt.Errorf("archive: segment %d: %w", idx, fnErr)
-	case err != nil:
-		return fmt.Errorf("archive: %s: %w", filepath.Base(segPath(dir, idx)), err)
-	}
-	return nil
 }
 
 func (a *Archive) now() int64 {

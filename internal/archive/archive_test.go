@@ -52,14 +52,18 @@ func kept(r Record) Record {
 	return r
 }
 
-// collect replays the archive into (sealed, tail) record slices.
+// collect walks the archive into (sealed, tail) record slices.
 func collect(t *testing.T, a *Archive) (sealed, tail []Record) {
 	t.Helper()
-	if err := a.ReplaySealed(func(r Record) error { sealed = append(sealed, kept(r)); return nil }); err != nil {
-		t.Fatalf("ReplaySealed: %v", err)
-	}
-	if err := a.ReplayTail(func(r Record) error { tail = append(tail, kept(r)); return nil }); err != nil {
-		t.Fatalf("ReplayTail: %v", err)
+	if err := Walk(a.Dir(), func(r Record, isSealed bool) error {
+		if isSealed {
+			sealed = append(sealed, kept(r))
+		} else {
+			tail = append(tail, kept(r))
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("Walk: %v", err)
 	}
 	return sealed, tail
 }
@@ -246,7 +250,7 @@ func TestCompact(t *testing.T) {
 func TestVerifyDetectsAnyFlippedByte(t *testing.T) {
 	dir := t.TempDir()
 	a, _ := openT(t, dir, Options{})
-	a.SetHooks(nil, func() []byte { return []byte("checkpoint-blob") })
+	a.checkpoint = func() []byte { return []byte("checkpoint-blob") }
 	for s := 0; s < 3; s++ {
 		appendN(t, a, s*4, 4)
 		if err := a.Seal(); err != nil {
@@ -470,7 +474,7 @@ func TestSegmentHeaderBounds(t *testing.T) {
 	dir := t.TempDir()
 	a, _ := openT(t, dir, Options{})
 	defer a.Close()
-	a.SetHooks(nil, fixedCheckpoint("blob"))
+	a.checkpoint = fixedCheckpoint("blob")
 	appendN(t, a, 0, 3)
 	a.walRecs = math.MaxUint32 + 1
 	if err := a.Seal(); err == nil || !strings.Contains(err.Error(), "do not fit") {

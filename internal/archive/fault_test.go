@@ -66,7 +66,7 @@ func TestCrashMatrix(t *testing.T) {
 	mkBase := func(t *testing.T) string {
 		dir := t.TempDir()
 		a, _ := openT(t, dir, Options{})
-		a.SetHooks(nil, fixedCheckpoint("seg 1"))
+		a.checkpoint = fixedCheckpoint("seg 1")
 		appendN(t, a, 0, 6)
 		if err := a.Seal(); err != nil {
 			t.Fatalf("Seal: %v", err)
@@ -135,7 +135,7 @@ func TestCrashMatrix(t *testing.T) {
 			name: "kill between checkpoint write and segment rename",
 			damage: func(t *testing.T, dir string) {
 				a, _ := openT(t, dir, Options{})
-				a.SetHooks(nil, fixedCheckpoint("seg 2"))
+				a.checkpoint = fixedCheckpoint("seg 2")
 				a.failpoint = crashAt("wrote-checkpoint")
 				if err := a.Seal(); !errors.Is(err, errCrash) {
 					t.Fatalf("failpoint not hit: %v", err)
@@ -152,7 +152,7 @@ func TestCrashMatrix(t *testing.T) {
 					t.Fatalf("orphan-checkpoint recovery: %+v", rep)
 				}
 				checkpointFiles(t, dir, "ckpt-00000001")
-				if got := string(a.Checkpoint()); got != "seg 1" {
+				if got := string(a.ckpt); got != "seg 1" {
 					t.Fatalf("live checkpoint %q, want segment 1's", got)
 				}
 				sealed, tail := collect(t, a)
@@ -225,7 +225,7 @@ func TestCrashMatrix(t *testing.T) {
 			name: "kill between head rewrite and checkpoint removal",
 			damage: func(t *testing.T, dir string) {
 				a, _ := openT(t, dir, Options{})
-				a.SetHooks(nil, fixedCheckpoint("seg 2"))
+				a.checkpoint = fixedCheckpoint("seg 2")
 				a.failpoint = crashAt("anchored-head")
 				if err := a.Seal(); !errors.Is(err, errCrash) {
 					t.Fatalf("failpoint not hit: %v", err)
@@ -240,7 +240,7 @@ func TestCrashMatrix(t *testing.T) {
 					t.Fatalf("replaced-checkpoint recovery: %+v", rep)
 				}
 				checkpointFiles(t, dir, "ckpt-00000002")
-				if got := string(a.Checkpoint()); got != "seg 2" {
+				if got := string(a.ckpt); got != "seg 2" {
 					t.Fatalf("live checkpoint %q, want the one segment 2 names", got)
 				}
 				sealed, tail := collect(t, a)

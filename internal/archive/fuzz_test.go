@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -153,8 +154,11 @@ func FuzzReadRecord(f *testing.F) {
 // writes must round-trip the payloads they accept (AppendCompact only
 // truncates error texts past 65 535 bytes, which no payload that
 // decodes can carry). KindPoint, which nothing writes any more, must
-// only decode without panicking. The committed seeds are the mini
-// fixture's KindPoint and KindLink payloads.
+// only decode without panicking. For either point kind the store's
+// checkpoint shadow (pointOutcome) must accept exactly what
+// decodePoint accepts and read the same range center and outcome. The
+// committed seeds are the mini fixture's KindPoint and KindLink
+// payloads.
 func FuzzRecordPayloads(f *testing.F) {
 	p := tsstore.Point{Round: -1, At: 1, Span: 2, Lo: 3, Hi: 4, Bits: 5, Err: "timeout"}
 	f.Add(p.AppendCompact(nil))
@@ -162,7 +166,13 @@ func FuzzRecordPayloads(f *testing.F) {
 	f.Add(appendLink(nil, tsstore.LinkPoint{Round: 7, At: 1, Span: 2, Util: 0.5, Capacity: 1e7}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decodePoint(KindPoint, data)
+		for _, kind := range []uint8{KindPoint, KindPointCompact} {
+			p, err := decodePoint(kind, data)
+			mid, ok, oerr := pointOutcome(kind, data)
+			if (err == nil) != (oerr == nil) || err == nil && (math.Float64bits(mid) != math.Float64bits(p.Mid()) || ok != p.OK()) {
+				t.Fatalf("kind 0x%02x: the shadow reads %x as (%v, %v, %v), decodePoint as (%+v, %v)", kind, data, mid, ok, oerr, p, err)
+			}
+		}
 		if p, err := decodePoint(KindPointCompact, data); err == nil {
 			if !bytes.Equal(p.AppendCompact(nil), data) {
 				t.Fatalf("point round-trip mismatch for %x", data)
@@ -299,7 +309,7 @@ func FuzzOpenVerifyAgree(f *testing.F) {
 		dir := t.TempDir()
 		a, _ := openT(t, dir, Options{})
 		seals := 0
-		a.SetHooks(nil, func() []byte { seals++; return fmt.Appendf(nil, "checkpoint %d", seals) })
+		a.checkpoint = func() []byte { seals++; return fmt.Appendf(nil, "checkpoint %d", seals) }
 		crashed := int(crash % 3) // the seal that crashes; 0 for none
 		for s := 1; s <= 2; s++ {
 			appendN(t, a, 3*s, 3)

@@ -14,11 +14,11 @@ import (
 // and the coordinator's persistence log define their own kinds over the
 // same framing, so one directory can hold a mixed durability stream.
 //
-// A Record the archive hands to a callback (ReplaySealed, ReplayTail,
-// Walk, the SetHooks append hook) lends its Data for the duration of
-// the call: the bytes are the reader's frame buffer, which the next
-// record overwrites. A callback that keeps them copies them. Its Key is
-// an ordinary string, the caller's to keep.
+// A Record the archive hands to a callback (Walk, a Consumer's Apply
+// or OnAppend) lends its Data for the duration of the call: the bytes
+// are the reader's frame buffer, which the next record overwrites. A
+// callback that keeps them copies them. Its Key is an ordinary string,
+// the caller's to keep.
 type Record struct {
 	// Kind routes the record to its decoder. Kinds 0x01–0x1f are
 	// reserved for the tsstore adapter, 0x20–0x2f for the coordinator.

@@ -71,7 +71,7 @@ func TestDecodeRecordHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var recs []Record
-	if err := backend.Archive().ReplayTail(func(r Record) error { recs = append(recs, kept(r)); return nil }); err != nil {
+	if err := Walk(dir, func(r Record, _ bool) error { recs = append(recs, kept(r)); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

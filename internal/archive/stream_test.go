@@ -70,7 +70,7 @@ func TestSealFailureAfterRenameClosesArchive(t *testing.T) {
 func TestCheckpointHoldsOnlyItsBlob(t *testing.T) {
 	dir := t.TempDir()
 	a, _ := openT(t, dir, Options{})
-	a.SetHooks(nil, func() []byte { return append(make([]byte, 0, 64), 1, 2) })
+	a.checkpoint = func() []byte { return append(make([]byte, 0, 64), 1, 2) }
 	appendN(t, a, 0, 1000)
 	if err := a.Seal(); err != nil {
 		t.Fatal(err)
@@ -238,30 +238,37 @@ func TestRecoveryAllocationBudget(t *testing.T) {
 }
 
 // TestStoreBackendAppendAllocationFree: a warmed archive-backed Observe
-// of an OK sample allocates nothing. The point is encoded straight into
-// the archive's reused frame, and the checkpoint shadow decodes it from
-// there; an encoding of its own cost one allocation per sample.
+// allocates nothing, of an OK sample or a failed one. The point is
+// encoded straight into the archive's reused frame, and the checkpoint
+// shadow reads its range and outcome from there: an encoding of its own
+// cost one allocation per sample, and decoding a failed round's error
+// text into a string one more.
 func TestStoreBackendAppendAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	st, _, _ := openStoreT(t, t.TempDir(), Options{}, tsstore.Config{Capacity: 32})
-	defer st.Close()
-	s := sample("path-00", 0)
-	for r := range 200 { // full ring, full digests, frame buffer grown
-		s.Round, s.Result.Lo, s.Result.Hi = r, 40e6+float64(r)*1e5, 48e6+float64(r)*1e5
-		st.Observe(s)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		s.Round++
-		s.Result.Lo += 1e5
-		s.Result.Hi += 1e5
-		st.Observe(s)
-	})
-	if n, err := st.BackendErrs(); n != 0 {
-		t.Fatalf("backend errors: %d %v", n, err)
-	}
-	if allocs != 0 {
-		t.Fatalf("an archive-backed Observe allocates %v objects, want 0", allocs)
+	for _, failed := range []bool{false, true} {
+		st, _, _ := openStoreT(t, t.TempDir(), Options{}, tsstore.Config{Capacity: 32})
+		defer st.Close()
+		s := sample("path-00", 0)
+		if failed {
+			s = sample("path-00", 3) // round%7 == 3 fails
+		}
+		for r := range 200 { // full ring, full digests, frame buffer grown
+			s.Round, s.Result.Lo, s.Result.Hi = r, 40e6+float64(r)*1e5, 48e6+float64(r)*1e5
+			st.Observe(s)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			s.Round++
+			s.Result.Lo += 1e5
+			s.Result.Hi += 1e5
+			st.Observe(s)
+		})
+		if n, err := st.BackendErrs(); n != 0 {
+			t.Fatalf("backend errors: %d %v", n, err)
+		}
+		if allocs != 0 {
+			t.Errorf("an archive-backed Observe (failed %v) allocates %v objects, want 0", failed, allocs)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,21 +41,21 @@ const (
 // and link window the store ingests becomes one WAL record. It also
 // maintains the checkpoint shadow — per-path all-time totals, error
 // counts, and mergeable digests, plus per-link window counts — updated
-// record-by-record under the archive lock (the SetHooks append hook),
-// so the checkpoint a seal writes summarizes exactly the records that
-// segment and its predecessors hold, regardless of what
-// the live store ingested concurrently. Summarizing the live store instead would
-// race: a sample landing between the seal boundary and the summary
-// would be counted by the checkpoint *and* replayed from the next WAL.
+// record-by-record under the archive lock (its OnAppend hook), so the
+// checkpoint a seal writes summarizes exactly the records that segment
+// and its predecessors hold, regardless of what the live store ingested
+// concurrently. Summarizing the live store instead would race: a sample
+// landing between the seal boundary and the summary would be counted by
+// the checkpoint *and* replayed from the next WAL.
 //
-// Wire up with OpenStore; the shadow state is seeded from the
-// recovered store before hooks are installed.
+// Wire up with OpenStore, which seeds the shadow once per path from
+// the recovered store before it hands the store out.
 type StoreBackend struct {
 	a          *Archive
 	digestSize int
 
-	// The shadow maps are touched only under the archive lock (via the
-	// SetHooks hooks) after seeding.
+	// The shadow maps are touched only under the archive lock (by the
+	// OnAppend and Checkpoint hooks) after seeding.
 	paths map[string]*shadowSeries
 	links map[string]uint64
 }
@@ -86,7 +87,7 @@ func (t *StoreBackend) Archive() *Archive { return t.a }
 func (t *StoreBackend) onAppend(rec Record) {
 	switch rec.Kind {
 	case KindPoint, KindPointCompact:
-		p, err := decodePoint(rec.Kind, rec.Data)
+		mid, ok, err := pointOutcome(rec.Kind, rec.Data)
 		if err != nil {
 			return
 		}
@@ -96,14 +97,42 @@ func (t *StoreBackend) onAppend(rec Record) {
 			t.paths[rec.Key] = s
 		}
 		s.total++
-		if p.OK() {
-			s.digest.Add(p.Mid())
+		if ok {
+			s.digest.Add(mid)
 		} else {
 			s.errs++
 		}
 	case KindLink:
 		t.links[rec.Key]++
 	}
+}
+
+// pointOutcome reads of a point record of either kind what the shadow
+// keeps: the center of its range, and whether the round succeeded. It
+// accepts what decodePoint accepts, but never makes the error text, the
+// payload's last field, a string: a failed round costs the shadow no
+// allocation.
+func pointOutcome(kind uint8, b []byte) (mid float64, ok bool, err error) {
+	d := wire.NewReader("archive: point record", b)
+	for range 3 { // Round, At, Span
+		if kind == KindPoint {
+			d.U64()
+		} else {
+			d.Varint()
+		}
+	}
+	lo, hi := d.F64(), d.F64()
+	d.F64() // Bits
+	var errLen uint64
+	if kind == KindPoint {
+		errLen = uint64(d.U16())
+	} else {
+		errLen = d.Uvarint()
+	}
+	if d.Err() != nil || errLen != uint64(d.Len()) || errLen > math.MaxUint16 {
+		return 0, false, errors.New("archive: point record does not decode")
+	}
+	return (lo + hi) / 2, errLen == 0, nil
 }
 
 // checkpoint encodes the shadow, in checkpoint version 2:
@@ -169,108 +198,67 @@ func (t *StoreBackend) seedFrom(st *tsstore.Store) {
 	}
 }
 
-// A StoreReport extends OpenReport with what store recovery found.
-// The coordinator's log (coord.OpenLog) reports in the same terms for
-// its own record kinds.
-type StoreReport struct {
-	OpenReport
-	// SealedRecords were replayed from sealed segments, foreign ones
-	// excluded; the WAL tail count is OpenReport.TailRecords.
-	SealedRecords int
-	// ForeignRecords carry kinds the reader does not decode (e.g.
-	// coordinator records sharing a store's directory); skipped.
-	ForeignRecords int
-	// CheckpointCorrupt means the newest segment's checkpoint failed
-	// to decode. All-time counters and digests were rebuilt by counted
-	// replay of the retained records instead — exact unless Compact
-	// has dropped segments, in which case the pre-compaction history
-	// is missing from the counters (explicitly, never silently).
-	CheckpointCorrupt bool
-}
-
-// String renders the report for operator logs.
-func (r StoreReport) String() string {
-	s := r.OpenReport.String() + fmt.Sprintf(", %d sealed records", r.SealedRecords)
-	if r.ForeignRecords > 0 {
-		s += fmt.Sprintf(", %d foreign records skipped", r.ForeignRecords)
-	}
-	if r.CheckpointCorrupt {
-		s += ", checkpoint corrupt (counters rebuilt from retained records)"
-	}
-	return s
-}
-
-// OpenStore opens the archive directory and rebuilds a tsstore.Store
-// from it, wired so further ingest is teed back into the archive:
-//
-//  1. sealed records replay ring-only (their counter and digest
-//     contribution comes from the newest checkpoint — replaying them
-//     counted would double-count),
-//  2. the newest checkpoint seeds each path's all-time totals, error
-//     counts, and digest (and each link's window count),
-//  3. the WAL tail — records no checkpoint covers — replays counted.
-//
-// With no (or a corrupt) checkpoint, everything replays counted and
-// the report says so. The returned store serves reads from memory as
-// always; Close it (or the backend) to release the archive.
+// OpenStore rebuilds a tsstore.Store from the archive directory
+// (Recover: the checkpoint seeds each path's all-time totals, error
+// counts and digest and each link's window count, sealed records refill
+// the rings, the WAL tail replays counted) and wires it so further
+// ingest is teed back into the archive. The returned store serves reads
+// from memory as always; Close it (or the backend) to release the
+// archive.
 func OpenStore(dir string, opt Options, cfg tsstore.Config) (*tsstore.Store, *StoreBackend, StoreReport, error) {
-	a, orep, err := Open(dir, opt)
-	rep := StoreReport{OpenReport: orep}
+	t := &StoreBackend{digestSize: cmp.Or(cfg.DigestSize, tsstore.DefaultDigestSize), paths: map[string]*shadowSeries{}, links: map[string]uint64{}}
+	st := tsstore.NewWithBackend(cfg, t)
+	a, rep, err := Recover(dir, opt, Consumer{
+		Seed:       func(b []byte) error { return seedStore(st, b) },
+		Apply:      func(r Record, counted bool) (bool, bool, error) { return replayStore(st, r, counted) },
+		OnAppend:   t.onAppend,
+		Checkpoint: t.checkpoint,
+	})
 	if err != nil {
 		return nil, nil, rep, err
 	}
-	size := cfg.DigestSize
-	if size == 0 {
-		size = tsstore.DefaultDigestSize
-	}
-	t := &StoreBackend{a: a, digestSize: size, paths: map[string]*shadowSeries{}, links: map[string]uint64{}}
-	st := tsstore.NewWithBackend(cfg, t)
-
-	ck, ckErr := decodeCheckpoint(a.Checkpoint())
-	if ckErr != nil {
-		rep.CheckpointCorrupt = true
-	}
-	counted := ck == nil
-	replay := func(r Record, counted bool) error {
-		switch r.Kind {
-		case KindPoint, KindPointCompact:
-			p, derr := decodePoint(r.Kind, r.Data)
-			if derr != nil {
-				return fmt.Errorf("archive: point record for %q: %w", r.Key, derr)
-			}
-			st.ReplayPoint(r.Key, p, counted)
-		case KindLink:
-			p, derr := decodeLink(r.Data)
-			if derr != nil {
-				return fmt.Errorf("archive: link record for %q: %w", r.Key, derr)
-			}
-			st.ReplayLink(r.Key, p, counted)
-		default:
-			rep.ForeignRecords++
-		}
-		return nil
-	}
-	if err := a.ReplaySealed(func(r Record) error { rep.SealedRecords++; return replay(r, counted) }); err != nil {
-		a.Close()
-		return nil, nil, rep, err
-	}
-	rep.SealedRecords -= rep.ForeignRecords
-	if ck != nil {
-		for _, p := range ck.pathOrder {
-			s := ck.paths[p]
-			st.SeedSeries(p, s.total, s.errs, s.digest)
-		}
-		for _, l := range ck.linkOrder {
-			st.SeedLink(l, ck.links[l])
-		}
-	}
-	if err := a.ReplayTail(func(r Record) error { return replay(r, true) }); err != nil {
-		a.Close()
-		return nil, nil, rep, err
-	}
+	t.a = a
 	t.seedFrom(st)
-	a.SetHooks(t.onAppend, t.checkpoint)
 	return st, t, rep, nil
+}
+
+// seedStore seeds st from a checkpoint blob, or leaves it untouched and
+// returns an error.
+func seedStore(st *tsstore.Store, b []byte) error {
+	ck, err := decodeCheckpoint(b)
+	if err != nil {
+		return err
+	}
+	for _, p := range ck.pathOrder {
+		s := ck.paths[p]
+		st.SeedSeries(p, s.total, s.errs, s.digest)
+	}
+	for _, l := range ck.linkOrder {
+		st.SeedLink(l, ck.links[l])
+	}
+	return nil
+}
+
+// replayStore replays one recovered record into st, counted or ring
+// only; it owns and uses every point and link record.
+func replayStore(st *tsstore.Store, r Record, counted bool) (owned, used bool, err error) {
+	switch r.Kind {
+	case KindPoint, KindPointCompact:
+		p, err := decodePoint(r.Kind, r.Data)
+		if err != nil {
+			return true, false, fmt.Errorf("archive: point record for %q: %w", r.Key, err)
+		}
+		st.ReplayPoint(r.Key, p, counted)
+	case KindLink:
+		p, err := decodeLink(r.Data)
+		if err != nil {
+			return true, false, fmt.Errorf("archive: link record for %q: %w", r.Key, err)
+		}
+		st.ReplayLink(r.Key, p, counted)
+	default:
+		return false, false, nil
+	}
+	return true, true, nil
 }
 
 // decodedCkpt is a parsed checkpoint blob.
@@ -281,13 +269,9 @@ type decodedCkpt struct {
 	links     map[string]uint64
 }
 
-// decodeCheckpoint parses a checkpoint blob of either version; (nil,
-// nil) for an empty blob (no checkpoint sealed yet), an error for a
-// corrupt one.
+// decodeCheckpoint parses a checkpoint blob of either version, or
+// returns an error for a corrupt one.
 func decodeCheckpoint(b []byte) (*decodedCkpt, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
 	d := ckptReader{Reader: wire.NewReader("archive: checkpoint", b)}
 	if d.U32() != ckptMagic {
 		return nil, errors.New("archive: checkpoint has wrong magic")

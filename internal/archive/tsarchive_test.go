@@ -244,7 +244,7 @@ func TestOpenStoreCorruptCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	a.SetHooks(nil, func() []byte { return []byte("not a checkpoint") })
+	a.checkpoint = func() []byte { return []byte("not a checkpoint") }
 	be := &StoreBackend{a: a, digestSize: tsstore.DefaultDigestSize, paths: map[string]*shadowSeries{}, links: map[string]uint64{}}
 	st := tsstore.NewWithBackend(tsstore.Config{Capacity: 32}, be)
 	feed(st, testPaths[:1], 0, 6)
@@ -516,12 +516,12 @@ func TestArchiveSizeBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oldCkpt := int64(len(be.Archive().Checkpoint()))
+			oldCkpt := int64(len(be.Archive().ckpt))
 			if err := be.Archive().Seal(); err != nil {
 				t.Fatal(err)
 			}
 			size := dirBytes(t, dir)
-			newCkpt := int64(len(be.Archive().Checkpoint()))
+			newCkpt := int64(len(be.Archive().ckpt))
 			if want := lastSeal + (wal.Size() - walHdrLen) + segHdrLen + newCkpt - oldCkpt; r >= sealEvery && size != want {
 				t.Fatalf("seal at round %d: directory %d B, want %d B (%d B of records, a %d B header, checkpoint %d B → %d B)",
 					r, size, want, wal.Size()-walHdrLen, segHdrLen, oldCkpt, newCkpt)

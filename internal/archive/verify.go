@@ -95,12 +95,12 @@ func Verify(dir string) (*VerifyReport, error) {
 
 // Walk streams every record in an archive directory read-only, sealed
 // segments oldest first and then the WAL's valid prefix, calling
-// fn(record, sealed). Unlike Open it never heals or truncates; like
-// recovery it stops the WAL scan at the first unverifiable record.
+// fn(record, sealed). It never heals or truncates, but it stops the WAL
+// scan at the first unverifiable record, where Open would cut the WAL.
 // Each file is read once: a damaged segment fails the walk after fn
 // has seen the records before the damage. Each record lends its Data
-// until fn returns (see Record). It is the engine of
-// `pathload-archive cat`.
+// until fn returns (see Record). It is the engine of Recover, which
+// walks a directory Open has just healed, and of `pathload-archive cat`.
 func Walk(dir string, fn func(r Record, sealed bool) error) error {
 	idxs, bad, _, err := listSegments(dir)
 	if err != nil {
@@ -111,8 +111,16 @@ func Walk(dir string, fn func(r Record, sealed bool) error) error {
 	}
 	keys := keyTable{}
 	for _, idx := range idxs {
-		if err := replaySegment(dir, idx, keys, func(r Record) error { return fn(r, true) }); err != nil {
-			return err
+		var fnErr error
+		_, _, _, err := scanSegment(segPath(dir, idx), idx, false, false, keys, func(r Record) error {
+			fnErr = fn(r, true)
+			return fnErr
+		})
+		switch {
+		case fnErr != nil:
+			return fmt.Errorf("archive: segment %d: %w", idx, fnErr)
+		case err != nil:
+			return fmt.Errorf("archive: %s: %w", filepath.Base(segPath(dir, idx)), err)
 		}
 	}
 	err = readWAL(filepath.Join(dir, walName), func(_ uint64, rr *recordReader) error {

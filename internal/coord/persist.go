@@ -182,63 +182,25 @@ type Log struct {
 	lease    []byte            // latest lease snapshot blob
 }
 
-// LogReport describes what OpenLog recovered. It is the store's
-// report: SealedRecords counts the log's own sealed records replayed
-// (0 when an intact checkpoint made replay unnecessary),
-// ForeignRecords the records of kinds this log does not own (kept in
-// the archive, ignored here, and counted whatever the checkpoint), and
-// CheckpointCorrupt a checkpoint that failed to decode, so recovery
-// replayed every sealed record instead.
+// LogReport describes what OpenLog recovered, in archive.Recover's
+// terms: SealedRecords counts the log's own sealed records it applied
+// (0 when an intact checkpoint already held them), ForeignRecords the
+// records of kinds the log does not own (kept in the archive, ignored
+// here), and CheckpointCorrupt a checkpoint that failed to decode, so
+// recovery applied every sealed record instead.
 type LogReport = archive.StoreReport
 
 // OpenLog opens (or creates) the coordinator's durable log at dir.
 func OpenLog(dir string, opt archive.Options) (*Log, LogReport, error) {
 	l := &Log{contribs: map[string][]byte{}}
-	a, rep, err := archive.Open(dir, opt)
+	a, rep, err := archive.Recover(dir, opt, archive.Consumer{
+		Seed: l.decodeCheckpoint, Apply: l.apply, OnAppend: l.onAppend, Checkpoint: l.checkpoint,
+	})
 	if err != nil {
 		return nil, LogReport{}, err
 	}
 	l.a = a
-	out := LogReport{OpenReport: rep}
-
-	seeded := false
-	if ck := a.Checkpoint(); len(ck) > 0 {
-		seeded = l.decodeCheckpoint(ck) == nil
-		out.CheckpointCorrupt = !seeded
-	}
-	// replay counts a foreign record, or applies one of the log's own
-	// when apply is set: onAppend copies the Data the archive lends.
-	replay := func(r archive.Record, apply bool) bool {
-		if r.Kind != KindContribution && r.Kind != KindLeases {
-			out.ForeignRecords++
-			return false
-		}
-		if apply {
-			l.onAppend(r)
-		}
-		return apply
-	}
-	// Sealed records are read whatever the checkpoint says, so foreign
-	// ones are counted as archive.OpenStore counts them; the log's own
-	// apply only when no intact checkpoint already holds them.
-	if err := a.ReplaySealed(func(r archive.Record) error {
-		if replay(r, !seeded) {
-			out.SealedRecords++
-		}
-		return nil
-	}); err != nil {
-		a.Close()
-		return nil, LogReport{}, err
-	}
-	if err := a.ReplayTail(func(r archive.Record) error {
-		replay(r, true)
-		return nil
-	}); err != nil {
-		a.Close()
-		return nil, LogReport{}, err
-	}
-	a.SetHooks(l.onAppend, l.checkpoint)
-	return l, out, nil
+	return l, rep, nil
 }
 
 // Archive exposes the underlying archive (seal/compact/verify).
@@ -260,7 +222,7 @@ func (l *Log) savePush(agent, path string, payload []byte) error {
 
 // onAppend maintains the checkpoint shadow, copying the Data the
 // archive lends; the archive calls it under its lock for every appended
-// record, and OpenLog for every record it replays.
+// record, and apply for every record recovery counts.
 func (l *Log) onAppend(r archive.Record) {
 	switch r.Kind {
 	case KindContribution:
@@ -268,6 +230,20 @@ func (l *Log) onAppend(r archive.Record) {
 	case KindLeases:
 		l.lease = append([]byte(nil), r.Data...)
 	}
+}
+
+// apply takes in a recovered record of the log's own kinds. A sealed
+// one the seeded checkpoint already holds (counted false) is owned but
+// not used: both kinds replace state, so the checkpoint is the sealed
+// history.
+func (l *Log) apply(r archive.Record, counted bool) (owned, used bool, err error) {
+	if r.Kind != KindContribution && r.Kind != KindLeases {
+		return false, false, nil
+	}
+	if counted {
+		l.onAppend(r)
+	}
+	return true, counted, nil
 }
 
 // checkpoint encodes the shadow state; the archive calls it under its

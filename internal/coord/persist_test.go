@@ -230,12 +230,13 @@ func TestLogRoundtrip(t *testing.T) {
 	// record of a kind the log does not own and does not count it as
 	// sealed; the line pathload-coord prints names both.
 	dir2 := t.TempDir()
-	a, _, err := archive.Open(dir2, archive.Options{})
+	lw := &Log{contribs: map[string][]byte{}}
+	a, _, err := archive.Recover(dir2, archive.Options{}, archive.Consumer{
+		Seed: lw.decodeCheckpoint, Apply: lw.apply, Checkpoint: func() []byte { return []byte("junk") },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SetHooks(nil, func() []byte { return []byte("junk") })
-	lw := &Log{contribs: map[string][]byte{}}
 	lw.a = a
 	if err := lw.saveLeases(snapB); err != nil {
 		t.Fatal(err)
@@ -307,6 +308,87 @@ func TestOpenLogCountsForeignSealedRecords(t *testing.T) {
 	st.Close()
 	if logRep.ForeignRecords != 1 || storeRep.ForeignRecords != 1 {
 		t.Fatalf("foreign records: OpenLog %d, OpenStore %d; want 1 each", logRep.ForeignRecords, storeRep.ForeignRecords)
+	}
+}
+
+// TestOpenLogAfterCompact: a log sealed three times and compacted down
+// to its newest segment comes back whole from the checkpoint — the
+// lease snapshot and the contribution that only the dropped segments
+// held included. Under a junk checkpoint the report says so, and only
+// what the retained segment holds comes back: nothing is guessed.
+func TestOpenLogAfterCompact(t *testing.T) {
+	snap := LeaseSnapshot{Clock: time.Second, Agents: []string{"a1", "a2"},
+		Owners: []OwnerGroup{{Paths: []string{"p00"}, Owner: "a1"}}}
+	// build writes three seals — the leases and a1/p00 (seq 1), then
+	// a2/p01, then a1/p00 (seq 2) — and compacts all but the last; junk
+	// makes every checkpoint undecodable.
+	build := func(junk bool) string {
+		dir := t.TempDir()
+		l := &Log{contribs: map[string][]byte{}}
+		c := archive.Consumer{Seed: l.decodeCheckpoint, Apply: l.apply, OnAppend: l.onAppend, Checkpoint: l.checkpoint}
+		if junk {
+			c.Checkpoint = func() []byte { return []byte("junk") }
+		}
+		a, _, err := archive.Recover(dir, archive.Options{}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.a = a
+		for _, write := range []func() error{
+			func() error { return l.saveLeases(snap) },
+			func() error { return l.savePush("a1", "p00", marshalPush("p00", mkContribution(1, 2))) },
+			a.Seal,
+			func() error { return l.savePush("a2", "p01", marshalPush("p01", mkContribution(7, 3))) },
+			a.Seal,
+			func() error { return l.savePush("a1", "p00", marshalPush("p00", mkContribution(2, 5))) },
+			a.Seal,
+		} {
+			if err := write(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if removed, err := a.Compact(1, 0); err != nil || !reflect.DeepEqual(removed, []uint64{1, 2}) {
+			t.Fatalf("Compact removed %v, %v; want segments 1 and 2", removed, err)
+		}
+		l.Close()
+		return dir
+	}
+	reopen := func(dir string) (LogReport, *LeaseSnapshot, *tsstore.Federation) {
+		l, rep, err := OpenLog(dir, archive.Options{})
+		if err != nil {
+			t.Fatalf("OpenLog: %v", err)
+		}
+		defer l.Close()
+		fed := tsstore.NewFederation(tsstore.Config{})
+		leases, _, dropped := l.restore(fed)
+		if len(dropped) != 0 {
+			t.Fatalf("restore dropped %v", dropped)
+		}
+		return rep, leases, fed
+	}
+
+	rep, leases, fed := reopen(build(false))
+	if rep.Segments != 1 || rep.SealedRecords != 0 || rep.CheckpointCorrupt {
+		t.Fatalf("compacted log report %+v", rep)
+	}
+	if leases == nil || !reflect.DeepEqual(*leases, snap) {
+		t.Fatalf("lease snapshot %+v, want %+v", leases, snap)
+	}
+	c0, ok0 := fed.Contribution("a1", "p00")
+	c1, ok1 := fed.Contribution("a2", "p01")
+	if !ok0 || c0.Seq != 2 || !ok1 || c1.Seq != 7 {
+		t.Fatalf("contributions a1/p00 %+v (%v), a2/p01 %+v (%v)", c0, ok0, c1, ok1)
+	}
+
+	rep, leases, fed = reopen(build(true))
+	if rep.Segments != 1 || rep.SealedRecords != 1 || !rep.CheckpointCorrupt {
+		t.Fatalf("compacted log under a junk checkpoint: report %+v", rep)
+	}
+	if leases != nil {
+		t.Fatalf("lease snapshot %+v came back from a compacted segment", leases)
+	}
+	if c0, ok := fed.Contribution("a1", "p00"); !ok || c0.Seq != 2 || !reflect.DeepEqual(fed.Paths(), []string{"p00"}) {
+		t.Fatalf("restored paths %v, a1/p00 %+v; want only the retained a1/p00", fed.Paths(), c0)
 	}
 }
 

@@ -330,9 +330,9 @@ func (st *Store) ReplayPoint(path string, p Point, counted bool) {
 }
 
 // SeedSeries primes a path's all-time counters and digest from a
-// checkpoint, overwriting whatever replay accumulated so far (d may be
-// nil to keep the current digest). Recovery order is: uncounted replay
-// of checkpointed records, SeedSeries, counted replay of the tail.
+// checkpoint, overwriting whatever they held (d may be nil to keep the
+// current digest). Recovery order (archive.Recover) is: SeedSeries,
+// uncounted replay of checkpointed records, counted replay of the tail.
 func (st *Store) SeedSeries(path string, total, errs uint64, d *Digest) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
