@@ -1,12 +1,16 @@
 package archive
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // A Consumer is an archive owner's side of Recover: OpenStore's store
 // and coord.OpenLog's log are the two.
 type Consumer struct {
 	// Seed takes in the newest checkpoint blob, lent for the call, when
-	// one was sealed. An error means the blob is corrupt, and Seed must
+	// one was sealed. An error means the blob is corrupt, or, when it is
+	// ErrForeignCheckpoint, that another consumer wrote it; Seed must
 	// then have changed nothing.
 	Seed func(ckpt []byte) error
 	// Apply takes in one recovered record, lent as Walk lends it;
@@ -21,6 +25,14 @@ type Consumer struct {
 	// lock and returns a blob summarizing every record appended so far.
 	Checkpoint func() []byte
 }
+
+// ErrForeignCheckpoint is what a Consumer's Seed returns (wrapped or
+// not) for a checkpoint another known consumer wrote: one that opens
+// with that consumer's magic. Open has hash-checked the checkpoint file
+// against its segment header, so such a blob is another consumer's
+// summary, not damage; a directory two consumers seal keeps only the
+// last sealer's.
+var ErrForeignCheckpoint = errors.New("archive: checkpoint written by another consumer")
 
 // A StoreReport extends OpenReport with what Recover found. OpenStore
 // and coord.OpenLog both report in it.
@@ -40,6 +52,10 @@ type StoreReport struct {
 	// has dropped segments, in which case the pre-compaction history
 	// is missing from the counters (explicitly, never silently).
 	CheckpointCorrupt bool
+	// ForeignCheckpoint means the newest segment's checkpoint was
+	// written by another consumer (ErrForeignCheckpoint): recovery
+	// replayed counted, as for a corrupt one, but nothing is damaged.
+	ForeignCheckpoint bool
 }
 
 // String renders the report for operator logs.
@@ -48,8 +64,11 @@ func (r StoreReport) String() string {
 	if r.ForeignRecords > 0 {
 		s += fmt.Sprintf(", %d foreign records skipped", r.ForeignRecords)
 	}
-	if r.CheckpointCorrupt {
+	switch {
+	case r.CheckpointCorrupt:
 		s += ", checkpoint corrupt (counters rebuilt from retained records)"
+	case r.ForeignCheckpoint:
+		s += ", checkpoint written by another consumer (counters rebuilt from retained records)"
 	}
 	return s
 }
@@ -58,8 +77,8 @@ func (r StoreReport) String() string {
 // from it, streaming the records through Walk, in the one recovery
 // order: the newest checkpoint seeds c; sealed records apply uncounted
 // if it did (counting them again would double-count) and counted if
-// there was none or it is corrupt; the WAL tail applies counted; then
-// c's OnAppend and Checkpoint become the archive's hooks.
+// there was none or it is corrupt or foreign; the WAL tail applies
+// counted; then c's OnAppend and Checkpoint become the archive's hooks.
 func Recover(dir string, opt Options, c Consumer) (*Archive, StoreReport, error) {
 	a, orep, err := Open(dir, opt)
 	rep := StoreReport{OpenReport: orep}
@@ -68,8 +87,10 @@ func Recover(dir string, opt Options, c Consumer) (*Archive, StoreReport, error)
 	}
 	seeded := false
 	if len(a.ckpt) > 0 {
-		seeded = c.Seed(a.ckpt) == nil
-		rep.CheckpointCorrupt = !seeded
+		err := c.Seed(a.ckpt)
+		seeded = err == nil
+		rep.ForeignCheckpoint = errors.Is(err, ErrForeignCheckpoint)
+		rep.CheckpointCorrupt = !seeded && !rep.ForeignCheckpoint
 	}
 	err = Walk(dir, func(r Record, sealed bool) error {
 		owned, used, err := c.Apply(r, !sealed || !seeded)

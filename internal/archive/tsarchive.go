@@ -32,9 +32,15 @@ const (
 // digests. Recovery reads both; a reader that predates version 2 calls
 // such a checkpoint corrupt and rebuilds its counters by counted
 // replay.
+//
+// A store directory may also hold a coordinator log's checkpoint,
+// which opens with coordCkptMagic (a copy of coord.Log's own constant;
+// TestForeignCheckpointNotCorrupt in internal/coord pins the two): that
+// is ErrForeignCheckpoint, not corruption.
 const (
-	ckptMagic   = 0x5453434b // "TSCK"
-	ckptVersion = 2
+	ckptMagic      = 0x5453434b // "TSCK"
+	ckptVersion    = 2
+	coordCkptMagic = 0x434c434b // "CLCK"
 )
 
 // A StoreBackend adapts an Archive to tsstore.Backend: every sample
@@ -270,10 +276,15 @@ type decodedCkpt struct {
 }
 
 // decodeCheckpoint parses a checkpoint blob of either version, or
-// returns an error for a corrupt one.
+// returns an error for a corrupt one, wrapping ErrForeignCheckpoint for
+// one another consumer wrote.
 func decodeCheckpoint(b []byte) (*decodedCkpt, error) {
 	d := ckptReader{Reader: wire.NewReader("archive: checkpoint", b)}
-	if d.U32() != ckptMagic {
+	switch d.U32() {
+	case ckptMagic:
+	case coordCkptMagic:
+		return nil, fmt.Errorf("archive: coordinator checkpoint: %w", ErrForeignCheckpoint)
+	default:
 		return nil, errors.New("archive: checkpoint has wrong magic")
 	}
 	v := d.U16()

@@ -165,9 +165,15 @@ func unmarshalLeaseSnapshot(b []byte) (LeaseSnapshot, error) {
 // (agent, path) among sealed records. Because both record kinds carry
 // replace-not-accumulate state, the checkpoint IS the sealed history —
 // restore never needs to re-read sealed segments when it is intact.
+//
+// storeCkptMagic ("TSCK") opens the checkpoints archive.OpenStore's
+// store seals, which a directory the coordinator shares with a store
+// may hold: that is archive.ErrForeignCheckpoint, not corruption.
+// TestForeignCheckpointNotCorrupt pins both constants to the archive's.
 const (
 	coordCkptMagic   uint32 = 0x434c434b
 	coordCkptVersion uint16 = 1
+	storeCkptMagic   uint32 = 0x5453434b
 )
 
 // Log is the coordinator's durable state: every lease-state change and
@@ -186,8 +192,9 @@ type Log struct {
 // terms: SealedRecords counts the log's own sealed records it applied
 // (0 when an intact checkpoint already held them), ForeignRecords the
 // records of kinds the log does not own (kept in the archive, ignored
-// here), and CheckpointCorrupt a checkpoint that failed to decode, so
-// recovery applied every sealed record instead.
+// here), CheckpointCorrupt a checkpoint that failed to decode, and
+// ForeignCheckpoint one another consumer wrote; after either, recovery
+// applied every sealed record instead.
 type LogReport = archive.StoreReport
 
 // OpenLog opens (or creates) the coordinator's durable log at dir.
@@ -269,10 +276,15 @@ func (l *Log) checkpoint() []byte {
 }
 
 // decodeCheckpoint seeds the shadow from a checkpoint blob, or leaves
-// it untouched and returns an error.
+// it untouched and returns an error: archive.ErrForeignCheckpoint for a
+// store's checkpoint.
 func (l *Log) decodeCheckpoint(b []byte) error {
 	d := wire.NewReader("coord: checkpoint", b)
-	if d.U32() != coordCkptMagic {
+	switch d.U32() {
+	case coordCkptMagic:
+	case storeCkptMagic:
+		return fmt.Errorf("coord: store checkpoint: %w", archive.ErrForeignCheckpoint)
+	default:
 		return fmt.Errorf("coord: not a coordinator checkpoint")
 	}
 	if v := d.U16(); d.Err() == nil && v != coordCkptVersion {

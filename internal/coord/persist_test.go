@@ -311,6 +311,62 @@ func TestOpenLogCountsForeignSealedRecords(t *testing.T) {
 	}
 }
 
+// TestForeignCheckpointNotCorrupt: a directory the other consumer
+// sealed holds that consumer's checkpoint, which OpenLog and OpenStore
+// each report as foreign and not corrupt, and both still replay the
+// records they own counted.
+func TestForeignCheckpointNotCorrupt(t *testing.T) {
+	storeDir := t.TempDir()
+	st, be, _, err := archive.OpenStore(storeDir, archive.Options{}, tsstore.Config{})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	for r := range 3 {
+		st.Observe(pathload.Sample{Path: "p00", Round: r, Result: pathload.Result{Lo: 1e6, Hi: 2e6}})
+	}
+	if err := be.Archive().Seal(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	l, logRep, err := OpenLog(storeDir, archive.Options{})
+	if err != nil {
+		t.Fatalf("OpenLog over a store's directory: %v", err)
+	}
+	l.Close()
+	if !logRep.ForeignCheckpoint || logRep.CheckpointCorrupt || logRep.ForeignRecords != 3 {
+		t.Errorf("OpenLog over a store's directory: %+v; want a foreign checkpoint, not a corrupt one, and 3 foreign records", logRep)
+	}
+	if s := logRep.String(); !strings.Contains(s, "checkpoint written by another consumer") {
+		t.Errorf("report %q does not name the foreign checkpoint", s)
+	}
+
+	logDir := t.TempDir()
+	l, _, err = OpenLog(logDir, archive.Options{})
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	if err := l.saveLeases(LeaseSnapshot{Clock: time.Second, Agents: []string{"a1"}}); err != nil {
+		t.Fatal(err)
+	}
+	point := tsstore.Point{Round: 1, Lo: 1e6, Hi: 2e6}.AppendBinary(nil)
+	if err := l.Archive().Append(archive.Record{Kind: archive.KindPoint, Key: "p00", Data: point}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Archive().Seal(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	st, _, storeRep, err := archive.OpenStore(logDir, archive.Options{}, tsstore.Config{})
+	if err != nil {
+		t.Fatalf("OpenStore over a log's directory: %v", err)
+	}
+	total, _ := st.Totals("p00")
+	st.Close()
+	if !storeRep.ForeignCheckpoint || storeRep.CheckpointCorrupt || storeRep.SealedRecords != 1 || total != 1 {
+		t.Errorf("OpenStore over a log's directory: %+v, p00 total %d; want a foreign checkpoint, not a corrupt one, and the point counted", storeRep, total)
+	}
+}
+
 // TestOpenLogAfterCompact: a log sealed three times and compacted down
 // to its newest segment comes back whole from the checkpoint — the
 // lease snapshot and the contribution that only the dropped segments

@@ -3,6 +3,7 @@ package netsim
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"runtime"
 	"testing"
 )
 
@@ -92,17 +93,34 @@ func TestDeadEndElisionLastHopOnly(t *testing.T) {
 	// Freed where they ended, the packets recirculate: the freelist holds
 	// the eleven that were in flight at once (1 ms apart, 10.8 ms end to
 	// end), not one per injection.
-	if got := len(sim.pktFree); got == 0 || got > 11 {
+	got := 0
+	for pkt := sim.pktFree; pkt != nil; pkt = pkt.next {
+		got++
+	}
+	if got == 0 || got > 11 {
 		t.Errorf("freelist holds %d packets after %d dead-end deliveries, want 1..11", got, n)
 	}
 }
 
-// TestRingFIFOAcrossGrowth: the circular ring hands back what it was
-// given, in order, while its contents wrap around the storage and the
-// storage doubles under them.
+// chunks counts the chunks a ring holds, in use and spare.
+func chunks[T any](r *ring[T]) int {
+	n := 0
+	for c := r.head; c != nil; c = c.next {
+		n++
+	}
+	for c := r.spare; c != nil; c = c.next {
+		n++
+	}
+	return n
+}
+
+// TestRingFIFOAcrossGrowth: the chunked ring hands back what it was
+// given, in order, while its contents span chunks from a head mid-chunk
+// and new peaks add chunks under them, and it never holds more chunks
+// than its peak backlog needs from the worst starting slot.
 func TestRingFIFOAcrossGrowth(t *testing.T) {
 	var r ring[int]
-	next, want := 0, 0
+	next, want, peak := 0, 0, 0
 	pop := func() {
 		if *r.peek() != want {
 			t.Fatalf("peek %d, want %d", *r.peek(), want)
@@ -113,11 +131,16 @@ func TestRingFIFOAcrossGrowth(t *testing.T) {
 		want++
 	}
 	// Backlogs of 3, 5, 9, ... each pushed from a head the drain before
-	// left mid-storage, so every doubling copies a wrapped ring.
+	// left mid-chunk, so every new peak links chunks behind a partly
+	// drained one.
 	for backlog := 3; backlog <= 300; backlog = 2*backlog - 1 {
 		for r.len() < backlog {
 			r.push(next)
 			next++
+		}
+		peak = max(peak, r.len())
+		if n, limit := chunks(&r), (peak+ringChunk-1)/ringChunk+1; n > limit {
+			t.Fatalf("%d chunks at peak backlog %d; want at most %d, spares included", n, peak, limit)
 		}
 		for r.len() > backlog/2 {
 			pop()
@@ -129,7 +152,42 @@ func TestRingFIFOAcrossGrowth(t *testing.T) {
 	if want != next {
 		t.Fatalf("popped %d of %d pushed", want, next)
 	}
-	if n := len(r.buf); n&(n-1) != 0 || n > 512 {
-		t.Fatalf("storage grew to %d slots for a peak backlog under 300; want the next power of two", n)
+}
+
+// TestRingRefillAllocationFree: a ring drained and refilled to the
+// peak it has held allocates nothing, and one element beyond that peak
+// allocates exactly one chunk, copying nothing already held.
+func TestRingRefillAllocationFree(t *testing.T) {
+	const peak = 3 * ringChunk
+	var r ring[txRec]
+	fill := func(n int) {
+		for r.len() < n {
+			r.push(txRec{seq: uint64(r.len())})
+		}
+	}
+	drain := func() {
+		for r.len() > 0 {
+			r.pop()
+		}
+	}
+	fill(peak)
+	drain()
+	if allocs := testing.AllocsPerRun(10, func() { fill(peak); drain() }); allocs != 0 {
+		t.Fatalf("refilling to the peak of %d allocates %v objects, want 0", peak, allocs)
+	}
+	fill(peak)
+	oldest := r.peek()
+	// One push, counted the way AllocsPerRun counts, without its warm-up
+	// call, which would take the new chunk first.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.push(txRec{})
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 1 {
+		t.Fatalf("one element beyond the peak allocates %d objects, want 1 chunk", allocs)
+	}
+	if r.peek() != oldest || r.peek().seq != 0 {
+		t.Fatal("growing the ring moved the elements it held")
 	}
 }

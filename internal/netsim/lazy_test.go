@@ -18,6 +18,15 @@ func TestSimulatorLayout(t *testing.T) {
 	}
 }
 
+// TestPacketLayout: a Packet, freelist link included, fits the 96-byte
+// size class, so the link that makes the freelist allocation-free costs
+// no memory per packet.
+func TestPacketLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size > 96 {
+		t.Fatalf("Packet is %d bytes; it must fit the 96-byte size class", size)
+	}
+}
+
 // tick is the grid every period, phase, delay and read instant of a
 // lazyNet sits on, and every transmission time is a multiple of it, so
 // completions, arrivals and reads land on the same nanosecond all the

@@ -330,11 +330,11 @@ func (l *Link) txDone() {
 	l.settle()
 	rec := l.inService.pop()
 	if l.live--; l.live > 0 {
-		i := 0
-		for l.lazy(l.inService.at(i).pkt) {
-			i++
+		k := l.inService.cursor()
+		for l.lazy(k.get().pkt) {
+			k.next()
 		}
-		next := l.inService.at(i)
+		next := k.get()
 		l.txArmed = l.sim.ScheduleReserved(next.done, next.seq, l.txDoneFn)
 	}
 	pkt := rec.pkt
@@ -381,41 +381,91 @@ func (l *Link) propArrive() {
 	rec.pkt.forward(l.sim, rec.at)
 }
 
-// ring is a FIFO queue on circular power-of-two storage that doubles
-// when full: it holds the peak backlog and nothing more, so steady
-// state allocates nothing.
+// ringChunk is the number of elements in one chunk of a ring.
+const ringChunk = 16
+
+// ring is a FIFO queue on a list of fixed-size chunks. A chunk that
+// drains goes onto the ring's spare list and the next chunk the ring
+// needs comes from there, so the ring holds its peak backlog and
+// nothing more (at most one chunk beyond it, for a head that starts
+// mid-chunk); a new peak allocates only its new chunks and copies
+// nothing, and steady state allocates nothing.
 type ring[T any] struct {
-	buf  []T // len is zero or a power of two
-	head int // index of the oldest element
-	n    int // elements held
+	head, tail *chunk[T] // oldest and newest chunk in use; nil before the first push
+	hi, ti     int       // head's oldest element, tail's first free slot
+	n          int       // elements held
+	spare      *chunk[T] // drained chunks, linked through next
+}
+
+type chunk[T any] struct {
+	buf  [ringChunk]T
+	next *chunk[T]
 }
 
 func (r *ring[T]) len() int { return r.n }
 
 // peek returns the oldest element in place; the ring must not be empty.
-func (r *ring[T]) peek() *T { return &r.buf[r.head] }
+func (r *ring[T]) peek() *T { return &r.head.buf[r.hi] }
 
-// at returns the i-th oldest element in place, 0 ≤ i < len.
-func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
-
-// push appends v, doubling the storage first when it is full.
+// push appends v, taking a chunk from the spares, or a new one, when
+// the tail chunk is full.
 func (r *ring[T]) push(v T) {
-	if r.n == len(r.buf) {
-		buf := make([]T, max(4, 2*len(r.buf)))
-		k := copy(buf, r.buf[r.head:])
-		copy(buf[k:], r.buf[:r.head])
-		r.buf, r.head = buf, 0
+	if r.tail == nil || r.ti == ringChunk {
+		c := r.spare
+		if c != nil {
+			r.spare, c.next = c.next, nil
+		} else {
+			c = new(chunk[T])
+		}
+		if r.tail == nil {
+			r.head = c
+		} else {
+			r.tail.next = c
+		}
+		r.tail, r.ti = c, 0
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.tail.buf[r.ti] = v
+	r.ti++
 	r.n++
 }
 
-// pop removes and returns the oldest element.
+// pop removes and returns the oldest element. An emptied ring starts
+// over at the front of its one chunk; a drained head chunk becomes a
+// spare.
 func (r *ring[T]) pop() T {
-	v := r.buf[r.head]
+	v := r.head.buf[r.hi]
 	var zero T
-	r.buf[r.head] = zero
-	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.head.buf[r.hi] = zero
+	r.hi++
 	r.n--
+	switch {
+	case r.n == 0:
+		r.hi, r.ti = 0, 0
+	case r.hi == ringChunk:
+		c := r.head
+		r.head, r.hi = c.next, 0
+		c.next, r.spare = r.spare, c
+	}
 	return v
+}
+
+// A ringCursor walks a ring's elements oldest first, one step at a
+// time, for scans that would be quadratic through repeated indexing.
+type ringCursor[T any] struct {
+	c *chunk[T]
+	i int
+}
+
+// cursor returns a cursor at the oldest element; the ring must not be
+// empty.
+func (r *ring[T]) cursor() ringCursor[T] { return ringCursor[T]{r.head, r.hi} }
+
+// get returns the element under the cursor in place.
+func (k *ringCursor[T]) get() *T { return &k.c.buf[k.i] }
+
+// next moves the cursor to the next element, which must exist.
+func (k *ringCursor[T]) next() {
+	if k.i++; k.i == ringChunk {
+		k.c, k.i = k.c.next, 0
+	}
 }

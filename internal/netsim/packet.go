@@ -18,11 +18,14 @@ type Packet struct {
 	route  []*Link
 	hop    int
 	sink   Sink
-	pooled bool // allocated by NewPacket; recyclable via FreePacket
+	pooled bool    // allocated by NewPacket; recyclable via FreePacket
+	next   *Packet // the next free packet while this one is on the freelist
 }
 
 // NewPacket returns a packet from the simulator's freelist (or a fresh
-// one), for allocation-free per-packet hot paths. Ownership rules: a
+// one), for allocation-free per-packet hot paths. The freelist is
+// intrusive, linked through the free packets themselves, so neither
+// NewPacket nor FreePacket ever allocates for it. Ownership rules: a
 // pooled packet that is dropped at a full buffer or erased by a loss
 // impairment is recycled by the link, sink or no sink — nobody else
 // ever sees it again. One that is delivered is recycled automatically
@@ -32,16 +35,15 @@ type Packet struct {
 // FreePacket once it no longer holds any reference (including Payload).
 // Drop observers (Link.OnDrop) must not keep the packet.
 func (s *Simulator) NewPacket() *Packet {
-	if n := len(s.pktFree); n > 0 {
-		pkt := s.pktFree[n-1]
-		s.pktFree[n-1] = nil
-		s.pktFree = s.pktFree[:n-1]
+	if pkt := s.pktFree; pkt != nil {
+		s.pktFree, pkt.next = pkt.next, nil
 		return pkt
 	}
 	return &Packet{pooled: true}
 }
 
-// FreePacket returns a pooled packet to the freelist. Packets not
+// FreePacket returns a pooled packet to the front of the freelist, so
+// the last packet freed is the next one handed out. Packets not
 // allocated by NewPacket are ignored (the caller owns them outright),
 // so generic sinks can call it unconditionally.
 func (s *Simulator) FreePacket(pkt *Packet) {
@@ -50,7 +52,7 @@ func (s *Simulator) FreePacket(pkt *Packet) {
 	}
 	pkt.ID, pkt.Size, pkt.SentAt, pkt.Payload = 0, 0, 0, nil
 	pkt.route, pkt.hop, pkt.sink = nil, 0, nil
-	s.pktFree = append(s.pktFree, pkt)
+	pkt.next, s.pktFree = s.pktFree, pkt
 }
 
 // Inject introduces a packet into the network at the first link of

@@ -73,9 +73,10 @@ type Simulator struct {
 	// every ticket taken so far precedes. See passed.
 	ticket uint64
 	events uint64
-	// pktFree recycles packets allocated by NewPacket whose ownership
-	// returned to the simulator (nil-sink delivery, drop); see FreePacket.
-	pktFree []*Packet
+	// pktFree heads the intrusive list (linked through Packet.next) of
+	// packets allocated by NewPacket whose ownership returned to the
+	// simulator (nil-sink delivery, drop); see FreePacket.
+	pktFree *Packet
 	// Padding to 128 bytes, a size class whose objects start on cache
 	// lines, so no two simulators share one. Shards of a fleet are
 	// allocated back to back and run on different cores; at 104 bytes
@@ -84,7 +85,7 @@ type Simulator struct {
 	// (before ticket) 690 ops/s, 104 B 475, 128 B 700; pinned to one CPU
 	// both layouts give 378, so it is false sharing and not the code.
 	// TestSimulatorLayout fails when a new field undoes this.
-	_ [24]byte
+	_ [40]byte
 }
 
 // NewSimulator returns a simulator with time set to zero.

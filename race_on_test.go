@@ -1,0 +1,5 @@
+//go:build race
+
+package pathload_test
+
+const raceEnabled = true

@@ -2,6 +2,7 @@ package pathload
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -67,18 +68,21 @@ func Run(p Prober, cfg Config) (Result, error) {
 		DisablePCT:       cfg.DisablePCT,
 	}
 
-	sc := newScratch(cfg)
+	sc := getScratch(cfg)
+	defer scratchPool.Put(sc)
 	for fleet := 0; !ctrl.Done() && fleet < cfg.MaxFleets; fleet++ {
 		rate := ctrl.Rate()
 		trace, elapsed, bits, err := runFleet(p, cfg, trendCfg, sc, fleet, rate)
 		res.Elapsed += elapsed
 		res.Bits += bits
 		if err != nil {
+			res.Fleets = sc.fleetsOut()
 			return res, fmt.Errorf("pathload: fleet %d at %.2f Mb/s: %w", fleet, rate/1e6, err)
 		}
-		res.Fleets = append(res.Fleets, trace)
+		sc.fleets = append(sc.fleets, trace)
 		ctrl.Record(trace.Verdict)
 	}
+	res.Fleets = sc.fleetsOut()
 
 	cr := ctrl.Result()
 	res.Lo, res.Hi = cr.Lo, cr.Hi
@@ -87,24 +91,70 @@ func Run(p Prober, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// A scratch is the working memory one Run reuses for every stream of
-// every fleet, so the search allocates per run, not per stream.
+// A scratch is the working memory of one Run: every stream of every
+// fleet reuses its buffers, and the run's traces collect in it until
+// fleetsOut copies them out. Runs take scratches from scratchPool, so a
+// warmed Run allocates only what it returns (TestRunAllocationBudget).
 type scratch struct {
 	owds    []float64         // one stream's OWDs, seconds; ClassifyInPlace reorders it
 	medians []float64         // that stream's median groups
 	kinds   []core.StreamType // one fleet's stream verdicts
+	// fleets are the run's completed fleets; each one's Streams is the
+	// window of streams it appended, read only for its length, since a
+	// later append may move streams.
+	fleets  []FleetTrace
+	streams []StreamTrace // every stream of the run, in order
 }
 
-func newScratch(cfg Config) scratch {
+// scratchPool holds the *scratch values of finished Runs. Nothing in
+// one is the caller's: fleetsOut copied the traces out.
+var scratchPool sync.Pool
+
+// getScratch returns an empty scratch sized for cfg's streams and
+// fleets, from scratchPool when it has one.
+func getScratch(cfg Config) *scratch {
+	sc, _ := scratchPool.Get().(*scratch)
+	if sc == nil {
+		sc = new(scratch)
+	}
 	// A stream has at most as many median groups as packets, so one
 	// array serves both float buffers.
-	k := cfg.PacketsPerStream
-	buf := make([]float64, 2*k)
-	return scratch{
-		owds:    buf[:0:k],
-		medians: buf[k : k : 2*k],
-		kinds:   make([]core.StreamType, 0, cfg.StreamsPerFleet),
+	if k := cfg.PacketsPerStream; cap(sc.owds) < k {
+		buf := make([]float64, 2*k)
+		sc.owds, sc.medians = buf[:0:k], buf[k:k:2*k]
 	}
+	if n := cfg.StreamsPerFleet; cap(sc.kinds) < n {
+		sc.kinds = make([]core.StreamType, 0, n)
+	}
+	clear(sc.fleets) // windows into streams arrays sc may have outgrown
+	sc.fleets, sc.streams = sc.fleets[:0], sc.streams[:0]
+	return sc
+}
+
+// fleetsOut copies the run's fleets and their streams into one
+// exact-size array each, which the caller owns: every fleet's Streams
+// is a full-slice window of the streams array (cap == len), so an
+// append to one moves it rather than overwrite its neighbour, and
+// nothing aliases the pooled scratch. The recorded fleets' streams are
+// a prefix of sc.streams; a failed fleet's follow them and stay behind.
+// No fleets is a nil slice, as before any fleet ran.
+func (sc *scratch) fleetsOut() []FleetTrace {
+	if len(sc.fleets) == 0 {
+		return nil
+	}
+	n := 0
+	for _, f := range sc.fleets {
+		n += len(f.Streams)
+	}
+	fleets := make([]FleetTrace, len(sc.fleets))
+	streams := make([]StreamTrace, n)
+	copy(streams, sc.streams)
+	for i, f := range sc.fleets {
+		k := len(f.Streams)
+		f.Streams, streams = streams[:k:k], streams[k:]
+		fleets[i] = f
+	}
+	return fleets
 }
 
 // initProbe sends one short stream at the generation limit and
@@ -152,7 +202,10 @@ func initProbe(p Prober, cfg Config) (adr float64, elapsed time.Duration, bits f
 // nothing. The one thing an unsent stream could still have done is
 // exceed DefaultStreamAbortLoss: a single stream aborts a fleet only if
 // sent.
-func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet int, rate float64) (FleetTrace, time.Duration, float64, error) {
+//
+// The fleet's streams go onto sc.streams, and the trace's Streams is
+// their window there.
+func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc *scratch, fleet int, rate float64) (FleetTrace, time.Duration, float64, error) {
 	l, t := cfg.StreamParams(rate)
 	tau := time.Duration(cfg.PacketsPerStream) * t
 	delta := DefaultInterStreamRTTs * tau
@@ -160,7 +213,8 @@ func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet
 		delta = rtt
 	}
 
-	trace := FleetTrace{Rate: rate, L: l, T: t, Delta: delta, Streams: make([]StreamTrace, 0, cfg.StreamsPerFleet)}
+	trace := FleetTrace{Rate: rate, L: l, T: t, Delta: delta}
+	first := len(sc.streams)
 	var elapsed time.Duration
 	var bits float64
 	kinds := sc.kinds[:0]
@@ -204,7 +258,7 @@ func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet
 			}
 		}
 		st.Kind = kind
-		trace.Streams = append(trace.Streams, st)
+		sc.streams = append(sc.streams, st)
 		kinds = append(kinds, kind)
 
 		rem := cfg.StreamsPerFleet - len(kinds)
@@ -217,6 +271,7 @@ func runFleet(p Prober, cfg Config, trendCfg core.TrendConfig, sc scratch, fleet
 		elapsed += delta
 	}
 
+	trace.Streams = sc.streams[first:]
 	trace.Verdict = FleetAborted
 	if !aborted {
 		trace.Verdict = core.ClassifyFleet(kinds, cfg.FleetFraction)
