@@ -28,9 +28,10 @@ import (
 )
 
 // Defaults for Config fields, from the paper (§IV). The loss policy,
-// the initialization stream length and the inter-stream gap are fixed:
-// no field overrides them. The fleet fraction and the PDT thresholds
-// are internal/core's, which applies them.
+// the minimum packet size, the initialization stream length and the
+// inter-stream gap are fixed: no field overrides them. The fleet
+// fraction and the PDT thresholds are internal/core's, which applies
+// them.
 const (
 	DefaultPacketsPerStream = 100                          // K
 	DefaultStreamsPerFleet  = 12                           // N
@@ -85,18 +86,17 @@ type Config struct {
 	// Resolution (ω) and GreyResolution (χ) are the termination
 	// criteria in bits/s.
 	Resolution, GreyResolution float64
-	// MinRate and MaxRate bound the binary search in bits/s. MaxRate 0
-	// selects the prober's generation limit MTU·8/MinPeriod.
-	MinRate, MaxRate float64
-	// InitialRate optionally sets the first fleet's rate.
-	InitialRate float64
+	// MaxRate caps the binary search in bits/s, which runs from 0 and
+	// starts at the midpoint of [0, MaxRate] (§IV). MaxRate 0 selects
+	// the prober's generation limit MTU·8/MinPeriod; the init probe may
+	// tighten it further.
+	MaxRate float64
 
 	// MinPeriod is T_min, the smallest packet interspacing the sender
-	// can sustain; together with MTU it caps the probing rate.
-	MinPeriod time.Duration
-	// MinPacket is L_min; probe packets never shrink below it so that
+	// can sustain; together with MTU it caps the probing rate. Probe
+	// packets never shrink below DefaultMinPacket (L_min), so that
 	// layer-2 headers do not distort the stream rate.
-	MinPacket int
+	MinPeriod time.Duration
 	// MTU caps the probe packet wire size to avoid fragmentation.
 	MTU int
 
@@ -144,9 +144,6 @@ func (c Config) withDefaults() Config {
 	if c.MinPeriod == 0 {
 		c.MinPeriod = DefaultMinPeriod
 	}
-	if c.MinPacket == 0 {
-		c.MinPacket = DefaultMinPacket
-	}
 	if c.MTU == 0 {
 		c.MTU = DefaultMTU
 	}
@@ -178,17 +175,17 @@ func (c Config) validate() error {
 	if !(c.FleetFraction >= 0 && c.FleetFraction <= 1) { // NaN too
 		return fmt.Errorf("pathload: FleetFraction %v outside [0,1]", c.FleetFraction)
 	}
-	if c.MinPacket > c.MTU {
-		return fmt.Errorf("pathload: MinPacket %d exceeds MTU %d", c.MinPacket, c.MTU)
+	if DefaultMinPacket > c.MTU {
+		return fmt.Errorf("pathload: MTU %d below the %d-byte minimum packet", c.MTU, DefaultMinPacket)
 	}
 	if c.MinPeriod <= 0 {
 		return fmt.Errorf("pathload: MinPeriod must be positive, got %v", c.MinPeriod)
 	}
-	if !(c.MinRate >= 0 && c.MinRate < c.MaxRate) { // defaulting caps MaxRate, so NaN and ±Inf fail
-		return fmt.Errorf("pathload: rate bounds [%v, %v] invalid", c.MinRate, c.MaxRate)
+	if !(c.MaxRate > 0) { // NaN too; defaulting capped +Inf
+		return fmt.Errorf("pathload: MaxRate %v not positive", c.MaxRate)
 	}
-	if c.PDTIncreasing*0+c.PDTNonIncreasing*0+c.Resolution*0+c.GreyResolution*0+c.InitialRate*0 != 0 { // x·0 is NaN for NaN and ±Inf
-		return fmt.Errorf("pathload: a PDT threshold, resolution or InitialRate is not finite in %+v", c)
+	if c.PDTIncreasing*0+c.PDTNonIncreasing*0+c.Resolution*0+c.GreyResolution*0 != 0 { // x·0 is NaN for NaN and ±Inf
+		return fmt.Errorf("pathload: a PDT threshold or resolution is not finite in %+v", c)
 	}
 	return nil
 }
@@ -210,18 +207,18 @@ func (c Config) GenerationLimit() float64 {
 
 // StreamParams computes the packet size L (bytes) and interspacing T
 // for a stream of the given rate (§IV "Stream Parameters"): T starts at
-// MinPeriod and L = R·T/8; if L would fall below MinPacket, L is pinned
-// there and T stretched; if L would exceed the MTU, L is pinned at the
-// MTU and T stretched, capping the achievable rate.
+// MinPeriod and L = R·T/8; if L would fall below DefaultMinPacket, L is
+// pinned there and T stretched; if L would exceed the MTU, L is pinned
+// at the MTU and T stretched, capping the achievable rate.
 func (c Config) StreamParams(rate float64) (l int, t time.Duration) {
 	cfg := c.withDefaults()
 	if rate <= 0 {
-		return cfg.MinPacket, cfg.MinPeriod
+		return DefaultMinPacket, cfg.MinPeriod
 	}
 	t = cfg.MinPeriod
 	l = int(rate * t.Seconds() / 8)
-	if l < cfg.MinPacket {
-		l = cfg.MinPacket
+	if l < DefaultMinPacket {
+		l = DefaultMinPacket
 	}
 	if l > cfg.MTU {
 		l = cfg.MTU

@@ -54,7 +54,9 @@ func searchTranscript(r pathload.Result) string {
 // the probe load and the measurement latency are strictly smaller. The
 // want strings and the full-fleet Bits/Elapsed were captured from the
 // commit before the early exit existed (every fleet N streams long) and
-// are not regenerated from this code.
+// are not regenerated from this code. The floor case (the search floor
+// is always 0) was captured later, with only the fleetSettled exit cut
+// out of runFleet.
 func TestEarlyExitPreservesSearch(t *testing.T) {
 	single := func(c, a float64) []fluid.Path { return []fluid.Path{{{C: c, A: a}}} }
 	// Avail-bw alternates per stream between 3 and 6 Mb/s: rates in
@@ -96,8 +98,8 @@ func TestEarlyExitPreservesSearch(t *testing.T) {
 			wobbleWant, 4.9824e+06, 8532104700},
 		{"above the probing limit", &indexedFluid{paths: single(155e6, 140e6)}, pathload.Config{},
 			"lo=1.190625e+08 hi=1.2e+08 grey=false[0,0] max=true min=false | 6e+07:R<A 9e+07:R<A 1.05e+08:R<A 1.125e+08:R<A 1.1625e+08:R<A 1.18125e+08:R<A 1.190625e+08:R<A", 8.6736e+07, 7782000000},
-		{"floor", &indexedFluid{paths: single(10e6, 0.2e6)}, pathload.Config{DisableInitProbe: true, MinRate: 1e6, MaxRate: 9e6},
-			"lo=1e+06 hi=2e+06 grey=false[0,0] max=false min=true | 5e+06:R>A 3e+06:R>A 2e+06:R>A", 2.7648e+06, 8808960000},
+		{"floor", &indexedFluid{paths: single(10e6, 0.2e6)}, pathload.Config{DisableInitProbe: true, MaxRate: 4e6},
+			"lo=0 hi=1e+06 grey=false[0,0] max=false min=true | 2e+06:R>A 1e+06:R>A", 1.8432e+06, 12787200000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := pathload.Run(tc.prober, tc.cfg)

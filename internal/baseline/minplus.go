@@ -32,25 +32,16 @@ const (
 	// minPlusGap separates consecutive trains so one rate's backlog
 	// drains before the next.
 	minPlusGap = 300 * time.Millisecond
+	// minPlusGrid is the number of probed rates, spaced linearly
+	// across (0, maxRate].
+	minPlusGrid = 12
 )
-
-// MinPlusConfig sets the rate grid of the direct-probing estimator.
-type MinPlusConfig struct {
-	// MinRate and MaxRate bound the probed grid in bits/s. MaxRate is
-	// required (there is no ADR pre-phase here; the caller supplies the
-	// ceiling, e.g. the narrow-link capacity); MinRate defaults to 0
-	// and is never itself probed.
-	MinRate, MaxRate float64
-	// Grid is the number of probed rates, spaced linearly across
-	// (MinRate, MaxRate] (default 12).
-	Grid int
-}
 
 // MinPlusResult brackets the available bandwidth from one grid sweep.
 type MinPlusResult struct {
 	// Lo is the highest clean (non-backlogged) rate, Hi the lowest
-	// backlogged rate; A is estimated inside [Lo, Hi]. Lo = MinRate
-	// when even the first rate backlogs; Hi = MaxRate when none does.
+	// backlogged rate; A is estimated inside [Lo, Hi]. Lo = 0 when
+	// even the first rate backlogs; Hi = maxRate when none does.
 	Lo, Hi float64
 	// Probed counts trains sent; Lost counts probe packets that never
 	// arrived (informational — loss does not gate the estimate).
@@ -60,21 +51,20 @@ type MinPlusResult struct {
 	Backlogged bool
 }
 
-// MinPlus sweeps the rate grid bottom-up and returns the bracketing
-// pair. Unlike SLoPS it has no loss-abort rule: a train decimated by
-// random loss still votes via whatever packets arrive, which is exactly
-// the behavioral difference the lossy scenario grades.
-func MinPlus(p pathload.Prober, cfg MinPlusConfig) (MinPlusResult, error) {
-	if cfg.Grid == 0 {
-		cfg.Grid = 12
+// MinPlus sweeps minPlusGrid rates bottom-up across (0, maxRate] and
+// returns the bracketing pair. maxRate is required: there is no ADR
+// pre-phase here, so the caller supplies the ceiling, e.g. the
+// narrow-link capacity. Unlike SLoPS it has no loss-abort rule: a train
+// decimated by random loss still votes via whatever packets arrive,
+// which is exactly the behavioral difference the lossy scenario grades.
+func MinPlus(p pathload.Prober, maxRate float64) (MinPlusResult, error) {
+	if !(maxRate > 0) { // NaN too
+		return MinPlusResult{}, fmt.Errorf("baseline: min-plus maxRate %v not positive", maxRate)
 	}
-	if cfg.MinRate < 0 || cfg.MaxRate <= cfg.MinRate {
-		return MinPlusResult{}, fmt.Errorf("baseline: min-plus rate range [%v, %v] invalid", cfg.MinRate, cfg.MaxRate)
-	}
-	res := MinPlusResult{Lo: cfg.MinRate, Hi: cfg.MaxRate}
-	step := (cfg.MaxRate - cfg.MinRate) / float64(cfg.Grid)
-	for i := 1; i <= cfg.Grid; i++ {
-		rate := cfg.MinRate + float64(i)*step
+	res := MinPlusResult{Hi: maxRate}
+	step := maxRate / minPlusGrid
+	for i := 1; i <= minPlusGrid; i++ {
+		rate := float64(i) * step
 		period := time.Duration(float64(minPlusPacketSize) * 8 / rate * float64(time.Second))
 		spec := pathload.StreamSpec{
 			Rate:  rate,

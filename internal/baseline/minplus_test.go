@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/fluid"
@@ -33,10 +34,11 @@ func (l *lossyFluidProber) SendStream(spec pathload.StreamSpec) (pathload.Stream
 
 // TestMinPlusBracketsFluid: on a fluid path the sweep brackets the
 // avail-bw to one grid step — rates at or below A are clean (no queue
-// growth), the first rate above it backlogs.
+// growth), the first rate above it backlogs. A 12 Mb/s ceiling makes
+// the 12-rate grid 1 Mb/s steps.
 func TestMinPlusBracketsFluid(t *testing.T) {
 	p := &fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}
-	res, err := MinPlus(p, MinPlusConfig{MaxRate: 10e6, Grid: 10})
+	res, err := MinPlus(p, 12e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestMinPlusBracketsFluid(t *testing.T) {
 // — the surviving packets still carry the trend.
 func TestMinPlusLossTolerant(t *testing.T) {
 	p := &lossyFluidProber{fluidProber: fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}, drop: 3}
-	res, err := MinPlus(p, MinPlusConfig{MaxRate: 10e6, Grid: 10})
+	res, err := MinPlus(p, 12e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,24 +68,24 @@ func TestMinPlusLossTolerant(t *testing.T) {
 }
 
 // TestMinPlusSweepEdges: an idle path runs off the top of the grid
-// (Hi = MaxRate, Backlogged false); a saturated one backlogs on the
-// first probe (Lo = MinRate).
+// (Hi = maxRate, Backlogged false); a saturated one backlogs on the
+// first probe (Lo = 0).
 func TestMinPlusSweepEdges(t *testing.T) {
 	idle := &fluidProber{path: fluid.Path{{C: 100e6, A: 99e6}}}
-	res, err := MinPlus(idle, MinPlusConfig{MaxRate: 10e6, Grid: 5})
+	res, err := MinPlus(idle, 12e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Backlogged || res.Lo != 10e6 || res.Hi != 10e6 || res.Probed != 5 {
-		t.Fatalf("idle path: %+v, want clean full sweep to 10 Mb/s", res)
+	if res.Backlogged || res.Lo != 12e6 || res.Hi != 12e6 || res.Probed != 12 {
+		t.Fatalf("idle path: %+v, want clean full sweep to 12 Mb/s", res)
 	}
 
 	sat := &fluidProber{path: fluid.Path{{C: 10e6, A: 0.2e6}}}
-	res, err = MinPlus(sat, MinPlusConfig{MaxRate: 10e6, Grid: 5})
+	res, err = MinPlus(sat, 12e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Backlogged || res.Lo != 0 || res.Hi != 2e6 || res.Probed != 1 {
+	if !res.Backlogged || res.Lo != 0 || res.Hi != 1e6 || res.Probed != 1 {
 		t.Fatalf("saturated path: %+v, want first-probe backlog with Lo = 0", res)
 	}
 }
@@ -108,14 +110,12 @@ func TestMinPlusDecimatedTrainIsBacklogged(t *testing.T) {
 // as errors.
 func TestMinPlusErrors(t *testing.T) {
 	p := &fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}
-	if _, err := MinPlus(p, MinPlusConfig{}); err == nil {
-		t.Error("missing MaxRate accepted")
+	for _, maxRate := range []float64{0, -4e6, math.NaN()} {
+		if _, err := MinPlus(p, maxRate); err == nil {
+			t.Errorf("maxRate %v accepted", maxRate)
+		}
 	}
-	if _, err := MinPlus(p, MinPlusConfig{MinRate: 5e6, MaxRate: 4e6}); err == nil {
-		t.Error("inverted rate range accepted")
-	}
-	if _, err := MinPlus(&fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}, fail: true},
-		MinPlusConfig{MaxRate: 10e6}); err == nil {
+	if _, err := MinPlus(&fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}, fail: true}, 10e6); err == nil {
 		t.Error("transport failure swallowed")
 	}
 }

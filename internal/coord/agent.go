@@ -394,8 +394,10 @@ func (a *Agent) reconcile(asg assignMsg) error {
 		return nil
 	}
 	a.stopMonitorLocked()
-	a.leases = append([]Lease(nil), leases...)
-	a.budget = asg.Budget
+	// The agent holds a lease set only once a monitor runs it: a build
+	// that fails below leaves none, so the same assignment, sent again
+	// after the session re-registers, is built anew.
+	a.leases, a.budget = nil, asg.Budget
 	if len(leases) == 0 {
 		a.eventf("leases revoked; idle")
 		return nil
@@ -442,6 +444,7 @@ func (a *Agent) reconcile(asg assignMsg) error {
 		return err
 	}
 	a.mon = mon
+	a.leases = append([]Lease(nil), leases...)
 	// The Results channel must drain or sessions block; the store is
 	// the sink of record, so the live stream is just discarded.
 	results := mon.Results()

@@ -168,6 +168,69 @@ func TestAgentEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAgentRetriesFailedProvider: a lease whose monitor could not start
+// is not held. The Provider fails its first call, the session drops and
+// re-registers, the coordinator assigns the same lease again, and this
+// time the path must be measured instead of sitting idle on a lease the
+// agent already thinks it runs.
+func TestAgentRetriesFailedProvider(t *testing.T) {
+	srv, err := NewServer(ServerConfig{
+		Coord:    Config{Paths: []string{"p00"}, TTL: 700 * time.Millisecond, Epoch: 50 * time.Millisecond},
+		AutoTick: true,
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(ln)
+
+	var mu sync.Mutex
+	calls := 0
+	a, err := NewAgent(AgentConfig{
+		Coord: ln.Addr().String(),
+		Name:  "a1",
+		Provider: func(string) (pathload.ProberFactory, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if calls++; calls == 1 {
+				return nil, errors.New("transport not ready")
+			}
+			return func() (pathload.Prober, error) { return &stubProber{avail: 5e6}, nil }, nil
+		},
+		Heartbeat:   40 * time.Millisecond,
+		PushEvery:   50 * time.Millisecond,
+		DialBackoff: 5 * time.Millisecond,
+		Monitor: pathload.MonitorConfig{
+			Interval: 5 * time.Millisecond,
+			Config:   pathload.Config{PacketsPerStream: 8, StreamsPerFleet: 3, DisableInitProbe: true},
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewAgent: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- a.Run() }()
+	defer a.Stop()
+
+	waitFor(t, "p00 measured after the provider recovered", func() bool {
+		c, ok := srv.Federation().Contribution("a1", "p00")
+		return ok && c.Total >= 1
+	})
+	a.Stop()
+	if err := <-done; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if calls != 2 {
+		t.Errorf("Provider called %d times, want 2: one failure, one monitor", calls)
+	}
+}
+
 // TestAgentSurvivesCoordinatorRestart: losing the control connection
 // must not kill the agent — it re-dials with backoff and re-registers
 // when the coordinator returns.

@@ -5,11 +5,12 @@ import "fmt"
 // ControllerConfig parameterizes the iterative rate-adjustment
 // algorithm (§III-B refined by §IV).
 type ControllerConfig struct {
-	// MinRate and MaxRate bound the search, in bits/s. MaxRate must be
-	// positive; it is the highest rate the prober can generate
-	// (ℓ_max·8/T_min for pathload) and therefore the highest avail-bw
-	// the tool can report.
-	MinRate, MaxRate float64
+	// MaxRate caps the search, in bits/s; it must be positive. It is
+	// the highest rate the prober can generate (ℓ_max·8/T_min for
+	// pathload) and therefore the highest avail-bw the tool can report.
+	// The search runs over [0, MaxRate] and its first fleet probes the
+	// midpoint.
+	MaxRate float64
 	// Resolution is ω, the user-requested estimation resolution in
 	// bits/s: without a grey region the algorithm stops once
 	// Rmax − Rmin ≤ ω.
@@ -18,26 +19,17 @@ type ControllerConfig struct {
 	// both avail-bw bounds are within χ of the corresponding
 	// grey-region bounds.
 	GreyResolution float64
-	// InitialRate optionally sets the first fleet's rate; zero picks
-	// the midpoint of [MinRate, MaxRate].
-	InitialRate float64
 }
 
 func (c ControllerConfig) validate() error {
 	if c.MaxRate <= 0 {
 		return fmt.Errorf("core: controller MaxRate must be positive, got %v", c.MaxRate)
 	}
-	if c.MinRate < 0 || c.MinRate >= c.MaxRate {
-		return fmt.Errorf("core: controller MinRate %v outside [0, MaxRate=%v)", c.MinRate, c.MaxRate)
-	}
 	if c.Resolution <= 0 {
 		return fmt.Errorf("core: controller Resolution must be positive, got %v", c.Resolution)
 	}
 	if c.GreyResolution <= 0 {
 		return fmt.Errorf("core: controller GreyResolution must be positive, got %v", c.GreyResolution)
-	}
-	if c.InitialRate != 0 && (c.InitialRate <= c.MinRate || c.InitialRate >= c.MaxRate) {
-		return fmt.Errorf("core: controller InitialRate %v outside (%v, %v)", c.InitialRate, c.MinRate, c.MaxRate)
 	}
 	return nil
 }
@@ -51,7 +43,8 @@ type Result struct {
 	GreyLo, GreyHi float64
 	// HitMax is true when the avail-bw appears to be at or above
 	// MaxRate (every fleet reported R < A); the true avail-bw may
-	// exceed Hi. HitMin is the symmetric lower-edge flag.
+	// exceed Hi. HitMin is the symmetric flag at the floor, 0: every
+	// fleet reported R > A.
 	HitMax, HitMin bool
 	Fleets         int // number of fleet verdicts consumed
 }
@@ -77,13 +70,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, rmin: cfg.MinRate, rmax: cfg.MaxRate}
-	if cfg.InitialRate != 0 {
-		c.rate = cfg.InitialRate
-	} else {
-		c.rate = (c.rmin + c.rmax) / 2
-	}
-	return c, nil
+	return &Controller{cfg: cfg, rmax: cfg.MaxRate, rate: cfg.MaxRate / 2}, nil
 }
 
 // Rate returns the rate (bits/s) at which the next fleet should probe.
@@ -187,6 +174,6 @@ func (c *Controller) Result() Result {
 		// HitMax: no fleet ever reported R > A, so the avail-bw may
 		// exceed the probe-able maximum. HitMin is symmetric.
 		HitMax: c.rmax == c.cfg.MaxRate,
-		HitMin: c.rmin == c.cfg.MinRate,
+		HitMin: c.rmin == 0,
 	}
 }

@@ -278,11 +278,8 @@ func TestConfigValidation(t *testing.T) {
 	bad := []ControllerConfig{
 		{}, // no MaxRate
 		{MaxRate: -1, Resolution: 1, GreyResolution: 1},
-		{MaxRate: 10, MinRate: 10, Resolution: 1, GreyResolution: 1},
-		{MaxRate: 10, MinRate: -1, Resolution: 1, GreyResolution: 1},
 		{MaxRate: 10, Resolution: 0, GreyResolution: 1},
 		{MaxRate: 10, Resolution: 1, GreyResolution: 0},
-		{MaxRate: 10, Resolution: 1, GreyResolution: 1, InitialRate: 10},
 	}
 	for i, cfg := range bad {
 		if _, err := NewController(cfg); err == nil {
@@ -294,15 +291,18 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestInitialRate checks the override.
+// TestInitialRate: the search runs over [0, MaxRate], so the first
+// fleet probes MaxRate/2.
 func TestInitialRate(t *testing.T) {
 	cfg := defaultCfg()
-	cfg.InitialRate = 10e6
 	ctrl, err := NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctrl.Rate() != 10e6 {
-		t.Fatalf("initial rate %v, want 10e6", ctrl.Rate())
+	if want := cfg.MaxRate / 2; ctrl.Rate() != want {
+		t.Fatalf("initial rate %v, want %v", ctrl.Rate(), want)
+	}
+	if lo, _ := ctrl.Bounds(); lo != 0 {
+		t.Fatalf("search floor %v, want 0", lo)
 	}
 }

@@ -211,7 +211,7 @@ func runScenarioCell(name string, load float64, estimator string, rounds int, se
 			round.Lo, round.Hi = res.Lo, res.Hi
 			round.Grey, round.Floor = res.GreySet, res.HitMin
 		case "minplus":
-			res, err := baseline.MinPlus(p, baseline.MinPlusConfig{MaxRate: narrow})
+			res, err := baseline.MinPlus(p, narrow)
 			if err != nil {
 				panic(fmt.Sprintf("experiments: scenarios: %s load %.2f %s round %d: %v", name, load, estimator, r, err))
 			}

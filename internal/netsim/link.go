@@ -189,11 +189,12 @@ func (l *Link) Counters() LinkCounters {
 }
 
 // OnTransmit registers an observer invoked whenever a packet finishes
-// transmission on this link, with the completion time. Monitors use it
-// for windowed byte counting. An observed link's completions are all
-// events again, one heap entry and one Events() count each, so observe
-// a link only to see individual packets: Counters() gives the totals
-// for free. Registered mid-run, the observer sees every completion that
+// transmission on this link, with the completion time. It and OnDrop
+// are test hooks: product code reads Counters(), which gives the totals
+// for free. Registering an OnTransmit observer makes the link eager:
+// its completions are all events again, one heap entry and one Events()
+// count each, which is the reference the lazy-completion tests compare
+// against. Registered mid-run, the observer sees every completion that
 // has not happened yet.
 func (l *Link) OnTransmit(fn func(pkt *Packet, done Time)) {
 	l.settle()
@@ -210,7 +211,8 @@ func (l *Link) OnTransmit(fn func(pkt *Packet, done Time)) {
 }
 
 // OnDrop registers an observer invoked when a packet is dropped at this
-// link's full buffer.
+// link's full buffer. It is a test hook, like OnTransmit, but leaves
+// the link lazy: a drop happens at an arrival, which is an event anyway.
 func (l *Link) OnDrop(fn func(pkt *Packet, at Time)) { l.onDrop = append(l.onDrop, fn) }
 
 // TxTime returns the transmission (serialization) time of size bytes on

@@ -247,8 +247,13 @@ func clampGap(gap, min, max time.Duration) time.Duration {
 // depends only on its own deterministic history, never on cross-path
 // call order, while the aggregate stays below Rate in every
 // virtual-time window (the sum of the per-path bounds; each path can
-// additionally borrow at most Burst + one round's bits, the bucket
-// depth plus the round in flight when the bucket empties).
+// additionally borrow at most one round's bits, the round in flight
+// when the bucket empties).
+//
+// The bucket has no depth: a path forfeits credit it does not spend,
+// so every round's cost is repaid by dedicated idle before the next
+// round starts, and no path can bank credit while idling to run ahead
+// of its share later.
 //
 // A path's bucket starts accruing at its first charged round's start
 // (Round.At), so a session resumed mid-clock pays for its first round
@@ -268,13 +273,6 @@ type Budgeted struct {
 	// Rate is the aggregate probe budget in bits per virtual second;
 	// required > 0.
 	Rate float64
-	// Burst is each path's bucket depth in bits: how much unused credit
-	// a path may bank while idling, and therefore how far it can run
-	// ahead of its share before stretching gaps. 0 — the default, and
-	// the strictest setting — forfeits unused credit: every round's
-	// cost is then fully repaid by dedicated idle before the next round
-	// starts.
-	Burst float64
 
 	mu      sync.Mutex
 	share   float64 // bits per virtual second per path, set by Bind
@@ -337,16 +335,16 @@ func (b *Budgeted) Next(path string, h History) (time.Duration, bool) {
 		bk.lastEnd = r.At // first charge: accrue from this round's start, not 0
 	}
 	// Accrue tokens for the virtual time since the last accounting,
-	// charge the finished round, then forfeit any credit beyond Burst:
-	// a round self-funds from the share accrued over its own span, but
-	// a path cannot bank more than Burst ahead.
+	// charge the finished round, then forfeit any credit left: a round
+	// self-funds from the share accrued over its own span, but a path
+	// cannot bank ahead.
 	if end := r.End(); end > bk.lastEnd {
 		bk.credit += b.share * (end - bk.lastEnd).Seconds()
 		bk.lastEnd = end
 	}
 	bk.credit -= r.Bits
-	if bk.credit > b.Burst {
-		bk.credit = b.Burst
+	if bk.credit > 0 {
+		bk.credit = 0
 	}
 	if !bk.phased {
 		// One-time repayment phase stagger, derived from Bind order: a
@@ -428,9 +426,6 @@ func Validate(s Scheduler) error {
 		}
 		if !(sc.Rate > 0 && sc.Rate <= math.MaxFloat64) {
 			return fmt.Errorf("schedule: Budgeted.Rate must be positive and finite, got %v", sc.Rate)
-		}
-		if !(sc.Burst >= 0 && sc.Burst <= math.MaxFloat64) {
-			return fmt.Errorf("schedule: Budgeted.Burst must be finite and not negative, got %v", sc.Burst)
 		}
 		return Validate(sc.Inner)
 	case *Until:

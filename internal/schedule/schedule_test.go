@@ -143,12 +143,11 @@ func TestAdaptiveMonotoneInRho(t *testing.T) {
 // TestBudgetedHoldsRateInEveryWindow simulates one path's session
 // against a Budgeted scheduler and checks the token-bucket invariant:
 // the bits injected in ANY virtual-time window never exceed the path's
-// share times the window length plus the documented slack (the bucket
-// depth plus one in-flight round).
+// share times the window length plus the documented slack (one
+// in-flight round).
 func TestBudgetedHoldsRateInEveryWindow(t *testing.T) {
 	const share = 1e6 // 1 Mb per virtual second
-	const burst = 2e5
-	b := &Budgeted{Inner: &Fixed{Interval: 10 * time.Millisecond}, Rate: share, Burst: burst}
+	b := &Budgeted{Inner: &Fixed{Interval: 10 * time.Millisecond}, Rate: share}
 	b.Bind([]string{"p"})
 
 	type round struct {
@@ -159,8 +158,8 @@ func TestBudgetedHoldsRateInEveryWindow(t *testing.T) {
 	h := &fakeHistory{}
 	at := time.Duration(0)
 	maxBits := 0.0
-	// Vary the per-round cost wildly: cheap rounds bank credit, a
-	// 5-Mb round forces a long repayment idle.
+	// Vary the per-round cost wildly: cheap rounds forfeit their unspent
+	// share, a 5-Mb round forces a long repayment idle.
 	costs := []float64{3e5, 3e5, 5e6, 1e5, 8e5, 2e6, 1e5, 1e5, 4e6, 6e5, 2e5, 2e5}
 	for i, bits := range costs {
 		span := 20 * time.Millisecond
@@ -181,7 +180,7 @@ func TestBudgetedHoldsRateInEveryWindow(t *testing.T) {
 	}
 
 	// Check every window spanned by round boundaries.
-	slack := burst + maxBits
+	slack := maxBits
 	for i := range rounds {
 		var sum float64
 		for j := i; j < len(rounds); j++ {
@@ -326,7 +325,6 @@ func TestValidate(t *testing.T) {
 		&Adaptive{Base: time.Second, Min: time.Hour, Max: time.Second},
 		&Budgeted{Rate: 1e6},
 		&Budgeted{Inner: &Fixed{}},
-		&Budgeted{Inner: &Fixed{}, Rate: 1e6, Burst: -1},
 		&Budgeted{Inner: &Adaptive{}, Rate: 1e6}, // invalid inner
 		&Until{Horizon: time.Minute},
 	}

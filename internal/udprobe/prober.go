@@ -1,9 +1,12 @@
 package udprobe
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
+	"syscall"
 	"time"
 
 	"repro/internal/wire"
@@ -104,8 +107,10 @@ type Prober struct {
 // hello handshake, negotiating the protocol version: it opens with the
 // version-3 range hello, and if the sender is too old to parse it
 // (pre-range senders drop the session on the 6-byte payload), it
-// redials once and falls back to the legacy exact-version form. The
-// returned prober must be closed after use.
+// redials once and falls back to the legacy exact-version form. Only
+// that hang-up earns the fallback: a failed dial or a sender that stays
+// silent past ControlTimeout fails Dial at once. The returned prober
+// must be closed after use.
 func Dial(senderAddr string, cfg ProberConfig) (*Prober, error) {
 	p, err := listenData()
 	if err != nil {
@@ -120,6 +125,10 @@ func Dial(senderAddr string, cfg ProberConfig) (*Prober, error) {
 	if rangeErr == nil {
 		return p, nil
 	}
+	if !hungUp(rangeErr) {
+		p.udp.Close()
+		return nil, rangeErr
+	}
 	// A legacy sender read 6 bytes where it expected 4 and hung up; a
 	// modern sender that refuses [VersionMin, Version] outright would
 	// refuse the narrower legacy form too, so one fallback attempt is
@@ -132,6 +141,13 @@ func Dial(senderAddr string, cfg ProberConfig) (*Prober, error) {
 		return nil, fmt.Errorf("udprobe: hello handshake failed at both forms: range: %v; legacy: %w", rangeErr, legacyErr)
 	}
 	return p, nil
+}
+
+// hungUp reports whether a handshake failed because the sender closed
+// the control connection after the hello, which is how a pre-range
+// sender answers a hello it cannot parse.
+func hungUp(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, syscall.ECONNRESET)
 }
 
 // listenData opens a prober's data socket on an ephemeral port, with

@@ -187,6 +187,42 @@ func TestNewReceiverFallsBackToLegacySender(t *testing.T) {
 	}
 }
 
+// TestDialSilentSenderCostsOneTimeout: a sender that accepts the
+// control connection and never answers is not a legacy sender. Dial
+// must fail after one ControlTimeout over one connection, not redial
+// with the legacy hello and wait a second timeout.
+func TestDialSilentSenderCostsOneTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepted atomic.Int32
+	go func() {
+		var held []net.Conn
+		defer func() {
+			for _, c := range held {
+				c.Close()
+			}
+		}()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			held = append(held, conn) // read nothing, answer nothing
+		}
+	}()
+	if p, err := Dial(ln.Addr().String(), ProberConfig{ControlTimeout: 100 * time.Millisecond}); err == nil {
+		p.Close()
+		t.Fatal("Dial succeeded against a silent sender")
+	}
+	if n := accepted.Load(); n != 1 {
+		t.Fatalf("silent sender saw %d connections, want 1", n)
+	}
+}
+
 // TestSenderRejectsDisjointVersionRange: a receiver advertising only
 // versions newer than this build must be refused at the handshake, not
 // mis-served.

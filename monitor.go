@@ -1,7 +1,6 @@
 package pathload
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -152,17 +151,14 @@ type ProberFactory func() (Prober, error)
 // round fails on a real transport, the session closes the prober,
 // re-dials through the path's ProberFactory with exponential backoff,
 // and carries on — a long-lived monitor must outlive sender restarts,
-// route flaps, and idle-killed control connections.
+// route flaps, and idle-killed control connections. A session never
+// gives up: it re-dials until Stop.
 type Reconnect struct {
 	// Backoff is the wait before the first re-dial (default 500 ms);
 	// it doubles after each consecutive dial failure.
 	Backoff time.Duration
 	// MaxBackoff caps the doubling (default 15 s).
 	MaxBackoff time.Duration
-	// MaxAttempts ends the session after this many consecutive dial
-	// failures, publishing a terminal error sample. 0 keeps trying
-	// until Stop.
-	MaxAttempts int
 }
 
 // withDefaults returns r with zero fields replaced by defaults.
@@ -200,8 +196,8 @@ func (c MonitorConfig) validate() error {
 	if !(c.Jitter >= 0 && c.Jitter <= 1) { // NaN too
 		return fmt.Errorf("pathload: monitor Jitter %v outside [0,1]", c.Jitter)
 	}
-	if c.Reconnect.Backoff < 0 || c.Reconnect.MaxBackoff < 0 || c.Reconnect.MaxAttempts < 0 {
-		return fmt.Errorf("pathload: monitor Reconnect has negative Backoff/MaxBackoff/MaxAttempts")
+	if c.Reconnect.Backoff < 0 || c.Reconnect.MaxBackoff < 0 {
+		return fmt.Errorf("pathload: monitor Reconnect has negative Backoff/MaxBackoff")
 	}
 	return schedule.Validate(c.Scheduler)
 }
@@ -489,10 +485,6 @@ func (m *Monitor) Stop() {
 // only happens after Stop.
 func (m *Monitor) Wait() { m.wg.Wait() }
 
-// errMonitorStopped marks a session ended by Stop mid-heal; it is never
-// published.
-var errMonitorStopped = errors.New("pathload: monitor stopped")
-
 // publish delivers a finished sample to the sink and then the results
 // channel. Delivery prefers the channel's buffer even when Stop has
 // been called — a finished round is data — and falls back to racing
@@ -532,25 +524,24 @@ func (m *Monitor) sleep(d time.Duration) bool {
 }
 
 // redial restores a factory-backed session's prober, backing off
-// exponentially between consecutive dial failures. It returns nil once
-// the session has a live prober, errMonitorStopped when Stop came
-// first, or the last dial error once Reconnect.MaxAttempts consecutive
-// dials have failed. Backoff waits advance the session clock at.
+// exponentially between consecutive dial failures. It returns true once
+// the session has a live prober and false when Stop came first.
+// Backoff waits advance the session clock at.
 // Each dial runs in its own goroutine and races m.stop, so Stop (and
 // therefore Wait) is never held hostage by a factory blocked inside a
 // slow dial; a dial that completes after Stop is reaped, its prober
 // closed.
-func (m *Monitor) redial(s *session, at *time.Duration) error {
+func (m *Monitor) redial(s *session, at *time.Duration) bool {
 	rc := m.cfg.Reconnect.withDefaults()
 	backoff := rc.Backoff
 	type dialed struct {
 		p   Prober
 		err error
 	}
-	for attempt := 1; ; attempt++ {
+	for {
 		select {
 		case <-m.stop:
-			return errMonitorStopped
+			return false
 		default:
 		}
 		ch := make(chan dialed, 1)
@@ -569,17 +560,14 @@ func (m *Monitor) redial(s *session, at *time.Duration) error {
 					}
 				}
 			}()
-			return errMonitorStopped
+			return false
 		}
 		if d.err == nil {
 			s.prober = d.p
-			return nil
-		}
-		if rc.MaxAttempts > 0 && attempt >= rc.MaxAttempts {
-			return fmt.Errorf("pathload: %s: reconnect gave up after %d dials: %w", s.id, attempt, d.err)
+			return true
 		}
 		if !m.sleep(backoff) {
-			return errMonitorStopped
+			return false
 		}
 		*at += backoff
 		backoff *= 2
@@ -601,15 +589,8 @@ func (m *Monitor) run(s *session) {
 	start := s.resume.Round
 	at := s.resume.At
 	for round := start; m.cfg.Rounds == 0 || round < start+m.cfg.Rounds; round++ {
-		if s.prober == nil {
-			if err := m.redial(s, &at); err != nil {
-				if !errors.Is(err, errMonitorStopped) {
-					// The dial budget is exhausted: the session ends, but
-					// not silently.
-					m.publish(Sample{Path: s.id, Round: round, At: at, Wall: time.Now(), Err: err})
-				}
-				return
-			}
+		if s.prober == nil && !m.redial(s, &at) {
+			return
 		}
 		release, ok := m.drv.Acquire(s.id, m.adm, m.stop)
 		if !ok {

@@ -719,23 +719,36 @@ func TestMonitorFactorySessionHeals(t *testing.T) {
 	}
 }
 
-// TestMonitorFactoryDialBackoffGivesUp: with MaxAttempts bounded and a
-// dead endpoint, the session publishes one terminal error sample and
-// ends; the fleet's other sessions are unaffected.
-func TestMonitorFactoryDialBackoffGivesUp(t *testing.T) {
-	dead := func() (pathload.Prober, error) { return nil, errors.New("no route to host") }
+// TestMonitorFactoryRedialsUntilStop: a factory session never gives
+// up. A flaky endpoint that refuses five dials is measured once a dial
+// succeeds, with no sample for the refused dials, and a dead endpoint
+// is re-dialed, silently, until Stop ends its session.
+func TestMonitorFactoryRedialsUntilStop(t *testing.T) {
+	var mu sync.Mutex
+	dials := map[string]int{}
+	dial := func(path string, refusals int) pathload.ProberFactory {
+		return func() (pathload.Prober, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			dials[path]++
+			if refusals < 0 || dials[path] <= refusals {
+				return nil, errors.New("no route to host")
+			}
+			return &fakePath{avail: 10e6}, nil
+		}
+	}
 	m, err := pathload.NewMonitor(pathload.MonitorConfig{
 		Rounds:    2,
 		Config:    fastCfg(),
-		Reconnect: pathload.Reconnect{Backoff: time.Millisecond, MaxAttempts: 3},
+		Reconnect: pathload.Reconnect{Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddPathFactory("dead", dead); err != nil {
+	if err := m.AddPathFactory("flaky", dial("flaky", 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddPath("alive", &fakePath{avail: 10e6}); err != nil {
+	if err := m.AddPathFactory("dead", dial("dead", -1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Start(); err != nil {
@@ -744,18 +757,30 @@ func TestMonitorFactoryDialBackoffGivesUp(t *testing.T) {
 	perPath := map[string][]pathload.Sample{}
 	for s := range m.Results() {
 		perPath[s.Path] = append(perPath[s.Path], s)
+		if len(perPath["flaky"]) == 2 {
+			m.Stop()
+		}
 	}
 	m.Wait()
 
-	if got := len(perPath["alive"]); got != 2 {
-		t.Errorf("alive: %d samples, want 2", got)
+	for _, s := range perPath["flaky"] {
+		if s.Err != nil {
+			t.Errorf("flaky round %d: %v", s.Round, s.Err)
+		}
 	}
-	deadSamples := perPath["dead"]
-	if len(deadSamples) != 1 {
-		t.Fatalf("dead: %d samples, want exactly 1 terminal error", len(deadSamples))
+	if got := len(perPath["flaky"]); got != 2 {
+		t.Errorf("flaky: %d samples, want 2", got)
 	}
-	if deadSamples[0].Err == nil || !strings.Contains(deadSamples[0].Err.Error(), "gave up after 3 dials") {
-		t.Errorf("terminal sample err = %v, want the reconnect give-up diagnostic", deadSamples[0].Err)
+	if got := len(perPath["dead"]); got != 0 {
+		t.Errorf("dead: %d samples, want none: a refused dial is not a round", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if dials["flaky"] != 6 {
+		t.Errorf("flaky dialed %d times, want 6", dials["flaky"])
+	}
+	if dials["dead"] < 3 {
+		t.Errorf("dead dialed %d times before Stop, want it re-dialed over flaky's five refusals", dials["dead"])
 	}
 }
 

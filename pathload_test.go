@@ -122,9 +122,10 @@ func TestConfigValidation(t *testing.T) {
 		{PacketsPerStream: 2},
 		{StreamsPerFleet: -1},
 		{FleetFraction: 1.5},
-		{MinPacket: 2000, MTU: 1500},
+		{MTU: pathload.DefaultMinPacket - 1},
 		{MinPeriod: -time.Microsecond},
-		{MinRate: 10e6, MaxRate: 5e6},
+		{MaxRate: -5e6},
+		{MaxRate: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := pathload.Run(&fluidProber{path: fluid.Path{{C: 10e6, A: 4e6}}}, cfg); err == nil {
@@ -385,7 +386,7 @@ func TestRunAbortsLossyFleets(t *testing.T) {
 		t.Fatalf("%d of %d fleets aborted under 50%% loss, want all", aborted, len(res.Fleets))
 	}
 	if res.Hi > 1e6 {
-		t.Errorf("Hi %.2f Mb/s after universal aborts, want driven toward MinRate", res.Hi/1e6)
+		t.Errorf("Hi %.2f Mb/s after universal aborts, want driven toward the floor, 0", res.Hi/1e6)
 	}
 }
 

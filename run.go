@@ -29,31 +29,15 @@ func Run(p Prober, cfg Config) (Result, error) {
 			return res, fmt.Errorf("pathload: init probe: %w", err)
 		}
 		res.ADR = adr
-		if adr > 0 {
-			if capped := adr * ADRMargin; capped < cfg.MaxRate {
-				cfg.MaxRate = capped
-			}
-			if cfg.MinRate >= cfg.MaxRate {
-				cfg.MinRate = 0
-			}
-			if cfg.InitialRate != 0 && (cfg.InitialRate <= cfg.MinRate || cfg.InitialRate >= cfg.MaxRate) {
-				// The measured ADR can pull MaxRate below a user-supplied
-				// InitialRate that validated fine against the static
-				// bounds; zero it — like MinRate above — so the
-				// controller falls back to the bracket midpoint instead
-				// of rejecting a config the user could not have known
-				// was stale.
-				cfg.InitialRate = 0
-			}
+		if capped := adr * ADRMargin; adr > 0 && capped < cfg.MaxRate {
+			cfg.MaxRate = capped
 		}
 	}
 
 	ctrl, err := core.NewController(core.ControllerConfig{
-		MinRate:        cfg.MinRate,
 		MaxRate:        cfg.MaxRate,
 		Resolution:     cfg.Resolution,
 		GreyResolution: cfg.GreyResolution,
-		InitialRate:    cfg.InitialRate,
 	})
 	if err != nil {
 		// res already carries the init probe's Elapsed, Bits, and ADR;

@@ -34,35 +34,6 @@ func TestRunControllerErrorKeepsPartialResult(t *testing.T) {
 	}
 }
 
-// TestRunClampsInitialRateToADR: a user-supplied InitialRate that
-// validates against the static rate bounds must not fail the run when
-// the measured ADR pulls MaxRate below it — it is zeroed like a stale
-// MinRate, and the search proceeds from the bracket midpoint.
-func TestRunClampsInitialRateToADR(t *testing.T) {
-	// fakePath ramps OWDs by 100µs per packet above its avail-bw, so the
-	// 120 Mb/s init train disperses to an ADR of 60 Mb/s: MaxRate is
-	// tightened to 75 Mb/s (ADR·ADRMargin), below the 100 Mb/s
-	// InitialRate that the 120 Mb/s generation limit had admitted.
-	p := &fakePath{avail: 5e6}
-	res, err := pathload.Run(p, pathload.Config{
-		PacketsPerStream: 8,
-		StreamsPerFleet:  3,
-		InitialRate:      100e6,
-	})
-	if err != nil {
-		t.Fatalf("InitialRate above the ADR cap failed the run: %v", err)
-	}
-	if res.ADR < 50e6 || res.ADR > 70e6 {
-		t.Fatalf("ADR = %.1f Mb/s, want ≈ 60 (the test's premise)", res.ADR/1e6)
-	}
-	if res.Lo-pathload.DefaultResolution > 5e6 || res.Hi+pathload.DefaultResolution < 5e6 {
-		t.Errorf("range [%.1f, %.1f] Mb/s misses avail-bw 5", res.Lo/1e6, res.Hi/1e6)
-	}
-	if len(res.Fleets) > 0 && res.Fleets[0].Rate >= 75e6 {
-		t.Errorf("first fleet probed at %.1f Mb/s, want below the ADR-tightened MaxRate", res.Fleets[0].Rate/1e6)
-	}
-}
-
 // lossScript is a prober whose stream i of fleet 0 loses a scripted
 // fraction of its packets (between DefaultModerateLoss and
 // DefaultStreamAbortLoss when lossy[i] is true) and shows a scripted trend: kinds[i] picks a
