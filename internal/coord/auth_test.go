@@ -2,6 +2,8 @@ package coord
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
@@ -261,6 +263,39 @@ func TestRateLimiterRefill(t *testing.T) {
 	}
 	if newRateLimiter(0, 5) != nil {
 		t.Fatal("zero rate must disable the limiter")
+	}
+}
+
+// TestRateLimiterForgetsFullBuckets: a host whose bucket has refilled
+// is forgotten, so the limiter's memory is bounded by recent hosts, not
+// by every host ever seen; and forgetting changes no decision on a
+// random call sequence, against one limiter per host, which never has
+// another host's bucket to forget.
+func TestRateLimiterForgetsFullBuckets(t *testing.T) {
+	l := newRateLimiter(2, 2)
+	for i := 0; i < 10_000; i++ {
+		l.allow(fmt.Sprintf("h%d", i), 0)
+	}
+	l.allow("late", time.Second) // burst/rate later
+	if n := len(l.buckets); n > 4 {
+		t.Fatalf("%d buckets after 10000 hosts went quiet, want a handful", n)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	shared, alone := newRateLimiter(3, 4), map[string]*rateLimiter{}
+	var now time.Duration
+	for i := 0; i < 20_000; i++ {
+		now += time.Duration(rng.Int63n(int64(100 * time.Millisecond)))
+		key := fmt.Sprintf("h%d", rng.Intn(50))
+		if alone[key] == nil {
+			alone[key] = newRateLimiter(3, 4)
+		}
+		if a, b := shared.allow(key, now), alone[key].allow(key, now); a != b {
+			t.Fatalf("call %d (%s at %v): shared limiter says %v, per-host one %v", i, key, now, a, b)
+		}
+	}
+	if len(shared.buckets) >= len(alone) {
+		t.Errorf("shared limiter holds %d buckets of %d hosts", len(shared.buckets), len(alone))
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/crosstraffic"
-	"repro/internal/mrtg"
 	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/tcpsim"
@@ -103,22 +102,18 @@ type BTCResult struct {
 }
 
 // A btcExperiment is the frame Figs. 15–18 share: the §VII path warmed
-// up, an MRTG monitor reading its tight link once per interval, and a
-// pinger.
+// up, its tight link metered once per interval, and a pinger.
 type btcExperiment struct {
 	*btcPath
 	interval netsim.Time
-	mon      *mrtg.Monitor
 	ping     *tcpsim.Pinger
 }
 
-// newBTCExperiment builds the path from seed, warms it up, and starts
-// the MRTG monitor and a pinger that probes every pingEvery.
+// newBTCExperiment builds the path from seed, warms it up, and starts a
+// pinger that probes every pingEvery.
 func newBTCExperiment(opt Options, seed int64, pingEvery netsim.Time) *btcExperiment {
 	e := &btcExperiment{btcPath: buildBTCPath(seed), interval: opt.window(btcIntervalFull, 30*netsim.Second)}
 	e.sim.RunFor(warmup)
-	e.mon = mrtg.NewMonitor(e.sim, e.tight, e.interval)
-	e.mon.Start()
 	e.ping = tcpsim.NewPinger(e.sim, e.links, e.reverse, pingEvery, 64)
 	e.ping.Start()
 	return e
@@ -130,12 +125,15 @@ var btcIntervalNames = []string{"A", "B", "C", "D", "E"}
 
 func btcBusy(name string) bool { return name == "B" || name == "D" }
 
-// run plays intervals A–E. busy(i, end) drives busy interval i and
-// must leave the simulator at end; a quiet interval just runs. It
-// returns each interval's MRTG avail-bw and the ping RTTs, in seconds,
-// of the quiet and of the busy intervals.
+// run plays intervals A–E, each starting where the previous one ended.
+// busy(i, end) drives busy interval i to about end — it may overrun, as
+// a probing interval that ends with its last pathload run does; a quiet
+// interval just runs for e.interval. It returns each interval's MRTG
+// avail-bw, the tight link's meter read at the interval's actual end,
+// and the ping RTTs, in seconds, of the quiet and of the busy intervals.
 func (e *btcExperiment) run(busy func(i int, end netsim.Time)) (avail, quietRTT, busyRTT []float64) {
 	avail = make([]float64, len(btcIntervalNames))
+	meter := netsim.NewMeter(e.tight)
 	for i, name := range btcIntervalNames {
 		pingStart := len(e.ping.Samples())
 		if btcBusy(name) {
@@ -143,9 +141,7 @@ func (e *btcExperiment) run(busy func(i int, end netsim.Time)) (avail, quietRTT,
 		} else {
 			e.sim.RunFor(e.interval)
 		}
-		if len(e.mon.Readings()) > i {
-			avail[i] = e.mon.Readings()[i].Avail
-		}
+		avail[i] = meter.Read().Avail
 		for _, s := range e.ping.Samples()[pingStart:] {
 			if btcBusy(name) {
 				busyRTT = append(busyRTT, s.RTT.Seconds())

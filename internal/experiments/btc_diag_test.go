@@ -48,3 +48,43 @@ func TestBTCDiagnostics(t *testing.T) {
 		t.Errorf("BTC throughput %.2f Mb/s: should exceed the ≈3 Mb/s residual avail-bw", tput/1e6)
 	}
 }
+
+// TestBTCIntervalsReadTheirOwnSpan: each interval of the §VII frame is
+// graded by the tight link's ground truth over the span it actually
+// ran. Here every busy interval overruns its nominal end by a known
+// amount, as a probing interval that ends with its last pathload run
+// does: the overrun belongs to that interval's reading, and the next
+// interval starts where it stopped.
+func TestBTCIntervalsReadTheirOwnSpan(t *testing.T) {
+	const overrun = 7 * netsim.Second
+	e := newBTCExperiment(Options{Scale: 0.05, Seed: 3}, 3, netsim.Second)
+	type mark struct {
+		at  netsim.Time
+		ctr netsim.LinkCounters
+	}
+	marks := []mark{{e.sim.Now(), e.tight.Counters()}}
+	markNow := func() { marks = append(marks, mark{e.sim.Now(), e.tight.Counters()}) }
+	avail, _, _ := e.run(func(i int, end netsim.Time) {
+		markNow() // the quiet interval before this one ends here
+		e.sim.Run(end + overrun)
+		markNow()
+	})
+	markNow()
+	if len(marks) != len(btcIntervalNames)+1 {
+		t.Fatalf("%d interval boundaries, want %d", len(marks), len(btcIntervalNames)+1)
+	}
+	for i, name := range btcIntervalNames {
+		from, to := marks[i], marks[i+1]
+		want := e.interval
+		if btcBusy(name) {
+			want += overrun
+		}
+		if span := to.at - from.at; span != want {
+			t.Errorf("interval %s ran %v, want %v", name, span, want)
+		}
+		util := float64(to.ctr.Busy-from.ctr.Busy) / float64(to.at-from.at)
+		if truth := float64(e.tight.Capacity()) * (1 - util); avail[i] != truth {
+			t.Errorf("interval %s reads %.4f Mb/s, want %.4f over [%v, %v]", name, avail[i]/1e6, truth/1e6, from.at, to.at)
+		}
+	}
+}

@@ -170,11 +170,10 @@ func runContentionCase(shape string, fleet int, seed int64, cfg pathload.Config)
 		}
 		paths = m.Paths()
 		_, probers := m.SequencedProbers(reverseDelay)
-		before := make([]netsim.LinkCounters, fleet)
+		meters := make([]netsim.Meter, fleet)
 		for i, p := range m.Paths() {
-			before[i] = p.TightLink().Counters()
+			meters[i] = netsim.NewMeter(p.TightLink())
 		}
-		start := m.Sim.Now()
 
 		// Not forRuns: the Sequencer needs every session live, so a bounded pool would deadlock.
 		var fleetWG sync.WaitGroup
@@ -192,11 +191,8 @@ func runContentionCase(shape string, fleet int, seed int64, cfg pathload.Config)
 		}
 		fleetWG.Wait()
 
-		window := m.Sim.Now() - start
-		for i, p := range m.Paths() {
-			link := p.TightLink()
-			util := netsim.Utilization(before[i], link.Counters(), window)
-			mrtg[i] = float64(link.Capacity()) * (1 - util)
+		for i := range meters {
+			mrtg[i] = meters[i].Read().Avail
 		}
 	})
 

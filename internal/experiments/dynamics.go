@@ -21,9 +21,6 @@ type DynamicsCDF struct {
 	Runs    int
 }
 
-// P returns the p-th percentile of the collected ρ samples.
-func (d DynamicsCDF) P(p float64) float64 { return stats.Percentile(d.Rhos, p) }
-
 // paperDynamicsRuns is the per-condition run count of §VI.
 const paperDynamicsRuns = 110
 

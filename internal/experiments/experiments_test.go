@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/crosstraffic"
 	"repro/internal/netsim"
+	"repro/internal/stats"
 )
 
 // smallOpt keeps experiment tests fast.
@@ -46,16 +48,14 @@ func TestTopologyBuildShape(t *testing.T) {
 // realized by the generated traffic.
 func TestTopologyCrossRates(t *testing.T) {
 	net := Topology{Model: crosstraffic.ModelPoisson, Seed: 5}.Build()
-	before := make([]netsim.LinkCounters, len(net.Links))
 	net.Warmup(2 * netsim.Second)
+	meters := make([]netsim.Meter, len(net.Links))
 	for i, l := range net.Links {
-		before[i] = l.Counters()
+		meters[i] = netsim.NewMeter(l)
 	}
-	start := net.Sim.Now()
 	net.Sim.RunFor(60 * netsim.Second)
-	window := net.Sim.Now() - start
-	for i, l := range net.Links {
-		util := netsim.Utilization(before[i], l.Counters(), window)
+	for i := range meters {
+		util := meters[i].Read().Util
 		want := 0.2
 		if i == net.TightIdx {
 			want = 0.6
@@ -76,13 +76,14 @@ func TestTopologyBadBeta(t *testing.T) {
 	Topology{Beta: 0.5}.Build()
 }
 
-// TestMeasuredAvailMatchesConfig: the counter-based ground truth agrees
-// with the configured avail-bw.
+// TestMeasuredAvailMatchesConfig: the tight link's metered ground
+// truth agrees with the configured avail-bw.
 func TestMeasuredAvailMatchesConfig(t *testing.T) {
 	net := Topology{Seed: 9}.Build()
 	net.Warmup(2 * netsim.Second)
-	got := net.MeasuredAvail(func() { net.Sim.RunFor(60 * netsim.Second) })
-	if got < 3.6e6 || got > 4.4e6 {
+	meter := netsim.NewMeter(net.Tight())
+	net.Sim.RunFor(60 * netsim.Second)
+	if got := meter.Read().Avail; got < 3.6e6 || got > 4.4e6 {
 		t.Fatalf("measured avail %.2f Mb/s, want ≈4", got/1e6)
 	}
 }
@@ -141,6 +142,75 @@ func TestTimescaleVarianceShape(t *testing.T) {
 					c.Model, c.Points[i].Tau, c.Points[i].StdDev,
 					c.Points[i-1].Tau, c.Points[i-1].StdDev)
 			}
+		}
+	}
+}
+
+// loadedLink builds a 10 Mb/s link with 6 Mb/s of Poisson load.
+func loadedLink(seed int64) (*netsim.Simulator, *netsim.Link) {
+	sim := netsim.NewSimulator()
+	link := netsim.NewLink(sim, "l", 10_000_000, 0, 0)
+	crosstraffic.NewAggregate(sim, link, 6e6, 10,
+		crosstraffic.ModelPoisson, crosstraffic.Trimodal{}, seed).Start()
+	return sim, link
+}
+
+// TestSeriesMeanMatchesLoad: the sampled avail-bw process must average
+// to C − load.
+func TestSeriesMeanMatchesLoad(t *testing.T) {
+	sim, link := loadedLink(1)
+	series, err := timescaleSeries(readEvery(sim, link, timescaleWindow, 60*netsim.Second), 10e6, netsim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mean := stats.Mean(series); math.Abs(mean-4e6)/4e6 > 0.05 {
+		t.Fatalf("process mean %.2f Mb/s, want ≈4", mean/1e6)
+	}
+}
+
+// TestVarianceDecreasesWithTimescale is the paper's §I relation.
+func TestVarianceDecreasesWithTimescale(t *testing.T) {
+	sim, link := loadedLink(2)
+	pts := varianceByTimescale(readEvery(sim, link, timescaleWindow, 120*netsim.Second), 10e6, []netsim.Time{
+		10 * netsim.Millisecond, 100 * netsim.Millisecond, netsim.Second,
+	})
+	if len(pts) != 3 {
+		t.Fatalf("got %d timescale points, want 3", len(pts))
+	}
+	for i := 1; i < len(pts); i++ {
+		if pts[i].StdDev >= pts[i-1].StdDev {
+			t.Fatalf("σ(τ=%v)=%.0f not below σ(τ=%v)=%.0f",
+				pts[i].Tau, pts[i].StdDev, pts[i-1].Tau, pts[i-1].StdDev)
+		}
+	}
+}
+
+// TestSeriesValidation covers misaligned and oversized timescales, and
+// an empty record.
+func TestSeriesValidation(t *testing.T) {
+	sim, link := loadedLink(3)
+	rs := readEvery(sim, link, timescaleWindow, netsim.Second)
+	for _, tau := range []netsim.Time{15 * netsim.Millisecond, 0, 10 * netsim.Second} {
+		if _, err := timescaleSeries(rs, 10e6, tau); err == nil {
+			t.Errorf("timescale %v accepted over 1s of 10ms readings", tau)
+		}
+	}
+	if _, err := timescaleSeries(nil, 10e6, netsim.Second); err == nil {
+		t.Error("empty record accepted")
+	}
+}
+
+// TestIdleLinkSeries: with no traffic, A(t, τ) = C at every timescale.
+func TestIdleLinkSeries(t *testing.T) {
+	sim := netsim.NewSimulator()
+	link := netsim.NewLink(sim, "l", 10_000_000, 0, 0)
+	series, err := timescaleSeries(readEvery(sim, link, timescaleWindow, 5*netsim.Second), 10e6, 100*netsim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range series {
+		if v != 10e6 {
+			t.Fatalf("idle link avail %v, want capacity", v)
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/crosstraffic"
 	"repro/internal/fluid"
-	"repro/internal/mrtg"
 	"repro/internal/netsim"
 	"repro/internal/simprobe"
+	"repro/internal/stats"
 
 	pathload "repro"
 )
@@ -94,8 +94,20 @@ func RenderBaseline(pts []BaselinePoint) string {
 // averaging timescales for one traffic model.
 type TimescaleCDF struct {
 	Model  string
-	Points []mrtg.TimescalePoint
+	Points []TimescalePoint
 }
+
+// A TimescalePoint summarizes the avail-bw process at one timescale.
+type TimescalePoint struct {
+	Tau     netsim.Time
+	Mean    float64
+	StdDev  float64
+	Windows int
+}
+
+// timescaleWindow is the finest timescale the process is read at; the
+// coarser ones re-aggregate its readings.
+const timescaleWindow = 10 * netsim.Millisecond
 
 // TimescaleVariance measures the ground-truth avail-bw process of the
 // default tight link at increasing averaging timescales (§I: the
@@ -121,12 +133,71 @@ func TimescaleVariance(opt Options) []TimescaleCDF {
 		topo := Topology{Seed: opt.runSeed(500 + i), Model: model.m}
 		net := topo.Build()
 		net.Warmup(warmup)
-		mon := mrtg.NewMonitor(net.Sim, net.Tight(), 10*netsim.Millisecond)
-		mon.Start()
-		net.Sim.RunFor(horizon)
-		mon.Stop()
-		out[i] = TimescaleCDF{Model: model.name, Points: mon.VarianceByTimescale(taus)}
+		rs := readEvery(net.Sim, net.Tight(), timescaleWindow, horizon)
+		out[i] = TimescaleCDF{Model: model.name, Points: varianceByTimescale(rs, float64(net.Tight().Capacity()), taus)}
 	})
+	return out
+}
+
+// readEvery steps sim through horizon in window-long steps and reads
+// link's meter after each: the avail-bw process at timescale window. A
+// trailing partial window is not run.
+func readEvery(sim *netsim.Simulator, link *netsim.Link, window, horizon netsim.Time) []netsim.Reading {
+	meter := netsim.NewMeter(link)
+	rs := make([]netsim.Reading, horizon/window)
+	for i := range rs {
+		sim.RunFor(window)
+		rs[i] = meter.Read()
+	}
+	return rs
+}
+
+// timescaleSeries returns the avail-bw process A = C·(1 − u) of a link
+// of the given capacity at timescale τ, from equal back-to-back
+// readings: one value per non-overlapping τ-span of them, where τ must
+// be a positive multiple of their window. Trailing readings that do not
+// fill a span are dropped.
+func timescaleSeries(rs []netsim.Reading, capacity float64, tau netsim.Time) ([]float64, error) {
+	if len(rs) == 0 {
+		return nil, fmt.Errorf("experiments: no readings to form a %v span", tau)
+	}
+	window := rs[0].End - rs[0].Start
+	if tau <= 0 || tau%window != 0 {
+		return nil, fmt.Errorf("experiments: timescale %v is not a positive multiple of window %v", tau, window)
+	}
+	group := int(tau / window)
+	var out []float64
+	for i := 0; i+group <= len(rs); i += group {
+		var bytes uint64
+		for _, r := range rs[i : i+group] {
+			bytes += r.Bytes
+		}
+		util := float64(bytes) * 8 / (capacity * tau.Seconds())
+		out = append(out, capacity*(1-util))
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("experiments: %d readings cannot fill one %v span", len(rs), tau)
+	}
+	return out, nil
+}
+
+// varianceByTimescale evaluates the process at each timescale, the
+// paper's variance-versus-τ relation. Timescales that cannot be formed
+// from the readings are skipped.
+func varianceByTimescale(rs []netsim.Reading, capacity float64, taus []netsim.Time) []TimescalePoint {
+	var out []TimescalePoint
+	for _, tau := range taus {
+		series, err := timescaleSeries(rs, capacity, tau)
+		if err != nil {
+			continue
+		}
+		out = append(out, TimescalePoint{
+			Tau:     tau,
+			Mean:    stats.Mean(series),
+			StdDev:  stats.StdDev(series),
+			Windows: len(series),
+		})
+	}
 	return out
 }
 

@@ -72,7 +72,6 @@ func Fig17and18(opt Options) IntrusiveResult {
 		}
 		res.Intervals[i].Runs = len(centers)
 		res.Intervals[i].MeanEstimate = stats.Mean(centers)
-		e.sim.RunFor(end - e.sim.Now())
 	})
 
 	var quietAvail, busyAvail []float64

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/crosstraffic"
-	"repro/internal/mrtg"
 	"repro/internal/netsim"
 
 	pathload "repro"
@@ -127,10 +126,11 @@ func dynamicsAtScale(opt Options, paths, rounds int) ScaleResult {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: dynamics-at-scale: %v", err))
 	}
-	monitors := make([]*mrtg.Monitor, paths)
+	// Metered after warm-up, before Start, and read once the fleet has
+	// drained: each MRTG column spans its shard's whole measured run.
+	meters := make([]netsim.Meter, paths)
 	for i, n := range nets {
-		monitors[i] = mrtg.NewMonitor(n.Sim, n.Tight(), 500*netsim.Millisecond)
-		monitors[i].Start()
+		meters[i] = netsim.NewMeter(n.Tight())
 	}
 
 	start := time.Now()
@@ -154,14 +154,7 @@ func dynamicsAtScale(opt Options, paths, rounds int) ScaleResult {
 				ps.Covered++
 			}
 		}
-		monitors[i].Stop()
-		if rd := monitors[i].Readings(); len(rd) > 0 {
-			var sum float64
-			for _, r := range rd {
-				sum += r.Avail
-			}
-			ps.MRTG = sum / float64(len(rd))
-		}
+		ps.MRTG = meters[i].Read().Avail
 		res.Events += n.Sim.Events()
 		res.Paths = append(res.Paths, ps)
 	}

@@ -156,17 +156,3 @@ func (t Topology) Build() *Net {
 // Warmup advances the simulation so queues and heavy-tailed sources
 // reach steady state before measurement begins.
 func (n *Net) Warmup(d netsim.Time) { n.Sim.RunFor(d) }
-
-// MeasuredAvail returns the tight link's avail-bw measured from its
-// byte counters over a window that brackets fn's execution: it snapshots
-// counters, runs fn, and converts the transmitted bytes to utilization.
-// This is the simulation's ground truth, the "MRTG reading" of §V-B.
-func (n *Net) MeasuredAvail(fn func()) float64 {
-	link := n.Tight()
-	before := link.Counters()
-	t0 := n.Sim.Now()
-	fn()
-	window := n.Sim.Now() - t0
-	util := netsim.Utilization(before, link.Counters(), window)
-	return float64(link.Capacity()) * (1 - util)
-}

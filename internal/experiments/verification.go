@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/mrtg"
 	"repro/internal/netsim"
 	"repro/internal/simprobe"
 	"repro/internal/stats"
+	"repro/internal/tsstore"
 
 	pathload "repro"
 )
@@ -15,10 +15,11 @@ import (
 // A VerificationRun is one of the paper's Fig. 10 experiments: an
 // MRTG-style averaged reading of the tight link versus the
 // duration-weighted average of back-to-back pathload runs over the same
-// window (Eq. 11).
+// span (Eq. 11).
 type VerificationRun struct {
 	Run int
-	// MRTGAvail is the exact windowed avail-bw of the tight link;
+	// MRTGAvail is the exact avail-bw of the tight link over the span
+	// of the back-to-back runs;
 	// MRTGLo/MRTGHi quantize it to the 6 Mb/s reading buckets the
 	// paper could extract from the graphs.
 	MRTGAvail      float64
@@ -65,8 +66,7 @@ func Fig10(opt Options) []VerificationRun {
 		tight := links[1]
 		sim.RunFor(warmup)
 
-		mon := mrtg.NewMonitor(sim, tight, window)
-		mon.Start()
+		meter := netsim.NewMeter(tight)
 		prober := simprobe.New(sim, links, 10*netsim.Millisecond)
 
 		// Back-to-back pathload runs until the window closes (Eq. 11).
@@ -82,14 +82,10 @@ func Fig10(opt Options) []VerificationRun {
 			his = append(his, res.Hi)
 			weights = append(weights, res.Elapsed.Seconds())
 		}
-		sim.RunFor(end - sim.Now() + netsim.Second) // close the MRTG window
-
-		readings := mon.Readings()
-		if len(readings) == 0 {
-			panic(fmt.Sprintf("experiments: fig10 run %d: MRTG window never closed", r))
-		}
-		avail := readings[0].Avail
-		lo, hi := mrtg.Quantize(avail, MRTGQuantum)
+		// Read when the last run ends: the reading spans exactly the
+		// runs Eq. 11 weights.
+		avail := meter.Read().Avail
+		lo, hi := tsstore.Quantize(avail, MRTGQuantum)
 		v := VerificationRun{
 			Run:         r,
 			MRTGAvail:   avail,

@@ -23,24 +23,23 @@ type LinkSink interface {
 	ObserveLink(link string, round int, at, span time.Duration, util, capacity float64)
 }
 
-// A LinkRecorder snapshots every mesh link's counters and emits the
+// A LinkRecorder reads every mesh link's meter and emits the
 // utilization of the window since the previous snapshot to a LinkSink.
 // Fire Snapshot from a SequencedDriver.OnRoundBoundary hook and the
 // link series lands one point per fleet round, exactly aligned with the
 // sample series the monitor is producing.
 type LinkRecorder struct {
-	mesh *Mesh
-	sink LinkSink
-	prev []netsim.LinkCounters
-	at   netsim.Time
+	mesh   *Mesh
+	sink   LinkSink
+	meters []netsim.Meter
 }
 
 // NewLinkRecorder creates a recorder whose first window starts now;
 // typically called after Warmup so the warmup traffic is not counted.
 func (m *Mesh) NewLinkRecorder(sink LinkSink) *LinkRecorder {
-	r := &LinkRecorder{mesh: m, sink: sink, prev: make([]netsim.LinkCounters, len(m.links)), at: m.Sim.Now()}
+	r := &LinkRecorder{mesh: m, sink: sink, meters: make([]netsim.Meter, len(m.links))}
 	for i, l := range m.links {
-		r.prev[i] = l.Counters()
+		r.meters[i] = netsim.NewMeter(l)
 	}
 	return r
 }
@@ -50,16 +49,11 @@ func (m *Mesh) NewLinkRecorder(sink LinkSink) *LinkRecorder {
 // windows emit nothing. The caller must have exclusive simulator
 // access (a round-boundary hook does).
 func (r *LinkRecorder) Snapshot(round int) {
-	now := r.mesh.Sim.Now()
-	window := now - r.at
-	if window <= 0 {
-		return
-	}
 	for i, l := range r.mesh.links {
-		cur := l.Counters()
-		util := netsim.Utilization(r.prev[i], cur, window)
-		r.sink.ObserveLink(r.mesh.Spec.Links[i].Name, round, r.at.Duration(), window.Duration(), util, float64(l.Capacity()))
-		r.prev[i] = cur
+		rd := r.meters[i].Read()
+		if rd.End == rd.Start {
+			continue
+		}
+		r.sink.ObserveLink(r.mesh.Spec.Links[i].Name, round, rd.Start.Duration(), (rd.End - rd.Start).Duration(), rd.Util, float64(l.Capacity()))
 	}
-	r.at = now
 }

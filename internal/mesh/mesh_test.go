@@ -298,10 +298,9 @@ func TestShapeRegistry(t *testing.T) {
 func TestCrossTrafficRealizesUtil(t *testing.T) {
 	m := Star(2, 42).MustBuild()
 	m.Warmup(2 * netsim.Second)
-	before := m.Link("core").Counters()
-	start := m.Sim.Now()
+	meter := netsim.NewMeter(m.Link("core"))
 	m.Sim.RunFor(40 * netsim.Second)
-	util := netsim.Utilization(before, m.Link("core").Counters(), m.Sim.Now()-start)
+	util := meter.Read().Util
 	if util < coreUtil-0.06 || util > coreUtil+0.06 {
 		t.Fatalf("core utilization %.3f, want ≈ %.2f", util, coreUtil)
 	}

@@ -7,8 +7,8 @@ import (
 	"repro/internal/eventq"
 )
 
-// LinkCounters is a snapshot of a link's cumulative activity, used by
-// monitors (internal/mrtg) and ground-truth utilization accounting.
+// LinkCounters is a snapshot of a link's cumulative activity; a Meter
+// turns two of them into a window's ground-truth utilization.
 type LinkCounters struct {
 	PktsIn    uint64 // packets that arrived at the queue
 	PktsOut   uint64 // packets fully transmitted
@@ -190,7 +190,7 @@ func (l *Link) Counters() LinkCounters {
 
 // OnTransmit registers an observer invoked whenever a packet finishes
 // transmission on this link, with the completion time. It and OnDrop
-// are test hooks: product code reads Counters(), which gives the totals
+// are test hooks: product code reads a Meter, which gives the totals
 // for free. Registering an OnTransmit observer makes the link eager:
 // its completions are all events again, one heap entry and one Events()
 // count each, which is the reference the lazy-completion tests compare
@@ -222,15 +222,6 @@ func (l *Link) TxTime(size int) Time {
 	// integer arithmetic to stay deterministic: ns = bits * 1e9 / cap.
 	bits := int64(size) * 8
 	return Time(bits * int64(Second) / l.capacity)
-}
-
-// Utilization returns the mean utilization over a window given the
-// counter snapshots at the window's boundaries.
-func Utilization(before, after LinkCounters, window Time) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(after.Busy-before.Busy) / float64(window)
 }
 
 // arrive handles a packet reaching this link's input queue.

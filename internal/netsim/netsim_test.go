@@ -214,14 +214,14 @@ func TestByteConservation(t *testing.T) {
 func TestUtilizationAccounting(t *testing.T) {
 	sim := NewSimulator()
 	link := NewLink(sim, "l", 8_000_000, 0, 0) // 1000B = 1ms
-	before := link.Counters()
+	meter := NewMeter(link)
 	for i := 0; i < 500; i++ {
 		at := Time(i) * 2 * Millisecond
 		pkt := &Packet{Size: 1000}
 		sim.Schedule(at, func() { sim.Inject(pkt, []*Link{link}, nil) })
 	}
 	sim.Run(Second)
-	util := Utilization(before, link.Counters(), Second-0)
+	util := meter.Read().Util
 	if util < 0.49 || util > 0.51 {
 		t.Fatalf("utilization %v, want ≈0.5", util)
 	}

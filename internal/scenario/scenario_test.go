@@ -12,11 +12,9 @@ import (
 // measureUtil runs the instance's simulator for d and returns the
 // link's mean utilization over that window.
 func measureUtil(inst *Instance, link string, d netsim.Time) float64 {
-	l := inst.Mesh.Link(link)
-	before := l.Counters()
-	start := inst.Sim().Now()
+	meter := netsim.NewMeter(inst.Mesh.Link(link))
 	inst.Sim().RunFor(d)
-	return netsim.Utilization(before, l.Counters(), inst.Sim().Now()-start)
+	return meter.Read().Util
 }
 
 // TestRegistryBuilds: every advertised scenario builds and its epoch-0

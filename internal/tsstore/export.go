@@ -10,8 +10,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"repro/internal/mrtg"
 )
 
 // exportQuantiles are the quantiles the scrape surface publishes per
@@ -292,6 +290,17 @@ func (e *exposition) finish() error {
 // (§V-B, "MRTG readings are given as 6-Mb/s ranges").
 const MRTGStep = 6e6
 
+// Quantize maps an avail-bw reading to the [lo, hi) bucket of the given
+// step, modeling the limited resolution of reading numbers off an MRTG
+// graph (the paper: "MRTG readings are given as 6-Mb/s ranges").
+func Quantize(avail, step float64) (lo, hi float64) {
+	if step <= 0 {
+		return avail, avail
+	}
+	n := int(avail / step)
+	return float64(n) * step, float64(n+1) * step
+}
+
 // WriteMRTG renders one path's retained series in the shape of the
 // paper's MRTG verification tables (§V-B): one row per point, the
 // mid-range estimate quantized to step-sized buckets exactly like
@@ -315,7 +324,7 @@ func (st *Store) WriteMRTG(w io.Writer, path string, step float64) error {
 			emit("%-6d %12v %18s %16s\n", p.Round, p.At, "error", "-")
 			continue
 		}
-		lo, hi := mrtg.Quantize(p.Mid(), step)
+		lo, hi := Quantize(p.Mid(), step)
 		emit("%-6d %12v [%7.2f,%7.2f] [%6.0f,%6.0f)\n", p.Round, p.At, p.Lo/1e6, p.Hi/1e6, lo/1e6, hi/1e6)
 	}
 	return err

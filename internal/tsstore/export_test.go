@@ -62,6 +62,24 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestQuantize checks the MRTG bucket arithmetic.
+func TestQuantize(t *testing.T) {
+	for _, tc := range []struct {
+		avail, step, lo, hi float64
+	}{
+		{74e6, 6e6, 72e6, 78e6},
+		{0, 6e6, 0, 6e6},
+		{6e6, 6e6, 6e6, 12e6},
+		{5.99e6, 6e6, 0, 6e6},
+		{10, 0, 10, 10}, // zero step: identity
+	} {
+		lo, hi := tsstore.Quantize(tc.avail, tc.step)
+		if lo != tc.lo || hi != tc.hi {
+			t.Errorf("Quantize(%v, %v) = [%v, %v], want [%v, %v]", tc.avail, tc.step, lo, hi, tc.lo, tc.hi)
+		}
+	}
+}
+
 // TestWriteMRTG: rows quantize mids into paper-style buckets; error
 // rounds render as gaps.
 func TestWriteMRTG(t *testing.T) {

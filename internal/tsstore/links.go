@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"time"
-
-	"repro/internal/mrtg"
 )
 
 // A LinkPoint is one windowed utilization observation of a shared
@@ -161,7 +159,7 @@ func (st *Store) WriteLinkMRTG(w io.Writer, link string, step float64) error {
 	emit("# link %s: %d windows, capacity %.1f Mb/s, %.0f Mb/s buckets\n", link, len(pts), capBps/1e6, step/1e6)
 	emit("%-6s %12s %6s %12s %12s %16s\n", "round", "at", "util", "load (Mb/s)", "avail (Mb/s)", "bucket (Mb/s)")
 	for _, p := range pts {
-		lo, hi := mrtg.Quantize(p.Load(), step)
+		lo, hi := Quantize(p.Load(), step)
 		emit("%-6d %12v %5.1f%% %12.2f %12.2f [%6.0f,%6.0f)\n",
 			p.Round, p.At, p.Util*100, p.Load()/1e6, p.AvailBw()/1e6, lo/1e6, hi/1e6)
 	}
