@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"strconv"
@@ -179,6 +180,47 @@ func TestBadDigestPushAckedUnapplied(t *testing.T) {
 		t.Fatalf("heartbeat answer = %v, %v; want assign", ft, err)
 	}
 	if asg, err := unmarshalAssign(payload); err != nil || asg.Seq != 9 {
+		t.Fatalf("assign = %+v, %v", asg, err)
+	}
+}
+
+// TestUnconfiguredPushAckedUnapplied: a push for a path outside
+// Coord.Paths is answered like one with a bad digest — an unapplied
+// ack, nothing federated — so one agent cannot grow the scrape surface
+// by naming paths, and its session goes on.
+func TestUnconfiguredPushAckedUnapplied(t *testing.T) {
+	srv, addr := startServer(t, ServerConfig{Now: func() time.Duration { return 0 }})
+	conn, ft, _ := sendHello(t, addr, "a1", VersionMin, Version)
+	defer conn.Close()
+	if ft != msgHelloAck {
+		t.Fatalf("register: got %v", ft)
+	}
+	const names = 500
+	for seq := uint64(0); seq <= names; seq++ {
+		path := "p00" // configured: applied
+		if seq > 0 {
+			path = fmt.Sprintf("x%03d", seq)
+		}
+		if err := writeFrame(conn, msgPush, marshalPush(path, tsstore.Contribution{Seq: seq, Total: 1})); err != nil {
+			t.Fatalf("push %s: %v", path, err)
+		}
+		ft, payload, err := readFrame(conn)
+		if err != nil || ft != msgPushAck {
+			t.Fatalf("push %s: answer = %v, %v", path, ft, err)
+		}
+		if ack, err := unmarshalPushAck(payload); err != nil || ack != (pushAckMsg{Seq: seq, Applied: seq == 0}) {
+			t.Fatalf("push %s: ack = %+v, %v; want seq %d applied %v", path, ack, err, seq, seq == 0)
+		}
+	}
+	if paths := srv.Federation().Paths(); !reflect.DeepEqual(paths, []string{"p00"}) {
+		t.Fatalf("after %d unconfigured pushes the federation holds %d paths, want [p00]", names, len(paths))
+	}
+	if err := writeFrame(conn, msgHeartbeat, marshalHeartbeat(heartbeatMsg{Seq: 9})); err != nil {
+		t.Fatalf("heartbeat: %v", err)
+	}
+	if ft, payload, err := readFrame(conn); err != nil || ft != msgAssign {
+		t.Fatalf("heartbeat answer = %v, %v; want assign", ft, err)
+	} else if asg, err := unmarshalAssign(payload); err != nil || asg.Seq != 9 {
 		t.Fatalf("assign = %+v, %v", asg, err)
 	}
 }

@@ -420,8 +420,9 @@ func (s *Server) handleConn(c net.Conn) {
 				return
 			}
 			path, contrib, err := unmarshalPush(payload)
-			if errors.Is(err, errBadDigest) {
-				// Structurally invalid digest: refuse the push but keep
+			if errors.Is(err, errBadDigest) || (err == nil && !s.st.Configured(path)) {
+				// A structurally invalid digest, or a path no
+				// configuration vouches for: refuse the push but keep
 				// the session — the agent's next snapshot may be fine.
 				writeFrame(c, msgPushAck, marshalPushAck(pushAckMsg{Seq: contrib.Seq}))
 				continue

@@ -138,6 +138,14 @@ func NewState(cfg Config) (*State, error) {
 	return st, nil
 }
 
+// Configured reports whether path is one of Config.Paths: every one,
+// and nothing else, is in exactly one conflict group. The groups are
+// fixed at construction, so it needs no lock.
+func (st *State) Configured(path string) bool {
+	_, ok := st.group[path]
+	return ok
+}
+
 // Groups returns the conflict groups in canonical order (shared
 // slices; callers must not mutate).
 func (st *State) Groups() [][]string { return st.groups }

@@ -133,7 +133,7 @@ func (e *emitter) emit() {
 	e.nextID++
 	pkt := e.sim.NewPacket()
 	pkt.ID = e.nextID
-	pkt.Size = e.sizes.Next(e.rng)
+	pkt.Size = int32(e.sizes.Next(e.rng))
 	e.sim.Inject(pkt, e.route[:], nil)
 }
 

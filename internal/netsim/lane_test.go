@@ -27,7 +27,7 @@ func impairedTranscript() (LinkCounters, uint64) {
 		sim.Schedule(Time(i)*300*Microsecond, func() {
 			pkt := sim.NewPacket()
 			pkt.ID = uint64(i + 1)
-			pkt.Size = 200 + 37*(i%11)
+			pkt.Size = int32(200 + 37*(i%11))
 			if i%3 == 0 {
 				sim.Inject(pkt, route, sink)
 			} else {

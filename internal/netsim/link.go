@@ -238,7 +238,7 @@ func (l *Link) arrive(pkt *Packet, at Time) {
 		l.sim.FreePacket(pkt)
 		return
 	}
-	if l.buf > 0 && l.queued+pkt.Size > l.buf {
+	if l.buf > 0 && l.queued+int(pkt.Size) > l.buf {
 		l.ctr.Drops++
 		l.ctr.DropBytes += uint64(pkt.Size)
 		for _, fn := range l.onDrop {
@@ -247,12 +247,12 @@ func (l *Link) arrive(pkt *Packet, at Time) {
 		l.sim.FreePacket(pkt)
 		return
 	}
-	l.queued += pkt.Size
+	l.queued += int(pkt.Size)
 	start := at
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}
-	tx := l.TxTime(pkt.Size)
+	tx := l.TxTime(int(pkt.Size))
 	done := start + tx
 	l.busyUntil = done
 	// The ticket is taken whether or not an event will use it, so every
@@ -295,7 +295,7 @@ func (l *Link) settle() {
 // the lazy path (settle).
 func (l *Link) complete(rec *txRec) (reorder bool) {
 	pkt := rec.pkt
-	l.queued -= pkt.Size
+	l.queued -= int(pkt.Size)
 	l.ctr.PktsOut++
 	l.ctr.BytesOut += uint64(pkt.Size)
 	l.ctr.Busy += rec.tx

@@ -129,7 +129,7 @@ func lockstepTranscript(shards, parallel int) uint64 {
 			rng ^= rng >> 7
 			rng ^= rng << 17
 			pkt := sims[i].NewPacket()
-			pkt.Size = 40 + int(rng%1460)
+			pkt.Size = int32(40 + rng%1460)
 			sims[i].Inject(pkt, []*Link{link}, nil)
 			sims[i].After(Time(100+rng%900)*Microsecond, tick)
 		}

@@ -161,7 +161,7 @@ func TestLinkFIFONoReordering(t *testing.T) {
 				at += Time(gaps[i] % uint32(Millisecond))
 			}
 			id := uint64(i)
-			pkt := &Packet{ID: id, Size: size}
+			pkt := &Packet{ID: id, Size: int32(size)}
 			sim.Schedule(at, func() {
 				sim.Inject(pkt, []*Link{link}, func(p *Packet, _ Time) { got = append(got, p.ID) })
 			})
@@ -195,7 +195,7 @@ func TestByteConservation(t *testing.T) {
 			size := int(sz)%1500 + 40
 			in += uint64(size)
 			at += Time(i * int(Microsecond) * 50)
-			pkt := &Packet{Size: size}
+			pkt := &Packet{Size: int32(size)}
 			sim.Schedule(at, func() { sim.Inject(pkt, []*Link{link}, nil) })
 		}
 		sim.Run(at + 30*Second) // enough to drain everything

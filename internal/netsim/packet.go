@@ -9,17 +9,20 @@ type Sink func(pkt *Packet, at Time)
 // transmission time for the full wire size. Payload carries
 // application-specific data (probe sequence numbers, TCP segment
 // descriptors, ...) and is never inspected by the simulator.
+//
+// The fields fit the 80-byte size class: the route left to cross is the
+// only position a packet keeps (its head is the link it is on), and
+// Size shares a word with the pooled flag.
 type Packet struct {
 	ID      uint64
-	Size    int
 	SentAt  Time // stamped by Inject
 	Payload any
+	Size    int32
+	pooled  bool // allocated by NewPacket; recyclable via FreePacket
 
-	route  []*Link
-	hop    int
-	sink   Sink
-	pooled bool    // allocated by NewPacket; recyclable via FreePacket
-	next   *Packet // the next free packet while this one is on the freelist
+	route []*Link // the link the packet is on, then the rest of its route
+	sink  Sink
+	next  *Packet // the next free packet while this one is on the freelist
 }
 
 // NewPacket returns a packet from the simulator's freelist (or a fresh
@@ -51,7 +54,7 @@ func (s *Simulator) FreePacket(pkt *Packet) {
 		return
 	}
 	pkt.ID, pkt.Size, pkt.SentAt, pkt.Payload = 0, 0, 0, nil
-	pkt.route, pkt.hop, pkt.sink = nil, 0, nil
+	pkt.route, pkt.sink = nil, nil
 	pkt.next, s.pktFree = s.pktFree, pkt
 }
 
@@ -65,7 +68,6 @@ func (s *Simulator) FreePacket(pkt *Packet) {
 func (s *Simulator) Inject(pkt *Packet, route []*Link, sink Sink) {
 	pkt.SentAt = s.now
 	pkt.route = route
-	pkt.hop = 0
 	pkt.sink = sink
 	if len(route) == 0 {
 		if sink != nil {
@@ -82,15 +84,14 @@ func (s *Simulator) Inject(pkt *Packet, route []*Link, sink Sink) {
 // with nobody to deliver it to: forwarding it from here could only free
 // it, so the link frees it at end of transmission instead.
 func (pkt *Packet) deadEnd() bool {
-	return pkt.sink == nil && pkt.hop == len(pkt.route)-1
+	return pkt.sink == nil && len(pkt.route) == 1
 }
 
 // forward moves the packet to its next hop, or delivers it to the sink
 // when the route is exhausted.
 func (pkt *Packet) forward(sim *Simulator, at Time) {
-	pkt.hop++
-	if pkt.hop < len(pkt.route) {
-		pkt.route[pkt.hop].arrive(pkt, at)
+	if pkt.route = pkt.route[1:]; len(pkt.route) > 0 {
+		pkt.route[0].arrive(pkt, at)
 		return
 	}
 	if pkt.sink != nil {

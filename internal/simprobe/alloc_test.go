@@ -1,8 +1,10 @@
 package simprobe_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/experiments"
 	"repro/internal/netsim"
@@ -54,5 +56,39 @@ func TestSendStreamAllocationFree(t *testing.T) {
 				t.Fatal("the impaired link erased no probe packet; the case measures nothing")
 			}
 		})
+	}
+}
+
+// TestStreamArenaAllocationBudget: a prober holds one K-slot buffer,
+// the collector's, which is also what SendStream returns. On a quiet
+// path whose simulator a K = 100 stream has warmed, the first stream of
+// K = 1000 allocates exactly one object, that buffer, and the next
+// stream nothing. A second buffer (say, a separate result slice)
+// doubles the first count.
+func TestStreamArenaAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	sim := netsim.NewSimulator()
+	link := netsim.NewLink(sim, "l", 10_000_000, 5*netsim.Millisecond, 0)
+	p := simprobe.New(sim, []*netsim.Link{link}, 10*netsim.Millisecond)
+	send := func(k int) {
+		res, err := p.SendStream(pathload.StreamSpec{Rate: 3e6, K: k, L: 375, T: time.Millisecond})
+		if err != nil || len(res.OWDs) != k {
+			t.Fatalf("a quiet path delivered %d/%d packets, err %v", len(res.OWDs), k, err)
+		}
+	}
+	send(100) // sizes the simulator's freelists and rings for this spacing
+	const k = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	send(k)
+	runtime.ReadMemStats(&after)
+	objects, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	if slot := uint64(k * unsafe.Sizeof(pathload.OWDSample{})); objects != 1 || bytes < slot || bytes >= 2*slot {
+		t.Fatalf("the first K = %d stream allocated %d objects, %d B; want one K-slot buffer (%d B before rounding)", k, objects, bytes, slot)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { send(k) }); allocs != 0 {
+		t.Fatalf("the next K = %d stream allocated %.1f objects, want 0", k, allocs)
 	}
 }

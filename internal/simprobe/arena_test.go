@@ -43,7 +43,7 @@ func (r *refProber) sendStream(spec pathload.StreamSpec) []pathload.OWDSample {
 	}
 	for i := 0; i < spec.K; i++ {
 		r.nextID++
-		pkt := &netsim.Packet{ID: r.nextID, Size: spec.L, Payload: &refTag{seq: i}}
+		pkt := &netsim.Packet{ID: r.nextID, Size: int32(spec.L), Payload: &refTag{seq: i}}
 		r.sim.Schedule(start+netsim.Time(i)*period, func() { r.sim.Inject(pkt, r.route, arrive) })
 	}
 	r.sim.RunUntil(func() bool { return len(got) == spec.K }, deadline)

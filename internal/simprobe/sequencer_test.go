@@ -42,7 +42,7 @@ func TestSequencerOverlapsStreams(t *testing.T) {
 	// service order. The two probers use distinct packet sizes, so the
 	// transmit log shows whether their streams interleaved.
 	var sizes []int
-	core.OnTransmit(func(pkt *netsim.Packet, _ netsim.Time) { sizes = append(sizes, pkt.Size) })
+	core.OnTransmit(func(pkt *netsim.Packet, _ netsim.Time) { sizes = append(sizes, int(pkt.Size)) })
 
 	pa := seq.NewProber([]*netsim.Link{core}, 10*netsim.Millisecond)
 	pb := seq.NewProber([]*netsim.Link{core}, 10*netsim.Millisecond)

@@ -76,9 +76,11 @@ func (p *Prober) Idle(d time.Duration) error {
 }
 
 // A stream is a prober's stream arena: the state of the one probe
-// stream it can have in flight, sized by the first SendStream, regrown
-// only when K grows, and reused by every stream after that, so a stream
-// of K packets allocates nothing.
+// stream it can have in flight. Its one buffer is the collector's K
+// slots, which are also the OWDs SendStream returns (which is why those
+// are only valid until the prober's next stream): sized by the first
+// SendStream, regrown only when K grows, and reused by every stream
+// after that, so a stream of K packets allocates nothing.
 //
 // A stream's packets are recognised by their IDs. SendStream reserves K
 // contiguous IDs while it holds the floor, and arrive puts packet ID
@@ -100,9 +102,6 @@ type stream struct {
 	start, period netsim.Time
 	seq0          uint64
 	col           pathload.StreamCollector
-	// out backs the OWDs SendStream returns, which is why they are only
-	// valid until the prober's next stream.
-	out []pathload.OWDSample
 
 	// fire and arrive as func values, bound once in NewProber.
 	fireFn   func()
@@ -130,7 +129,7 @@ func (st *stream) send(start, period netsim.Time) {
 func (st *stream) fire() {
 	pkt := st.sim.NewPacket()
 	pkt.ID = st.firstID + uint64(st.sent)
-	pkt.Size = st.size
+	pkt.Size = int32(st.size)
 	st.sent++
 	if st.sent < st.k {
 		st.sim.ScheduleReserved(st.start+netsim.Time(st.sent)*st.period, st.seq0+uint64(st.sent), st.fireFn)
@@ -149,8 +148,7 @@ func (st *stream) arrive(pk *netsim.Packet, at netsim.Time) {
 // order. The closed collector takes none of a timed-out stream's
 // stragglers, so the K-th cannot wake the seat out of its next await.
 func (st *stream) collect(clockOffset time.Duration) []pathload.OWDSample {
-	st.out = st.col.Drain(st.out[:0], clockOffset)
-	return st.out
+	return st.col.Drain(clockOffset)
 }
 
 // SendStream starts the K packet injections of one periodic stream,

@@ -197,7 +197,7 @@ func (f *Flow) sendSegment(seq int64, retx bool) {
 		f.sendTimes[end] = f.sim.Now()
 	}
 	pkt := &netsim.Packet{
-		Size:    seg.len + headerBytes,
+		Size:    int32(seg.len + headerBytes),
 		Payload: seg,
 	}
 	f.sim.Inject(pkt, f.route, f.receive)

@@ -58,7 +58,7 @@ func (p *Pinger) Stop() {
 
 func (p *Pinger) fire() {
 	p.sent++
-	pkt := &netsim.Packet{Size: p.size}
+	pkt := &netsim.Packet{Size: int32(p.size)}
 	p.sim.Inject(pkt, p.route, func(pk *netsim.Packet, at netsim.Time) {
 		p.samples = append(p.samples, PingSample{
 			At:  pk.SentAt,

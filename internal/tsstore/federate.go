@@ -172,16 +172,18 @@ func (f *Federation) Snapshot() *Store {
 	for _, path := range paths {
 		byAgent := f.contribs[path]
 		agents = agents[:0]
-		centroids := 0
+		points, centroids := 0, 0
 		for a, c := range byAgent {
 			agents = append(agents, a)
+			points += len(c.Points)
 			if c.Digest != nil {
 				centroids += len(c.Digest.cs)
 			}
 		}
 		sort.Strings(agents)
 		se := st.ensure(path) // st is still private to this call: no lock needed
-		// Sized once, for every agent's Merge below.
+		// Sized once, for every agent's points and Merge below.
+		se.reserve(points)
 		se.digest.reserve(centroids)
 		for _, a := range agents {
 			c := byAgent[a]

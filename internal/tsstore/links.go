@@ -70,11 +70,14 @@ func (st *Store) ReplayLink(link string, p LinkPoint, counted bool) {
 	}
 }
 
-// SeedLink primes a link's all-time window count from a checkpoint.
+// SeedLink primes a link's all-time window count from a checkpoint and
+// sizes its ring for them, up to its limit, as SeedSeries does.
 func (st *Store) SeedLink(link string, total uint64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.ensureLink(link).total = total
+	se := st.ensureLink(link)
+	se.total = total
+	se.reserve(int(min(total, uint64(se.limit))))
 }
 
 // Links returns the known link names, sorted, so every rendering of

@@ -8,7 +8,9 @@ package tsstore
 // Storage follows the contents: it starts empty, grows geometrically
 // (first to ringFirstChunk values, then doubling) until it holds limit
 // values, and only then wraps, so a series pays for the history it has
-// rather than the history it may one day retain.
+// rather than the history it may one day retain. A caller that knows
+// how many values are coming — a snapshot merging contributions, a
+// recovery seeded from a checkpoint total — sizes it once with reserve.
 type ring[T any] struct {
 	limit int    // most values retained
 	buf   []T    // storage, len <= limit
@@ -18,19 +20,33 @@ type ring[T any] struct {
 }
 
 // ringFirstChunk is the storage a ring's first value allocates, if its
-// limit allows as much: enough that a store recovered into small rings
-// allocates each of them once, as a fixed-size ring would.
-const ringFirstChunk = 64
+// limit allows as much. It is small because a fleet of many paths may
+// hold only a few points on each; doubling from it, a ring that fills
+// its limit has allocated less than twice its final storage.
+const ringFirstChunk = 2
+
+// reserve grows the storage to hold n values, capped at limit, in one
+// allocation. It never shrinks the storage or moves what is retained.
+func (r *ring[T]) reserve(n int) {
+	if n = min(n, r.limit); n > len(r.buf) {
+		r.grow(n)
+	}
+}
+
+// grow replaces the storage with one of n values. Only a ring that
+// has never wrapped grows, so the retained values are buf[:n] in order.
+func (r *ring[T]) grow(n int) {
+	grown := make([]T, n)
+	copy(grown, r.buf)
+	r.buf = grown
+}
 
 // insert retains v, evicting the oldest value when full, without
 // counting it: recovery uses it for records whose contribution to total
 // arrives from a checkpoint instead.
 func (r *ring[T]) insert(v T) {
 	if r.n == len(r.buf) && r.n < r.limit {
-		// Never wrapped, so the retained values are buf[:n] in order.
-		grown := make([]T, min(r.limit, max(ringFirstChunk, 2*len(r.buf))))
-		copy(grown, r.buf)
-		r.buf = grown
+		r.grow(min(r.limit, max(ringFirstChunk, 2*len(r.buf))))
 	}
 	if r.n < len(r.buf) {
 		r.buf[(r.head+r.n)%len(r.buf)] = v

@@ -332,12 +332,15 @@ func (st *Store) ReplayPoint(path string, p Point, counted bool) {
 // SeedSeries primes a path's all-time counters and digest from a
 // checkpoint, overwriting whatever they held (d may be nil to keep the
 // current digest). Recovery order (archive.Recover) is: SeedSeries,
-// uncounted replay of checkpointed records, counted replay of the tail.
+// uncounted replay of checkpointed records, counted replay of the tail;
+// so the ring is sized here, once, for the points total counts, up to
+// its limit.
 func (st *Store) SeedSeries(path string, total, errs uint64, d *Digest) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	se := st.ensure(path)
 	se.total, se.errs = total, errs
+	se.reserve(int(min(total, uint64(se.limit))))
 	if d != nil {
 		se.digest = d.clone()
 	}

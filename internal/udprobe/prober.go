@@ -358,7 +358,7 @@ func (p *Prober) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, er
 
 	res.Sent = int(done.Sent)
 	res.Flagged = done.Flagged != 0
-	res.OWDs = p.col.Drain(owds, 0)
+	res.OWDs = append(owds, p.col.Drain(0)...)
 	return res, nil
 }
 

@@ -77,31 +77,33 @@ func (r StreamResult) DispersionRate(spec StreamSpec) (float64, bool) {
 
 // A StreamCollector is StreamResult's receive rule: one sample per
 // sequence number in [0, K), first arrival wins, read out in sequence
-// order. Occupancy is a flag beside the delay, never its sign (a fast
-// sender clock makes OWDs negative), so a Put writes one cache line and
-// no small flag array shares one with another goroutine's collector.
-// The slots are reused, regrown only when K grows; zero value is closed.
+// order. Its one K-slot buffer is both the arrival table and the
+// result: slot seq holds packet seq's sample, and a negative Seq marks
+// an empty slot (never the delay's sign: a fast sender clock makes OWDs
+// negative). Drain compacts the samples in place, so a prober that
+// collects through one collector holds one buffer per stream, regrown
+// only when K grows. The zero value is closed.
 type StreamCollector struct {
-	slot []struct {
-		owd time.Duration
-		in  bool // owd holds an arrival
-	} // by sequence number
-	got int // slots filled
+	slot []OWDSample // by sequence number
+	got  int         // slots filled
 }
 
-// Open readies the collector for a stream of k packets.
+// Open readies the collector for a stream of k packets. It invalidates
+// what the previous Drain returned.
 func (c *StreamCollector) Open(k int) {
 	c.slot, c.got = slices.Grow(c.slot[:0], k)[:k], 0
-	clear(c.slot)
+	for i := range c.slot {
+		c.slot[i].Seq = -1
+	}
 }
 
 // Put keeps the delay of packet seq if seq < k and its slot is empty,
 // and reports whether that filled the k-th slot.
 func (c *StreamCollector) Put(seq uint64, owd time.Duration) (full bool) {
-	if seq >= uint64(len(c.slot)) || c.slot[seq].in {
+	if seq >= uint64(len(c.slot)) || c.slot[seq].Seq >= 0 {
 		return false
 	}
-	c.slot[seq].owd, c.slot[seq].in = owd, true
+	c.slot[seq] = OWDSample{Seq: int(seq), OWD: owd}
 	c.got++
 	return c.got == len(c.slot)
 }
@@ -109,19 +111,21 @@ func (c *StreamCollector) Put(seq uint64, owd time.Duration) (full bool) {
 // Len reports how many samples are in, until the next Open.
 func (c *StreamCollector) Len() int { return c.got }
 
-// Drain appends the samples to dst in sequence order, offset added to
-// each delay, and closes the collector: no Put matches until the next
-// Open. It grows dst to room for k, so a dst kept across streams of one
-// K stops allocating.
-func (c *StreamCollector) Drain(dst []OWDSample, offset time.Duration) []OWDSample {
-	dst = slices.Grow(dst, len(c.slot))
-	for seq, s := range c.slot {
-		if s.in {
-			dst = append(dst, OWDSample{Seq: seq, OWD: s.owd + offset})
+// Drain returns the samples in sequence order, offset added to each
+// delay, and closes the collector: no Put matches until the next Open.
+// The samples are the collector's own storage, compacted in place, so
+// they are valid until the next Open; a caller that keeps them longer
+// copies them.
+func (c *StreamCollector) Drain(offset time.Duration) []OWDSample {
+	out := c.slot[:0]
+	for _, s := range c.slot {
+		if s.Seq >= 0 {
+			s.OWD += offset
+			out = append(out, s)
 		}
 	}
 	c.slot = c.slot[:0]
-	return dst
+	return out
 }
 
 // A Prober emits probing streams on some transport and reports per-

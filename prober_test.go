@@ -63,7 +63,7 @@ func FuzzStreamCollector(f *testing.F) {
 					t.Fatalf("pass %d: put %d (seq %d) reported full %v; the reference fills at put %d", pass, i, p.seq, full, fullAt)
 				}
 			}
-			got := c.Drain(nil, offset)
+			got := c.Drain(offset)
 			if !slices.Equal(got, want) {
 				t.Fatalf("pass %d: drained %v, want %v", pass, got, want)
 			}
@@ -72,7 +72,7 @@ func FuzzStreamCollector(f *testing.F) {
 					t.Fatalf("pass %d: sample %d has seq %d after %v (k = %d)", pass, i, s.Seq, got[:i], k)
 				}
 			}
-			if c.Put(0, 0) || len(c.Drain(nil, 0)) != 0 {
+			if c.Put(0, 0) || len(c.Drain(0)) != 0 {
 				t.Fatalf("pass %d: a Put after Drain was kept", pass)
 			}
 		}
