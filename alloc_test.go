@@ -36,12 +36,14 @@ func TestRunAllocationBudget(t *testing.T) {
 	// The counter is process-wide, so the simulator and the pooled
 	// scratch must be past their own amortised growth before the one
 	// measured run. The first run sizes the prober's arena, most
-	// freelists and the scratch; after it, the event freelist grows on
-	// the second and fourth runs, the scratch's fleet list on the third
-	// (the first with five fleets), and a link ring, which holds its
-	// peak backlog and nothing more, takes a new 16-element chunk on
-	// the fourth and on the fifth (a per-site MemProfileRate = 1 diff of
-	// each run shows eventq.(*Queue).ScheduleReserved and Recycle, and
+	// freelists, the event queue's same-instant heap and the scratch;
+	// after it, the event freelist grows on the second and fourth runs
+	// (fresh events; a recycled one is linked in through its own
+	// field, so Recycle never allocates), the scratch's fleet list on
+	// the third (the first with five fleets), and a link ring, which
+	// holds its peak backlog and nothing more, takes a new 16-element
+	// chunk on the fourth and on the fifth (a per-site MemProfileRate =
+	// 1 diff of each run shows eventq.(*Queue).ScheduleReserved, and
 	// netsim.(*ring).push under Link.arrive, and nothing under Run
 	// beyond its three objects); the simulation is seeded, so which run
 	// pays is fixed. Four warm-ups plus AllocsPerRun's own make the

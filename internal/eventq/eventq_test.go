@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -243,21 +244,58 @@ func TestQuickSortedDrain(t *testing.T) {
 }
 
 // BenchmarkScheduleFire measures the recycled Schedule→Pop→Fire→Recycle
-// cycle at a realistic standing queue depth.
+// cycle at standing queue depths: 8, a one-hop shard's few sources, and
+// 1024.
 func BenchmarkScheduleFire(b *testing.B) {
-	var q Queue
-	fn := func() {}
-	at := int64(0)
-	for i := 0; i < 1024; i++ {
-		q.Schedule(at+int64(i), fn)
+	for _, depth := range []int{8, 1024} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			var q Queue
+			fn := func() {}
+			at := int64(0)
+			for i := 0; i < depth; i++ {
+				q.Schedule(at+int64(i), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at++
+				q.Schedule(at+int64(depth), fn)
+				e := q.Pop()
+				e.Fire()
+				q.Recycle(e)
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at++
-		q.Schedule(at+1024, fn)
-		e := q.Pop()
-		e.Fire()
-		q.Recycle(e)
+}
+
+// BenchmarkSameInstantDrain schedules 20 000 events at one instant and
+// drains them, per op: at the current instant, and at a later one, from
+// which the whole group moves into the current instant at once.
+func BenchmarkSameInstantDrain(b *testing.B) {
+	const n = 20_000
+	for _, tc := range []struct {
+		name  string
+		ahead int64
+	}{
+		{"current", 0},
+		{"later", 1 << 20},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var q Queue
+			fn := func() {}
+			at := int64(0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				at += tc.ahead
+				for j := 0; j < n; j++ {
+					q.Schedule(at, fn)
+				}
+				for q.Len() > 0 {
+					e := q.Pop()
+					e.Fire()
+					q.Recycle(e)
+				}
+			}
+		})
 	}
 }

@@ -26,7 +26,7 @@ type LinkCounters struct {
 // line for 8·Size/Capacity seconds; the packet then arrives at the next
 // hop after the propagation delay.
 //
-// The per-packet event path is allocation-free and costs the event heap
+// The per-packet event path is allocation-free and costs the event queue
 // two entries per link, not two per packet: because service and
 // propagation complete in FIFO order per link, the link keeps its
 // in-flight packets in two rings, each a lane of the event queue (see
@@ -58,10 +58,10 @@ type Link struct {
 	// inService and propagating are FIFO rings of packets being
 	// transmitted and in flight to the next hop; the first live record
 	// of the one and the head of the other are the link's (at most) two
-	// heap entries, fired into txDoneFn and propFn, bound once at
+	// queue entries, fired into txDoneFn and propFn, bound once at
 	// NewLink. live counts the in-service records that are not lazy, so
 	// the tx lane is armed exactly while it is positive, and txArmed
-	// names its heap entry for OnTransmit to move.
+	// names its queue entry for OnTransmit to move.
 	inService   ring[txRec]
 	propagating ring[propRec]
 	live        int
@@ -179,7 +179,7 @@ func (l *Link) QueuedBytes() int {
 }
 
 // Counters returns a snapshot of the link's cumulative counters. It
-// settles first — completions the link kept out of the event heap are
+// settles first — completions the link kept out of the event queue are
 // accounted up to the simulator's position in the event order — so it
 // is a write to the link and, like everything else on a simulator,
 // belongs to the simulator's goroutine.
@@ -192,7 +192,7 @@ func (l *Link) Counters() LinkCounters {
 // transmission on this link, with the completion time. It and OnDrop
 // are test hooks: product code reads a Meter, which gives the totals
 // for free. Registering an OnTransmit observer makes the link eager:
-// its completions are all events again, one heap entry and one Events()
+// its completions are all events again, one queue entry and one Events()
 // count each, which is the reference the lazy-completion tests compare
 // against. Registered mid-run, the observer sees every completion that
 // has not happened yet.
@@ -273,7 +273,7 @@ func (l *Link) lazy(pkt *Packet) bool { return len(l.onTransmit) == 0 && pkt.dea
 
 // settle retires the lazy records at the ring head whose completion
 // precedes the simulator's position in the event order: exactly those
-// whose events, had they been in the heap, would have fired by now.
+// whose events, had they been in the queue, would have fired by now.
 // Every path that reads or changes what a completion changes — arrive,
 // txDone, Counters, QueuedBytes, Impair, OnTransmit — settles first, so
 // completions keep their order relative to every loss draw and buffer
@@ -343,7 +343,7 @@ func (l *Link) txDone() {
 		// Reordered delivery: this packet bypasses the FIFO propagation
 		// ring (whose invariant is constant per-link latency) and takes
 		// its own event at prop + ReorderDelay, arriving behind packets
-		// transmitted after it. The closure allocation and the heap
+		// transmitted after it. The closure allocation and the queue
 		// entry are confined to impaired packets, keeping the unimpaired
 		// hot path alloc-free.
 		at := rec.done + l.prop + l.impair.cfg.ReorderDelay

@@ -7,7 +7,7 @@
 // sink, while cross traffic enters one link with a nil sink, so the two
 // share links naturally.
 //
-// The event heap holds lane heads, not packets. A FIFO link stage
+// The event queue holds lane heads, not packets. A FIFO link stage
 // (transmission, propagation) and a periodic probe stream each have
 // many events outstanding of which only the oldest can fire next, so
 // each is a lane of the event queue: it takes an order ticket per event
@@ -15,8 +15,8 @@
 // head (ScheduleReserved), which arms the next as it fires. Order is
 // (time, ticket) and nothing else, tickets are taken at the same points
 // as before, and a lane's events are sorted by both — so every event
-// fires exactly where one heap entry per packet would have put it (see
-// package eventq), while the heap stays at sources + 2·links + streams
+// fires exactly where one queue entry per packet would have put it (see
+// package eventq), while the queue stays at sources + 2·links + streams
 // entries instead of growing with rate × propagation delay.
 //
 // An event is something somebody waits for. A nil-sink packet is freed
@@ -24,7 +24,7 @@
 // observes is not an event — and that completion is not one either
 // unless the link has an OnTransmit observer: it changes only the
 // link's own counters, queue occupancy and reorder draws, so the link
-// keeps its record out of the heap (ticket taken all the same) and
+// keeps its record out of the queue (ticket taken all the same) and
 // settles it before anything next reads or changes that state. The
 // simulator's position in the event order is (now, ticket): the ticket
 // of the event being fired, or, once a run has fired everything due by
@@ -77,15 +77,16 @@ type Simulator struct {
 	// packets allocated by NewPacket whose ownership returned to the
 	// simulator (nil-sink delivery, drop); see FreePacket.
 	pktFree *Packet
-	// Padding to 128 bytes, a size class whose objects start on cache
-	// lines, so no two simulators share one. Shards of a fleet are
-	// allocated back to back and run on different cores; at 104 bytes
-	// (the 112-byte class) neighbours' hot fields meet on a line and
-	// the workers fight over it. fleet_shards on the 2-vCPU host: 96 B
-	// (before ticket) 690 ops/s, 104 B 475, 128 B 700; pinned to one CPU
-	// both layouts give 378, so it is false sharing and not the code.
-	// TestSimulatorLayout fails when a new field undoes this.
-	_ [40]byte
+	// Padding to 640 bytes (the queue's 65 bucket heads are most of
+	// it), a size class whose objects start on cache lines, so no two
+	// simulators share one. Shards of a fleet are allocated back to back
+	// and run on different cores; when a simulator ended mid-line (104
+	// bytes, the 112-byte class) neighbours' hot fields met on a line
+	// and the workers fought over it. fleet_shards on the 2-vCPU host:
+	// 96 B (before ticket) 690 ops/s, 104 B 475, 128 B 700; pinned to
+	// one CPU both layouts gave 378, so it was false sharing and not the
+	// code. TestSimulatorLayout fails when a new field undoes this.
+	_ [32]byte
 }
 
 // NewSimulator returns a simulator with time set to zero.
@@ -138,7 +139,7 @@ func (s *Simulator) After(d Time, fn func()) eventq.Handle {
 func (s *Simulator) Cancel(h eventq.Handle) bool { return s.q.Cancel(h) }
 
 // passed reports whether an event keyed (at, ticket) would have fired
-// before the simulator's current position had it been in the heap: the
+// before the simulator's current position had it been in the queue: the
 // test a link applies to the completions it keeps out of it (see
 // Link.settle). Nothing at the position itself has passed: inside an
 // event that is the event, between runs a ticket not yet issued.
@@ -199,7 +200,7 @@ func (s *Simulator) RunUntil(cond func() bool, deadline Time) bool {
 	return false
 }
 
-// Pending returns the number of heap entries in the event queue: plain
+// Pending returns the number of entries in the event queue: plain
 // events plus one per busy lane (a link stage with packets in it, a
 // probe stream mid-send), however many packets stand behind each head.
 // Zero still means idle: nothing is left to fire.
