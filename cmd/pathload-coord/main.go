@@ -67,7 +67,7 @@ func main() {
 		epoch       = flag.Duration("epoch", coord.DefaultEpoch, "rebalance cadence")
 		budget      = flag.Float64("budget", 0, "fleet-wide probe bit-rate budget in Mb/s, split across agents by leased-path count (0 = uncapped)")
 		archiveSpec = flag.String("archive", "", "durable coordinator state dir[:seal=<bytes>[k|m]][,sync]: lease state and federated contributions persist and restore across restarts (inspect with pathload-archive)")
-		secret      = flag.String("secret", "", "shared authentication secret agents must prove (HMAC challenge) before registering; requires protocol v2 agents")
+		secret      = flag.String("secret", "", "shared authentication secret agents must prove (HMAC challenge) before registering")
 		regRate     = flag.Float64("register-rate", 0, "per-remote-host registration rate limit in registrations/second (0 = unlimited)")
 		pushRate    = flag.Float64("push-rate", 0, "per-remote-host contribution push rate limit in pushes/second (0 = unlimited)")
 		rateBurst   = flag.Float64("rate-burst", 0, "token-bucket depth for -register-rate/-push-rate (0 = default)")

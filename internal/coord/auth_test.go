@@ -127,6 +127,20 @@ func TestAuthRequiresV2(t *testing.T) {
 	expectError(t, ft, payload, errCodeVersion)
 }
 
+// TestVersionGateWithoutSecret: a coordinator with no secret refuses
+// v1-only dialers too — the version gate is negotiation, not auth.
+func TestVersionGateWithoutSecret(t *testing.T) {
+	srv, addr := startServer(t, ServerConfig{})
+	conn, ft, payload := sendHello(t, addr, "old", 1, 1)
+	defer conn.Close()
+	expectError(t, ft, payload, errCodeVersion)
+	for _, line := range srv.Transcript() {
+		if strings.Contains(line, "register old") {
+			t.Fatalf("v1-only agent reached the lease machine: %q", line)
+		}
+	}
+}
+
 // TestAgentStopsAfterRejection: an agent with the wrong secret gets
 // ErrRejected out of Run instead of a reconnect loop.
 func TestAgentStopsAfterRejection(t *testing.T) {

@@ -33,16 +33,15 @@ import (
 // coordinator, or vice versa, fails fast instead of misparsing).
 const protoMagic uint32 = 0x534c4350
 
-// Version is the newest control-plane protocol version this build
-// speaks; VersionMin the oldest. Version 1 defines hello/hello-ack
-// with wire-style range negotiation, heartbeat/assign leasing, and
-// contribution push/ack. Version 2 adds the authentication handshake
-// (challenge/auth) and the versioned error frame — a coordinator with
-// a shared secret configured refuses v1 dialers, everything else is
-// wire-compatible.
+// Version is the control-plane protocol version this build speaks.
+// It defines hello/hello-ack with wire-style range negotiation,
+// heartbeat/assign leasing, contribution push/ack, the authentication
+// handshake (challenge/auth), and the versioned error frame. Agents and
+// coordinator are built from the same tree, so VersionMin is Version: a
+// peer of another generation is refused at the hello.
 const (
 	Version    uint16 = 2
-	VersionMin uint16 = 1
+	VersionMin        = Version
 )
 
 // ErrVersionMismatch reports peers whose version ranges do not

@@ -430,8 +430,8 @@ func TestNegotiate(t *testing.T) {
 		want     uint16
 		ok       bool
 	}{
-		{1, 1, 1, true}, // legacy v1-only peer downgrades the session
-		{1, 9, 2, true}, // newest common is our Version
+		{1, 1, 0, false}, // a v1-only peer is refused
+		{1, 9, 2, true},  // newest common is our Version
 		{2, 9, 2, true},
 		{3, 9, 0, false},
 		{0, 0, 0, false},

@@ -40,8 +40,7 @@ type ServerConfig struct {
 
 	// Secret, when non-empty, requires every agent to prove knowledge
 	// of the same shared secret through an HMAC challenge before it may
-	// register. Needs protocol v2; v1 dialers are refused with a
-	// versioned error frame.
+	// register.
 	Secret string
 
 	// RegisterRate and PushRate are per-remote-host token-bucket rates
@@ -315,7 +314,7 @@ func remoteHost(c net.Conn) string {
 	return addr
 }
 
-// challenge runs the v2 auth exchange: nonce out, MAC back, constant
+// challenge runs the auth exchange: nonce out, MAC back, constant
 // time compare. It reports whether the dialer proved the secret;
 // failures are answered with an error frame before returning.
 func (s *Server) challenge(c net.Conn, name string) bool {
@@ -367,14 +366,8 @@ func (s *Server) handleConn(c net.Conn) {
 		s.reject(c, errCodeRate, "register rate limit exceeded")
 		return
 	}
-	if s.cfg.Secret != "" {
-		if ver < 2 {
-			s.reject(c, errCodeVersion, "authentication requires protocol v2")
-			return
-		}
-		if !s.challenge(c, hello.Name) {
-			return
-		}
+	if s.cfg.Secret != "" && !s.challenge(c, hello.Name) {
+		return
 	}
 
 	s.mu.Lock()

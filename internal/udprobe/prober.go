@@ -1,12 +1,9 @@
 package udprobe
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
-	"syscall"
 	"time"
 
 	"repro/internal/wire"
@@ -89,7 +86,6 @@ type Prober struct {
 	udp     *net.UDPConn
 	rtt     time.Duration
 	rttAt   time.Time // when rtt was last measured
-	version uint16
 	buf     []byte
 	oob     []byte // one read's control messages: the kernel's stamp
 	rx      RxInfo
@@ -104,50 +100,21 @@ type Prober struct {
 }
 
 // Dial connects to a sender daemon's control address and performs the
-// hello handshake, negotiating the protocol version: it opens with the
-// version-3 range hello, and if the sender is too old to parse it
-// (pre-range senders drop the session on the 6-byte payload), it
-// redials once and falls back to the legacy exact-version form. Only
-// that hang-up earns the fallback: a failed dial or a sender that stays
-// silent past ControlTimeout fails Dial at once. The returned prober
-// must be closed after use.
+// hello handshake over one control connection: a failed dial, a sender
+// that hangs up or stays silent past ControlTimeout, or an ack outside
+// this build's version range fails Dial. The returned prober must be
+// closed after use.
 func Dial(senderAddr string, cfg ProberConfig) (*Prober, error) {
 	p, err := listenData()
 	if err != nil {
 		return nil, err
 	}
 	p.cfg = cfg.withDefaults()
-	port := uint16(p.udp.LocalAddr().(*net.UDPAddr).Port)
-
-	rangeErr := p.handshake(senderAddr, wire.MarshalHelloRange(wire.HelloRange{
-		Min: wire.VersionMin, Max: wire.Version, UDPPort: port,
-	}), wire.VersionMin)
-	if rangeErr == nil {
-		return p, nil
-	}
-	if !hungUp(rangeErr) {
+	if err := p.handshake(senderAddr); err != nil {
 		p.udp.Close()
-		return nil, rangeErr
-	}
-	// A legacy sender read 6 bytes where it expected 4 and hung up; a
-	// modern sender that refuses [VersionMin, Version] outright would
-	// refuse the narrower legacy form too, so one fallback attempt is
-	// sound either way.
-	legacyErr := p.handshake(senderAddr, wire.MarshalHello(wire.Hello{
-		Version: wire.VersionMin, UDPPort: port,
-	}), wire.VersionMin)
-	if legacyErr != nil {
-		p.udp.Close()
-		return nil, fmt.Errorf("udprobe: hello handshake failed at both forms: range: %v; legacy: %w", rangeErr, legacyErr)
+		return nil, err
 	}
 	return p, nil
-}
-
-// hungUp reports whether a handshake failed because the sender closed
-// the control connection after the hello, which is how a pre-range
-// sender answers a hello it cannot parse.
-func hungUp(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, syscall.ECONNRESET)
 }
 
 // listenData opens a prober's data socket on an ephemeral port, with
@@ -163,11 +130,10 @@ func listenData() (*Prober, error) {
 	return p, nil
 }
 
-// handshake runs one control connection attempt with the given hello
-// payload. ackFallback is the session version implied by a legacy
-// empty-payload ack — the exact version the hello proposed. On error
+// handshake dials the control connection, sends the range hello
+// naming the data socket's port, and checks the sender's ack. On error
 // the control connection is closed; the data socket stays open.
-func (p *Prober) handshake(senderAddr string, hello []byte, ackFallback uint16) error {
+func (p *Prober) handshake(senderAddr string) error {
 	ctrl, err := net.DialTimeout("tcp", senderAddr, p.cfg.ControlTimeout)
 	if err != nil {
 		return fmt.Errorf("udprobe: control dial: %w", err)
@@ -179,6 +145,10 @@ func (p *Prober) handshake(senderAddr string, hello []byte, ackFallback uint16) 
 		return err
 	}
 
+	hello := wire.MarshalHelloRange(wire.HelloRange{
+		Min: wire.VersionMin, Max: wire.Version,
+		UDPPort: uint16(p.udp.LocalAddr().(*net.UDPAddr).Port),
+	})
 	t0 := time.Now()
 	if err := p.writeCtrl(wire.MsgHello, hello); err != nil {
 		return fail(err)
@@ -192,20 +162,15 @@ func (p *Prober) handshake(senderAddr string, hello []byte, ackFallback uint16) 
 	}
 	p.rtt = time.Since(t0)
 	p.rttAt = time.Now()
-	ack, err := wire.UnmarshalHelloAck(payload, ackFallback)
+	ack, err := wire.UnmarshalHelloAck(payload)
 	if err != nil {
 		return fail(err)
 	}
 	if ack.Version < wire.VersionMin || ack.Version > wire.Version {
 		return fail(fmt.Errorf("udprobe: sender chose protocol version %d outside [%d, %d]", ack.Version, wire.VersionMin, wire.Version))
 	}
-	p.version = ack.Version
 	return nil
 }
-
-// NegotiatedVersion reports the protocol version the hello handshake
-// settled on.
-func (p *Prober) NegotiatedVersion() uint16 { return p.version }
 
 // Rx reports whether arrivals carry the kernel's stamp and the receive
 // buffer the kernel granted the data socket.

@@ -48,7 +48,7 @@ func TestSenderRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHello(wire.Hello{Version: 99, UDPPort: 1})); err != nil {
+	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHelloRange(wire.HelloRange{Min: 99, Max: 99, UDPPort: 1})); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -83,7 +83,7 @@ func TestSenderBoundsStreamRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHello(wire.Hello{Version: wire.Version, UDPPort: port})); err != nil {
+		if err := wire.WriteMessage(conn, wire.MsgHello, rangeHello(port)); err != nil {
 			t.Fatal(err)
 		}
 		if mt, _, err := wire.ReadMessage(conn); err != nil || mt != wire.MsgHelloAck {

@@ -1,6 +1,7 @@
 package udprobe
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -66,7 +67,7 @@ func (s *scriptedSender) serve() {
 	if err != nil || mt != wire.MsgHello {
 		return
 	}
-	hello, err := wire.ParseHello(payload)
+	hello, err := wire.UnmarshalHelloRange(payload)
 	if err != nil {
 		return
 	}
@@ -266,7 +267,8 @@ func TestProberResyncsAfterLateStreamDone(t *testing.T) {
 // TestProberKeepAliveSurvivesLongIdle: an Idle longer than the
 // sender's session timeout must not get the session reaped — the
 // prober's keepalive pings refresh the idle deadline. The control
-// prober, idling without keepalives, loses its session.
+// prober, idling without keepalives, loses its session. The two arms
+// idle at once, as two sessions on the same daemon.
 func TestProberKeepAliveSurvivesLongIdle(t *testing.T) {
 	addr, _ := startSenderCfg(t, SenderConfig{Logf: t.Logf, SessionTimeout: 300 * time.Millisecond})
 	spec := pathload.StreamSpec{K: 10, L: 150, T: 300 * time.Microsecond}
@@ -276,24 +278,36 @@ func TestProberKeepAliveSurvivesLongIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer alive.Close()
-	if err := alive.Idle(time.Second); err != nil {
-		t.Fatalf("keepalive idle: %v", err)
-	}
-	if _, err := alive.SendStream(spec); err != nil {
-		t.Fatalf("stream after a keepalive-bridged gap: %v", err)
-	}
-
 	// Control: no pings within the gap → the daemon reaps the session.
 	reaped, err := Dial(addr, ProberConfig{KeepAlive: time.Hour, ControlTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reaped.Close()
-	if err := reaped.Idle(time.Second); err != nil {
-		t.Fatalf("plain sleep cannot fail locally: %v", err)
+
+	var reapedErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	defer wg.Wait() // before the Closes, should an alive arm fail
+	go func() {
+		defer wg.Done()
+		if err := reaped.Idle(time.Second); err != nil {
+			reapedErr = fmt.Errorf("plain sleep cannot fail locally: %w", err)
+			return
+		}
+		if _, err := reaped.SendStream(spec); err == nil {
+			reapedErr = errors.New("session idled past the sender timeout without keepalives yet survived — the keepalive test proves nothing")
+		}
+	}()
+	if err := alive.Idle(time.Second); err != nil {
+		t.Fatalf("keepalive idle: %v", err)
 	}
-	if _, err := reaped.SendStream(spec); err == nil {
-		t.Fatal("session idled past the sender timeout without keepalives yet survived — the keepalive test proves nothing")
+	if _, err := alive.SendStream(spec); err != nil {
+		t.Fatalf("stream after a keepalive-bridged gap: %v", err)
+	}
+	wg.Wait()
+	if reapedErr != nil {
+		t.Fatal(reapedErr)
 	}
 }
 
@@ -364,7 +378,7 @@ func TestSenderSessionIdleTimeout(t *testing.T) {
 	}
 	defer udp.Close()
 	port := uint16(udp.LocalAddr().(*net.UDPAddr).Port)
-	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHello(wire.Hello{Version: wire.Version, UDPPort: port})); err != nil {
+	if err := wire.WriteMessage(conn, wire.MsgHello, rangeHello(port)); err != nil {
 		t.Fatal(err)
 	}
 	if mt, _, err := wire.ReadMessage(conn); err != nil || mt != wire.MsgHelloAck {
@@ -425,7 +439,7 @@ func TestSenderEmissionGateSerializesOverlappingStreams(t *testing.T) {
 		}
 		defer udp.Close()
 		port := uint16(udp.LocalAddr().(*net.UDPAddr).Port)
-		if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHello(wire.Hello{Version: wire.Version, UDPPort: port})); err != nil {
+		if err := wire.WriteMessage(conn, wire.MsgHello, rangeHello(port)); err != nil {
 			fail(err)
 			return
 		}

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/wire"
+
 	pathload "repro"
 )
 
@@ -34,6 +36,12 @@ func startSenderCfg(t *testing.T, cfg SenderConfig) (string, *Sender) {
 		<-done
 	})
 	return s.Addr().String(), s
+}
+
+// rangeHello is the hello payload a receiver of this build sends: its
+// whole version range and the data port.
+func rangeHello(port uint16) []byte {
+	return wire.MarshalHelloRange(wire.HelloRange{Min: wire.VersionMin, Max: wire.Version, UDPPort: port})
 }
 
 // TestStreamRoundTrip exercises the full control + data path over

@@ -114,21 +114,20 @@ func (t MsgType) String() string {
 	}
 }
 
-// Version is the newest control protocol version this build speaks.
-// Version 2 added the Gen request-generation tag to StreamRequest,
-// StreamDone, and ProbeHeader — so receivers can resynchronize a
-// control channel after an errored round and reject data-plane
-// stragglers across rounds that reuse fleet/stream indices — and the
-// Ping/Pong session keepalive. Version 3 keeps every version-2 message
-// layout and adds the range handshake: a 6-byte hello advertising a
-// [min, max] version range and a hello-ack carrying the version the
-// sender chose, so mixed-version fleets negotiate instead of
-// hard-failing on any skew.
+// Version is the control protocol version this build speaks. Version
+// 2 added the Gen request-generation tag to StreamRequest, StreamDone,
+// and ProbeHeader — so receivers can resynchronize a control channel
+// after an errored round and reject data-plane stragglers across rounds
+// that reuse fleet/stream indices — and the Ping/Pong session
+// keepalive. Version 3 added the range handshake: a 6-byte hello
+// advertising a [min, max] version range and a 2-byte hello-ack
+// carrying the version the sender chose.
 const Version uint16 = 3
 
-// VersionMin is the oldest protocol version this build still speaks.
-// Version 1 payload layouts (pre-Gen) are gone; 2 is the floor.
-const VersionMin uint16 = 2
+// VersionMin is the oldest protocol version this build speaks. Every
+// sender and receiver is built from the same tree, so it is Version:
+// a peer of another generation is refused at the hello.
+const VersionMin = Version
 
 // ErrVersionMismatch reports peers whose version ranges do not
 // intersect.
@@ -153,27 +152,16 @@ func NegotiateWithin(lo, hi, peerMin, peerMax uint16, mismatch error) (uint16, e
 	return chosen, nil
 }
 
-// A Hello opens a control session and advertises the UDP port the
-// receiver listens on. This is the legacy (version ≤ 2) exact-version
-// form; version-3 peers open with a HelloRange instead and fall back
-// to this one for old senders.
-type Hello struct {
-	Version uint16
-	UDPPort uint16
-}
-
-// A HelloRange is the version-3 session opener: the receiver proposes
-// a whole version range and the sender picks.
+// A HelloRange opens a control session: the receiver proposes a
+// version range and advertises the UDP port it listens on, and the
+// sender picks the version.
 type HelloRange struct {
 	Min, Max uint16
 	UDPPort  uint16
 }
 
 // A HelloAck answers a hello with the version the sender chose for the
-// session. Legacy (version ≤ 2) senders ack with an empty payload,
-// implying the exact version the hello proposed; legacy receivers
-// ignore the ack payload entirely, which is what makes adding it
-// backward compatible.
+// session.
 type HelloAck struct {
 	Version uint16
 }
@@ -246,26 +234,7 @@ func ReadMessage(r io.Reader) (MsgType, []byte, error) {
 	return t, payload, nil
 }
 
-// MarshalHello encodes a Hello payload.
-func MarshalHello(h Hello) []byte {
-	buf := make([]byte, 4)
-	binary.BigEndian.PutUint16(buf[0:], h.Version)
-	binary.BigEndian.PutUint16(buf[2:], h.UDPPort)
-	return buf
-}
-
-// UnmarshalHello decodes a Hello payload.
-func UnmarshalHello(buf []byte) (Hello, error) {
-	if len(buf) != 4 {
-		return Hello{}, fmt.Errorf("wire: hello payload %d bytes, want 4", len(buf))
-	}
-	return Hello{
-		Version: binary.BigEndian.Uint16(buf[0:]),
-		UDPPort: binary.BigEndian.Uint16(buf[2:]),
-	}, nil
-}
-
-// MarshalHelloRange encodes a version-3 range hello:
+// MarshalHelloRange encodes a range hello:
 // [min u16][max u16][udp port u16].
 func MarshalHelloRange(h HelloRange) []byte {
 	buf := make([]byte, 6)
@@ -275,7 +244,7 @@ func MarshalHelloRange(h HelloRange) []byte {
 	return buf
 }
 
-// UnmarshalHelloRange decodes a version-3 range hello payload.
+// UnmarshalHelloRange decodes a range hello payload.
 func UnmarshalHelloRange(buf []byte) (HelloRange, error) {
 	if len(buf) != 6 {
 		return HelloRange{}, fmt.Errorf("wire: range hello payload %d bytes, want 6", len(buf))
@@ -291,25 +260,6 @@ func UnmarshalHelloRange(buf []byte) (HelloRange, error) {
 	return h, nil
 }
 
-// ParseHello accepts either hello form — the 6-byte version range or
-// the legacy 4-byte exact version (which parses as the degenerate
-// range [v, v]) — so one sender code path serves both generations of
-// receivers.
-func ParseHello(buf []byte) (HelloRange, error) {
-	switch len(buf) {
-	case 4:
-		h, err := UnmarshalHello(buf)
-		if err != nil {
-			return HelloRange{}, err
-		}
-		return HelloRange{Min: h.Version, Max: h.Version, UDPPort: h.UDPPort}, nil
-	case 6:
-		return UnmarshalHelloRange(buf)
-	default:
-		return HelloRange{}, fmt.Errorf("wire: hello payload %d bytes, want 4 (legacy) or 6 (range)", len(buf))
-	}
-}
-
 // MarshalHelloAck encodes a hello-ack payload carrying the chosen
 // version.
 func MarshalHelloAck(a HelloAck) []byte {
@@ -318,18 +268,12 @@ func MarshalHelloAck(a HelloAck) []byte {
 	return buf
 }
 
-// UnmarshalHelloAck decodes a hello-ack payload. An empty payload is a
-// legacy ack: the sender accepted exactly the version the hello
-// proposed, reported here as fallback.
-func UnmarshalHelloAck(buf []byte, fallback uint16) (HelloAck, error) {
-	switch len(buf) {
-	case 0:
-		return HelloAck{Version: fallback}, nil
-	case 2:
-		return HelloAck{Version: binary.BigEndian.Uint16(buf)}, nil
-	default:
-		return HelloAck{}, fmt.Errorf("wire: hello-ack payload %d bytes, want 0 (legacy) or 2", len(buf))
+// UnmarshalHelloAck decodes a hello-ack payload.
+func UnmarshalHelloAck(buf []byte) (HelloAck, error) {
+	if len(buf) != 2 {
+		return HelloAck{}, fmt.Errorf("wire: hello-ack payload %d bytes, want 2", len(buf))
 	}
+	return HelloAck{Version: binary.BigEndian.Uint16(buf)}, nil
 }
 
 // MarshalStreamRequest encodes a StreamRequest payload.
