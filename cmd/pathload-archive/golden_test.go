@@ -23,28 +23,22 @@ type defect struct {
 	damage func(t *testing.T, dir string)
 }
 
-// Offsets into one of the fixture's version 1 segment files: the header
-// is magic u32 | version u16 | index u64 | prevHash 32B | sealedUnix
-// i64 | recordCount u32 | ckptLen u32, then the checkpoint, then the
-// records.
-const (
-	segHdrLen    = 4 + 2 + 8 + 32 + 8 + 4 + 4
-	segCkptLenAt = segHdrLen - 4
-)
+// segHdrLen is the length of the fixture's segment header: magic u32 |
+// version u16 | index u64 | prevHash 32B | sealedUnix i64 | recordCount
+// u32 | ckptLen u32 | ckptHash 32B. The records follow it directly.
+const segHdrLen = 4 + 2 + 8 + 32 + 8 + 4 + 4 + 32
 
 var defects = []defect{
 	{"clean", func(*testing.T, string) {}},
 	{"flipped byte in a sealed record", func(t *testing.T, dir string) {
 		editFile(t, filepath.Join(dir, "seg-00000001"), func(b []byte) []byte {
-			ckptLen := int(binary.BigEndian.Uint32(b[segCkptLenAt:]))
-			b[segHdrLen+ckptLen+12] ^= 0x01 // inside the first record's data
+			b[segHdrLen+12] ^= 0x01 // inside the first record's data
 			return b
 		})
 	}},
-	{"flipped byte in an older segment's checkpoint", func(t *testing.T, dir string) {
-		editFile(t, filepath.Join(dir, "seg-00000001"), func(b []byte) []byte {
-			ckptLen := int(binary.BigEndian.Uint32(b[segCkptLenAt:]))
-			b[segHdrLen+ckptLen/2] ^= 0x01
+	{"flipped byte in the live checkpoint", func(t *testing.T, dir string) {
+		editFile(t, filepath.Join(dir, "ckpt-00000002"), func(b []byte) []byte {
+			b[len(b)/2] ^= 0x01
 			return b
 		})
 	}},

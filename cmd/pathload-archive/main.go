@@ -145,7 +145,7 @@ func runCat(args []string) error {
 			src = "seg"
 		}
 		switch r.Kind {
-		case archive.KindPoint, archive.KindPointCompact:
+		case archive.KindPointCompact:
 			path, p, err := archive.DecodePointRecord(r)
 			if err != nil {
 				return err

@@ -1,13 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -25,13 +23,13 @@ import (
 // sealed history fails the walk.
 const fixtureDir = "testdata/mini"
 
-// regenFixture rebuilds testdata/mini from scratch. Run with
-// PATHLOAD_REGEN_FIXTURE=1 when the on-disk format changes, and
-// commit the result. The committed fixture predates the compact point
-// kind and checkpoint version 2 (its points are KindPoint records under
-// a version 1 checkpoint), and TestMixedFormatRecovery holds today's
-// reader and writer to that older form: regenerating writes today's
-// form and loses that coverage.
+// regenFixture rebuilds testdata/mini from scratch, in the one form
+// today's writer writes: version 2 segments, KindPointCompact and
+// KindLink records, one live version 2 checkpoint file. Run with
+// PATHLOAD_REGEN_FIXTURE=1 when the on-disk format changes, and commit
+// the result; the archive and tsstore fuzz seeds taken from it
+// (internal/archive/testdata/fuzz, internal/tsstore/testdata/fuzz) then
+// move with it.
 func regenFixture(t *testing.T) {
 	t.Helper()
 	if err := os.RemoveAll(fixtureDir); err != nil {
@@ -113,7 +111,7 @@ func TestFixtureDecodes(t *testing.T) {
 	points, links := 0, 0
 	err := archive.Walk(fixtureDir, func(r archive.Record, sealed bool) error {
 		switch r.Kind {
-		case archive.KindPoint, archive.KindPointCompact:
+		case archive.KindPointCompact:
 			path, p, err := archive.DecodePointRecord(r)
 			if err != nil {
 				return err
@@ -215,128 +213,42 @@ func copyDir(t *testing.T, from, to string) {
 	}
 }
 
-// TestMixedFormatRecovery: today's writer appends to an archive of the
-// older form — a copy of the fixture, KindPoint records under a version
-// 1 checkpoint inside version 1 segments — and seals a version 2
-// segment, whose checkpoint is the one file beside it. The reopened
-// store holds exactly what an in-memory store fed the same points holds
-// (totals, error counts, digests, rings, link series), the archive
-// verifies, and cat prints both point kinds in one line format.
-func TestMixedFormatRecovery(t *testing.T) {
-	maybeRegen(t)
+// TestVersion1SegmentRefused: a segment of the format before version 2
+// — no checkpoint hash in its header, the checkpoint inline after it —
+// is refused by its version, by name, wherever it is read: Open, Verify,
+// Walk and the built `pathload-archive verify`, which exits 1.
+func TestVersion1SegmentRefused(t *testing.T) {
 	dir := t.TempDir()
 	copyDir(t, fixtureDir, dir)
-	control := tsstore.New(tsstore.Config{})
-	err := archive.Walk(fixtureDir, func(r archive.Record, _ bool) error {
-		switch r.Kind {
-		case archive.KindPoint:
-			path, p, err := archive.DecodePointRecord(r)
-			control.ReplayPoint(path, p, true)
-			return err
-		case archive.KindLink:
-			link, lp, err := archive.DecodeLinkRecord(r)
-			control.ReplayLink(link, lp, true)
-			return err
-		}
-		return fmt.Errorf("fixture holds a kind 0x%02x record", r.Kind)
+	editFile(t, filepath.Join(dir, "seg-00000001"), func(b []byte) []byte {
+		v1 := append([]byte(nil), b[:segHdrLen-32]...) // the header less its checkpoint hash
+		v1[5] = 1
+		binary.BigEndian.PutUint32(v1[len(v1)-4:], 0) // no checkpoint inline
+		return append(v1, b[segHdrLen:]...)
 	})
-	if err != nil {
-		t.Fatal(err)
+	const want = "segment format version 1, want 2"
+	if _, _, err := archive.Open(dir, archive.Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Open: %v; want %q", err, want)
+	}
+	if rep, err := archive.Verify(dir); err != nil || rep.OK() || !strings.Contains(rep.String(), want) {
+		t.Errorf("Verify: %v\n%s; want %q", err, rep, want)
+	}
+	if err := archive.Walk(dir, func(archive.Record, bool) error { return nil }); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Walk: %v; want %q", err, want)
 	}
 
-	opts := archive.Options{NowUnix: func() int64 { return 1700000100 }}
-	st, backend, rep, err := archive.OpenStore(dir, opts, tsstore.Config{})
-	if err != nil || rep.CheckpointCorrupt || rep.ForeignRecords != 0 {
-		t.Fatalf("OpenStore(fixture copy): %v, %v", rep, err)
-	}
-	observe := func(s pathload.Sample) { st.Observe(s); control.Observe(s) }
-	observe(fixtureSample("p00", 5, 4.5e6, 6.5e6))
-	observe(fixtureSample("p02", 0, 1e6, 1.5e6))
-	st.ObserveLink("hop-01", 3, 3*time.Second, time.Second, 0.5, 10e6)
-	control.ObserveLink("hop-01", 3, 3*time.Second, time.Second, 0.5, 10e6)
-	if err := backend.Archive().Seal(); err != nil {
-		t.Fatal(err)
-	}
-	var versions, ckpts []string
-	for _, name := range []string{"seg-00000001", "seg-00000002", "seg-00000003"} {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		versions = append(versions, fmt.Sprint(binary.BigEndian.Uint16(b[4:6])))
-	}
-	ents, err := os.ReadDir(dir)
+	gobin, err := exec.LookPath("go")
 	if err != nil {
-		t.Fatal(err)
+		t.Skip("no go toolchain on PATH")
 	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "ckpt-") {
-			ckpts = append(ckpts, e.Name())
-		}
+	bin := filepath.Join(t.TempDir(), "pathload-archive")
+	if out, err := exec.Command(gobin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	if got := strings.Join(versions, " ") + " | " + strings.Join(ckpts, " "); got != "1 1 2 | ckpt-00000003" {
-		t.Fatalf("segment versions and checkpoint files after the seal: %s, want 1 1 2 | ckpt-00000003", got)
-	}
-	observe(pathload.Sample{Path: "p01", Round: 4, At: 4 * time.Second, Err: errors.New("timeout"),
-		Result: pathload.Result{Elapsed: 200 * time.Millisecond, Bits: 96000}})
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, _, rep, err := archive.OpenStore(dir, opts, tsstore.Config{})
-	if err != nil || rep.CheckpointCorrupt || rep.ForeignRecords != 0 || rep.SealedRecords != 15 || rep.TailRecords != 1 {
-		t.Fatalf("reopen: %v, %v; want 15 sealed + 1 tail records under a sound checkpoint", rep, err)
-	}
-	defer re.Close()
-	if got, want := re.Paths(), control.Paths(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("paths %v, want %v", got, want)
-	}
-	for _, p := range control.Paths() {
-		gt, ge := re.Totals(p)
-		wt, we := control.Totals(p)
-		gd := re.DigestSnapshot(p).AppendBinary(nil)
-		wd := control.DigestSnapshot(p).AppendBinary(nil)
-		if gt != wt || ge != we || !bytes.Equal(gd, wd) {
-			t.Errorf("%s: totals (%d, %d) digest %x; want (%d, %d) %x", p, gt, ge, gd, wt, we, wd)
-		}
-		if got, want := re.Snapshot(p), control.Snapshot(p); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: ring %+v, want %+v", p, got, want)
-		}
-	}
-	if re.LinkTotal("hop-01") != 4 || !reflect.DeepEqual(re.LinkSnapshot("hop-01"), control.LinkSnapshot("hop-01")) {
-		t.Errorf("link hop-01: %d windows %+v, want 4 %+v", re.LinkTotal("hop-01"), re.LinkSnapshot("hop-01"), control.LinkSnapshot("hop-01"))
-	}
-	var got, want bytes.Buffer
-	re.WritePrometheus(&got)
-	control.WritePrometheus(&want)
-	if got.String() != want.String() {
-		t.Errorf("recovered exposition differs:\n%s\nwant\n%s", got.String(), want.String())
-	}
-	if ver, err := archive.Verify(dir); err != nil || !ver.OK() {
-		t.Fatalf("mixed archive does not verify: %v\n%s", err, ver.String())
-	}
-	kinds := map[uint8]int{}
-	if err := archive.Walk(dir, func(r archive.Record, _ bool) error { kinds[r.Kind]++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if kinds[archive.KindPoint] != 9 || kinds[archive.KindPointCompact] != 3 {
-		t.Errorf("mixed archive holds %d KindPoint and %d KindPointCompact records, want 9 and 3", kinds[archive.KindPoint], kinds[archive.KindPointCompact])
-	}
-
-	text, err := catOutput(t, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range []string{
-		`seg point p00          round=4 at=4s span=200ms lo=5000000 hi=7000000 bits=96000 err=""`,
-		`seg point p01          round=3 at=3s span=200ms lo=2500000 hi=3500000 bits=96000 err=""`,
-		`seg point p00          round=5 at=5s span=200ms lo=4500000 hi=6500000 bits=96000 err=""`,
-		`seg point p02          round=0 at=0s span=200ms lo=1000000 hi=1500000 bits=96000 err=""`,
-		`seg link  hop-01       round=3 at=3s span=1s util=0.500 cap=10000000`,
-		`wal point p01          round=4 at=4s span=200ms lo=0 hi=0 bits=96000 err="timeout"`,
-	} {
-		if !strings.Contains(text, line+"\n") {
-			t.Errorf("cat output lacks %q:\n%s", line, text)
-		}
+	cmd := exec.Command(bin, "verify", dir)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), want) {
+		t.Errorf("pathload-archive verify: %v\n%s; want exit 1 and %q", err, out, want)
 	}
 }

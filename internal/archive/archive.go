@@ -21,12 +21,13 @@
 //	               is kept, and none when ckptLen is 0
 //	HEAD           "plarchive v1\n<index> <sha256 hex>\n"
 //
-// Segments written before version 2 have no ckptHash and carry their
-// checkpoint inline, between the header and the records; they still
-// open, replay and verify, alone or followed by version 2 segments. A
-// reader that predates version 2 refuses a version 2 segment by its
-// version, so an older binary fails on a newer archive instead of
-// misreading it.
+// A reader reads one generation of every form: segment version 2 and
+// the record kinds and checkpoint version its consumers write today. A
+// segment of another version is refused by its version ("segment
+// format version 1, want 2"), a record of a kind no consumer owns is
+// counted as foreign, and a checkpoint of another version is reported
+// corrupt, its counters rebuilt by counted replay: an archive of
+// another generation fails or is counted, never misread.
 //
 // The WAL header's afterSeg names the newest segment the WAL follows;
 // it is what makes crash windows around sealing unambiguous. Sealing
@@ -75,9 +76,9 @@ const (
 	segMagic = 0x504c5347 // "PLSG"
 	// Version is the on-disk format version of the WAL.
 	Version = 1
-	// segVersion is the format version of the segments a seal writes:
-	// 2, whose checkpoint lives in its own file. Version 1 segments
-	// embed theirs; Open, Verify and Walk read both.
+	// segVersion is the format version of segments: 2, whose header
+	// commits to the checkpoint file beside it by its SHA-256. Open,
+	// Verify and Walk refuse any other.
 	segVersion = 2
 
 	walName    = "wal.log"
@@ -85,11 +86,8 @@ const (
 	segPrefix  = "seg-"
 	ckptPrefix = "ckpt-"
 	walHdrLen  = 4 + 2 + 8
-	// segHdrLenV1 and segHdrLen are the header lengths of segment
-	// versions 1 and 2: version 2 adds the checkpoint's SHA-256.
-	segHdrLenV1 = 4 + 2 + 8 + sha256.Size + 8 + 4 + 4
-	segHdrLen   = segHdrLenV1 + sha256.Size
-	headPrefix  = "plarchive v1\n"
+	segHdrLen  = 4 + 2 + 8 + sha256.Size + 8 + 4 + 4 + sha256.Size
+	headPrefix = "plarchive v1\n"
 )
 
 // Options tunes an Archive.
@@ -385,7 +383,7 @@ func (a *Archive) sealLocked() error {
 	if a.walRecs == 0 {
 		return nil
 	}
-	h := segHeader{version: segVersion, index: 1, sealedUnix: a.now(), records: int64(a.walRecs)}
+	h := segHeader{index: 1, sealedUnix: a.now(), records: int64(a.walRecs)}
 	if n := len(a.segs); n > 0 {
 		h.index = a.segs[n-1].Index + 1
 		h.prevHash = a.segs[n-1].Hash
@@ -560,12 +558,10 @@ func readWAL(path string, read func(after uint64, rr *recordReader) error) error
 	return read(binary.BigEndian.Uint64(hdr[6:walHdrLen]), &recordReader{r: br, left: fi.Size() - walHdrLen})
 }
 
-// A segHeader is a segment file's header. In version 1 the checkpoint
-// blob, ckptLen bytes, follows it inline and ckptHash is zero; in
-// version 2 the blob is the file ckpt-<index>, whose SHA-256 is
-// ckptHash. The records follow either.
+// A segHeader is a segment file's header. The checkpoint blob is the
+// file ckpt-<index>, ckptLen bytes whose SHA-256 is ckptHash; the
+// records follow the header.
 type segHeader struct {
-	version    uint16
 	index      uint64
 	prevHash   [sha256.Size]byte
 	sealedUnix int64
@@ -574,18 +570,10 @@ type segHeader struct {
 	ckptHash   [sha256.Size]byte
 }
 
-// size returns the header's length on disk.
-func (h *segHeader) size() int64 {
-	if h.version == 1 {
-		return segHdrLenV1
-	}
-	return segHdrLen
-}
-
-// appendSegHeader appends h to b in the layout of h.version. A record
-// count or checkpoint length that its u32 field cannot hold is an
-// error, and b comes back unchanged: a header that misstated its own
-// file would be sealed into the chain for good.
+// appendSegHeader appends h to b. A record count or checkpoint length
+// that its u32 field cannot hold is an error, and b comes back
+// unchanged: a header that misstated its own file would be sealed into
+// the chain for good.
 func appendSegHeader(b []byte, h segHeader) ([]byte, error) {
 	if h.records < 0 || h.records > math.MaxUint32 {
 		return b, fmt.Errorf("archive: %d records do not fit a segment header", h.records)
@@ -594,20 +582,17 @@ func appendSegHeader(b []byte, h segHeader) ([]byte, error) {
 		return b, fmt.Errorf("archive: a %d-byte checkpoint does not fit a segment header", h.ckptLen)
 	}
 	b = binary.BigEndian.AppendUint32(b, segMagic)
-	b = binary.BigEndian.AppendUint16(b, h.version)
+	b = binary.BigEndian.AppendUint16(b, segVersion)
 	b = binary.BigEndian.AppendUint64(b, h.index)
 	b = append(b, h.prevHash[:]...)
 	b = binary.BigEndian.AppendUint64(b, uint64(h.sealedUnix))
 	b = binary.BigEndian.AppendUint32(b, uint32(h.records))
 	b = binary.BigEndian.AppendUint32(b, uint32(h.ckptLen))
-	if h.version != 1 {
-		b = append(b, h.ckptHash[:]...)
-	}
-	return b, nil
+	return append(b, h.ckptHash[:]...), nil
 }
 
-// parseSegHeader parses the segment header at the start of b, of
-// either version; b may run on past it.
+// parseSegHeader parses the segment header at the start of b; b may
+// run on past it.
 func parseSegHeader(b []byte) (h segHeader, err error) {
 	if len(b) < 6 {
 		return h, errors.New("truncated segment header")
@@ -615,11 +600,10 @@ func parseSegHeader(b []byte) (h segHeader, err error) {
 	if binary.BigEndian.Uint32(b[0:4]) != segMagic {
 		return h, errors.New("wrong segment magic")
 	}
-	h.version = binary.BigEndian.Uint16(b[4:6])
-	if h.version != 1 && h.version != segVersion {
-		return h, fmt.Errorf("segment format version %d, want 1 or %d", h.version, segVersion)
+	if v := binary.BigEndian.Uint16(b[4:6]); v != segVersion {
+		return h, fmt.Errorf("segment format version %d, want %d", v, segVersion)
 	}
-	if int64(len(b)) < h.size() {
+	if len(b) < segHdrLen {
 		return h, errors.New("truncated segment header")
 	}
 	h.index = binary.BigEndian.Uint64(b[6:14])
@@ -628,9 +612,7 @@ func parseSegHeader(b []byte) (h segHeader, err error) {
 	h.sealedUnix = int64(binary.BigEndian.Uint64(b[off : off+8]))
 	h.records = int64(binary.BigEndian.Uint32(b[off+8 : off+12]))
 	h.ckptLen = int64(binary.BigEndian.Uint32(b[off+12 : off+16]))
-	if h.version != 1 {
-		copy(h.ckptHash[:], b[segHdrLenV1:segHdrLen])
-	}
+	copy(h.ckptHash[:], b[off+16:segHdrLen])
 	return h, nil
 }
 
@@ -638,22 +620,19 @@ func parseSegHeader(b []byte) (h segHeader, err error) {
 // record at a time: it checks the header (against wantIndex, when not
 // 0), every record's frame and CRC, and the header's record count, and
 // returns the segment's info and header. With hashed set it also fills
-// info.Hash, the SHA-256 of the whole file. With keepCkpt set it
-// returns a copy of a version 1 segment's inline checkpoint blob;
-// otherwise the blob is read past and not held (a version 2 segment
-// has none inline: the header names its file). fn, when non-nil, is
+// info.Hash, the SHA-256 of the whole file. fn, when non-nil, is
 // handed each record in order, its key made a string by keys (a fresh
 // table when nil). Errors do not name the file; info.Bytes is set once
 // the file is open.
-func scanSegment(path string, wantIndex uint64, hashed, keepCkpt bool, keys keyTable, fn func(Record) error) (info SegmentInfo, h segHeader, ckpt []byte, err error) {
+func scanSegment(path string, wantIndex uint64, hashed bool, keys keyTable, fn func(Record) error) (info SegmentInfo, h segHeader, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return info, h, nil, err
+		return info, h, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return info, h, nil, err
+		return info, h, err
 	}
 	size := fi.Size()
 	info.Bytes = size
@@ -667,44 +646,28 @@ func scanSegment(path string, wantIndex uint64, hashed, keepCkpt bool, keys keyT
 
 	peek, err := br.Peek(int(min(size, segHdrLen)))
 	if err != nil {
-		return info, h, nil, err
+		return info, h, err
 	}
 	if h, err = parseSegHeader(peek); err != nil {
-		return info, h, nil, err
+		return info, h, err
 	}
 	if wantIndex != 0 && h.index != wantIndex {
-		return info, h, nil, fmt.Errorf("segment header index %d disagrees with filename %d", h.index, wantIndex)
+		return info, h, fmt.Errorf("segment header index %d disagrees with filename %d", h.index, wantIndex)
 	}
 	info.Index, info.PrevHash, info.SealedUnix = h.index, h.prevHash, h.sealedUnix
-	br.Discard(int(h.size()))
-	inline := int64(0)
-	if h.version == 1 {
-		inline = h.ckptLen
-	}
-	if h.size()+inline > size {
-		return info, h, nil, fmt.Errorf("checkpoint length %d overruns %d-byte segment", inline, size)
-	}
-	if keepCkpt && inline > 0 {
-		ckpt = make([]byte, inline)
-		_, err = io.ReadFull(br, ckpt)
-	} else {
-		_, err = br.Discard(int(inline))
-	}
-	if err != nil {
-		return info, h, nil, err
-	}
-	rr := recordReader{r: br, left: size - h.size() - inline, keys: keys}
+	br.Discard(segHdrLen)
+	rr := recordReader{r: br, left: size - segHdrLen, keys: keys}
 	if err := rr.each(fn); err != nil {
-		return info, h, nil, fmt.Errorf("record region: %w", err)
+		return info, h, fmt.Errorf("record region: %w", err)
 	}
 	if int64(rr.n) != h.records {
-		return info, h, nil, fmt.Errorf("header claims %d records, file holds %d", h.records, rr.n)
+		return info, h, fmt.Errorf("header claims %d records, file holds %d", h.records, rr.n)
 	}
 	info.Records = rr.n
 	if sum != nil {
 		sum.Sum(info.Hash[:0])
 	}
-	return info, h, ckpt, nil
+	return info, h, nil
 }
 
 // writeAtomic writes a file at path through write, via temp file,

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"os"
@@ -269,7 +270,7 @@ func TestVerifyDetectsAnyFlippedByte(t *testing.T) {
 		}
 		// Try a byte in every region: header, checkpoint hash, records;
 		// and the first, a middle and the last of the checkpoint's.
-		offs := []int{6, segHdrLenV1 + 3, segHdrLen + 3, len(orig) - 2}
+		offs := []int{6, segHdrLen - sha256.Size + 3, segHdrLen + 3, len(orig) - 2}
 		if strings.HasPrefix(name, ckptPrefix) {
 			offs = []int{0, len(orig) / 2, len(orig) - 1}
 		}
@@ -444,27 +445,21 @@ func TestOpenRejectsSequenceGap(t *testing.T) {
 // length are u32 fields. A value they cannot hold is an error from the
 // function that builds the header, which leaves its buffer as it was —
 // and from a seal, before it writes any file. Values at the bound
-// round-trip, in both header versions.
+// round-trip.
 func TestSegmentHeaderBounds(t *testing.T) {
-	ok := segHeader{version: segVersion, index: 9, sealedUnix: 1700000000, records: math.MaxUint32, ckptLen: math.MaxUint32}
-	ok.prevHash[0], ok.ckptHash[31] = 0xaa, 0xbb
-	for _, version := range []uint16{1, segVersion} {
-		h := ok
-		if h.version = version; version == 1 {
-			h.ckptHash = [32]byte{}
-		}
-		b, err := appendSegHeader([]byte("x"), h)
-		if err != nil || int64(len(b)) != 1+h.size() {
-			t.Fatalf("version %d at the bound: %d bytes, %v", version, len(b), err)
-		}
-		if got, err := parseSegHeader(b[1:]); err != nil || got != h {
-			t.Fatalf("version %d round-trip: %+v, %v; want %+v", version, got, err, h)
-		}
+	h := segHeader{index: 9, sealedUnix: 1700000000, records: math.MaxUint32, ckptLen: math.MaxUint32}
+	h.prevHash[0], h.ckptHash[31] = 0xaa, 0xbb
+	b, err := appendSegHeader([]byte("x"), h)
+	if err != nil || len(b) != 1+segHdrLen {
+		t.Fatalf("at the bound: %d bytes, %v", len(b), err)
+	}
+	if got, err := parseSegHeader(b[1:]); err != nil || got != h {
+		t.Fatalf("round-trip: %+v, %v; want %+v", got, err, h)
 	}
 	for name, h := range map[string]segHeader{
-		"records":           {version: segVersion, records: math.MaxUint32 + 1},
-		"checkpoint length": {version: segVersion, ckptLen: math.MaxUint32 + 1},
-		"negative records":  {version: segVersion, records: -1},
+		"records":           {records: math.MaxUint32 + 1},
+		"checkpoint length": {ckptLen: math.MaxUint32 + 1},
+		"negative records":  {records: -1},
 	} {
 		if b, err := appendSegHeader([]byte("x"), h); err == nil || string(b) != "x" {
 			t.Errorf("%s out of range: %q, %v; want an error and the buffer untouched", name, b, err)

@@ -425,8 +425,8 @@ func sameStore(t *testing.T, got, want *tsstore.Store) {
 	for _, p := range want.Paths() {
 		gt, ge := got.Totals(p)
 		wt, we := want.Totals(p)
-		gd := got.DigestSnapshot(p).AppendBinary(nil)
-		wd := want.DigestSnapshot(p).AppendBinary(nil)
+		gd := got.DigestSnapshot(p).AppendCompact(nil)
+		wd := want.DigestSnapshot(p).AppendCompact(nil)
 		if gt != wt || ge != we || !bytes.Equal(gd, wd) {
 			t.Fatalf("%s: totals (%d, %d) digest %x; want (%d, %d) %x", p, gt, ge, gd, wt, we, wd)
 		}

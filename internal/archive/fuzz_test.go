@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/tsstore"
 )
@@ -150,33 +151,26 @@ func FuzzReadRecord(f *testing.F) {
 }
 
 // FuzzRecordPayloads: the payload decoders of every record kind must
-// reject malformed payloads with an error, and the kinds the adapter
-// writes must round-trip the payloads they accept (AppendCompact only
-// truncates error texts past 65 535 bytes, which no payload that
-// decodes can carry). KindPoint, which nothing writes any more, must
-// only decode without panicking. For either point kind the store's
-// checkpoint shadow (pointOutcome) must accept exactly what
-// decodePoint accepts and read the same range center and outcome. The
-// committed seeds are the mini fixture's KindPoint and KindLink
-// payloads.
+// reject malformed payloads with an error, and must round-trip the
+// payloads they accept (AppendCompact only truncates error texts past
+// 65 535 bytes, which no payload that decodes can carry). The store's
+// checkpoint shadow (pointOutcome) must accept exactly what decodePoint
+// accepts and read the same range center and outcome. The committed
+// seeds are the mini fixture's KindPointCompact and KindLink payloads.
 func FuzzRecordPayloads(f *testing.F) {
 	p := tsstore.Point{Round: -1, At: 1, Span: 2, Lo: 3, Hi: 4, Bits: 5, Err: "timeout"}
 	f.Add(p.AppendCompact(nil))
-	f.Add(p.AppendBinary(nil))
+	f.Add(tsstore.Point{Round: 1 << 40, At: -time.Second, Lo: 1e6, Hi: 2e6}.AppendCompact(nil))
 	f.Add(appendLink(nil, tsstore.LinkPoint{Round: 7, At: 1, Span: 2, Util: 0.5, Capacity: 1e7}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, kind := range []uint8{KindPoint, KindPointCompact} {
-			p, err := decodePoint(kind, data)
-			mid, ok, oerr := pointOutcome(kind, data)
-			if (err == nil) != (oerr == nil) || err == nil && (math.Float64bits(mid) != math.Float64bits(p.Mid()) || ok != p.OK()) {
-				t.Fatalf("kind 0x%02x: the shadow reads %x as (%v, %v, %v), decodePoint as (%+v, %v)", kind, data, mid, ok, oerr, p, err)
-			}
+		p, err := decodePoint(data)
+		mid, ok, oerr := pointOutcome(data)
+		if (err == nil) != (oerr == nil) || err == nil && (math.Float64bits(mid) != math.Float64bits(p.Mid()) || ok != p.OK()) {
+			t.Fatalf("the shadow reads %x as (%v, %v, %v), decodePoint as (%+v, %v)", data, mid, ok, oerr, p, err)
 		}
-		if p, err := decodePoint(KindPointCompact, data); err == nil {
-			if !bytes.Equal(p.AppendCompact(nil), data) {
-				t.Fatalf("point round-trip mismatch for %x", data)
-			}
+		if err == nil && !bytes.Equal(p.AppendCompact(nil), data) {
+			t.Fatalf("point round-trip mismatch for %x", data)
 		}
 		if p, err := decodeLink(data); err == nil {
 			if !bytes.Equal(appendLink(nil, p), data) {
@@ -199,11 +193,9 @@ func strictlyAscending(keys []string) bool {
 
 // FuzzDecodeCheckpoint: a corrupt store checkpoint must decode to an
 // error (recovery then falls back to counted replay), never panic, and
-// never to more series than its bytes can describe. A version 2
-// checkpoint that decodes in canonical (sorted, duplicate-free) order
-// must re-encode byte-for-byte; a version 1 checkpoint, which nothing
-// writes any more, must only decode within its own bound. The
-// committed seed is the mini fixture's version 1 checkpoint.
+// never to more series than its bytes can describe. A checkpoint that
+// decodes in canonical (sorted, duplicate-free) order must re-encode
+// byte-for-byte. The committed seed is the mini fixture's checkpoint.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	t0 := &StoreBackend{
 		paths: map[string]*shadowSeries{"p0": {total: 3, errs: 1, digest: tsstore.NewDigest(8)}},
@@ -219,18 +211,13 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if err != nil || ck == nil {
 			return
 		}
-		// The least bytes an entry can take. Version 1: a path is
-		// 2+8+8+4+16 (key length, total, errs, digest length, a digest
-		// with no centroid), a link 2+8. Version 2: a path is 1+1+1+3
-		// (the same fields as one-byte varints), a link 1+1.
-		pathMin, linkMin := 6, 2
-		if binary.BigEndian.Uint16(data[4:6]) == 1 {
-			pathMin, linkMin = 38, 10
-		}
-		if pathMin*len(ck.pathOrder)+linkMin*len(ck.linkOrder) > len(data) {
+		// The least bytes an entry can take: a path is 1+1+1+3 (key
+		// length, total, errs and a digest with no centroid, each a
+		// one-byte varint), a link 1+1.
+		if 6*len(ck.pathOrder)+2*len(ck.linkOrder) > len(data) {
 			t.Fatalf("%d-byte checkpoint decoded to %d paths and %d links", len(data), len(ck.pathOrder), len(ck.linkOrder))
 		}
-		if pathMin == 38 || !strictlyAscending(ck.pathOrder) || !strictlyAscending(ck.linkOrder) {
+		if !strictlyAscending(ck.pathOrder) || !strictlyAscending(ck.linkOrder) {
 			return
 		}
 		re := &StoreBackend{paths: map[string]*shadowSeries{}, links: ck.links}
@@ -244,18 +231,21 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 }
 
 // FuzzScanSegment: arbitrary bytes in a segment file must scan to a
-// segment or an error — never panic, never read a checkpoint or record
-// region past the file. A header that parses must re-encode to the
-// bytes it came from, in either version; a file that scans must hash
-// whole, and its header, inline checkpoint and records must account
-// for every byte. The committed seeds are the mini fixture's version 1
-// segments and a version 2 segment sealed onto a copy of it.
+// segment or an error — never panic, never read a record region past
+// the file. A header that parses must re-encode to the bytes it came
+// from, so no header of another version parses; a file that scans must
+// hash whole, and its header and records must account for every byte.
+// The committed seeds are the mini fixture's segments and a segment
+// sealed onto a copy of it; the f.Add seeds include a version 1 header,
+// which must be refused.
 func FuzzScanSegment(f *testing.F) {
-	hdr, _ := appendSegHeader(nil, segHeader{version: segVersion, index: 3, sealedUnix: 1700000100, records: 1, ckptLen: 9})
+	hdr, _ := appendSegHeader(nil, segHeader{index: 3, sealedUnix: 1700000100, records: 1, ckptLen: 9})
 	frame, _ := appendRecord(nil, rec(0))
 	f.Add(append(hdr, frame...))
 	f.Add(hdr[:segHdrLen-1]) // torn header
-	v1, _ := appendSegHeader(nil, segHeader{version: 1, index: 1, records: 1, ckptLen: 2})
+	// A version 1 header: no checkpoint hash, the checkpoint inline.
+	v1 := append([]byte(nil), hdr[:segHdrLen-sha256.Size]...)
+	binary.BigEndian.PutUint16(v1[4:6], 1)
 	f.Add(append(append(v1, 'c', 'k'), frame...))
 	f.Add(v1[:6])
 	f.Add([]byte{})
@@ -264,19 +254,16 @@ func FuzzScanSegment(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, perr := parseSegHeader(data)
 		if perr == nil {
-			if h.size() > int64(len(data)) {
-				t.Fatalf("%d-byte header parsed from %d bytes", h.size(), len(data))
-			}
 			re, err := appendSegHeader(nil, h)
-			if err != nil || !bytes.Equal(re, data[:h.size()]) {
-				t.Fatalf("header round-trip: %v\n got %x\nwant %x", err, re, data[:h.size()])
+			if err != nil || len(data) < segHdrLen || !bytes.Equal(re, data[:segHdrLen]) {
+				t.Fatalf("header round-trip: %v\n got %x\nwant %x", err, re, data[:min(len(data), segHdrLen)])
 			}
 		}
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var records int64
-		info, sh, ckpt, err := scanSegment(path, 0, true, true, nil, func(r Record) error {
+		info, sh, err := scanSegment(path, 0, true, nil, func(r Record) error {
 			records += int64(recOverhead + len(r.Key) + len(r.Data))
 			return nil
 		})
@@ -286,13 +273,9 @@ func FuzzScanSegment(f *testing.F) {
 		if perr != nil || sh != h {
 			t.Fatalf("scanSegment read header %+v where parseSegHeader read %+v, %v", sh, h, perr)
 		}
-		inline := int64(len(ckpt))
-		if sh.version == 1 && inline != sh.ckptLen || sh.version != 1 && inline != 0 {
-			t.Fatalf("version %d segment returned a %d-byte inline checkpoint, header says %d", sh.version, inline, sh.ckptLen)
-		}
-		if info.Bytes != int64(len(data)) || sh.size()+inline+records != info.Bytes || info.Hash != sha256.Sum256(data) {
-			t.Fatalf("%d-byte file scanned as %d bytes: header %d + checkpoint %d + records %d, hash %x",
-				len(data), info.Bytes, sh.size(), inline, records, info.Hash)
+		if info.Bytes != int64(len(data)) || segHdrLen+records != info.Bytes || info.Hash != sha256.Sum256(data) {
+			t.Fatalf("%d-byte file scanned as %d bytes: header %d + records %d, hash %x",
+				len(data), info.Bytes, segHdrLen, records, info.Hash)
 		}
 	})
 }

@@ -10,7 +10,7 @@ import (
 
 // A Record is one appended archive entry: an opaque payload under a
 // small routing header. The archive core does not interpret Kind, Key,
-// or Data — the tsstore adapter (KindPoint, KindPointCompact, KindLink)
+// or Data — the tsstore adapter (KindPointCompact, KindLink)
 // and the coordinator's persistence log define their own kinds over the
 // same framing, so one directory can hold a mixed durability stream.
 //

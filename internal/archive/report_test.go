@@ -103,11 +103,13 @@ func TestDecodeRecordHelpers(t *testing.T) {
 	if _, _, err := DecodeLinkRecord(recs[0]); err == nil {
 		t.Error("DecodeLinkRecord accepted a point record")
 	}
+	// The retired fixed-width point kind is not a point.
+	if _, _, err := DecodePointRecord(Record{Kind: 0x01, Key: "p", Data: recs[0].Data}); err == nil {
+		t.Error("DecodePointRecord accepted a kind 0x01 record")
+	}
 	// Truncated payloads error instead of inventing fields.
-	for _, kind := range []uint8{KindPoint, KindPointCompact} {
-		if _, _, err := DecodePointRecord(Record{Kind: kind, Key: "p", Data: []byte{1, 2}}); err == nil {
-			t.Errorf("DecodePointRecord accepted a truncated kind 0x%02x payload", kind)
-		}
+	if _, _, err := DecodePointRecord(Record{Kind: KindPointCompact, Key: "p", Data: []byte{1, 2}}); err == nil {
+		t.Error("DecodePointRecord accepted a truncated payload")
 	}
 	if _, _, err := DecodeLinkRecord(Record{Kind: KindLink, Key: "l", Data: []byte{1}}); err == nil {
 		t.Error("DecodeLinkRecord accepted a truncated payload")

@@ -86,9 +86,9 @@ func surveyDir(dir string) (*survey, error) {
 	var newest segHeader
 	for i, idx := range idxs {
 		path := segPath(dir, idx)
-		info, h, inline, err := scanSegment(path, idx, true, i == len(idxs)-1, nil, nil)
+		info, h, err := scanSegment(path, idx, true, nil, nil)
 		info.Index = idx
-		newest, s.ckpt = h, inline // the last segment's stand
+		newest = h // the last segment's header stands
 		seg := surveyedSeg{info: info, read: err == nil}
 		linked := i > 0 && idx == idxs[i-1]+1
 		if i > 0 && !linked {
@@ -106,7 +106,7 @@ func surveyDir(dir string) (*survey, error) {
 		s.segs = append(s.segs, seg)
 	}
 	live := ""
-	if n := len(s.segs); n > 0 && s.segs[n-1].read && newest.version != 1 && newest.ckptLen > 0 {
+	if n := len(s.segs); n > 0 && s.segs[n-1].read && newest.ckptLen > 0 {
 		live = filepath.Base(ckptPath(dir, newest.index))
 		ckpt, err := readCheckpointFile(dir, newest)
 		if err != nil {
@@ -245,10 +245,10 @@ func listSegments(dir string) (idxs []uint64, bad, ckpts []string, err error) {
 	return idxs, bad, ckpts, nil
 }
 
-// readCheckpointFile reads the checkpoint file a version 2 segment
-// header h names, into a buffer of exactly its length. A missing file,
-// or one whose length or SHA-256 differs from the header's, is an
-// error: no crash leaves either.
+// readCheckpointFile reads the checkpoint file a segment header h
+// names, into a buffer of exactly its length. A missing file, or one
+// whose length or SHA-256 differs from the header's, is an error: no
+// crash leaves either.
 func readCheckpointFile(dir string, h segHeader) ([]byte, error) {
 	path := ckptPath(dir, h.index)
 	f, err := os.Open(path)

@@ -12,26 +12,20 @@ import (
 	"repro/internal/wire"
 )
 
-// Record kinds of the tsstore adapter.
+// Record kinds of the tsstore adapter. Kind 0x01, the fixed-width
+// point of archives before KindPointCompact, is retired: recovery
+// counts such a record as foreign.
 const (
-	// KindPoint is one per-path sample in tsstore.Point's AppendBinary
-	// layout. Archives written before KindPointCompact hold these;
-	// recovery reads them, nothing writes them any more.
-	KindPoint uint8 = 0x01
 	// KindLink is one per-link utilization window (tsstore.LinkPoint).
 	KindLink uint8 = 0x02
-	// KindPointCompact is one per-path sample in tsstore.Point's
-	// AppendCompact form: what StoreBackend.AppendPoint writes. A reader
-	// that predates it counts these records as foreign.
+	// KindPointCompact is one per-path sample in tsstore.Point's one
+	// byte form, AppendCompact: what StoreBackend.AppendPoint writes.
 	KindPointCompact uint8 = 0x03
 )
 
-// The checkpoint blob opens with ckptMagic and a u16 version. Version
-// 1 holds fixed-width counts and AppendBinary digests; version 2,
-// which checkpoint writes, holds uvarint counts and AppendCompact
-// digests. Recovery reads both; a reader that predates version 2 calls
-// such a checkpoint corrupt and rebuilds its counters by counted
-// replay.
+// The checkpoint blob opens with ckptMagic and a u16 version, 2: uvarint
+// counts and AppendCompact digests. Recovery reads no other version; it
+// calls one corrupt and rebuilds its counters by counted replay.
 //
 // A store directory may also hold a coordinator log's checkpoint,
 // which opens with coordCkptMagic (a copy of coord.Log's own constant;
@@ -92,8 +86,8 @@ func (t *StoreBackend) Archive() *Archive { return t.a }
 // archive lock for every appended record.
 func (t *StoreBackend) onAppend(rec Record) {
 	switch rec.Kind {
-	case KindPoint, KindPointCompact:
-		mid, ok, err := pointOutcome(rec.Kind, rec.Data)
+	case KindPointCompact:
+		mid, ok, err := pointOutcome(rec.Data)
 		if err != nil {
 			return
 		}
@@ -113,28 +107,18 @@ func (t *StoreBackend) onAppend(rec Record) {
 	}
 }
 
-// pointOutcome reads of a point record of either kind what the shadow
-// keeps: the center of its range, and whether the round succeeded. It
-// accepts what decodePoint accepts, but never makes the error text, the
-// payload's last field, a string: a failed round costs the shadow no
-// allocation.
-func pointOutcome(kind uint8, b []byte) (mid float64, ok bool, err error) {
+// pointOutcome reads of a point record what the shadow keeps: the
+// center of its range, and whether the round succeeded. It accepts what
+// decodePoint accepts, but never makes the error text, the payload's
+// last field, a string: a failed round costs the shadow no allocation.
+func pointOutcome(b []byte) (mid float64, ok bool, err error) {
 	d := wire.NewReader("archive: point record", b)
-	for range 3 { // Round, At, Span
-		if kind == KindPoint {
-			d.U64()
-		} else {
-			d.Varint()
-		}
-	}
+	d.Varint() // Round
+	d.Varint() // At
+	d.Varint() // Span
 	lo, hi := d.F64(), d.F64()
 	d.F64() // Bits
-	var errLen uint64
-	if kind == KindPoint {
-		errLen = uint64(d.U16())
-	} else {
-		errLen = d.Uvarint()
-	}
+	errLen := d.Uvarint()
 	if d.Err() != nil || errLen != uint64(d.Len()) || errLen > math.MaxUint16 {
 		return 0, false, errors.New("archive: point record does not decode")
 	}
@@ -249,8 +233,8 @@ func seedStore(st *tsstore.Store, b []byte) error {
 // only; it owns and uses every point and link record.
 func replayStore(st *tsstore.Store, r Record, counted bool) (owned, used bool, err error) {
 	switch r.Kind {
-	case KindPoint, KindPointCompact:
-		p, err := decodePoint(r.Kind, r.Data)
+	case KindPointCompact:
+		p, err := decodePoint(r.Data)
 		if err != nil {
 			return true, false, fmt.Errorf("archive: point record for %q: %w", r.Key, err)
 		}
@@ -275,11 +259,11 @@ type decodedCkpt struct {
 	links     map[string]uint64
 }
 
-// decodeCheckpoint parses a checkpoint blob of either version, or
-// returns an error for a corrupt one, wrapping ErrForeignCheckpoint for
-// one another consumer wrote.
+// decodeCheckpoint parses a checkpoint blob, or returns an error for a
+// corrupt one or one of another version, wrapping ErrForeignCheckpoint
+// for one another consumer wrote.
 func decodeCheckpoint(b []byte) (*decodedCkpt, error) {
-	d := ckptReader{Reader: wire.NewReader("archive: checkpoint", b)}
+	d := wire.NewReader("archive: checkpoint", b)
 	switch d.U32() {
 	case ckptMagic:
 	case coordCkptMagic:
@@ -287,84 +271,38 @@ func decodeCheckpoint(b []byte) (*decodedCkpt, error) {
 	default:
 		return nil, errors.New("archive: checkpoint has wrong magic")
 	}
-	v := d.U16()
-	if v != 1 && v != ckptVersion && d.Err() == nil {
-		return nil, fmt.Errorf("archive: checkpoint version %d, want 1 or %d", v, ckptVersion)
+	if v := d.U16(); v != ckptVersion && d.Err() == nil {
+		return nil, fmt.Errorf("archive: checkpoint version %d, want %d", v, ckptVersion)
 	}
-	d.v1 = v == 1
 	out := &decodedCkpt{paths: map[string]shadowSeries{}, links: map[string]uint64{}}
-	nPaths := d.count()
+	nPaths := d.Uvarint()
 	for i := uint64(0); i < nPaths; i++ {
-		key, total, errs := d.key(), d.num(), d.num()
+		key, total, errs := d.VarStr(), d.Uvarint(), d.Uvarint()
 		if d.Err() != nil {
 			break
 		}
-		dig, derr := d.digest()
+		dig, derr := tsstore.ReadCompactDigest(&d)
 		if derr != nil {
 			return nil, fmt.Errorf("archive: checkpoint digest for %q: %w", key, derr)
 		}
 		out.pathOrder = append(out.pathOrder, key)
 		out.paths[key] = shadowSeries{total, errs, dig}
 	}
-	nLinks := d.count()
+	nLinks := d.Uvarint()
 	for i := uint64(0); i < nLinks; i++ {
-		key, total := d.key(), d.num()
+		key, total := d.VarStr(), d.Uvarint()
 		if d.Err() != nil {
 			break
 		}
 		out.linkOrder = append(out.linkOrder, key)
 		out.links[key] = total
 	}
-	return wire.Finish(&d.Reader, out)
+	return wire.Finish(&d, out)
 }
 
-// A ckptReader reads a checkpoint's counts, keys, totals and digests in
-// the layout of its version: fixed-width for version 1, varint for 2.
-type ckptReader struct {
-	wire.Reader
-	v1 bool
-}
-
-func (r *ckptReader) count() uint64 {
-	if r.v1 {
-		return uint64(r.U32())
-	}
-	return r.Uvarint()
-}
-
-func (r *ckptReader) num() uint64 {
-	if r.v1 {
-		return r.U64()
-	}
-	return r.Uvarint()
-}
-
-func (r *ckptReader) key() string {
-	if r.v1 {
-		return r.Str()
-	}
-	return r.VarStr()
-}
-
-func (r *ckptReader) digest() (*tsstore.Digest, error) {
-	if !r.v1 {
-		return tsstore.ReadCompactDigest(&r.Reader)
-	}
-	blob := r.Bytes()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return tsstore.UnmarshalDigest(blob)
-}
-
-// decodePoint decodes the payload of a point record of the given kind:
-// KindPoint through tsstore.ReadPoint (the SLCP push codec), anything
-// else as KindPointCompact.
-func decodePoint(kind uint8, b []byte) (tsstore.Point, error) {
+// decodePoint decodes the payload of a point record.
+func decodePoint(b []byte) (tsstore.Point, error) {
 	d := wire.NewReader("archive: point record", b)
-	if kind == KindPoint {
-		return wire.Finish(&d, tsstore.ReadPoint(&d))
-	}
 	return wire.Finish(&d, tsstore.ReadCompactPoint(&d))
 }
 
@@ -391,13 +329,13 @@ func decodeLink(b []byte) (tsstore.LinkPoint, error) {
 	})
 }
 
-// DecodePointRecord decodes a point record of either kind (for
-// cat-style tools).
+// DecodePointRecord decodes a KindPointCompact record (for cat-style
+// tools).
 func DecodePointRecord(r Record) (path string, p tsstore.Point, err error) {
-	if r.Kind != KindPoint && r.Kind != KindPointCompact {
+	if r.Kind != KindPointCompact {
 		return "", tsstore.Point{}, fmt.Errorf("archive: record kind 0x%02x is not a point", r.Kind)
 	}
-	p, err = decodePoint(r.Kind, r.Data)
+	p, err = decodePoint(r.Data)
 	return r.Key, p, err
 }
 

@@ -303,10 +303,10 @@ func TestStoreBackendAutoSealCheckpointConsistency(t *testing.T) {
 	}
 }
 
-// TestPointCodecRoundtripAndDamage: the point (both kinds), link and
-// checkpoint (both versions) decoders round-trip what the encoders
-// write, and turn every strict prefix of it — and one trailing byte —
-// into an error and a zero value instead of inventing fields.
+// TestPointCodecRoundtripAndDamage: the point, link and checkpoint
+// decoders round-trip what the encoders write, and turn every strict
+// prefix of it — and one trailing byte — into an error and a zero value
+// instead of inventing fields.
 func TestPointCodecRoundtripAndDamage(t *testing.T) {
 	p := tsstore.Point{Round: 42, At: time.Second, Span: 60 * time.Millisecond, Lo: 39.5e6, Hi: 44e6, Bits: 1.25e6, Err: "loss"}
 	lp := tsstore.LinkPoint{Round: 3, At: time.Second, Span: time.Second, Util: 0.7, Capacity: 1e8}
@@ -322,17 +322,9 @@ func TestPointCodecRoundtripAndDamage(t *testing.T) {
 		decode func([]byte) (any, error)
 		want   any
 	}{
-		{"point", p.AppendCompact(nil), func(b []byte) (any, error) { return decodePoint(KindPointCompact, b) }, p},
-		{"KindPoint point", p.AppendBinary(nil), func(b []byte) (any, error) { return decodePoint(KindPoint, b) }, p},
+		{"point", p.AppendCompact(nil), func(b []byte) (any, error) { return decodePoint(b) }, p},
 		{"link", appendLink(nil, lp), func(b []byte) (any, error) { return decodeLink(b) }, lp},
 		{"checkpoint", ck.checkpoint(), func(b []byte) (any, error) {
-			d, err := decodeCheckpoint(b)
-			if d == nil {
-				return nil, err
-			}
-			return d.pathOrder, err
-		}, []string{"p0"}},
-		{"version 1 checkpoint", ckptV1("p0", 3, 1, ck.paths["p0"].digest), func(b []byte) (any, error) {
 			d, err := decodeCheckpoint(b)
 			if d == nil {
 				return nil, err
@@ -353,22 +345,21 @@ func TestPointCodecRoundtripAndDamage(t *testing.T) {
 			}
 		}
 	}
-	for _, kind := range []uint8{KindPoint, KindPointCompact} {
-		if _, err := decodePoint(kind, nil); err == nil {
-			t.Errorf("empty kind 0x%02x point payload accepted", kind)
-		}
+	if _, err := decodePoint(nil); err == nil {
+		t.Error("empty point payload accepted")
 	}
 }
 
 // ckptV1 hand-assembles a version 1 checkpoint of one path and no
-// links, as archives written before version 2 hold them: fixed-width
-// counts and a length-prefixed AppendBinary digest.
-func ckptV1(path string, total, errs uint64, d *tsstore.Digest) []byte {
-	blob := d.AppendBinary(nil)
-	return ckptV1Blob(path, total, errs, blob)
-}
-
-func ckptV1Blob(path string, total, errs uint64, digest []byte) []byte {
+// links, as archives before checkpoint version 2 hold them: fixed-width
+// counts and a length-prefixed digest of fixed-width fields (budget
+// u32, count u64, centroid count u32, then mean/weight pairs as u64s).
+func ckptV1(path string, total, errs uint64) []byte {
+	digest := binary.BigEndian.AppendUint32(nil, 64)
+	digest = binary.BigEndian.AppendUint64(digest, total-errs)
+	digest = binary.BigEndian.AppendUint32(digest, 1)
+	digest = binary.BigEndian.AppendUint64(digest, math.Float64bits(5e6))
+	digest = binary.BigEndian.AppendUint64(digest, total-errs)
 	b := binary.BigEndian.AppendUint32(nil, ckptMagic)
 	b = binary.BigEndian.AppendUint16(b, 1)
 	b = binary.BigEndian.AppendUint32(b, 1)
@@ -380,39 +371,113 @@ func ckptV1Blob(path string, total, errs uint64, digest []byte) []byte {
 	return binary.BigEndian.AppendUint32(b, 0)
 }
 
-// TestPointRecordLayout: a KindPoint payload is tsstore.Point's
-// AppendBinary layout — the committed vector the coordinator's push is
-// pinned to as well — and a KindPointCompact payload, what AppendPoint
-// writes, is its AppendCompact form, pinned to its own vector.
+// TestVersion1CheckpointRebuiltByReplay: a version 1 store checkpoint,
+// sealed under a version 2 segment, is not read: OpenStore reports it
+// corrupt and rebuilds every counter by counted replay of the sealed
+// records, so the store holds what they hold and nothing the
+// checkpoint claims.
+func TestVersion1CheckpointRebuiltByReplay(t *testing.T) {
+	dir := t.TempDir()
+	want := tsstore.New(tsstore.Config{})
+	a, _, err := Recover(dir, Options{}, Consumer{
+		Seed:       func([]byte) error { return nil },
+		Apply:      func(Record, bool) (bool, bool, error) { return true, true, nil },
+		Checkpoint: func() []byte { return ckptV1("p00", 1000, 10) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range 4 {
+		p := tsstore.Point{Round: r, At: time.Duration(r) * time.Second, Span: time.Second, Lo: 1e6, Hi: 2e6 + float64(r)*1e5, Bits: 1e5}
+		want.ReplayPoint("p00", p, true)
+		if err := a.Append(Record{Kind: KindPointCompact, Key: "p00", Data: p.AppendCompact(nil)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, be, rep, err := OpenStore(dir, Options{}, tsstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	if !rep.CheckpointCorrupt || rep.SealedRecords != 4 || rep.ForeignRecords != 0 {
+		t.Fatalf("report %v: want a corrupt checkpoint and 4 sealed records replayed counted", rep)
+	}
+	sameStore(t, st, want)
+}
+
+// TestRetiredPointKindIsForeign: a record of kind 0x01, the
+// fixed-width point of archives before KindPointCompact, is counted as
+// foreign and changes no series, sealed or in the WAL.
+func TestRetiredPointKindIsForeign(t *testing.T) {
+	dir := t.TempDir()
+	st, be, _ := openStoreT(t, dir, Options{}, tsstore.Config{})
+	want := tsstore.New(tsstore.Config{})
+	for r := range 3 {
+		s := pathload.Sample{Path: "p00", Round: r, At: time.Duration(r) * time.Second,
+			Result: pathload.Result{Lo: 1e6, Hi: 2e6, Elapsed: time.Second, Bits: 1e5}}
+		st.Observe(s)
+		want.Observe(s)
+	}
+	// A well-formed fixed-width point: Round, At, Span as u64, Lo, Hi,
+	// Bits as float64 bits, Err as a u16-prefixed string.
+	old := binary.BigEndian.AppendUint64(nil, 9)
+	for _, v := range []uint64{uint64(9 * time.Second), uint64(time.Second), math.Float64bits(7e6), math.Float64bits(8e6), math.Float64bits(1e5)} {
+		old = binary.BigEndian.AppendUint64(old, v)
+	}
+	old = wire.AppendString(old, "")
+	for _, seal := range []bool{true, false} {
+		if err := be.Archive().Append(Record{Kind: 0x01, Key: "p00", Data: old}); err != nil {
+			t.Fatal(err)
+		}
+		if seal {
+			if err := be.Archive().Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := be.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, be2, rep := openStoreT(t, dir, Options{}, tsstore.Config{})
+	defer be2.Close()
+	if rep.ForeignRecords != 2 || rep.CheckpointCorrupt {
+		t.Fatalf("report %v: want 2 foreign records under a sound checkpoint", rep)
+	}
+	sameStore(t, re, want)
+}
+
+// TestPointRecordLayout: a KindPointCompact payload, what AppendPoint
+// writes, is tsstore.Point's AppendCompact form — the committed vector
+// the coordinator's push is pinned to as well.
 func TestPointRecordLayout(t *testing.T) {
-	for _, c := range []struct {
-		kind   uint8
-		vector string
-	}{{KindPoint, "point.hex"}, {KindPointCompact, "point_compact.hex"}} {
-		raw, err := os.ReadFile("../tsstore/testdata/" + c.vector)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := decodePoint(c.kind, want)
-		if err != nil {
-			t.Fatalf("decodePoint(0x%02x, %s): %v", c.kind, c.vector, err)
-		}
-		if p.Round != 7 || p.At != 3*time.Second || p.Hi != 6e6 || p.Err != "timeout" {
-			t.Fatalf("%s decoded to %+v", c.vector, p)
-		}
-		if c.kind == KindPointCompact && !bytes.Equal(p.AppendCompact(nil), want) {
-			t.Fatalf("AppendCompact:\n got %x\nwant %x", p.AppendCompact(nil), want)
-		}
+	raw, err := os.ReadFile("../tsstore/testdata/point_compact.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := decodePoint(want)
+	if err != nil {
+		t.Fatalf("decodePoint(point_compact.hex): %v", err)
+	}
+	if p.Round != 7 || p.At != 3*time.Second || p.Hi != 6e6 || p.Err != "timeout" {
+		t.Fatalf("point_compact.hex decoded to %+v", p)
+	}
+	if !bytes.Equal(p.AppendCompact(nil), want) {
+		t.Fatalf("AppendCompact:\n got %x\nwant %x", p.AppendCompact(nil), want)
 	}
 }
 
-// TestCheckpointRejectsPoisonedDigest: a checkpoint, of either
-// version, carrying a digest whose centroid weights wrap u64 to its
-// stated count is corrupt — recovery falls back to counted replay
+// TestCheckpointRejectsPoisonedDigest: a checkpoint carrying a digest
+// whose centroid weights wrap u64 to its stated count is corrupt — recovery falls back to counted replay
 // rather than seed a series' all-time distribution from it.
 func TestCheckpointRejectsPoisonedDigest(t *testing.T) {
 	good := &StoreBackend{paths: map[string]*shadowSeries{"p0": {total: 2, digest: tsstore.NewDigest(64)}}}
@@ -437,18 +502,8 @@ func TestCheckpointRejectsPoisonedDigest(t *testing.T) {
 	if !bytes.Equal(append(append(head, d.AppendCompact(nil)...), 0), blob) {
 		t.Fatal("the digest is not where this test splices")
 	}
-	v2 := append(append(head, poison...), 0)
-	fixed := binary.BigEndian.AppendUint32(nil, 64)
-	fixed = binary.BigEndian.AppendUint64(fixed, 0)
-	fixed = binary.BigEndian.AppendUint32(fixed, 2)
-	for _, mean := range []float64{1e6, 2e6} {
-		fixed = binary.BigEndian.AppendUint64(fixed, math.Float64bits(mean))
-		fixed = binary.BigEndian.AppendUint64(fixed, 1<<63)
-	}
-	for name, b := range map[string][]byte{"version 2": v2, "version 1": ckptV1Blob("p0", 2, 0, fixed)} {
-		if ck, err := decodeCheckpoint(b); err == nil || ck != nil {
-			t.Fatalf("%s: poisoned checkpoint decoded: %+v, %v", name, ck, err)
-		}
+	if ck, err := decodeCheckpoint(append(append(head, poison...), 0)); err == nil || ck != nil {
+		t.Fatalf("poisoned checkpoint decoded: %+v, %v", ck, err)
 	}
 }
 
@@ -457,9 +512,9 @@ func TestCheckpointRejectsPoisonedDigest(t *testing.T) {
 // number of points — that TestArchiveSizeBudget's shape may take:
 // 68.3 B measured with compact point records, version 2 checkpoints
 // and one live checkpoint file, plus about 2 %. The same shape took
-// 83.0 B with a checkpoint in every segment, and 116.8 B with KindPoint
-// records and version 1 checkpoints as well, so losing any of the three
-// fails it.
+// 83.0 B with a checkpoint in every segment, and 116.8 B with
+// fixed-width point records and version 1 checkpoints as well, so
+// losing any of the three fails it.
 const sizeBudgetPerRecord = 70
 
 // dirBytes sums the sizes of the files in dir.

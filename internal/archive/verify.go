@@ -112,7 +112,7 @@ func Walk(dir string, fn func(r Record, sealed bool) error) error {
 	keys := keyTable{}
 	for _, idx := range idxs {
 		var fnErr error
-		_, _, _, err := scanSegment(segPath(dir, idx), idx, false, false, keys, func(r Record) error {
+		_, _, err := scanSegment(segPath(dir, idx), idx, false, keys, func(r Record) error {
 			fnErr = fn(r, true)
 			return fnErr
 		})

@@ -141,6 +141,22 @@ func TestVersionGateWithoutSecret(t *testing.T) {
 	}
 }
 
+// TestPreviousGenerationRefused: a peer of protocol version 2, whose
+// pushes carried fixed-width points and digests, is refused at the
+// hello with a version error, so no push of that form reaches the
+// federation or the log.
+func TestPreviousGenerationRefused(t *testing.T) {
+	srv, addr := startServer(t, ServerConfig{})
+	conn, ft, payload := sendHello(t, addr, "v2", 2, 2)
+	defer conn.Close()
+	expectError(t, ft, payload, errCodeVersion)
+	for _, line := range srv.Transcript() {
+		if strings.Contains(line, "register v2") {
+			t.Fatalf("v2-only agent reached the lease machine: %q", line)
+		}
+	}
+}
+
 // TestAgentStopsAfterRejection: an agent with the wrong secret gets
 // ErrRejected out of Run instead of a reconnect loop.
 func TestAgentStopsAfterRejection(t *testing.T) {

@@ -19,8 +19,10 @@ import (
 const (
 	// KindContribution records one applied federation push. Key is
 	// agent‖NUL‖path; the payload is the push payload the coordinator
-	// received, byte for byte, so the durable form is the wire form.
-	KindContribution uint8 = 0x20
+	// received, byte for byte, so the durable form is the wire form of
+	// protocol Version 3. Kind 0x20 held version 2's fixed-width pushes
+	// and is retired: recovery counts such a record as foreign.
+	KindContribution uint8 = 0x22
 
 	// KindLeases records a whole lease-state snapshot; the latest one
 	// wins on restore.
@@ -162,9 +164,11 @@ func unmarshalLeaseSnapshot(b []byte) (LeaseSnapshot, error) {
 
 // coordCkptMagic/-Version frame the coordinator's checkpoint blob
 // ("CLCK"): the latest lease snapshot plus the latest contribution per
-// (agent, path) among sealed records. Because both record kinds carry
-// replace-not-accumulate state, the checkpoint IS the sealed history —
-// restore never needs to re-read sealed segments when it is intact.
+// (agent, path) among sealed records, each a KindContribution payload
+// (version 1 held fixed-width pushes; recovery reports one corrupt).
+// Because both record kinds carry replace-not-accumulate state, the
+// checkpoint IS the sealed history — restore never needs to re-read
+// sealed segments when it is intact.
 //
 // storeCkptMagic ("TSCK") opens the checkpoints archive.OpenStore's
 // store seals, which a directory the coordinator shares with a store
@@ -172,7 +176,7 @@ func unmarshalLeaseSnapshot(b []byte) (LeaseSnapshot, error) {
 // TestForeignCheckpointNotCorrupt pins both constants to the archive's.
 const (
 	coordCkptMagic   uint32 = 0x434c434b
-	coordCkptVersion uint16 = 1
+	coordCkptVersion uint16 = 2
 	storeCkptMagic   uint32 = 0x5453434b
 )
 

@@ -1,7 +1,9 @@
 package coord
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"net/http/httptest"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 	pathload "repro"
 	"repro/internal/archive"
 	"repro/internal/tsstore"
+	"repro/internal/wire"
 )
 
 // TestLeaseSnapshotCodec pins the durable lease-snapshot encoding.
@@ -247,7 +250,7 @@ func TestLogRoundtrip(t *testing.T) {
 	if err := lw.savePush("a2", "p01", marshalPush("p01", mkContribution(7, 3))); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Append(archive.Record{Kind: archive.KindPoint, Key: "p00", Data: []byte{1}}); err != nil {
+	if err := a.Append(archive.Record{Kind: archive.KindPointCompact, Key: "p00", Data: []byte{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Seal(); err != nil {
@@ -284,8 +287,8 @@ func TestOpenLogCountsForeignSealedRecords(t *testing.T) {
 	if err := l.saveLeases(LeaseSnapshot{Clock: time.Second, Agents: []string{"a1"}}); err != nil {
 		t.Fatal(err)
 	}
-	point := tsstore.Point{Round: 1, Lo: 1e6, Hi: 2e6}.AppendBinary(nil)
-	if err := l.Archive().Append(archive.Record{Kind: archive.KindPoint, Key: "p00", Data: point}); err != nil {
+	point := tsstore.Point{Round: 1, Lo: 1e6, Hi: 2e6}.AppendCompact(nil)
+	if err := l.Archive().Append(archive.Record{Kind: archive.KindPointCompact, Key: "p00", Data: point}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Archive().Seal(); err != nil {
@@ -308,6 +311,70 @@ func TestOpenLogCountsForeignSealedRecords(t *testing.T) {
 	st.Close()
 	if logRep.ForeignRecords != 1 || storeRep.ForeignRecords != 1 {
 		t.Fatalf("foreign records: OpenLog %d, OpenStore %d; want 1 each", logRep.ForeignRecords, storeRep.ForeignRecords)
+	}
+}
+
+// TestOpenLogRefusesPreviousGeneration: a log written by protocol
+// version 2 — its pushes recorded under kind 0x20 with fixed-width
+// points, its checkpoint CLCK version 1 — restores no contribution.
+// OpenLog reports the checkpoint corrupt and the records foreign, sealed
+// and in the WAL, and decodes neither.
+func TestOpenLogRefusesPreviousGeneration(t *testing.T) {
+	// A version 2 push payload of one point: Seq, path, Total, Errors,
+	// the point count, the point's Round, At, Span as u64, Lo, Hi, Bits
+	// as float64 bits and an empty u16-prefixed error text, then an
+	// empty digest.
+	push := binary.BigEndian.AppendUint64(nil, 1)
+	push = wire.AppendString(push, "p00")
+	push = binary.BigEndian.AppendUint64(push, 1)
+	push = binary.BigEndian.AppendUint64(push, 0)
+	push = binary.BigEndian.AppendUint32(push, 1)
+	for _, v := range []uint64{1, uint64(time.Second), uint64(time.Second), math.Float64bits(1e6), math.Float64bits(2e6), math.Float64bits(1e5)} {
+		push = binary.BigEndian.AppendUint64(push, v)
+	}
+	push = wire.AppendString(push, "")
+	push = binary.BigEndian.AppendUint32(push, 0)
+	ckpt := binary.BigEndian.AppendUint32(nil, coordCkptMagic)
+	ckpt = binary.BigEndian.AppendUint16(ckpt, 1)
+	ckpt = binary.BigEndian.AppendUint32(ckpt, 0) // no lease snapshot
+	ckpt = binary.BigEndian.AppendUint32(ckpt, 1)
+	ckpt = wire.AppendString(ckpt, "a1\x00p00")
+	ckpt = binary.BigEndian.AppendUint32(ckpt, uint32(len(push)))
+	ckpt = append(ckpt, push...)
+
+	dir := t.TempDir()
+	a, _, err := archive.Recover(dir, archive.Options{}, archive.Consumer{
+		Seed:       func([]byte) error { return nil },
+		Apply:      func(archive.Record, bool) (bool, bool, error) { return true, true, nil },
+		Checkpoint: func() []byte { return ckpt },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := archive.Record{Kind: 0x20, Key: "a1\x00p00", Data: push}
+	if err := a.Append(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Append(old); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+
+	l, rep, err := OpenLog(dir, archive.Options{})
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	defer l.Close()
+	if !rep.CheckpointCorrupt || rep.ForeignRecords != 2 || rep.SealedRecords != 0 {
+		t.Fatalf("report %v: want a corrupt checkpoint and 2 foreign records", rep)
+	}
+	fed := tsstore.NewFederation(tsstore.Config{})
+	leases, restored, dropped := l.restore(fed)
+	if leases != nil || restored != 0 || len(dropped) != 0 || len(fed.Paths()) != 0 {
+		t.Fatalf("restore: leases %v, %d contributions, dropped %q, paths %v; want nothing", leases, restored, dropped, fed.Paths())
 	}
 }
 
@@ -348,8 +415,8 @@ func TestForeignCheckpointNotCorrupt(t *testing.T) {
 	if err := l.saveLeases(LeaseSnapshot{Clock: time.Second, Agents: []string{"a1"}}); err != nil {
 		t.Fatal(err)
 	}
-	point := tsstore.Point{Round: 1, Lo: 1e6, Hi: 2e6}.AppendBinary(nil)
-	if err := l.Archive().Append(archive.Record{Kind: archive.KindPoint, Key: "p00", Data: point}); err != nil {
+	point := tsstore.Point{Round: 1, Lo: 1e6, Hi: 2e6}.AppendCompact(nil)
+	if err := l.Archive().Append(archive.Record{Kind: archive.KindPointCompact, Key: "p00", Data: point}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Archive().Seal(); err != nil {

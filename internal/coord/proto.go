@@ -35,12 +35,14 @@ const protoMagic uint32 = 0x534c4350
 
 // Version is the control-plane protocol version this build speaks.
 // It defines hello/hello-ack with wire-style range negotiation,
-// heartbeat/assign leasing, contribution push/ack, the authentication
-// handshake (challenge/auth), and the versioned error frame. Agents and
-// coordinator are built from the same tree, so VersionMin is Version: a
-// peer of another generation is refused at the hello.
+// heartbeat/assign leasing, contribution push/ack with points and the
+// digest in tsstore's compact forms (version 3; version 2 pushed
+// fixed-width ones), the authentication handshake (challenge/auth), and
+// the versioned error frame. Agents and coordinator are built from the
+// same tree, so VersionMin is Version: a peer of another generation is
+// refused at the hello.
 const (
-	Version    uint16 = 2
+	Version    uint16 = 3
 	VersionMin        = Version
 )
 
@@ -162,9 +164,9 @@ func readFrame(r io.Reader) (msgType, []byte, error) {
 // reads its payload linearly through a wire.Reader, whose sticky error
 // lets it check once, and returns through wire.Finish, so a truncated
 // or over-long payload yields an error and a zero message, never a
-// half-filled one. A pushed point is tsstore.Point's own layout
-// (AppendBinary/ReadPoint), the same bytes an archive's KindPoint
-// record holds (new archive records use the compact form).
+// half-filled one. A pushed point and digest are in tsstore's one byte
+// form of each (AppendCompact), the bytes an archive's point records
+// and checkpoints hold.
 
 // helloMsg opens a control session: the agent's version range and name.
 type helloMsg struct {
@@ -264,9 +266,9 @@ func unmarshalAssign(b []byte) (assignMsg, error) {
 // string cannot blow the frame limit.
 const maxErrLen = 256
 
-// minPointLen is the encoded size of a point with no error text: six
-// u64 and a u16 string length.
-const minPointLen = 6*8 + 2
+// minPointLen is the least encoded size of a point: three one-byte
+// varints, three float64s and a one-byte string length.
+const minPointLen = 3 + 3*8 + 1
 
 // errBadDigest marks a push payload that decodes but whose digest
 // tsstore refuses: the server acks such a push unapplied and keeps the
@@ -274,20 +276,23 @@ const minPointLen = 6*8 + 2
 var errBadDigest = errors.New("coord: push digest refused")
 
 // marshalPush encodes one path's contribution as a push payload, in a
-// buffer allocated once: Seq, path, Total, Errors, the points
-// (tsstore.Point's AppendBinary layout) and the digest's AppendBinary
-// blob behind its u32 length, empty when there is none. The agent name
-// is implied by the session. Point wall clocks are deliberately not on
-// the wire: the deterministic export surface never renders them, and
-// omitting them keeps federated snapshots reproducible. A Log stores
-// applied pushes as these same bytes.
+// buffer of its exact size, allocated once: Seq, path, Total, Errors,
+// the points (tsstore.Point's AppendCompact form, error text cut to
+// maxErrLen) and the digest's AppendCompact blob behind its u32 length,
+// empty when there is none. The agent name is implied by the session.
+// Point wall clocks are deliberately not on the wire: the deterministic
+// export surface never renders them, and omitting them keeps federated
+// snapshots reproducible. A Log stores applied pushes as these same
+// bytes.
 func marshalPush(path string, c tsstore.Contribution) []byte {
-	size := 8 + 2 + len(path) + 8 + 8 + 4 + 4
-	for _, pt := range c.Points {
-		size += minPointLen + len(cutErr(pt.Err))
-	}
+	digestLen := 0
 	if c.Digest != nil {
-		size += binaryDigestRoom(c.Digest)
+		digestLen = c.Digest.CompactSize()
+	}
+	size := 8 + 2 + len(path) + 8 + 8 + 4 + 4 + digestLen
+	for _, pt := range c.Points {
+		pt.Err = cutErr(pt.Err)
+		size += pt.CompactSize()
 	}
 	buf := make([]byte, 0, size)
 	buf = binary.BigEndian.AppendUint64(buf, c.Seq)
@@ -297,22 +302,14 @@ func marshalPush(path string, c tsstore.Contribution) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Points)))
 	for _, pt := range c.Points {
 		pt.Err = cutErr(pt.Err)
-		buf = pt.AppendBinary(buf)
+		buf = pt.AppendCompact(buf)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, 0) // the digest's length, set below
+	buf = binary.BigEndian.AppendUint32(buf, uint32(digestLen))
 	if c.Digest != nil {
-		at := len(buf)
-		buf = c.Digest.AppendBinary(buf)
-		binary.BigEndian.PutUint32(buf[at-4:], uint32(len(buf)-at))
+		buf = c.Digest.AppendCompact(buf)
 	}
 	return buf
 }
-
-// binaryDigestRoom bounds the length of d's AppendBinary form from
-// above. That form spends 16 bytes on its header and 16 a centroid;
-// the compact form spends at least 3 and 9, so its length caps how many
-// centroids d holds, which tsstore does not export.
-func binaryDigestRoom(d *tsstore.Digest) int { return 16 + 16*((d.CompactSize()-3)/9) }
 
 // cutErr cuts an error text to at most maxErrLen bytes at a rune
 // boundary, so the cut never leaves half a UTF-8 sequence behind.
@@ -348,7 +345,7 @@ func unmarshalPush(b []byte) (string, tsstore.Contribution, error) {
 	if n > 0 {
 		c.Points = make([]tsstore.Point, n)
 		for i := range c.Points {
-			c.Points[i] = tsstore.ReadPoint(&d)
+			c.Points[i] = tsstore.ReadCompactPoint(&d)
 		}
 	}
 	digest := d.Bytes()

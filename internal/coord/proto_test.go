@@ -127,12 +127,15 @@ func TestProtoRejectsGarbage(t *testing.T) {
 	}
 }
 
-// badDigests are digest blobs tsstore.UnmarshalDigest refuses.
+// badDigests are digest blobs, in the compact form a push carries,
+// that tsstore.UnmarshalDigest refuses: budget, count and centroid
+// count as uvarints, then each centroid's mean as float64 bits and its
+// weight as a uvarint (2^63 takes ten bytes).
 func badDigests(t *testing.T) map[string][]byte {
 	return map[string][]byte{
-		"over budget":      {0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 9},
-		"weight sum wraps": mustHex(t, "00000040"+"0000000000000000"+"00000002"+"412e848000000000"+"8000000000000000"+"413e848000000000"+"8000000000000000"),
-		"infinite means":   mustHex(t, "00000040"+"0000000000000002"+"00000002"+"fff0000000000000"+"0000000000000001"+"7ff0000000000000"+"0000000000000001"),
+		"over budget":      {1, 5, 9},
+		"weight sum wraps": mustHex(t, "40"+"00"+"02"+"412e848000000000"+"80808080808080808001"+"413e848000000000"+"80808080808080808001"),
+		"infinite means":   mustHex(t, "40"+"02"+"02"+"fff0000000000000"+"01"+"7ff0000000000000"+"01"),
 	}
 }
 
@@ -397,16 +400,16 @@ func TestDecodersRejectEveryPrefix(t *testing.T) {
 }
 
 // TestPushPointLayout: the point inside a push is tsstore.Point's
-// AppendBinary layout — the committed vector the archive's KindPoint
-// record, which recovery still reads, is pinned to as well.
+// AppendCompact form — the committed vector the archive's point record
+// is pinned to as well.
 func TestPushPointLayout(t *testing.T) {
-	raw, err := os.ReadFile("../tsstore/testdata/point.hex")
+	raw, err := os.ReadFile("../tsstore/testdata/point_compact.hex")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := mustHex(t, string(raw))
 	r := wire.NewReader("point vector", want)
-	pt := tsstore.ReadPoint(&r)
+	pt := tsstore.ReadCompactPoint(&r)
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
@@ -431,9 +434,10 @@ func TestNegotiate(t *testing.T) {
 		ok       bool
 	}{
 		{1, 1, 0, false}, // a v1-only peer is refused
-		{1, 9, 2, true},  // newest common is our Version
-		{2, 9, 2, true},
-		{3, 9, 0, false},
+		{2, 2, 0, false}, // and so is a v2-only one
+		{1, 9, 3, true},  // newest common is our Version
+		{3, 9, 3, true},
+		{4, 9, 0, false},
 		{0, 0, 0, false},
 	}
 	for _, c := range cases {

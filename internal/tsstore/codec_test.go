@@ -13,11 +13,11 @@ import (
 	"repro/internal/wire"
 )
 
-// hexVector reads a committed hex vector under testdata: point.hex is
-// the AppendBinary layout, point_compact.hex the AppendCompact one,
-// digest_compact.hex a compact digest. The coord push test and the
-// archive record tests assert the same files, so a layout change is one
-// deliberate edit that hits every user at once.
+// hexVector reads a committed hex vector under testdata:
+// point_compact.hex is a point's one byte form, digest_compact.hex a
+// digest's. The coord push test and the archive record tests assert the
+// same files, so a layout change is one deliberate edit that hits every
+// user at once.
 func hexVector(t *testing.T, name string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile("testdata/" + name)
@@ -31,39 +31,15 @@ func hexVector(t *testing.T, name string) []byte {
 	return b
 }
 
-// TestPointLayout pins Point's two binary layouts, AppendBinary's and
-// AppendCompact's, to the committed vectors, field by field, in both
-// directions.
+// TestPointLayout pins Point's one byte form, AppendCompact's, to the
+// committed vector, field by field, in both directions, with
+// CompactSize exact.
 func TestPointLayout(t *testing.T) {
-	want := hexVector(t, "point.hex")
+	want := hexVector(t, "point_compact.hex")
 	p := Point{Round: 7, At: 3 * time.Second, Span: 1500 * time.Millisecond, Lo: 4e6, Hi: 6e6, Bits: 1.2e6, Err: "timeout"}
-	got := p.AppendBinary(nil)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("AppendBinary:\n got %x\nwant %x", got, want)
-	}
-	if n := testing.AllocsPerRun(100, func() { got = p.AppendBinary(nil) }); n != 1 || cap(got) != len(got) {
-		t.Errorf("AppendBinary(nil): %.0f allocations, %d bytes for a %d-byte point; want 1, exact", n, cap(got), len(got))
-	}
-	if tail := p.AppendBinary([]byte{0xee}); tail[0] != 0xee || !bytes.Equal(tail[1:], want) {
-		t.Errorf("AppendBinary does not append: %x", tail)
-	}
-	r := wire.NewReader("point", want)
-	back := ReadPoint(&r)
-	if err := r.Done(); err != nil || back != p {
-		t.Fatalf("ReadPoint = %+v, %v; want %+v", back, err, p)
-	}
-	// Err is cut to what its u16 length can state.
-	p.Err = strings.Repeat("e", math.MaxUint16+10)
-	r = wire.NewReader("point", p.AppendBinary(nil))
-	if back := ReadPoint(&r); r.Done() != nil || len(back.Err) != math.MaxUint16 {
-		t.Fatalf("oversized Err decoded to %d bytes, err %v", len(back.Err), r.Err())
-	}
-
-	// The compact form: the same point, and the same contract.
-	p.Err = "timeout"
-	want = hexVector(t, "point_compact.hex")
-	if got = p.AppendCompact(nil); !bytes.Equal(got, want) {
-		t.Fatalf("AppendCompact:\n got %x\nwant %x", got, want)
+	got := p.AppendCompact(nil)
+	if !bytes.Equal(got, want) || p.CompactSize() != len(want) {
+		t.Fatalf("AppendCompact (CompactSize %d):\n got %x\nwant %x", p.CompactSize(), got, want)
 	}
 	if n := testing.AllocsPerRun(100, func() { got = p.AppendCompact(nil) }); n != 1 || cap(got) != len(got) {
 		t.Errorf("AppendCompact(nil): %.0f allocations, %d bytes for a %d-byte point; want 1, exact", n, cap(got), len(got))
@@ -71,7 +47,7 @@ func TestPointLayout(t *testing.T) {
 	if tail := p.AppendCompact([]byte{0xee}); tail[0] != 0xee || !bytes.Equal(tail[1:], want) {
 		t.Errorf("AppendCompact does not append: %x", tail)
 	}
-	r = wire.NewReader("point", want)
+	r := wire.NewReader("point", want)
 	if back := ReadCompactPoint(&r); r.Done() != nil || back != p {
 		t.Fatalf("ReadCompactPoint = %+v, %v; want %+v", back, r.Err(), p)
 	}
@@ -79,20 +55,22 @@ func TestPointLayout(t *testing.T) {
 		b := q.AppendCompact(nil)
 		r = wire.NewReader("point", b)
 		back := ReadCompactPoint(&r)
-		if r.Done() != nil || !bytes.Equal(back.AppendCompact(nil), b) || len(b) != cap(b) {
+		if r.Done() != nil || !bytes.Equal(back.AppendCompact(nil), b) || len(b) != cap(b) || q.CompactSize() != len(b) {
 			t.Fatalf("%+v: compact round trip gave %+v, %v", q, back, r.Err())
 		}
 	}
+	// Err is cut to 65 535 bytes, and CompactSize counts the cut.
 	p.Err = strings.Repeat("e", math.MaxUint16+10)
-	r = wire.NewReader("point", p.AppendCompact(nil))
-	if back := ReadCompactPoint(&r); r.Done() != nil || len(back.Err) != math.MaxUint16 {
-		t.Fatalf("oversized Err decoded to %d compact bytes, err %v", len(back.Err), r.Err())
+	got = p.AppendCompact(nil)
+	r = wire.NewReader("point", got)
+	if back := ReadCompactPoint(&r); r.Done() != nil || len(back.Err) != math.MaxUint16 || p.CompactSize() != len(got) {
+		t.Fatalf("oversized Err decoded to %d bytes, err %v", len(back.Err), r.Err())
 	}
 }
 
-// TestDigestCompactLayout pins the compact digest form to its committed
-// vector, and holds it to the fixed form: the same digest either way,
-// and CompactSize exact.
+// TestDigestCompactLayout pins the digest's one byte form to its
+// committed vector: CompactSize exact, and the digest read back, by
+// UnmarshalDigest and off a longer reader, re-encodes to it.
 func TestDigestCompactLayout(t *testing.T) {
 	d := NewDigest(8)
 	for _, x := range []float64{1e6, 3e6, 3e6, 9e6} {
@@ -107,9 +85,11 @@ func TestDigestCompactLayout(t *testing.T) {
 	if err != nil || r.Len() != 1 {
 		t.Fatalf("ReadCompactDigest: %v, %d bytes left; want the digest and the byte after it", err, r.Len())
 	}
-	fixed := d.AppendBinary(nil)
-	if re := back.AppendBinary(nil); !bytes.Equal(re, fixed) {
-		t.Fatalf("compact digest decoded to %x, want %x", re, fixed)
+	if re := back.AppendCompact(nil); !bytes.Equal(re, want) {
+		t.Fatalf("digest read back re-encodes to %x, want %x", re, want)
+	}
+	if whole, err := UnmarshalDigest(want); err != nil || !bytes.Equal(whole.AppendCompact(nil), want) {
+		t.Fatalf("UnmarshalDigest: %+v, %v", whole, err)
 	}
 	for n := 0; n < len(want); n++ {
 		r := wire.NewReader("digest", want[:n])
@@ -119,43 +99,17 @@ func TestDigestCompactLayout(t *testing.T) {
 	}
 }
 
-// digestBlob hand-assembles a digest blob, valid or not.
-func digestBlob(size uint32, n uint64, cs ...centroid) []byte {
-	b := binary.BigEndian.AppendUint32(nil, size)
-	b = binary.BigEndian.AppendUint64(b, n)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(cs)))
+// digestBlob hand-assembles a digest blob in the AppendCompact form,
+// valid or not.
+func digestBlob(size, n uint64, cs ...centroid) []byte {
+	b := binary.AppendUvarint(nil, size)
+	b = binary.AppendUvarint(b, n)
+	b = binary.AppendUvarint(b, uint64(len(cs)))
 	for _, c := range cs {
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(c.mean))
-		b = binary.BigEndian.AppendUint64(b, c.weight)
+		b = binary.AppendUvarint(b, c.weight)
 	}
 	return b
-}
-
-// compactBlob re-assembles a digestBlob in the compact form, so every
-// hand-made blob exists in both.
-func compactBlob(blob []byte) []byte {
-	r := wire.NewReader("blob", blob)
-	b := binary.AppendUvarint(nil, uint64(r.U32()))
-	b = binary.AppendUvarint(b, r.U64())
-	b = binary.AppendUvarint(b, uint64(r.U32()))
-	for r.Len() >= 16 {
-		b = binary.BigEndian.AppendUint64(b, r.U64())
-		b = binary.AppendUvarint(b, r.U64())
-	}
-	return b
-}
-
-// decodeForms decodes blob as the fixed form and as the compact form,
-// the compact one only if the whole blob is one digest.
-func decodeForms(blob []byte) (fixed, compact *Digest, fixedErr, compactErr error) {
-	fixed, fixedErr = UnmarshalDigest(blob)
-	r := wire.NewReader("blob", blob)
-	if compact, compactErr = ReadCompactDigest(&r); compactErr == nil {
-		if compactErr = r.Done(); compactErr != nil {
-			compact = nil
-		}
-	}
-	return
 }
 
 // The two blobs that decoded without error before the weight sum and
@@ -169,7 +123,8 @@ var (
 )
 
 // TestUnmarshalDigestRejects: every structural violation is an error,
-// and a rejected blob yields no digest, in either form.
+// and a rejected blob yields no digest, whether it is the whole blob
+// (UnmarshalDigest) or read off a longer one (ReadCompactDigest).
 func TestUnmarshalDigestRejects(t *testing.T) {
 	for name, blob := range map[string][]byte{
 		"weight sum wraps u64":    overflowDigest,
@@ -182,24 +137,15 @@ func TestUnmarshalDigestRejects(t *testing.T) {
 		"means descending":        digestBlob(8, 2, centroid{2, 1}, centroid{1, 1}),
 		"over budget":             digestBlob(1, 2, centroid{1, 1}, centroid{2, 1}),
 		"zero budget":             digestBlob(0, 0),
+		"budget past u32":         digestBlob(math.MaxUint32+1, 0),
+		"centroids past bytes":    digestBlob(8, 2, centroid{0, 1}, centroid{0, 1})[:12],
 	} {
 		if d, err := UnmarshalDigest(blob); err == nil || d != nil {
 			t.Errorf("%s: decoded to %+v, err %v", name, d, err)
 		}
-		r := wire.NewReader("blob", compactBlob(blob))
+		r := wire.NewReader("blob", append(blob[:len(blob):len(blob)], 0, 0))
 		if d, err := ReadCompactDigest(&r); err == nil || d != nil {
-			t.Errorf("%s, compact: decoded to %+v, err %v", name, d, err)
-		}
-	}
-	// Only the compact form can state a budget past u32 or more
-	// centroids than its bytes can hold.
-	for name, blob := range map[string][]byte{
-		"budget past u32":      binary.AppendUvarint(nil, math.MaxUint32+1),
-		"centroids past bytes": {8, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1},
-	} {
-		r := wire.NewReader("blob", append(blob, 0, 0))
-		if d, err := ReadCompactDigest(&r); err == nil || d != nil {
-			t.Errorf("%s: decoded to %+v, err %v", name, d, err)
+			t.Errorf("%s, off a longer blob: decoded to %+v, err %v", name, d, err)
 		}
 	}
 }
@@ -229,7 +175,7 @@ func TestUnmarshalDigestPrefixes(t *testing.T) {
 	for _, x := range []float64{1e6, 3e6, 3e6, 9e6} {
 		d.Add(x)
 	}
-	blob := d.AppendBinary(nil)
+	blob := d.AppendCompact(nil)
 	if back, err := UnmarshalDigest(blob); err != nil || back.Count() != 4 || back.Quantile(0.5) != d.Quantile(0.5) {
 		t.Fatalf("round trip: %+v, %v", back, err)
 	}
@@ -243,40 +189,37 @@ func TestUnmarshalDigestPrefixes(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshalDigest: a digest blob arrives from an agent's push
-// (AppendBinary) or a recovered checkpoint (either form). One that
-// decodes, in either form, must be canonical — it re-encodes byte for
-// byte — and safe to serve: every quantile finite, also after it has
-// been merged into another digest. Seeds under testdata/fuzz: the mini
-// archive fixture's two checkpoint digests and the two adversarial
-// blobs above; the f.Add seeds come in both forms.
+// FuzzUnmarshalDigest: a digest blob arrives from an agent's push or a
+// recovered checkpoint, both in the AppendCompact form. One that
+// decodes must be canonical — it re-encodes byte for byte, in
+// CompactSize bytes — and safe to serve: every quantile finite, also
+// after it has been merged into another digest. Seeds under
+// testdata/fuzz: the mini archive fixture's two checkpoint digests and
+// the two adversarial blobs above.
 func FuzzUnmarshalDigest(f *testing.F) {
 	for _, blob := range [][]byte{
 		digestBlob(8, 0),
 		digestBlob(2, 3, centroid{-maxDigestMean, 1}, centroid{maxDigestMean, 2}),
 		overflowDigest,
+		infDigest,
+		digestBlob(math.MaxUint32+1, 0),
+		digestBlob(8, 2, centroid{0, 1}, centroid{0, 1})[:12],
+		overflowDigest[:12],
 	} {
 		f.Add(blob)
-		f.Add(compactBlob(blob))
 	}
-	f.Add(overflowDigest[:20])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fixed, compact, fixedErr, compactErr := decodeForms(data)
-		if (fixedErr != nil) != (fixed == nil) || (compactErr != nil) != (compact == nil) {
-			t.Fatalf("rejected blob still yielded a digest: %v %v", fixedErr, compactErr)
+		d, err := UnmarshalDigest(data)
+		if (err != nil) != (d == nil) {
+			t.Fatalf("rejected blob still yielded a digest: %v", err)
 		}
-		if fixed != nil {
-			if re := fixed.AppendBinary(nil); !bytes.Equal(re, data) {
-				t.Fatalf("digest not canonical:\n got %x\nwant %x", re, data)
-			}
-			checkServable(t, fixed, data)
+		if d == nil {
+			return
 		}
-		if compact != nil {
-			if re := compact.AppendCompact(nil); !bytes.Equal(re, data) || compact.CompactSize() != len(data) {
-				t.Fatalf("compact digest not canonical (CompactSize %d):\n got %x\nwant %x", compact.CompactSize(), re, data)
-			}
-			checkServable(t, compact, data)
+		if re := d.AppendCompact(nil); !bytes.Equal(re, data) || d.CompactSize() != len(data) {
+			t.Fatalf("digest not canonical (CompactSize %d):\n got %x\nwant %x", d.CompactSize(), re, data)
 		}
+		checkServable(t, d, data)
 	})
 }
 

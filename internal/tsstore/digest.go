@@ -221,23 +221,6 @@ func (d *Digest) copyFrom(o *Digest) {
 	d.cs = append(d.cs[:0], o.cs...)
 }
 
-// AppendBinary appends d's binary form to b, deterministically
-// (big-endian: centroid budget, total count and centroid count, then
-// mean/weight pairs in ascending mean order; 16 bytes a centroid). It
-// is the wire form of a digest: agents push it to the coordinator,
-// which rebuilds it with UnmarshalDigest. Archive checkpoints hold
-// AppendCompact's form instead.
-func (d *Digest) AppendBinary(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(d.size))
-	b = binary.BigEndian.AppendUint64(b, d.n)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(d.cs)))
-	for _, c := range d.cs {
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(c.mean))
-		b = binary.BigEndian.AppendUint64(b, c.weight)
-	}
-	return b
-}
-
 // CompactSize is the length of the AppendCompact encoding of d.
 func (d *Digest) CompactSize() int {
 	n := wire.UvarintLen(uint64(d.size)) + wire.UvarintLen(d.n) + wire.UvarintLen(uint64(len(d.cs))) + 8*len(d.cs)
@@ -247,12 +230,14 @@ func (d *Digest) CompactSize() int {
 	return n
 }
 
-// AppendCompact appends d's compact form to b: centroid budget, total
-// count and centroid count as uvarints, then per centroid, in ascending
-// mean order, its mean as big-endian float64 bits and its weight as a
-// uvarint. Most weights are a handful of samples, so a centroid takes 9
-// bytes rather than AppendBinary's 16. It is the archive checkpoint's
-// form of a digest; ReadCompactDigest is its inverse.
+// AppendCompact appends d's compact form to b, deterministically:
+// centroid budget, total count and centroid count as uvarints, then per
+// centroid, in ascending mean order, its mean as big-endian float64
+// bits and its weight as a uvarint. Most weights are a handful of
+// samples, so a centroid takes 9 bytes rather than the 16 of two fixed
+// words. It is the one byte form of a digest: in an archive checkpoint
+// and in an SLCP push. ReadCompactDigest and UnmarshalDigest are its
+// inverses.
 func (d *Digest) AppendCompact(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(d.size))
 	b = binary.AppendUvarint(b, d.n)
@@ -272,14 +257,14 @@ func (d *Digest) AppendCompact(b []byte) []byte {
 // Avail-bw in bits/s sits some 270 orders of magnitude below it.
 const maxDigestMean = math.MaxFloat64 / (1 << 65)
 
-// UnmarshalDigest decodes an AppendBinary digest, validating the
-// structural invariants (budget respected, means ascending, finite and
-// within maxDigestMean, weights positive and summing to the count
-// without wrapping) so a corrupt or adversarial blob cannot poison a
-// federated store.
+// UnmarshalDigest decodes a blob that holds exactly one AppendCompact
+// digest, validating the structural invariants (budget respected,
+// means ascending, finite and within maxDigestMean, weights positive
+// and summing to the count without wrapping) so a corrupt or
+// adversarial blob cannot poison a federated store.
 func UnmarshalDigest(data []byte) (*Digest, error) {
 	r := wire.NewReader("tsstore: digest blob", data)
-	d, err := readDigest(&r, false)
+	d, err := ReadCompactDigest(&r)
 	if err != nil {
 		return nil, err
 	}
@@ -289,17 +274,8 @@ func UnmarshalDigest(data []byte) (*Digest, error) {
 // ReadCompactDigest reads one AppendCompact digest off r under
 // UnmarshalDigest's validation. The digest is self-delimiting, so r may
 // hold more after it.
-func ReadCompactDigest(r *wire.Reader) (*Digest, error) { return readDigest(r, true) }
-
-// readDigest is the one digest decoder: the two forms differ only in
-// how the header and each weight are read.
-func readDigest(r *wire.Reader, compact bool) (*Digest, error) {
-	var size, n, k uint64
-	if compact {
-		size, n, k = r.Uvarint(), r.Uvarint(), r.Uvarint()
-	} else {
-		size, n, k = uint64(r.U32()), r.U64(), uint64(r.U32())
-	}
+func ReadCompactDigest(r *wire.Reader) (*Digest, error) {
+	size, n, k := r.Uvarint(), r.Uvarint(), r.Uvarint()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -307,22 +283,14 @@ func readDigest(r *wire.Reader, compact bool) (*Digest, error) {
 		return nil, fmt.Errorf("tsstore: digest holds %d centroids against budget %d", k, size)
 	}
 	// Bound k by the bytes left before allocating for it: a centroid
-	// takes 16 bytes, or at least 9 in the compact form.
-	if !compact && uint64(r.Len()) != 16*k {
-		return nil, fmt.Errorf("tsstore: digest blob %d bytes, want %d for %d centroids", 16+r.Len(), 16+16*k, k)
-	}
-	if compact && uint64(r.Len()) < 9*k {
-		return nil, fmt.Errorf("tsstore: compact digest has %d bytes left for %d centroids", r.Len(), k)
+	// takes at least 9.
+	if uint64(r.Len()) < 9*k {
+		return nil, fmt.Errorf("tsstore: digest has %d bytes left for %d centroids", r.Len(), k)
 	}
 	d := &Digest{size: int(size), n: n, cs: make([]centroid, k)}
 	var sum uint64
 	for i := range d.cs {
-		c := centroid{mean: r.F64()}
-		if compact {
-			c.weight = r.Uvarint()
-		} else {
-			c.weight = r.U64()
-		}
+		c := centroid{mean: r.F64(), weight: r.Uvarint()}
 		if err := r.Err(); err != nil {
 			return nil, err
 		}

@@ -127,17 +127,6 @@ func (st *Store) LinkSnapshot(link string) []LinkPoint {
 	return se.snapshot()
 }
 
-// LinkLast returns the link's most recent retained window; ok is false
-// for unknown or empty links.
-func (st *Store) LinkLast(link string) (LinkPoint, bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if se := st.links[link]; se != nil {
-		return se.last()
-	}
-	return LinkPoint{}, false
-}
-
 // WriteLinkMRTG renders one link's retained utilization series in the
 // shape of the paper's MRTG verification tables (§V-B), like WriteMRTG
 // but for the carried load of one shared hop: one row per fleet-round

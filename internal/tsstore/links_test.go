@@ -50,9 +50,9 @@ func TestLinkSeries(t *testing.T) {
 		t.Error("unknown link snapshot is non-nil")
 	}
 
-	last, ok := st.LinkLast("hop-00")
-	if !ok || last.Round != 5 {
-		t.Fatalf("LinkLast = %+v, %t; want round 5", last, ok)
+	last := pts[len(pts)-1]
+	if last.Round != 5 {
+		t.Fatalf("last window = %+v; want round 5", last)
 	}
 	// Round 5: u = 0.75 on C = 10 Mb/s.
 	if load := last.Load(); load != 7.5e6 {
@@ -60,9 +60,6 @@ func TestLinkSeries(t *testing.T) {
 	}
 	if a := last.AvailBw(); a != 2.5e6 {
 		t.Errorf("AvailBw() = %v, want 2.5e6 (C·(1−u))", a)
-	}
-	if _, ok := st.LinkLast("ghost"); ok {
-		t.Error("unknown link has a last window")
 	}
 }
 

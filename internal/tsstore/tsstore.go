@@ -90,50 +90,17 @@ func (p Point) RelVar() float64 {
 	return (p.Hi - p.Lo) / p.Mid()
 }
 
-// AppendBinary appends the point's binary form to b (a nil b becomes
-// one allocation of exactly the encoded size): Round, At, Span as u64,
-// Lo, Hi, Bits as float64 bits, Err as a u16-length-prefixed string cut
-// to what that length can state — all big-endian. This is the layout
-// of a point in an SLCP push and in the archive's older KindPoint
-// records (new ones hold AppendCompact); ReadPoint is its inverse.
-func (p Point) AppendBinary(b []byte) []byte {
-	if b == nil {
-		b = make([]byte, 0, 8*6+2+min(len(p.Err), math.MaxUint16))
-	}
-	b = binary.BigEndian.AppendUint64(b, uint64(p.Round))
-	b = binary.BigEndian.AppendUint64(b, uint64(p.At))
-	b = binary.BigEndian.AppendUint64(b, uint64(p.Span))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Lo))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Hi))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Bits))
-	return wire.AppendString(b, p.Err)
-}
-
-// ReadPoint reads one AppendBinary point off r. A short payload fails
-// r, not the call: check r.Err, Done or Finish.
-func ReadPoint(r *wire.Reader) Point {
-	return Point{
-		Round: int(int64(r.U64())),
-		At:    r.Dur(),
-		Span:  r.Dur(),
-		Lo:    r.F64(),
-		Hi:    r.F64(),
-		Bits:  r.F64(),
-		Err:   r.Str(),
-	}
-}
-
 // AppendCompact appends the point's compact form to b (a nil b becomes
-// one allocation of exactly the encoded size): Round, At, Span as
+// one allocation of exactly CompactSize bytes): Round, At, Span as
 // zigzag varints, Lo, Hi, Bits as big-endian float64 bits (so they
 // round-trip bit for bit), Err as a uvarint-length-prefixed string cut
-// to 65 535 bytes. This is an archive point record's payload: a round
-// count takes a byte or two, and a duration of seconds five or six,
-// rather than 8 each. ReadCompactPoint is its inverse.
+// to 65 535 bytes. It is the one byte form of a point: an archive point
+// record's payload and a point in an SLCP push. A round count takes a
+// byte or two, and a duration of seconds five or six, rather than 8
+// each. ReadCompactPoint is its inverse.
 func (p Point) AppendCompact(b []byte) []byte {
 	if b == nil {
-		b = make([]byte, 0, wire.VarintLen(int64(p.Round))+wire.VarintLen(int64(p.At))+
-			wire.VarintLen(int64(p.Span))+8*3+wire.VarStringLen(p.Err))
+		b = make([]byte, 0, p.CompactSize())
 	}
 	b = binary.AppendVarint(b, int64(p.Round))
 	b = binary.AppendVarint(b, int64(p.At))
@@ -142,6 +109,12 @@ func (p Point) AppendCompact(b []byte) []byte {
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Hi))
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Bits))
 	return wire.AppendVarString(b, p.Err)
+}
+
+// CompactSize is the length of the AppendCompact encoding of p.
+func (p Point) CompactSize() int {
+	return wire.VarintLen(int64(p.Round)) + wire.VarintLen(int64(p.At)) +
+		wire.VarintLen(int64(p.Span)) + 8*3 + wire.VarStringLen(p.Err)
 }
 
 // ReadCompactPoint reads one AppendCompact point off r. A short or
