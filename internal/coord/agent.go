@@ -70,8 +70,10 @@ type AgentConfig struct {
 // An Agent runs leased paths through a pathload.Monitor and pushes the
 // resulting series to its coordinator. The control connection and the
 // measurement plane fail independently: a dropped control session is
-// re-dialed with backoff while the monitor keeps measuring, and a
-// revoked lease stops only the affected paths.
+// re-dialed with backoff while the monitor keeps measuring. Any change
+// of leases or budget stops the whole monitor and starts a new one over
+// the new lease set; each path it keeps resumes its round and clock
+// counters from the local store.
 type Agent struct {
 	cfg   AgentConfig
 	store *tsstore.Store

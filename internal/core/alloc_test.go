@@ -37,8 +37,8 @@ func TestMedianGroupsMatchStatsMedian(t *testing.T) {
 		for i := range owds {
 			owds[i] = rng.NormFloat64()
 		}
-		got := MedianGroups(owds, 0)
-		// Recompute the partition the way MedianGroups documents it.
+		got := medianGroups(owds, 0)
+		// Recompute the partition the way medianGroupsInPlace documents it.
 		gamma := len(got)
 		start := 0
 		for g := 0; g < gamma; g++ {

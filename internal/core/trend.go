@@ -106,18 +106,13 @@ type TrendMetrics struct {
 	Medians []float64
 }
 
-// MedianGroups partitions owds into gamma groups of consecutive values
-// and returns the median of each group, the paper's outlier-robust
-// preprocessing step. If gamma is 0 it defaults to √len(owds). Short
-// inputs yield fewer (possibly zero) groups; groups absorb the
-// remainder so every sample is used.
-func MedianGroups(owds []float64, gamma int) []float64 {
-	return medianGroupsInPlace(append([]float64(nil), owds...), gamma, nil)
-}
-
-// medianGroupsInPlace is MedianGroups over caller-owned buffers: it
-// sorts each group of owds where it lies and builds the medians in
-// dst[:0], or in a fresh slice when dst has no room for gamma of them.
+// medianGroupsInPlace partitions owds into gamma groups of consecutive
+// values and returns the median of each group, the paper's
+// outlier-robust preprocessing step. If gamma is 0 it defaults to
+// √len(owds). Short inputs yield fewer (possibly zero) groups; groups
+// absorb the remainder so every sample is used. It sorts each group of
+// owds where it lies and builds the medians in dst[:0], or in a fresh
+// slice when dst has no room for gamma of them.
 func medianGroupsInPlace(owds []float64, gamma int, dst []float64) []float64 {
 	n := len(owds)
 	if n == 0 {

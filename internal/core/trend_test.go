@@ -3,9 +3,16 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// medianGroups is medianGroupsInPlace on a copy of owds, so the
+// caller's slice keeps its order.
+func medianGroups(owds []float64, gamma int) []float64 {
+	return medianGroupsInPlace(slices.Clone(owds), gamma, nil)
+}
 
 // TestMedianGroups checks group counts, remainder distribution, and
 // the Γ = √K default.
@@ -27,9 +34,9 @@ func TestMedianGroups(t *testing.T) {
 		for i := range in {
 			in[i] = float64(i)
 		}
-		got := MedianGroups(in, tc.gamma)
+		got := medianGroups(in, tc.gamma)
 		if len(got) != tc.wantCount {
-			t.Errorf("MedianGroups(n=%d, Γ=%d): %d groups, want %d", tc.n, tc.gamma, len(got), tc.wantCount)
+			t.Errorf("medianGroups(n=%d, Γ=%d): %d groups, want %d", tc.n, tc.gamma, len(got), tc.wantCount)
 		}
 	}
 }
@@ -37,9 +44,9 @@ func TestMedianGroups(t *testing.T) {
 // TestMedianGroupsValues pins a hand-computed case.
 func TestMedianGroupsValues(t *testing.T) {
 	in := []float64{1, 2, 100, 4, 5, 6} // outlier in group 1
-	got := MedianGroups(in, 2)
+	got := medianGroups(in, 2)
 	if len(got) != 2 || got[0] != 2 || got[1] != 5 {
-		t.Fatalf("MedianGroups = %v, want [2 5]", got)
+		t.Fatalf("medianGroups = %v, want [2 5]", got)
 	}
 }
 
@@ -55,8 +62,8 @@ func TestMedianGroupsRobustToOutliers(t *testing.T) {
 	for g := 0; g < 10; g++ {
 		dirty[g*10+3] = 1e6 // one outlier per group
 	}
-	mc := MedianGroups(clean, 10)
-	md := MedianGroups(dirty, 10)
+	mc := medianGroups(clean, 10)
+	md := medianGroups(dirty, 10)
 	for i := range mc {
 		if math.Abs(mc[i]-md[i]) > 0.011 {
 			t.Fatalf("group %d median moved from %v to %v under outliers", i, mc[i], md[i])

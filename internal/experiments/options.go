@@ -3,7 +3,6 @@ package experiments
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/simprobe"
@@ -100,6 +99,3 @@ func measureOnce(topo Topology, cfg pathload.Config) (pathload.Result, *Net, err
 
 // mbps converts bits/s to Mb/s for reporting.
 func mbps(bps float64) float64 { return bps / 1e6 }
-
-// ms converts a duration to milliseconds for reporting.
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -62,11 +62,15 @@ type Round struct {
 func (r Round) End() time.Duration { return r.At + r.Span }
 
 // A History answers a Scheduler's feedback queries about one path's
-// measurement past. The Monitor supplies one per session: LastRound
-// from the session's own state, RelVar from the configured sample store
-// when it can answer (internal/tsstore.Store is the canonical
-// implementation).
+// measurement past. The Monitor supplies one per session: Seat and
+// LastRound from the session's own state, RelVar from the configured
+// sample store when it can answer (internal/tsstore.Store is the
+// canonical implementation).
 type History interface {
+	// Seat returns the path's position in the fleet roster and the
+	// roster's size. The Monitor fixes the roster at Start, in AddPath
+	// order; it does not change while the sessions run.
+	Seat(path string) (index, paths int)
 	// LastRound returns the path's most recent finished round; ok is
 	// false before the first round completes.
 	LastRound(path string) (r Round, ok bool)
@@ -98,14 +102,6 @@ type VarSource interface {
 // call order.
 type Scheduler interface {
 	Next(path string, h History) (gap time.Duration, ok bool)
-}
-
-// A FleetBinder is a Scheduler that wants the fleet roster before
-// scheduling starts. The Monitor calls Bind exactly once at Start with
-// every registered path; Budgeted uses it to split the aggregate budget
-// into deterministic per-path shares.
-type FleetBinder interface {
-	Bind(paths []string)
 }
 
 // Fixed reproduces the Monitor's original schedule: a target Interval
@@ -242,13 +238,13 @@ func clampGap(gap, min, max time.Duration) time.Duration {
 // until the debt is repaid. The Inner scheduler proposes the gap;
 // Budgeted only ever lengthens it.
 //
-// To keep fleet runs reproducible the bucket is split at Bind time into
-// equal per-path shares fed at Rate/paths: each path's admission then
-// depends only on its own deterministic history, never on cross-path
-// call order, while the aggregate stays below Rate in every
-// virtual-time window (the sum of the per-path bounds; each path can
-// additionally borrow at most one round's bits, the round in flight
-// when the bucket empties).
+// To keep fleet runs reproducible the bucket is split into equal
+// per-path shares fed at Rate/paths, where paths is the roster size
+// History.Seat reports: each path's admission then depends only on its
+// own deterministic history, never on cross-path call order, while the
+// aggregate stays below Rate in every virtual-time window (the sum of
+// the per-path bounds; each path can additionally borrow at most one
+// round's bits, the round in flight when the bucket empties).
 //
 // The bucket has no depth: a path forfeits credit it does not spend,
 // so every round's cost is repaid by dedicated idle before the next
@@ -261,12 +257,10 @@ func clampGap(gap, min, max time.Duration) time.Duration {
 // is 0; a factory path whose first dial backed off starts accruing
 // after the backoff, not during it.
 //
-// Bind is what arms the bucket: the Monitor calls it on the scheduler
-// it is configured with, and wrappers shipped here (Until) forward it.
-// A custom wrapper that hides the FleetBinder interface leaves the
-// bucket unbound, and an unbound Budgeted passes the inner schedule
-// through with NO rate enforcement — when in doubt, call Bind
-// yourself before Start.
+// The buckets live as long as the Budgeted value, so a value serves
+// one monitor: every shipped caller (pathload -budget,
+// coord.Agent.reconcile, experiments.AdaptiveSchedule) builds one per
+// monitor it starts.
 type Budgeted struct {
 	// Inner proposes the base gap; required (use Fixed or Adaptive).
 	Inner Scheduler
@@ -275,9 +269,7 @@ type Budgeted struct {
 	Rate float64
 
 	mu      sync.Mutex
-	share   float64 // bits per virtual second per path, set by Bind
 	buckets map[string]*bucket
-	index   map[string]int // Bind order, for repayment phase stagger
 }
 
 // bucket is one path's token-bucket state on its own virtual clock.
@@ -285,27 +277,6 @@ type bucket struct {
 	credit  float64 // bits available; negative = debt to repay
 	lastEnd time.Duration
 	phased  bool // the one-time phase stagger has been applied
-}
-
-// Bind splits Rate into equal per-path shares (and forwards the roster
-// to a binding Inner). The Monitor calls it at Start; calling it again
-// rebinds (and resets) the bucket state.
-func (b *Budgeted) Bind(paths []string) {
-	if inner, ok := b.Inner.(FleetBinder); ok {
-		inner.Bind(paths)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(paths) == 0 {
-		return
-	}
-	b.share = b.Rate / float64(len(paths))
-	b.buckets = make(map[string]*bucket, len(paths))
-	b.index = make(map[string]int, len(paths))
-	for i, p := range paths {
-		b.buckets[p] = &bucket{}
-		b.index[p] = i
-	}
 }
 
 // Next charges the finished round against the path's bucket and
@@ -319,15 +290,15 @@ func (b *Budgeted) Next(path string, h History) (time.Duration, bool) {
 	if !haveRound {
 		return gap, true
 	}
+	index, paths := h.Seat(path)
+	share := b.Rate / float64(paths)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.share <= 0 {
-		// Unbound (Bind never ran): pass the inner schedule through.
-		return gap, true
-	}
 	bk := b.buckets[path]
 	if bk == nil {
-		// A path registered after Bind still gets a share-fed bucket.
+		if b.buckets == nil {
+			b.buckets = map[string]*bucket{}
+		}
 		bk = &bucket{}
 		b.buckets[path] = bk
 	}
@@ -339,7 +310,7 @@ func (b *Budgeted) Next(path string, h History) (time.Duration, bool) {
 	// self-funds from the share accrued over its own span, but a path
 	// cannot bank ahead.
 	if end := r.End(); end > bk.lastEnd {
-		bk.credit += b.share * (end - bk.lastEnd).Seconds()
+		bk.credit += share * (end - bk.lastEnd).Seconds()
 		bk.lastEnd = end
 	}
 	bk.credit -= r.Bits
@@ -347,21 +318,19 @@ func (b *Budgeted) Next(path string, h History) (time.Duration, bool) {
 		bk.credit = 0
 	}
 	if !bk.phased {
-		// One-time repayment phase stagger, derived from Bind order: a
+		// One-time repayment phase stagger, derived from the seat: a
 		// fleet whose sessions all start together would otherwise
 		// synchronize their repayment cycles and bunch the aggregate
 		// load into pulses. Offsetting path i's first repayment by
 		// i/paths of one round's repayment time spreads the cycles
 		// deterministically (the monitor-jitter rationale, §VIII).
 		bk.phased = true
-		if n := len(b.index); n > 0 {
-			bk.credit -= r.Bits * float64(b.index[path]) / float64(n)
-		}
+		bk.credit -= r.Bits * float64(index) / float64(paths)
 	}
 	if bk.credit < 0 {
 		// Stretch the gap until the debt is repaid: tokens accrued over
 		// the idle cover the deficit before the next round may start.
-		repay := time.Duration(-bk.credit / b.share * float64(time.Second))
+		repay := time.Duration(-bk.credit / share * float64(time.Second))
 		if repay > gap {
 			gap = repay
 		}
@@ -374,7 +343,8 @@ func (b *Budgeted) Next(path string, h History) (time.Duration, bool) {
 // reaches the horizon on the path-local clock. Experiments use it to
 // compare schedulers over identical observation windows — every
 // scheduler monitors for the same virtual span and spends however many
-// rounds its policy admits.
+// rounds its policy admits. It hands Inner the History it was given,
+// so a wrapped Budgeted reads the same fleet seat it would unwrapped.
 type Until struct {
 	// Inner proposes gaps while the horizon is open; required.
 	Inner Scheduler
@@ -389,15 +359,6 @@ func (u *Until) Next(path string, h History) (time.Duration, bool) {
 		return 0, false
 	}
 	return u.Inner.Next(path, h)
-}
-
-// Bind forwards the fleet roster to a binding Inner (a wrapped
-// Budgeted still gets its shares when the Monitor only sees the
-// Until).
-func (u *Until) Bind(paths []string) {
-	if inner, ok := u.Inner.(FleetBinder); ok {
-		inner.Bind(paths)
-	}
 }
 
 // Validate checks a scheduler's static configuration, so misconfigured

@@ -5,16 +5,26 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
 
-// fakeHistory is a scripted History.
+// fakeHistory is a scripted History. Its roster answers Seat; a nil
+// roster is a fleet of one.
 type fakeHistory struct {
+	roster   []string
 	last     Round
 	haveLast bool
 	rho      float64
 	haveRho  bool
+}
+
+func (h *fakeHistory) Seat(path string) (int, int) {
+	if h.roster == nil {
+		return 0, 1
+	}
+	return slices.Index(h.roster, path), len(h.roster)
 }
 
 func (h *fakeHistory) LastRound(string) (Round, bool)               { return h.last, h.haveLast }
@@ -148,7 +158,6 @@ func TestAdaptiveMonotoneInRho(t *testing.T) {
 func TestBudgetedHoldsRateInEveryWindow(t *testing.T) {
 	const share = 1e6 // 1 Mb per virtual second
 	b := &Budgeted{Inner: &Fixed{Interval: 10 * time.Millisecond}, Rate: share}
-	b.Bind([]string{"p"})
 
 	type round struct {
 		start, end time.Duration
@@ -196,7 +205,6 @@ func TestBudgetedHoldsRateInEveryWindow(t *testing.T) {
 	// A cheap schedule must pass through untouched: rounds well under
 	// the share never stretch the inner gap.
 	cheap := &Budgeted{Inner: &Fixed{Interval: 50 * time.Millisecond}, Rate: 1e6}
-	cheap.Bind([]string{"p"})
 	hc := &fakeHistory{last: Round{At: 0, Span: time.Second, Bits: 1e5}, haveLast: true}
 	if gap, _ := cheap.Next("p", hc); gap != 50*time.Millisecond {
 		t.Errorf("under-budget round stretched the gap to %v", gap)
@@ -211,7 +219,6 @@ func TestBudgetedHoldsRateInEveryWindow(t *testing.T) {
 func TestBudgetedChargesResumedFirstRound(t *testing.T) {
 	firstGap := func(at time.Duration) time.Duration {
 		b := &Budgeted{Inner: &Fixed{Interval: 100 * time.Millisecond}, Rate: 1e6}
-		b.Bind([]string{"p"})
 		gap, _ := b.Next("p", &fakeHistory{last: Round{At: at, Span: time.Second, Bits: 2e6}, haveLast: true})
 		return gap
 	}
@@ -228,13 +235,11 @@ func TestBudgetedChargesResumedFirstRound(t *testing.T) {
 // change them.
 func TestBudgetedSharesAreDeterministicPerPath(t *testing.T) {
 	mk := func() *Budgeted {
-		b := &Budgeted{Inner: &Fixed{Interval: time.Millisecond}, Rate: 2e6}
-		b.Bind([]string{"a", "b"})
-		return b
+		return &Budgeted{Inner: &Fixed{Interval: time.Millisecond}, Rate: 2e6}
 	}
 	hist := func(i int, bits float64) *fakeHistory {
 		at := time.Duration(i) * 30 * time.Millisecond
-		return &fakeHistory{last: Round{Round: i, At: at, Span: 10 * time.Millisecond, Bits: bits}, haveLast: true}
+		return &fakeHistory{roster: []string{"a", "b"}, last: Round{Round: i, At: at, Span: 10 * time.Millisecond, Bits: bits}, haveLast: true}
 	}
 
 	solo := mk()

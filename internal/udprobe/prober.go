@@ -101,9 +101,10 @@ type Prober struct {
 
 // Dial connects to a sender daemon's control address and performs the
 // hello handshake over one control connection: a failed dial, a sender
-// that hangs up or stays silent past ControlTimeout, or an ack outside
-// this build's version range fails Dial. The returned prober must be
-// closed after use.
+// that refuses the session (a bye carrying its reason), hangs up or
+// stays silent past ControlTimeout, or an ack outside this build's
+// version range fails Dial. The returned prober must be closed after
+// use.
 func Dial(senderAddr string, cfg ProberConfig) (*Prober, error) {
 	p, err := listenData()
 	if err != nil {
@@ -156,6 +157,9 @@ func (p *Prober) handshake(senderAddr string) error {
 	mt, payload, err := p.readCtrl()
 	if err != nil {
 		return fail(fmt.Errorf("udprobe: hello handshake: %w", err))
+	}
+	if mt == wire.MsgBye {
+		return fail(fmt.Errorf("udprobe: sender refused the session: %s", payload))
 	}
 	if mt != wire.MsgHelloAck {
 		return fail(fmt.Errorf("udprobe: expected hello-ack, got %v", mt))

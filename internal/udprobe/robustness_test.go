@@ -42,19 +42,8 @@ func TestSenderSurvivesGarbageControl(t *testing.T) {
 // TestSenderRejectsWrongVersion: version mismatches fail the handshake
 // rather than mis-measuring.
 func TestSenderRejectsWrongVersion(t *testing.T) {
-	addr := startSender(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHelloRange(wire.HelloRange{Min: 99, Max: 99, UDPPort: 1})); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, _, err := wire.ReadMessage(conn); err == nil {
-		t.Fatal("sender acknowledged an incompatible protocol version")
-	}
+	hello := wire.MarshalHelloRange(wire.HelloRange{Min: 99, Max: 99, UDPPort: 1})
+	readRefusal(t, sendHello(t, startSender(t), hello))
 }
 
 // TestSenderBoundsStreamRequests: absurd K or L must terminate the

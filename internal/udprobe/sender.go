@@ -160,11 +160,11 @@ func (s *Sender) untrack(conn net.Conn) {
 // Sessions run concurrently, one goroutine and one UDP data socket
 // each, so a single daemon can serve a whole monitored fleet of
 // receivers. Stream emissions, though, pass through the sender's
-// admission gate (EmitConcurrency, default 1): concurrent pacing loops
-// share the host's NIC and would skew each other's interspacings, so
-// overlapping requests take turns on the wire. The per-packet
-// timestamps and the Flagged verdict still expose any stream the
-// remaining contention disturbed, and fleet-side admission policies
+// admission gate (emitConcurrency, one stream at a time): concurrent
+// pacing loops share the host's NIC and would skew each other's
+// interspacings, so overlapping requests take turns on the wire. The
+// per-packet timestamps and the Flagged verdict still expose any stream
+// the remaining contention disturbed, and fleet-side admission policies
 // (pathload.MonitorConfig.Admission) decide how much simultaneous
 // probing to request in the first place.
 func (s *Sender) Serve() error {
@@ -202,6 +202,21 @@ func (s *Sender) readSession(conn net.Conn) (wire.MsgType, []byte, error) {
 	return wire.ReadMessage(conn)
 }
 
+// maxRefusal caps the reason a refusing bye carries.
+const maxRefusal = 256
+
+// refuse answers a hello the sender cannot serve with a bye whose
+// payload says why (cut to maxRefusal bytes), so the receiver reports
+// the reason instead of an EOF, and returns err.
+func refuse(conn net.Conn, err error) error {
+	reason := err.Error()
+	if len(reason) > maxRefusal {
+		reason = reason[:maxRefusal]
+	}
+	wire.WriteMessage(conn, wire.MsgBye, []byte(reason))
+	return err
+}
+
 // serveSession handles one control session.
 func (s *Sender) serveSession(conn net.Conn) error {
 	defer conn.Close()
@@ -215,11 +230,11 @@ func (s *Sender) serveSession(conn net.Conn) error {
 	}
 	hello, err := wire.UnmarshalHelloRange(payload)
 	if err != nil {
-		return err
+		return refuse(conn, err)
 	}
 	version, err := wire.Negotiate(hello.Min, hello.Max)
 	if err != nil {
-		return err
+		return refuse(conn, err)
 	}
 
 	host, _, err := net.SplitHostPort(conn.RemoteAddr().String())

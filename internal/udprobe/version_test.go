@@ -1,7 +1,10 @@
 package udprobe
 
 import (
+	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,22 +32,47 @@ func TestHandshakeNegotiatesNewestVersion(t *testing.T) {
 	}
 }
 
-// TestSenderRefusesExactVersionHello: the old 4-byte exact-version
-// hello is not a session opener. The sender must hang up on it without
-// an ack.
-func TestSenderRefusesExactVersionHello(t *testing.T) {
-	addr := startSender(t)
+// sendHello opens a control connection to addr and sends payload as
+// its hello.
+func sendHello(t *testing.T, addr string, payload []byte) net.Conn {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := wire.WriteMessage(conn, wire.MsgHello, []byte{0, 2, 0x1e, 0x61}); err != nil {
+	t.Cleanup(func() { conn.Close() })
+	if err := wire.WriteMessage(conn, wire.MsgHello, payload); err != nil {
 		t.Fatal(err)
 	}
+	return conn
+}
+
+// readRefusal reads the sender's answer to a hello it cannot serve: a
+// bye whose payload is the reason, then the hang-up. It returns the
+// reason.
+func readRefusal(t *testing.T, conn net.Conn) string {
+	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	mt, reason, err := wire.ReadMessage(conn)
+	if err != nil {
+		t.Fatalf("sender hung up without saying why: %v", err)
+	}
+	if mt != wire.MsgBye {
+		t.Fatalf("sender answered a hello it cannot serve with %v, want a bye", mt)
+	}
 	if mt, _, err := wire.ReadMessage(conn); err == nil {
-		t.Fatalf("sender answered a 4-byte hello with %v", mt)
+		t.Fatalf("sender sent %v after refusing the session", mt)
+	}
+	return string(reason)
+}
+
+// TestSenderRefusesExactVersionHello: the old 4-byte exact-version
+// hello is not a session opener. The sender must refuse it with a bye
+// that says why, never an ack.
+func TestSenderRefusesExactVersionHello(t *testing.T) {
+	conn := sendHello(t, startSender(t), []byte{0, 2, 0x1e, 0x61})
+	if reason := readRefusal(t, conn); !strings.Contains(reason, "4 bytes") {
+		t.Fatalf("refusal %q does not name the 4-byte hello", reason)
 	}
 }
 
@@ -146,21 +174,50 @@ func TestDialSilentSenderCostsOneTimeout(t *testing.T) {
 
 // TestSenderRejectsDisjointVersionRange: a receiver advertising only
 // versions newer than this build must be refused at the handshake, not
-// mis-served.
+// mis-served, and the bye refusing it names both ranges, so the
+// receiver's error says which side to upgrade.
 func TestSenderRejectsDisjointVersionRange(t *testing.T) {
-	addr := startSender(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	hello := wire.HelloRange{Min: wire.Version + 1, Max: wire.Version + 6, UDPPort: 1}
+	reason := readRefusal(t, sendHello(t, startSender(t), wire.MarshalHelloRange(hello)))
+	for _, want := range []string{
+		fmt.Sprintf("[%d, %d]", hello.Min, hello.Max),
+		fmt.Sprintf("[%d, %d]", wire.VersionMin, wire.Version),
+	} {
+		if !strings.Contains(reason, want) {
+			t.Errorf("refusal %q does not name the range %s", reason, want)
+		}
 	}
-	defer conn.Close()
-	hello := wire.HelloRange{Min: wire.Version + 1, Max: wire.Version + 9, UDPPort: 1}
-	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHelloRange(hello)); err != nil {
-		t.Fatal(err)
+}
+
+// TestRefusalReasonIsCapped: a refusal's reason is cut to maxRefusal
+// bytes, well inside the control frame's payload limit.
+func TestRefusalReasonIsCapped(t *testing.T) {
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	go func() {
+		refuse(conn, errors.New(strings.Repeat("x", 4*maxRefusal)))
+		conn.Close()
+	}()
+	mt, reason, err := wire.ReadMessage(peer)
+	if err != nil || mt != wire.MsgBye || len(reason) != maxRefusal {
+		t.Fatalf("refusal read as %v with a %d-byte reason (err %v), want a bye of %d bytes", mt, len(reason), err, maxRefusal)
 	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, _, err := wire.ReadMessage(conn); err == nil {
-		t.Fatal("sender acknowledged a version range it cannot speak")
+}
+
+// TestDialReportsSenderRefusal: a sender that answers the hello with a
+// bye fails Dial with the bye's reason in the error.
+func TestDialReportsSenderRefusal(t *testing.T) {
+	const reason = "wire: no protocol version in common: peer speaks [3, 3], this build [4, 9]"
+	addr, _ := startOneShotSender(t, func(conn net.Conn, _ wire.HelloRange) {
+		wire.WriteMessage(conn, wire.MsgBye, []byte(reason))
+	})
+	p, err := Dial(addr, ProberConfig{ControlTimeout: 2 * time.Second})
+	if err == nil {
+		p.Close()
+		t.Fatal("Dial succeeded against a refusing sender")
+	}
+	if want := "udprobe: sender refused the session: " + reason; err.Error() != want {
+		t.Fatalf("Dial error %q, want %q", err, want)
 	}
 }
 

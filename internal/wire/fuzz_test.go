@@ -104,6 +104,7 @@ func FuzzControlStream(f *testing.F) {
 	f.Add(frame(MsgStreamRequest, MarshalStreamRequest(StreamRequest{Gen: 4, Fleet: 1, Stream: 2, K: 100, L: 300, PeriodNs: 100_000})))
 	f.Add(frame(MsgStreamDone, MarshalStreamDone(StreamDone{Gen: 4, Fleet: 1, Stream: 2, Sent: 100, Flagged: 1})))
 	f.Add(frame(MsgBye, nil))
+	f.Add(frame(MsgBye, []byte("wire: no protocol version in common: peer speaks [4, 9], this build [3, 3]")))
 	f.Add([]byte{0x53, 0x4c, 0x50, 0x53, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := ReadMessage(bytes.NewReader(data))

@@ -15,8 +15,8 @@ import (
 )
 
 // knobExtra names the structs the gate checks whatever their names end
-// in: heal, topology and schedule policies whose fields are knobs all
-// the same.
+// in: heal, topology and schedule policies and the simulated prober,
+// whose fields are knobs all the same.
 var knobExtra = []string{
 	"pathload.Reconnect",
 	"internal/experiments.Topology",
@@ -24,6 +24,7 @@ var knobExtra = []string{
 	"internal/schedule.Adaptive",
 	"internal/schedule.Budgeted",
 	"internal/schedule.Until",
+	"internal/simprobe.Prober",
 }
 
 // knobSeams names every checked field that no shipped code sets but
@@ -50,6 +51,7 @@ var knobSeams = map[string]string{
 	"internal/experiments.Topology.BufBytes": "TestLossyPathAborts needs a two-packet buffer",
 	"internal/experiments.Topology.Sizes":    "the fluid cross-check needs fixed-size cross traffic",
 	"pathload.Config.DisableInitProbe":       "scripted fake probers answer fleets only, not the ADR train",
+	"internal/simprobe.Prober.ClockOffset":   "relative-OWD invariance: TestClockOffsetInvariance and TestMeasurementSurvivesClockSkew offset the receiver clock",
 
 	// Real-host limits a real-network caller sets.
 	"pathload.Config.MTU":       "the path MTU of a real host: tunnels shrink it, jumbo frames grow it",

@@ -280,16 +280,19 @@ func (s *session) closeProber() {
 	s.prober = nil
 }
 
-// sessionHistory implements schedule.History for one session: the last
-// finished round comes from the session's own state (always available,
-// only ever touched from the session goroutine), windowed-ρ queries are
-// answered by the configured Store when it can (tsstore), and report
-// ok == false otherwise.
+// sessionHistory implements schedule.History for one session: the
+// seat is fixed at Start, the last finished round comes from the
+// session's own state (always available, only ever touched from the
+// session goroutine), windowed-ρ queries are answered by the configured
+// Store when it can (tsstore), and report ok == false otherwise.
 type sessionHistory struct {
-	last     schedule.Round
-	haveLast bool
-	vars     schedule.VarSource // nil when the Store cannot answer
+	index, paths int // the session's seat in the fleet roster
+	last         schedule.Round
+	haveLast     bool
+	vars         schedule.VarSource // nil when the Store cannot answer
 }
+
+func (h *sessionHistory) Seat(string) (int, int) { return h.index, h.paths }
 
 func (h *sessionHistory) LastRound(string) (schedule.Round, bool) { return h.last, h.haveLast }
 
@@ -432,13 +435,6 @@ func (m *Monitor) Start() error {
 		// so adding a path does not reshuffle the others' schedules.
 		m.sched = &schedule.Fixed{Interval: m.cfg.Interval, Jitter: m.cfg.Jitter, Seed: m.cfg.Seed}
 	}
-	if b, ok := m.sched.(schedule.FleetBinder); ok {
-		ids := make([]string, len(m.sessions))
-		for i, s := range m.sessions {
-			ids[i] = s.id
-		}
-		b.Bind(ids)
-	}
 	m.adm = m.cfg.Admission
 	m.drv = m.cfg.Driver
 	if m.drv == nil {
@@ -449,7 +445,8 @@ func (m *Monitor) Start() error {
 	}
 	vars, _ := m.cfg.Store.(schedule.VarSource)
 	resumer, _ := m.cfg.Store.(interface{ Resume(path string) PathState })
-	for _, s := range m.sessions {
+	for i, s := range m.sessions {
+		s.hist.index, s.hist.paths = i, len(m.sessions)
 		s.hist.vars = vars
 		if resumer != nil {
 			s.resume = resumer.Resume(s.id)

@@ -578,6 +578,65 @@ func TestMonitorSchedulerEndsSession(t *testing.T) {
 	}
 }
 
+// forwardingScheduler hands Next to the scheduler it wraps and has no
+// other method, the shape of any caller's own decorator.
+type forwardingScheduler struct{ inner schedule.Scheduler }
+
+func (f forwardingScheduler) Next(path string, h schedule.History) (time.Duration, bool) {
+	return f.inner.Next(path, h)
+}
+
+// TestMonitorBudgetBindsThroughWrapper: a Budgeted hidden behind a
+// wrapper still bounds the fleet's probe rate. Each of the two paths is
+// fed Rate/2, so its second round starts no earlier than its first
+// round's end plus the time that share takes to repay the first round's
+// bits beyond what accrued while it ran.
+func TestMonitorBudgetBindsThroughWrapper(t *testing.T) {
+	const rate = 1e5 // bits per virtual second, fleet-wide
+	const interval = 10 * time.Millisecond
+	m, err := pathload.NewMonitor(pathload.MonitorConfig{
+		Rounds:    2,
+		Config:    fastCfg(),
+		Scheduler: forwardingScheduler{&schedule.Budgeted{Inner: &schedule.Fixed{Interval: interval}, Rate: rate}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := m.AddPath(fmt.Sprintf("p%d", i), &fakePath{avail: 9e6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	rounds := map[string][]pathload.Sample{}
+	for s := range m.Results() {
+		if s.Err != nil {
+			t.Fatal(s.Err)
+		}
+		rounds[s.Path] = append(rounds[s.Path], s)
+	}
+	m.Wait()
+	const share = rate / 2
+	for p, rs := range rounds {
+		if len(rs) != 2 {
+			t.Fatalf("%s: %d rounds, want 2", p, len(rs))
+		}
+		first := rs[0].Result
+		end := rs[0].At + first.Elapsed
+		debt := first.Bits - share*first.Elapsed.Seconds()
+		repay := time.Duration(debt / share * float64(time.Second))
+		if repay <= interval {
+			t.Fatalf("%s: first round's %.0f bits over %v leave %v to repay, not more than the %v interval: the test proves nothing",
+				p, first.Bits, first.Elapsed, repay, interval)
+		}
+		if rs[1].At < end+repay {
+			t.Errorf("%s: round 1 starts at %v, before round 0's end %v plus the %v repayment", p, rs[1].At, end, repay)
+		}
+	}
+}
+
 // TestMonitorStaggerAdmission: with a Stagger admission policy built
 // from a conflict graph, conflicting paths never measure concurrently
 // while a free path still overlaps with them; every round is still
