@@ -23,9 +23,9 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 when fewer than
-// two samples are given.
-func Variance(xs []float64) float64 {
+// StdDev returns the population standard deviation of xs, or 0 when
+// fewer than two samples are given.
+func StdDev(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
@@ -35,11 +35,8 @@ func Variance(xs []float64) float64 {
 		d := x - m
 		sum += d * d
 	}
-	return sum / float64(len(xs))
+	return math.Sqrt(sum / float64(len(xs)))
 }
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // CoV returns the coefficient of variation (standard deviation over
 // mean). It returns 0 when the mean is 0.

@@ -27,20 +27,17 @@ func TestMean(t *testing.T) {
 	}
 }
 
-// TestVarianceAndCoV checks moments on a known sample.
-func TestVarianceAndCoV(t *testing.T) {
+// TestStdDevAndCoV checks moments on a known sample.
+func TestStdDevAndCoV(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9} // classic: mean 5, var 4
-	if got := Variance(xs); !almost(got, 4) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
 	if got := StdDev(xs); !almost(got, 2) {
 		t.Errorf("StdDev = %v, want 2", got)
 	}
 	if got := CoV(xs); !almost(got, 0.4) {
 		t.Errorf("CoV = %v, want 0.4", got)
 	}
-	if got := Variance([]float64{42}); got != 0 {
-		t.Errorf("Variance of singleton = %v, want 0", got)
+	if got := StdDev([]float64{42}); got != 0 {
+		t.Errorf("StdDev of singleton = %v, want 0", got)
 	}
 	if got := CoV([]float64{0, 0}); got != 0 {
 		t.Errorf("CoV of zeros = %v, want 0", got)

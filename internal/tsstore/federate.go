@@ -160,7 +160,11 @@ func (f *Federation) Agents(path string) []string {
 //
 // The materialization is a pure function of the held contributions, so
 // two federations holding the same state render byte-identical
-// snapshots regardless of push arrival order.
+// snapshots regardless of push arrival order. The paths' merges, each
+// touching only its own series, run on the shards WritePrometheus
+// would split them into, a helper goroutine per shard beyond the
+// first, so the read lock is held for as short a time as the cores
+// allow. The shard count changes nothing in the result.
 func (f *Federation) Snapshot() *Store {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -168,6 +172,32 @@ func (f *Federation) Snapshot() *Store {
 	// sorted path list is an append, into room made for all of them.
 	paths := slices.Sorted(maps.Keys(f.contribs))
 	st := newStore(f.cfg, nil, len(paths))
+	k := shards(len(paths))
+	if k > 1 {
+		// Shards only read st's maps, so every series exists first. One
+		// shard creates each as it merges it, while it is in cache.
+		for _, path := range paths {
+			st.ensure(path)
+		}
+	}
+	var helpers sync.WaitGroup
+	for s := 1; s < k; s++ {
+		helpers.Add(1)
+		go func() {
+			defer helpers.Done()
+			f.merge(st, paths[s*len(paths)/k:(s+1)*len(paths)/k])
+		}()
+	}
+	f.merge(st, paths[:len(paths)/k])
+	helpers.Wait()
+	return st
+}
+
+// merge merges each path's contributions into its series in st, which
+// is still private to Snapshot, so no lock is needed. Several merges
+// read the federation's and the store's maps at once; only a lone one
+// adds series. The caller holds f.mu for reading.
+func (f *Federation) merge(st *Store, paths []string) {
 	var agents []string // one scratch list, refilled per path
 	for _, path := range paths {
 		byAgent := f.contribs[path]
@@ -181,7 +211,7 @@ func (f *Federation) Snapshot() *Store {
 			}
 		}
 		sort.Strings(agents)
-		se := st.ensure(path) // st is still private to this call: no lock needed
+		se := st.ensure(path)
 		// Sized once, for every agent's points and Merge below.
 		se.reserve(points)
 		se.digest.reserve(centroids)
@@ -195,7 +225,6 @@ func (f *Federation) Snapshot() *Store {
 			se.digest.Merge(c.Digest)
 		}
 	}
-	return st
 }
 
 // Handler serves the federated store over HTTP with the same endpoints

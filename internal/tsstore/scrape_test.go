@@ -38,9 +38,10 @@ func fullStore(paths, capacity int) *tsstore.Store {
 }
 
 // TestScrapeAllocationBudget: a scrape allocates a fixed number of
-// objects however many paths it renders, and no more than its copy of
-// the path list per path — the rows and the text buffer are pooled, and
-// nothing grows with the rings. A full DefaultCapacity ring is 90 kB a
+// objects however many paths it renders, and at most what a copy of
+// the path list would take per path — the path list's copy, the rows,
+// the text buffers and the helpers are pooled (0 B a path measured),
+// and nothing grows with the rings. A full DefaultCapacity ring is 90 kB a
 // path, so that tier runs on a tenth of the paths.
 func TestScrapeAllocationBudget(t *testing.T) {
 	if raceEnabled {

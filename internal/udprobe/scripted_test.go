@@ -500,3 +500,60 @@ func TestSenderEmissionGateSerializesOverlappingStreams(t *testing.T) {
 			time.Duration(hi-lo), w1.lo, w1.hi, w2.lo, w2.hi)
 	}
 }
+
+// TestSenderReusesPacketBufferAcrossLengths: a session keeps one packet
+// buffer for all its streams, grown to the largest L. One session sends
+// L = 1400, then 200, then 1400 again: every datagram is exactly L bytes
+// and zero past the header, so a shorter stream leaves nothing behind
+// that a longer one then sends.
+func TestSenderReusesPacketBufferAcrossLengths(t *testing.T) {
+	addr := startSender(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+	if err := wire.WriteMessage(conn, wire.MsgHello, rangeHello(uint16(udp.LocalAddr().(*net.UDPAddr).Port))); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, err := wire.ReadMessage(conn); err != nil || mt != wire.MsgHelloAck {
+		t.Fatalf("handshake: %v %v", mt, err)
+	}
+
+	const k = 5
+	buf := make([]byte, 2048)
+	for i, l := range []uint32{1400, 200, 1400} {
+		req := wire.StreamRequest{Gen: 1, Fleet: 1, Stream: uint32(i), K: k, L: l, PeriodNs: 200_000}
+		if err := wire.WriteMessage(conn, wire.MsgStreamRequest, wire.MarshalStreamRequest(req)); err != nil {
+			t.Fatal(err)
+		}
+		udp.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for got := 0; got < k; {
+			n, err := udp.Read(buf)
+			if err != nil {
+				t.Fatalf("stream %d (L=%d), after %d probes: %v", i, l, got, err)
+			}
+			h, err := wire.UnmarshalProbe(buf[:n])
+			if err != nil || h.Stream != uint32(i) {
+				continue
+			}
+			got++
+			if n != int(l) {
+				t.Errorf("stream %d: a datagram of %d bytes, want L = %d", i, n, l)
+			}
+			if j := slices.IndexFunc(buf[wire.ProbeHeaderSize:n], func(b byte) bool { return b != 0 }); j >= 0 {
+				t.Errorf("stream %d (L=%d): byte %d past the header is %#x, want 0", i, l, wire.ProbeHeaderSize+j, buf[wire.ProbeHeaderSize+j])
+			}
+		}
+		if mt, payload, err := wire.ReadMessage(conn); err != nil || mt != wire.MsgStreamDone {
+			t.Fatalf("stream %d: %v %v", i, mt, err)
+		} else if done, err := wire.UnmarshalStreamDone(payload); err != nil || done.Sent != k {
+			t.Fatalf("stream %d: done %+v, %v; want %d sent", i, done, err, k)
+		}
+	}
+}

@@ -257,6 +257,7 @@ func (s *Sender) serveSession(conn net.Conn) error {
 		return err
 	}
 
+	var pkt []byte // the session's packet buffer, grown to its largest L
 	for {
 		t, payload, err := s.readSession(conn)
 		if err != nil {
@@ -268,7 +269,7 @@ func (s *Sender) serveSession(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			done, err := s.emitStream(udp, req)
+			done, err := s.emitStream(udp, req, &pkt)
 			if err != nil {
 				return fmt.Errorf("emitting stream %d/%d: %w", req.Fleet, req.Stream, err)
 			}
@@ -289,8 +290,10 @@ func (s *Sender) serveSession(conn net.Conn) error {
 	}
 }
 
-// emitStream paces one periodic stream onto the data socket.
-func (s *Sender) emitStream(udp *net.UDPConn, req wire.StreamRequest) (wire.StreamDone, error) {
+// emitStream paces one periodic stream onto the data socket. pkt is
+// the session's packet buffer: it grows to hold L once L is checked,
+// and a stream sends its first L bytes.
+func (s *Sender) emitStream(udp *net.UDPConn, req wire.StreamRequest, pkt *[]byte) (wire.StreamDone, error) {
 	done := wire.StreamDone{Gen: req.Gen, Fleet: req.Fleet, Stream: req.Stream}
 	if req.K > maxStreamK || req.L > maxStreamL || req.K == 0 || int(req.L) < wire.ProbeHeaderSize {
 		return done, fmt.Errorf("stream request out of bounds: K=%d L=%d", req.K, req.L)
@@ -314,10 +317,16 @@ func (s *Sender) emitStream(udp *net.UDPConn, req wire.StreamRequest) (wire.Stre
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 
-	// One zero-padded packet buffer for the whole stream, re-stamped per
+	// One zero-padded packet buffer for the whole session, re-stamped per
 	// packet: nothing is allocated between reading the clock and the
-	// write. L was checked against the header size above.
-	buf := make([]byte, req.L)
+	// write, nor per stream once the session has sent its largest L.
+	// PutProbe writes only the header, so every byte past it stays zero
+	// whichever L the buffer last sent. L was checked against the header
+	// size above.
+	if cap(*pkt) < int(req.L) {
+		*pkt = make([]byte, req.L)
+	}
+	buf := (*pkt)[:req.L]
 	hdr := wire.ProbeHeader{Gen: req.Gen, Fleet: req.Fleet, Stream: req.Stream}
 
 	flagLimit := time.Duration(gapFactor*float64(period)) + spinThreshold
