@@ -46,14 +46,15 @@
 // than its header says, so Open and Verify treat either as damage to
 // sealed history, as they treat a broken chain link.
 //
-// The checkpoint blob is produced by the owner (the Checkpoint hook of
-// the Consumer it recovered with) at seal time and must summarize
+// The checkpoint blob is the envelope of the Consumer the archive was
+// recovered with (its magic u32 | version u16, judged by Recover alone)
+// and a body its Checkpoint hook appends at seal time, summarizing
 // every record up to and including that segment — it is what lets
 // Recover skip re-counting sealed records and what lets Compact drop
 // old segments without losing all-time counters. Only the newest one
 // is ever read, so a seal replaces it rather than keeping one per
 // segment: what a directory holds grows with its records, not with
-// paths × seals.
+// paths × seals, and a directory has one sealer.
 package archive
 
 import (
@@ -174,10 +175,12 @@ type Archive struct {
 	frame    []byte        // Append's record frame, reused
 	closed   bool
 
-	// onAppend and checkpoint are the owner's hooks (Consumer's, set by
-	// Recover).
-	onAppend   func(Record)
-	checkpoint func() []byte
+	// The owner's hooks and checkpoint envelope (Consumer's, set by
+	// Recover); foreignCkpt: the live checkpoint is another's (see Seal).
+	onAppend    func(Record)
+	checkpoint  func(envelope []byte) []byte
+	envelope    []byte
+	foreignCkpt bool
 
 	// failpoint, when set (tests only), is consulted between the
 	// atomic steps of sealLocked to simulate a crash at that boundary.
@@ -289,7 +292,9 @@ func (a *Archive) appendEncoded(kind uint8, key string, data func([]byte) []byte
 }
 
 // Seal seals the current WAL records into a new segment (a no-op on an
-// empty WAL).
+// empty WAL). Over another consumer's live checkpoint (Recover's
+// ForeignCheckpoint) it, and an automatic seal, fail with
+// ErrForeignCheckpoint before writing anything.
 func (a *Archive) Seal() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -383,6 +388,9 @@ func (a *Archive) sealLocked() error {
 	if a.walRecs == 0 {
 		return nil
 	}
+	if a.foreignCkpt {
+		return fmt.Errorf("archive: seal refused: %w", ErrForeignCheckpoint)
+	}
 	h := segHeader{index: 1, sealedUnix: a.now(), records: int64(a.walRecs)}
 	if n := len(a.segs); n > 0 {
 		h.index = a.segs[n-1].Index + 1
@@ -390,7 +398,7 @@ func (a *Archive) sealLocked() error {
 	}
 	var ckpt []byte
 	if a.checkpoint != nil {
-		ckpt = a.checkpoint()
+		ckpt = a.checkpoint(a.envelope)
 	}
 	if h.ckptLen = int64(len(ckpt)); h.ckptLen > 0 {
 		h.ckptHash = sha256.Sum256(ckpt)

@@ -251,7 +251,7 @@ func TestCompact(t *testing.T) {
 func TestVerifyDetectsAnyFlippedByte(t *testing.T) {
 	dir := t.TempDir()
 	a, _ := openT(t, dir, Options{})
-	a.checkpoint = func() []byte { return []byte("checkpoint-blob") }
+	a.checkpoint = func(b []byte) []byte { return append(b, "checkpoint-blob"...) }
 	for s := 0; s < 3; s++ {
 		appendN(t, a, s*4, 4)
 		if err := a.Seal(); err != nil {

@@ -30,8 +30,8 @@ func crashAt(stage string) func(string) error {
 var sealStages = []string{"wrote-checkpoint", "sealed-segment", "swapped-wal", "anchored-head"}
 
 // fixedCheckpoint is a checkpoint hook that seals blob every time.
-func fixedCheckpoint(blob string) func() []byte {
-	return func() []byte { return []byte(blob) }
+func fixedCheckpoint(blob string) func([]byte) []byte {
+	return func(b []byte) []byte { return append(b, blob...) }
 }
 
 // checkpointFiles fails the test unless dir's ckpt-* files are exactly

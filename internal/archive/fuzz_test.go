@@ -191,11 +191,12 @@ func strictlyAscending(keys []string) bool {
 	return true
 }
 
-// FuzzDecodeCheckpoint: a corrupt store checkpoint must decode to an
-// error (recovery then falls back to counted replay), never panic, and
-// never to more series than its bytes can describe. A checkpoint that
+// FuzzDecodeCheckpoint: a corrupt store checkpoint body must decode to
+// an error (recovery then falls back to counted replay), never panic,
+// and never to more series than its bytes can describe. A body that
 // decodes in canonical (sorted, duplicate-free) order must re-encode
-// byte-for-byte. The committed seed is the mini fixture's checkpoint.
+// byte-for-byte. The committed seed is the mini fixture's checkpoint
+// less its six-byte envelope, which Recover judges before Seed.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	t0 := &StoreBackend{
 		paths: map[string]*shadowSeries{"p0": {total: 3, errs: 1, digest: tsstore.NewDigest(8)}},
@@ -203,8 +204,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	}
 	t0.paths["p0"].digest.Add(1e6)
 	t0.paths["p0"].digest.Add(2e6)
-	f.Add(t0.checkpoint())
-	f.Add((&StoreBackend{}).checkpoint())
+	f.Add(t0.checkpoint(nil))
+	f.Add((&StoreBackend{}).checkpoint(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
@@ -224,8 +225,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		for p, s := range ck.paths {
 			re.paths[p] = &shadowSeries{total: s.total, errs: s.errs, digest: s.digest}
 		}
-		if !bytes.Equal(re.checkpoint(), data) {
-			t.Fatalf("checkpoint round-trip mismatch:\n got %x\nwant %x", re.checkpoint(), data)
+		if !bytes.Equal(re.checkpoint(nil), data) {
+			t.Fatalf("checkpoint round-trip mismatch:\n got %x\nwant %x", re.checkpoint(nil), data)
 		}
 	})
 }
@@ -292,7 +293,7 @@ func FuzzOpenVerifyAgree(f *testing.F) {
 		dir := t.TempDir()
 		a, _ := openT(t, dir, Options{})
 		seals := 0
-		a.checkpoint = func() []byte { seals++; return fmt.Appendf(nil, "checkpoint %d", seals) }
+		a.checkpoint = func(b []byte) []byte { seals++; return fmt.Appendf(b, "checkpoint %d", seals) }
 		crashed := int(crash % 3) // the seal that crashes; 0 for none
 		for s := 1; s <= 2; s++ {
 			appendN(t, a, 3*s, 3)

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -8,11 +9,14 @@ import (
 // A Consumer is an archive owner's side of Recover: OpenStore's store
 // and coord.OpenLog's log are the two.
 type Consumer struct {
-	// Seed takes in the newest checkpoint blob, lent for the call, when
-	// one was sealed. An error means the blob is corrupt, or, when it is
-	// ErrForeignCheckpoint, that another consumer wrote it; Seed must
-	// then have changed nothing.
-	Seed func(ckpt []byte) error
+	// Magic and Version, big-endian, open every checkpoint sealed for
+	// the consumer, before the body Checkpoint appends.
+	Magic   uint32
+	Version uint16
+	// Seed takes in the newest checkpoint's body, lent for the call,
+	// when one was sealed under Magic and Version. An error means the
+	// body is corrupt; Seed must then have changed nothing.
+	Seed func(body []byte) error
 	// Apply takes in one recovered record, lent as Walk lends it;
 	// counted is false only for a sealed record the seeded checkpoint
 	// summarizes. It reports whether the consumer owns the record's kind
@@ -22,16 +26,17 @@ type Consumer struct {
 	// archive lock, in append order, its Data lent from Append's frame.
 	OnAppend func(Record)
 	// Checkpoint, when non-nil, is called at seal time under the archive
-	// lock and returns a blob summarizing every record appended so far.
-	Checkpoint func() []byte
+	// lock and appends to envelope a body summarizing every record
+	// appended so far.
+	Checkpoint func(envelope []byte) []byte
 }
 
-// ErrForeignCheckpoint is what a Consumer's Seed returns (wrapped or
-// not) for a checkpoint another known consumer wrote: one that opens
-// with that consumer's magic. Open has hash-checked the checkpoint file
-// against its segment header, so such a blob is another consumer's
-// summary, not damage; a directory two consumers seal keeps only the
-// last sealer's.
+const envelopeLen = 6 // magic u32 | version u16
+
+// ErrForeignCheckpoint is what a seal fails with when the live
+// checkpoint opens with another magic than the archive's consumer's: a
+// directory has one sealer. Open has hash-checked the checkpoint file,
+// so such a blob is another consumer's summary, not damage.
 var ErrForeignCheckpoint = errors.New("archive: checkpoint written by another consumer")
 
 // A StoreReport extends OpenReport with what Recover found. OpenStore
@@ -52,9 +57,9 @@ type StoreReport struct {
 	// has dropped segments, in which case the pre-compaction history
 	// is missing from the counters (explicitly, never silently).
 	CheckpointCorrupt bool
-	// ForeignCheckpoint means the newest segment's checkpoint was
-	// written by another consumer (ErrForeignCheckpoint): recovery
-	// replayed counted, as for a corrupt one, but nothing is damaged.
+	// ForeignCheckpoint means the newest segment's checkpoint opens
+	// with another magic (ErrForeignCheckpoint): recovery replayed
+	// counted, as for a corrupt one, but nothing is damaged.
 	ForeignCheckpoint bool
 }
 
@@ -79,6 +84,8 @@ func (r StoreReport) String() string {
 // if it did (counting them again would double-count) and counted if
 // there was none or it is corrupt or foreign; the WAL tail applies
 // counted; then c's OnAppend and Checkpoint become the archive's hooks.
+// The envelope is judged here: another magic, or too few bytes for
+// one, is foreign; c's magic at another version is corrupt.
 func Recover(dir string, opt Options, c Consumer) (*Archive, StoreReport, error) {
 	a, orep, err := Open(dir, opt)
 	rep := StoreReport{OpenReport: orep}
@@ -87,10 +94,9 @@ func Recover(dir string, opt Options, c Consumer) (*Archive, StoreReport, error)
 	}
 	seeded := false
 	if len(a.ckpt) > 0 {
-		err := c.Seed(a.ckpt)
-		seeded = err == nil
-		rep.ForeignCheckpoint = errors.Is(err, ErrForeignCheckpoint)
-		rep.CheckpointCorrupt = !seeded && !rep.ForeignCheckpoint
+		own := len(a.ckpt) >= envelopeLen && binary.BigEndian.Uint32(a.ckpt) == c.Magic
+		seeded = own && binary.BigEndian.Uint16(a.ckpt[4:]) == c.Version && c.Seed(a.ckpt[envelopeLen:]) == nil
+		rep.ForeignCheckpoint, rep.CheckpointCorrupt = !own, own && !seeded
 	}
 	err = Walk(dir, func(r Record, sealed bool) error {
 		owned, used, err := c.Apply(r, !sealed || !seeded)
@@ -106,6 +112,7 @@ func Recover(dir string, opt Options, c Consumer) (*Archive, StoreReport, error)
 		a.Close()
 		return nil, rep, err
 	}
-	a.onAppend, a.checkpoint = c.OnAppend, c.Checkpoint
+	a.onAppend, a.checkpoint, a.foreignCkpt = c.OnAppend, c.Checkpoint, rep.ForeignCheckpoint
+	a.envelope = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint32(make([]byte, 0, envelopeLen), c.Magic), c.Version)
 	return a, rep, nil
 }

@@ -70,7 +70,7 @@ func TestSealFailureAfterRenameClosesArchive(t *testing.T) {
 func TestCheckpointHoldsOnlyItsBlob(t *testing.T) {
 	dir := t.TempDir()
 	a, _ := openT(t, dir, Options{})
-	a.checkpoint = func() []byte { return append(make([]byte, 0, 64), 1, 2) }
+	a.checkpoint = func(b []byte) []byte { return append(append(make([]byte, 0, 64), b...), 1, 2) }
 	appendN(t, a, 0, 1000)
 	if err := a.Seal(); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestCheckpointHoldsOnlyItsBlob(t *testing.T) {
 	defer st.Close()
 	feed(st, []string{"path-00", "path-01", "path-02"}, 0, 40)
 	be.Archive().mu.Lock()
-	ck := be.checkpoint()
+	ck := be.checkpoint(be.Archive().envelope)
 	be.Archive().mu.Unlock()
 	if len(ck) == 0 || cap(ck) != len(ck) {
 		t.Errorf("store checkpoint len %d cap %d, want equal and non-zero", len(ck), cap(ck))

@@ -23,18 +23,13 @@ const (
 	KindPointCompact uint8 = 0x03
 )
 
-// The checkpoint blob opens with ckptMagic and a u16 version, 2: uvarint
-// counts and AppendCompact digests. Recovery reads no other version; it
-// calls one corrupt and rebuilds its counters by counted replay.
-//
-// A store directory may also hold a coordinator log's checkpoint,
-// which opens with coordCkptMagic (a copy of coord.Log's own constant;
-// TestForeignCheckpointNotCorrupt in internal/coord pins the two): that
-// is ErrForeignCheckpoint, not corruption.
+// The store's checkpoint envelope (see Consumer): "TSCK", version 2,
+// whose body holds uvarint counts and AppendCompact digests. Recovery
+// reads no other version; it calls one corrupt and rebuilds its
+// counters by counted replay.
 const (
-	ckptMagic      = 0x5453434b // "TSCK"
-	ckptVersion    = 2
-	coordCkptMagic = 0x434c434b // "CLCK"
+	ckptMagic   = 0x5453434b // "TSCK"
+	ckptVersion = 2
 )
 
 // A StoreBackend adapts an Archive to tsstore.Backend: every sample
@@ -125,9 +120,10 @@ func pointOutcome(b []byte) (mid float64, ok bool, err error) {
 	return (lo + hi) / 2, errLen == 0, nil
 }
 
-// checkpoint encodes the shadow, in checkpoint version 2:
+// checkpoint appends the shadow to b, the checkpoint's envelope, as
+// checkpoint version 2's body:
 //
-//	magic u32 | version u16 | nPaths uvarint |
+//	nPaths uvarint |
 //	  per path, in key order: key (uvarint length) | total uvarint |
 //	  errs uvarint | digest (tsstore.Digest.AppendCompact) |
 //	nLinks uvarint | per link, in key order: key | total uvarint
@@ -136,9 +132,9 @@ func pointOutcome(b []byte) (mid float64, ok bool, err error) {
 // the checkpoint's exact size, every length computed before the first
 // byte is written. (A key is a record key, at most MaxKey bytes, so its
 // string prefix never cuts it.)
-func (t *StoreBackend) checkpoint() []byte {
+func (t *StoreBackend) checkpoint(b []byte) []byte {
 	paths := make([]string, 0, len(t.paths))
-	size := 4 + 2 + wire.UvarintLen(uint64(len(t.paths))) + wire.UvarintLen(uint64(len(t.links)))
+	size := len(b) + wire.UvarintLen(uint64(len(t.paths))) + wire.UvarintLen(uint64(len(t.links)))
 	for p, s := range t.paths {
 		paths = append(paths, p)
 		size += wire.VarStringLen(p) + wire.UvarintLen(s.total) + wire.UvarintLen(s.errs) + s.digest.CompactSize()
@@ -151,9 +147,7 @@ func (t *StoreBackend) checkpoint() []byte {
 	}
 	sort.Strings(links)
 
-	b := make([]byte, 0, size)
-	b = binary.BigEndian.AppendUint32(b, ckptMagic)
-	b = binary.BigEndian.AppendUint16(b, ckptVersion)
+	b = append(make([]byte, 0, size), b...)
 	b = binary.AppendUvarint(b, uint64(len(paths)))
 	for _, p := range paths {
 		s := t.paths[p]
@@ -199,6 +193,8 @@ func OpenStore(dir string, opt Options, cfg tsstore.Config) (*tsstore.Store, *St
 	t := &StoreBackend{digestSize: cmp.Or(cfg.DigestSize, tsstore.DefaultDigestSize), paths: map[string]*shadowSeries{}, links: map[string]uint64{}}
 	st := tsstore.NewWithBackend(cfg, t)
 	a, rep, err := Recover(dir, opt, Consumer{
+		Magic:      ckptMagic,
+		Version:    ckptVersion,
 		Seed:       func(b []byte) error { return seedStore(st, b) },
 		Apply:      func(r Record, counted bool) (bool, bool, error) { return replayStore(st, r, counted) },
 		OnAppend:   t.onAppend,
@@ -212,7 +208,7 @@ func OpenStore(dir string, opt Options, cfg tsstore.Config) (*tsstore.Store, *St
 	return st, t, rep, nil
 }
 
-// seedStore seeds st from a checkpoint blob, or leaves it untouched and
+// seedStore seeds st from a checkpoint body, or leaves it untouched and
 // returns an error.
 func seedStore(st *tsstore.Store, b []byte) error {
 	ck, err := decodeCheckpoint(b)
@@ -251,7 +247,7 @@ func replayStore(st *tsstore.Store, r Record, counted bool) (owned, used bool, e
 	return true, true, nil
 }
 
-// decodedCkpt is a parsed checkpoint blob.
+// decodedCkpt is a parsed checkpoint body.
 type decodedCkpt struct {
 	pathOrder []string
 	paths     map[string]shadowSeries
@@ -259,21 +255,10 @@ type decodedCkpt struct {
 	links     map[string]uint64
 }
 
-// decodeCheckpoint parses a checkpoint blob, or returns an error for a
-// corrupt one or one of another version, wrapping ErrForeignCheckpoint
-// for one another consumer wrote.
+// decodeCheckpoint parses a checkpoint body, or returns an error for a
+// corrupt one.
 func decodeCheckpoint(b []byte) (*decodedCkpt, error) {
 	d := wire.NewReader("archive: checkpoint", b)
-	switch d.U32() {
-	case ckptMagic:
-	case coordCkptMagic:
-		return nil, fmt.Errorf("archive: coordinator checkpoint: %w", ErrForeignCheckpoint)
-	default:
-		return nil, errors.New("archive: checkpoint has wrong magic")
-	}
-	if v := d.U16(); v != ckptVersion && d.Err() == nil {
-		return nil, fmt.Errorf("archive: checkpoint version %d, want %d", v, ckptVersion)
-	}
 	out := &decodedCkpt{paths: map[string]shadowSeries{}, links: map[string]uint64{}}
 	nPaths := d.Uvarint()
 	for i := uint64(0); i < nPaths; i++ {

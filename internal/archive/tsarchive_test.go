@@ -244,7 +244,10 @@ func TestOpenStoreCorruptCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	a.checkpoint = func() []byte { return []byte("not a checkpoint") }
+	a.checkpoint = func(b []byte) []byte {
+		b = binary.BigEndian.AppendUint32(b, ckptMagic)
+		return append(binary.BigEndian.AppendUint16(b, ckptVersion), "not a checkpoint"...)
+	}
 	be := &StoreBackend{a: a, digestSize: tsstore.DefaultDigestSize, paths: map[string]*shadowSeries{}, links: map[string]uint64{}}
 	st := tsstore.NewWithBackend(tsstore.Config{Capacity: 32}, be)
 	feed(st, testPaths[:1], 0, 6)
@@ -266,6 +269,58 @@ func TestOpenStoreCorruptCheckpoint(t *testing.T) {
 	}
 	if round := re.Resume("path-00").Round; round != 8 {
 		t.Fatalf("resume round = %d, want 8", round)
+	}
+}
+
+// TestCheckpointVerdict: Recover judges a hash-valid live checkpoint by
+// its envelope alone. The store is seeded from its own; its own magic
+// at another version is corrupt; any other magic, a sibling's or one
+// no consumer uses, and a blob too short for an envelope are foreign.
+// Recovery replays counted after all but the first, and the archive it
+// returns seals exactly when the checkpoint is not foreign.
+func TestCheckpointVerdict(t *testing.T) {
+	envelope := func(magic uint32, version uint16) []byte {
+		return binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint32(nil, magic), version)
+	}
+	// The store's own checkpoint claims 100 rounds; 3 are sealed.
+	own := (&StoreBackend{paths: map[string]*shadowSeries{"p00": {total: 100, digest: tsstore.NewDigest(8)}}}).checkpoint(envelope(ckptMagic, ckptVersion))
+	for _, c := range []struct {
+		name             string
+		blob             []byte
+		corrupt, foreign bool
+		total            uint64
+	}{
+		{"own", own, false, false, 100},
+		{"own magic, version 1", append(envelope(ckptMagic, 1), own[envelopeLen:]...), true, false, 3},
+		{"coordinator's magic", append(envelope(0x434c434b, 2), own[envelopeLen:]...), false, true, 3},
+		{"unused magic", append(envelope(0x58585858, ckptVersion), own[envelopeLen:]...), false, true, 3},
+		{"shorter than an envelope", own[:envelopeLen-1], false, true, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			a, _ := openT(t, dir, Options{})
+			a.checkpoint = func(b []byte) []byte { return append(b, c.blob...) }
+			for r := range 3 {
+				p := tsstore.Point{Round: r, Lo: 1e6, Hi: 2e6}
+				if err := a.Append(Record{Kind: KindPointCompact, Key: "p00", Data: p.AppendCompact(nil)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := a.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			a.Close()
+
+			st, be, rep := openStoreT(t, dir, Options{}, tsstore.Config{})
+			defer be.Close()
+			if total, _ := st.Totals("p00"); rep.CheckpointCorrupt != c.corrupt || rep.ForeignCheckpoint != c.foreign || total != c.total {
+				t.Errorf("report %v, p00 total %d; want corrupt %v, foreign %v, total %d", rep, total, c.corrupt, c.foreign, c.total)
+			}
+			st.Observe(sample("p00", 3))
+			if err := be.Archive().Seal(); c.foreign && !errors.Is(err, ErrForeignCheckpoint) || !c.foreign && err != nil {
+				t.Errorf("Seal: %v; want ErrForeignCheckpoint %v", err, c.foreign)
+			}
+		})
 	}
 }
 
@@ -324,7 +379,7 @@ func TestPointCodecRoundtripAndDamage(t *testing.T) {
 	}{
 		{"point", p.AppendCompact(nil), func(b []byte) (any, error) { return decodePoint(b) }, p},
 		{"link", appendLink(nil, lp), func(b []byte) (any, error) { return decodeLink(b) }, lp},
-		{"checkpoint", ck.checkpoint(), func(b []byte) (any, error) {
+		{"checkpoint", ck.checkpoint(nil), func(b []byte) (any, error) {
 			d, err := decodeCheckpoint(b)
 			if d == nil {
 				return nil, err
@@ -350,7 +405,7 @@ func TestPointCodecRoundtripAndDamage(t *testing.T) {
 	}
 }
 
-// ckptV1 hand-assembles a version 1 checkpoint of one path and no
+// ckptV1 hand-assembles a version 1 checkpoint body of one path and no
 // links, as archives before checkpoint version 2 hold them: fixed-width
 // counts and a length-prefixed digest of fixed-width fields (budget
 // u32, count u64, centroid count u32, then mean/weight pairs as u64s).
@@ -360,9 +415,7 @@ func ckptV1(path string, total, errs uint64) []byte {
 	digest = binary.BigEndian.AppendUint32(digest, 1)
 	digest = binary.BigEndian.AppendUint64(digest, math.Float64bits(5e6))
 	digest = binary.BigEndian.AppendUint64(digest, total-errs)
-	b := binary.BigEndian.AppendUint32(nil, ckptMagic)
-	b = binary.BigEndian.AppendUint16(b, 1)
-	b = binary.BigEndian.AppendUint32(b, 1)
+	b := binary.BigEndian.AppendUint32(nil, 1)
 	b = wire.AppendString(b, path)
 	b = binary.BigEndian.AppendUint64(b, total)
 	b = binary.BigEndian.AppendUint64(b, errs)
@@ -380,9 +433,11 @@ func TestVersion1CheckpointRebuiltByReplay(t *testing.T) {
 	dir := t.TempDir()
 	want := tsstore.New(tsstore.Config{})
 	a, _, err := Recover(dir, Options{}, Consumer{
+		Magic:      ckptMagic,
+		Version:    1,
 		Seed:       func([]byte) error { return nil },
 		Apply:      func(Record, bool) (bool, bool, error) { return true, true, nil },
-		Checkpoint: func() []byte { return ckptV1("p00", 1000, 10) },
+		Checkpoint: func(b []byte) []byte { return append(b, ckptV1("p00", 1000, 10)...) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -483,7 +538,7 @@ func TestCheckpointRejectsPoisonedDigest(t *testing.T) {
 	good := &StoreBackend{paths: map[string]*shadowSeries{"p0": {total: 2, digest: tsstore.NewDigest(64)}}}
 	good.paths["p0"].digest.Add(1e6)
 	good.paths["p0"].digest.Add(2e6)
-	blob := good.checkpoint()
+	blob := good.checkpoint(nil)
 	if _, err := decodeCheckpoint(blob); err != nil {
 		t.Fatalf("clean checkpoint: %v", err)
 	}

@@ -123,7 +123,7 @@ func FuzzPayloads(f *testing.F) {
 	})
 }
 
-// FuzzLogCheckpoint: a corrupt coordinator checkpoint must decode to
+// FuzzLogCheckpoint: a corrupt coordinator checkpoint body must decode to
 // an error (OpenLog then replays the sealed records instead), never
 // panic, and never to more contributions than its bytes can describe;
 // whatever decodes must survive a re-encode unchanged.
@@ -132,9 +132,9 @@ func FuzzLogCheckpoint(f *testing.F) {
 		contribs: map[string][]byte{"a1\x00p00": marshalPush("p00", fuzzPush()), "a2\x00p02": marshalPush("p02", tsstore.Contribution{})},
 		lease:    marshalLeaseSnapshot(fuzzLeases()),
 	}
-	f.Add(l.checkpoint())
-	f.Add((&Log{}).checkpoint())
-	f.Add(l.checkpoint()[:30])
+	f.Add(l.checkpoint(nil))
+	f.Add((&Log{}).checkpoint(nil))
+	f.Add(l.checkpoint(nil)[:30])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got := &Log{contribs: map[string][]byte{}}
@@ -145,12 +145,12 @@ func FuzzLogCheckpoint(f *testing.F) {
 		if 6*len(got.contribs) > len(data) {
 			t.Fatalf("%d-byte checkpoint decoded to %d contributions", len(data), len(got.contribs))
 		}
-		re := got.checkpoint()
+		re := got.checkpoint(nil)
 		again := &Log{contribs: map[string][]byte{}}
 		if err := again.decodeCheckpoint(re); err != nil {
 			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
 		}
-		if !bytes.Equal(again.checkpoint(), re) || !bytes.Equal(again.lease, got.lease) || len(again.contribs) != len(got.contribs) {
+		if !bytes.Equal(again.checkpoint(nil), re) || !bytes.Equal(again.lease, got.lease) || len(again.contribs) != len(got.contribs) {
 			t.Fatalf("checkpoint changed across a re-encode for %x", data)
 		}
 	})

@@ -162,22 +162,17 @@ func unmarshalLeaseSnapshot(b []byte) (LeaseSnapshot, error) {
 
 // --- archive-backed persister ----------------------------------------
 
-// coordCkptMagic/-Version frame the coordinator's checkpoint blob
-// ("CLCK"): the latest lease snapshot plus the latest contribution per
-// (agent, path) among sealed records, each a KindContribution payload
-// (version 1 held fixed-width pushes; recovery reports one corrupt).
-// Because both record kinds carry replace-not-accumulate state, the
-// checkpoint IS the sealed history — restore never needs to re-read
-// sealed segments when it is intact.
-//
-// storeCkptMagic ("TSCK") opens the checkpoints archive.OpenStore's
-// store seals, which a directory the coordinator shares with a store
-// may hold: that is archive.ErrForeignCheckpoint, not corruption.
-// TestForeignCheckpointNotCorrupt pins both constants to the archive's.
+// coordCkptMagic/-Version are the envelope of the coordinator's
+// checkpoint ("CLCK", see archive.Consumer), whose body holds the
+// latest lease snapshot plus the latest contribution per (agent, path)
+// among sealed records, each a KindContribution payload (version 1 held
+// fixed-width pushes; recovery reports one corrupt). Because both
+// record kinds carry replace-not-accumulate state, the checkpoint IS
+// the sealed history — restore never needs to re-read sealed segments
+// when it is intact.
 const (
 	coordCkptMagic   uint32 = 0x434c434b
 	coordCkptVersion uint16 = 2
-	storeCkptMagic   uint32 = 0x5453434b
 )
 
 // Log is the coordinator's durable state: every lease-state change and
@@ -198,13 +193,15 @@ type Log struct {
 // records of kinds the log does not own (kept in the archive, ignored
 // here), CheckpointCorrupt a checkpoint that failed to decode, and
 // ForeignCheckpoint one another consumer wrote; after either, recovery
-// applied every sealed record instead.
+// applied every sealed record instead. Over a foreign checkpoint the
+// log does not seal (archive.ErrForeignCheckpoint).
 type LogReport = archive.StoreReport
 
 // OpenLog opens (or creates) the coordinator's durable log at dir.
 func OpenLog(dir string, opt archive.Options) (*Log, LogReport, error) {
 	l := &Log{contribs: map[string][]byte{}}
 	a, rep, err := archive.Recover(dir, opt, archive.Consumer{
+		Magic: coordCkptMagic, Version: coordCkptVersion,
 		Seed: l.decodeCheckpoint, Apply: l.apply, OnAppend: l.onAppend, Checkpoint: l.checkpoint,
 	})
 	if err != nil {
@@ -257,11 +254,9 @@ func (l *Log) apply(r archive.Record, counted bool) (owned, used bool, err error
 	return true, counted, nil
 }
 
-// checkpoint encodes the shadow state; the archive calls it under its
-// lock at seal time.
-func (l *Log) checkpoint() []byte {
-	buf := binary.BigEndian.AppendUint32(nil, coordCkptMagic)
-	buf = binary.BigEndian.AppendUint16(buf, coordCkptVersion)
+// checkpoint appends the shadow state to buf, the checkpoint's
+// envelope; the archive calls it under its lock at seal time.
+func (l *Log) checkpoint(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(l.lease)))
 	buf = append(buf, l.lease...)
 	keys := make([]string, 0, len(l.contribs))
@@ -279,21 +274,10 @@ func (l *Log) checkpoint() []byte {
 	return buf
 }
 
-// decodeCheckpoint seeds the shadow from a checkpoint blob, or leaves
-// it untouched and returns an error: archive.ErrForeignCheckpoint for a
-// store's checkpoint.
+// decodeCheckpoint seeds the shadow from a checkpoint body, or leaves
+// it untouched and returns an error.
 func (l *Log) decodeCheckpoint(b []byte) error {
 	d := wire.NewReader("coord: checkpoint", b)
-	switch d.U32() {
-	case coordCkptMagic:
-	case storeCkptMagic:
-		return fmt.Errorf("coord: store checkpoint: %w", archive.ErrForeignCheckpoint)
-	default:
-		return fmt.Errorf("coord: not a coordinator checkpoint")
-	}
-	if v := d.U16(); d.Err() == nil && v != coordCkptVersion {
-		return fmt.Errorf("coord: checkpoint version %d unsupported", v)
-	}
 	lease := append([]byte(nil), d.Bytes()...) // nil when no snapshot was recorded
 	n := int(d.U32())
 	if n > d.Len() {

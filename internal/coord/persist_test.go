@@ -2,6 +2,7 @@ package coord
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -235,7 +236,8 @@ func TestLogRoundtrip(t *testing.T) {
 	dir2 := t.TempDir()
 	lw := &Log{contribs: map[string][]byte{}}
 	a, _, err := archive.Recover(dir2, archive.Options{}, archive.Consumer{
-		Seed: lw.decodeCheckpoint, Apply: lw.apply, Checkpoint: func() []byte { return []byte("junk") },
+		Magic: coordCkptMagic, Version: coordCkptVersion,
+		Seed: lw.decodeCheckpoint, Apply: lw.apply, Checkpoint: func(b []byte) []byte { return append(b, "junk"...) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,9 +336,7 @@ func TestOpenLogRefusesPreviousGeneration(t *testing.T) {
 	}
 	push = wire.AppendString(push, "")
 	push = binary.BigEndian.AppendUint32(push, 0)
-	ckpt := binary.BigEndian.AppendUint32(nil, coordCkptMagic)
-	ckpt = binary.BigEndian.AppendUint16(ckpt, 1)
-	ckpt = binary.BigEndian.AppendUint32(ckpt, 0) // no lease snapshot
+	ckpt := binary.BigEndian.AppendUint32(nil, 0) // no lease snapshot
 	ckpt = binary.BigEndian.AppendUint32(ckpt, 1)
 	ckpt = wire.AppendString(ckpt, "a1\x00p00")
 	ckpt = binary.BigEndian.AppendUint32(ckpt, uint32(len(push)))
@@ -344,9 +344,11 @@ func TestOpenLogRefusesPreviousGeneration(t *testing.T) {
 
 	dir := t.TempDir()
 	a, _, err := archive.Recover(dir, archive.Options{}, archive.Consumer{
+		Magic:      coordCkptMagic,
+		Version:    1,
 		Seed:       func([]byte) error { return nil },
 		Apply:      func(archive.Record, bool) (bool, bool, error) { return true, true, nil },
-		Checkpoint: func() []byte { return ckpt },
+		Checkpoint: func(b []byte) []byte { return append(b, ckpt...) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -434,6 +436,58 @@ func TestForeignCheckpointNotCorrupt(t *testing.T) {
 	}
 }
 
+// TestOneSealerPerDirectory: a log opened over a store's compacted
+// directory refuses to seal, explicitly or automatically, so the
+// store's checkpoint — the only record of the compacted-away points —
+// survives, and the refused records stay in the WAL.
+func TestOneSealerPerDirectory(t *testing.T) {
+	dir := t.TempDir()
+	st, be, _, err := archive.OpenStore(dir, archive.Options{}, tsstore.Config{})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	for r := range 6 {
+		st.Observe(pathload.Sample{Path: "p00", Round: r, Result: pathload.Result{Lo: 1e6, Hi: 2e6}})
+		if r%3 == 2 {
+			if err := be.Archive().Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if removed, err := be.Archive().Compact(1, 0); err != nil || len(removed) != 1 {
+		t.Fatalf("Compact removed %v, %v; want the first segment", removed, err)
+	}
+	st.Close()
+
+	for _, opt := range []archive.Options{{}, {SealBytes: 1}} {
+		l, rep, err := OpenLog(dir, opt)
+		if err != nil {
+			t.Fatalf("OpenLog: %v", err)
+		}
+		if !rep.ForeignCheckpoint {
+			t.Errorf("OpenLog over a store's directory: %+v; want a foreign checkpoint", rep)
+		}
+		err = l.saveLeases(LeaseSnapshot{Clock: time.Second, Agents: []string{"a1"}})
+		if opt.SealBytes == 0 && err == nil {
+			err = l.Archive().Seal()
+		}
+		if !errors.Is(err, archive.ErrForeignCheckpoint) {
+			t.Errorf("sealing a log over a store's checkpoint (SealBytes %d): %v; want ErrForeignCheckpoint", opt.SealBytes, err)
+		}
+		l.Close()
+	}
+
+	st, _, rep, err := archive.OpenStore(dir, archive.Options{}, tsstore.Config{})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	total, _ := st.Totals("p00")
+	st.Close()
+	if rep.ForeignCheckpoint || rep.CheckpointCorrupt || total != 6 || rep.Segments != 1 || rep.TailRecords != 2 {
+		t.Errorf("OpenStore after the refused seals: %+v, p00 total %d; want the store's checkpoint, total 6, 1 segment and both lease snapshots in the WAL", rep, total)
+	}
+}
+
 // TestOpenLogAfterCompact: a log sealed three times and compacted down
 // to its newest segment comes back whole from the checkpoint — the
 // lease snapshot and the contribution that only the dropped segments
@@ -448,9 +502,10 @@ func TestOpenLogAfterCompact(t *testing.T) {
 	build := func(junk bool) string {
 		dir := t.TempDir()
 		l := &Log{contribs: map[string][]byte{}}
-		c := archive.Consumer{Seed: l.decodeCheckpoint, Apply: l.apply, OnAppend: l.onAppend, Checkpoint: l.checkpoint}
+		c := archive.Consumer{Magic: coordCkptMagic, Version: coordCkptVersion,
+			Seed: l.decodeCheckpoint, Apply: l.apply, OnAppend: l.onAppend, Checkpoint: l.checkpoint}
 		if junk {
-			c.Checkpoint = func() []byte { return []byte("junk") }
+			c.Checkpoint = func(b []byte) []byte { return append(b, "junk"...) }
 		}
 		a, _, err := archive.Recover(dir, archive.Options{}, c)
 		if err != nil {

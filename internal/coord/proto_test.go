@@ -350,7 +350,7 @@ func TestDecodersRejectEveryPrefix(t *testing.T) {
 	ckpt := (&Log{
 		contribs: map[string][]byte{"a1\x00p00": marshalPush("p00", fuzzPush()), "a2\x00p02": marshalPush("p02", tsstore.Contribution{})},
 		lease:    marshalLeaseSnapshot(fuzzLeases()),
-	}).checkpoint()
+	}).checkpoint(nil)
 	for _, c := range []struct {
 		name   string
 		blob   []byte

@@ -212,12 +212,17 @@ func (f *Federation) merge(st *Store, paths []string) {
 		}
 		sort.Strings(agents)
 		se := st.ensure(path)
-		// Sized once, for every agent's points and Merge below.
+		// Sized once, for every agent's points and Merge below; of the
+		// points in agent order only the newest limit survive, so no
+		// older one is inserted.
 		se.reserve(points)
 		se.digest.reserve(centroids)
+		skip := max(0, points-se.limit)
 		for _, a := range agents {
 			c := byAgent[a]
-			for _, p := range c.Points {
+			n := min(skip, len(c.Points))
+			skip -= n
+			for _, p := range c.Points[n:] {
 				se.insert(p)
 			}
 			se.total += c.Total

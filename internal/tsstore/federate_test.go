@@ -157,6 +157,23 @@ func TestFederationMergesAcrossAgents(t *testing.T) {
 	if got := f.Agents("p00"); len(got) != 2 || got[0] != "a1" || got[1] != "a2" {
 		t.Fatalf("Agents = %v", got)
 	}
+
+	// Over capacity the merged ring holds the newest Capacity points of
+	// the agents' points in agent order: two full rings, then one agent
+	// alone over capacity, first or last.
+	for _, n := range [][2]int{{32, 32}, {40, 2}, {2, 40}} {
+		f := NewFederation(Config{Capacity: 32, DigestSize: 32})
+		c1, c2 := fedContribution("a1", "p00", n[0], 1), fedContribution("a2", "p00", n[1], 9)
+		f.Push("a1", "p00", c1)
+		f.Push("a2", "p00", c2)
+		all := append(append([]Point(nil), c1.Points...), c2.Points...)
+		st := f.Snapshot()
+		total, _ := st.Totals("p00")
+		if got := st.Snapshot("p00"); !reflect.DeepEqual(got, all[len(all)-32:]) || total != c1.Total+c2.Total {
+			t.Errorf("%d+%d points: retained %d points, total %d; want the last 32 of the concatenation, total %d",
+				n[0], n[1], len(got), total, c1.Total+c2.Total)
+		}
+	}
 }
 
 // TestFederationIsolation: the federation must own deep copies — a
