@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -416,13 +417,14 @@ func (a *Agent) reconcile(asg assignMsg) error {
 		cfg.Scheduler = &schedule.Budgeted{Inner: inner, Rate: asg.Budget}
 	}
 	// Paths sharing a conflict group must stagger locally — that is the
-	// contract that lets the coordinator lease whole groups.
+	// contract that lets the coordinator lease whole groups. The policy
+	// replaces the Monitor's default, so it takes the defaulted cap.
 	byGroup := map[int][]string{}
 	for _, l := range leases {
 		byGroup[l.Group] = append(byGroup[l.Group], l.Path)
 	}
 	if conflicts := schedule.GroupConflicts(slices.Collect(maps.Values(byGroup))); conflicts != nil {
-		cfg.Admission = schedule.NewStagger(conflicts, cfg.Workers)
+		cfg.Admission = schedule.NewStagger(conflicts, cmp.Or(cfg.Workers, pathload.DefaultMonitorWorkers))
 	}
 
 	mon, err := pathload.NewMonitor(cfg)

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -508,5 +509,98 @@ func TestAgentRepushesUnackedPaths(t *testing.T) {
 	}
 	if got, want := strings.Join(pushed[2], ","), "p01,p02"; got != want {
 		t.Errorf("session 2 pushed %q, want every path session 1 did not ack, %q", got, want)
+	}
+}
+
+// gatedProber is a stubProber whose streams take wall time and count
+// how many run at once across every path that shares the tally.
+type gatedProber struct {
+	stubProber
+	tally *inflightTally
+}
+
+type inflightTally struct {
+	mu              sync.Mutex
+	now, max, total int
+}
+
+func (p *gatedProber) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, error) {
+	p.tally.mu.Lock()
+	p.tally.now++
+	p.tally.total++
+	p.tally.max = max(p.tally.max, p.tally.now)
+	p.tally.mu.Unlock()
+	time.Sleep(2 * time.Millisecond)
+	p.tally.mu.Lock()
+	p.tally.now--
+	p.tally.mu.Unlock()
+	return p.stubProber.SendStream(spec)
+}
+
+// TestAgentConflictGroupsKeepDefaultWorkers: an agent whose Monitor
+// leaves Workers at 0 caps its paths at DefaultMonitorWorkers whether
+// or not its leases share conflict groups. The group policy replaces
+// the Monitor's default, so it must carry the defaulted cap; six
+// two-path groups under an uncapped policy measure six at once.
+func TestAgentConflictGroupsKeepDefaultWorkers(t *testing.T) {
+	var paths []string
+	conflicts := map[string][]string{}
+	for g := range 6 {
+		a, b := fmt.Sprintf("p%02d", 2*g), fmt.Sprintf("p%02d", 2*g+1)
+		paths = append(paths, a, b)
+		conflicts[a] = []string{b}
+	}
+	srv, err := NewServer(ServerConfig{
+		Coord:    Config{Paths: paths, Conflicts: conflicts, TTL: time.Second, Epoch: 50 * time.Millisecond},
+		AutoTick: true,
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(ln)
+
+	tally := &inflightTally{}
+	a, err := NewAgent(AgentConfig{
+		Coord: ln.Addr().String(),
+		Name:  "a1",
+		Provider: func(string) (pathload.ProberFactory, error) {
+			return func() (pathload.Prober, error) {
+				return &gatedProber{stubProber: stubProber{avail: 5e6}, tally: tally}, nil
+			}, nil
+		},
+		Heartbeat: 40 * time.Millisecond,
+		PushEvery: 50 * time.Millisecond,
+		Monitor: pathload.MonitorConfig{
+			Config: pathload.Config{PacketsPerStream: 8, StreamsPerFleet: 3, DisableInitProbe: true},
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewAgent: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- a.Run() }()
+	defer a.Stop()
+
+	waitFor(t, "every path measured", func() bool {
+		for _, p := range paths {
+			if c, ok := srv.Federation().Contribution("a1", p); !ok || c.Total < 1 {
+				return false
+			}
+		}
+		return true
+	})
+	a.Stop()
+	if err := <-done; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	tally.mu.Lock()
+	defer tally.mu.Unlock()
+	if tally.max > pathload.DefaultMonitorWorkers {
+		t.Errorf("%d rounds in flight at once over %d streams, want ≤ %d (DefaultMonitorWorkers)", tally.max, tally.total, pathload.DefaultMonitorWorkers)
 	}
 }

@@ -56,7 +56,7 @@ type ServerConfig struct {
 	// dropped with a transcript line) and the federated contributions
 	// the log recovered, and every lease-state change and every applied
 	// push is then written through to it. Write errors are counted
-	// (PersistErrs, and on /coord) but never stop the control plane.
+	// (on /coord) but never stop the control plane.
 	Log *Log
 }
 
@@ -121,14 +121,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		go s.tickLoop()
 	}
 	return s, nil
-}
-
-// PersistErrs reports how many writes to the Log failed and the most
-// recent error.
-func (s *Server) PersistErrs() (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.persistErrs, s.persistErr
 }
 
 // persistLeases snapshots the lease state into the Log; callers hold

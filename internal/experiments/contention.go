@@ -40,14 +40,14 @@ type ContentionPath struct {
 	CoMRTG float64
 }
 
-// SoloMid and CoMid are the range midpoints.
-func (p ContentionPath) SoloMid() float64 { return (p.SoloLo + p.SoloHi) / 2 }
-func (p ContentionPath) CoMid() float64   { return (p.CoLo + p.CoHi) / 2 }
+// soloMid and coMid are the range midpoints.
+func (p ContentionPath) soloMid() float64 { return (p.SoloLo + p.SoloHi) / 2 }
+func (p ContentionPath) coMid() float64   { return (p.CoLo + p.CoHi) / 2 }
 
 // Shift is the fleet self-interference on this path: how far co-probing
 // moved the midpoint estimate from the solo baseline (negative =
 // under-reports under contention, the tool-interference direction).
-func (p ContentionPath) Shift() float64 { return p.CoMid() - p.SoloMid() }
+func (p ContentionPath) Shift() float64 { return p.coMid() - p.soloMid() }
 
 // SoloErr and CoErr are each range's distance to the true avail-bw
 // (zero when the range brackets it).

@@ -222,12 +222,12 @@ func TestMonitorDriverStaggerSeparatesConflicts(t *testing.T) {
 // paths share nothing.
 func TestMonitorDriverHonoursAdmission(t *testing.T) {
 	m := Disjoint(3, 11).MustBuild()
-	rec, _ := runAdmittedFleet(t, m, 2, schedule.NewWorkers(1))
+	rec, _ := runAdmittedFleet(t, m, 2, schedule.NewStagger(nil, 1))
 	paths := m.Paths()
 	for i, a := range paths {
 		for _, b := range paths[i+1:] {
 			if rec.overlapping(a.Name, b.Name) {
-				t.Errorf("%s and %s were mid-round together under NewWorkers(1): %v vs %v", a.Name, b.Name, rec.spans[a.Name], rec.spans[b.Name])
+				t.Errorf("%s and %s were mid-round together under NewStagger(nil, 1): %v vs %v", a.Name, b.Name, rec.spans[a.Name], rec.spans[b.Name])
 			}
 		}
 	}

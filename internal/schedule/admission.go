@@ -1,15 +1,16 @@
 package schedule
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
 
 // An Admission policy gates measurement starts across a fleet: a
 // session acquires the policy before every round and runs the
-// measurement only while holding the returned release. The Monitor's
-// original worker semaphore is the Workers policy; Stagger adds the
-// contention-aware layer the mesh experiments motivate.
+// measurement only while holding the returned release, which it calls
+// once. Stagger is the policy: a worker cap, and the contention-aware
+// layer the mesh experiments motivate.
 //
 // TryAcquire is the admissibility rule itself: it admits the path if it
 // may begin right now and never blocks, which is what a driver that
@@ -23,75 +24,35 @@ type Admission interface {
 	TryAcquire(path string) (release func(), ok bool)
 }
 
-// Workers is the bounded worker pool: at most N measurements in flight
-// at once, fleet-wide, path identity ignored. It is the Monitor's
-// default admission policy.
-type Workers struct {
-	sem chan struct{}
-}
-
-// NewWorkers returns a pool of n slots; n <= 0 admits unboundedly.
-func NewWorkers(n int) *Workers {
-	w := &Workers{}
-	if n > 0 {
-		w.sem = make(chan struct{}, n)
-	}
-	return w
-}
-
-// TryAcquire takes a slot if one is free.
-func (w *Workers) TryAcquire(string) (func(), bool) {
-	if w.sem == nil {
-		return func() {}, true
-	}
-	select {
-	case w.sem <- struct{}{}:
-		return w.release, true
-	default:
-		return nil, false
-	}
-}
-
-// Acquire takes a slot, or reports ok == false when cancel wins.
-func (w *Workers) Acquire(path string, cancel <-chan struct{}) (func(), bool) {
-	if release, ok := w.TryAcquire(path); ok {
-		return release, true
-	}
-	select {
-	case w.sem <- struct{}{}:
-		return w.release, true
-	case <-cancel:
-		return nil, false
-	}
-}
-
-func (w *Workers) release() { <-w.sem }
-
 // Stagger is conflict-graph admission: two paths that conflict — share
 // a tight link, per the mesh's link-sharing graph — never measure at
 // the same time, so fleet self-interference on the very hop being
 // estimated is ruled out by construction (the contention experiment
 // measures ≈ −3 Mb/s bias when it is not). An optional worker cap
-// bounds total concurrency on top.
+// bounds total concurrency on top; with no conflicts, Stagger is the
+// Monitor's default worker pool.
 //
-// Paths absent from the conflict graph have no conflicts: they are
-// only worker-gated, so a Stagger with an empty graph degenerates to
-// Workers.
-//
-// Admission order among wall-clock waiters (Acquire) is not FIFO: every
-// release wakes all waiters and they race for the next slot, so on a
-// dense conflict graph (e.g. a star, where every pair conflicts) a path
-// can lose the race repeatedly and fall behind its siblings. Long-lived
-// fleets on dense graphs should keep a non-zero re-measurement interval
-// so sessions spend most time idling rather than contending. A
-// sequenced fleet has no such race: its driver polls TryAcquire for the
-// waiters in seat order, so the grant order is deterministic.
+// Wall-clock waiters (Acquire) queue in arrival order. A release admits,
+// oldest first, every waiter it made admissible and hands each its
+// grant, so one goroutine wakes per admitted path and a path that
+// releases and asks again queues behind them. A sequenced fleet has no
+// queue: its driver polls TryAcquire in seat order, so the grant order
+// is deterministic.
 type Stagger struct {
 	mu        sync.Mutex
 	conflicts map[string]map[string]bool
-	busy      map[string]bool
-	slots     int // remaining worker slots; < 0 means unbounded
-	changed   chan struct{}
+	busy      map[string]int // holders per path
+	slots     int            // remaining worker slots; < 0 means unbounded
+	queue     []*grant       // wall-clock waiters, oldest first
+	free      []*grant       // released grants, for reuse
+}
+
+// A grant is one admission of one path.
+type grant struct {
+	path    string
+	held    bool
+	ready   chan struct{} // capacity 1: the release that admits a queued waiter signals here
+	release func()
 }
 
 // NewStagger builds the policy from an adjacency list (as produced by
@@ -101,9 +62,8 @@ type Stagger struct {
 func NewStagger(conflicts map[string][]string, workers int) *Stagger {
 	g := &Stagger{
 		conflicts: map[string]map[string]bool{},
-		busy:      map[string]bool{},
+		busy:      map[string]int{},
 		slots:     workers,
-		changed:   make(chan struct{}),
 	}
 	if workers <= 0 {
 		g.slots = -1
@@ -126,61 +86,110 @@ func NewStagger(conflicts map[string][]string, workers int) *Stagger {
 	return g
 }
 
-// Conflicts returns the symmetrized adjacency for the path, sorted —
-// for diagnostics and tests.
-func (g *Stagger) Conflicts(path string) []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.conflicts[path]))
-	for o := range g.conflicts[path] {
-		out = append(out, o)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TryAcquire admits the path if no conflicting path is measuring and a
 // worker slot is free.
 func (g *Stagger) TryAcquire(path string) (func(), bool) {
-	release, _ := g.try(path)
-	return release, release != nil
-}
-
-// Acquire blocks until TryAcquire would admit the path.
-func (g *Stagger) Acquire(path string, cancel <-chan struct{}) (func(), bool) {
-	for {
-		release, changed := g.try(path)
-		if release != nil {
-			return release, true
-		}
-		select {
-		case <-changed:
-		case <-cancel:
-			return nil, false
-		}
-	}
-}
-
-// try admits the path if it may start now. Otherwise it returns the
-// channel the next release closes — read under the same lock as the
-// refusal, so a waiter cannot miss the release that would admit it.
-func (g *Stagger) try(path string) (release func(), changed <-chan struct{}) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if !g.admissible(path) {
+		return nil, false
+	}
+	return g.take(g.grant(path)), true
+}
+
+// Acquire admits the path at once if TryAcquire would, and otherwise
+// queues it until a release hands it a grant or cancel closes. Each
+// release leaves only inadmissible waiters queued, so admitting a
+// newcomer at once never passes one of them.
+func (g *Stagger) Acquire(path string, cancel <-chan struct{}) (func(), bool) {
+	g.mu.Lock()
+	if g.admissible(path) {
+		defer g.mu.Unlock()
+		return g.take(g.grant(path)), true
+	}
+	w := g.grant(path)
+	g.queue = append(g.queue, w)
+	g.mu.Unlock()
+
+	select {
+	case <-w.ready:
+		return w.release, true
+	case <-cancel:
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if w.held {
+		<-w.ready // granted as cancel closed: pass the slot on
+		g.releaseLocked(w)
+	} else {
+		i := slices.Index(g.queue, w)
+		g.queue = slices.Delete(g.queue, i, i+1)
+		g.free = append(g.free, w)
+	}
+	return nil, false
+}
+
+// admissible reports whether the path may start now: a worker slot is
+// free and no conflicting path is measuring. Callers hold g.mu.
+func (g *Stagger) admissible(path string) bool {
 	if g.slots == 0 {
-		return nil, g.changed
+		return false
 	}
 	for o := range g.conflicts[path] {
-		if g.busy[o] {
-			return nil, g.changed
+		if g.busy[o] > 0 {
+			return false
 		}
 	}
-	g.busy[path] = true
+	return true
+}
+
+// grant returns a recycled grant, or a new one, for the path, so a warm
+// Stagger admits and releases without allocating. Callers hold g.mu.
+func (g *Stagger) grant(path string) *grant {
+	if n := len(g.free); n > 0 {
+		w := g.free[n-1]
+		g.free, w.path = g.free[:n-1], path
+		return w
+	}
+	w := &grant{path: path, ready: make(chan struct{}, 1)}
+	w.release = func() {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if w.held { // a second call is a no-op until the grant is reused
+			g.releaseLocked(w)
+		}
+	}
+	return w
+}
+
+// take marks the grant's path busy and spends a worker slot, returning
+// the grant's release. Callers hold g.mu.
+func (g *Stagger) take(w *grant) func() {
+	w.held = true
+	g.busy[w.path]++
 	if g.slots > 0 {
 		g.slots--
 	}
-	var once sync.Once
-	return func() { once.Do(func() { g.release(path) }) }, nil
+	return w.release
+}
+
+// releaseLocked frees the grant's slot, then admits the queued waiters
+// that became admissible, oldest first. Callers hold g.mu.
+func (g *Stagger) releaseLocked(w *grant) {
+	w.held = false
+	g.busy[w.path]--
+	if g.slots >= 0 {
+		g.slots++
+	}
+	g.free = append(g.free, w)
+	g.queue = slices.DeleteFunc(g.queue, func(q *grant) bool {
+		if !g.admissible(q.path) {
+			return false
+		}
+		g.take(q)
+		q.ready <- struct{}{}
+		return true
+	})
 }
 
 // GroupConflicts expands conflict groups into the pairwise adjacency
@@ -265,16 +274,4 @@ func ConflictGroups(paths []string, conflicts map[string][]string) [][]string {
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
 	return groups
-}
-
-// release frees the path's slot and wakes every waiter.
-func (g *Stagger) release(path string) {
-	g.mu.Lock()
-	delete(g.busy, path)
-	if g.slots >= 0 {
-		g.slots++
-	}
-	close(g.changed)
-	g.changed = make(chan struct{})
-	g.mu.Unlock()
 }

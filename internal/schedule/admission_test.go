@@ -2,17 +2,19 @@ package schedule
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestWorkersBoundsConcurrency: at most N acquisitions are ever held at
-// once, and a cancelled wait reports ok == false without leaking a
+// TestWorkersBoundsConcurrency: a Stagger with no conflicts is the
+// Monitor's default worker pool. At most N acquisitions are ever held
+// at once, and a cancelled wait reports ok == false without leaking a
 // slot.
 func TestWorkersBoundsConcurrency(t *testing.T) {
-	w := NewWorkers(2)
+	w := NewStagger(nil, 2)
 	var inflight, maxSeen int32
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -67,7 +69,7 @@ func TestWorkersBoundsConcurrency(t *testing.T) {
 	r3()
 
 	// Unbounded pool admits immediately, either way.
-	u := NewWorkers(0)
+	u := NewStagger(nil, 0)
 	for _, acquire := range []func() (func(), bool){
 		func() (func(), bool) { return u.Acquire("p", nil) },
 		func() (func(), bool) { return u.TryAcquire("p") },
@@ -91,7 +93,7 @@ func TestStaggerNeverCoSchedulesConflicts(t *testing.T) {
 		"p1": {"p2"}, // p1–p0 arrives only via symmetrization
 	}
 	g := NewStagger(conflicts, 0)
-	if got := g.Conflicts("p1"); len(got) != 2 || got[0] != "p0" || got[1] != "p2" {
+	if got := g.conflicts["p1"]; len(got) != 2 || !got["p0"] || !got["p2"] {
 		t.Fatalf("p1 conflicts = %v, want [p0 p2] (symmetrized)", got)
 	}
 
@@ -112,7 +114,7 @@ func TestStaggerNeverCoSchedulesConflicts(t *testing.T) {
 					return
 				}
 				mu.Lock()
-				for _, o := range g.Conflicts(p) {
+				for o := range g.conflicts[p] { // read-only once built
 					if busy[o] {
 						t.Errorf("%s admitted while conflicting %s is measuring", p, o)
 					}
@@ -279,5 +281,128 @@ func TestGroupConflicts(t *testing.T) {
 	}
 	if adj := GroupConflicts([][]string{{"a"}, nil}); adj != nil {
 		t.Errorf("no pairs: %v, want nil", adj)
+	}
+}
+
+// queued waits until a wall-clock waiter is in the Stagger's queue.
+func queued(t *testing.T, g *Stagger) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		g.mu.Lock()
+		k := len(g.queue)
+		g.mu.Unlock()
+		if k == 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters queued, want 1", k)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestStaggerNoOvertake: a release hands the slot to the oldest waiter
+// it admits, and a path that releases and asks again at once joins the
+// queue behind it. a holds, b waits on the conflict (or on the one
+// worker slot), a releases and asks again: b must measure first, every
+// cycle. A wait that wakes every waiter to race for the slot lets a win
+// nearly every time.
+func TestStaggerNoOvertake(t *testing.T) {
+	for name, g := range map[string]*Stagger{
+		"clique":   NewStagger(map[string][]string{"a": {"b"}}, 0),
+		"1-worker": NewStagger(nil, 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			overtakes := 0
+			for range 100 {
+				releaseA, _ := g.Acquire("a", nil)
+				order := make(chan string, 2)
+				go func() {
+					release, ok := g.Acquire("b", nil)
+					if !ok {
+						t.Error("uncancelled Acquire failed")
+					}
+					order <- "b"
+					release()
+				}()
+				queued(t, g)
+				releaseA()
+				releaseA, _ = g.Acquire("a", nil)
+				order <- "a"
+				releaseA()
+				if first := <-order; first != "b" {
+					overtakes++
+				}
+				<-order
+			}
+			if overtakes > 0 {
+				t.Fatalf("a re-acquired ahead of the queued b in %d of 100 cycles, want 0", overtakes)
+			}
+		})
+	}
+}
+
+// TestStaggerCancelRacingGrant: a waiter whose cancel closes as a
+// release admits it either measures (and releases) or gives up, and
+// either way the policy ends with every slot free and none extra: the
+// grant a cancelled waiter received is passed on, not kept or doubled.
+// Odd cycles close cancel and release under one hold of the lock, so
+// the waiter often sees its cancel only after the grant.
+func TestStaggerCancelRacingGrant(t *testing.T) {
+	g := NewStagger(map[string][]string{"a": {"b"}}, 1)
+	for i := range 500 {
+		g.mu.Lock()
+		a := g.grant("a")
+		g.take(a)
+		g.mu.Unlock()
+		cancel := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if release, ok := g.Acquire("b", cancel); ok {
+				release()
+			}
+		}()
+		queued(t, g)
+		if i%2 == 0 {
+			go close(cancel)
+			a.release()
+		} else {
+			g.mu.Lock()
+			close(cancel)
+			runtime.Gosched()
+			g.releaseLocked(a)
+			g.mu.Unlock()
+		}
+		<-done
+	}
+	g.mu.Lock()
+	if g.slots != 1 || g.busy["a"] != 0 || g.busy["b"] != 0 || len(g.queue) != 0 {
+		t.Errorf("after the races: slots %d, busy %v, queue empty %v; want 1 slot, none busy, empty", g.slots, g.busy, len(g.queue) == 0)
+	}
+	g.mu.Unlock()
+	r, ok := g.TryAcquire("b")
+	if !ok {
+		t.Fatal("a slot leaked: TryAcquire refused on an idle policy")
+	}
+	if _, ok := g.TryAcquire("c"); ok {
+		t.Fatal("a slot was doubled: the one-worker cap admitted two")
+	}
+	r()
+}
+
+// TestStaggerAllocationFree: once its grants are warm, admitting and
+// releasing a path allocates nothing, through either method.
+func TestStaggerAllocationFree(t *testing.T) {
+	g := NewStagger(map[string][]string{"a": {"b"}}, 2)
+	cycle := func() {
+		release, _ := g.Acquire("a", nil)
+		release()
+		release, _ = g.TryAcquire("b")
+		release()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a warm acquire/release cycle allocates %v objects, want 0", allocs)
 	}
 }

@@ -13,9 +13,9 @@ import (
 
 // A SequencedDriver runs a whole pathload.Monitor fleet on one
 // Sequencer: sessions wait for admission parked in virtual time
-// (Acquire), park at the fleet round barrier between rounds (EndRound),
+// (Acquire), park at the fleet round barrier between rounds (RoundEnd),
 // spend their scheduler gaps in virtual time anchored at their own
-// round end (IdleUntil), and retire their sequencer seats at
+// round end (Gap), and retire their sequencer seats at
 // end-of-life — so a monitored fleet over a shared mesh advances on one
 // virtual clock with a scheduling-independent interleave and replays
 // byte-for-byte run-to-run, admission policy included.
@@ -77,7 +77,7 @@ func (d *SequencedDriver) prober(path string) *Prober {
 func (d *SequencedDriver) RoundEnd(path string, round int) {
 	p := d.prober(path)
 	p.slot.roundEnd = d.seq.sim.Now()
-	p.EndRound()
+	p.endRound()
 }
 
 // Gap spends the scheduler's re-measurement gap in virtual time,
@@ -90,7 +90,7 @@ func (d *SequencedDriver) Gap(path string, _ pathload.Prober, gap time.Duration)
 	p := d.prober(path)
 	anchor := p.slot.roundEnd + netsim.FromDuration(gap)
 	p.slot.gapSlack = min(p.slot.gapSlack, anchor-d.seq.sim.Now())
-	p.IdleUntil(anchor)
+	p.idleUntil(anchor)
 	return nil
 }
 

@@ -64,7 +64,7 @@ type Sequencer struct {
 	// released — since the last fruitless poll.
 	pollAdmit bool
 
-	// round counts released fleet round barriers (EndRound); onRound,
+	// round counts released fleet round barriers (endRound); onRound,
 	// when set, fires at each barrier with exclusive simulator access.
 	round   int
 	onRound func(round int)
@@ -98,7 +98,7 @@ const (
 	// (releasing a slot) or on a signal that can wait for the next grant
 	// (a stop channel).
 	seqParkedAdmit
-	// seqParkedRound: parked at the fleet round barrier (EndRound),
+	// seqParkedRound: parked at the fleet round barrier (endRound),
 	// waiting for every live sibling to finish its round too.
 	seqParkedRound
 	// seqRetired: the goroutine is done; never counted again.
@@ -182,7 +182,7 @@ func (p *Prober) Retire() {
 }
 
 // OnRoundBoundary installs the fleet round-boundary hook: fn fires
-// every time all live probers have parked at the EndRound barrier, with
+// every time all live probers have parked at the endRound barrier, with
 // round counting released barriers from 1, on the goroutine of whichever
 // prober parked last. At that moment no prober holds the floor and no
 // await is pending, so fn has exclusive simulator access — it may
@@ -198,20 +198,20 @@ func (s *Sequencer) OnRoundBoundary(fn func(round int)) {
 	s.onRound = fn
 }
 
-// EndRound parks the prober at the fleet round barrier: the call
-// returns only when every live sibling has either called EndRound too
+// endRound parks the prober at the fleet round barrier: the call
+// returns only when every live sibling has either called endRound too
 // or retired, so a whole monitored fleet advances round-by-round on one
 // virtual clock. Without siblings it returns at once.
-func (p *Prober) EndRound() {
+func (p *Prober) endRound() {
 	p.slot.park(seqParkedRound) // until every live sibling reached the barrier
 }
 
-// IdleUntil advances virtual time to the absolute instant t, or does
+// idleUntil advances virtual time to the absolute instant t, or does
 // nothing when t has already passed. Unlike Idle's relative gap, the
 // deadline is anchored by the caller — a monitor driver anchors each
 // path's next round at its own round end, which keeps a path's timeline
 // independent of when its siblings cleared the round barrier.
-func (p *Prober) IdleUntil(t netsim.Time) {
+func (p *Prober) idleUntil(t netsim.Time) {
 	if now := p.begin().Now(); t < now {
 		t = now
 	}

@@ -292,7 +292,7 @@ func TestSequencerAdmissionStallPanics(t *testing.T) {
 	drv := NewSequencedDriver(seq)
 	drv.Register("p", seq.NewProber([]*netsim.Link{link}, 0))
 
-	adm := schedule.NewWorkers(1)
+	adm := schedule.NewStagger(nil, 1)
 	if _, ok := adm.TryAcquire("held"); !ok { // never released
 		t.Fatal("could not fill the pool")
 	}

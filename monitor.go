@@ -73,8 +73,8 @@ func (wallDriver) Retire(string) {}
 // measurement defaults until Stop is called.
 type MonitorConfig struct {
 	// Workers bounds the number of measurements in flight at once
-	// across all paths (the worker pool size). 0 selects
-	// DefaultMonitorWorkers.
+	// across all paths: the worker cap of the default Admission
+	// policy. 0 selects DefaultMonitorWorkers.
 	Workers int
 	// Interval is the target idle gap between one path's consecutive
 	// measurements, spent in the prober's Idle (virtual time under the
@@ -117,13 +117,13 @@ type MonitorConfig struct {
 	// exhausted), independent of Rounds.
 	Scheduler schedule.Scheduler
 	// Admission gates measurement starts across the fleet. nil selects
-	// schedule.NewWorkers(Workers), the original bounded worker pool —
-	// except under a Driver, where nil means every session is admitted
-	// at once; schedule.NewStagger keeps paths that share a tight link
-	// from co-probing (feed it mesh.Mesh.TightOverlaps). When Admission
-	// is set, Workers only applies through the policy itself. The
-	// session waits through Driver.Acquire: blocked in wall time by
-	// default, parked in virtual time under a sequenced driver.
+	// schedule.NewStagger(nil, Workers), a worker pool — except under a
+	// Driver, where nil means every session is admitted at once; a
+	// conflict graph keeps paths that share a tight link from co-probing
+	// (feed NewStagger mesh.Mesh.TightOverlaps). When Admission is set,
+	// Workers only applies through the policy itself. The session waits
+	// through Driver.Acquire: queued in wall time by default, oldest
+	// first, parked in virtual time under a sequenced driver.
 	Admission schedule.Admission
 	// Reconnect tunes how factory-backed sessions (AddPathFactory)
 	// heal after a transport failure. The zero value selects the
@@ -440,7 +440,7 @@ func (m *Monitor) Start() error {
 	if m.drv == nil {
 		m.drv = wallDriver{}
 		if m.adm == nil {
-			m.adm = schedule.NewWorkers(m.cfg.Workers)
+			m.adm = schedule.NewStagger(nil, m.cfg.Workers)
 		}
 	}
 	vars, _ := m.cfg.Store.(schedule.VarSource)
